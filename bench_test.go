@@ -123,8 +123,8 @@ func BenchmarkReduction(b *testing.B) {
 // linear layer (tensor.Gemm lowers onto internal/kernel) at the layer
 // shapes the micro models hit and at a square compute-bound size, in both
 // storage precisions: /f32 is the float32 path, /f16 the binary16-storage
-// path (tensor.GemmHalf, float32 accumulation). The f32/f16 pairs are what
-// cmd/benchjson turns into the speedup ratios archived in BENCH_gemm.json.
+// path (tensor.GemmHalf, float32 accumulation). The archived f32/f16 rates
+// are benchmark/'s tensor.gemm_f32_gflops / tensor.gemm_f16_gflops probes.
 // CI runs this at -benchtime 1x as a smoke test.
 func BenchmarkGemm(b *testing.B) {
 	shapes := []struct {

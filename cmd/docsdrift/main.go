@@ -18,9 +18,11 @@
 // layout, labels and deterministic cells drift still fails while its
 // timings are free to vary per machine.
 //
-// Only the analytic (closed-form, instant, deterministic) sections are
-// compared; measured and simulated sections take minutes to regenerate and
-// carry a seed, so they are refreshed manually with
+// The analytic (closed-form, instant, deterministic) sections and the
+// simulated ones (experiments -only simulated: the cluster pricer's Tables
+// 1, 8, 9 and Figures 3, 7, also instant) are compared, one run each;
+// measured sections take minutes to regenerate and carry a seed, so they
+// are refreshed manually with
 //
 //	experiments -markdown -o EXPERIMENTS.md
 //

@@ -65,6 +65,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -76,6 +77,39 @@ import (
 	"repro/internal/dist"
 	"repro/internal/models"
 )
+
+// sizes are the numeric flags the cluster model takes as given: checked
+// here, in one place, so a bad value is a one-line message instead of a
+// panic trace from inside internal/cluster.
+type sizes struct {
+	nodes, batch, epochs, dataset int
+	perNode                       int
+	sweep, evict, autoscale       bool
+	scaleMax                      int
+	interval                      float64
+}
+
+func (s sizes) check() error {
+	switch {
+	case s.nodes <= 0:
+		return fmt.Errorf("-nodes %d: want a positive device count", s.nodes)
+	case s.batch <= 0:
+		return fmt.Errorf("-batch %d: want a positive global batch size", s.batch)
+	case s.epochs <= 0:
+		return fmt.Errorf("-epochs %d: want a positive epoch budget", s.epochs)
+	case s.dataset <= 0:
+		return fmt.Errorf("-dataset %d: want a positive dataset size", s.dataset)
+	case s.perNode > 0 && s.nodes%s.perNode != 0:
+		return fmt.Errorf("-per-node %d does not divide %d devices", s.perNode, s.nodes)
+	case s.sweep && s.evict:
+		return errors.New("-evict is not supported with -sweep")
+	case s.autoscale && s.interval <= 0:
+		return fmt.Errorf("-interval %g: want a positive trace resolution in seconds", s.interval)
+	case s.autoscale && s.perNode > 1 && s.scaleMax > s.nodes:
+		return fmt.Errorf("-scale-max %d: a hierarchical fleet (-per-node %d) cannot grow past its %d devices", s.scaleMax, s.perNode, s.nodes)
+	}
+	return nil
+}
 
 func main() {
 	log.SetFlags(0)
@@ -108,6 +142,13 @@ func main() {
 		intraAlg   = flag.String("intra-algo", "ring", "within-node allreduce when -per-node is set: central | tree | ring")
 	)
 	flag.Parse()
+	if err := (sizes{
+		nodes: *nodes, batch: *batch, epochs: *epochs, dataset: *dataset, perNode: *perNode,
+		sweep: *sweep, evict: *evict != "", autoscale: *autoscale != "",
+		scaleMax: *scaleMax, interval: *interval,
+	}).check(); err != nil {
+		log.Fatal(err)
+	}
 
 	var spec *models.ModelSpec
 	switch *model {
@@ -172,10 +213,7 @@ func main() {
 
 	buildCluster := func(n int) cluster.Cluster {
 		c := cluster.Cluster{Machine: m, Count: n, Network: net, Algo: a, Overlap: *overlap, OverlapBuckets: *obuckets}
-		if *perNode > 0 {
-			if n%*perNode != 0 {
-				log.Fatalf("-per-node %d does not divide %d devices", *perNode, n)
-			}
+		if *perNode > 0 { // divides n: checked for -nodes, and -sweep only doubles it
 			c.PerNode = *perNode
 			c.IntraNetwork = parseNet(*intraNet)
 			c.IntraAlgo = parseAlgo(*intraAlg)
@@ -186,9 +224,6 @@ func main() {
 		return cluster.Simulate(buildCluster(n), spec, *batch, *epochs, *dataset)
 	}
 
-	if *sweep && *evict != "" {
-		log.Fatal("-evict is not supported with -sweep")
-	}
 	if *sweep {
 		fmt.Printf("%-8s %-12s %-12s %-12s %-12s %-14s %-10s\n", "nodes", "comp/iter", "comm/iter", "total", "img/s", "msgs/iter", "rounds")
 		for n := *nodes; n <= 16**nodes && n <= *batch; n *= 2 {
@@ -262,7 +297,7 @@ func main() {
 				p.Devices, p.Iterations,
 				fmt.Sprintf("%.4fs", p.CompSec), fmt.Sprintf("%.4fs", p.CommSec), p.ImagesSec)
 		}
-		fmt.Printf("  healthy fleet:  %s (%.0f img/s)\n", el.Healthy.Duration().Round(1e9), el.Healthy.ImagesSec)
+		fmt.Printf("  healthy fleet:  %s (%.0f img/s)\n", el.Baseline.Duration().Round(1e9), el.Baseline.ImagesSec)
 		fmt.Printf("  degraded fleet: %s (%.0f img/s avg), time-to-accuracy +%.1f%%\n",
 			el.Duration().Round(1e9), el.ImagesSec, el.SlowdownPct())
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/models"
 )
@@ -34,8 +33,8 @@ type TrafficPoint struct {
 type AutoscalePolicy struct {
 	// Min and Max bound the fleet. Min defaults to 1; Max defaults to the
 	// cluster's Count. For flat clusters Max may exceed Count — the grown
-	// worlds are priced by the same closed forms, evicted running negative
-	// (comm.ExpectedStatsAt). Hierarchical clusters are capped at Count.
+	// worlds are priced by the same closed forms, one more single-device
+	// node each. Hierarchical clusters are capped at Count.
 	Min, Max int
 	// TargetUtilization is the offered/capacity ratio the policy steers to
 	// (0 disables utilization-driven decisions).
@@ -74,8 +73,8 @@ type AutoscalePhase struct {
 	Interval int
 	Devices  int
 	// CapacityImagesSec is the fleet's sustained throughput at this world
-	// size — batch over the phaseCost iteration time, the same pricing
-	// SimulateElastic uses.
+	// size — batch over the iteration time the one pricer gives, the same
+	// SimulateElastic sums.
 	CapacityImagesSec float64
 	OfferedImagesSec  float64
 	// Utilization is offered/capacity (may exceed 1 while overloaded).
@@ -83,10 +82,10 @@ type AutoscalePhase struct {
 	// BacklogSec is the queued work at the end of the interval, in seconds
 	// of current capacity.
 	BacklogSec float64
-	// Comm is the closed-form schedule of one allreduce at this world size:
-	// comm.ExpectedStatsAt(algo, Count, Count−Devices) — evicted negative
-	// when the fleet has grown past its starting size — which the engine's
-	// measured counters must match bit-for-bit at the same world.
+	// Comm is the closed-form schedule of one allreduce at this world size
+	// — the schedule the capacity was priced with, both tiers summed on a
+	// hierarchical cluster — which the engine's measured counters must
+	// match bit-for-bit at the same world.
 	Comm dist.CommStats
 	USD  float64
 }
@@ -131,26 +130,22 @@ func (e AutoscaleEstimate) SavingsPct() float64 {
 // autoscaling control law: each interval the fleet absorbs its preemptions,
 // serves the offered load (queueing what it cannot), and the policy decides
 // the next interval's world size. Capacity at every world is priced by the
-// same per-iteration phase cost SimulateElastic uses — the efficiency curve
-// for compute, the alpha-beta collective for communication — so the replay
-// and the engine agree on what a world of p is worth, and each phase's
-// closed-form Comm schedule is the analytic twin of the counters a real
-// engine at that world records. intervalSec is the trace resolution; batch
-// is the global batch the fleet trains at (capacity scales with world size
-// through the collective's cost, not just the device count).
+// same pricer SimulateElastic uses — the efficiency curve for compute, the
+// alpha-beta collective for communication (serially: Overlap is ignored) —
+// so the replay and the engine agree on what a world of p is worth, and each
+// phase's closed-form Comm schedule is the analytic twin of the counters a
+// real engine at that world records. intervalSec is the trace resolution;
+// batch is the global batch the fleet trains at (capacity scales with world
+// size through the collective's cost, not just the device count).
 func SimulateAutoscale(c Cluster, spec *models.ModelSpec, batch int, intervalSec float64, trace []TrafficPoint, pol AutoscalePolicy) AutoscaleEstimate {
 	if batch <= 0 || intervalSec <= 0 {
 		panic("cluster: invalid autoscale parameters")
 	}
 	pol = pol.withDefaults(c)
-	if _, hier := c.Hierarchy(); hier && pol.Max > c.Count {
+	if _, tiered := c.Hierarchy(); tiered && pol.Max > c.Count {
 		panic(fmt.Sprintf("cluster: hierarchical autoscale cannot grow past the %d-device fleet", c.Count))
 	}
 	c.Overlap = false
-	capacityAt := func(world int) float64 {
-		comp, commSec := phaseCost(c, spec, batch, world)
-		return float64(batch) / (comp + commSec)
-	}
 
 	var out AutoscaleEstimate
 	world := c.Count
@@ -175,7 +170,8 @@ func SimulateAutoscale(c Cluster, spec *models.ModelSpec, batch int, intervalSec
 			out.Evictions += lost
 			out.Preempted += lost
 		}
-		capacity := capacityAt(world)
+		cur := pricePhase(c, spec, batch, world)
+		capacity := cur.ImagesSec
 		backlogImages += (tp.OfferedImagesSec - capacity) * intervalSec
 		if backlogImages < 0 {
 			backlogImages = 0
@@ -186,7 +182,7 @@ func SimulateAutoscale(c Cluster, spec *models.ModelSpec, batch int, intervalSec
 			OfferedImagesSec:  tp.OfferedImagesSec,
 			Utilization:       tp.OfferedImagesSec / capacity,
 			BacklogSec:        backlogImages / capacity,
-			Comm:              comm.ExpectedStatsAt(c.Algo, c.Count, c.Count-world, spec.WeightBytes()),
+			Comm:              cur.Comm,
 			USD:               float64(world) * intervalSec / 3600 * pol.USDPerDeviceHour,
 		}
 		out.Phases = append(out.Phases, ph)
@@ -214,7 +210,7 @@ func SimulateAutoscale(c Cluster, spec *models.ModelSpec, batch int, intervalSec
 			breachStart = -1
 		} else if !overloaded && backlogImages == 0 && world > pol.Min &&
 			pol.TargetUtilization > 0 &&
-			tp.OfferedImagesSec/capacityAt(max(world-pol.Step, pol.Min)) < pol.TargetUtilization {
+			tp.OfferedImagesSec/pricePhase(c, spec, batch, max(world-pol.Step, pol.Min)).ImagesSec < pol.TargetUtilization {
 			// Scale down only when the smaller fleet would still sit under
 			// target — projected, not current, utilization, so the policy
 			// does not oscillate around the threshold.

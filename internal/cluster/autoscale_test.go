@@ -167,30 +167,16 @@ func TestAutoscaleHierarchicalCap(t *testing.T) {
 		rampTrace(100, 200, 1, 1, 1), AutoscalePolicy{Max: 24})
 }
 
-// BenchmarkAutoscale measures the control plane's replay speed — the
-// autoscaler's reaction time in the engineering sense: how long deciding a
-// 1440-interval (one day at minute resolution) trace takes, per decision.
-func BenchmarkAutoscale(b *testing.B) {
-	c := KNLCluster(8)
+// TestAutoscaleHierarchicalComm: a hierarchical phase reports the two-tier
+// schedule it was priced with — the full fleet's is exactly Simulate's —
+// not the flat closed form over the same device count.
+func TestAutoscaleHierarchicalComm(t *testing.T) {
+	c := DGXPod(2)
 	spec := models.ResNet50Spec()
-	base := Simulate(c, spec, 2048, 1, imagenetSize)
-	tr := make([]TrafficPoint, 1440)
-	for i := range tr {
-		// Deterministic diurnal-ish load: two surges and a preemption.
-		frac := float64(i%720) / 720
-		tr[i].OfferedImagesSec = base.ImagesSec * (0.4 + 1.1*frac)
-		if i == 360 || i == 1080 {
-			tr[i].Preemptions = 1
-		}
-	}
-	pol := AutoscalePolicy{Min: 4, Max: 16, TargetUtilization: 0.8,
-		CooldownIntervals: 3, USDPerDeviceHour: 3.0}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est := SimulateAutoscale(c, spec, 2048, 60, tr, pol)
-		if len(est.Phases) != len(tr) {
-			b.Fatal("short replay")
-		}
+	base := Simulate(c, spec, 1024, 1, imagenetSize)
+	est := SimulateAutoscale(c, spec, 1024, 60,
+		[]TrafficPoint{{OfferedImagesSec: 0.5 * base.ImagesSec}}, AutoscalePolicy{})
+	if got := est.Phases[0].Comm; got != base.Comm {
+		t.Fatalf("full-fleet phase Comm %+v != Simulate's %+v", got, base.Comm)
 	}
 }

@@ -411,11 +411,11 @@ func TestSimulateElasticHealthyFleet(t *testing.T) {
 	if len(e.Phases) != 1 {
 		t.Fatalf("healthy run priced %d phases, want 1", len(e.Phases))
 	}
-	if e.Phases[0].Devices != 64 || e.Phases[0].Iterations != e.Healthy.Iterations {
+	if e.Phases[0].Devices != 64 || e.Phases[0].Iterations != e.Baseline.Iterations {
 		t.Fatalf("phase %+v does not cover the whole run at full strength", e.Phases[0])
 	}
-	if math.Abs(e.TotalSec-e.Healthy.TotalSec) > 1e-9*e.Healthy.TotalSec {
-		t.Fatalf("healthy elastic total %.2fs != plain estimate %.2fs", e.TotalSec, e.Healthy.TotalSec)
+	if math.Abs(e.TotalSec-e.Baseline.TotalSec) > 1e-9*e.Baseline.TotalSec {
+		t.Fatalf("healthy elastic total %.2fs != plain estimate %.2fs", e.TotalSec, e.Baseline.TotalSec)
 	}
 	if e.SlowdownPct() > 1e-9 {
 		t.Fatalf("healthy run reports %.2f%% slowdown", e.SlowdownPct())
@@ -444,14 +444,14 @@ func TestSimulateElasticDegradedRunSlower(t *testing.T) {
 				i, p.IterSec(), e.Phases[i-1].IterSec())
 		}
 	}
-	if iters != e.Healthy.Iterations {
-		t.Fatalf("phase iterations sum to %d, want the fixed budget %d", iters, e.Healthy.Iterations)
+	if iters != e.Baseline.Iterations {
+		t.Fatalf("phase iterations sum to %d, want the fixed budget %d", iters, e.Baseline.Iterations)
 	}
-	if e.TotalSec <= e.Healthy.TotalSec {
-		t.Fatalf("degraded run %.2fs not slower than healthy %.2fs", e.TotalSec, e.Healthy.TotalSec)
+	if e.TotalSec <= e.Baseline.TotalSec {
+		t.Fatalf("degraded run %.2fs not slower than healthy %.2fs", e.TotalSec, e.Baseline.TotalSec)
 	}
-	if e.ImagesSec >= e.Healthy.ImagesSec {
-		t.Fatalf("degraded throughput %.0f img/s not below healthy %.0f", e.ImagesSec, e.Healthy.ImagesSec)
+	if e.ImagesSec >= e.Baseline.ImagesSec {
+		t.Fatalf("degraded throughput %.0f img/s not below healthy %.0f", e.ImagesSec, e.Baseline.ImagesSec)
 	}
 }
 

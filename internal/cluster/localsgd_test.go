@@ -128,40 +128,3 @@ func TestLocalSGDCurve(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkLocalSGD prices the H-sweep the paper's tradeoff hinges on —
-// ResNet-50 on a 64-node KNL cluster — and reports the two quantities the
-// bench trajectory tracks: sustained throughput and per-step communication
-// volume. Sub-benchmarks per synchronization period feed BENCH_localsgd.json.
-func BenchmarkLocalSGD(b *testing.B) {
-	c := KNLCluster(64)
-	spec := models.ResNet50Spec()
-	for _, h := range []int{1, 2, 4, 8} {
-		b.Run(benchName(h), func(b *testing.B) {
-			var est LocalSGDEstimate
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				est = SimulateLocalSGD(c, spec, 2048, 1, imagenetSize, h, 0)
-				if est.OOM || est.ImagesSec <= 0 {
-					b.Fatal("degenerate estimate")
-				}
-			}
-			b.ReportMetric(est.ImagesSec, "img/s")
-			b.ReportMetric(float64(est.Comm.Bytes)/float64(est.Iterations)/(1<<20), "commMB/step")
-		})
-	}
-}
-
-func benchName(h int) string {
-	switch h {
-	case 1:
-		return "H1"
-	case 2:
-		return "H2"
-	case 4:
-		return "H4"
-	default:
-		return "H8"
-	}
-}

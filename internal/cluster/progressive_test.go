@@ -27,15 +27,15 @@ func TestSimulateProgressiveConstantMatchesSimulate(t *testing.T) {
 	if len(est.Phases) != 1 {
 		t.Fatalf("constant schedule produced %d phases", len(est.Phases))
 	}
-	if math.Abs(est.TotalSec-est.Fixed.TotalSec) > 1e-9*est.Fixed.TotalSec {
-		t.Errorf("constant schedule TotalSec %g != fixed %g", est.TotalSec, est.Fixed.TotalSec)
+	if math.Abs(est.TotalSec-est.Baseline.TotalSec) > 1e-9*est.Baseline.TotalSec {
+		t.Errorf("constant schedule TotalSec %g != fixed %g", est.TotalSec, est.Baseline.TotalSec)
 	}
 	if est.SpeedupPct() != 0 || math.Abs(est.FLOPSavingsPct()) > 1e-12 {
 		t.Errorf("constant schedule should save nothing: speedup %g%%, flops %g%%",
 			est.SpeedupPct(), est.FLOPSavingsPct())
 	}
-	if est.Phases[0].Iterations != est.Fixed.Iterations {
-		t.Errorf("phase iterations %d != fixed %d", est.Phases[0].Iterations, est.Fixed.Iterations)
+	if est.Phases[0].Iterations != est.Baseline.Iterations {
+		t.Errorf("phase iterations %d != fixed %d", est.Phases[0].Iterations, est.Baseline.Iterations)
 	}
 }
 
@@ -58,11 +58,11 @@ func TestSimulateProgressiveENTRCurriculum(t *testing.T) {
 			t.Error("communication must be resolution-invariant across phases")
 		}
 	}
-	if iters != est.Fixed.Iterations {
-		t.Errorf("phase iterations sum %d != fixed %d", iters, est.Fixed.Iterations)
+	if iters != est.Baseline.Iterations {
+		t.Errorf("phase iterations sum %d != fixed %d", iters, est.Baseline.Iterations)
 	}
-	if est.TotalSec >= est.Fixed.TotalSec {
-		t.Errorf("curriculum %gs should beat fixed %gs", est.TotalSec, est.Fixed.TotalSec)
+	if est.TotalSec >= est.Baseline.TotalSec {
+		t.Errorf("curriculum %gs should beat fixed %gs", est.TotalSec, est.Baseline.TotalSec)
 	}
 	if s := est.SpeedupPct(); s <= 0 || s >= 100 {
 		t.Errorf("speedup %g%% out of range", s)
@@ -101,7 +101,7 @@ func TestSimulateProgressiveMicroConvNet(t *testing.T) {
 	if est.Phases[0].CompSec >= est.Phases[1].CompSec {
 		t.Error("12x12 phase should compute faster than 24x24")
 	}
-	if est.TotalSec >= est.Fixed.TotalSec {
+	if est.TotalSec >= est.Baseline.TotalSec {
 		t.Error("curriculum should be cheaper than fixed")
 	}
 }

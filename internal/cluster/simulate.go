@@ -67,12 +67,16 @@ const DefaultOverlapBuckets = 16
 // it ignored that the first layers' bucket can never hide).
 const backwardShare = 2.0 / 3
 
-// Hierarchy returns the two-tier layout the cluster prices and true when
-// PerNode groups the devices (PerNode > 1); it panics if PerNode does not
-// divide Count. Flat clusters return false.
-func (c Cluster) Hierarchy() (dist.Hierarchy, bool) {
+// Hierarchy returns the node layout the cluster prices, and whether PerNode
+// groups the devices into nodes (PerNode > 1); it panics if PerNode does not
+// divide Count. This is the one place the flat-versus-hierarchical question
+// is answered: a flat cluster is the Count × 1 layout — every device its own
+// node, Algo the exchange among them, the intra tier empty — so the pricer
+// below knows a single topology and flat clusters differ only in reporting
+// no tier split.
+func (c Cluster) Hierarchy() (h dist.Hierarchy, tiered bool) {
 	if c.PerNode <= 1 {
-		return dist.Hierarchy{}, false
+		return dist.Hierarchy{Nodes: c.Count, PerNode: 1, Intra: c.IntraAlgo, Inter: c.Algo}, false
 	}
 	if c.Count%c.PerNode != 0 {
 		panic(fmt.Sprintf("cluster: %d devices do not fill nodes of %d", c.Count, c.PerNode))
@@ -129,7 +133,8 @@ type Estimate struct {
 	// MicroBatch is the per-device compute batch after memory-driven
 	// micro-batching; equal to LocalBatch when everything fits.
 	MicroBatch int
-	// OOM marks configurations where even a single image does not fit.
+	// OOM marks configurations where even a single image does not fit;
+	// their compute and total times are +Inf.
 	OOM       bool
 	CompSec   float64 // per-iteration computation
 	CommSec   float64 // per-iteration exposed communication
@@ -186,71 +191,74 @@ func formatDuration(sec float64) string {
 	}
 }
 
+// pricePhase is the one pricer every Simulate* entry point sums into its own
+// timeline: what one training iteration of spec (already replayed at the
+// phase's resolution) costs at global batch size batch with world live
+// devices of c — the full fleet, what evictions left of it, or a flat fleet
+// grown past Count. It fills the per-iteration fields of an Estimate.
+// Devices fill nodes from the front, so evictions empty the last node first
+// and it leaves the inter tier exactly as the engine's membership machine
+// shrinks it; the slowest (fullest) node paces the intra tier.
+func pricePhase(c Cluster, spec *models.ModelSpec, batch, world int) Estimate {
+	// The largest shard sets the lockstep iteration time, so price
+	// ceil(batch/world): truncating would silently drop batch mod world
+	// samples, underpricing compute and overstating throughput whenever
+	// the global batch does not divide the device count. (More devices
+	// than samples degenerates to one image on the busiest devices.)
+	e := Estimate{Cluster: c, Model: spec.Name, Batch: batch, LocalBatch: (batch + world - 1) / world}
+	fit := MaxBatch(c.Machine, spec)
+	e.OOM = fit == 0
+	// Oversized local batches accumulate gradients in micro-batches. When
+	// not even one image fits the micro-batch is 0, the efficiency 0 and
+	// the compute time +Inf — the honest price of a phase that cannot run.
+	e.MicroBatch = min(e.LocalBatch, fit)
+	eff := c.Machine.ProfileFor(spec.Name).Efficiency(float64(e.MicroBatch))
+	e.CompSec = float64(e.LocalBatch) * float64(spec.TrainFLOPsPerImage()) / (c.Machine.PeakFLOPS * eff)
+
+	h, tiered := c.Hierarchy()
+	sizes := make([]int, 0, (world+h.PerNode-1)/h.PerNode)
+	for left := world; left > 0; left -= h.PerNode {
+		sizes = append(sizes, min(h.PerNode, left))
+	}
+	live := dist.Hierarchy{Nodes: len(sizes), PerNode: sizes[0], Intra: h.Intra, Inter: h.Inter}
+	bytes := spec.WeightBytes()
+	tiers := comm.ExpectedDegradedTierStats(h, sizes, bytes)
+	e.Comm = tiers.Total()
+	if tiered {
+		e.TierComm = tiers
+	}
+	e.CommSec = c.IntraNetwork.AllreduceTime(live.Intra, live.PerNode, bytes) +
+		c.Network.AllreduceTime(live.Inter, live.Nodes, bytes)
+	if c.Overlap {
+		// Bucket-level overlap: pipeline the bucket allreduces against
+		// the backward pass, each tier on its own fabric, and expose only
+		// what the pipeline cannot hide. The bucket costs sum exactly to
+		// the serial allreduce (latency amortizes across the pipelined
+		// buckets), so the hidden remainder is the serial cost minus
+		// what stayed exposed.
+		k := c.OverlapBuckets
+		if k <= 0 {
+			k = DefaultOverlapBuckets
+		}
+		serial := e.CommSec
+		e.BackwardSec = backwardShare * e.CompSec
+		e.Buckets = comm.HierOverlapSchedule(c.IntraNetwork, c.Network, live, comm.EqualBuckets(bytes, k), e.BackwardSec)
+		e.CommSec = comm.ExposedTime(e.Buckets, e.BackwardSec)
+		e.HiddenCommSec = serial - e.CommSec
+	}
+	e.ImagesSec = float64(batch) / (e.CompSec + e.CommSec)
+	return e
+}
+
 // Simulate prices one fixed-epoch training run of spec on c with global
 // batch size batch over a dataset of datasetSize images.
 func Simulate(c Cluster, spec *models.ModelSpec, batch, epochs, datasetSize int) Estimate {
 	if c.Count <= 0 || batch <= 0 || epochs <= 0 || datasetSize <= 0 {
 		panic("cluster: invalid simulation parameters")
 	}
-	e := Estimate{
-		Cluster: c, Model: spec.Name, Batch: batch, Epochs: epochs,
-		Iterations: comm.Iterations(epochs, datasetSize, batch),
-	}
-	// The largest shard sets the lockstep iteration time, so price
-	// ceil(batch/Count): truncating would silently drop batch mod Count
-	// samples, underpricing compute and overstating throughput whenever
-	// the global batch does not divide the device count. (More devices
-	// than samples degenerates to one image on the busiest devices.)
-	e.LocalBatch = (batch + c.Count - 1) / c.Count
-	fit := MaxBatch(c.Machine, spec)
-	if fit == 0 {
-		e.OOM = true
-		return e
-	}
-	e.MicroBatch = e.LocalBatch
-	if e.MicroBatch > fit {
-		e.MicroBatch = fit // gradient accumulation in micro-batches
-	}
-	var rawComm float64
-	h, hier := c.Hierarchy()
-	if hier {
-		e.TierComm = comm.ExpectedTierStats(h, spec.WeightBytes())
-		e.Comm = e.TierComm.Total()
-		rawComm = comm.HierarchicalAllreduceTime(c.IntraNetwork, c.Network, h, spec.WeightBytes())
-	} else {
-		e.Comm = comm.ExpectedStats(c.Algo, c.Count, spec.WeightBytes())
-		rawComm = c.Network.AllreduceTime(c.Algo, c.Count, spec.WeightBytes())
-	}
-	prof := c.Machine.ProfileFor(spec.Name)
-	eff := prof.Efficiency(float64(e.MicroBatch))
-	flopsPerIter := float64(e.LocalBatch) * float64(spec.TrainFLOPsPerImage())
-	e.CompSec = flopsPerIter / (c.Machine.PeakFLOPS * eff)
-	if c.Overlap {
-		// Bucket-level overlap: pipeline the bucket allreduces against
-		// the backward pass (per fabric for hierarchical clusters) and
-		// expose only what the pipeline cannot hide.
-		k := c.OverlapBuckets
-		if k <= 0 {
-			k = DefaultOverlapBuckets
-		}
-		bucketBytes := comm.EqualBuckets(spec.WeightBytes(), k)
-		e.BackwardSec = backwardShare * e.CompSec
-		if hier {
-			e.Buckets = comm.HierOverlapSchedule(c.IntraNetwork, c.Network, h, bucketBytes, e.BackwardSec)
-		} else {
-			e.Buckets = comm.OverlapSchedule(c.Network, c.Algo, c.Count, bucketBytes, e.BackwardSec)
-		}
-		e.CommSec = comm.ExposedTime(e.Buckets, e.BackwardSec)
-		// The bucket costs sum exactly to rawComm (latency amortizes
-		// across the pipelined buckets), so the hidden remainder is the
-		// serial cost minus what stayed exposed.
-		e.HiddenCommSec = rawComm - e.CommSec
-	} else {
-		e.CommSec = rawComm
-	}
-	iterSec := e.CompSec + e.CommSec
-	e.TotalSec = float64(e.Iterations) * iterSec
-	e.ImagesSec = float64(batch) / iterSec
+	e := pricePhase(c, spec, batch, c.Count)
+	e.Epochs, e.Iterations = epochs, comm.Iterations(epochs, datasetSize, batch)
+	e.TotalSec = float64(e.Iterations) * (e.CompSec + e.CommSec)
 	return e
 }
 
@@ -263,18 +271,17 @@ type ThroughputPoint struct {
 }
 
 // ThroughputCurve regenerates Figure 3's shape for one device and model.
+// Figure 3 runs each batch in one shot, so a batch the pricer would split
+// into micro-batches is the curve's out-of-memory point.
 func ThroughputCurve(m Machine, spec *models.ModelSpec, batches []int) []ThroughputPoint {
-	fit := MaxBatch(m, spec)
-	prof := m.ProfileFor(spec.Name)
 	out := make([]ThroughputPoint, 0, len(batches))
 	for _, b := range batches {
-		if b > fit {
+		e := pricePhase(SingleDevice(m), spec, b, 1)
+		if e.MicroBatch < b {
 			out = append(out, ThroughputPoint{Batch: b, OOM: true})
 			continue
 		}
-		eff := prof.Efficiency(float64(b))
-		ips := m.PeakFLOPS * eff / float64(spec.TrainFLOPsPerImage())
-		out = append(out, ThroughputPoint{Batch: b, ImagesSec: ips})
+		out = append(out, ThroughputPoint{Batch: b, ImagesSec: e.ImagesSec})
 	}
 	return out
 }

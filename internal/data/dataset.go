@@ -87,7 +87,7 @@ func (d *Dataset) MustGather(idx []int) (*tensor.Tensor, []int) {
 // and each channel plane is resampled with the deterministic kernel resize
 // (area for shrink, bilinear for grow). At the dataset's native resolution
 // it is exactly Gather — same bytes, no resampling. This is the primitive
-// the loader and trainer use to apply a ResolutionSchedule while leaving
+// the trainer uses to apply a ResolutionSchedule while leaving
 // shard/span logic untouched: batches change shape, indices do not.
 func (d *Dataset) GatherAt(idx []int, h, w int) (*tensor.Tensor, []int, error) {
 	if err := d.check("GatherAt"); err != nil {

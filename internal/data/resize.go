@@ -28,7 +28,7 @@ func (p ResolutionPhase) Epochs(budget int) int {
 }
 
 // ResolutionSchedule is a per-epoch (H, W) plan: the progressive-resolution
-// curriculum of the ENTR hypothesis, applied by the loader and trainer when
+// curriculum of the ENTR hypothesis, applied by the trainer when
 // batches are materialized. Phases tile the epoch axis contiguously from 0
 // with an open-ended final phase, so At is total — every replica asks for
 // the same epoch and therefore switches resolution in lockstep, which keeps

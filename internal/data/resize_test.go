@@ -149,41 +149,3 @@ func TestSynthNonSquare(t *testing.T) {
 		}
 	}
 }
-
-// A scheduled loader emits each epoch's batches at the schedule's
-// resolution and matches the direct GatherAt+Augment path bit-for-bit.
-func TestLoaderWithSchedule(t *testing.T) {
-	cfg := smallCfg()
-	s := GenerateSynth(cfg)
-	sched, err := ParseResolutionSchedule("6x6@0-0,12x12@1+")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batch = 16
-	l := NewLoader(s.Train, LoaderConfig{Batch: batch, Epochs: 2, Seed: 11, Schedule: sched})
-	n := 0
-	for {
-		b, ok := l.Next()
-		if !ok {
-			break
-		}
-		wantH, wantW := sched.At(b.Epoch)
-		if b.X.Shape[2] != wantH || b.X.Shape[3] != wantW {
-			t.Fatalf("epoch %d batch %d has shape %v, want %dx%d", b.Epoch, b.Index, b.X.Shape, wantH, wantW)
-		}
-		perm := s.Train.Shuffled(11, b.Epoch)
-		want, _, err := s.Train.GatherAt(Batches(perm, batch)[b.Index], wantH, wantW)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Data {
-			if math.Float32bits(b.X.Data[i]) != math.Float32bits(want.Data[i]) {
-				t.Fatalf("epoch %d batch %d diverges from direct GatherAt at %d", b.Epoch, b.Index, i)
-			}
-		}
-		n++
-	}
-	if want := 2 * (s.Train.Len() / batch); n != want {
-		t.Fatalf("loader yielded %d batches, want %d", n, want)
-	}
-}

@@ -22,7 +22,8 @@ var benchShapes = []struct {
 // BenchmarkGemm compares the float32 GEMM against the binary16-storage GEMM
 // at the micro-model shapes. The f16 kernels decode panels once and run the
 // SSE axpy quad, so they should beat f32 despite the widening — the ratio
-// recorded in BENCH_gemm.json is the mixed-precision speedup claim.
+// of benchmark/'s kernel.gemm_f16_gflops to kernel.gemm_f32_gflops probes is
+// the mixed-precision speedup claim.
 func BenchmarkGemm(b *testing.B) {
 	for _, sh := range benchShapes {
 		r := rng.New(42)

@@ -64,13 +64,16 @@ func profNow() int64 { return int64(time.Since(profEpoch)) }
 
 // settle attributes the time since the last transition to the
 // highest-priority active phase (idle time is left unattributed) and
-// advances the transition clock. Callers hold prof.mu.
+// advances the transition clock. Callers hold prof.mu and read now under
+// it: a reading taken before a contended Lock is already stale when settle
+// runs, and letting it move the transition clock backwards would attribute
+// the interval it rewinds a second time. A stale now is therefore ignored.
 func settle(now int64) {
 	dt := now - prof.lastNS
-	prof.lastNS = now
 	if dt <= 0 {
 		return
 	}
+	prof.lastNS = now
 	for p := Phase(0); p < NumPhases; p++ {
 		if prof.active[p] > 0 {
 			prof.acc[p] += dt
@@ -107,9 +110,8 @@ func StartPhase(p Phase) Span {
 	if !prof.enabled.Load() {
 		return Span{}
 	}
-	now := profNow()
 	prof.mu.Lock()
-	settle(now)
+	settle(profNow())
 	prof.active[p]++
 	prof.mu.Unlock()
 	return Span{p: p, on: true}
@@ -120,9 +122,8 @@ func (s Span) End() {
 	if !s.on {
 		return
 	}
-	now := profNow()
 	prof.mu.Lock()
-	settle(now)
+	settle(profNow())
 	if prof.active[s.p] > 0 { // guard against a toggle mid-span
 		prof.active[s.p]--
 	}
@@ -134,10 +135,10 @@ func (s Span) End() {
 // window by diffing two snapshots; using the returned clock as the
 // window's wall time guarantees the phase deltas sum to at most it.
 func ProfileSnapshot() (acc [NumPhases]int64, nowNS int64) {
-	now := profNow()
 	prof.mu.Lock()
-	settle(now)
+	nowNS = profNow()
+	settle(nowNS)
 	acc = prof.acc
 	prof.mu.Unlock()
-	return acc, now
+	return acc, nowNS
 }

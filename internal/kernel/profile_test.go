@@ -84,6 +84,32 @@ func TestProfilerExclusiveAttribution(t *testing.T) {
 	}
 }
 
+// TestSettleIgnoresStaleClock: a transition that reads the clock and is then
+// descheduled before it takes the lock hands settle a timestamp older than
+// the last transition. With one phase active throughout, the attributed
+// time must still equal the elapsed time — the stale reading must not
+// rewind the transition clock and have its interval attributed twice.
+func TestSettleIgnoresStaleClock(t *testing.T) {
+	prof.mu.Lock()
+	defer prof.mu.Unlock()
+	saved := struct {
+		active [NumPhases]int
+		lastNS int64
+		acc    [NumPhases]int64
+	}{prof.active, prof.lastNS, prof.acc}
+	defer func() { prof.active, prof.lastNS, prof.acc = saved.active, saved.lastNS, saved.acc }()
+
+	prof.active = [NumPhases]int{PhaseGemm: 1}
+	prof.lastNS = 1000
+	prof.acc = [NumPhases]int64{}
+	for _, now := range []int64{1100, 1050, 1100, 1020, 1150} { // 1050 and 1020 are stale
+		settle(now)
+	}
+	if got, want := prof.acc[PhaseGemm], int64(150); got != want {
+		t.Fatalf("attributed %d ns over an elapsed %d ns", got, want)
+	}
+}
+
 func TestPhaseString(t *testing.T) {
 	for p, want := range map[Phase]string{PhaseGemm: "gemm", PhaseIm2col: "im2col", PhaseReduce: "reduce", PhaseCodec: "codec"} {
 		if p.String() != want {

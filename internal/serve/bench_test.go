@@ -27,9 +27,9 @@ func BenchmarkServeSchedule(b *testing.B) {
 }
 
 // BenchmarkServeForward measures one batch forward pass through the serve
-// pool's replica at each batch size, at f32 and f16 storage — the second
-// trajectory curve BENCH_serve.json archives beyond GEMM. The /f32-/f16
-// sub-benchmark naming is what cmd/benchjson pairs into speedup ratios.
+// pool's replica at each batch size, at f32 and f16 storage — the curve
+// benchmark/'s serve_f32 / serve_f16 workloads archive end to end
+// (serve.fit_base_us + serve.fit_per_image_us per batch).
 func BenchmarkServeForward(b *testing.B) {
 	net := models.NewMicroAlexNet(models.MicroConfig{Classes: 8, InH: 24, Width: 8, Seed: 3})
 	synth := data.GenerateSynth(data.SynthConfig{

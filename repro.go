@@ -2,13 +2,19 @@
 // Hsieh, Demmel, Keutzer; ICPP 2018) — LARS-based large-batch training — as
 // a pure-Go library built on the standard library only.
 //
-// The package is a curated facade over the implementation packages:
+// The package is a curated facade over the implementation packages — the
+// names the programs under examples/ use; commands and studies import the
+// internal packages directly:
 //
+//	internal/kernel     GEMM, reduction, binary16 and resize inner loops
+//	internal/par        data-parallel loop helpers
+//	internal/rng        deterministic SplitMix64 streams
 //	internal/tensor     float32 tensors, GEMM, im2col
 //	internal/nn         layers with exact gradients (conv incl. grouped, BN,
 //	                    LRN, pooling, residual blocks, label smoothing)
 //	internal/models     AlexNet(+BN), ResNet-18/34/50 specs + trainable nets
-//	internal/data       SynthImageNet, sharding, augmentation, prefetch loader
+//	internal/data       SynthImageNet, sharding, augmentation, resolution
+//	                    schedules
 //	internal/opt        SGD(+Nesterov), LARS(+LARC), poly/warmup/cosine
 //	internal/dist       synchronous data-parallel engine: lockstep goroutine
 //	                    workers, central/tree/ring allreduce with exact
@@ -23,10 +29,9 @@
 //	internal/core       the large-batch Trainer (the paper's recipe)
 //	internal/harness    one function per paper table/figure
 //	internal/async      asynchronous parameter-server baseline
-//	internal/modelpar   model parallelism (Figure 2b)
 //	internal/compress   1-bit SGD with error feedback, FP16 exchange
 //	internal/checkpoint binary snapshots with bit-identical resume
-//	internal/metrics    confusion matrix, EMA, CSV export
+//	internal/serve      dynamic-batching inference scheduler + replica pool
 //
 // Quickstart (see examples/quickstart for the runnable version):
 //
@@ -41,34 +46,22 @@
 package repro
 
 import (
-	"repro/internal/async"
-	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/comm"
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/dist"
-	"repro/internal/metrics"
-	"repro/internal/modelpar"
 	"repro/internal/models"
 	"repro/internal/nn"
-	"repro/internal/opt"
-	"repro/internal/rng"
 	"repro/internal/serve"
-	"repro/internal/tensor"
 )
 
 // Core training API.
 type (
 	// TrainConfig configures one large-batch training run.
 	TrainConfig = core.Config
-	// TrainResult is the outcome of one run.
-	TrainResult = core.Result
 	// Method selects the training recipe.
 	Method = core.Method
-	// EpochStats is one epoch of recorded metrics.
-	EpochStats = core.EpochStats
 )
 
 // Training recipes.
@@ -82,379 +75,60 @@ const (
 )
 
 // Train runs one configured training run on the dataset.
-func Train(cfg TrainConfig, ds *Synth) (*TrainResult, error) { return core.Train(cfg, ds) }
-
-// Data types.
-type (
-	// Synth is a generated synthetic dataset with train/test splits.
-	Synth = data.Synth
-	// SynthConfig parameterizes the generator.
-	SynthConfig = data.SynthConfig
-	// Dataset is an in-memory labelled image set.
-	Dataset = data.Dataset
-	// Augmenter applies weak augmentation (crop + flip).
-	Augmenter = data.Augmenter
-)
+func Train(cfg TrainConfig, ds *data.Synth) (*core.Result, error) { return core.Train(cfg, ds) }
 
 // GenerateSynth builds the deterministic synthetic ImageNet substitute.
-func GenerateSynth(cfg SynthConfig) *Synth { return data.GenerateSynth(cfg) }
+func GenerateSynth(cfg data.SynthConfig) *data.Synth { return data.GenerateSynth(cfg) }
 
 // DefaultSynthConfig returns the laptop-scale default dataset.
-func DefaultSynthConfig() SynthConfig { return data.DefaultSynthConfig() }
+func DefaultSynthConfig() data.SynthConfig { return data.DefaultSynthConfig() }
 
-// Progressive-resolution schedules (TrainConfig.Resolutions).
-type (
-	// ResolutionSchedule maps each training epoch to an input resolution.
-	ResolutionSchedule = data.ResolutionSchedule
-	// ResolutionPhase is one constant-resolution segment of a schedule.
-	ResolutionPhase = data.ResolutionPhase
-	// ShapeError is the typed error Dataset gather/resize operations return
-	// on shape or index mismatches.
-	ShapeError = data.ShapeError
-)
-
-// ParseResolutionSchedule parses "12x12@0-4,24x24@5+"-style curricula:
-// comma-separated HxW phases with inclusive epoch ranges, the last open.
-func ParseResolutionSchedule(s string) (*ResolutionSchedule, error) {
-	return data.ParseResolutionSchedule(s)
-}
-
-// FixedResolution returns the schedule that trains every epoch at h×w.
-func FixedResolution(h, w int) *ResolutionSchedule { return data.FixedResolution(h, w) }
-
-// Model types.
-type (
-	// Network is a trainable layer stack.
-	Network = nn.Network
-	// Param is one learnable tensor with its gradient.
-	Param = nn.Param
-	// Layer is a differentiable module.
-	Layer = nn.Layer
-	// Tensor is a dense float32 array.
-	Tensor = tensor.Tensor
-	// ModelSpec is an architecture with parameter/FLOP accounting.
-	ModelSpec = models.ModelSpec
-	// MicroConfig configures the reduced trainable models.
-	MicroConfig = models.MicroConfig
-)
+// MicroConfig configures the reduced trainable models.
+type MicroConfig = models.MicroConfig
 
 // Full-size architecture specs (Table 6).
 
-// AlexNetSpec returns the original grouped AlexNet (61M params).
-func AlexNetSpec() *ModelSpec { return models.AlexNetSpec() }
-
 // AlexNetBNSpec returns the batch-norm AlexNet refit used at batch 32K.
-func AlexNetBNSpec() *ModelSpec { return models.AlexNetBNSpec() }
+func AlexNetBNSpec() *models.ModelSpec { return models.AlexNetBNSpec() }
 
 // ResNet50Spec returns ResNet-50 (25.6M params, 7.7 GFLOPs/image).
-func ResNet50Spec() *ModelSpec { return models.ResNet50Spec() }
+func ResNet50Spec() *models.ModelSpec { return models.ResNet50Spec() }
 
 // MicroAlexNetSpec returns the cost-accounting spec of the micro AlexNet
 // built by MicroAlexNetFactory with the same config.
-func MicroAlexNetSpec(cfg MicroConfig) *ModelSpec { return models.MicroAlexNetSpec(cfg) }
+func MicroAlexNetSpec(cfg MicroConfig) *models.ModelSpec { return models.MicroAlexNetSpec(cfg) }
 
 // MicroAlexNetFactory returns a model factory for core.Config.Model that
 // builds micro-AlexNet replicas seeded per worker.
-func MicroAlexNetFactory(cfg MicroConfig) func(seed uint64) *Network {
-	return func(seed uint64) *Network {
+func MicroAlexNetFactory(cfg MicroConfig) func(seed uint64) *nn.Network {
+	return func(seed uint64) *nn.Network {
 		c := cfg
 		c.Seed = seed
 		return models.NewMicroAlexNet(c)
 	}
 }
 
-// MicroResNetFactory returns a factory building reduced bottleneck ResNets.
-func MicroResNetFactory(cfg MicroConfig) func(seed uint64) *Network {
-	return func(seed uint64) *Network {
-		c := cfg
-		c.Seed = seed
-		return models.NewMicroResNet(c)
-	}
-}
-
-// MicroConvNetSpec returns the cost-accounting spec of the GAP-headed
-// all-conv micro model built by MicroConvNetFactory with the same config.
-func MicroConvNetSpec(cfg MicroConfig) *ModelSpec { return models.MicroConvNetSpec(cfg) }
-
-// MicroConvNetFactory returns a factory building the GAP-headed all-conv
-// micro model — the model the progressive-resolution experiments train,
-// because its parameter count does not depend on the input size (set
-// TrainConfig.Resolutions for the curriculum).
-func MicroConvNetFactory(cfg MicroConfig) func(seed uint64) *Network {
-	return func(seed uint64) *Network {
-		c := cfg
-		c.Seed = seed
-		return models.NewMicroConvNet(c)
-	}
-}
-
-// Optimizers and schedules.
-type (
-	// LARSConfig configures Layer-wise Adaptive Rate Scaling.
-	LARSConfig = opt.LARSConfig
-	// SGDConfig configures momentum SGD.
-	SGDConfig = opt.SGDConfig
-	// Schedule maps iteration to learning rate.
-	Schedule = opt.Schedule
-)
-
-// NewLARS builds a LARS optimizer over params (the paper's algorithm).
-func NewLARS(params []*Param, cfg LARSConfig) *opt.LARS { return opt.NewLARS(params, cfg) }
-
-// NewSGD builds a momentum-SGD optimizer over params.
-func NewSGD(params []*Param, cfg SGDConfig) *opt.SGD { return opt.NewSGD(params, cfg) }
-
-// LinearScalingRule returns baseLR scaled by batch/baseBatch.
-func LinearScalingRule(baseLR float64, baseBatch, batch int) float64 {
-	return opt.LinearScalingRule(baseLR, baseBatch, batch)
-}
-
-// Distributed engine.
-type (
-	// Engine drives synchronous data-parallel SGD over worker replicas:
-	// W lockstep goroutine workers, shard forward/backward, bucketed
-	// gradient allreduce under a chosen topology (optionally overlapped
-	// with the backward pass), weight broadcast, optional payload
-	// compression and deterministic fault injection.
-	Engine = dist.Engine
-	// EngineConfig configures the engine (topology, logical shards,
-	// bucket size, codec, fault plan).
-	EngineConfig = dist.Config
-	// Algorithm selects the allreduce pattern.
-	Algorithm = dist.Algorithm
-	// CommStats counts messages/bytes/latency rounds moved, plus
-	// fault-recovery retries and stalls.
-	CommStats = dist.CommStats
-	// Hierarchy arranges workers into a two-tier node topology: intra-node
-	// reduction feeding an inter-node exchange among node leaders.
-	Hierarchy = dist.Hierarchy
-	// TierStats splits a hierarchical schedule's counters by fabric tier.
-	TierStats = dist.TierStats
-	// OverlapStats splits a step's communication into the part hidden
-	// behind the backward pass and the exposed remainder (see
-	// EngineConfig's Overlap field).
-	OverlapStats = dist.OverlapStats
-	// ReductionPolicy selects the gradient-reduction arithmetic:
-	// CanonicalF64 (float64, canonical order — the default) or
-	// PairwiseF32 (the fixed-tree float32 kernel; faster, and still
-	// bit-identical across worker counts and topologies).
-	ReductionPolicy = dist.Reduction
-	// ProfileStats splits hot-loop wall time into gemm/im2col/reduce/
-	// codec/other phase buckets that sum exactly to the profiled wall
-	// time (see EngineConfig's Profile field).
-	ProfileStats = dist.ProfileStats
-	// FaultPlan injects deterministic drops/stalls into the engine's
-	// reduction schedule; recovery is exact. Workers it marks permanently
-	// Dead never recover — pair with ElasticPolicy — and Join admits
-	// workers (fresh or returning) at a step boundary.
-	FaultPlan = dist.FaultPlan
-	// ElasticPolicy enables elastic membership: a worker whose recovery
-	// fails EvictAfter consecutive steps is evicted, its shards rebalance
-	// over the surviving P−1 workers, and training continues at the
-	// smaller world size; FaultPlan.Join runs the machine the other way,
-	// admitting workers warm-started from a weight broadcast.
-	ElasticPolicy = dist.Elastic
-	// MembershipStats accounts elastic-membership activity: evictions,
-	// joins, rebalanced/joined shards and bytes, steps per world size,
-	// and the signed membership event timeline.
-	MembershipStats = dist.MembershipStats
-	// MembershipEvent is one signed membership transition ("+3@12" is
-	// worker 3 joining at step 12) in MembershipStats.Events.
-	MembershipEvent = dist.MembershipEvent
-	// LocalSGDStats accounts an engine driven through Engine.LocalStep
-	// (EngineConfig.SyncEvery = H): local optimizer steps and the full /
-	// intra-node averaging rounds that synchronized them. The counters
-	// conserve steps exactly: SyncRounds = floor(LocalSteps/H).
-	LocalSGDStats = dist.LocalSGDStats
-	// Stepper is the per-replica local optimizer Engine.SetLocalSteppers
-	// installs for the local-SGD path (opt.SGD and opt.LARS satisfy it).
-	Stepper = dist.Stepper
-	// WireSizer prices a payload's on-wire bytes under a codec for the
-	// local-SGD closed forms (RawWire, FP16Wire; nil means raw float32).
-	WireSizer = comm.WireSizer
-	// WorkerDeadError is the typed error a permanently dead worker
-	// surfaces when elastic membership is disabled.
-	WorkerDeadError = dist.WorkerDeadError
-	// PayloadCodec compresses gradient exchange payloads on the wire
-	// (see FP16Codec and NewOneBitCodec).
-	PayloadCodec = dist.Codec
-	// FP16Codec exchanges gradients in IEEE half precision.
-	FP16Codec = dist.FP16Codec
-)
-
-// NewOneBitCodec returns a 1-bit SGD payload codec with error feedback.
-func NewOneBitCodec() *dist.OneBitCodec { return dist.NewOneBitCodec() }
-
-// Allreduce runs one reduction + broadcast over the workers' buffers under
-// the given topology, accumulating the executed schedule into stats.
-func Allreduce(algo Algorithm, bufs [][]float32, stats *CommStats) {
-	dist.Reduce(algo, bufs, stats)
-	dist.Broadcast(algo, bufs, stats)
-}
-
-// NewHierarchy returns the default two-tier worker layout over
-// nodes×perNode workers: ring inside each node, tree across node leaders.
-func NewHierarchy(nodes, perNode int) Hierarchy { return dist.NewHierarchy(nodes, perNode) }
-
-// HierAllreduce runs one hierarchical reduction + broadcast over the
-// workers' buffers (len(bufs) == h.Workers()), accumulating the executed
-// schedule per fabric tier into tiers. Values are bit-identical to the flat
-// Allreduce; only the accounted schedule differs.
-func HierAllreduce(h Hierarchy, bufs [][]float32, tiers *TierStats) {
-	dist.HierReduce(h, bufs, tiers)
-	dist.HierBroadcast(h, bufs, tiers)
-}
-
-// Allreduce algorithms.
-const (
-	// Central is the parameter-server star pattern.
-	Central = dist.Central
-	// Tree is the binomial log2(P) pattern of Table 2.
-	Tree = dist.Tree
-	// Ring is bandwidth-optimal chunked ring allreduce.
-	Ring = dist.Ring
-)
-
-// Reduction policies (EngineConfig.Reduction / TrainConfig.Reduction).
-const (
-	// CanonicalF64 sums in float64, canonical shard order (the default).
-	CanonicalF64 = dist.CanonicalF64
-	// PairwiseF32 sums in float32 through a fixed-shape pairwise tree.
-	PairwiseF32 = dist.PairwiseF32
-)
-
-// AllreduceWith runs one reduction + broadcast under an explicit reduction
-// policy; Allreduce is AllreduceWith at CanonicalF64.
-func AllreduceWith(algo Algorithm, policy ReductionPolicy, bufs [][]float32, stats *CommStats) {
-	dist.ReduceWith(algo, policy, bufs, stats)
-	dist.Broadcast(algo, bufs, stats)
-}
-
-// NewEngine builds a synchronous data-parallel engine over replicas.
-func NewEngine(cfg EngineConfig, replicas []*Network) *Engine { return dist.NewEngine(cfg, replicas) }
+// Ring is bandwidth-optimal chunked ring allreduce.
+const Ring = dist.Ring
 
 // Cluster simulation.
-type (
-	// Machine is a calibrated device profile.
-	Machine = cluster.Machine
-	// ClusterConfig is a device set joined by one fabric.
-	ClusterConfig = cluster.Cluster
-	// Estimate is a simulated training time.
-	Estimate = cluster.Estimate
-	// NetworkProfile is an alpha-beta fabric model.
-	NetworkProfile = comm.Network
-)
+
+// ClusterConfig is a device set joined by one fabric.
+type ClusterConfig = cluster.Cluster
 
 // Calibrated machines from the paper's hardware.
 var (
-	TeslaK20  = cluster.TeslaK20
 	TeslaM40  = cluster.TeslaM40
 	TeslaP100 = cluster.TeslaP100
-	KNL7250   = cluster.KNL7250
-	Xeon8160  = cluster.Xeon8160
 )
 
 // Simulate prices one training run on a cluster (Tables 2, 8, 9).
-func Simulate(c ClusterConfig, spec *ModelSpec, batch, epochs, datasetSize int) Estimate {
+func Simulate(c ClusterConfig, spec *models.ModelSpec, batch, epochs, datasetSize int) cluster.Estimate {
 	return cluster.Simulate(c, spec, batch, epochs, datasetSize)
 }
 
-// ElasticEstimate prices a run whose fleet degrades mid-training.
-type ElasticEstimate = cluster.ElasticEstimate
-
-// SimulateElastic prices a fixed-epoch run during which the fleet shrinks:
-// each entry of evictAtFrac loses one device at that fraction of the run's
-// iterations, the survivors absorb the work, and the result reports the
-// per-phase timeline plus the time-to-accuracy cost versus a healthy fleet.
-func SimulateElastic(c ClusterConfig, spec *ModelSpec, batch, epochs, datasetSize int, evictAtFrac []float64) ElasticEstimate {
-	return cluster.SimulateElastic(c, spec, batch, epochs, datasetSize, evictAtFrac)
-}
-
-// AutoscalePolicy is the control law the autoscaler replays a traffic
-// trace through: target-utilization and/or queue-depth driven, with
-// min/max bounds, per-decision step and cooldown hysteresis.
-type AutoscalePolicy = cluster.AutoscalePolicy
-
-// TrafficPoint is one interval of an autoscaler trace: offered load plus
-// devices preempted out from under the fleet.
-type TrafficPoint = cluster.TrafficPoint
-
-// AutoscaleEstimate reports an autoscaler replay: world-size timeline,
-// membership churn, reaction time, per-phase closed-form comm schedules
-// and the dollar cost against the static-max fleet.
-type AutoscaleEstimate = cluster.AutoscaleEstimate
-
-// SimulateAutoscale replays a traffic/preemption trace through the
-// autoscaling control plane: each interval the fleet absorbs preemptions,
-// serves the offered load (queueing the excess), and the policy decides
-// the next world size, priced with the same per-iteration phase costs
-// SimulateElastic uses.
-func SimulateAutoscale(c ClusterConfig, spec *ModelSpec, batch int, intervalSec float64, trace []TrafficPoint, pol AutoscalePolicy) AutoscaleEstimate {
-	return cluster.SimulateAutoscale(c, spec, batch, intervalSec, trace, pol)
-}
-
-// ProgressiveEstimate prices a run under a resolution schedule.
-type ProgressiveEstimate = cluster.ProgressiveEstimate
-
-// SimulateProgressive prices a fixed-epoch run under a per-epoch resolution
-// schedule: each phase's compute is repriced with the spec replayed at the
-// phase resolution while communication stays at the canonical weight
-// volume. The result reports the phase timeline and the wall-clock and
-// FLOP savings versus the fixed-resolution run — the analytic face of
-// TrainConfig.Resolutions.
-func SimulateProgressive(c ClusterConfig, spec *ModelSpec, batch, epochs, datasetSize int, sched *ResolutionSchedule) ProgressiveEstimate {
-	return cluster.SimulateProgressive(c, spec, batch, epochs, datasetSize, sched)
-}
-
-// LocalSGDEstimate prices a run that trades communication for computation:
-// workers step locally and average weights every H steps (TrainConfig.
-// SyncEvery), amortizing the sync cost by 1/H.
-type LocalSGDEstimate = cluster.LocalSGDEstimate
-
-// SimulateLocalSGD prices one local-SGD run: syncEvery local steps between
-// full weight averages, optionally an intra-node average every
-// intraSyncEvery steps on hierarchical clusters. syncEvery = 1 reproduces
-// the non-overlapped every-step Simulate exactly.
-func SimulateLocalSGD(c ClusterConfig, spec *ModelSpec, batch, epochs, datasetSize, syncEvery, intraSyncEvery int) LocalSGDEstimate {
-	return cluster.SimulateLocalSGD(c, spec, batch, epochs, datasetSize, syncEvery, intraSyncEvery)
-}
-
-// LocalSGDCurve sweeps the synchronization period: one estimate per H in
-// hs — the throughput-vs-H curve `simulate -sync-sweep` prints.
-func LocalSGDCurve(c ClusterConfig, spec *ModelSpec, batch, epochs, datasetSize int, hs []int) []LocalSGDEstimate {
-	return cluster.LocalSGDCurve(c, spec, batch, epochs, datasetSize, hs)
-}
-
-// ExpectedLocalSGDStats returns the closed-form communication counters of
-// a flat local-SGD run — floor(steps/syncEvery) rounds, each one reduce of
-// the wire payload plus one broadcast of the raw weights per bucket — which
-// match an engine driven through Engine.LocalStep counter-for-counter.
-// RawWire and FP16Wire are the stock wire sizers (nil = raw float32).
-func ExpectedLocalSGDStats(algo Algorithm, p, syncEvery int, steps int64, nelems, bucketElems int, wire WireSizer) CommStats {
-	return comm.ExpectedLocalSGDStats(algo, p, syncEvery, steps, nelems, bucketElems, wire)
-}
-
-// ExpectedLocalSGDTierStats is the hierarchical twin: full two-tier rounds
-// every syncEvery steps plus intra-node-only rounds every intraSyncEvery
-// steps in between, split by fabric tier.
-func ExpectedLocalSGDTierStats(h Hierarchy, syncEvery, intraSyncEvery int, steps int64, nelems, bucketElems int, wire WireSizer) TierStats {
-	return comm.ExpectedLocalSGDTierStats(h, syncEvery, intraSyncEvery, steps, nelems, bucketElems, wire)
-}
-
-// Stock wire sizers for the local-SGD closed forms.
-var (
-	// RawWire prices payloads as raw float32: 4 bytes/coordinate.
-	RawWire = comm.RawWire
-	// FP16Wire prices payloads through FP16Codec: 2 bytes/coordinate.
-	FP16Wire = comm.FP16Wire
-)
-
 // DGX1 returns one 8xP100 DGX-1 station.
 func DGX1() ClusterConfig { return cluster.DGX1() }
-
-// DGXPod returns n DGX-1 stations priced hierarchically: NVLink ring
-// inside each chassis, FDR InfiniBand tree across station leaders.
-func DGXPod(n int) ClusterConfig { return cluster.DGXPod(n) }
 
 // KNLCluster returns n KNL nodes on Omni-Path.
 func KNLCluster(n int) ClusterConfig { return cluster.KNLCluster(n) }
@@ -462,163 +136,38 @@ func KNLCluster(n int) ClusterConfig { return cluster.KNLCluster(n) }
 // CPUCluster returns n Skylake nodes on Omni-Path.
 func CPUCluster(n int) ClusterConfig { return cluster.CPUCluster(n) }
 
-// Full-size trainable networks (parameter counts match the specs exactly).
-
-// NewAlexNet builds the original grouped/LRN AlexNet (61M params).
-func NewAlexNet(seed uint64, classes int) *Network { return models.NewAlexNet(rng.New(seed), classes) }
-
-// NewAlexNetBN builds the batch-norm AlexNet refit (62.4M params).
-func NewAlexNetBN(seed uint64, classes int) *Network {
-	return models.NewAlexNetBN(rng.New(seed), classes)
-}
-
-// NewResNet18 builds ResNet-18 (11.7M params).
-func NewResNet18(seed uint64, classes int) *Network {
-	return models.NewResNet18(rng.New(seed), classes)
-}
-
-// NewResNet34 builds ResNet-34 (21.8M params).
-func NewResNet34(seed uint64, classes int) *Network {
-	return models.NewResNet34(rng.New(seed), classes)
-}
-
-// NewResNet50 builds ResNet-50 (25.6M params).
-func NewResNet50(seed uint64, classes int) *Network {
-	return models.NewResNet50(rng.New(seed), classes)
-}
-
-// ResNet18Spec returns the ResNet-18 architecture spec.
-func ResNet18Spec() *ModelSpec { return models.ResNet18Spec() }
-
-// ResNet34Spec returns the ResNet-34 architecture spec.
-func ResNet34Spec() *ModelSpec { return models.ResNet34Spec() }
-
-// Checkpointing.
-type (
-	// Checkpoint is a serializable model + optimizer snapshot.
-	Checkpoint = checkpoint.Checkpoint
-)
-
-// CheckpointFromNetwork captures all parameter values of net at a step.
-func CheckpointFromNetwork(net *Network, step int64) *Checkpoint {
-	return checkpoint.FromNetwork(net, step)
-}
-
-// LoadCheckpoint reads a checkpoint file.
-func LoadCheckpoint(path string) (*Checkpoint, error) { return checkpoint.Load(path) }
-
-// Asynchronous baseline (the parameter-server approach the paper rejects).
-type (
-	// AsyncConfig configures a Downpour-style asynchronous run.
-	AsyncConfig = async.Config
-	// AsyncResult summarizes it (accuracy, staleness statistics).
-	AsyncResult = async.Result
-)
-
-// AsyncTrain runs asynchronous parameter-server SGD (stale gradients).
-func AsyncTrain(cfg AsyncConfig, ds *Synth) (*AsyncResult, error) { return async.Train(cfg, ds) }
-
-// Gradient compression.
-type (
-	// Quantizer carries 1-bit SGD error-feedback state.
-	Quantizer = compress.Quantizer
-)
-
-// NewQuantizer builds a 1-bit gradient quantizer for n coordinates.
-func NewQuantizer(n int) *Quantizer { return compress.NewQuantizer(n) }
-
-// Model parallelism (Figure 2b).
-type (
-	// ShardedLinear is a fully-connected layer partitioned across shards.
-	ShardedLinear = modelpar.ShardedLinear
-)
-
-// Metrics.
-type (
-	// ConfusionMatrix tallies per-class predictions.
-	ConfusionMatrix = metrics.ConfusionMatrix
-	// EMA is an exponentially-weighted moving average.
-	EMA = metrics.EMA
-)
-
-// NewConfusionMatrix returns an empty k-class confusion matrix.
-func NewConfusionMatrix(k int) *ConfusionMatrix { return metrics.NewConfusionMatrix(k) }
-
-// Input pipeline.
-type (
-	// Loader prefetches augmented batches on a background goroutine.
-	Loader = data.Loader
-	// LoaderConfig configures a Loader.
-	LoaderConfig = data.LoaderConfig
-	// DataBatch is one assembled batch.
-	DataBatch = data.Batch
-)
-
-// NewLoader starts a prefetching batch loader over ds.
-func NewLoader(ds *Dataset, cfg LoaderConfig) *Loader { return data.NewLoader(ds, cfg) }
-
 // Serving tier: the dynamic-batching inference engine over a replica fleet.
 type (
 	// ServeConfig is one serving configuration (batch window, queue bound,
 	// replica pool, service pricing).
 	ServeConfig = serve.Config
-	// ServeStats holds the exact counters of one scheduler run.
-	ServeStats = serve.Stats
-	// ServeTrace is a seeded arrival sequence.
-	ServeTrace = serve.Trace
-	// ServeReport is the full outcome of one scheduler run.
-	ServeReport = serve.Report
-	// ServePool couples the scheduler to real model replicas.
-	ServePool = serve.Pool
 	// ServiceModel prices one batch forward pass in virtual ticks.
 	ServiceModel = serve.ServiceModel
 	// Ticks is virtual time (1 tick = 1µs).
 	Ticks = serve.Ticks
-	// ServeEstimate is a closed-form fleet-sizing answer.
-	ServeEstimate = cluster.ServeEstimate
 )
 
-// ErrOverloaded is the serving tier's typed admission-control rejection.
-var ErrOverloaded = serve.ErrOverloaded
-
 // ServeSimulate runs the dynamic batcher over a trace on the virtual clock.
-func ServeSimulate(cfg ServeConfig, trace ServeTrace) (*ServeReport, error) {
+func ServeSimulate(cfg ServeConfig, trace serve.Trace) (*serve.Report, error) {
 	return serve.Simulate(cfg, trace)
 }
 
 // UniformServeTrace generates the deterministic-clock trace (fixed gap).
-func UniformServeTrace(n int, gap Ticks, images int) ServeTrace {
+func UniformServeTrace(n int, gap Ticks, images int) serve.Trace {
 	return serve.UniformTrace(n, gap, images)
 }
 
-// PoissonServeTrace generates seeded open-loop Poisson traffic.
-func PoissonServeTrace(n int, meanGap Ticks, images int, seed uint64) ServeTrace {
-	return serve.PoissonTrace(n, meanGap, images, seed)
-}
-
 // BurstyServeTrace generates seeded on/off traffic.
-func BurstyServeTrace(n, onLen int, onGap, offGap Ticks, images int, seed uint64) ServeTrace {
+func BurstyServeTrace(n, onLen int, onGap, offGap Ticks, images int, seed uint64) serve.Trace {
 	return serve.BurstyTrace(n, onLen, onGap, offGap, images, seed)
 }
 
-// NewServePool builds a replica pool; PoolFromCheckpoint loads trained
-// weights into every replica.
-func NewServePool(cfg ServeConfig, factory func() *Network) (*ServePool, error) {
-	return serve.NewPool(cfg, factory)
-}
-
-// ServePoolFromCheckpoint builds the pool from a training checkpoint — the
-// train→serve artifact handoff.
-func ServePoolFromCheckpoint(cfg ServeConfig, factory func() *Network, c *Checkpoint) (*ServePool, error) {
-	return serve.PoolFromCheckpoint(cfg, factory, c)
-}
-
 // ExpectedServeStats prices the uniform-gap regime counter-for-counter.
-func ExpectedServeStats(cfg ServeConfig, n int, gap Ticks) (ServeStats, error) {
+func ExpectedServeStats(cfg ServeConfig, n int, gap Ticks) (serve.Stats, error) {
 	return comm.ExpectedServeStats(cfg, n, gap)
 }
 
 // SimulateServe sizes a replica fleet for an offered rate and p99 target.
-func SimulateServe(m Machine, spec *ModelSpec, ratePerSec float64, maxBatch int, maxDelay, p99Target Ticks) (ServeEstimate, error) {
+func SimulateServe(m cluster.Machine, spec *models.ModelSpec, ratePerSec float64, maxBatch int, maxDelay, p99Target Ticks) (cluster.ServeEstimate, error) {
 	return cluster.SimulateServe(m, spec, ratePerSec, maxBatch, maxDelay, p99Target)
 }
