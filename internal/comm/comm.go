@@ -183,13 +183,6 @@ func Iterations(epochs, datasetSize, batch int) int64 {
 	return int64(exact + 0.5)
 }
 
-// IterationsCeil returns the iteration count of a real epoch-based loader
-// that rounds each epoch up to whole batches.
-func IterationsCeil(epochs, datasetSize, batch int) int64 {
-	perEpoch := (datasetSize + batch - 1) / batch
-	return int64(epochs) * int64(perEpoch)
-}
-
 // TotalMessages returns Figure 9's series: the number of messages a full
 // training run sends. Message count per iteration is algorithm- and
 // P-dependent; the paper's simplified analysis treats it as proportional to

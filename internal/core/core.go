@@ -17,6 +17,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -278,153 +279,86 @@ type EpochStats struct {
 
 // Result is the outcome of one run.
 type Result struct {
-	Config     Config
-	History    []EpochStats
-	FinalLoss  float64
-	TestAcc    float64 // final top-1 test accuracy
-	BestAcc    float64 // peak test accuracy over the run (the paper reports peak)
-	Diverged   bool
+	Config    Config
+	History   []EpochStats
+	FinalLoss float64
+	TestAcc   float64 // final top-1 test accuracy
+	BestAcc   float64 // peak test accuracy over the run (the paper reports peak)
+	Diverged  bool
+	// Iterations counts optimizer steps — one per global batch, E·n/B for a
+	// run that completes (a batch processed in MicroBatch chunks is one).
 	Iterations int64
 	Wall       time.Duration
-	Comm       dist.CommStats
-	// TierComm splits Comm by fabric tier when Config.Topology arranged
-	// the workers hierarchically; zero for flat runs.
-	TierComm dist.TierStats
-	// Overlap splits Comm into the rounds and bytes hidden behind the
-	// backward pass versus exposed at the step barrier. Everything is
-	// exposed unless Config.Overlap was set.
-	Overlap dist.OverlapStats
-	// LocalSGD is the local-SGD step/round ledger (local steps taken, full
-	// weight-averaging rounds, intra-node-only rounds). Zero unless
-	// Config.SyncEvery > 1.
-	LocalSGD dist.LocalSGDStats
-	// Membership reports the elastic-membership activity of the run:
-	// evictions, rebalanced shards and resync bytes, and the number of
-	// steps executed at each world size. Zero evictions unless
-	// Config.Elastic was set and the fault plan killed a worker.
-	Membership dist.MembershipStats
-	// Profile splits the run's hot-loop wall time into
-	// gemm/im2col/convert/reduce/codec/other phase buckets (summing
-	// exactly to Profile.WallNS). Zero unless Config.Profile was set.
-	Profile dist.ProfileStats
+	// Report is the engine's ledger of the run, taken whole: Comm (the
+	// aggregate schedule), TierComm (its split by fabric tier when
+	// Config.Topology arranged the workers hierarchically; zero for flat
+	// runs), Overlap (rounds and bytes hidden behind the backward pass
+	// versus exposed at the step barrier; everything is exposed unless
+	// Config.Overlap was set), LocalSGD (local steps, full and intra-node
+	// averaging rounds; zero unless Config.SyncEvery > 1), Membership
+	// (evictions, joins, rebalanced shards and resync bytes, steps at each
+	// world size) and Profile (hot-loop wall time by phase, summing exactly
+	// to Profile.WallNS; zero unless Config.Profile was set).
+	dist.Report
 	// Scale reports the dynamic loss scaler's final scale and its
 	// overflow/growth counters. Zero unless the run trained under
 	// Config.Precision == tensor.F16 (or an explicit Config.LossScale).
 	Scale opt.ScaleStats
 }
 
-// Train runs the configured recipe on the dataset and returns the result.
-// It only returns an error for infrastructure failures (worker panics);
-// divergence is reported in Result.Diverged, matching how the paper reports
-// diverged runs as 0.1%-accuracy rows rather than aborted experiments.
-func Train(cfg Config, ds *data.Synth) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Model == nil {
-		panic("core: Config.Model is required")
+// engineConfig is the dist.Config the run's engine is built with.
+func (c Config) engineConfig() dist.Config {
+	return dist.Config{
+		Algo: c.Algo, Topology: c.Topology, Shards: c.Shards, BucketElems: c.Bucket,
+		Overlap: c.Overlap, Reduction: c.Reduction, Codec: c.Codec,
+		Faults: c.Faults, Elastic: c.Elastic, Profile: c.Profile,
+		SyncEvery: c.SyncEvery, IntraSyncEvery: c.IntraSyncEvery,
 	}
-	local := cfg.SyncEvery > 1
-	if local {
-		if cfg.MicroBatch > 0 && cfg.MicroBatch < cfg.Batch {
-			panic("core: MicroBatch is incompatible with SyncEvery > 1")
-		}
-		if cfg.LossScale > 0 {
-			panic("core: LossScale is incompatible with SyncEvery > 1 (local mode trains unscaled)")
-		}
-	}
-	start := time.Now()
+}
 
-	replicas := make([]*nn.Network, cfg.Workers)
-	for i := range replicas {
-		replicas[i] = cfg.Model(cfg.Seed + uint64(i)*7919)
-		if cfg.Precision != tensor.F32 {
-			replicas[i].SetPrecision(cfg.Precision)
-		}
-	}
-	engine := dist.NewEngine(dist.Config{
-		Algo: cfg.Algo, Topology: cfg.Topology, Shards: cfg.Shards, BucketElems: cfg.Bucket,
-		Overlap: cfg.Overlap, Reduction: cfg.Reduction, Codec: cfg.Codec,
-		Faults: cfg.Faults, Elastic: cfg.Elastic, Profile: cfg.Profile,
-		SyncEvery: cfg.SyncEvery, IntraSyncEvery: cfg.IntraSyncEvery,
-	}, replicas)
-	defer engine.Close()
+// micro reports whether each global batch is processed in MicroBatch chunks.
+func (c Config) micro() bool { return c.MicroBatch > 0 && c.MicroBatch < c.Batch }
 
-	// newStepper builds one instance of the run's optimizer recipe over the
-	// given parameters: the master's in synchronous mode, one per replica
-	// in local mode (each worker steps privately between weight averages).
-	newStepper := func(params []*nn.Param) opt.Optimizer {
-		switch cfg.Method {
-		case LARSWarmup:
-			return opt.NewLARS(params, opt.LARSConfig{
-				Momentum: cfg.Momentum, WeightDecay: cfg.WeightDecay, Trust: cfg.Trust,
-			})
-		default:
-			return opt.NewSGD(params, opt.SGDConfig{
-				Momentum: cfg.Momentum, WeightDecay: cfg.WeightDecay,
-			})
-		}
+// Validate reports why the configuration (after defaults) cannot be
+// trained, or nil: the trainer's own requirements, then the engine's
+// (dist.Config.Validate).
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	switch {
+	case c.Model == nil:
+		return errors.New("core: Config.Model is required")
+	case c.Workers < 1 || c.Batch < 1 || c.Epochs < 1:
+		return fmt.Errorf("core: Workers = %d, Batch = %d, Epochs = %d: all three must be positive", c.Workers, c.Batch, c.Epochs)
+	case c.SyncEvery > 1 && c.micro():
+		return errors.New("core: MicroBatch is incompatible with SyncEvery > 1 (gradient accumulation assumes a single master optimizer)")
+	case c.SyncEvery > 1 && c.LossScale > 0:
+		return errors.New("core: LossScale is incompatible with SyncEvery > 1 (local mode trains unscaled)")
 	}
-	var optimizer opt.Optimizer
-	if local {
-		steppers := make([]dist.Stepper, len(replicas))
-		for w := range steppers {
-			steppers[w] = newStepper(replicas[w].Params())
-		}
-		engine.SetLocalSteppers(steppers)
-	} else {
-		optimizer = newStepper(engine.Master().Params())
+	if err := c.engineConfig().Validate(c.Workers); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
+	return nil
+}
 
-	stepsPerEpoch := len(data.Batches(make([]int, ds.Train.Len()), cfg.Batch))
-	if stepsPerEpoch == 0 {
-		return nil, fmt.Errorf("core: batch %d exceeds training set %d", cfg.Batch, ds.Train.Len())
-	}
-	totalSteps := stepsPerEpoch * cfg.Epochs
-	var sched opt.Schedule = opt.Poly{Base: cfg.TargetLR(), Power: cfg.PolyPower}
-	if cfg.Method != BaselineSGD && cfg.WarmupEpochs > 0 {
-		sched = opt.Warmup{Inner: sched, WarmupSteps: int(cfg.WarmupEpochs * float64(stepsPerEpoch))}
-	}
-
-	var aug *data.Augmenter
-	if cfg.Augment {
-		aug = data.NewAugmenter(2, true, rng.New(cfg.Seed^0xa5a5a5a5))
-	}
-
-	// Dynamic loss scaling rides the F16 path (or an explicit LossScale):
-	// the engine scales the seed gradient before backward; after reduction
-	// the scaler unscales the float32 master gradients exactly, or skips
-	// the step and halves on overflow.
-	// Local mode trains F16 unscaled: the scaler's overflow protocol
-	// (inspect master gradients, skip the shared step) has no master
-	// gradient to inspect when every worker steps privately.
-	var scaler *opt.LossScaler
-	if !local && (cfg.Precision == tensor.F16 || cfg.LossScale > 0) {
-		scaler = opt.NewLossScaler(cfg.LossScale, 0)
-	}
-
-	// Gradient-accumulation buffers (allocated only when micro-batching).
-	var accum []*tensor.Tensor
+// accumulating returns the gradient half of a micro-batched step: it leaves
+// the batch-mean gradient in the master's parameter gradients by chunking
+// the batch through microBatch-sized pieces, each chunk's reduced gradient
+// weighted by its share of the batch.
+func accumulating(engine *dist.Engine, microBatch int) func(*tensor.Tensor, []int, float64) (float64, error) {
 	masterParams := engine.Master().Params()
-	if cfg.MicroBatch > 0 && cfg.MicroBatch < cfg.Batch {
-		accum = make([]*tensor.Tensor, len(masterParams))
-		for i, p := range masterParams {
-			accum[i] = tensor.New(p.W.Shape...)
-		}
+	accum := make([]*tensor.Tensor, len(masterParams))
+	for i, p := range masterParams {
+		accum[i] = tensor.New(p.W.Shape...)
 	}
-	// computeBatchGradient leaves the batch-mean gradient in the master's
-	// parameter gradients, chunking through MicroBatch-sized pieces when
-	// accumulation is enabled.
-	computeBatchGradient := func(x *tensor.Tensor, labels []int) (float64, error) {
-		if accum == nil {
-			return engine.ComputeGradient(x, labels)
-		}
+	return func(x *tensor.Tensor, labels []int, _ float64) (float64, error) {
 		for _, a := range accum {
 			a.Zero()
 		}
 		imLen := x.Numel() / x.Shape[0]
 		b := x.Shape[0]
 		var total float64
-		for lo := 0; lo < b; lo += cfg.MicroBatch {
-			hi := lo + cfg.MicroBatch
+		for lo := 0; lo < b; lo += microBatch {
+			hi := lo + microBatch
 			if hi > b {
 				hi = b
 			}
@@ -444,6 +378,120 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 			p.G.CopyFrom(accum[i])
 		}
 		return total, nil
+	}
+}
+
+// Train runs the configured recipe on the dataset and returns the result.
+// It returns an error for a configuration that cannot run (Config.Validate),
+// a batch larger than the training set, and infrastructure failures (worker
+// panics, an unrecoverable dead worker); divergence is reported in
+// Result.Diverged, matching how the paper reports diverged runs as
+// 0.1%-accuracy rows rather than aborted experiments.
+func Train(cfg Config, ds *data.Synth) (*Result, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	local := cfg.SyncEvery > 1
+	start := time.Now()
+
+	replicas := make([]*nn.Network, cfg.Workers)
+	for i := range replicas {
+		replicas[i] = cfg.Model(cfg.Seed + uint64(i)*7919)
+		if cfg.Precision != tensor.F32 {
+			replicas[i].SetPrecision(cfg.Precision)
+		}
+	}
+	engine := dist.NewEngine(cfg.engineConfig(), replicas)
+	defer engine.Close()
+
+	// newStepper builds one instance of the run's optimizer recipe over the
+	// given parameters: the master's in synchronous mode, one per replica
+	// in local mode (each worker steps privately between weight averages).
+	newStepper := func(params []*nn.Param) opt.Optimizer {
+		switch cfg.Method {
+		case LARSWarmup:
+			return opt.NewLARS(params, opt.LARSConfig{
+				Momentum: cfg.Momentum, WeightDecay: cfg.WeightDecay, Trust: cfg.Trust,
+			})
+		default:
+			return opt.NewSGD(params, opt.SGDConfig{
+				Momentum: cfg.Momentum, WeightDecay: cfg.WeightDecay,
+			})
+		}
+	}
+
+	stepsPerEpoch := len(data.Batches(make([]int, ds.Train.Len()), cfg.Batch))
+	if stepsPerEpoch == 0 {
+		return nil, fmt.Errorf("core: batch %d exceeds training set %d", cfg.Batch, ds.Train.Len())
+	}
+	totalSteps := stepsPerEpoch * cfg.Epochs
+	var sched opt.Schedule = opt.Poly{Base: cfg.TargetLR(), Power: cfg.PolyPower}
+	if cfg.Method != BaselineSGD && cfg.WarmupEpochs > 0 {
+		sched = opt.Warmup{Inner: sched, WarmupSteps: int(cfg.WarmupEpochs * float64(stepsPerEpoch))}
+	}
+
+	var aug *data.Augmenter
+	if cfg.Augment {
+		aug = data.NewAugmenter(2, true, rng.New(cfg.Seed^0xa5a5a5a5))
+	}
+
+	// The run's step is chosen once — local, every-step or accumulating —
+	// as two halves around the divergence test: gradient leaves the
+	// batch-mean loss (and, in the synchronous modes, the batch-mean
+	// gradient in the master's parameter gradients); update turns that
+	// gradient into the next synchronized weights. Each is called once per
+	// global batch.
+	var gradient func(x *tensor.Tensor, labels []int, lr float64) (float64, error)
+	update := func(float64) error { return nil }
+	var scaler *opt.LossScaler
+	if local {
+		// One local-SGD step: shard gradients stay on their workers, each
+		// steps its private optimizer, and the engine averages weights at
+		// window boundaries — nothing is left for update. Local mode trains
+		// F16 unscaled: the scaler's overflow protocol (inspect master
+		// gradients, skip the shared step) has no master gradient to
+		// inspect when every worker steps privately.
+		steppers := make([]dist.Stepper, len(replicas))
+		for w := range steppers {
+			steppers[w] = newStepper(replicas[w].Params())
+		}
+		engine.SetLocalSteppers(steppers)
+		gradient = engine.LocalStep
+	} else {
+		// Dynamic loss scaling rides the F16 path (or an explicit
+		// LossScale): the engine scales the seed gradient before backward;
+		// after reduction the scaler unscales the float32 master gradients
+		// exactly, or skips the step and halves on overflow.
+		if cfg.Precision == tensor.F16 || cfg.LossScale > 0 {
+			scaler = opt.NewLossScaler(cfg.LossScale, 0)
+		}
+		masterParams := engine.Master().Params()
+		optimizer := newStepper(masterParams)
+		update = func(lr float64) error {
+			if scaler != nil && !scaler.Update(masterParams) {
+				// Overflowed gradients: skip the optimizer step and the
+				// weight broadcast (weights are unchanged, so the replicas
+				// are still in sync) and retry at the halved scale. The
+				// schedule still advances — a skipped step consumes its
+				// slot, as on real mixed-precision trainers.
+				return nil
+			}
+			optimizer.Step(lr)
+			return engine.BroadcastWeights()
+		}
+		gradient = func(x *tensor.Tensor, labels []int, _ float64) (float64, error) {
+			return engine.ComputeGradient(x, labels)
+		}
+		if cfg.micro() {
+			gradient = accumulating(engine, cfg.MicroBatch)
+		}
+	}
+	// Local mode pins evaluation to one live replica: between sync
+	// boundaries the replicas legitimately disagree.
+	eval := engine.EvalAccuracy
+	if local {
+		eval = engine.EvalAccuracyLocal
 	}
 
 	res := &Result{Config: cfg, TestAcc: math.NaN()}
@@ -469,56 +517,24 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 			if aug != nil {
 				aug.Apply(x)
 			}
-			var loss float64
-			if local {
-				// One local-SGD step: shard gradients stay on their
-				// workers, each steps its private optimizer, and the
-				// engine averages weights at window boundaries.
-				loss, err = engine.LocalStep(x, labels, sched.LR(step, totalSteps))
-				if err != nil {
-					return nil, err
-				}
-				if math.IsNaN(loss) || math.IsInf(loss, 0) || loss > cfg.MaxLoss {
-					res.Diverged = true
-					epochLoss += loss
-					epochSteps++
-					break
-				}
-				epochLoss += loss
-				epochSteps++
-				step++
-				continue
-			}
+			lr := sched.LR(step, totalSteps)
 			if scaler != nil {
 				engine.SetLossScale(scaler.Scale())
 			}
-			loss, err = computeBatchGradient(x, labels)
+			loss, err := gradient(x, labels, lr)
 			if err != nil {
 				return nil, err
 			}
-			if math.IsNaN(loss) || math.IsInf(loss, 0) || loss > cfg.MaxLoss {
-				res.Diverged = true
-				epochLoss += loss
-				epochSteps++
-				break
-			}
-			if scaler != nil && !scaler.Update(masterParams) {
-				// Overflowed gradients: skip the optimizer step and the
-				// weight broadcast (weights are unchanged, so the replicas
-				// are still in sync) and retry at the halved scale. The
-				// schedule still advances — a skipped step consumes its
-				// slot, as on real mixed-precision trainers.
-				epochLoss += loss
-				epochSteps++
-				step++
-				continue
-			}
-			optimizer.Step(sched.LR(step, totalSteps))
-			if err := engine.BroadcastWeights(); err != nil {
-				return nil, err
-			}
+			res.Iterations++
 			epochLoss += loss
 			epochSteps++
+			if math.IsNaN(loss) || math.IsInf(loss, 0) || loss > cfg.MaxLoss {
+				res.Diverged = true
+				break
+			}
+			if err := update(lr); err != nil {
+				return nil, err
+			}
 			step++
 		}
 		stats := EpochStats{
@@ -531,15 +547,7 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 		}
 		last := epoch == cfg.Epochs-1 || res.Diverged
 		if last || epoch%cfg.EvalEveryEpochs == 0 {
-			// Local mode pins evaluation to one live replica: between
-			// sync boundaries the replicas legitimately disagree.
-			var acc float64
-			var err error
-			if local {
-				acc, err = engine.EvalAccuracyLocal(ds.Test.Images, ds.Test.Labels, 256)
-			} else {
-				acc, err = engine.EvalAccuracy(ds.Test.Images, ds.Test.Labels, 256)
-			}
+			acc, err := eval(ds.Test.Images, ds.Test.Labels, 256)
 			if err != nil {
 				return nil, err
 			}
@@ -552,13 +560,7 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 		res.FinalLoss = stats.TrainLoss
 		res.History = append(res.History, stats)
 	}
-	res.Iterations = engine.Steps()
-	res.Comm = engine.Stats()
-	res.TierComm = engine.TierStats()
-	res.Overlap = engine.OverlapStats()
-	res.LocalSGD = engine.LocalSGD()
-	res.Membership = engine.Membership()
-	res.Profile = engine.Profile()
+	res.Report = engine.Report()
 	if scaler != nil {
 		res.Scale = scaler.Stats()
 	}

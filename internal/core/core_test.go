@@ -251,6 +251,10 @@ func TestMicroBatchingMatchesFullBatch(t *testing.T) {
 	if full.TestAcc != chunked.TestAcc {
 		t.Fatalf("accuracies differ: %v vs %v", chunked.TestAcc, full.TestAcc)
 	}
+	// Iterations counts optimizer steps, not the chunks a step is cut into.
+	if chunked.Iterations != full.Iterations {
+		t.Fatalf("micro-batched run reports %d iterations, full-batch %d", chunked.Iterations, full.Iterations)
+	}
 }
 
 func TestMicroBatchUnevenChunks(t *testing.T) {

@@ -198,17 +198,19 @@ func TestLocalSGDF16Trains(t *testing.T) {
 
 // TestLocalSGDRejectsIncompatibleConfigs pins the trainer-level contract:
 // gradient accumulation and dynamic loss scaling need the master-optimizer
-// barrier local mode removes.
+// barrier local mode removes — and, like every configuration the engine
+// cannot run, they come back from Train (and Validate) as an error, not a
+// panic.
 func TestLocalSGDRejectsIncompatibleConfigs(t *testing.T) {
 	ds := tinyDataset()
 	mustPanic := func(name string, cfg Config) {
 		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		Train(cfg, ds) //nolint:errcheck
+		if cfg.Validate() == nil {
+			t.Fatalf("%s: Validate accepted the config", name)
+		}
+		if res, err := Train(cfg, ds); err == nil || res != nil {
+			t.Fatalf("%s: Train returned (%v, %v), want an error", name, res, err)
+		}
 	}
 	micro := localBase()
 	micro.SyncEvery = 2
@@ -218,4 +220,18 @@ func TestLocalSGDRejectsIncompatibleConfigs(t *testing.T) {
 	scaled.SyncEvery = 2
 	scaled.LossScale = 1024
 	mustPanic("LossScale", scaled)
+	starved := localBase()
+	starved.Shards = 2
+	mustPanic("Shards < Workers", starved)
+	hier := dist.NewHierarchy(2, 3)
+	mismatched := localBase()
+	mismatched.Topology = &hier
+	mustPanic("topology mismatch", mismatched)
+	intra := localBase()
+	intra.SyncEvery = 4
+	intra.IntraSyncEvery = 2
+	mustPanic("IntraSyncEvery without Topology", intra)
+	if err := localBase().Validate(); err != nil {
+		t.Fatalf("Validate rejected the base config: %v", err)
+	}
 }

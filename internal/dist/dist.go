@@ -18,9 +18,18 @@
 //     alpha-beta profile;
 //
 //   - an Engine that drives W persistent worker goroutines in lockstep over
-//     per-worker batch shards: forward/backward on each worker's replica,
-//     gradient averaging through the selected topology, weight broadcast,
-//     data-parallel evaluation, gradient bucketing (chunked reduction, the
+//     per-worker batch shards. It is one step template (Engine.step: batch
+//     validation, ledger reset, the profile window, membership changes at
+//     the step's boundaries, the shard plan, the step counter and the
+//     loss) with two bodies — ComputeGradient, the every-step gradient
+//     allreduce into the master, and LocalStep, local SGD with periodic
+//     weight averaging (Config.SyncEvery) — sharing one worker-side shard
+//     forward/backward, one bucket reduction (codec pass, schedule,
+//     weighted accumulate) and one evaluation; one ledger (Report, kept
+//     for the run and for the last step and written through a single add);
+//     and one topology: a flat Config.Algo world is the P×1 Hierarchy, so
+//     every schedule is priced by the same two-tier closed forms. Around
+//     that: weight broadcast, gradient bucketing (chunked reduction, the
 //     overlap-friendly granularity real frameworks use), bucket reductions
 //     overlapped with the backward pass (Config.Overlap: each bucket's
 //     allreduce fires the moment its last covering parameter's gradient

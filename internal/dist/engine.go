@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -14,18 +15,20 @@ import (
 
 // Config configures an Engine.
 type Config struct {
-	// Algo selects the allreduce topology (default Central, the zero
-	// value; Ring is what the paper's large systems use). Ignored when
-	// Topology is set.
+	// Algo selects the allreduce pattern of a flat, single-fabric world
+	// (default Central, the zero value; Ring is what the paper's large
+	// systems use). A flat world is the P×1 hierarchy — every worker alone
+	// on its node, Algo across the node leaders — and that is how the
+	// engine runs it. Ignored when Topology is set.
 	Algo Algorithm
 	// Topology optionally arranges the workers into a two-tier node
 	// hierarchy: reductions then run intra-node first, feeding a
 	// cross-node exchange among node leaders, and the schedule is
-	// accounted per fabric tier (Engine.TierStats) as well as in the
+	// reported per fabric tier (Engine.TierStats) as well as in the
 	// aggregate counters. Topology.Workers() must equal the replica
-	// count. nil keeps the flat single-fabric Algo schedule. Values are
-	// unaffected either way — hierarchical runs are bit-identical to flat
-	// ones with the same shard split.
+	// count. nil means the P×1 hierarchy built from Algo, whose tier split
+	// stays unreported. Values are unaffected either way — hierarchical
+	// runs are bit-identical to flat ones with the same shard split.
 	Topology *Hierarchy
 	// Shards is the number of logical gradient shards each global batch
 	// is split into; 0 means one per worker. The shard split — not the
@@ -121,12 +124,82 @@ type Config struct {
 	Elastic *Elastic
 }
 
+// Validate reports why the configuration cannot drive an engine over the
+// given number of replicas, or nil. NewEngine panics with this error;
+// callers that take configurations from outside the program
+// (core.Config.Validate) check first.
+func (c Config) Validate(workers int) error {
+	if workers < 1 {
+		return errors.New("dist: NewEngine needs at least one replica")
+	}
+	if c.Shards != 0 && c.Shards < workers {
+		return fmt.Errorf("dist: %d shards cannot feed %d workers", c.Shards, workers)
+	}
+	if h := c.Topology; h != nil {
+		if err := h.validate(); err != nil {
+			return err
+		}
+		if h.Workers() != workers {
+			return fmt.Errorf("dist: %v hierarchy needs %d workers, engine has %d replicas", *h, h.Workers(), workers)
+		}
+	}
+	if c.SyncEvery < 0 {
+		return fmt.Errorf("dist: Config.SyncEvery = %d: the synchronization period cannot be negative", c.SyncEvery)
+	}
+	if c.IntraSyncEvery < 0 {
+		return fmt.Errorf("dist: Config.IntraSyncEvery = %d: the intra-node period cannot be negative", c.IntraSyncEvery)
+	}
+	if c.IntraSyncEvery > 0 {
+		if c.Topology == nil {
+			return errors.New("dist: Config.IntraSyncEvery needs Config.Topology (intra-node averaging needs nodes)")
+		}
+		if c.SyncEvery <= 1 {
+			return errors.New("dist: Config.IntraSyncEvery needs Config.SyncEvery > 1 (every step already fully synchronizes)")
+		}
+		if c.SyncEvery%c.IntraSyncEvery != 0 {
+			return fmt.Errorf("dist: Config.IntraSyncEvery = %d must divide Config.SyncEvery = %d so the averaging tiers nest", c.IntraSyncEvery, c.SyncEvery)
+		}
+	}
+	f := c.Faults
+	if f == nil {
+		return nil
+	}
+	for w := range f.Dead {
+		if w == 0 {
+			return errors.New("dist: FaultPlan.Dead cannot mark worker 0 (the master) dead")
+		}
+		if w < 0 || w >= workers {
+			return fmt.Errorf("dist: FaultPlan.Dead marks worker %d, engine has %d replicas", w, workers)
+		}
+	}
+	if len(f.Join) > 0 && c.Elastic == nil {
+		return errors.New("dist: FaultPlan.Join requires Config.Elastic (joins are membership surgery)")
+	}
+	for w, s := range f.Join {
+		if w == 0 {
+			return errors.New("dist: FaultPlan.Join cannot mark worker 0 (the master joins at construction)")
+		}
+		if w < 0 || w >= workers {
+			return fmt.Errorf("dist: FaultPlan.Join marks worker %d, engine has %d replicas", w, workers)
+		}
+		if s < 1 {
+			return fmt.Errorf("dist: FaultPlan.Join[%d] = %d: a join before step 1 is initial membership", w, s)
+		}
+		if d, ok := f.Dead[w]; ok && d == s {
+			return fmt.Errorf("dist: FaultPlan marks worker %d both dead and joining at step %d", w, s)
+		}
+	}
+	return nil
+}
+
 // Engine drives synchronous data-parallel SGD over W model replicas using W
 // persistent worker goroutines in lockstep. Per training step the caller
 // runs ComputeGradient (shard forward/backward + gradient allreduce into
 // the master replica), steps the optimizer on the master's parameters, and
 // calls BroadcastWeights to resynchronize the replicas — the exact
-// two-phase structure the paper's cost model prices.
+// two-phase structure the paper's cost model prices. (Under
+// Config.SyncEvery the caller runs LocalStep instead; both entry points are
+// bodies of one step template.)
 //
 // The engine is not safe for concurrent use; like the replicas it owns, it
 // belongs to one training loop. Close releases the worker goroutines.
@@ -144,8 +217,7 @@ type Engine struct {
 	// each worker's consecutive failed recoveries toward eviction. shards
 	// is the current logical shard count — it follows the world size down
 	// on evictions and up on joins when shardsTrack is set (Config.Shards
-	// was left zero with no codec). nodes holds each hierarchy node's
-	// live members in ascending worker order (nil when flat).
+	// was left zero with no codec).
 	alive       []bool
 	started     []bool
 	joinDone    []bool // fault-plan Join entries already applied (one admission each)
@@ -153,7 +225,14 @@ type Engine struct {
 	consecDead  []int
 	shards      int
 	shardsTrack bool
-	nodes       [][]int
+
+	// The one topology every schedule is priced on: Config.Topology, or the
+	// P×1 hierarchy a flat Config.Algo resolves to. nodes holds each node's
+	// live members in ascending worker order; sizes lists the live-worker
+	// count of every non-empty node, rebuilt only when membership changes.
+	topo  Hierarchy
+	nodes [][]int
+	sizes []int
 
 	// Overlap-scheduler structures (see Config.Overlap). paramOffs maps
 	// master parameter index to its flat-gradient offset; paramBuckets
@@ -182,27 +261,18 @@ type Engine struct {
 	// optimizer per replica, stepped by the worker goroutines inside
 	// jobLocal; localBuf is per-worker flat scratch, holding the locally
 	// reduced gradient during the step and the flattened weights at sync
-	// boundaries; localsgd counts local steps and averaging rounds.
+	// boundaries.
 	localSteppers []Stepper
 	localBuf      [][]float32
-	localsgd      LocalSGDStats
-	lastLocal     LocalSGDStats
 
-	reduced        []float32 // scratch: canonically reduced flat gradient
-	steps          int64
-	stats          CommStats
-	lastStep       CommStats
-	tiers          TierStats // per-fabric split of stats (hierarchical runs only)
-	lastTiers      TierStats // per-fabric split of lastStep
-	overlap        OverlapStats
-	lastOverlap    OverlapStats
-	membership     MembershipStats
-	lastMembership MembershipStats
-	profile        ProfileStats // cumulative phase profile (Config.Profile only)
-	lastProfile    ProfileStats // phase profile of the most recent step
-	profActive     bool         // true once construction is done: the profile covers training steps, not setup
-	lossScale      float32      // multiplier applied to dL/dy before Backward (0 or 1: off)
-	closed         bool
+	reduced    []float32 // scratch: canonically reduced flat gradient
+	steps      int64
+	total      Report  // the whole run's ledger
+	last       Report  // the most recent training step's (see add)
+	profActive bool    // true once construction is done: the profile covers training steps, not setup
+	inWindow   bool    // a profile window is open (see window)
+	lossScale  float32 // multiplier applied to dL/dy before Backward (0 or 1: off)
+	closed     bool
 }
 
 // SetLossScale sets the factor every worker multiplies the loss gradient by
@@ -231,15 +301,15 @@ type job struct {
 	spans  [][2]int // row spans, indexed by slot
 	slots  []int    // which spans this worker owns
 	lr     float64  // learning rate of a local optimizer step (jobLocal)
-	train  bool
 }
 
 // NewEngine builds an engine over the given replicas (one per worker; at
 // least one required) and synchronizes their weights to the master
-// (replicas[0]) so all workers start from identical parameters.
+// (replicas[0]) so all workers start from identical parameters. It panics
+// with Config.Validate's error on a configuration that cannot run.
 func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
-	if len(replicas) == 0 {
-		panic("dist: NewEngine needs at least one replica")
+	if err := cfg.Validate(len(replicas)); err != nil {
+		panic(err)
 	}
 	// Only the default per-worker shard split follows the world size down
 	// on elastic evictions. An explicitly pinned Shards — even one equal
@@ -251,58 +321,14 @@ func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 	if cfg.Shards == 0 {
 		cfg.Shards = len(replicas)
 	}
-	if cfg.Shards < len(replicas) {
-		panic(fmt.Sprintf("dist: %d shards cannot feed %d workers", cfg.Shards, len(replicas)))
-	}
-	if h := cfg.Topology; h != nil {
-		h.validate()
-		if h.Workers() != len(replicas) {
-			panic(fmt.Sprintf("dist: %v hierarchy needs %d workers, engine has %d replicas", *h, h.Workers(), len(replicas)))
-		}
-	}
-	if cfg.SyncEvery < 0 {
-		panic(fmt.Sprintf("dist: Config.SyncEvery = %d: the synchronization period cannot be negative", cfg.SyncEvery))
-	}
-	if cfg.IntraSyncEvery < 0 {
-		panic(fmt.Sprintf("dist: Config.IntraSyncEvery = %d: the intra-node period cannot be negative", cfg.IntraSyncEvery))
-	}
-	if cfg.IntraSyncEvery > 0 {
-		if cfg.Topology == nil {
-			panic("dist: Config.IntraSyncEvery needs Config.Topology (intra-node averaging needs nodes)")
-		}
-		if cfg.SyncEvery <= 1 {
-			panic("dist: Config.IntraSyncEvery needs Config.SyncEvery > 1 (every step already fully synchronizes)")
-		}
-		if cfg.SyncEvery%cfg.IntraSyncEvery != 0 {
-			panic(fmt.Sprintf("dist: Config.IntraSyncEvery = %d must divide Config.SyncEvery = %d so the averaging tiers nest", cfg.IntraSyncEvery, cfg.SyncEvery))
-		}
-	}
-	if f := cfg.Faults; f != nil {
-		for w := range f.Dead {
-			if w == 0 {
-				panic("dist: FaultPlan.Dead cannot mark worker 0 (the master) dead")
-			}
-			if w < 0 || w >= len(replicas) {
-				panic(fmt.Sprintf("dist: FaultPlan.Dead marks worker %d, engine has %d replicas", w, len(replicas)))
-			}
-		}
-		if len(f.Join) > 0 && cfg.Elastic == nil {
-			panic("dist: FaultPlan.Join requires Config.Elastic (joins are membership surgery)")
-		}
-		for w, s := range f.Join {
-			if w == 0 {
-				panic("dist: FaultPlan.Join cannot mark worker 0 (the master joins at construction)")
-			}
-			if w < 0 || w >= len(replicas) {
-				panic(fmt.Sprintf("dist: FaultPlan.Join marks worker %d, engine has %d replicas", w, len(replicas)))
-			}
-			if s < 1 {
-				panic(fmt.Sprintf("dist: FaultPlan.Join[%d] = %d: a join before step 1 is initial membership", w, s))
-			}
-			if d, ok := f.Dead[w]; ok && d == s {
-				panic(fmt.Sprintf("dist: FaultPlan marks worker %d both dead and joining at step %d", w, s))
-			}
-		}
+	// The one flat-vs-hierarchical decision: a flat world is the P×1
+	// hierarchy. Its intra tier is empty (every schedule over one worker is
+	// zero) and its inter tier is Algo over the live workers, so the
+	// degraded two-tier schedules price it exactly as the flat closed forms
+	// do, at full strength and after evictions alike.
+	topo := Hierarchy{Nodes: len(replicas), PerNode: 1, Inter: cfg.Algo}
+	if cfg.Topology != nil {
+		topo = *cfg.Topology
 	}
 	e := &Engine{
 		cfg:         cfg,
@@ -318,6 +344,8 @@ func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 		consecDead:  make([]int, len(replicas)),
 		shards:      cfg.Shards,
 		shardsTrack: trackWorld,
+		topo:        topo,
+		nodes:       make([][]int, topo.Nodes),
 		steps:       cfg.StartStep,
 	}
 	if cfg.Profile {
@@ -341,25 +369,14 @@ func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 		}
 		if e.alive[w] {
 			e.world++
+			e.nodes[w/topo.PerNode] = append(e.nodes[w/topo.PerNode], w)
 		}
 	}
-	if trackWorld {
-		// The default split tracks the live world in both directions, so
-		// an engine born with pending joiners shards like the fresh
-		// smaller engine it is bit-identical to.
-		e.shards = e.world
-	}
-	e.membership.StepsAtWorld = make([]int64, len(replicas)+1)
-	if h := cfg.Topology; h != nil {
-		e.nodes = make([][]int, h.Nodes)
-		for n := range e.nodes {
-			for i := 0; i < h.PerNode; i++ {
-				if w := n*h.PerNode + i; e.alive[w] {
-					e.nodes[n] = append(e.nodes[n], w)
-				}
-			}
-		}
-	}
+	// The default split tracks the live world in both directions, so an
+	// engine born with pending joiners shards like the fresh smaller
+	// engine it is bit-identical to.
+	e.reform()
+	e.total.Membership.StepsAtWorld = make([]int64, len(replicas)+1)
 	for w, r := range replicas {
 		e.params[w] = r.Params()
 		if len(e.params[w]) != len(e.params[0]) {
@@ -483,41 +500,6 @@ func (e *Engine) Master() *nn.Network { return e.replicas[0] }
 // Steps returns the number of gradient reductions performed.
 func (e *Engine) Steps() int64 { return e.steps }
 
-// Stats returns the cumulative communication counters.
-func (e *Engine) Stats() CommStats { return e.stats }
-
-// StepStats returns the counters of the most recent training step
-// (ComputeGradient plus any BroadcastWeights since).
-func (e *Engine) StepStats() CommStats { return e.lastStep }
-
-// TierStats returns the cumulative counters split by fabric tier. It is
-// zero unless Config.Topology arranged the workers hierarchically, in which
-// case TierStats().Total() equals Stats().
-func (e *Engine) TierStats() TierStats { return e.tiers }
-
-// StepTierStats returns the per-tier counters of the most recent training
-// step, the hierarchical split of StepStats.
-func (e *Engine) StepTierStats() TierStats { return e.lastTiers }
-
-// OverlapStats returns the cumulative hidden/exposed split of the counters:
-// OverlapStats().Rounds() == Stats().Steps and OverlapStats().TotalBytes()
-// == Stats().Bytes always. Nothing is hidden unless Config.Overlap is set.
-func (e *Engine) OverlapStats() OverlapStats { return e.overlap }
-
-// StepOverlapStats returns the hidden/exposed split of the most recent
-// training step, the overlap view of StepStats.
-func (e *Engine) StepOverlapStats() OverlapStats { return e.lastOverlap }
-
-// Profile returns the cumulative phase profile: hot-loop wall time split
-// into gemm/im2col/reduce/codec/other buckets that sum exactly to the
-// measured wall time. Zero unless Config.Profile is set.
-func (e *Engine) Profile() ProfileStats { return e.profile }
-
-// StepProfile returns the phase profile of the most recent training step
-// (ComputeGradient plus any BroadcastWeights since), the profiled view of
-// StepStats.
-func (e *Engine) StepProfile() ProfileStats { return e.lastProfile }
-
 // Close shuts down the worker goroutines. The engine must not be used
 // afterwards; Close is idempotent.
 func (e *Engine) Close() {
@@ -543,58 +525,6 @@ func (e *Engine) Close() {
 			r.SetGradNotify(nil)
 		}
 	}
-}
-
-// record accounts one schedule into the cumulative, per-step and overlap
-// counters; hidden files the schedule's rounds and bytes under the
-// hidden side of the overlap split.
-func (e *Engine) record(s CommStats, hidden bool) {
-	e.stats.Add(s)
-	e.lastStep.Add(s)
-	e.overlap.add(s, hidden)
-	e.lastOverlap.add(s, hidden)
-}
-
-// recordTiers accounts a per-tier schedule into the tier counters and its
-// aggregate into the flat counters, keeping Stats() == TierStats().Total()
-// for hierarchical runs.
-func (e *Engine) recordTiers(t TierStats, hidden bool) {
-	e.tiers.Add(t)
-	e.lastTiers.Add(t)
-	e.record(t.Total(), hidden)
-}
-
-// recordReduce accounts one gradient-reduction schedule of a bucket, per
-// tier when the engine is hierarchical. wireTotal is the summed wire bytes
-// of the bucket across all live shards and shards their count: the
-// schedule's byte totals are the schedule factor times the mean shard
-// payload, computed multiply-first/divide-last so non-uniform codec payloads
-// are accounted exactly (to the byte) instead of through a truncated
-// per-shard mean.
-func (e *Engine) recordReduce(wireTotal int64, shards int, hidden bool) {
-	n := int64(shards)
-	if h := e.cfg.Topology; h != nil {
-		sizes := e.nodeSizes()
-		t := degradedHierReduceSchedule(*h, sizes, 0)
-		t.Intra.Bytes = degradedIntraBytesFactor(*h, sizes) * wireTotal / n
-		t.Inter.Bytes = reduceBytesFactor(h.Inter, len(sizes)) * wireTotal / n
-		e.recordTiers(t, hidden)
-		return
-	}
-	st := reduceSchedule(e.cfg.Algo, e.world, 0)
-	st.Bytes = reduceBytesFactor(e.cfg.Algo, e.world) * wireTotal / n
-	e.record(st, hidden)
-}
-
-// recordBroadcast accounts one weight-broadcast schedule of a payloadBytes
-// bucket, per tier when the engine is hierarchical. Broadcasts run after the
-// optimizer step, so they are always exposed.
-func (e *Engine) recordBroadcast(payloadBytes int64) {
-	if h := e.cfg.Topology; h != nil {
-		e.recordTiers(degradedHierBroadcastSchedule(*h, e.nodeSizes(), payloadBytes), false)
-		return
-	}
-	e.record(broadcastSchedule(e.cfg.Algo, e.world, payloadBytes), false)
 }
 
 // startWorker gives worker w a fresh job channel and a goroutine draining
@@ -629,42 +559,19 @@ func (e *Engine) run(w int, net *nn.Network, loss *nn.SoftmaxCrossEntropy, j job
 	}()
 	switch j.kind {
 	case jobGrad:
-		for _, slot := range j.slots {
-			lo, hi := j.spans[slot][0], j.spans[slot][1]
-			if lo == hi {
-				continue
-			}
-			x, labels := sliceRows(j.x, j.labels, lo, hi)
-			net.ZeroGrad()
-			out := net.Forward(x, true)
-			e.losses[slot] = loss.Forward(out, labels)
-			dl := loss.Backward()
-			if s := e.lossScale; s != 0 && s != 1 {
-				// Mixed-precision loss scaling: lift the seed gradient so
-				// small values survive binary16 storage downstream. The
-				// trainer unscales after reduction.
-				for i := range dl.Data {
-					dl.Data[i] *= s
-				}
-			}
-			if e.cfg.Overlap {
-				// gradReady flattens per parameter as Backward lands
-				// them, feeding the overlap scheduler.
-				e.curSlot[w] = slot
-				net.Backward(dl)
-			} else {
-				net.Backward(dl)
-				flatten(e.params[w], e.grads[slot])
-			}
-		}
+		e.shardGradients(w, net, loss, j)
+	case jobLocal:
+		// One local SGD step (Config.SyncEvery): the same per-shard
+		// forward/backward, but the gradient stays on the worker — it is
+		// reduced over the worker's own shards only and fed straight into
+		// the worker's local optimizer. No collective runs until the
+		// window's sync boundary averages the weights.
+		e.shardGradients(w, net, loss, j)
+		e.localReduceStep(w, j)
 	case jobEval:
 		correct := 0
 		for _, slot := range j.slots {
-			lo, hi := j.spans[slot][0], j.spans[slot][1]
-			if lo == hi {
-				continue
-			}
-			x, labels := sliceRows(j.x, j.labels, lo, hi)
+			x, labels := sliceRows(j.x, j.labels, j.spans[slot][0], j.spans[slot][1])
 			preds := net.Forward(x, false).ArgMaxRows()
 			for i, p := range preds {
 				if p == labels[i] {
@@ -677,41 +584,43 @@ func (e *Engine) run(w int, net *nn.Network, loss *nn.SoftmaxCrossEntropy, j job
 		if w != 0 {
 			net.CopyWeightsFrom(e.replicas[0])
 		}
-	case jobLocal:
-		// One local SGD step (Config.SyncEvery): the same per-shard
-		// forward/backward as jobGrad, but the gradient stays on the
-		// worker — it is reduced over the worker's own shards only and
-		// fed straight into the worker's local optimizer. No collective
-		// runs until the window's sync boundary averages the weights.
-		for _, slot := range j.slots {
-			lo, hi := j.spans[slot][0], j.spans[slot][1]
-			if lo == hi {
-				continue
-			}
-			x, labels := sliceRows(j.x, j.labels, lo, hi)
-			net.ZeroGrad()
-			out := net.Forward(x, true)
-			e.losses[slot] = loss.Forward(out, labels)
-			dl := loss.Backward()
-			if s := e.lossScale; s != 0 && s != 1 {
-				for i := range dl.Data {
-					dl.Data[i] *= s
-				}
-			}
-			if e.cfg.Overlap {
-				// The gradient-notify hook still flattens per parameter
-				// as Backward lands them — there is no bucket countdown
-				// to satisfy in local mode, the flattening is all we use.
-				e.curSlot[w] = slot
-				net.Backward(dl)
-			} else {
-				net.Backward(dl)
-				flatten(e.params[w], e.grads[slot])
-			}
-		}
-		e.localReduceStep(w, j)
 	}
 	return nil
+}
+
+// shardGradients runs forward/backward on every non-empty shard the job
+// assigns worker w, leaving each shard's mean loss in e.losses and its flat
+// gradient in e.grads — the worker half of both step entry points.
+func (e *Engine) shardGradients(w int, net *nn.Network, loss *nn.SoftmaxCrossEntropy, j job) {
+	for _, slot := range j.slots {
+		lo, hi := j.spans[slot][0], j.spans[slot][1]
+		if lo == hi {
+			continue
+		}
+		x, labels := sliceRows(j.x, j.labels, lo, hi)
+		net.ZeroGrad()
+		out := net.Forward(x, true)
+		e.losses[slot] = loss.Forward(out, labels)
+		dl := loss.Backward()
+		if s := e.lossScale; s != 0 && s != 1 {
+			// Mixed-precision loss scaling: lift the seed gradient so
+			// small values survive binary16 storage downstream. The
+			// trainer unscales after reduction.
+			for i := range dl.Data {
+				dl.Data[i] *= s
+			}
+		}
+		if e.cfg.Overlap {
+			// gradReady flattens per parameter as Backward lands them,
+			// feeding the overlap scheduler. (A local step has no bucket
+			// countdown armed; the flattening is all it uses.)
+			e.curSlot[w] = slot
+			net.Backward(dl)
+		} else {
+			net.Backward(dl)
+			flatten(e.grads[slot], e.params[w], gradOf)
+		}
+	}
 }
 
 // sliceRows returns an aliasing view of rows [lo, hi) of a batch tensor and
@@ -722,11 +631,24 @@ func sliceRows(x *tensor.Tensor, labels []int, lo, hi int) (*tensor.Tensor, []in
 	return tensor.FromSlice(x.Data[lo*rowLen:hi*rowLen], shape...), labels[lo:hi]
 }
 
-// flatten copies every parameter gradient into one flat vector.
-func flatten(params []*nn.Param, dst []float32) {
+// gradOf and weightOf name the tensor of a parameter a flat vector mirrors.
+func gradOf(p *nn.Param) *tensor.Tensor   { return p.G }
+func weightOf(p *nn.Param) *tensor.Tensor { return p.W }
+
+// flatten copies every parameter's gradient (or weights) into one flat
+// vector; scatter copies a flat vector back.
+func flatten(dst []float32, params []*nn.Param, of func(*nn.Param) *tensor.Tensor) {
 	off := 0
 	for _, p := range params {
-		copy(dst[off:off+p.Numel()], p.G.Data)
+		copy(dst[off:off+p.Numel()], of(p).Data)
+		off += p.Numel()
+	}
+}
+
+func scatter(src []float32, params []*nn.Param, of func(*nn.Param) *tensor.Tensor) {
+	off := 0
+	for _, p := range params {
+		copy(of(p).Data, src[off:off+p.Numel()])
 		off += p.Numel()
 	}
 }
@@ -751,21 +673,41 @@ func (e *Engine) dispatch(workers []int, mk func(w int) job) error {
 	return first
 }
 
-// ComputeGradient splits the global batch x ([B, ...] with len(labels) == B)
-// into the engine's logical shards, runs forward/backward on every shard
-// across the worker replicas in lockstep, and allreduces the shard
-// gradients — weighted by shard size, canonically ordered — into the master
-// replica's parameter gradients. Under Config.Overlap each bucket's
-// reduction fires the moment the gradients it covers are final on every
-// shard, concurrently with the still-running backward pass; otherwise all
-// buckets reduce after the barrier. Either way the reduced values are
-// bit-identical. It returns the batch-mean loss. The replicas must hold
-// identical weights (NewEngine and BroadcastWeights guarantee this in the
-// standard loop).
-func (e *Engine) ComputeGradient(x *tensor.Tensor, labels []int) (float64, error) {
+// batchPlan is one global batch as the step template split it: the row span
+// of every logical shard and which worker computes which.
+type batchPlan struct {
+	x      *tensor.Tensor
+	labels []int
+	spans  [][2]int
+	// active lists the workers that can answer this step: the live fleet
+	// minus any worker the fault plan holds permanently dead (its shards
+	// are recomputed by survivors, the failed recovery injectFaults
+	// accounts). slots assigns them the shard slots.
+	active []int
+	slots  [][]int
+}
+
+// jobs returns the per-worker job of the given kind over the plan.
+func (p batchPlan) jobs(kind jobKind, lr float64) func(w int) job {
+	return func(w int) job {
+		return job{kind: kind, x: p.x, labels: p.labels, spans: p.spans, slots: p.slots[w], lr: lr}
+	}
+}
+
+// step is the one training-step template; ComputeGradient and LocalStep are
+// bodies passed to it. It owns everything the two share: batch validation,
+// the no-forever-retry check, the per-step ledger reset, the profile window,
+// membership changes at the step's boundaries — opens admits the workers the
+// plan schedules to join before the batch is sharded, so the step itself
+// runs (and is accounted) at the grown world size, warm-started from the
+// admission broadcast; closes evicts the workers whose recovery has failed
+// Elastic.EvictAfter consecutive times after the step is filed — the shard
+// plan, the step counter and the shard-weighted batch-mean loss. A body that
+// fails leaves the step uncounted.
+func (e *Engine) step(op string, x *tensor.Tensor, labels []int, opens, closes bool, body func(batchPlan) error) (float64, error) {
 	b := x.Shape[0]
 	if b == 0 {
-		panic("dist: ComputeGradient on an empty batch")
+		panic("dist: " + op + " on an empty batch")
 	}
 	if len(labels) != b {
 		panic(fmt.Sprintf("dist: %d labels for batch of %d", len(labels), b))
@@ -773,103 +715,29 @@ func (e *Engine) ComputeGradient(x *tensor.Tensor, labels []int) (float64, error
 	if err := e.checkDead(e.steps); err != nil {
 		return 0, err
 	}
-	e.lastStep = CommStats{}
-	e.lastTiers = TierStats{}
-	e.lastOverlap = OverlapStats{}
-	e.lastMembership = MembershipStats{StepsAtWorld: make([]int64, len(e.replicas)+1)}
-	if e.cfg.Profile && e.profActive {
-		e.lastProfile = ProfileStats{}
-	}
-	// Membership epoch boundary (join half): workers the plan schedules to
-	// join at this step enter before the batch is sharded, so the step
-	// itself runs — and is accounted — at the grown world size, warm-started
-	// from the admission broadcast.
-	if err := e.admitJoins(); err != nil {
-		return 0, err
-	}
-	spans := data.Spans(b, e.shards)
-	var profBase [kernel.NumPhases]int64
-	var profStart int64
-	if e.cfg.Profile && e.profActive {
-		profBase, profStart = kernel.ProfileSnapshot()
-	}
-	weights, live := shardWeights(spans, b)
-
-	// The shard slots rebalance over the workers that can answer this
-	// step: the live fleet minus any worker the fault plan holds
-	// permanently dead (its shards are recomputed by survivors, the
-	// failed recovery injectFaults accounts).
-	active := e.activeIDs(e.steps)
-	slots := e.slotOwners(active)
-	mkJob := func(w int) job {
-		return job{kind: jobGrad, x: x, labels: labels, spans: spans, slots: slots[w]}
-	}
-	payloads := make([]int64, len(e.buckets))
-	if e.cfg.Overlap && len(e.buckets) > 0 && len(live) > 0 {
-		for bi := range e.buckets {
-			e.remaining[bi].Store(int64(e.coverCount[bi]) * int64(len(live)))
-		}
-		// The scheduler records schedules for buckets that fire before a
-		// worker failure surfaces; snapshot the counters so a failed step
-		// accounts nothing, matching the sequential path. (A
-		// data-dependent codec's error-feedback state may still have
-		// advanced for those buckets — the aborted step's values are
-		// discarded either way.)
-		statsSnap, tiersSnap, overlapSnap := e.stats, e.tiers, e.overlap
-		stepSnap, stepTiersSnap, stepOverlapSnap := e.lastStep, e.lastTiers, e.lastOverlap
-		// Buffered to the bucket count so gradReady never blocks a
-		// worker, even when the scheduler lags or a step aborts.
-		e.readyCh = make(chan int, len(e.buckets))
-		abort := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for n := 0; n < len(e.buckets); n++ {
-				select {
-				case bi := <-e.readyCh:
-					payloads[bi] = e.reduceBucket(bi, live, weights, e.bucketHidden[bi])
-				case <-abort:
-					return
-				}
+	e.last = Report{Membership: MembershipStats{StepsAtWorld: make([]int64, len(e.replicas)+1)}}
+	var spans [][2]int
+	err := e.window(func() error {
+		if opens {
+			if err := e.admitJoins(); err != nil {
+				return err
 			}
-		}()
-		if err := e.dispatch(active, mkJob); err != nil {
-			// A failed worker leaves bucket countdowns unresolved; the
-			// scheduler would wait forever without the abort.
-			close(abort)
-			<-done
-			e.stats, e.tiers, e.overlap = statsSnap, tiersSnap, overlapSnap
-			e.lastStep, e.lastTiers, e.lastOverlap = stepSnap, stepTiersSnap, stepOverlapSnap
-			return 0, err
 		}
-		<-done
-	} else {
-		if err := e.dispatch(active, mkJob); err != nil {
-			return 0, err
+		spans = data.Spans(b, e.shards)
+		active := e.activeIDs(e.steps)
+		if err := body(batchPlan{x: x, labels: labels, spans: spans, active: active, slots: e.slotOwners(active)}); err != nil {
+			return err
 		}
-		for bi := range e.buckets {
-			payloads[bi] = e.reduceBucket(bi, live, weights, false)
+		e.noteStep() // filed at the world size the step executed at
+		e.steps++
+		if closes {
+			return e.evictDead()
 		}
-	}
-	off := 0
-	for _, p := range e.params[0] {
-		copy(p.G.Data, e.reduced[off:off+p.Numel()])
-		off += p.Numel()
-	}
-	e.injectFaults(payloads)
-	if e.cfg.Profile && e.profActive {
-		d := profileDelta(profBase, profStart)
-		e.lastProfile.Add(d)
-		e.profile.Add(d)
-	}
-	e.noteStep(e.world) // filed at the world size the step executed at
-	e.steps++
-	// Membership epoch boundary: evict workers whose recovery has failed
-	// Elastic.EvictAfter consecutive steps, rebalance, resynchronize.
-	if err := e.evictDead(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
-
 	var loss float64
 	for s, span := range spans {
 		if span[0] == span[1] {
@@ -880,186 +748,255 @@ func (e *Engine) ComputeGradient(x *tensor.Tensor, labels []int) (float64, error
 	return loss, nil
 }
 
-// shardWeights returns the batch-mean weight of every shard span and the
-// indices of the non-empty (live) ones.
-func shardWeights(spans [][2]int, b int) (weights []float64, live []int) {
-	weights = make([]float64, len(spans))
-	for s, span := range spans {
-		if span[0] == span[1] {
-			continue
-		}
-		weights[s] = float64(span[1]-span[0]) / float64(b)
-		live = append(live, s)
+// window runs fn inside the engine's profile window — the only place one is
+// opened. A call made while a window is already open (the broadcasts a step
+// issues at sync rounds and membership changes) runs inside the enclosing
+// window, so no instant is attributed twice.
+func (e *Engine) window(fn func() error) error {
+	if !e.cfg.Profile || !e.profActive || e.inWindow {
+		return fn()
 	}
-	return weights, live
+	e.inWindow = true
+	base, start := kernel.ProfileSnapshot()
+	err := fn()
+	e.inWindow = false
+	e.add(Report{Profile: profileDelta(base, start)})
+	return err
 }
 
-// reduceBucket reduces one bucket of the shard gradients into e.reduced:
-// the optional codec rounds every live shard's payload through its wire
-// format, the schedule of the configured topology is accounted (hidden when
-// the overlap scheduler fired the bucket inside the backward pass), and the
-// shard-weighted sum — canonical float64 or fixed-tree pairwise float32,
-// per Config.Reduction — lands in the scratch vector. It returns the
-// rounded mean wire payload so fault recovery prices resends consistently.
-// Safe to run concurrently with workers still back-propagating other
-// buckets' coordinates: it only touches [lo, hi).
-func (e *Engine) reduceBucket(bi int, live []int, weights []float64, hidden bool) int64 {
+// ComputeGradient splits the global batch x ([B, ...] with len(labels) == B)
+// into the engine's logical shards, runs forward/backward on every shard
+// across the worker replicas in lockstep, and allreduces the shard
+// gradients — weighted by shard size, canonically ordered — into the master
+// replica's parameter gradients. Under Config.Overlap each bucket's
+// reduction fires the moment the gradients it covers are final on every
+// shard, concurrently with the still-running backward pass; otherwise all
+// buckets reduce after the barrier. Either way the reduced values are
+// bit-identical. It returns the batch-mean loss. The replicas must hold
+// identical weights (NewEngine and BroadcastWeights guarantee this in the
+// standard loop). Every step is a membership boundary on both sides.
+func (e *Engine) ComputeGradient(x *tensor.Tensor, labels []int) (float64, error) {
+	return e.step("ComputeGradient", x, labels, true, true, func(p batchPlan) error {
+		// The batch-mean weight of every non-empty (live) shard.
+		var live []int
+		var weights []float64
+		for s, span := range p.spans {
+			if span[0] != span[1] {
+				live = append(live, s)
+				weights = append(weights, float64(span[1]-span[0])/float64(len(labels)))
+			}
+		}
+		// The step's schedule is gathered here and filed only once every
+		// worker has answered, so a failed step accounts nothing — also
+		// under Overlap, whose scheduler records buckets that fire before
+		// the failure surfaces. (A data-dependent codec's error-feedback
+		// state may still have advanced for those buckets — the aborted
+		// step's values are discarded either way.)
+		var d Report
+		payloads := make([]int64, len(e.buckets))
+		if e.cfg.Overlap && len(e.buckets) > 0 {
+			for bi := range e.buckets {
+				e.remaining[bi].Store(int64(e.coverCount[bi]) * int64(len(live)))
+			}
+			// Buffered to the bucket count so gradReady never blocks a
+			// worker, even when the scheduler lags or a step aborts.
+			e.readyCh = make(chan int, len(e.buckets))
+			abort := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for n := 0; n < len(e.buckets); n++ {
+					select {
+					case bi := <-e.readyCh:
+						payloads[bi] = e.reduceBucket(&d, bi, live, e.grads, weights, e.bucketHidden[bi])
+					case <-abort:
+						return
+					}
+				}
+			}()
+			err := e.dispatch(p.active, p.jobs(jobGrad, 0))
+			if err != nil {
+				// A failed worker leaves bucket countdowns unresolved; the
+				// scheduler would wait forever without the abort.
+				close(abort)
+			}
+			<-done
+			if err != nil {
+				return err
+			}
+		} else {
+			if err := e.dispatch(p.active, p.jobs(jobGrad, 0)); err != nil {
+				return err
+			}
+			for bi := range e.buckets {
+				payloads[bi] = e.reduceBucket(&d, bi, live, e.grads, weights, false)
+			}
+		}
+		scatter(e.reduced, e.params[0], gradOf)
+		e.injectFaults(&d, payloads)
+		e.add(d)
+		return nil
+	})
+}
+
+// reduceBucket reduces bucket bi of the source vectors bufs[id], id ∈ ids —
+// the live shards' gradients, or the active workers' flattened weights at a
+// local-SGD averaging round — into e.reduced: the optional codec rounds
+// every source's payload through its wire format, the schedule of the
+// topology is accounted into d (hidden when the overlap scheduler fired the
+// bucket inside the backward pass), and the weighted sum lands in the
+// scratch vector. It returns the rounded mean wire payload so fault
+// recovery prices resends consistently. Safe to run concurrently with
+// workers still back-propagating other buckets' coordinates: it only
+// touches [lo, hi).
+func (e *Engine) reduceBucket(d *Report, bi int, ids []int, bufs [][]float32, weights []float64, hidden bool) int64 {
 	lo, hi := e.buckets[bi][0], e.buckets[bi][1]
-	wireTotal := 4 * int64(hi-lo) * int64(len(live))
-	if e.cfg.Codec != nil {
-		// Per-payload wire sizes may differ for data-dependent codecs;
-		// the schedule formulas price one uniform payload, so account
-		// the exact summed wire bytes through the schedule's byte
-		// factor (see recordReduce).
-		sp := kernel.StartPhase(kernel.PhaseCodec)
-		wires := make([]int64, len(live))
-		tasks := make([]func(), len(live))
-		for i, s := range live {
-			slot := s*len(e.buckets) + bi
-			seg := e.grads[s][lo:hi]
-			i := i
-			tasks[i] = func() { wires[i] = e.cfg.Codec.Transform(slot, seg) }
-		}
-		par.Do(tasks...)
-		wireTotal = 0
-		for _, w := range wires {
-			wireTotal += w
-		}
-		sp.End()
-	}
-	e.recordReduce(wireTotal, len(live), hidden)
+	wireTotal := e.transform(bi, ids, bufs)
+	d.file(e.reduceTiers(wireTotal, len(ids)), hidden)
 	sp := kernel.StartPhase(kernel.PhaseReduce)
-	// Gather the live shards' bucket rows once; the summation kernels are
-	// chunking-invariant, so the parallel decomposition below never
-	// affects the reduced bits.
-	srcs := make([][]float32, len(live))
-	for i, s := range live {
-		srcs[i] = e.grads[s][lo:hi]
+	srcs := make([][]float32, len(ids))
+	for i, id := range ids {
+		srcs[i] = bufs[id][lo:hi]
 	}
-	if e.cfg.Reduction == PairwiseF32 {
-		scales := make([]float32, len(live))
-		for i, s := range live {
-			scales[i] = float32(weights[s])
-		}
-		par.ForGrain(hi-lo, 2048, func(l, h int) {
-			sub := make([][]float32, len(srcs))
-			for i := range srcs {
-				sub[i] = srcs[i][l:h]
-			}
-			kernel.PairwiseAccumulate(e.reduced[lo+l:lo+h], sub, scales)
-		})
-	} else {
-		scales := make([]float64, len(live))
-		for i, s := range live {
-			scales[i] = weights[s]
-		}
-		par.ForGrain(hi-lo, 2048, func(l, h int) {
-			sub := make([][]float32, len(srcs))
-			for i := range srcs {
-				sub[i] = srcs[i][l:h]
-			}
-			kernel.CanonicalAccumulate(e.reduced[lo+l:lo+h], sub, scales)
-		})
-	}
+	e.accumulate(e.reduced[lo:hi], srcs, weights)
 	sp.End()
-	n := int64(len(live))
+	n := int64(len(ids))
 	return (wireTotal + n/2) / n
 }
 
+// reduceTiers returns the per-tier schedule of one bucket's reduction at the
+// current membership. wireTotal is the summed wire bytes of the bucket
+// across all n sources: the schedule's byte totals are the schedule factor
+// times the mean payload, computed multiply-first/divide-last so non-uniform
+// codec payloads are accounted exactly (to the byte) instead of through a
+// truncated per-source mean.
+func (e *Engine) reduceTiers(wireTotal int64, n int) TierStats {
+	t := DegradedHierReduceSchedule(e.topo, e.sizes, 0)
+	t.Intra.Bytes = degradedIntraBytesFactor(e.topo, e.sizes) * wireTotal / int64(n)
+	t.Inter.Bytes = reduceBytesFactor(e.topo.Inter, len(e.sizes)) * wireTotal / int64(n)
+	return t
+}
+
+// transform rounds bucket bi of every source vector bufs[id], id ∈ ids,
+// through the codec's wire format in place and returns the summed wire
+// bytes (the raw float32 size when no codec is configured). Per-payload wire
+// sizes may differ for data-dependent codecs, hence the exact sum. Slots are
+// keyed id·len(buckets)+bi — by logical shard for gradients, by worker for
+// local-SGD weights — so stateful codecs (1-bit error feedback) carry
+// per-source residuals across rounds; an engine is driven through one entry
+// point only, so the two keyings never meet.
+func (e *Engine) transform(bi int, ids []int, bufs [][]float32) int64 {
+	lo, hi := e.buckets[bi][0], e.buckets[bi][1]
+	if e.cfg.Codec == nil {
+		return 4 * int64(hi-lo) * int64(len(ids))
+	}
+	defer kernel.StartPhase(kernel.PhaseCodec).End()
+	wires := make([]int64, len(ids))
+	tasks := make([]func(), len(ids))
+	for i, id := range ids {
+		i, slot, seg := i, id*len(e.buckets)+bi, bufs[id][lo:hi]
+		tasks[i] = func() { wires[i] = e.cfg.Codec.Transform(slot, seg) }
+	}
+	par.Do(tasks...)
+	var total int64
+	for _, w := range wires {
+		total += w
+	}
+	return total
+}
+
+// accumulate writes Σ weights[i]·srcs[i] into dst under Config.Reduction —
+// canonical float64 or the fixed-tree pairwise float32 kernel, whose scales
+// are the weights rounded to float32. Both kernels are chunking-invariant,
+// so the parallel decomposition never affects the reduced bits.
+func (e *Engine) accumulate(dst []float32, srcs [][]float32, weights []float64) {
+	var scales []float32
+	if e.cfg.Reduction == PairwiseF32 {
+		scales = make([]float32, len(weights))
+		for i, w := range weights {
+			scales[i] = float32(w)
+		}
+	}
+	par.ForGrain(len(dst), 2048, func(l, h int) {
+		sub := make([][]float32, len(srcs))
+		for i := range srcs {
+			sub[i] = srcs[i][l:h]
+		}
+		if scales != nil {
+			kernel.PairwiseAccumulate(dst[l:h], sub, scales)
+		} else {
+			kernel.CanonicalAccumulate(dst[l:h], sub, weights)
+		}
+	})
+}
+
 // injectFaults rolls the fault plan for the current step and accounts the
-// recovery traffic: a dropped worker payload is re-requested and resent
-// (Retries plus that worker's sender share of every bucket), a straggler
-// holds the barrier for one round (Stalls). A permanently dead worker's
-// step is a failed recovery: a survivor recomputes its shards, the resend
-// is accounted the same way, and the worker's consecutive-failure counter
-// advances toward Elastic.EvictAfter instead of resetting. Under a
-// hierarchical topology the recovery traffic lands on the tier the worker
-// sends on — intra for node members, inter for the surviving node leaders.
+// recovery traffic into d: a dropped worker payload is re-requested and
+// resent (Retries plus that worker's sender share of every bucket), a
+// straggler holds the barrier for one round (Stalls). A permanently dead
+// worker's step is a failed recovery: a survivor recomputes its shards, the
+// resend is accounted the same way, and the worker's consecutive-failure
+// counter advances toward Elastic.EvictAfter instead of resetting. The
+// traffic lands on the tier the worker sends on — intra for node members,
+// inter for the surviving node leaders (every worker of a flat world).
 // Recovery happens at the step barrier, so it is always exposed. Values are
 // never affected — recovery is exact, which is what keeps faulty runs
 // bit-identical to clean ones.
-func (e *Engine) injectFaults(payloads []int64) {
+func (e *Engine) injectFaults(d *Report, payloads []int64) {
 	f := e.cfg.Faults
 	if !f.enabled() || e.world == 1 {
 		return
 	}
-	h := e.cfg.Topology
-	accountDrop := func(w int) {
-		if h != nil {
-			leader, nodeSize, liveNodes := e.nodeRole(w)
-			var t TierStats
-			for _, payload := range payloads {
-				t.Add(degradedSenderShare(*h, leader, nodeSize, liveNodes, payload))
-			}
-			if leader {
-				t.Inter.Retries = 1
-			} else {
-				t.Intra.Retries = 1
-			}
-			e.recordTiers(t, false)
-			return
-		}
-		var st CommStats
-		st.Retries = 1
-		for _, payload := range payloads {
-			msgs, bytes := senderShare(e.cfg.Algo, e.world, payload)
-			st.Messages += msgs
-			st.Bytes += bytes
-		}
-		e.record(st, false)
-	}
 	for _, w := range e.liveIDs() {
+		// Failed recovery: the re-request goes unanswered and a survivor
+		// recomputes and resends the dead worker's shards.
+		drop, stall := true, false
 		if f.deadAt(e.steps, w) {
-			// Failed recovery: the re-request goes unanswered and a
-			// survivor recomputes and resends the dead worker's shards.
 			e.consecDead[w]++
-			accountDrop(w)
+		} else {
+			e.consecDead[w] = 0
+			drop, stall = f.roll(e.steps, w)
+		}
+		if !drop && !stall {
 			continue
 		}
-		e.consecDead[w] = 0
-		drop, stall := f.roll(e.steps, w)
+		leader, nodeSize, liveNodes := e.nodeRole(w)
+		var t TierStats
+		sendsOn := &t.Intra
+		if leader {
+			sendsOn = &t.Inter
+		}
 		if drop {
-			accountDrop(w)
+			for _, payload := range payloads {
+				t.Add(degradedSenderShare(e.topo, leader, nodeSize, liveNodes, payload))
+			}
+			sendsOn.Retries = 1
 		}
 		if stall {
-			if h != nil {
-				var t TierStats
-				if leader, _, _ := e.nodeRole(w); leader {
-					t.Inter.Stalls = 1
-				} else {
-					t.Intra.Stalls = 1
-				}
-				e.recordTiers(t, false)
-			} else {
-				e.record(CommStats{Stalls: 1}, false)
-			}
+			sendsOn.Stalls = 1
 		}
+		d.file(t, false)
 	}
 }
 
 // BroadcastWeights resynchronizes every replica's parameters from the
 // master — the weight-distribution phase following the optimizer step —
-// and accounts the broadcast schedule per bucket. A worker failure
-// (architecture drift between replicas) is returned so the training loop
-// can abort the step cleanly instead of crashing the process.
+// and accounts the broadcast schedule per bucket (always exposed: it runs
+// after the optimizer step). A worker failure (architecture drift between
+// replicas) is returned so the training loop can abort the step cleanly
+// instead of crashing the process.
 func (e *Engine) BroadcastWeights() error {
-	var profBase [kernel.NumPhases]int64
-	var profStart int64
-	if e.cfg.Profile && e.profActive {
-		profBase, profStart = kernel.ProfileSnapshot()
-	}
-	if err := e.dispatch(e.activeIDs(e.steps), func(w int) job { return job{kind: jobSync} }); err != nil {
-		return err
-	}
-	for _, bucket := range e.buckets {
-		e.recordBroadcast(4 * int64(bucket[1]-bucket[0]))
-	}
-	if e.cfg.Profile && e.profActive {
-		d := profileDelta(profBase, profStart)
-		e.lastProfile.Add(d)
-		e.profile.Add(d)
-	}
-	return nil
+	return e.window(func() error {
+		if err := e.dispatch(e.activeIDs(e.steps), func(int) job { return job{kind: jobSync} }); err != nil {
+			return err
+		}
+		var d Report
+		for _, bucket := range e.buckets {
+			d.file(DegradedHierBroadcastSchedule(e.topo, e.sizes, 4*int64(bucket[1]-bucket[0])), false)
+		}
+		e.add(d)
+		return nil
+	})
 }
 
 // EvalAccuracy computes top-1 accuracy of the master weights over the
@@ -1068,6 +1005,12 @@ func (e *Engine) BroadcastWeights() error {
 // every chunk's logits are identical whichever replica computes them. A
 // worker failure (bad labels, shape drift) is returned as an error.
 func (e *Engine) EvalAccuracy(images *tensor.Tensor, labels []int, batch int) (float64, error) {
+	return e.eval(e.activeIDs(e.steps), images, labels, batch)
+}
+
+// eval grades the images on the given workers' replicas, chunks assigned
+// round-robin.
+func (e *Engine) eval(workers []int, images *tensor.Tensor, labels []int, batch int) (float64, error) {
 	n := images.Shape[0]
 	if n == 0 {
 		return 0, nil
@@ -1083,19 +1026,17 @@ func (e *Engine) EvalAccuracy(images *tensor.Tensor, labels []int, batch int) (f
 		}
 		spans = append(spans, [2]int{lo, hi})
 	}
-	active := e.activeIDs(e.steps)
 	slots := make([][]int, len(e.replicas))
 	for i := range spans {
-		w := active[i%len(active)]
+		w := workers[i%len(workers)]
 		slots[w] = append(slots[w], i)
 	}
-	if err := e.dispatch(active, func(w int) job {
-		return job{kind: jobEval, x: images, labels: labels, spans: spans, slots: slots[w]}
-	}); err != nil {
+	plan := batchPlan{x: images, labels: labels, spans: spans, slots: slots}
+	if err := e.dispatch(workers, plan.jobs(jobEval, 0)); err != nil {
 		return 0, err
 	}
 	correct := 0
-	for _, w := range active {
+	for _, w := range workers {
 		correct += e.evalOK[w]
 	}
 	return float64(correct) / float64(n), nil

@@ -53,16 +53,12 @@ func (h Hierarchy) String() string {
 	return fmt.Sprintf("%dx%d %s/%s", h.Nodes, h.PerNode, h.Intra, h.Inter)
 }
 
-// validate panics unless the layout is well-formed.
-func (h Hierarchy) validate() {
+// validate reports a layout that is not well-formed.
+func (h Hierarchy) validate() error {
 	if h.Nodes < 1 || h.PerNode < 1 {
-		panic(fmt.Sprintf("dist: invalid hierarchy %dx%d: need at least one node and one worker per node", h.Nodes, h.PerNode))
+		return fmt.Errorf("dist: invalid hierarchy %dx%d: need at least one node and one worker per node", h.Nodes, h.PerNode)
 	}
-}
-
-// leader reports whether worker w is its node's leader, and w's node index.
-func (h Hierarchy) leader(w int) (bool, int) {
-	return w%h.PerNode == 0, w / h.PerNode
+	return nil
 }
 
 // TierStats splits a hierarchical schedule's counters by fabric tier, so
@@ -101,57 +97,24 @@ func uniformSizes(h Hierarchy) []int {
 	return sizes
 }
 
-// hierReduceSchedule returns the per-tier schedule of one hierarchical
-// gradient reduction: Nodes concurrent intra-node reductions (messages and
-// bytes sum over nodes; latency rounds are counted once, the nodes being
-// concurrent on disjoint fabrics) feeding one inter-node reduction among
-// the node leaders.
-func hierReduceSchedule(h Hierarchy, payloadBytes int64) TierStats {
-	return degradedHierReduceSchedule(h, uniformSizes(h), payloadBytes)
-}
-
-// hierBroadcastSchedule returns the per-tier schedule of one hierarchical
-// broadcast: root to node leaders on the inter fabric, then every leader
-// fanning out within its node concurrently on the intra fabrics.
-func hierBroadcastSchedule(h Hierarchy, payloadBytes int64) TierStats {
-	return degradedHierBroadcastSchedule(h, uniformSizes(h), payloadBytes)
-}
-
-// degradedHierReduceSchedule returns the per-tier schedule of one
-// hierarchical gradient reduction over a degraded fleet, sizes listing the
-// live-worker count of every surviving (non-empty) node. Intra-node
-// reductions still run concurrently on disjoint fabrics, so intra latency
-// rounds are the maximum over nodes while messages and bytes sum; the
-// inter tier is a flat reduction among the len(sizes) surviving node
-// leaders — a node that lost all its workers has left the leader exchange.
-// With a full fleet this is exactly hierReduceSchedule.
-func degradedHierReduceSchedule(h Hierarchy, sizes []int, payloadBytes int64) TierStats {
+// twoTier composes one flat schedule (ReduceSchedule or BroadcastSchedule)
+// over a possibly degraded hierarchy, sizes listing the live-worker count of
+// every surviving (non-empty) node. The intra-node collectives run
+// concurrently on disjoint fabrics, so intra latency rounds are the maximum
+// over nodes while messages and bytes sum; the inter tier is the flat
+// schedule among the len(sizes) surviving node leaders — a node that lost
+// all its workers has left the leader exchange.
+func twoTier(schedule func(Algorithm, int, int64) CommStats, h Hierarchy, sizes []int, payloadBytes int64) TierStats {
 	var intra CommStats
 	for _, p := range sizes {
-		s := reduceSchedule(h.Intra, p, payloadBytes)
+		s := schedule(h.Intra, p, payloadBytes)
 		intra.Messages += s.Messages
 		intra.Bytes += s.Bytes
 		if s.Steps > intra.Steps {
 			intra.Steps = s.Steps
 		}
 	}
-	return TierStats{Intra: intra, Inter: reduceSchedule(h.Inter, len(sizes), payloadBytes)}
-}
-
-// degradedHierBroadcastSchedule is the broadcast twin of
-// degradedHierReduceSchedule: inter-node to the surviving leaders, then
-// concurrent intra-node fan-outs sized by each node's live membership.
-func degradedHierBroadcastSchedule(h Hierarchy, sizes []int, payloadBytes int64) TierStats {
-	var intra CommStats
-	for _, p := range sizes {
-		s := broadcastSchedule(h.Intra, p, payloadBytes)
-		intra.Messages += s.Messages
-		intra.Bytes += s.Bytes
-		if s.Steps > intra.Steps {
-			intra.Steps = s.Steps
-		}
-	}
-	return TierStats{Intra: intra, Inter: broadcastSchedule(h.Inter, len(sizes), payloadBytes)}
+	return TierStats{Intra: intra, Inter: schedule(h.Inter, len(sizes), payloadBytes)}
 }
 
 // degradedIntraBytesFactor returns the intra tier's aggregate bytes per
@@ -168,31 +131,34 @@ func degradedIntraBytesFactor(h Hierarchy, sizes []int) int64 {
 
 // DegradedHierReduceSchedule returns the closed-form per-tier schedule of
 // one hierarchical gradient reduction over a degraded fleet — exactly the
-// counters the engine records per bucket after elastic evictions, with
-// sizes the live-worker counts of the surviving nodes. Pair with
-// DegradedHierBroadcastSchedule for a full degraded allreduce.
+// counters the engine records per bucket at any membership, with sizes the
+// live-worker counts of the surviving nodes: concurrent intra-node
+// reductions feeding one inter-node reduction among the node leaders. Pair
+// with DegradedHierBroadcastSchedule for a full degraded allreduce.
 func DegradedHierReduceSchedule(h Hierarchy, sizes []int, payloadBytes int64) TierStats {
-	return degradedHierReduceSchedule(h, sizes, payloadBytes)
+	return twoTier(reduceSchedule, h, sizes, payloadBytes)
 }
 
 // DegradedHierBroadcastSchedule returns the closed-form per-tier schedule
-// of one hierarchical broadcast over a degraded fleet.
+// of one hierarchical broadcast over a degraded fleet: root to the surviving
+// node leaders on the inter fabric, then every leader fanning out within its
+// node concurrently on the intra fabrics.
 func DegradedHierBroadcastSchedule(h Hierarchy, sizes []int, payloadBytes int64) TierStats {
-	return degradedHierBroadcastSchedule(h, sizes, payloadBytes)
+	return twoTier(broadcastSchedule, h, sizes, payloadBytes)
 }
 
 // HierReduceSchedule returns the closed-form per-tier schedule of one
-// hierarchical gradient reduction of a payloadBytes payload — exactly the
-// counters the engine records per bucket under a Topology. Pair with
-// HierBroadcastSchedule for a full hierarchical allreduce.
+// hierarchical gradient reduction of a payloadBytes payload at full
+// strength. Pair with HierBroadcastSchedule for a full hierarchical
+// allreduce.
 func HierReduceSchedule(h Hierarchy, payloadBytes int64) TierStats {
-	return hierReduceSchedule(h, payloadBytes)
+	return DegradedHierReduceSchedule(h, uniformSizes(h), payloadBytes)
 }
 
 // HierBroadcastSchedule returns the closed-form per-tier schedule of one
-// hierarchical broadcast of a payloadBytes payload.
+// hierarchical broadcast of a payloadBytes payload at full strength.
 func HierBroadcastSchedule(h Hierarchy, payloadBytes int64) TierStats {
-	return hierBroadcastSchedule(h, payloadBytes)
+	return DegradedHierBroadcastSchedule(h, uniformSizes(h), payloadBytes)
 }
 
 // degradedSenderShare returns the tier-attributed resend traffic of one
@@ -213,6 +179,18 @@ func degradedSenderShare(h Hierarchy, leader bool, nodeSize, liveNodes int, payl
 	return t
 }
 
+// checkHier panics unless bufs are h.Workers() equal-length buffers over a
+// well-formed layout; it returns their length.
+func checkHier(op string, h Hierarchy, bufs [][]float32) int {
+	if err := h.validate(); err != nil {
+		panic(err)
+	}
+	if len(bufs) != h.Workers() {
+		panic(fmt.Sprintf("dist: %s: %d buffers for a %dx%d hierarchy", op, len(bufs), h.Nodes, h.PerNode))
+	}
+	return checkUniform(op, bufs)
+}
+
 // HierReduce performs the gradient-sum phase of one hierarchical allreduce
 // over len(bufs) == h.Workers() equal-length buffers: the canonical sum of
 // all buffers lands in bufs[0] (the global root — node 0's leader). When
@@ -223,23 +201,10 @@ func degradedSenderShare(h Hierarchy, leader bool, nodeSize, liveNodes int, payl
 // The sum is computed exactly as the flat Reduce computes it — canonical
 // worker order, float64 accumulation — so hierarchical and flat reductions
 // are bitwise identical; only the accounted schedule differs.
-// HierReduceWith selects the arithmetic.
 func HierReduce(h Hierarchy, bufs [][]float32, tiers *TierStats) {
-	HierReduceWith(h, CanonicalF64, bufs, tiers)
-}
-
-// HierReduceWith is HierReduce under an explicit reduction policy. As with
-// the flat ReduceWith, hierarchical and flat reductions stay bitwise
-// identical to each other under either policy — the policy changes the
-// summation arithmetic, never the topology's role as pure accounting.
-func HierReduceWith(h Hierarchy, policy Reduction, bufs [][]float32, tiers *TierStats) {
-	h.validate()
-	if len(bufs) != h.Workers() {
-		panic(fmt.Sprintf("dist: HierReduce: %d buffers for a %dx%d hierarchy", len(bufs), h.Nodes, h.PerNode))
-	}
-	n := checkUniform("HierReduce", bufs)
+	n := checkHier("HierReduce", h, bufs)
 	if len(bufs) > 1 {
-		sumInto(policy, bufs)
+		sumInto(CanonicalF64, bufs)
 		if h.Inter == Ring {
 			// The leader ring's reduce-scatter + allgather leaves the sum
 			// on every node leader, mirroring flat Ring's placement.
@@ -249,7 +214,7 @@ func HierReduceWith(h Hierarchy, policy Reduction, bufs [][]float32, tiers *Tier
 		}
 	}
 	if tiers != nil {
-		tiers.Add(hierReduceSchedule(h, 4*int64(n)))
+		tiers.Add(HierReduceSchedule(h, 4*int64(n)))
 	}
 }
 
@@ -258,15 +223,11 @@ func HierReduceWith(h Hierarchy, policy Reduction, bufs [][]float32, tiers *Tier
 // intra-node — accounting the schedule per tier into tiers when non-nil.
 // Paired with HierReduce it completes one hierarchical allreduce.
 func HierBroadcast(h Hierarchy, bufs [][]float32, tiers *TierStats) {
-	h.validate()
-	if len(bufs) != h.Workers() {
-		panic(fmt.Sprintf("dist: HierBroadcast: %d buffers for a %dx%d hierarchy", len(bufs), h.Nodes, h.PerNode))
-	}
-	n := checkUniform("HierBroadcast", bufs)
+	n := checkHier("HierBroadcast", h, bufs)
 	if len(bufs) > 1 {
 		fanOut(bufs)
 	}
 	if tiers != nil {
-		tiers.Add(hierBroadcastSchedule(h, 4*int64(n)))
+		tiers.Add(HierBroadcastSchedule(h, 4*int64(n)))
 	}
 }

@@ -194,7 +194,7 @@ func TestGrowShrinkGrowClosedForms(t *testing.T) {
 
 // TestJoinStepAccountsWarmStart: the step that opens with an admission
 // carries the warm-start broadcast in its StepStats — priced at the grown
-// world size — and reports the join in StepMembership.
+// world size — and reports the join in StepReport().Membership.
 func TestJoinStepAccountsWarmStart(t *testing.T) {
 	x, labels, factory := testTask(64)
 	payload := int64(4 * factory(1).NumParams())
@@ -205,7 +205,7 @@ func TestJoinStepAccountsWarmStart(t *testing.T) {
 	defer e.Close()
 	stepOnce(t, e, x, labels) // step 0 at world 2
 	stepOnce(t, e, x, labels) // step 1: join, then compute at world 3
-	sm := e.StepMembership()
+	sm := e.StepReport().Membership
 	if sm.Joins != 1 || sm.JoinedBytes == 0 {
 		t.Fatalf("join step membership %+v, want 1 join with warm-start bytes", sm)
 	}

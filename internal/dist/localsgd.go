@@ -20,10 +20,7 @@ package dist
 import (
 	"fmt"
 
-	"repro/internal/data"
 	"repro/internal/kernel"
-	"repro/internal/nn"
-	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -68,14 +65,6 @@ func (s *LocalSGDStats) Add(o LocalSGDStats) {
 	s.IntraRounds += o.IntraRounds
 }
 
-// LocalSGD returns the cumulative local-SGD counters. Zero unless the
-// engine is driven through LocalStep.
-func (e *Engine) LocalSGD() LocalSGDStats { return e.localsgd }
-
-// StepLocalSGD returns the local-SGD counters of the most recent
-// LocalStep: one local step plus whatever averaging round closed it.
-func (e *Engine) StepLocalSGD() LocalSGDStats { return e.lastLocal }
-
 // SetLocalSteppers installs one local optimizer per replica — the workers
 // step them inside LocalStep, each on its own replica's parameters. Must
 // be called before the first LocalStep. Call it between steps only, like
@@ -118,83 +107,31 @@ func (e *Engine) SetLocalSteppers(steppers []Stepper) {
 // LocalStep or ComputeGradient, never both: the two paths key codec slots
 // differently (per worker here, per shard there).
 func (e *Engine) LocalStep(x *tensor.Tensor, labels []int, lr float64) (float64, error) {
-	h := e.cfg.SyncEvery
+	h := int64(e.cfg.SyncEvery)
 	if h < 1 {
 		panic("dist: LocalStep needs Config.SyncEvery >= 1 (set the synchronization period)")
 	}
 	if e.localSteppers == nil {
 		panic("dist: LocalStep before SetLocalSteppers (the workers have no local optimizers)")
 	}
-	b := x.Shape[0]
-	if b == 0 {
-		panic("dist: LocalStep on an empty batch")
-	}
-	if len(labels) != b {
-		panic(fmt.Sprintf("dist: %d labels for batch of %d", len(labels), b))
-	}
-	if err := e.checkDead(e.steps); err != nil {
-		return 0, err
-	}
-	e.lastStep = CommStats{}
-	e.lastTiers = TierStats{}
-	e.lastOverlap = OverlapStats{}
-	e.lastMembership = MembershipStats{StepsAtWorld: make([]int64, len(e.replicas)+1)}
-	e.lastLocal = LocalSGDStats{}
-	if e.cfg.Profile && e.profActive {
-		e.lastProfile = ProfileStats{}
-	}
-	// Window start: sync boundaries are the only legal membership-change
-	// points, so a join the plan scheduled for a step inside the previous
-	// window was deferred to this boundary.
-	if e.steps%int64(h) == 0 {
-		if err := e.admitJoins(); err != nil {
-			return 0, err
-		}
-	}
-	var profBase [kernel.NumPhases]int64
-	var profStart int64
-	if e.cfg.Profile && e.profActive {
-		profBase, profStart = kernel.ProfileSnapshot()
-	}
-	spans := data.Spans(b, e.shards)
-	active := e.activeIDs(e.steps)
-	slots := e.slotOwners(active)
-	if err := e.dispatch(active, func(w int) job {
-		return job{kind: jobLocal, x: x, labels: labels, spans: spans, slots: slots[w], lr: lr}
-	}); err != nil {
-		return 0, err
-	}
-	e.localsgd.LocalSteps++
-	e.lastLocal.LocalSteps++
+	// Sync boundaries are the only legal membership-change points: a join
+	// the plan scheduled for a step inside the previous window was deferred
+	// to the window start, and only the step that closes a window evicts.
 	done := e.steps + 1
-	closed := done%int64(h) == 0
-	if closed {
-		if err := e.syncRound(active); err != nil {
-			return 0, err
+	opens, closes := e.steps%h == 0, done%h == 0
+	return e.step("LocalStep", x, labels, opens, closes, func(p batchPlan) error {
+		if err := e.dispatch(p.active, p.jobs(jobLocal, lr)); err != nil {
+			return err
 		}
-	} else if hi := int64(e.cfg.IntraSyncEvery); hi > 0 && done%hi == 0 {
-		e.intraSyncRound(active)
-	}
-	if e.cfg.Profile && e.profActive {
-		d := profileDelta(profBase, profStart)
-		e.lastProfile.Add(d)
-		e.profile.Add(d)
-	}
-	e.noteStep(e.world) // filed at the world size the whole window runs at
-	e.steps++
-	if closed {
-		if err := e.evictDead(); err != nil {
-			return 0, err
+		e.add(Report{LocalSGD: LocalSGDStats{LocalSteps: 1}})
+		if closes {
+			return e.syncRound(p.active)
 		}
-	}
-	var loss float64
-	for s, span := range spans {
-		if span[0] == span[1] {
-			continue
+		if hi := int64(e.cfg.IntraSyncEvery); hi > 0 && done%hi == 0 {
+			e.intraSyncRound(p.active)
 		}
-		loss += float64(span[1]-span[0]) / float64(b) * e.losses[s]
-	}
-	return loss, nil
+		return nil
+	})
 }
 
 // localReduceStep is the worker-side tail of a jobLocal: reduce the
@@ -205,148 +142,56 @@ func (e *Engine) LocalStep(x *tensor.Tensor, labels []int, lr float64) (float64,
 // replica, its stepper).
 func (e *Engine) localReduceStep(w int, j job) {
 	var owned int
-	var live []int
+	var srcs [][]float32
+	var weights []float64
 	for _, slot := range j.slots {
 		if n := j.spans[slot][1] - j.spans[slot][0]; n > 0 {
 			owned += n
-			live = append(live, slot)
+			srcs = append(srcs, e.grads[slot])
+			weights = append(weights, float64(n))
 		}
 	}
 	if owned == 0 {
 		return // no rows landed on this worker this step: nothing to step on
 	}
-	buf := e.localBuf[w]
-	srcs := make([][]float32, len(live))
-	for i, s := range live {
-		srcs[i] = e.grads[s]
+	for i := range weights {
+		weights[i] /= float64(owned)
 	}
-	// One sequential kernel call is the canonical chunking — the same bits
-	// any parallel decomposition would produce.
-	if e.cfg.Reduction == PairwiseF32 {
-		scales := make([]float32, len(live))
-		for i, s := range live {
-			scales[i] = float32(float64(j.spans[s][1]-j.spans[s][0]) / float64(owned))
-		}
-		kernel.PairwiseAccumulate(buf, srcs, scales)
-	} else {
-		scales := make([]float64, len(live))
-		for i, s := range live {
-			scales[i] = float64(j.spans[s][1]-j.spans[s][0]) / float64(owned)
-		}
-		kernel.CanonicalAccumulate(buf, srcs, scales)
-	}
-	off := 0
-	for _, p := range e.params[w] {
-		copy(p.G.Data, buf[off:off+p.Numel()])
-		off += p.Numel()
-	}
+	e.accumulate(e.localBuf[w], srcs, weights)
+	scatter(e.localBuf[w], e.params[w], gradOf)
 	e.localSteppers[w].Step(j.lr)
 }
 
-// syncRound runs one full weight-averaging round over the active workers:
-// flatten every worker's parameters, pass each payload through the codec's
-// wire format (per bucket, accounting the reduce schedule exactly like a
-// gradient reduction), average uniformly in canonical worker order into
-// the master, roll the fault plan — the only point the eviction clock
-// ticks in local mode — and rebroadcast. All of it is exposed: a sync
-// round is a barrier, there is no backward pass to hide inside.
-func (e *Engine) syncRound(active []int) error {
-	e.localsgd.SyncRounds++
-	e.lastLocal.SyncRounds++
-	for _, w := range active {
-		flattenWeights(e.params[w], e.localBuf[w])
+// uniform returns the n weights of a uniform mean.
+func uniform(n int) []float64 {
+	weights := make([]float64, n)
+	for i := range weights {
+		weights[i] = 1 / float64(n)
 	}
+	return weights
+}
+
+// syncRound runs one full weight-averaging round over the active workers:
+// flatten every worker's parameters, reduce them bucket by bucket exactly
+// like a gradient reduction (codec-rounded on the wire, the reduce schedule
+// accounted) but uniformly weighted in canonical worker order into the
+// master, roll the fault plan — the only point the eviction clock ticks in
+// local mode — and rebroadcast. All of it is exposed: a sync round is a
+// barrier, there is no backward pass to hide inside.
+func (e *Engine) syncRound(active []int) error {
+	d := Report{LocalSGD: LocalSGDStats{SyncRounds: 1}}
+	for _, w := range active {
+		flatten(e.localBuf[w], e.params[w], weightOf)
+	}
+	weights := uniform(len(active))
 	payloads := make([]int64, len(e.buckets))
 	for bi := range e.buckets {
-		payloads[bi] = e.averageBucket(bi, active)
+		payloads[bi] = e.reduceBucket(&d, bi, active, e.localBuf, weights, false)
 	}
-	scatterWeights(e.reduced, e.params[0])
-	e.injectFaults(payloads)
+	scatter(e.reduced, e.params[0], weightOf)
+	e.injectFaults(&d, payloads)
+	e.add(d)
 	return e.BroadcastWeights()
-}
-
-// averageBucket averages one bucket of the active workers' flattened
-// weights into e.reduced: the optional codec rounds every worker's payload
-// through its wire format (slots keyed per worker, disjoint from nothing —
-// local engines never run the shard-keyed gradient reduction), the reduce
-// schedule of the configured topology is accounted, and the uniform mean
-// lands in the scratch vector. Returns the rounded mean wire payload so
-// fault recovery prices resends consistently, mirroring reduceBucket.
-func (e *Engine) averageBucket(bi int, active []int) int64 {
-	lo, hi := e.buckets[bi][0], e.buckets[bi][1]
-	n := len(active)
-	wireTotal := 4 * int64(hi-lo) * int64(n)
-	if e.cfg.Codec != nil {
-		wireTotal = e.transformWeights(bi, active)
-	}
-	e.recordReduce(wireTotal, n, false)
-	sp := kernel.StartPhase(kernel.PhaseReduce)
-	srcs := make([][]float32, n)
-	for i, w := range active {
-		srcs[i] = e.localBuf[w][lo:hi]
-	}
-	e.averageSegment(e.reduced[lo:hi], srcs)
-	sp.End()
-	n64 := int64(n)
-	return (wireTotal + n64/2) / n64
-}
-
-// transformWeights rounds every active worker's flattened weights of one
-// bucket through the codec's wire format in place, returning the summed
-// wire bytes. Slots are keyed by worker — each worker compresses its own
-// weights, so stateful codecs (1-bit error feedback) carry per-worker
-// residuals across averaging rounds.
-func (e *Engine) transformWeights(bi int, active []int) int64 {
-	lo, hi := e.buckets[bi][0], e.buckets[bi][1]
-	sp := kernel.StartPhase(kernel.PhaseCodec)
-	wires := make([]int64, len(active))
-	tasks := make([]func(), len(active))
-	for i, w := range active {
-		slot := w*len(e.buckets) + bi
-		seg := e.localBuf[w][lo:hi]
-		i := i
-		tasks[i] = func() { wires[i] = e.cfg.Codec.Transform(slot, seg) }
-	}
-	par.Do(tasks...)
-	var total int64
-	for _, wb := range wires {
-		total += wb
-	}
-	sp.End()
-	return total
-}
-
-// averageSegment writes the uniform mean of the source vectors into dst
-// using the configured reduction arithmetic. The kernels are
-// chunking-invariant, so the parallel decomposition never affects the
-// averaged bits.
-func (e *Engine) averageSegment(dst []float32, srcs [][]float32) {
-	uniform := 1.0 / float64(len(srcs))
-	if e.cfg.Reduction == PairwiseF32 {
-		scales := make([]float32, len(srcs))
-		for i := range scales {
-			scales[i] = float32(uniform)
-		}
-		par.ForGrain(len(dst), 2048, func(l, h int) {
-			sub := make([][]float32, len(srcs))
-			for i := range srcs {
-				sub[i] = srcs[i][l:h]
-			}
-			kernel.PairwiseAccumulate(dst[l:h], sub, scales)
-		})
-		return
-	}
-	scales := make([]float64, len(srcs))
-	for i := range scales {
-		scales[i] = uniform
-	}
-	par.ForGrain(len(dst), 2048, func(l, h int) {
-		sub := make([][]float32, len(srcs))
-		for i := range srcs {
-			sub[i] = srcs[i][l:h]
-		}
-		kernel.CanonicalAccumulate(dst[l:h], sub, scales)
-	})
 }
 
 // intraSyncRound runs one intra-node-only averaging round: each Topology
@@ -354,75 +199,39 @@ func (e *Engine) averageSegment(dst []float32, srcs [][]float32) {
 // intra fabric — leaders never exchange, so the inter tier stays silent.
 // The schedule is the intra half of the two-tier round (reduce plus
 // broadcast, priced at the live node sizes like every hierarchical
-// schedule), accounted exposed on TierStats.Intra only.
+// schedule), accounted exposed on the intra tier only.
 func (e *Engine) intraSyncRound(active []int) {
-	e.localsgd.IntraRounds++
-	e.lastLocal.IntraRounds++
+	d := Report{LocalSGD: LocalSGDStats{IntraRounds: 1}}
 	activeSet := make(map[int]bool, len(active))
 	for _, w := range active {
 		activeSet[w] = true
+		flatten(e.localBuf[w], e.params[w], weightOf)
 	}
-	groups := make([][]int, 0, len(e.nodes))
-	for _, members := range e.nodes {
-		var g []int
-		for _, m := range members {
-			if activeSet[m] {
-				g = append(g, m)
-			}
-		}
-		if len(g) > 0 {
-			groups = append(groups, g)
-		}
-	}
-	for _, w := range active {
-		flattenWeights(e.params[w], e.localBuf[w])
-	}
-	h := e.cfg.Topology
-	sizes := e.nodeSizes()
-	n := int64(len(active))
 	for bi, b := range e.buckets {
-		lo, hi := b[0], b[1]
-		wireTotal := 4 * int64(hi-lo) * n
-		if e.cfg.Codec != nil {
-			wireTotal = e.transformWeights(bi, active)
-		}
-		r := degradedHierReduceSchedule(*h, sizes, 0)
-		var t TierStats
-		t.Intra = r.Intra
-		t.Intra.Bytes = degradedIntraBytesFactor(*h, sizes) * wireTotal / n
-		t.Intra.Add(degradedHierBroadcastSchedule(*h, sizes, 4*int64(hi-lo)).Intra)
-		e.recordTiers(t, false)
+		t := TierStats{Intra: e.reduceTiers(e.transform(bi, active, e.localBuf), len(active)).Intra}
+		t.Intra.Add(DegradedHierBroadcastSchedule(e.topo, e.sizes, 4*int64(b[1]-b[0])).Intra)
+		d.file(t, false)
 	}
 	sp := kernel.StartPhase(kernel.PhaseReduce)
-	for _, g := range groups {
-		srcs := make([][]float32, len(g))
-		for i, m := range g {
-			srcs[i] = e.localBuf[m]
+	for _, members := range e.nodes {
+		var srcs [][]float32
+		for _, m := range members {
+			if activeSet[m] {
+				srcs = append(srcs, e.localBuf[m])
+			}
 		}
-		e.averageSegment(e.reduced, srcs)
-		for _, m := range g {
-			scatterWeights(e.reduced, e.params[m])
+		if len(srcs) == 0 {
+			continue
+		}
+		e.accumulate(e.reduced, srcs, uniform(len(srcs)))
+		for _, m := range members {
+			if activeSet[m] {
+				scatter(e.reduced, e.params[m], weightOf)
+			}
 		}
 	}
 	sp.End()
-}
-
-// flattenWeights copies every parameter's weights into one flat vector.
-func flattenWeights(params []*nn.Param, dst []float32) {
-	off := 0
-	for _, p := range params {
-		copy(dst[off:off+p.Numel()], p.W.Data)
-		off += p.Numel()
-	}
-}
-
-// scatterWeights copies a flat weight vector back into the parameters.
-func scatterWeights(src []float32, params []*nn.Param) {
-	off := 0
-	for _, p := range params {
-		copy(p.W.Data, src[off:off+p.Numel()])
-		off += p.Numel()
-	}
+	e.add(d)
 }
 
 // EvalAccuracyLocal evaluates top-1 accuracy on a single live replica — the
@@ -433,30 +242,5 @@ func scatterWeights(src []float32, params []*nn.Param) {
 // pinning one replica keeps the metric well-defined and deterministic at
 // any point in the window.
 func (e *Engine) EvalAccuracyLocal(images *tensor.Tensor, labels []int, batch int) (float64, error) {
-	n := images.Shape[0]
-	if n == 0 {
-		return 0, nil
-	}
-	if batch <= 0 || batch > n {
-		batch = n
-	}
-	var spans [][2]int
-	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		spans = append(spans, [2]int{lo, hi})
-	}
-	w := e.activeIDs(e.steps)[0]
-	slots := make([]int, len(spans))
-	for i := range slots {
-		slots[i] = i
-	}
-	if err := e.dispatch([]int{w}, func(int) job {
-		return job{kind: jobEval, x: images, labels: labels, spans: spans, slots: slots}
-	}); err != nil {
-		return 0, err
-	}
-	return float64(e.evalOK[w]) / float64(n), nil
+	return e.eval(e.activeIDs(e.steps)[:1], images, labels, batch)
 }

@@ -262,14 +262,6 @@ func (e *Engine) ShardOwners() []int {
 	return owners
 }
 
-// Membership returns the cumulative elastic-membership accounting.
-func (e *Engine) Membership() MembershipStats { return e.membership }
-
-// StepMembership returns the membership accounting of the most recent
-// training step (evictions and rebalances that closed it, plus its world
-// size), the membership view of StepStats.
-func (e *Engine) StepMembership() MembershipStats { return e.lastMembership }
-
 // liveIDs returns the indices of the workers still in the collective.
 func (e *Engine) liveIDs() []int {
 	ids := make([]int, 0, len(e.replicas))
@@ -308,19 +300,29 @@ func (e *Engine) slotOwners(active []int) [][]int {
 	return slots
 }
 
-// nodeSizes returns the live-worker count of every non-empty node of the
-// hierarchical topology, in node order. Nil for flat engines.
-func (e *Engine) nodeSizes() []int {
-	if e.nodes == nil {
-		return nil
+// reform rebuilds what a membership change moves — at construction and at
+// each epoch the step template opens or closes: a world-tracking shard split
+// follows the world size, and the topology's live node sizes are recounted
+// (a node that lost all its workers has left the inter tier).
+func (e *Engine) reform() {
+	if e.shardsTrack {
+		e.shards = e.world
 	}
-	sizes := make([]int, 0, len(e.nodes))
+	e.sizes = e.sizes[:0]
 	for _, members := range e.nodes {
 		if len(members) > 0 {
-			sizes = append(sizes, len(members))
+			e.sizes = append(e.sizes, len(members))
 		}
 	}
-	return sizes
+}
+
+// resync ends a membership epoch: the master rebroadcasts the weights at the
+// new world size, accounted (exposed) like any other barrier traffic, and
+// the bytes it moved are returned for the membership ledger.
+func (e *Engine) resync() (moved int64, err error) {
+	before := e.total.Comm.Bytes
+	err = e.BroadcastWeights()
+	return e.total.Comm.Bytes - before, err
 }
 
 // nodeRole locates live worker w in the degraded hierarchy: whether it
@@ -363,19 +365,20 @@ func (e *Engine) checkDead(step int64) error {
 }
 
 // noteStep files the just-completed step under the world size it executed
-// at, in both the cumulative and per-step membership accounting.
-func (e *Engine) noteStep(world int) {
-	e.membership.StepsAtWorld[world]++
-	e.lastMembership.StepsAtWorld[world]++
+// at.
+func (e *Engine) noteStep() {
+	at := make([]int64, e.world+1)
+	at[e.world] = 1
+	e.add(Report{Membership: MembershipStats{StepsAtWorld: at}})
 }
 
 // evictDead runs the eviction side of the membership state machine at the
 // end of a step: every worker whose consecutive failed recoveries reached
 // the policy threshold is removed from the collective (worker-index order,
 // for determinism), the shard split and topology are rebuilt over the
-// survivors, and the master resynchronizes the fleet with an accounted
-// weight broadcast. No-op unless Config.Elastic is set and a worker crossed
-// the threshold.
+// survivors — one membership epoch per step — and the master resynchronizes
+// the fleet, the broadcast's payload also filed under RebalancedBytes. No-op
+// unless Config.Elastic is set and a worker crossed the threshold.
 func (e *Engine) evictDead() error {
 	if e.cfg.Elastic == nil {
 		return nil
@@ -392,22 +395,10 @@ func (e *Engine) evictDead() error {
 	if !evicted {
 		return nil
 	}
-	// One membership epoch per step: rebuild the shard split and the
-	// overlap cover maps once, then resynchronize the survivors from the
-	// master. The broadcast runs at the new world size and is accounted
-	// (exposed) like any other barrier traffic, with its payload also
-	// filed under RebalancedBytes.
-	if e.shardsTrack {
-		e.shards = e.world
-	}
-	before := e.stats.Bytes
-	if err := e.BroadcastWeights(); err != nil {
-		return err
-	}
-	moved := e.stats.Bytes - before
-	e.membership.RebalancedBytes += moved
-	e.lastMembership.RebalancedBytes += moved
-	return nil
+	e.reform()
+	moved, err := e.resync()
+	e.add(Report{Membership: MembershipStats{RebalancedBytes: moved}})
+	return err
 }
 
 // evict removes worker w from the collective: it counts the shards w owned
@@ -422,11 +413,6 @@ func (e *Engine) evict(w int) {
 			owned++
 		}
 	}
-	e.membership.Evictions++
-	e.membership.RebalancedShards += owned
-	e.lastMembership.Evictions++
-	e.lastMembership.RebalancedShards += owned
-
 	e.alive[w] = false
 	e.started[w] = false
 	e.world--
@@ -434,76 +420,56 @@ func (e *Engine) evict(w int) {
 	if e.cfg.Overlap {
 		e.replicas[w].SetGradNotify(nil)
 	}
-	for n, nodeMembers := range e.nodes {
-		for i, m := range nodeMembers {
-			if m == w {
-				e.nodes[n] = append(nodeMembers[:i:i], nodeMembers[i+1:]...)
-				break
-			}
-		}
-	}
+	n := w / e.topo.PerNode
+	i := sort.SearchInts(e.nodes[n], w)
+	e.nodes[n] = append(e.nodes[n][:i:i], e.nodes[n][i+1:]...)
 	// The eviction takes effect for the next step — e.steps was already
 	// advanced past the step whose failed recovery crossed the threshold.
-	ev := MembershipEvent{Step: e.steps, Worker: w, Join: false, World: e.world}
-	e.membership.Events = append(e.membership.Events, ev)
-	e.lastMembership.Events = append(e.lastMembership.Events, ev)
+	e.add(Report{Membership: MembershipStats{
+		Evictions: 1, RebalancedShards: owned,
+		Events: []MembershipEvent{{Step: e.steps, Worker: w, Join: false, World: e.world}},
+	}})
 }
 
 // admitJoins runs the admission side of the membership state machine at a
 // step boundary, before the step's batch is sharded: every worker the
 // fault plan schedules to join at this step enters the collective
 // (worker-index order, for determinism), the shard split and topology are
-// rebuilt over the grown fleet, and the master warm-starts it with an
-// accounted weight broadcast at the new world size. No-op unless the plan
-// names this step — or, at a local-SGD window start, a step the window
-// skipped past: LocalStep checks boundaries only, so a join scheduled
-// mid-window defers to the next boundary (sync boundaries are the only
-// legal membership-change points). In the every-step modes the two
+// rebuilt over the grown fleet — one membership epoch per step, mirroring
+// evictDead — the shards that land on the joiners under the new assignment
+// are counted, and the master warm-starts the fleet with a weight broadcast
+// at the grown world size whose payload is also filed under JoinedBytes.
+// No-op unless the plan names this step — or, at a local-SGD window start, a
+// step the window skipped past: LocalStep checks boundaries only, so a join
+// scheduled mid-window defers to the next boundary (sync boundaries are the
+// only legal membership-change points). In the every-step modes the two
 // conditions coincide, since admission runs each step.
 func (e *Engine) admitJoins() error {
 	f := e.cfg.Faults
 	if f == nil || len(f.Join) == 0 {
 		return nil
 	}
-	var joiners []int
+	joined := make(map[int]bool)
 	for w := 1; w < len(e.replicas); w++ {
 		if s, ok := f.Join[w]; ok && s <= e.steps && !e.joinDone[w] {
 			e.joinDone[w] = true
 			e.admit(w)
-			joiners = append(joiners, w)
+			joined[w] = true
 		}
 	}
-	if len(joiners) == 0 {
+	if len(joined) == 0 {
 		return nil
 	}
-	// One membership epoch per step, mirroring evictDead: grow a
-	// world-tracking shard split to the new world, count the shards that
-	// land on the joiners under the new assignment, then resynchronize
-	// the fleet from the master. The broadcast runs at the grown world
-	// size and is accounted (exposed) like any other barrier traffic,
-	// with its payload also filed under JoinedBytes.
-	if e.shardsTrack {
-		e.shards = e.world
-	}
-	active := e.activeIDs(e.steps)
-	for _, w := range joiners {
-		var gained int64
-		for s := 0; s < e.shards; s++ {
-			if active[s%len(active)] == w {
-				gained++
-			}
+	e.reform()
+	var gained int64
+	for _, owner := range e.ShardOwners() {
+		if joined[owner] {
+			gained++
 		}
-		e.membership.JoinedShards += gained
-		e.lastMembership.JoinedShards += gained
 	}
-	before := e.stats.Bytes
-	if err := e.BroadcastWeights(); err != nil {
-		return err
-	}
-	moved := e.stats.Bytes - before
-	e.membership.JoinedBytes += moved
-	e.lastMembership.JoinedBytes += moved
-	return nil
+	moved, err := e.resync()
+	e.add(Report{Membership: MembershipStats{JoinedShards: gained, JoinedBytes: moved}})
+	return err
 }
 
 // admit brings worker w into the collective at the current step boundary:
@@ -523,16 +489,12 @@ func (e *Engine) admit(w int) {
 		if e.cfg.Overlap {
 			e.replicas[w].SetGradNotify(func(param int) { e.gradReady(w, param) })
 		}
-		if e.nodes != nil {
-			n := w / e.cfg.Topology.PerNode
-			members := e.nodes[n]
-			i := sort.SearchInts(members, w)
-			e.nodes[n] = append(members[:i:i], append([]int{w}, members[i:]...)...)
-		}
+		n := w / e.topo.PerNode
+		i := sort.SearchInts(e.nodes[n], w)
+		e.nodes[n] = append(e.nodes[n][:i:i], append([]int{w}, e.nodes[n][i:]...)...)
 	}
-	e.membership.Joins++
-	e.lastMembership.Joins++
-	ev := MembershipEvent{Step: e.steps, Worker: w, Join: true, World: e.world}
-	e.membership.Events = append(e.membership.Events, ev)
-	e.lastMembership.Events = append(e.lastMembership.Events, ev)
+	e.add(Report{Membership: MembershipStats{
+		Joins:  1,
+		Events: []MembershipEvent{{Step: e.steps, Worker: w, Join: true, World: e.world}},
+	}})
 }

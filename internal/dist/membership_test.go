@@ -350,7 +350,7 @@ func TestMembershipAccounting(t *testing.T) {
 	if got, want := e.StepStats(), comm.ExpectedStatsAt(dist.Tree, 4, 1, payload); got != want {
 		t.Fatalf("post-eviction step stats %+v, want ExpectedStatsAt %+v", got, want)
 	}
-	sm := e.StepMembership()
+	sm := e.StepReport().Membership
 	if sm.Evictions != 0 || sm.StepsAtWorld[3] != 1 {
 		t.Fatalf("step membership %+v, want one clean step at world 3", sm)
 	}
@@ -358,7 +358,7 @@ func TestMembershipAccounting(t *testing.T) {
 
 // TestEvictionStepAccountsResync: the step that closes with an eviction
 // carries the resynchronization broadcast in its StepStats and reports the
-// eviction in StepMembership.
+// eviction in StepReport().Membership.
 func TestEvictionStepAccountsResync(t *testing.T) {
 	x, labels, factory := testTask(64)
 	payload := int64(4 * factory(1).NumParams())
@@ -370,7 +370,7 @@ func TestEvictionStepAccountsResync(t *testing.T) {
 	if _, err := e.ComputeGradient(x, labels); err != nil {
 		t.Fatal(err)
 	}
-	sm := e.StepMembership()
+	sm := e.StepReport().Membership
 	if sm.Evictions != 1 || sm.RebalancedBytes == 0 {
 		t.Fatalf("eviction step membership %+v, want 1 eviction with resync bytes", sm)
 	}

@@ -2,8 +2,11 @@ package dist_test
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/dist"
+	"repro/internal/models"
+	"repro/internal/nn"
 	"repro/internal/rng"
 )
 
@@ -193,6 +196,36 @@ func TestProfileStatsSumToStepWall(t *testing.T) {
 	}
 	if e.Profile() != cumulative {
 		t.Fatalf("cumulative profile %+v != sum of step profiles %+v", e.Profile(), cumulative)
+	}
+}
+
+// TestLocalProfileWithinMeasuredWall: the step template owns the only
+// profile window, so the weight broadcast a sync round issues is attributed
+// once — the profiled wall of a local-SGD run can never exceed the wall
+// measured around the calls. (With a window of its own nested in the step's,
+// the broadcast used to be counted twice.) The MLP is wide so the broadcast
+// is a solid share of every step.
+func TestLocalProfileWithinMeasuredWall(t *testing.T) {
+	x, labels, _ := testTask(64)
+	wide := func(seed uint64) *nn.Network {
+		return models.NewMLP(models.MicroConfig{Classes: 4, InC: 3, InH: 8, InW: 8, Width: 64, Seed: seed})
+	}
+	e := localEngine(dist.Config{Algo: dist.Ring, SyncEvery: 1, Profile: true}, 4, wide)
+	defer e.Close()
+	var profiled int64
+	start := time.Now()
+	for step := 0; step < 10; step++ {
+		if _, err := e.LocalStep(x, labels, 0.05); err != nil {
+			t.Fatal(err)
+		}
+		profiled += e.StepProfile().WallNS
+	}
+	wall := time.Since(start).Nanoseconds()
+	if profiled > wall {
+		t.Fatalf("step profiles sum to %d ns of wall, the calls took %d ns (%.3fx)", profiled, wall, float64(profiled)/float64(wall))
+	}
+	if p := e.Profile(); p.WallNS != profiled || p.Accounted() != p.WallNS {
+		t.Fatalf("cumulative profile %+v: want wall %d ns and phases summing to it", p, profiled)
 	}
 }
 
