@@ -123,8 +123,10 @@ func BenchmarkReduction(b *testing.B) {
 // linear layer (tensor.Gemm lowers onto internal/kernel) at the layer
 // shapes the micro models hit and at a square compute-bound size, in both
 // storage precisions: /f32 is the float32 path, /f16 the binary16-storage
-// path (tensor.GemmHalf, float32 accumulation). The archived f32/f16 rates
-// are benchmark/'s tensor.gemm_f32_gflops / tensor.gemm_f16_gflops probes.
+// path (tensor.GemmHalf: the same dispatch and the same float32 arithmetic
+// after a decode, so on this host it trails /f32 by the cost of the decode
+// and cannot lead it). The archived f32/f16 rates are benchmark/'s
+// tensor.gemm_f32_gflops / tensor.gemm_f16_gflops probes.
 // CI runs this at -benchtime 1x as a smoke test.
 func BenchmarkGemm(b *testing.B) {
 	shapes := []struct {

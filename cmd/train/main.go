@@ -200,10 +200,11 @@
 //	      -reduction pairwise -profile
 //
 // The paper's recipe on the binary16 compute path with the hot loop
-// profiled — the profile line's convert share is the packing overhead, the
-// gemm share shrinks against the f32 run, and the closing precision line
-// reports the dynamic loss scaler's end state (scale, skipped steps,
-// growths):
+// profiled — the profile line's convert share is the packing overhead
+// (binary16 is a storage format here: the gemm phase runs the f32 run's
+// float32 arithmetic plus a decode, so it cannot come out faster), and the
+// closing precision line reports the dynamic loss scaler's end state (scale,
+// skipped steps, growths):
 //
 //	train -model micro-alexnet -batch 1024 -epochs 15 -method lars \
 //	      -warmup 2 -workers 4 -shards 4 -algo ring \

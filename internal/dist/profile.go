@@ -23,7 +23,7 @@ import (
 // holds for every step. Populated only when Config.Profile is set; the
 // profiler is process-global, so profile one engine at a time.
 type ProfileStats struct {
-	// GemmNS is wall time inside the GEMM/MatVec kernels.
+	// GemmNS is wall time inside the GEMM kernels.
 	GemmNS int64
 	// Im2colNS is wall time inside the im2col/col2im lowering.
 	Im2colNS int64

@@ -1,9 +1,81 @@
 package kernel
 
+import "sync"
+
+// One GEMM path. Storage precision is a property of the operand, not of the
+// kernel: each transpose case (NN, TN, NT) has one body, generic over the
+// element type its A and B are *stored* in — float32, or IEEE binary16 held
+// as uint16. The body widens each panel to float32 once (widenTile: the slice
+// itself for float32, a DecodeHalf into pooled scratch for binary16; widening
+// binary16 is exact, so the only precision loss of the f16 path is the one
+// rounding applied when a tensor was packed) and everything after that is
+// storage-blind float32 arithmetic through the one four-row micro-kernel,
+// gemmRowBlock. So the f16 kernels are bit-identical to the f32 kernels over
+// the widened operands by construction, and both inherit one determinism
+// contract: per output element the accumulation order over l is ascending
+// regardless of blocking, and each C row is a pure function of the operands,
+// so results are bit-identical under any caller-side row chunking, worker
+// count or reduction topology.
+//
+// On this host binary16 is a storage format with float32 arithmetic: the f16
+// entry points run the f32 instructions plus a decode, and cannot out-run
+// them.
+
 // gemmKC is the k-tile width of the blocked GEMM kernels: the B (or packed
 // A) panel touched by one tile is gemmKC rows, small enough to stay
 // cache-resident across the whole row range of the block.
 const gemmKC = 256
+
+// storage is the set of element types a GEMM operand may be stored in.
+type storage interface{ float32 | uint16 }
+
+// panelPool recycles the decoded-panel buffers of binary16 operands; the
+// kernels run per layer per shard per step, so fresh allocations would be
+// pure GC churn, exactly as with the pairwise tree's accScratch.
+var panelPool = sync.Pool{New: func() any { return new([]float32) }}
+
+// panel is one kernel call's hold on a pooled buffer, taken on first use —
+// float32 operands never touch the pool.
+type panel struct{ buf *[]float32 }
+
+func (p *panel) grow(n int) []float32 {
+	if p.buf == nil {
+		p.buf = panelPool.Get().(*[]float32)
+	}
+	if cap(*p.buf) < n {
+		*p.buf = make([]float32, n)
+	}
+	return (*p.buf)[:n]
+}
+
+func (p *panel) release() {
+	if p.buf != nil {
+		panelPool.Put(p.buf)
+	}
+}
+
+// widenTile returns the rows×cols tile at the head of src (row stride ld) as
+// float32, with the row stride to read the result by: float32 storage is
+// returned as is (no copy, stride ld), binary16 is decoded into p (compact,
+// stride cols). This is the only place a kernel looks at its storage type,
+// once per panel and never per element.
+func widenTile[T storage](p *panel, src []T, rows, cols, ld int) ([]float32, int) {
+	switch s := any(src).(type) {
+	case []float32:
+		return s, ld
+	case []uint16:
+		dst := p.grow(rows * cols)
+		if ld == cols {
+			DecodeHalf(dst, s[:rows*cols])
+		} else {
+			for r := 0; r < rows; r++ {
+				DecodeHalf(dst[r*cols:(r+1)*cols], s[r*ld:r*ld+cols])
+			}
+		}
+		return dst, cols
+	}
+	panic("unreachable")
+}
 
 // GemmNN computes C[m×n] = alpha·A[m×k]·B[k×n] + beta·C over contiguous
 // row-major blocks. It is the serial micro-kernel behind tensor.Gemm's
@@ -11,142 +83,154 @@ const gemmKC = 256
 // hands each goroutine its contiguous A/C sub-blocks. Per output row the
 // accumulation order over l is ascending regardless of blocking, so every
 // row of C is deterministic for any caller-side chunking.
-//
-// The kernel k-tiles the l loop (the B panel of one tile stays hot across
+func GemmNN(m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
+	gemmNN(m, n, k, alpha, a, b, beta, c)
+}
+
+// GemmNNHalf is GemmNN over binary16 A and B (C stays float32): bit-identical
+// to GemmNN over the widened operands.
+func GemmNNHalf(m, n, k int, alpha float32, a, b []uint16, beta float32, c []float32) {
+	gemmNN(m, n, k, alpha, a, b, beta, c)
+}
+
+// gemmNN k-tiles the l loop (the widened B panel of one tile stays hot across
 // all rows of the block) and register-blocks four rows of C at a time, so
 // each streamed row of B is reused fourfold.
-func GemmNN(m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
+func gemmNN[T storage](m, n, k int, alpha float32, a, b []T, beta float32, c []float32) {
 	applyBeta(c[:m*n], beta)
 	if n == 0 {
 		return
 	}
+	var pa, pb panel
+	defer pa.release()
+	defer pb.release()
+	var pk [4 * gemmKC]float32
 	for kt := 0; kt < k; kt += gemmKC {
-		kh := kt + gemmKC
-		if kh > k {
-			kh = k
-		}
-		i := 0
-		for ; i+4 <= m; i += 4 {
-			a0 := a[(i+0)*k : (i+1)*k]
-			a1 := a[(i+1)*k : (i+2)*k]
-			a2 := a[(i+2)*k : (i+3)*k]
-			a3 := a[(i+3)*k : (i+4)*k]
-			c0 := c[(i+0)*n : (i+1)*n]
-			c1 := c[(i+1)*n : (i+2)*n]
-			c2 := c[(i+2)*n : (i+3)*n]
-			c3 := c[(i+3)*n : (i+4)*n]
-			for l := kt; l < kh; l++ {
-				s0 := alpha * a0[l]
-				s1 := alpha * a1[l]
-				s2 := alpha * a2[l]
-				s3 := alpha * a3[l]
-				brow := b[l*n : (l+1)*n]
-				if s0 == 0 || s1 == 0 || s2 == 0 || s3 == 0 {
-					// Mixed or all-zero scales: drop to per-row updates so
-					// a zero row skips exactly as in the scalar path. Each
-					// row's arithmetic must not depend on its block
-					// neighbors (0·Inf would mint a NaN a lone row never
-					// sees), or results would vary with the caller's row
-					// chunking.
-					axpyRow(c0, s0, brow)
-					axpyRow(c1, s1, brow)
-					axpyRow(c2, s2, brow)
-					axpyRow(c3, s3, brow)
-					continue
+		kc := min(gemmKC, k-kt)
+		bp, _ := widenTile(&pb, b[kt*n:], kc, n, n)
+		for i := 0; i < m; i += 4 {
+			rows := min(4, m-i)
+			aw, lda := widenTile(&pa, a[i*k+kt:], rows, kc, k)
+			if rows < 4 {
+				for r := 0; r < rows; r++ {
+					crow := c[(i+r)*n : (i+r+1)*n]
+					for l, av := range aw[r*lda : r*lda+kc] {
+						axpyRow(crow, alpha*av, bp[l*n:(l+1)*n])
+					}
 				}
-				for j, bv := range brow {
-					c0[j] += s0 * bv
-					c1[j] += s1 * bv
-					c2[j] += s2 * bv
-					c3[j] += s3 * bv
+				break
+			}
+			// Pack the four rows' tiles interleaved: pk[4·l + r] = A[i+r][kt+l].
+			for r := 0; r < 4; r++ {
+				q := r
+				for _, v := range aw[r*lda : r*lda+kc] {
+					pk[q] = v
+					q += 4
 				}
 			}
+			gemmRowBlock(n, kc, alpha, pk[:4*kc], bp, c[i*n:(i+4)*n])
+		}
+	}
+}
+
+// GemmTN computes C[m×n] = alpha·op(A)·B[k×n] + beta·C where op(A) row i is
+// column i0+i of the row-major array a with row stride lda (i.e. element
+// (i, l) is a[l*lda + i0 + i]). Accumulation order per output row is
+// ascending l, as in GemmNN.
+func GemmTN(m, n, k int, alpha float32, a []float32, lda, i0 int, b []float32, beta float32, c []float32) {
+	gemmTN(m, n, k, alpha, a, lda, i0, b, beta, c)
+}
+
+// GemmTNHalf is GemmTN over binary16 A and B: bit-identical to GemmTN over
+// the widened operands.
+func GemmTNHalf(m, n, k int, alpha float32, a []uint16, lda, i0 int, b []uint16, beta float32, c []float32) {
+	gemmTN(m, n, k, alpha, a, lda, i0, b, beta, c)
+}
+
+// gemmTN packs each k-tile of four A columns into a contiguous panel first,
+// so the inner loops run the same register-blocked micro-kernel as gemmNN
+// instead of striding through a.
+func gemmTN[T storage](m, n, k int, alpha float32, a []T, lda, i0 int, b []T, beta float32, c []float32) {
+	applyBeta(c[:m*n], beta)
+	if n == 0 {
+		return
+	}
+	var pa, pb panel
+	defer pa.release()
+	defer pb.release()
+	var pk [4 * gemmKC]float32
+	for kt := 0; kt < k; kt += gemmKC {
+		kc := min(gemmKC, k-kt)
+		bp, _ := widenTile(&pb, b[kt*n:], kc, n, n)
+		// The tile of op(A), still transposed: aw[l·ld + i] = op(A)[i][kt+l].
+		aw, ld := widenTile(&pa, a[kt*lda+i0:], kc, m, lda)
+		i := 0
+		for ; i+4 <= m; i += 4 {
+			// Pack the four columns' tile: pk[4·l + r] = op(A)[i+r][kt+l].
+			for l := 0; l < kc; l++ {
+				off := l*ld + i
+				pk[4*l+0] = aw[off]
+				pk[4*l+1] = aw[off+1]
+				pk[4*l+2] = aw[off+2]
+				pk[4*l+3] = aw[off+3]
+			}
+			gemmRowBlock(n, kc, alpha, pk[:4*kc], bp, c[i*n:(i+4)*n])
 		}
 		for ; i < m; i++ {
-			arow := a[i*k : (i+1)*k]
 			crow := c[i*n : (i+1)*n]
-			for l := kt; l < kh; l++ {
-				axpyRow(crow, alpha*arow[l], b[l*n:(l+1)*n])
+			for l := 0; l < kc; l++ {
+				axpyRow(crow, alpha*aw[l*ld+i], bp[l*n:(l+1)*n])
 			}
 		}
 	}
 }
 
+// gemmRowBlock is the one four-row micro-kernel of the package: c is four
+// contiguous rows of C, pk the packed widened A tile (pk[4·l + r] scales row
+// r at step l), bp the widened kc×n B panel. Per l, the four rows accumulate
+// s_r·B[l] with per-row zero skips; the non-zero fast path runs through
+// axpyQuad, the four-row fused update that the amd64 build vectorizes
+// four-wide (element-wise IEEE mul/add, so results are bit-identical to the
+// scalar loop). Per element the adds happen in ascending l, so every C row
+// stays a pure function of the operands under any caller-side chunking.
+func gemmRowBlock(n, kc int, alpha float32, pk, bp, c []float32) {
+	c0 := c[0*n : 1*n]
+	c1 := c[1*n : 2*n]
+	c2 := c[2*n : 3*n]
+	c3 := c[3*n : 4*n]
+	for l := 0; l < kc; l++ {
+		pq := pk[4*l : 4*l+4]
+		s0 := alpha * pq[0]
+		s1 := alpha * pq[1]
+		s2 := alpha * pq[2]
+		s3 := alpha * pq[3]
+		brow := bp[l*n : (l+1)*n]
+		if s0 == 0 || s1 == 0 || s2 == 0 || s3 == 0 {
+			// Mixed or all-zero scales: drop to per-row updates so a zero
+			// row skips exactly as a lone row would. Each row's arithmetic
+			// must not depend on its block neighbors (0·Inf would mint a
+			// NaN, 0 + -0 would flip a sign a lone row never sees), or
+			// results would vary with the caller's row chunking.
+			axpyRow(c0, s0, brow)
+			axpyRow(c1, s1, brow)
+			axpyRow(c2, s2, brow)
+			axpyRow(c3, s3, brow)
+			continue
+		}
+		axpyQuad(c0, c1, c2, c3, brow, s0, s1, s2, s3)
+	}
+}
+
 // axpyRow computes c += s·b, skipping entirely when s is zero — the one
-// per-row update semantics every GemmNN/GemmTN path shares, so a row's
-// result never depends on which rows share its register block or on the
-// caller's row chunking.
+// per-row update semantics every NN/TN path shares, so a row's result never
+// depends on which rows share its register block or on the caller's row
+// chunking.
 func axpyRow(c []float32, s float32, b []float32) {
 	if s == 0 {
 		return
 	}
 	for j, bv := range b {
 		c[j] += s * bv
-	}
-}
-
-// GemmTN computes C[m×n] = alpha·op(A)·B[k×n] + beta·C where op(A) row i is
-// column i0+i of the row-major array a with row stride lda (i.e. element
-// (i, l) is a[l*lda + i0 + i]). Each k-tile of four A columns is packed
-// into a contiguous panel first, so the inner loops run the same
-// register-blocked micro-kernel as GemmNN instead of striding through a.
-// Accumulation order per output row is ascending l, as in GemmNN.
-func GemmTN(m, n, k int, alpha float32, a []float32, lda, i0 int, b []float32, beta float32, c []float32) {
-	applyBeta(c[:m*n], beta)
-	if n == 0 {
-		return
-	}
-	var pk [4 * gemmKC]float32
-	for kt := 0; kt < k; kt += gemmKC {
-		kh := kt + gemmKC
-		if kh > k {
-			kh = k
-		}
-		i := 0
-		for ; i+4 <= m; i += 4 {
-			// Pack the four columns' tile: pk[4·l' + r] = op(A)[i+r][kt+l'].
-			for l := kt; l < kh; l++ {
-				off := l*lda + i0 + i
-				q := 4 * (l - kt)
-				pk[q+0] = a[off]
-				pk[q+1] = a[off+1]
-				pk[q+2] = a[off+2]
-				pk[q+3] = a[off+3]
-			}
-			c0 := c[(i+0)*n : (i+1)*n]
-			c1 := c[(i+1)*n : (i+2)*n]
-			c2 := c[(i+2)*n : (i+3)*n]
-			c3 := c[(i+3)*n : (i+4)*n]
-			for l := kt; l < kh; l++ {
-				q := 4 * (l - kt)
-				s0 := alpha * pk[q+0]
-				s1 := alpha * pk[q+1]
-				s2 := alpha * pk[q+2]
-				s3 := alpha * pk[q+3]
-				brow := b[l*n : (l+1)*n]
-				if s0 == 0 || s1 == 0 || s2 == 0 || s3 == 0 {
-					// Per-row skips, as in GemmNN: block composition must
-					// not leak into any single row's arithmetic.
-					axpyRow(c0, s0, brow)
-					axpyRow(c1, s1, brow)
-					axpyRow(c2, s2, brow)
-					axpyRow(c3, s3, brow)
-					continue
-				}
-				for j, bv := range brow {
-					c0[j] += s0 * bv
-					c1[j] += s1 * bv
-					c2[j] += s2 * bv
-					c3[j] += s3 * bv
-				}
-			}
-		}
-		for ; i < m; i++ {
-			crow := c[i*n : (i+1)*n]
-			for l := kt; l < kh; l++ {
-				axpyRow(crow, alpha*a[l*lda+i0+i], b[l*n:(l+1)*n])
-			}
-		}
 	}
 }
 
@@ -157,11 +241,26 @@ func GemmTN(m, n, k int, alpha float32, a []float32, lda, i0 int, b []float32, b
 // single-accumulator dependency chain of the naive loop while keeping each
 // output a pure function of its inputs.
 func GemmNT(m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
+	gemmNT(m, n, k, alpha, a, b, beta, c)
+}
+
+// GemmNTHalf is GemmNT over binary16 A and B: the whole B block and each A
+// row widen once, then every element is the same dot product — bit-identical
+// to GemmNT over the widened operands.
+func GemmNTHalf(m, n, k int, alpha float32, a, b []uint16, beta float32, c []float32) {
+	gemmNT(m, n, k, alpha, a, b, beta, c)
+}
+
+func gemmNT[T storage](m, n, k int, alpha float32, a, b []T, beta float32, c []float32) {
+	var pa, pb panel
+	defer pa.release()
+	defer pb.release()
+	bw, _ := widenTile(&pb, b, n, k, k)
 	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
+		arow, _ := widenTile(&pa, a[i*k:], 1, k, k)
 		crow := c[i*n : (i+1)*n]
 		for j := range crow {
-			s := pairwiseDot(arow, b[j*k:(j+1)*k])
+			s := pairwiseDot(arow[:k], bw[j*k:(j+1)*k])
 			if beta == 0 {
 				crow[j] = alpha * s
 			} else {

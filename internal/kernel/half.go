@@ -1,25 +1,17 @@
 package kernel
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
-// Half-precision (IEEE 754 binary16) storage kernels. Values are *stored* as
-// uint16 halves but every arithmetic operation widens to float32 first and
-// accumulates in float32 — binary16→binary32 widening is exact, so the only
-// precision loss in the f16 compute path is the one rounding applied when a
-// tensor is packed to half storage. The GEMM kernels below therefore inherit
-// the float32 kernels' determinism contract: per output element the
-// accumulation order over l is ascending regardless of blocking, and each C
-// row is a pure function of the operands, so results are bit-identical under
-// any caller-side row chunking, worker count, or reduction topology.
+// IEEE 754 binary16 converters. Values are *stored* as uint16 halves; every
+// arithmetic operation elsewhere widens to float32 first (gemm.go's widenTile),
+// and binary16→binary32 widening is exact, so the only precision loss of the
+// f16 compute path is the one rounding applied when a tensor is packed.
 //
 // The conversion scalars use the branch-light "magic number" algorithms
 // (round-to-nearest-even on encode, exact on decode, subnormals and NaN
 // included); the batched EncodeHalf/DecodeHalf inline the common normal-value
-// path and are the entry points every higher layer (tensor packing, the
-// compress FP16 codec) funnels through.
+// path and are the entry points every higher layer (tensor packing, the GEMM
+// panels, the compress FP16 codec) funnels through.
 
 // halfSubMagic is 2^-14, the smallest normal binary16 magnitude. Subtracting
 // it renormalizes a decoded subnormal exactly; adding 0.5 (its bits appear in
@@ -104,212 +96,4 @@ func DecodeHalf(dst []float32, src []uint16) {
 			dst[i] = HalfToFloat32(h)
 		}
 	}
-}
-
-// halfScratch pools the decoded-panel buffers of the half GEMM kernels; the
-// kernels run per layer per shard per step, so fresh allocations would be
-// pure GC churn, exactly as with the pairwise tree's accScratch.
-var halfScratch = sync.Pool{New: func() any { return new([]float32) }}
-
-func getPanel(n int) (*[]float32, []float32) {
-	tp := halfScratch.Get().(*[]float32)
-	s := *tp
-	if cap(s) < n {
-		s = make([]float32, n)
-	}
-	return tp, s[:n]
-}
-
-func putPanel(tp *[]float32, s []float32) {
-	*tp = s
-	halfScratch.Put(tp)
-}
-
-// GemmNNHalf computes C[m×n] = alpha·A[m×k]·B[k×n] + beta·C where A and B
-// are stored as binary16 and C is float32. Per k-tile the B panel is decoded
-// once into float32 scratch and the four A row tiles are decoded into a
-// packed panel, then the register-accumulating micro-kernel runs on the
-// widened values; accumulation per output element is ascending l in float32,
-// so the result is bit-identical to GemmNN over the widened operands and
-// deterministic under any caller-side row chunking.
-func GemmNNHalf(m, n, k int, alpha float32, a, b []uint16, beta float32, c []float32) {
-	applyBeta(c[:m*n], beta)
-	if n == 0 || k == 0 {
-		return
-	}
-	kcap := gemmKC
-	if k < kcap {
-		kcap = k
-	}
-	tp, panel := getPanel(kcap * n)
-	defer putPanel(tp, panel)
-	var pk [4 * gemmKC]float32
-	var ar [gemmKC]float32
-	for kt := 0; kt < k; kt += gemmKC {
-		kh := kt + gemmKC
-		if kh > k {
-			kh = k
-		}
-		kc := kh - kt
-		bpanel := panel[:kc*n]
-		DecodeHalf(bpanel, b[kt*n:kh*n])
-		i := 0
-		for ; i+4 <= m; i += 4 {
-			// Decode the four rows' tiles and pack them interleaved:
-			// pk[4·l' + r] = widen(A[i+r][kt+l']).
-			for r := 0; r < 4; r++ {
-				DecodeHalf(ar[:kc], a[(i+r)*k+kt:(i+r)*k+kh])
-				q := r
-				for _, v := range ar[:kc] {
-					pk[q] = v
-					q += 4
-				}
-			}
-			gemmRowBlock(n, kc, alpha, pk[:4*kc], bpanel, c[i*n:(i+4)*n])
-		}
-		for ; i < m; i++ {
-			DecodeHalf(ar[:kc], a[i*k+kt:i*k+kh])
-			crow := c[i*n : (i+1)*n]
-			for l, av := range ar[:kc] {
-				axpyRow(crow, alpha*av, bpanel[l*n:(l+1)*n])
-			}
-		}
-	}
-}
-
-// GemmTNHalf computes C[m×n] = alpha·op(A)·B[k×n] + beta·C over binary16
-// storage where op(A) row i is column i0+i of the row-major array a with row
-// stride lda, exactly as in GemmTN. Panels decode to float32 as in
-// GemmNNHalf; accumulation order matches GemmTN over widened operands.
-func GemmTNHalf(m, n, k int, alpha float32, a []uint16, lda, i0 int, b []uint16, beta float32, c []float32) {
-	applyBeta(c[:m*n], beta)
-	if n == 0 || k == 0 {
-		return
-	}
-	kcap := gemmKC
-	if k < kcap {
-		kcap = k
-	}
-	tp, panel := getPanel(kcap * n)
-	defer putPanel(tp, panel)
-	var pk [4 * gemmKC]float32
-	for kt := 0; kt < k; kt += gemmKC {
-		kh := kt + gemmKC
-		if kh > k {
-			kh = k
-		}
-		kc := kh - kt
-		bpanel := panel[:kc*n]
-		DecodeHalf(bpanel, b[kt*n:kh*n])
-		i := 0
-		for ; i+4 <= m; i += 4 {
-			// Pack the four columns' tile: pk[4·l' + r] = widen(op(A)[i+r][kt+l']).
-			for l := kt; l < kh; l++ {
-				off := l*lda + i0 + i
-				q := 4 * (l - kt)
-				pk[q+0] = HalfToFloat32(a[off])
-				pk[q+1] = HalfToFloat32(a[off+1])
-				pk[q+2] = HalfToFloat32(a[off+2])
-				pk[q+3] = HalfToFloat32(a[off+3])
-			}
-			gemmRowBlock(n, kc, alpha, pk[:4*kc], bpanel, c[i*n:(i+4)*n])
-		}
-		for ; i < m; i++ {
-			crow := c[i*n : (i+1)*n]
-			for l := kt; l < kh; l++ {
-				axpyRow(crow, alpha*HalfToFloat32(a[l*lda+i0+i]), bpanel[(l-kt)*n:(l-kt+1)*n])
-			}
-		}
-	}
-}
-
-// gemmRowBlock is the shared 4-row micro-kernel of the half GEMM paths: c is
-// four contiguous rows of C, pk the packed widened A tile (pk[4·l + r]
-// scales row r at step l), bp the decoded kc×n B panel. It keeps exactly the
-// GemmNN/GemmTN update structure — per l, the four rows accumulate s_r·B[l]
-// with per-row zero skips — but the non-zero fast path runs through
-// axpyQuad, the four-row fused update that the amd64 build vectorizes
-// four-wide (element-wise IEEE mul/add, so results are bit-identical to the
-// scalar loop). Per element the adds happen in ascending l, so every C row
-// stays a pure function of the operands under any caller-side chunking.
-func gemmRowBlock(n, kc int, alpha float32, pk, bp, c []float32) {
-	c0 := c[0*n : 1*n]
-	c1 := c[1*n : 2*n]
-	c2 := c[2*n : 3*n]
-	c3 := c[3*n : 4*n]
-	for l := 0; l < kc; l++ {
-		pq := pk[4*l : 4*l+4]
-		s0 := alpha * pq[0]
-		s1 := alpha * pq[1]
-		s2 := alpha * pq[2]
-		s3 := alpha * pq[3]
-		brow := bp[l*n : (l+1)*n]
-		if s0 == 0 || s1 == 0 || s2 == 0 || s3 == 0 {
-			// Per-row skips, as in GemmNN: a zero row must not touch its
-			// output (0·Inf would mint a NaN, 0 + -0 would flip a sign a
-			// lone row never sees), or results would vary with chunking.
-			axpyRow(c0, s0, brow)
-			axpyRow(c1, s1, brow)
-			axpyRow(c2, s2, brow)
-			axpyRow(c3, s3, brow)
-			continue
-		}
-		axpyQuad(c0, c1, c2, c3, brow, s0, s1, s2, s3)
-	}
-}
-
-// GemmNTHalf computes C[m×n] = alpha·A[m×k]·op(B) + beta·C over binary16
-// storage where op(B) column j is row j of b, as in GemmNT. The whole B
-// block and each A row decode to float32 once, then every output element is
-// the same fixed-tree pairwise dot product as GemmNT over the widened
-// operands — bit-identical to it, and deterministic under any chunking.
-func GemmNTHalf(m, n, k int, alpha float32, a, b []uint16, beta float32, c []float32) {
-	tb, bf := getPanel(n * k)
-	defer putPanel(tb, bf)
-	DecodeHalf(bf, b[:n*k])
-	ta, af := getPanel(k)
-	defer putPanel(ta, af)
-	for i := 0; i < m; i++ {
-		DecodeHalf(af, a[i*k:(i+1)*k])
-		crow := c[i*n : (i+1)*n]
-		for j := range crow {
-			s := pairwiseDot(af, bf[j*k:(j+1)*k])
-			if beta == 0 {
-				crow[j] = alpha * s
-			} else {
-				crow[j] = beta*crow[j] + alpha*s
-			}
-		}
-	}
-}
-
-// PairwiseDotHalf returns the fixed-tree pairwise dot product
-// Σ widen(x[i])·y[i] for a binary16 x against a float32 y — bit-identical to
-// PairwiseDot over the widened x, with the identical tree-shape contract.
-func PairwiseDotHalf(x []uint16, y []float32) float32 {
-	if len(x) != len(y) {
-		panic("kernel: PairwiseDotHalf length mismatch")
-	}
-	return pairwiseDotHalf(x, y)
-}
-
-func pairwiseDotHalf(x []uint16, y []float32) float32 {
-	if len(x) <= blockN {
-		var buf [blockN]float32
-		DecodeHalf(buf[:len(x)], x)
-		var s0, s1, s2, s3 float32
-		i := 0
-		for ; i+4 <= len(x); i += 4 {
-			s0 += buf[i] * y[i]
-			s1 += buf[i+1] * y[i+1]
-			s2 += buf[i+2] * y[i+2]
-			s3 += buf[i+3] * y[i+3]
-		}
-		for ; i < len(x); i++ {
-			s0 += buf[i] * y[i]
-		}
-		return (s0 + s1) + (s2 + s3)
-	}
-	h := splitPoint(len(x))
-	return pairwiseDotHalf(x[:h], y[:h]) + pairwiseDotHalf(x[h:], y[h:])
 }

@@ -307,21 +307,6 @@ func TestGemmNNHalfZeroRowChunkInvariantWithInf(t *testing.T) {
 	}
 }
 
-// TestPairwiseDotHalfMatchesWidened pins the dot kernel's tree shape to
-// PairwiseDot over the widened operand across base/split lengths.
-func TestPairwiseDotHalfMatchesWidened(t *testing.T) {
-	r := rng.New(15)
-	for _, n := range []int{0, 1, 5, 127, 128, 129, 255, 256, 257, 1000} {
-		x := randHalves(r, n)
-		y := randVec(r, n)
-		got := PairwiseDotHalf(x, y)
-		want := PairwiseDot(widen(x), y)
-		if math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("n=%d: %v vs %v", n, got, want)
-		}
-	}
-}
-
 // BenchmarkHalfConvert compares the batched converters against a loop over
 // the specification scalars — the dedup satellite's claim that hoisting the
 // conversion into the kernel layer bought measurable speed.

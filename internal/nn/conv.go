@@ -30,12 +30,14 @@ type Conv2D struct {
 	scratch convCache
 	cur     *convScratch
 
-	// F16 compute path: binary16 copies of the GEMM operands, repacked
-	// each call (weights change every step; activations every batch). The
-	// float32 master weights in Weight are never touched by precision.
-	// wHalf is shape-independent and so lives on the layer, not the cache.
+	// Storage precision of the GEMM operands. At F16 they are binary16
+	// copies repacked each call (weights change every step; activations
+	// every batch); the float32 master weights in Weight are never touched
+	// by precision. The weight pack is shape-independent and so lives on
+	// the layer, not the cache.
 	precision tensor.Precision
-	wHalf     *tensor.Half // Weight.W packed once per Forward
+	w         operand     // Weight.W, packed once per Forward and reused by Backward
+	wHalf     tensor.Half // w's storage at F16
 }
 
 // ConvOpts configures optional Conv2D behaviour.
@@ -69,12 +71,7 @@ func NewConv(name string, r *rng.Rand, inC, outC, k, stride, pad int, opts ConvO
 func (c *Conv2D) Name() string { return c.name }
 
 // SetPrecision implements PrecisionLayer.
-func (c *Conv2D) SetPrecision(p tensor.Precision) {
-	c.precision = p
-	if p == tensor.F16 && c.wHalf == nil {
-		c.wHalf = tensor.NewHalf()
-	}
-}
+func (c *Conv2D) SetPrecision(p tensor.Precision) { c.precision = p }
 
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param {
@@ -109,23 +106,16 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	outH, outW := g.OutH(), g.OutW()
 	k := c.InC * c.KH * c.KW
 	l := outH * outW
-	c.cur = c.scratch.at(shapeKey{h: g.InH, w: g.InW}, k*l, c.precision == tensor.F16)
+	c.cur = c.scratch.at(shapeKey{h: g.InH, w: g.InW}, k*l)
 	col := c.cur.col
 	y := tensor.New(n, c.OutC, outH, outW)
 	imLen := c.InC * g.InH * g.InW
 	colM := tensor.FromSlice(col, k, l)
-	if c.precision == tensor.F16 {
-		tensor.PackHalf(c.wHalf, c.Weight.W)
-	}
+	c.w = pack(c.precision, &c.wHalf, c.Weight.W)
 	for s := 0; s < n; s++ {
 		tensor.Im2Col(g, x.Data[s*imLen:(s+1)*imLen], col)
 		ym := tensor.FromSlice(y.Data[s*c.OutC*l:(s+1)*c.OutC*l], c.OutC, l)
-		if c.precision == tensor.F16 {
-			tensor.PackHalf(c.cur.colHalf, colM)
-			tensor.GemmHalf(false, false, 1, c.wHalf, c.cur.colHalf, 0, ym)
-		} else {
-			tensor.Gemm(false, false, 1, c.Weight.W, colM, 0, ym)
-		}
+		gemm(false, false, 1, c.w, pack(c.precision, &c.cur.colHalf, colM), 0, ym)
 	}
 	if c.useBias {
 		bd := c.Bias.W.Data
@@ -165,19 +155,12 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		dym := tensor.FromSlice(dout.Data[s*c.OutC*l:(s+1)*c.OutC*l], c.OutC, l)
 		// dW += dy · colᵀ  (recompute the im2col of the cached input).
 		tensor.Im2Col(g, x.Data[s*imLen:(s+1)*imLen], col)
-		if c.precision == tensor.F16 {
-			// Ride the binary16 kernels on packed dy and col; wHalf still
-			// holds this step's weights from Forward. Gradients (G, dcol)
-			// stay float32.
-			tensor.PackHalf(c.cur.colHalf, colM)
-			tensor.PackHalf(c.cur.dyHalf, dym)
-			tensor.GemmHalf(false, true, 1, c.cur.dyHalf, c.cur.colHalf, 1, c.Weight.G)
-			tensor.GemmHalf(true, false, 1, c.wHalf, c.cur.dyHalf, 0, dcolM)
-		} else {
-			tensor.Gemm(false, true, 1, dym, colM, 1, c.Weight.G)
-			// dx = col2im(Wᵀ · dy)
-			tensor.Gemm(true, false, 1, c.Weight.W, dym, 0, dcolM)
-		}
+		colOp := pack(c.precision, &c.cur.colHalf, colM)
+		dyOp := pack(c.precision, &c.cur.dyHalf, dym)
+		gemm(false, true, 1, dyOp, colOp, 1, c.Weight.G)
+		// dx = col2im(Wᵀ · dy); c.w still holds this step's weights from
+		// Forward. Gradients (G, dcol) stay float32 at either precision.
+		gemm(true, false, 1, c.w, dyOp, 0, dcolM)
 		tensor.Col2Im(g, dcol, dx.Data[s*imLen:(s+1)*imLen])
 	}
 	if c.useBias {

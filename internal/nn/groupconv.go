@@ -68,7 +68,7 @@ func (g *GroupedConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s: want [N,%d,H,W], got %v", g.name, g.InC, x.Shape))
 	}
 	g.inShape = append(g.inShape[:0], x.Shape...)
-	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
+	n := x.Shape[0]
 	inPer := g.InC / g.Groups
 	outPer := g.OutC / g.Groups
 
@@ -81,8 +81,6 @@ func (g *GroupedConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		writeChannels(y, yg, gi*outPer)
 	}
-	_ = h
-	_ = w
 	return y
 }
 

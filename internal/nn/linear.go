@@ -14,14 +14,13 @@ type Linear struct {
 	In, Out      int
 	Weight, Bias *Param
 
-	x *tensor.Tensor // cached input for Backward
-
-	// F16 compute path (see Conv2D): binary16 operand copies, float32
-	// master weights and gradients.
+	// Storage precision of the GEMM operands (see Conv2D): binary16
+	// copies at F16, float32 master weights and gradients always.
 	precision tensor.Precision
-	wHalf     *tensor.Half // Weight.W packed once per Forward
-	xHalf     *tensor.Half // input batch, packed in Forward for Backward's dW
-	dyHalf    *tensor.Half // dout, packed in Backward
+	w         operand // Weight.W, packed once per Forward and reused by Backward
+	x         operand // input batch, packed in Forward and kept for Backward's dW
+
+	wHalf, xHalf, dyHalf tensor.Half // storage of w, x and dout at F16
 }
 
 // NewLinear constructs a fully-connected layer with He initialization.
@@ -38,12 +37,7 @@ func NewLinear(name string, r *rng.Rand, in, out int) *Linear {
 func (l *Linear) Name() string { return l.name }
 
 // SetPrecision implements PrecisionLayer.
-func (l *Linear) SetPrecision(p tensor.Precision) {
-	l.precision = p
-	if p == tensor.F16 && l.wHalf == nil {
-		l.wHalf, l.xHalf, l.dyHalf = tensor.NewHalf(), tensor.NewHalf(), tensor.NewHalf()
-	}
-}
+func (l *Linear) SetPrecision(p tensor.Precision) { l.precision = p }
 
 // Params implements Layer.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
@@ -53,17 +47,12 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 2 || x.Shape[1] != l.In {
 		panic(fmt.Sprintf("nn: %s: want [N,%d] input, got %v", l.name, l.In, x.Shape))
 	}
-	l.x = x
 	n := x.Shape[0]
 	y := tensor.New(n, l.Out)
 	// y = x · Wᵀ
-	if l.precision == tensor.F16 {
-		tensor.PackHalf(l.xHalf, x)
-		tensor.PackHalf(l.wHalf, l.Weight.W)
-		tensor.GemmHalf(false, true, 1, l.xHalf, l.wHalf, 0, y)
-	} else {
-		tensor.Gemm(false, true, 1, x, l.Weight.W, 0, y)
-	}
+	l.x = pack(l.precision, &l.xHalf, x)
+	l.w = pack(l.precision, &l.wHalf, l.Weight.W)
+	gemm(false, true, 1, l.x, l.w, 0, y)
 	bd := l.Bias.W.Data
 	for s := 0; s < n; s++ {
 		row := y.Data[s*l.Out : (s+1)*l.Out]
@@ -76,14 +65,10 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	n := l.x.Shape[0]
+	n := dout.Shape[0]
 	// dW += doutᵀ · x
-	if l.precision == tensor.F16 {
-		tensor.PackHalf(l.dyHalf, dout)
-		tensor.GemmHalf(true, false, 1, l.dyHalf, l.xHalf, 1, l.Weight.G)
-	} else {
-		tensor.Gemm(true, false, 1, dout, l.x, 1, l.Weight.G)
-	}
+	dy := pack(l.precision, &l.dyHalf, dout)
+	gemm(true, false, 1, dy, l.x, 1, l.Weight.G)
 	// db += column sums of dout
 	gd := l.Bias.G.Data
 	for s := 0; s < n; s++ {
@@ -94,10 +79,6 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	}
 	// dx = dout · W
 	dx := tensor.New(n, l.In)
-	if l.precision == tensor.F16 {
-		tensor.GemmHalf(false, false, 1, l.dyHalf, l.wHalf, 0, dx)
-	} else {
-		tensor.Gemm(false, false, 1, dout, l.Weight.W, 0, dx)
-	}
+	gemm(false, false, 1, dy, l.w, 0, dx)
 	return dx
 }

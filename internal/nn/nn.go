@@ -131,7 +131,8 @@ func (n *Network) SetGradNotify(fn func(param int)) {
 }
 
 // PrecisionLayer is implemented by layers that own a reduced-precision
-// compute path (Conv2D, Linear, GroupedConv2D). SetPrecision selects the
+// compute path (Conv2D, Linear) or contain layers that do (GroupedConv2D,
+// Residual). SetPrecision selects the
 // storage precision of the layer's GEMM operands; parameters themselves
 // always stay float32 masters.
 type PrecisionLayer interface {

@@ -106,3 +106,48 @@ func TestF16Deterministic(t *testing.T) {
 		bitsEq("grad "+pa[i].Name, pa[i].G, pb[i].G)
 	}
 }
+
+// resNet builds a network whose only convolutions sit inside a residual
+// block — body and projection shortcut — one level below the layers
+// Network.SetPrecision walks.
+func resNet(seed uint64) (net *Network, bodyConv, shortConv *Conv2D) {
+	r := rng.New(seed)
+	bodyConv = NewConv("c1", r, 2, 4, 3, 2, 1, ConvOpts{NoBias: true})
+	shortConv = NewConv("cs", r, 2, 4, 1, 2, 0, ConvOpts{NoBias: true})
+	block := NewResidual("res",
+		NewNetwork("body", bodyConv, NewBatchNorm("bn1", 4)),
+		NewNetwork("short", shortConv, NewBatchNorm("bns", 4)))
+	return NewNetwork("resnet", block, NewFlatten(), NewLinear("fc", r, 4*3*3, 5)), bodyConv, shortConv
+}
+
+// TestResidualForwardsPrecision: SetPrecision on the network reaches the
+// convolutions inside a residual block's body and shortcut.
+func TestResidualForwardsPrecision(t *testing.T) {
+	net, bodyConv, shortConv := resNet(9)
+	net.SetPrecision(tensor.F16)
+	if bodyConv.precision != tensor.F16 || shortConv.precision != tensor.F16 {
+		t.Fatalf("after net.SetPrecision(F16): body conv %v, shortcut conv %v", bodyConv.precision, shortConv.precision)
+	}
+	net.SetPrecision(tensor.F32)
+	if bodyConv.precision != tensor.F32 || shortConv.precision != tensor.F32 {
+		t.Fatalf("after net.SetPrecision(F32): body conv %v, shortcut conv %v", bodyConv.precision, shortConv.precision)
+	}
+}
+
+// TestResidualF16DiffersFromF32 is the negative control for the block: with
+// the final Linear held at F32 on both sides, an F16 residual block must
+// still change the forward's bits — otherwise its convolutions ran in f32.
+func TestResidualF16DiffersFromF32(t *testing.T) {
+	full, _, _ := resNet(10)
+	half, _, _ := resNet(10)
+	half.SetPrecision(tensor.F16)
+	half.Layers[2].(*Linear).SetPrecision(tensor.F32)
+	x := tensor.RandNormal(rng.New(11), 1, 3, 2, 6, 6)
+	yf, yh := full.Forward(x, true), half.Forward(x, true)
+	for i := range yf.Data {
+		if math.Float32bits(yf.Data[i]) != math.Float32bits(yh.Data[i]) {
+			return
+		}
+	}
+	t.Fatal("F16 residual forward is bit-identical to F32 — the block's convolutions ignored the precision")
+}

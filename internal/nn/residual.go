@@ -23,6 +23,16 @@ func NewResidual(name string, body *Network, shortcut *Network) *Residual {
 // Name implements Layer.
 func (l *Residual) Name() string { return l.name }
 
+// SetPrecision implements PrecisionLayer, forwarding to both branches: the
+// network-level walk sees only top-level layers, and a block's convolutions
+// live one level down.
+func (l *Residual) SetPrecision(p tensor.Precision) {
+	l.Body.SetPrecision(p)
+	if l.Shortcut != nil {
+		l.Shortcut.SetPrecision(p)
+	}
+}
+
 // Params implements Layer.
 func (l *Residual) Params() []*Param {
 	ps := l.Body.Params()

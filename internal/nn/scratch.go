@@ -27,18 +27,19 @@ type shapeKey struct {
 
 // convScratch bundles Conv2D's per-shape workspaces: the im2col panel, the
 // gradient panel it is transposed into during Backward, and the binary16
-// packs of the f16 compute path (allocated only when the layer runs at F16).
+// packs of the f16 compute path (which take storage only when the layer
+// runs at F16).
 type convScratch struct {
 	col, dcol       []float32
-	colHalf, dyHalf *tensor.Half
+	colHalf, dyHalf tensor.Half
 }
 
 // convCache maps input shape → workspace for one Conv2D.
 type convCache map[shapeKey]*convScratch
 
 // at returns the slot for key, allocating its float32 panels on first use
-// at this shape and its f16 packs on first f16 use at this shape.
-func (m *convCache) at(key shapeKey, colLen int, f16 bool) *convScratch {
+// at this shape.
+func (m *convCache) at(key shapeKey, colLen int) *convScratch {
 	if *m == nil {
 		*m = make(convCache)
 	}
@@ -46,9 +47,6 @@ func (m *convCache) at(key shapeKey, colLen int, f16 bool) *convScratch {
 	if s == nil {
 		s = &convScratch{col: make([]float32, colLen), dcol: make([]float32, colLen)}
 		(*m)[key] = s
-	}
-	if f16 && s.colHalf == nil {
-		s.colHalf, s.dyHalf = tensor.NewHalf(), tensor.NewHalf()
 	}
 	return s
 }

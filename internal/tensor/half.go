@@ -4,20 +4,23 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
-	"repro/internal/par"
 )
 
 // Precision selects the storage precision of a layer's compute path. The
 // trainer always holds float32 master weights; F16 only changes how GEMM
 // operands are stored while they flow through the kernels (binary16 storage,
 // float32 accumulation), following the mixed-precision recipe of Akiba et
-// al. that the paper cites for NVIDIA's half-precision DGX-1 result.
+// al. that the paper cites for NVIDIA's half-precision DGX-1 result. There
+// the halves feed half-precision arithmetic units; on this host they are
+// widened and run the F32 path's own instructions, so F16 reproduces the
+// recipe's numerics (one rounding per operand, loss scaling) and halves the
+// operand bytes, but costs a pack and a decode and cannot out-run F32.
 type Precision int
 
 const (
 	// F32 is the default full-precision path.
 	F32 Precision = iota
-	// F16 stores GEMM/MatVec operands as binary16 and accumulates in
+	// F16 stores GEMM operands as binary16 and accumulates in
 	// float32. Deterministic: a fixed one-rounding pack per operand plus
 	// the kernels' fixed accumulation order, so results are bit-identical
 	// under any worker count, chunking or topology — but (deliberately)
@@ -78,91 +81,4 @@ func PackHalf(h *Half, src *Tensor) {
 	}
 	h.Data = h.Data[:n]
 	kernel.EncodeHalf(h.Data, src.Data)
-}
-
-// Float widens h into a new float32 tensor (exact), accounted to the convert
-// phase.
-func (h *Half) Float() *Tensor {
-	defer kernel.StartPhase(kernel.PhaseConvert).End()
-	t := New(h.Shape...)
-	kernel.DecodeHalf(t.Data, h.Data)
-	return t
-}
-
-// GemmHalf computes C = alpha·op(A)·op(B) + beta·C where A and B are stored
-// as binary16 and C is float32 — the F16 twin of Gemm, with the identical
-// shape contract and parallel row decomposition. Accumulation runs in
-// float32 inside the half kernels, and results are bit-identical to Gemm
-// over the widened operands for every transpose case, under any worker
-// count or chunking.
-func GemmHalf(transA, transB bool, alpha float32, a, b *Half, beta float32, c *Tensor) {
-	ra, ca := mustHalfMatrix("GemmHalf A", a)
-	rb, cb := mustHalfMatrix("GemmHalf B", b)
-	rc, cc := mustMatrix("GemmHalf C", c)
-	m, k := ra, ca
-	if transA {
-		m, k = ca, ra
-	}
-	kb, n := rb, cb
-	if transB {
-		kb, n = cb, rb
-	}
-	if k != kb || rc != m || cc != n {
-		panic(fmt.Sprintf("tensor: GemmHalf shape mismatch op(A)=[%d,%d] op(B)=[%d,%d] C=[%d,%d]", m, k, kb, n, rc, cc))
-	}
-	defer kernel.StartPhase(kernel.PhaseGemm).End()
-	ad, bd, cd := a.Data, b.Data, c.Data
-
-	// Same row-granularity heuristic as Gemm.
-	grain := 1
-	if work := k * n; work > 0 && work < 4096 {
-		grain = 4096/work + 1
-	}
-
-	switch {
-	case !transA && !transB:
-		par.ForGrain(m, grain, func(lo, hi int) {
-			kernel.GemmNNHalf(hi-lo, n, k, alpha, ad[lo*k:hi*k], bd, beta, cd[lo*n:hi*n])
-		})
-	case transA && !transB:
-		// op(A) row i is column i of the [k, m] array ad (row stride ca).
-		par.ForGrain(m, grain, func(lo, hi int) {
-			kernel.GemmTNHalf(hi-lo, n, k, alpha, ad, ca, lo, bd, beta, cd[lo*n:hi*n])
-		})
-	case !transA && transB:
-		par.ForGrain(m, grain, func(lo, hi int) {
-			kernel.GemmNTHalf(hi-lo, n, k, alpha, ad[lo*k:hi*k], bd, beta, cd[lo*n:hi*n])
-		})
-	default: // transA && transB: no layer lowers onto it; widen and fall back
-		af, bf := a.Float(), b.Float()
-		par.ForGrain(m, grain, func(lo, hi int) {
-			kernel.GemmTT(hi-lo, n, k, alpha, af.Data, ca, lo, bf.Data, cb, beta, cd[lo*n:hi*n])
-		})
-	}
-}
-
-// MatVecHalf returns y = A·x for a binary16 A [m,n] and float32 x [n]. Each
-// output element is one fixed-tree PairwiseDotHalf — bit-identical to MatVec
-// over the widened A, deterministic for any chunking.
-func MatVecHalf(a *Half, x *Tensor) *Tensor {
-	m, n := mustHalfMatrix("MatVecHalf A", a)
-	if x.Numel() != n {
-		panic(fmt.Sprintf("tensor: MatVecHalf: A is [%d,%d], x has %d elements", m, n, x.Numel()))
-	}
-	defer kernel.StartPhase(kernel.PhaseGemm).End()
-	y := New(m)
-	ad, xd, yd := a.Data, x.Data, y.Data
-	par.ForGrain(m, 32, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			yd[i] = kernel.PairwiseDotHalf(ad[i*n:(i+1)*n], xd)
-		}
-	})
-	return y
-}
-
-func mustHalfMatrix(op string, h *Half) (rows, cols int) {
-	if len(h.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: %s: want matrix, got shape %v", op, h.Shape))
-	}
-	return h.Shape[0], h.Shape[1]
 }

@@ -4,8 +4,16 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/rng"
 )
+
+// widened returns h as an exactly-widened float32 tensor.
+func widened(h *Half) *Tensor {
+	t := New(h.Shape...)
+	kernel.DecodeHalf(t.Data, h.Data)
+	return t
+}
 
 func randHalfT(r *rng.Rand, rows, cols int) (*Half, *Tensor) {
 	t := New(rows, cols)
@@ -14,7 +22,7 @@ func randHalfT(r *rng.Rand, rows, cols int) (*Half, *Tensor) {
 	}
 	h := NewHalf(rows, cols)
 	PackHalf(h, t)
-	return h, h.Float()
+	return h, widened(h)
 }
 
 func tensorBitsEqual(t *testing.T, label string, got, want *Tensor) {
@@ -55,17 +63,6 @@ func TestGemmHalfMatchesWidenedGemm(t *testing.T) {
 	}
 }
 
-func TestMatVecHalfMatchesWidened(t *testing.T) {
-	r := rng.New(22)
-	const m, n = 37, 300
-	ah, af := randHalfT(r, m, n)
-	x := New(n)
-	for i := range x.Data {
-		x.Data[i] = r.NormFloat32()
-	}
-	tensorBitsEqual(t, "MatVecHalf", MatVecHalf(ah, x), MatVec(af, x))
-}
-
 // TestPackHalfReusesStorage: repacking a different shape into the same Half
 // must not allocate when capacity suffices, and must track the new shape —
 // the layers repack activation scratch every step.
@@ -85,7 +82,7 @@ func TestPackHalfReusesStorage(t *testing.T) {
 	if h.Numel() != 6 {
 		t.Fatalf("numel after shrink: %d", h.Numel())
 	}
-	f := h.Float()
+	f := widened(h)
 	for i, v := range f.Data {
 		if v != 1.5 {
 			t.Fatalf("coord %d: %v after repack", i, v)
@@ -99,7 +96,7 @@ func TestPackHalfRounds(t *testing.T) {
 	src := FromSlice([]float32{1, 1.0009765625, 1.0006, 65504, 1e-7, -2.5}, 6)
 	h := NewHalf(6)
 	PackHalf(h, src)
-	f := h.Float()
+	f := widened(h)
 	// 1e-7 lands between half subnormals; nearest is 2·2^-24 ≈ 1.19e-7.
 	want := []float32{1, 1.0009765625, 1.0009765625, 65504, 1.1920929e-07, -2.5}
 	for i := range want {

@@ -46,7 +46,8 @@ func TestIm2ColMatchesDirectConv(t *testing.T) {
 	// filterᵀ · col should equal the direct convolution at every position.
 	fm := FromSlice(filter.Data, 1, rows)
 	cm := FromSlice(col, rows, cols)
-	out := MatMul(fm, cm)
+	out := New(1, cols)
+	Gemm(false, false, 1, fm, cm, 0, out)
 	for oh := 0; oh < g.OutH(); oh++ {
 		for ow := 0; ow < g.OutW(); ow++ {
 			want := naiveConvOut(g, src.Data, filter.Data, oh, ow)

@@ -7,18 +7,6 @@ import (
 	"repro/internal/par"
 )
 
-// MatMul returns C = A·B for A of shape [m,k] and B of shape [k,n].
-func MatMul(a, b *Tensor) *Tensor {
-	m, k := mustMatrix("MatMul A", a)
-	k2, n := mustMatrix("MatMul B", b)
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimensions %d vs %d", k, k2))
-	}
-	c := New(m, n)
-	Gemm(false, false, 1, a, b, 0, c)
-	return c
-}
-
 // Gemm computes C = alpha·op(A)·op(B) + beta·C where op transposes its
 // argument when the corresponding flag is set. A is [m,k] (or [k,m] when
 // transA), B is [k,n] (or [n,k] when transB) and C must be [m,n].
@@ -32,9 +20,49 @@ func MatMul(a, b *Tensor) *Tensor {
 // most performance-critical routine in the repository (conv layers lower
 // onto it via im2col).
 func Gemm(transA, transB bool, alpha float32, a, b *Tensor, beta float32, c *Tensor) {
-	ra, ca := mustMatrix("Gemm A", a)
-	rb, cb := mustMatrix("Gemm B", b)
-	rc, cc := mustMatrix("Gemm C", c)
+	gemm("Gemm", f32Kernels, transA, transB, alpha, a.Shape, a.Data, b.Shape, b.Data, beta, c)
+}
+
+// GemmHalf is Gemm over operands stored as binary16 (C stays float32): the
+// same shape contract, the same parallel row decomposition, the same
+// float32 arithmetic on the widened values. Results are bit-identical to
+// Gemm over the widened operands for every transpose case, under any worker
+// count or chunking. On this host that makes binary16 a storage format, not
+// a faster arithmetic: GemmHalf costs a decode on top of Gemm and cannot
+// out-run it.
+func GemmHalf(transA, transB bool, alpha float32, a, b *Half, beta float32, c *Tensor) {
+	gemm("GemmHalf", f16Kernels, transA, transB, alpha, a.Shape, a.Data, b.Shape, b.Data, beta, c)
+}
+
+// gemmKernels names internal/kernel's entry points for one operand storage
+// type. The doubly-transposed case has none of its own: see gemm.
+type gemmKernels[T float32 | uint16] struct {
+	nn, nt func(m, n, k int, alpha float32, a, b []T, beta float32, c []float32)
+	tn     func(m, n, k int, alpha float32, a []T, lda, i0 int, b []T, beta float32, c []float32)
+	widen  func(src []T) []float32
+}
+
+var (
+	f32Kernels = gemmKernels[float32]{
+		nn: kernel.GemmNN, nt: kernel.GemmNT, tn: kernel.GemmTN,
+		widen: func(src []float32) []float32 { return src },
+	}
+	f16Kernels = gemmKernels[uint16]{
+		nn: kernel.GemmNNHalf, nt: kernel.GemmNTHalf, tn: kernel.GemmTNHalf,
+		widen: func(src []uint16) []float32 {
+			dst := make([]float32, len(src))
+			kernel.DecodeHalf(dst, src)
+			return dst
+		},
+	}
+)
+
+// gemm is the one dispatch behind Gemm and GemmHalf: shape check, row
+// granularity, and the four transpose cases over row blocks of C.
+func gemm[T float32 | uint16](op string, kern gemmKernels[T], transA, transB bool, alpha float32, ashape []int, ad []T, bshape []int, bd []T, beta float32, c *Tensor) {
+	ra, ca := mustMatrix(op, "A", ashape)
+	rb, cb := mustMatrix(op, "B", bshape)
+	rc, cc := mustMatrix(op, "C", c.Shape)
 	m, k := ra, ca
 	if transA {
 		m, k = ca, ra
@@ -44,10 +72,10 @@ func Gemm(transA, transB bool, alpha float32, a, b *Tensor, beta float32, c *Ten
 		kb, n = cb, rb
 	}
 	if k != kb || rc != m || cc != n {
-		panic(fmt.Sprintf("tensor: Gemm shape mismatch op(A)=[%d,%d] op(B)=[%d,%d] C=[%d,%d]", m, k, kb, n, rc, cc))
+		panic(fmt.Sprintf("tensor: %s shape mismatch op(A)=[%d,%d] op(B)=[%d,%d] C=[%d,%d]", op, m, k, kb, n, rc, cc))
 	}
 	defer kernel.StartPhase(kernel.PhaseGemm).End()
-	ad, bd, cd := a.Data, b.Data, c.Data
+	cd := c.Data
 
 	// Choose a row granularity that gives each worker a few thousand
 	// multiply-adds at minimum.
@@ -59,60 +87,28 @@ func Gemm(transA, transB bool, alpha float32, a, b *Tensor, beta float32, c *Ten
 	switch {
 	case !transA && !transB:
 		par.ForGrain(m, grain, func(lo, hi int) {
-			kernel.GemmNN(hi-lo, n, k, alpha, ad[lo*k:hi*k], bd, beta, cd[lo*n:hi*n])
+			kern.nn(hi-lo, n, k, alpha, ad[lo*k:hi*k], bd, beta, cd[lo*n:hi*n])
 		})
 	case transA && !transB:
 		// op(A) row i is column i of the [k, m] array ad (row stride ca).
 		par.ForGrain(m, grain, func(lo, hi int) {
-			kernel.GemmTN(hi-lo, n, k, alpha, ad, ca, lo, bd, beta, cd[lo*n:hi*n])
+			kern.tn(hi-lo, n, k, alpha, ad, ca, lo, bd, beta, cd[lo*n:hi*n])
 		})
 	case !transA && transB:
 		par.ForGrain(m, grain, func(lo, hi int) {
-			kernel.GemmNT(hi-lo, n, k, alpha, ad[lo*k:hi*k], bd, beta, cd[lo*n:hi*n])
+			kern.nt(hi-lo, n, k, alpha, ad[lo*k:hi*k], bd, beta, cd[lo*n:hi*n])
 		})
-	default: // transA && transB
+	default: // transA && transB: no layer lowers onto it; widen and run the strided loop
+		af, bf := kern.widen(ad), kern.widen(bd)
 		par.ForGrain(m, grain, func(lo, hi int) {
-			kernel.GemmTT(hi-lo, n, k, alpha, ad, ca, lo, bd, cb, beta, cd[lo*n:hi*n])
+			kernel.GemmTT(hi-lo, n, k, alpha, af, ca, lo, bf, cb, beta, cd[lo*n:hi*n])
 		})
 	}
 }
 
-// MatVec returns y = A·x for A [m,n] and x [n]. Each output element is one
-// fixed-tree kernel dot product, so y is deterministic for any chunking.
-func MatVec(a, x *Tensor) *Tensor {
-	m, n := mustMatrix("MatVec A", a)
-	if x.Numel() != n {
-		panic(fmt.Sprintf("tensor: MatVec: A is [%d,%d], x has %d elements", m, n, x.Numel()))
+func mustMatrix(op, operand string, shape []int) (rows, cols int) {
+	if len(shape) != 2 {
+		panic(fmt.Sprintf("tensor: %s %s: want matrix, got shape %v", op, operand, shape))
 	}
-	defer kernel.StartPhase(kernel.PhaseGemm).End()
-	y := New(m)
-	ad, xd, yd := a.Data, x.Data, y.Data
-	par.ForGrain(m, 32, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			yd[i] = kernel.PairwiseDot(ad[i*n:(i+1)*n], xd)
-		}
-	})
-	return y
-}
-
-// Transpose returns a new [n,m] tensor holding the transpose of a [m,n].
-func Transpose(a *Tensor) *Tensor {
-	m, n := mustMatrix("Transpose", a)
-	t := New(n, m)
-	ad, td := a.Data, t.Data
-	par.ForGrain(m, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := 0; j < n; j++ {
-				td[j*m+i] = ad[i*n+j]
-			}
-		}
-	})
-	return t
-}
-
-func mustMatrix(op string, t *Tensor) (rows, cols int) {
-	if t.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: %s: want matrix, got shape %v", op, t.Shape))
-	}
-	return t.Shape[0], t.Shape[1]
+	return shape[0], shape[1]
 }
