@@ -99,9 +99,10 @@
 // as the master, momentum SGD or LARS per -method — on its own shard
 // gradients, and the fleet averages weights only at every H-th step. The
 // communication volume scales by exactly 1/H (the final report's comm
-// counters match comm.ExpectedLocalSGDStats counter-for-counter), bought
-// with inter-sync weight drift; H=1 is bit-identical to not passing the
-// flag at all. With -per-node set, -intra-sync-every Hi adds cheap
+// counters match comm.ExpectedLocalSGDTierStats at the run's topology —
+// for a flat fleet, its ExpectedLocalSGDStats view — counter-for-counter),
+// bought with inter-sync weight drift; H=1 is bit-identical to not passing
+// the flag at all. With -per-node set, -intra-sync-every Hi adds cheap
 // intra-node weight averages every Hi steps between the rare full rounds
 // (Hi must divide H), attributed to the intra tier in the tiers line.
 // Elastic membership composes: evictions and joins land only on window

@@ -36,6 +36,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -211,22 +212,27 @@ func (c *Checkpoint) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read deserializes a checkpoint.
+// Read deserializes a checkpoint. The input is untrusted (cmd/serve
+// -checkpoint, Load): every count in it is a claim, so nothing is allocated
+// ahead of the bytes that back it — a forged section size costs one read
+// chunk, not the size it names — and every failure is a "checkpoint:" error.
 func Read(r io.Reader) (*Checkpoint, error) {
 	br := bufio.NewReader(r)
 	var u32 uint32
-	readU32 := func() (uint32, error) {
-		err := binary.Read(br, binary.LittleEndian, &u32)
-		return u32, err
+	readU32 := func(what string) (uint32, error) {
+		if err := binary.Read(br, binary.LittleEndian, &u32); err != nil {
+			return 0, fmt.Errorf("checkpoint: reading %s: %w", what, err)
+		}
+		return u32, nil
 	}
-	m, err := readU32()
+	m, err := readU32("magic")
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: reading magic: %w", err)
+		return nil, err
 	}
 	if m != magic {
 		return nil, fmt.Errorf("checkpoint: bad magic %#x", m)
 	}
-	v, err := readU32()
+	v, err := readU32("version")
 	if err != nil {
 		return nil, err
 	}
@@ -235,9 +241,9 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	}
 	c := &Checkpoint{}
 	if err := binary.Read(br, binary.LittleEndian, &c.Step); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("checkpoint: reading step: %w", err)
 	}
-	count, err := readU32()
+	count, err := readU32("section count")
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +252,7 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("checkpoint: implausible section count %d", count)
 	}
 	for i := uint32(0); i < count; i++ {
-		nameLen, err := readU32()
+		nameLen, err := readU32("name length")
 		if err != nil {
 			return nil, err
 		}
@@ -255,23 +261,47 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		}
 		name := make([]byte, nameLen)
 		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("checkpoint: reading section name: %w", err)
 		}
-		n, err := readU32()
+		n, err := readU32("section size")
 		if err != nil {
 			return nil, err
 		}
-		data := make([]float32, n)
-		raw := make([]byte, 4*int(n))
-		if _, err := io.ReadFull(br, raw); err != nil {
-			return nil, err
-		}
-		for j := range data {
-			data[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*j:]))
+		data, err := readFloats(br, n)
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint: section %q claims %d values: %w", name, n, err)
 		}
 		c.Add(string(name), data)
 	}
 	return c, nil
+}
+
+// readChunk is how many values readFloats takes on trust at a time: 256 KiB
+// of payload.
+const readChunk = 1 << 16
+
+// readFloats reads n little-endian float32 values, growing the result with
+// the data actually delivered: each read allocates room for at most as many
+// values as have already arrived (one readChunk to start), so a truncated or
+// forged section fails at the first short read having cost a small multiple
+// of the bytes it did carry. (n stays a uint32 throughout: 4·n does not fit
+// an int on 32-bit hosts.)
+func readFloats(r io.Reader, n uint32) ([]float32, error) {
+	data := make([]float32, 0, min(n, readChunk))
+	raw := make([]byte, 4*min(n, readChunk))
+	for left := n; left > 0; {
+		k := min(left, readChunk)
+		if _, err := io.ReadFull(r, raw[:4*k]); err != nil {
+			return nil, err
+		}
+		have := len(data)
+		data = slices.Grow(data, int(min(left, uint32(max(have, readChunk)))))[:have+int(k)]
+		for j := range data[have:] {
+			data[have+j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*j:]))
+		}
+		left -= k
+	}
+	return data, nil
 }
 
 // Save writes the checkpoint to path atomically (write to temp + rename).

@@ -352,13 +352,13 @@ func TestHierarchicalEstimate(t *testing.T) {
 	if h.Nodes != 4 || h.PerNode != 8 || h.Intra != dist.Ring || h.Inter != dist.Tree {
 		t.Fatalf("DGXPod hierarchy = %+v", h)
 	}
-	if want := comm.ExpectedTierStats(h, resnet.WeightBytes()); est.TierComm != want {
+	if want := comm.ExpectedTierStats(h, nil, resnet.WeightBytes()); est.TierComm != want {
 		t.Fatalf("TierComm = %+v, want %+v", est.TierComm, want)
 	}
 	if est.Comm != est.TierComm.Total() {
 		t.Fatalf("Comm %+v != TierComm total %+v", est.Comm, est.TierComm.Total())
 	}
-	want := comm.HierarchicalAllreduceTime(c.IntraNetwork, c.Network, h, resnet.WeightBytes())
+	want := comm.AllreduceTime(c.IntraNetwork, c.Network, h, nil, resnet.WeightBytes())
 	if est.CommSec != want {
 		t.Fatalf("CommSec = %v, want two-fabric price %v", est.CommSec, want)
 	}
@@ -471,7 +471,7 @@ func TestSimulateElasticHierarchicalNodeDrain(t *testing.T) {
 	if last.Devices != 24 {
 		t.Fatalf("final world %d, want 24 (one chassis drained)", last.Devices)
 	}
-	want := comm.DegradedHierarchicalAllreduceTime(c.IntraNetwork, c.Network,
+	want := comm.AllreduceTime(c.IntraNetwork, c.Network,
 		dist.Hierarchy{Nodes: 4, PerNode: 8, Intra: c.IntraAlgo, Inter: c.Algo},
 		[]int{8, 8, 8}, spec.WeightBytes())
 	if math.Abs(last.CommSec-want) > 1e-12 {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"repro/internal/comm"
-	"repro/internal/dist"
 	"repro/internal/models"
 )
 
@@ -57,7 +56,8 @@ func SimulateLocalSGD(c Cluster, spec *models.ModelSpec, batch, epochs, datasetS
 	if intraSyncEvery < 0 || (intraSyncEvery > 0 && syncEvery%intraSyncEvery != 0) {
 		panic("cluster: intraSyncEvery must divide syncEvery")
 	}
-	if _, tiered := c.Hierarchy(); intraSyncEvery > 0 && !tiered {
+	h, tiered := c.Hierarchy()
+	if intraSyncEvery > 0 && !tiered {
 		panic("cluster: intraSyncEvery requires a hierarchical cluster (PerNode > 1)")
 	}
 	c.Overlap = false
@@ -78,15 +78,13 @@ func SimulateLocalSGD(c Cluster, spec *models.ModelSpec, batch, epochs, datasetS
 		e.IntraSec = pricePhase(c, spec, batch, c.Count).CommSec
 	}
 	// A weight average runs the same schedule as a gradient allreduce —
-	// only the payload's meaning differs — so the run's counters are one
-	// round's, times the rounds: every round crosses the intra tier, only
-	// the full ones reach the node leaders.
-	round := e.TierComm
-	e.Comm = scaleStats(e.Comm, e.SyncRounds)
-	e.Comm.Add(scaleStats(round.Intra, e.IntraRounds))
-	e.TierComm = dist.TierStats{
-		Intra: scaleStats(round.Intra, e.SyncRounds+e.IntraRounds),
-		Inter: scaleStats(round.Inter, e.SyncRounds),
+	// only the payload's meaning differs — so the run's counters are the
+	// local-SGD closed form over the cluster's topology: every round
+	// crosses the intra tier, only the full ones reach the node leaders.
+	tiers := comm.ExpectedLocalSGDTierStats(h, nil, syncEvery, intraSyncEvery, e.Iterations, int(spec.ParamCount()), 0, nil)
+	e.Comm = tiers.Total()
+	if tiered {
+		e.TierComm = tiers
 	}
 
 	// Sync rounds are barriers: total time is every step's compute plus
@@ -108,15 +106,6 @@ func SimulateLocalSGD(c Cluster, spec *models.ModelSpec, batch, epochs, datasetS
 		e.Speedup = base / e.StepSec
 	}
 	return e
-}
-
-// scaleStats multiplies every counter of one round's schedule by the round
-// count.
-func scaleStats(s dist.CommStats, rounds int64) dist.CommStats {
-	return dist.CommStats{
-		Messages: s.Messages * rounds, Bytes: s.Bytes * rounds, Steps: s.Steps * rounds,
-		Retries: s.Retries * rounds, Stalls: s.Stalls * rounds,
-	}
 }
 
 // LocalSGDCurve sweeps the synchronization period: one estimate per H in

@@ -69,14 +69,14 @@ const backwardShare = 2.0 / 3
 
 // Hierarchy returns the node layout the cluster prices, and whether PerNode
 // groups the devices into nodes (PerNode > 1); it panics if PerNode does not
-// divide Count. This is the one place the flat-versus-hierarchical question
-// is answered: a flat cluster is the Count × 1 layout — every device its own
-// node, Algo the exchange among them, the intra tier empty — so the pricer
-// below knows a single topology and flat clusters differ only in reporting
-// no tier split.
+// divide Count. This is the one place the cluster answers the
+// flat-versus-hierarchical question: a flat cluster is dist.Flat — every
+// device its own node, Algo the exchange among them, the intra tier empty —
+// so the pricer below knows a single topology and flat clusters differ only
+// in reporting no tier split.
 func (c Cluster) Hierarchy() (h dist.Hierarchy, tiered bool) {
 	if c.PerNode <= 1 {
-		return dist.Hierarchy{Nodes: c.Count, PerNode: 1, Intra: c.IntraAlgo, Inter: c.Algo}, false
+		return dist.Flat(c.Algo, c.Count), false
 	}
 	if c.Count%c.PerNode != 0 {
 		panic(fmt.Sprintf("cluster: %d devices do not fill nodes of %d", c.Count, c.PerNode))
@@ -216,19 +216,14 @@ func pricePhase(c Cluster, spec *models.ModelSpec, batch, world int) Estimate {
 	e.CompSec = float64(e.LocalBatch) * float64(spec.TrainFLOPsPerImage()) / (c.Machine.PeakFLOPS * eff)
 
 	h, tiered := c.Hierarchy()
-	sizes := make([]int, 0, (world+h.PerNode-1)/h.PerNode)
-	for left := world; left > 0; left -= h.PerNode {
-		sizes = append(sizes, min(h.PerNode, left))
-	}
-	live := dist.Hierarchy{Nodes: len(sizes), PerNode: sizes[0], Intra: h.Intra, Inter: h.Inter}
+	sizes := h.FrontFilled(world)
 	bytes := spec.WeightBytes()
-	tiers := comm.ExpectedDegradedTierStats(h, sizes, bytes)
+	tiers := comm.ExpectedTierStats(h, sizes, bytes)
 	e.Comm = tiers.Total()
 	if tiered {
 		e.TierComm = tiers
 	}
-	e.CommSec = c.IntraNetwork.AllreduceTime(live.Intra, live.PerNode, bytes) +
-		c.Network.AllreduceTime(live.Inter, live.Nodes, bytes)
+	e.CommSec = comm.AllreduceTime(c.IntraNetwork, c.Network, h, sizes, bytes)
 	if c.Overlap {
 		// Bucket-level overlap: pipeline the bucket allreduces against
 		// the backward pass, each tier on its own fabric, and expose only
@@ -242,7 +237,7 @@ func pricePhase(c Cluster, spec *models.ModelSpec, batch, world int) Estimate {
 		}
 		serial := e.CommSec
 		e.BackwardSec = backwardShare * e.CompSec
-		e.Buckets = comm.HierOverlapSchedule(c.IntraNetwork, c.Network, live, comm.EqualBuckets(bytes, k), e.BackwardSec)
+		e.Buckets = comm.OverlapSchedule(c.IntraNetwork, c.Network, h, sizes, comm.EqualBuckets(bytes, k), e.BackwardSec)
 		e.CommSec = comm.ExposedTime(e.Buckets, e.BackwardSec)
 		e.HiddenCommSec = serial - e.CommSec
 	}

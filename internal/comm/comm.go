@@ -8,13 +8,25 @@
 // internal/dist executes for real — so the measured byte/message counters
 // from dist can be cross-checked against these formulas in tests.
 //
+// The collective closed forms come in two layers. Two per-tier primitives
+// hold the only per-algorithm arithmetic: ExpectedStats(algo, p, B), the
+// counters of one allreduce among p workers, and Network.AllreduceTime(algo,
+// p, B), its alpha-beta price. Everything else is one family over a fleet
+// description (h dist.Hierarchy, sizes []int) — sizes the live-worker count
+// of every surviving node, nil meaning full strength, a flat world written
+// dist.Flat(algo, p): ExpectedTierStats, AllreduceTime, ExpectedOverlapStats,
+// OverlapSchedule / OverlappedAllreduceTime and ExpectedLocalSGDTierStats.
+// There is no flat, hierarchical or degraded variant of any of them: a flat
+// world's intra tier is empty (an allreduce among one worker moves nothing
+// and costs nothing), a full fleet is the uniform size list, and a world
+// that shrank or grew is the size list it has now.
+//
 // Every closed form here is independent of the engine's reduction policy
 // (dist.Config.Reduction): CanonicalF64 and PairwiseF32 change only the
 // summation arithmetic inside a worker, never the message schedule, so the
-// same ExpectedStats/ExpectedTierStats/ExpectedOverlapStats twins hold for
-// both. The *compute* side of the hot loop is measured, not modeled: the
-// per-step phase profiler (dist.ProfileStats, the HotLoop study) reports
-// where step wall time actually goes.
+// same closed forms hold for both. The *compute* side of the hot loop is
+// measured, not modeled: the per-step phase profiler (dist.ProfileStats,
+// the HotLoop study) reports where step wall time actually goes.
 package comm
 
 import (
@@ -43,13 +55,10 @@ func Table11() []Network {
 	return []Network{MellanoxFDR, IntelQDR, Intel10GbE}
 }
 
-// PointToPoint returns the time to move one message of the given size.
-func (n Network) PointToPoint(bytes int64) float64 {
-	return n.Alpha + float64(bytes)*n.Beta
-}
-
-// AllreduceTime prices one gradient allreduce of `bytes` payload across p
-// workers under the given algorithm:
+// AllreduceTime is the per-tier price primitive: one gradient allreduce of
+// `bytes` payload among the p workers of a single tier on this fabric, under
+// the given algorithm (the package-level AllreduceTime composes two of these
+// into a fleet's price):
 //
 //	Central: 2(P−1)·(α + Bβ)        — serialized at the parameter server
 //	Tree:    2·⌈log₂P⌉·(α + Bβ)     — Table 2's log(P) model
@@ -84,20 +93,12 @@ func ceilLog2(p int) int {
 	return n
 }
 
-// MessagesPerAllreduce returns the total point-to-point message count of
-// one allreduce (sum + broadcast) under the algorithm, matching what
-// internal/dist's counters record. It is the Messages column of
-// ExpectedStats (Central/Tree: 2(P−1); Ring: reduce-scatter and allgather
-// at P messages per step for 2(P−1) steps, plus the paired binomial
-// weight broadcast).
-func MessagesPerAllreduce(algo dist.Algorithm, p int) int64 {
-	return ExpectedStats(algo, p, 0).Messages
-}
-
-// ExpectedStats returns the closed-form dist.CommStats of one full
-// allreduce (gradient sum + weight broadcast) of a payloadBytes payload
-// across p workers — the analytic twin of the counters internal/dist
-// records while executing the same schedule, cross-checked in tests:
+// ExpectedStats is the per-tier counter primitive: the closed-form
+// dist.CommStats of one full allreduce (gradient sum + weight broadcast) of a
+// payloadBytes payload among the p workers of a single tier — derived
+// independently of internal/dist's schedule tables and cross-checked against
+// the counters its collectives record (ExpectedTierStats composes two of
+// these into a fleet's schedule):
 //
 //	Central: msgs 2(P−1), bytes 2(P−1)·B, steps 2(P−1)
 //	Tree:    msgs 2(P−1), bytes 2(P−1)·B, steps 2⌈log₂P⌉
@@ -128,49 +129,72 @@ func ExpectedStats(algo dist.Algorithm, p int, payloadBytes int64) dist.CommStat
 }
 
 // ExpectedTierStats returns the closed-form per-tier schedule of one full
-// hierarchical allreduce (intra-node reduce, inter-node exchange among the
-// node leaders, broadcast back down) of a payloadBytes payload — the
+// allreduce (intra-node reduce, exchange among the node leaders, broadcast
+// back down) of a payloadBytes payload over the fleet (h, sizes) — the
 // analytic twin of the per-tier counters internal/dist records when
 // executing the same composed schedule, cross-checked exactly in tests.
 //
-// Each tier is the closed form of its own flat allreduce: the intra tier
-// is ExpectedStats(h.Intra, h.PerNode, B) with messages and bytes summed
-// over the h.Nodes concurrent per-node groups (latency rounds counted
-// once — the nodes run on disjoint fabrics), and the inter tier is
-// ExpectedStats(h.Inter, h.Nodes, B) among the leaders.
-func ExpectedTierStats(h dist.Hierarchy, payloadBytes int64) dist.TierStats {
-	intra := ExpectedStats(h.Intra, h.PerNode, payloadBytes)
-	intra.Messages *= int64(h.Nodes)
-	intra.Bytes *= int64(h.Nodes)
-	return dist.TierStats{Intra: intra, Inter: ExpectedStats(h.Inter, h.Nodes, payloadBytes)}
+// Each tier is ExpectedStats of its own allreduce: the intra tier sums
+// ExpectedStats(h.Intra, size, B) messages and bytes over the concurrent
+// per-node groups, with latency rounds counted once — the nodes run on
+// disjoint fabrics, so the largest one paces the tier — and the inter tier
+// is ExpectedStats(h.Inter, ·, B) among the leaders of the surviving nodes
+// (a node that lost all its workers has left the exchange). For a flat world
+// (dist.Flat) the intra tier is zero and the inter tier is the primitive at
+// the live world size, whether that world is the one the run started with,
+// what evictions left of it, or what joins grew it to; restoration is
+// degradation run backwards.
+func ExpectedTierStats(h dist.Hierarchy, sizes []int, payloadBytes int64) dist.TierStats {
+	if sizes == nil {
+		sizes = h.FrontFilled(h.Workers())
+	}
+	var intra dist.CommStats
+	for _, p := range sizes {
+		s := ExpectedStats(h.Intra, p, payloadBytes)
+		intra.Messages += s.Messages
+		intra.Bytes += s.Bytes
+		intra.Steps = max(intra.Steps, s.Steps)
+	}
+	return dist.TierStats{Intra: intra, Inter: ExpectedStats(h.Inter, len(sizes), payloadBytes)}
 }
 
-// HierarchicalAllreduceTime prices one two-tier allreduce of `bytes`
-// payload: the intra-node phases (reduce on the way up, fan-out on the way
-// down) on the intra fabric, concurrently across nodes, plus the leader
-// exchange on the inter fabric —
-//
-//	T = T_intra(h.Intra, h.PerNode) + T_inter(h.Inter, h.Nodes)
-//
-// with each term the corresponding flat AllreduceTime. This is the
-// composition the paper's fastest clusters exploit: the P-worker flat cost
-// on the slow fabric is replaced by a PerNode-sized cost on the fast local
-// fabric plus an Nodes-sized cost on the slow one.
-func HierarchicalAllreduceTime(intra, inter Network, h dist.Hierarchy, bytes int64) float64 {
-	return intra.AllreduceTime(h.Intra, h.PerNode, bytes) + inter.AllreduceTime(h.Inter, h.Nodes, bytes)
+// tierWorlds returns the two world sizes that price the fleet (h, sizes):
+// the largest surviving node (nodes run concurrently on disjoint fabrics, so
+// it paces the intra tier) and the number of surviving nodes (the leader
+// exchange's world).
+func tierWorlds(h dist.Hierarchy, sizes []int) (intra, inter int) {
+	if sizes == nil {
+		return h.PerNode, h.Nodes
+	}
+	for _, p := range sizes {
+		intra = max(intra, p)
+	}
+	return intra, len(sizes)
 }
 
-// TimeFromTierStats prices a recorded (or expected) two-tier schedule with
-// each tier on its own fabric, using the same aggregate alpha-beta view as
-// TimeFromStats.
-func TimeFromTierStats(intra, inter Network, t dist.TierStats) float64 {
-	return intra.TimeFromStats(t.Intra) + inter.TimeFromStats(t.Inter)
+// AllreduceTime prices one allreduce of `bytes` payload over the fleet
+// (h, sizes) with each tier on its own fabric: the intra-node phases (reduce
+// on the way up, fan-out on the way down), concurrent across nodes, plus
+// the leader exchange —
+//
+//	T = intra.AllreduceTime(h.Intra, largest node) + inter.AllreduceTime(h.Inter, surviving nodes)
+//
+// This is the composition the paper's fastest clusters exploit: the P-worker
+// cost on the slow fabric is replaced by a PerNode-sized cost on the fast
+// local fabric plus a Nodes-sized cost on the slow one. A flat world's first
+// term is exactly zero (one worker per node), so its price is the per-tier
+// primitive on the inter fabric and the intra fabric is never consulted.
+func AllreduceTime(intra, inter Network, h dist.Hierarchy, sizes []int, bytes int64) float64 {
+	largest, nodes := tierWorlds(h, sizes)
+	return intra.AllreduceTime(h.Intra, largest, bytes) + inter.AllreduceTime(h.Inter, nodes, bytes)
 }
 
 // TimeFromStats prices a recorded (or expected) schedule on the fabric
 // using the aggregate alpha-beta view: every latency round costs Alpha and
-// every payload byte costs Beta. It complements AllreduceTime, which models
-// the per-worker critical path rather than the aggregate traffic.
+// every payload byte costs Beta — applied to one tier's counters (or, for
+// single-fabric comparisons, to TierStats.Total()). It complements
+// AllreduceTime, which models the per-worker critical path rather than the
+// aggregate traffic.
 func (n Network) TimeFromStats(s dist.CommStats) float64 {
 	return float64(s.Steps)*n.Alpha + float64(s.Bytes)*n.Beta
 }
@@ -188,7 +212,7 @@ func Iterations(epochs, datasetSize, batch int) int64 {
 // P-dependent; the paper's simplified analysis treats it as proportional to
 // iterations, which holds for fixed algorithm and P.
 func TotalMessages(algo dist.Algorithm, p, epochs, datasetSize, batch int) int64 {
-	return Iterations(epochs, datasetSize, batch) * MessagesPerAllreduce(algo, p)
+	return Iterations(epochs, datasetSize, batch) * ExpectedStats(algo, p, 0).Messages
 }
 
 // TotalVolumeBytes returns Figure 10's series: the paper's communication

@@ -31,14 +31,6 @@ func TestTable11Profiles(t *testing.T) {
 	}
 }
 
-func TestPointToPoint(t *testing.T) {
-	got := IntelQDR.PointToPoint(1000)
-	want := 1.2e-6 + 1000*0.3e-9
-	if math.Abs(got-want) > 1e-15 {
-		t.Fatalf("PointToPoint = %v, want %v", got, want)
-	}
-}
-
 func TestCeilLog2(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1024: 10, 2048: 11}
 	for p, want := range cases {
@@ -141,8 +133,9 @@ func TestTotalMessagesFigure9(t *testing.T) {
 	}
 }
 
-// TestMessagesMatchDistCounters cross-checks the analytic message count
-// against the real data movement performed by internal/dist.
+// TestMessagesMatchDistCounters cross-checks Figure 9's message model — one
+// iteration's worth of TotalMessages — against the real data movement
+// performed by internal/dist.
 func TestMessagesMatchDistCounters(t *testing.T) {
 	for _, algo := range []dist.Algorithm{dist.Central, dist.Tree, dist.Ring} {
 		for _, p := range []int{2, 3, 4, 8} {
@@ -157,7 +150,7 @@ func TestMessagesMatchDistCounters(t *testing.T) {
 			var stats dist.CommStats
 			dist.Reduce(algo, bufs, &stats)
 			dist.Broadcast(algo, bufs, &stats)
-			if got, want := stats.Messages, MessagesPerAllreduce(algo, p); got != want {
+			if got, want := stats.Messages, TotalMessages(algo, p, 1, 1, 1); got != want {
 				t.Errorf("%v P=%d: dist moved %d messages, model says %d", algo, p, got, want)
 			}
 		}
@@ -207,7 +200,7 @@ func TestExpectedTierStatsMatchHierCollectives(t *testing.T) {
 		var tiers dist.TierStats
 		dist.HierReduce(h, bufs, &tiers)
 		dist.HierBroadcast(h, bufs, &tiers)
-		if want := ExpectedTierStats(h, 4*n); tiers != want {
+		if want := ExpectedTierStats(h, nil, 4*n); tiers != want {
 			t.Errorf("%v: dist recorded %+v, model says %+v", h, tiers, want)
 		}
 	}
@@ -218,10 +211,10 @@ func TestExpectedTierStatsMatchHierCollectives(t *testing.T) {
 func TestHierarchicalAllreduceTimeComposes(t *testing.T) {
 	h := dist.NewHierarchy(8, 4)
 	const bytes = 10 << 20
-	got := HierarchicalAllreduceTime(MellanoxFDR, Intel10GbE, h, bytes)
+	got := AllreduceTime(MellanoxFDR, Intel10GbE, h, nil, bytes)
 	want := MellanoxFDR.AllreduceTime(dist.Ring, 4, bytes) + Intel10GbE.AllreduceTime(dist.Tree, 8, bytes)
 	if math.Abs(got-want) > 1e-15 {
-		t.Fatalf("HierarchicalAllreduceTime = %v, want %v", got, want)
+		t.Fatalf("AllreduceTime = %v, want %v", got, want)
 	}
 }
 
@@ -235,23 +228,10 @@ func TestHierarchyBeatsFlatOnSlowInterFabric(t *testing.T) {
 	h := dist.Hierarchy{Nodes: 8, PerNode: 8, Intra: dist.Ring, Inter: dist.Ring}
 	for _, bytes := range []int64{1 << 10, 100 << 20} {
 		flat := Intel10GbE.AllreduceTime(dist.Ring, 64, bytes)
-		hier := HierarchicalAllreduceTime(nvlink, Intel10GbE, h, bytes)
+		hier := AllreduceTime(nvlink, Intel10GbE, h, nil, bytes)
 		if hier >= flat {
 			t.Errorf("bytes=%d: hierarchical %v should beat flat %v on the slow fabric", bytes, hier, flat)
 		}
-	}
-}
-
-// TestTimeFromTierStatsPricesPerFabric: each tier must be priced on its own
-// alpha-beta profile.
-func TestTimeFromTierStatsPricesPerFabric(t *testing.T) {
-	ts := dist.TierStats{
-		Intra: dist.CommStats{Steps: 4, Bytes: 1 << 20},
-		Inter: dist.CommStats{Steps: 6, Bytes: 2 << 20},
-	}
-	want := MellanoxFDR.TimeFromStats(ts.Intra) + Intel10GbE.TimeFromStats(ts.Inter)
-	if got := TimeFromTierStats(MellanoxFDR, Intel10GbE, ts); math.Abs(got-want) > 1e-15 {
-		t.Fatalf("TimeFromTierStats = %v, want %v", got, want)
 	}
 }
 

@@ -5,7 +5,7 @@ package comm
 // only at sync boundaries — floor(steps/H) full weight-averaging rounds,
 // each a reduce plus a broadcast of the flat parameter vector — so every
 // counter scales by exactly 1/H relative to the every-step path whenever H
-// divides the step count. The hierarchical variant adds intra-node-only
+// divides the step count. Hierarchical local SGD adds intra-node-only
 // rounds between full boundaries, accounted on the intra tier alone.
 //
 // The formulas mirror the engine's executed schedules bucket by bucket
@@ -61,81 +61,46 @@ func scaleStats(s dist.CommStats, rounds int64) dist.CommStats {
 	}
 }
 
-// ExpectedLocalSGDStats returns the closed-form communication counters of
-// a flat local-SGD run: steps local steps across p workers with
-// synchronization period syncEvery, the nelems-coordinate parameter vector
-// bucketed into bucketElems chunks (0 = one bucket), each worker's payload
-// priced by wire (nil = raw float32). Per full round every bucket costs
-// one reduce of the wire payload plus one broadcast of the raw float32
-// weights — the exact schedules the engine records — and the run performs
-// floor(steps/syncEvery) rounds:
-//
-//	stats(H) = floor(steps/H) · Σ_buckets [reduce(algo, p, wire(n_b)) + bcast(algo, p, 4·n_b)]
-//
-// so bytes scale as 1/H whenever H divides steps. At syncEvery = 1 this
-// equals the measured counters of the every-step gradient path with the
-// same bucketing (weight averages and gradient reductions run the same
-// schedule — only the payload's meaning differs).
-func ExpectedLocalSGDStats(algo dist.Algorithm, p, syncEvery int, steps int64, nelems, bucketElems int, wire WireSizer) dist.CommStats {
-	if wire == nil {
-		wire = RawWire
-	}
-	var round dist.CommStats
-	for _, b := range dist.BucketRanges(nelems, bucketElems) {
-		n := b[1] - b[0]
-		round.Add(dist.ReduceSchedule(algo, p, wire(n)))
-		round.Add(dist.BroadcastSchedule(algo, p, 4*int64(n)))
-	}
-	return scaleStats(round, LocalSGDSyncRounds(steps, syncEvery))
-}
-
 // ExpectedLocalSGDTierStats returns the closed-form per-tier counters of a
-// hierarchical local-SGD run: full two-tier averaging rounds every
-// syncEvery steps plus intra-node-only rounds every intraSyncEvery steps
-// in between (0 disables them). A full round prices the two-tier reduce of
-// the wire payload plus the two-tier broadcast of the raw weights, bucket
-// by bucket; an intra-only round prices the same round's intra components
-// exclusively — the leaders never exchange, so the inter tier accumulates
-// nothing between full boundaries.
-func ExpectedLocalSGDTierStats(h dist.Hierarchy, syncEvery, intraSyncEvery int, steps int64, nelems, bucketElems int, wire WireSizer) dist.TierStats {
+// local-SGD run over the fleet (h, sizes): steps local steps with full
+// averaging rounds every syncEvery steps plus intra-node-only rounds every
+// intraSyncEvery steps in between (0 disables them), the nelems-coordinate
+// parameter vector bucketed into bucketElems chunks (0 = one bucket), each
+// worker's payload priced by wire (nil = raw float32). Per full round every
+// bucket costs one two-tier reduce of the wire payload plus one two-tier
+// broadcast of the raw float32 weights — the exact schedules the engine
+// records — and the run performs floor(steps/syncEvery) of them:
+//
+//	stats(H) = floor(steps/H) · Σ_buckets [reduce(wire(n_b)) + bcast(4·n_b)]
+//
+// so bytes scale as 1/H whenever H divides steps. An intra-only round
+// prices the same round's intra components exclusively — the leaders never
+// exchange, so the inter tier accumulates nothing between full boundaries
+// (and a flat world, whose intra tier is empty, nothing at all). At
+// syncEvery = 1 this equals the measured counters of the every-step
+// gradient path with the same bucketing (weight averages and gradient
+// reductions run the same schedule — only the payload's meaning differs).
+func ExpectedLocalSGDTierStats(h dist.Hierarchy, sizes []int, syncEvery, intraSyncEvery int, steps int64, nelems, bucketElems int, wire WireSizer) dist.TierStats {
 	if wire == nil {
 		wire = RawWire
 	}
-	var full, intra dist.TierStats
+	var round dist.TierStats
 	for _, b := range dist.BucketRanges(nelems, bucketElems) {
 		n := b[1] - b[0]
-		r := dist.HierReduceSchedule(h, wire(n))
-		bc := dist.HierBroadcastSchedule(h, 4*int64(n))
-		full.Add(r)
-		full.Add(bc)
-		intra.Add(dist.TierStats{Intra: r.Intra})
-		intra.Add(dist.TierStats{Intra: bc.Intra})
+		round.Add(dist.HierReduceSchedule(h, sizes, wire(n)))
+		round.Add(dist.HierBroadcastSchedule(h, sizes, 4*int64(n)))
 	}
 	fullRounds := LocalSGDSyncRounds(steps, syncEvery)
-	intraRounds := LocalSGDIntraRounds(steps, syncEvery, intraSyncEvery)
 	return dist.TierStats{
-		Intra: addStats(scaleStats(full.Intra, fullRounds), scaleStats(intra.Intra, intraRounds)),
-		Inter: scaleStats(full.Inter, fullRounds),
+		Intra: scaleStats(round.Intra, fullRounds+LocalSGDIntraRounds(steps, syncEvery, intraSyncEvery)),
+		Inter: scaleStats(round.Inter, fullRounds),
 	}
 }
 
-// addStats sums two schedules.
-func addStats(a, b dist.CommStats) dist.CommStats {
-	a.Add(b)
-	return a
-}
-
-// LocalSGDStepTime prices the amortized per-step wall time of a local-SGD
-// configuration on one fabric: compSec of computation every step plus one
-// full allreduce of `bytes` every syncEvery steps,
-//
-//	t(H) = compSec + AllreduceTime(algo, p, bytes)/H
-//
-// — the communication-for-computation tradeoff cmd/simulate sweeps. No
-// overlap term: sync rounds are barriers, nothing hides.
-func (n Network) LocalSGDStepTime(algo dist.Algorithm, p int, bytes int64, syncEvery int, compSec float64) float64 {
-	if syncEvery < 1 {
-		syncEvery = 1
-	}
-	return compSec + n.AllreduceTime(algo, p, bytes)/float64(syncEvery)
+// ExpectedLocalSGDStats is the aggregate view of ExpectedLocalSGDTierStats
+// for a flat p-worker world with no intermediate tier — the form the
+// every-step and flat local-SGD cross-checks (core.Train's Result.Comm,
+// benchmark/'s mirror) compare a CommStats against.
+func ExpectedLocalSGDStats(algo dist.Algorithm, p, syncEvery int, steps int64, nelems, bucketElems int, wire WireSizer) dist.CommStats {
+	return ExpectedLocalSGDTierStats(dist.Flat(algo, p), nil, syncEvery, 0, steps, nelems, bucketElems, wire).Total()
 }

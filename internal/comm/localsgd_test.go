@@ -70,9 +70,9 @@ func TestLocalSGDTierStatsNesting(t *testing.T) {
 	h := dist.NewHierarchy(4, 8)
 	const nelems, steps = 25_000, 16
 
-	plain := ExpectedLocalSGDTierStats(h, 8, 0, steps, nelems, 0, nil)
-	round := dist.HierReduceSchedule(h, 4*int64(nelems))
-	round.Add(dist.HierBroadcastSchedule(h, 4*int64(nelems)))
+	plain := ExpectedLocalSGDTierStats(h, nil, 8, 0, steps, nelems, 0, nil)
+	round := dist.HierReduceSchedule(h, nil, 4*int64(nelems))
+	round.Add(dist.HierBroadcastSchedule(h, nil, 4*int64(nelems)))
 	want := dist.TierStats{
 		Intra: dist.CommStats{Messages: round.Intra.Messages * 2, Bytes: round.Intra.Bytes * 2, Steps: round.Intra.Steps * 2},
 		Inter: dist.CommStats{Messages: round.Inter.Messages * 2, Bytes: round.Inter.Bytes * 2, Steps: round.Inter.Steps * 2},
@@ -81,7 +81,7 @@ func TestLocalSGDTierStatsNesting(t *testing.T) {
 		t.Fatalf("no-intra closed form %+v, want 2 full rounds %+v", plain, want)
 	}
 
-	layered := ExpectedLocalSGDTierStats(h, 8, 2, steps, nelems, 0, nil)
+	layered := ExpectedLocalSGDTierStats(h, nil, 8, 2, steps, nelems, 0, nil)
 	if layered.Inter != plain.Inter {
 		t.Fatalf("intra rounds leaked onto the inter tier: %+v vs %+v", layered.Inter, plain.Inter)
 	}
@@ -89,28 +89,8 @@ func TestLocalSGDTierStatsNesting(t *testing.T) {
 		t.Fatalf("intra rounds added no intra traffic: %+v vs %+v", layered.Intra, plain.Intra)
 	}
 
-	fp16 := ExpectedLocalSGDTierStats(h, 8, 0, steps, nelems, 0, FP16Wire)
+	fp16 := ExpectedLocalSGDTierStats(h, nil, 8, 0, steps, nelems, 0, FP16Wire)
 	if fp16.Inter.Bytes >= plain.Inter.Bytes || fp16.Intra.Bytes >= plain.Intra.Bytes {
 		t.Fatalf("fp16 wire did not shrink the schedule: %+v vs %+v", fp16, plain)
-	}
-}
-
-// TestLocalSGDStepTime: the amortized step-time model divides only the
-// communication term by H, so it decreases monotonically toward the
-// compute floor.
-func TestLocalSGDStepTime(t *testing.T) {
-	const comp = 0.050
-	bytes := int64(100 << 20)
-	prev := MellanoxFDR.LocalSGDStepTime(dist.Ring, 64, bytes, 1, comp)
-	every := comp + MellanoxFDR.AllreduceTime(dist.Ring, 64, bytes)
-	if prev != every {
-		t.Fatalf("H=1 step time %v, want the every-step %v", prev, every)
-	}
-	for _, h := range []int{2, 4, 8, 64} {
-		cur := MellanoxFDR.LocalSGDStepTime(dist.Ring, 64, bytes, h, comp)
-		if cur >= prev || cur <= comp {
-			t.Fatalf("H=%d step time %v not between compute floor %v and previous %v", h, cur, comp, prev)
-		}
-		prev = cur
 	}
 }

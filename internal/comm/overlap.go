@@ -10,31 +10,15 @@ import "repro/internal/dist"
 
 // ExpectedOverlapStats returns the closed-form dist.OverlapStats of one
 // overlapped training step (bucketed gradient reduce plus weight broadcast)
-// of a raw-float32 gradient across p workers — the analytic twin of
+// of a raw-float32 gradient over the fleet (h, sizes) — the analytic twin of
 // Engine.StepOverlapStats under Config.Overlap, cross-checked exactly in
 // tests. paramElems lists the per-parameter coordinate counts in Params()
 // order and bucketElems the engine's Config.BucketElems; the split follows
-// the engine's structural rule: a bucket's reduction hides inside the
-// backward pass unless the bucket covers parameter 0, whose gradient is the
-// last to land; broadcasts are always exposed.
-func ExpectedOverlapStats(algo dist.Algorithm, p int, paramElems []int, bucketElems int) dist.OverlapStats {
-	return expectedOverlap(paramElems, bucketElems,
-		func(payload int64) dist.CommStats { return dist.ReduceSchedule(algo, p, payload) },
-		func(payload int64) dist.CommStats { return dist.BroadcastSchedule(algo, p, payload) })
-}
-
-// ExpectedHierOverlapStats is ExpectedOverlapStats for a two-tier
-// hierarchical engine (Config.Topology): per bucket the aggregate of the
-// per-tier reduce schedule hides, the hierarchical broadcast is exposed.
-func ExpectedHierOverlapStats(h dist.Hierarchy, paramElems []int, bucketElems int) dist.OverlapStats {
-	return expectedOverlap(paramElems, bucketElems,
-		func(payload int64) dist.CommStats { return dist.HierReduceSchedule(h, payload).Total() },
-		func(payload int64) dist.CommStats { return dist.HierBroadcastSchedule(h, payload).Total() })
-}
-
-// expectedOverlap walks the engine's bucket layout classifying each bucket
-// by the structural rule shared with Engine.mapBuckets.
-func expectedOverlap(paramElems []int, bucketElems int, reduce, broadcast func(int64) dist.CommStats) dist.OverlapStats {
+// the engine's structural rule: a bucket's reduction (the aggregate of its
+// per-tier reduce schedule) hides inside the backward pass unless the bucket
+// covers parameter 0, whose gradient is the last to land; broadcasts are
+// always exposed.
+func ExpectedOverlapStats(h dist.Hierarchy, sizes []int, paramElems []int, bucketElems int) dist.OverlapStats {
 	total := 0
 	for _, n := range paramElems {
 		total += n
@@ -42,18 +26,17 @@ func expectedOverlap(paramElems []int, bucketElems int, reduce, broadcast func(i
 	var o dist.OverlapStats
 	for _, b := range dist.BucketRanges(total, bucketElems) {
 		payload := 4 * int64(b[1]-b[0])
+		r := dist.HierReduceSchedule(h, sizes, payload).Total()
 		// Hidden unless the bucket covers parameter 0 (the last gradient
 		// to land): its low coordinate falls inside the first parameter.
-		hidden := len(paramElems) > 0 && b[0] >= paramElems[0]
-		r := reduce(payload)
-		if hidden {
+		if len(paramElems) > 0 && b[0] >= paramElems[0] {
 			o.HiddenRounds += r.Steps
 			o.HiddenBytes += r.Bytes
 		} else {
 			o.ExposedRounds += r.Steps
 			o.ExposedBytes += r.Bytes
 		}
-		bc := broadcast(payload)
+		bc := dist.HierBroadcastSchedule(h, sizes, payload).Total()
 		o.ExposedRounds += bc.Steps
 		o.ExposedBytes += bc.Bytes
 	}
@@ -99,58 +82,35 @@ type BucketTiming struct {
 	Hidden bool
 }
 
-// OverlapSchedule pipelines the bucketed allreduces of one iteration
-// against a backward pass of backwardSec seconds on a single fabric. Each
-// bucket's backward share is proportional to its payload; buckets become
-// ready from the tail of the gradient forwards (the order backward
-// produces them) and their allreduces serialize on the fabric in that
-// order. A bucket's communication is priced as its byte share of the
-// full-payload AllreduceTime: consecutive buckets pipeline their latency
-// rounds back-to-back on the fabric, so bucketing amortizes the alpha terms
-// rather than multiplying them — the bucket costs sum exactly to the serial
+// OverlapSchedule pipelines the bucketed allreduces of one iteration over
+// the fleet (h, sizes) against a backward pass of backwardSec seconds, each
+// tier priced on its own fabric. Each bucket's backward share is
+// proportional to its payload; buckets become ready from the tail of the
+// gradient forwards (the order backward produces them) and flow through two
+// stages in that order: the intra-node reduce serializes on the intra
+// fabric, the leader exchange on the inter fabric, and — the pipelining the
+// composed topology enables — the inter exchange of bucket k overlaps the
+// intra reduce of bucket k+1, since the two tiers occupy disjoint fabrics.
+// A flat world's first stage costs exactly zero, leaving one fabric.
+//
+// A bucket's cost on a tier is its byte share of that tier's full-payload
+// AllreduceTime: consecutive buckets pipeline their latency rounds
+// back-to-back on the fabric, so bucketing amortizes the alpha terms rather
+// than multiplying them — the bucket costs sum exactly to the serial
 // allreduce time, and splitting finer only enables overlap, never adds
 // cost. The returned timeline is in bucket index order; ExposedTime gives
 // the exposed remainder.
-func OverlapSchedule(n Network, algo dist.Algorithm, p int, bucketBytes []int64, backwardSec float64) []BucketTiming {
-	full := n.AllreduceTime(algo, p, sumBytes(bucketBytes))
-	return overlapSchedule(bucketBytes, backwardSec,
-		func(share float64) (float64, float64) { return 0, full * share })
-}
-
-// HierOverlapSchedule is OverlapSchedule for a two-tier hierarchy with each
-// tier priced on its own fabric: bucket k's intra-node reduce runs on the
-// intra fabric, its leader exchange on the inter fabric, and — the
-// pipelining the composed topology enables — the inter exchange of bucket k
-// overlaps the intra reduce of bucket k+1, since the two tiers occupy
-// disjoint fabrics. As in OverlapSchedule, each tier's per-bucket cost is
-// the bucket's byte share of that tier's full-payload time.
-func HierOverlapSchedule(intra, inter Network, h dist.Hierarchy, bucketBytes []int64, backwardSec float64) []BucketTiming {
-	total := sumBytes(bucketBytes)
-	fullIntra := intra.AllreduceTime(h.Intra, h.PerNode, total)
-	fullInter := inter.AllreduceTime(h.Inter, h.Nodes, total)
-	return overlapSchedule(bucketBytes, backwardSec,
-		func(share float64) (float64, float64) { return fullIntra * share, fullInter * share })
-}
-
-// sumBytes totals a bucket layout's payload.
-func sumBytes(bucketBytes []int64) int64 {
+func OverlapSchedule(intra, inter Network, h dist.Hierarchy, sizes []int, bucketBytes []int64, backwardSec float64) []BucketTiming {
 	var total int64
 	for _, b := range bucketBytes {
 		total += b
 	}
-	return total
-}
-
-// overlapSchedule runs the two-stage pipeline: stage one (intra, zero for
-// flat schedules) and stage two (inter / the whole flat allreduce) each
-// serialize on their own fabric, buckets flowing through in readiness
-// order. price maps a bucket's byte share of the payload to its two stage
-// costs.
-func overlapSchedule(bucketBytes []int64, backwardSec float64, price func(float64) (float64, float64)) []BucketTiming {
-	total := sumBytes(bucketBytes)
+	largest, nodes := tierWorlds(h, sizes)
+	fullIntra := intra.AllreduceTime(h.Intra, largest, total)
+	fullInter := inter.AllreduceTime(h.Inter, nodes, total)
 	out := make([]BucketTiming, len(bucketBytes))
 	var produced int64
-	var stage1Free, stage2Free float64
+	var intraFree, interFree float64
 	for j := len(bucketBytes) - 1; j >= 0; j-- {
 		produced += bucketBytes[j]
 		ready := backwardSec
@@ -159,23 +119,15 @@ func overlapSchedule(bucketBytes []int64, backwardSec float64, price func(float6
 			ready = backwardSec * float64(produced) / float64(total)
 			share = float64(bucketBytes[j]) / float64(total)
 		}
-		c1, c2 := price(share)
-		start := ready
-		if stage1Free > start {
-			start = stage1Free
-		}
-		stage1Free = start + c1
-		s2 := stage1Free
-		if stage2Free > s2 {
-			s2 = stage2Free
-		}
-		stage2Free = s2 + c2
+		start := max(ready, intraFree)
+		intraFree = start + fullIntra*share
+		interFree = max(intraFree, interFree) + fullInter*share
 		out[j] = BucketTiming{
 			Bytes:    bucketBytes[j],
 			ReadySec: ready,
 			StartSec: start,
-			DoneSec:  stage2Free,
-			Hidden:   stage2Free <= backwardSec,
+			DoneSec:  interFree,
+			Hidden:   interFree <= backwardSec,
 		}
 	}
 	return out
@@ -197,18 +149,12 @@ func ExposedTime(timeline []BucketTiming, backwardSec float64) float64 {
 }
 
 // OverlappedAllreduceTime prices the exposed communication of one bucketed
-// gradient allreduce overlapped with a backwardSec backward pass on a
-// single fabric — the bucket-level replacement for the old
+// gradient allreduce over the fleet (h, sizes), overlapped with a
+// backwardSec backward pass — the bucket-level replacement for the old
 // max(0, t_comm − t_comp/2) heuristic. The whole backward, not half the
 // iteration's compute, is the hideable window, and only what the pipeline
 // cannot fit inside it (at minimum the bucket covering the first layers,
 // which is ready only when the backward ends) is exposed.
-func (n Network) OverlappedAllreduceTime(algo dist.Algorithm, p int, bucketBytes []int64, backwardSec float64) float64 {
-	return ExposedTime(OverlapSchedule(n, algo, p, bucketBytes, backwardSec), backwardSec)
-}
-
-// OverlappedHierAllreduceTime is OverlappedAllreduceTime for a two-tier
-// hierarchy with per-fabric pricing and cross-tier bucket pipelining.
-func OverlappedHierAllreduceTime(intra, inter Network, h dist.Hierarchy, bucketBytes []int64, backwardSec float64) float64 {
-	return ExposedTime(HierOverlapSchedule(intra, inter, h, bucketBytes, backwardSec), backwardSec)
+func OverlappedAllreduceTime(intra, inter Network, h dist.Hierarchy, sizes []int, bucketBytes []int64, backwardSec float64) float64 {
+	return ExposedTime(OverlapSchedule(intra, inter, h, sizes, bucketBytes, backwardSec), backwardSec)
 }

@@ -15,7 +15,7 @@ func TestExpectedOverlapStatsClosedForm(t *testing.T) {
 	paramElems := []int{10, 50, 40}
 	const p, bucketElems = 4, 25
 	for _, algo := range []dist.Algorithm{dist.Central, dist.Tree, dist.Ring} {
-		got := ExpectedOverlapStats(algo, p, paramElems, bucketElems)
+		got := ExpectedOverlapStats(dist.Flat(algo, p), nil, paramElems, bucketElems)
 		var want dist.OverlapStats
 		for _, b := range dist.BucketRanges(100, bucketElems) {
 			payload := 4 * int64(b[1]-b[0])
@@ -55,12 +55,12 @@ func TestExpectedHierOverlapStatsPartition(t *testing.T) {
 	h := dist.NewHierarchy(2, 4)
 	paramElems := []int{16, 64, 20}
 	const bucketElems = 30
-	got := ExpectedHierOverlapStats(h, paramElems, bucketElems)
+	got := ExpectedOverlapStats(h, nil, paramElems, bucketElems)
 	var wantRounds, wantBytes int64
 	for _, b := range dist.BucketRanges(100, bucketElems) {
 		payload := 4 * int64(b[1]-b[0])
-		tot := dist.HierReduceSchedule(h, payload).Total()
-		bc := dist.HierBroadcastSchedule(h, payload).Total()
+		tot := dist.HierReduceSchedule(h, nil, payload).Total()
+		bc := dist.HierBroadcastSchedule(h, nil, payload).Total()
 		wantRounds += tot.Steps + bc.Steps
 		wantBytes += tot.Bytes + bc.Bytes
 	}
@@ -79,7 +79,7 @@ func TestOverlapSchedulePipeline(t *testing.T) {
 	n := Network{Name: "test", Alpha: 1e-6, Beta: 1e-9}
 	buckets := EqualBuckets(40e6, 8)
 	const backward = 0.050
-	tl := OverlapSchedule(n, dist.Ring, 64, buckets, backward)
+	tl := OverlapSchedule(Network{}, n, dist.Flat(dist.Ring, 64), nil, buckets, backward)
 	if len(tl) != 8 {
 		t.Fatalf("timeline has %d buckets, want 8", len(tl))
 	}
@@ -134,7 +134,7 @@ func TestOverlappedBeatsOldHeuristic(t *testing.T) {
 			// Sweep compute from comm-bound through compute-bound.
 			for _, comp := range []float64{serial / 4, serial / 2, serial, 1.5 * serial, 4 * serial} {
 				backward := 2.0 / 3 * comp
-				exposed := n.OverlappedAllreduceTime(algo, p, buckets, backward)
+				exposed := OverlappedAllreduceTime(Network{}, n, dist.Flat(algo, p), nil, buckets, backward)
 				if exposed < 0 {
 					t.Fatalf("%s %v: negative exposure %v", n.Name, algo, exposed)
 				}
@@ -161,16 +161,16 @@ func TestHierOverlapCrossTierPipelining(t *testing.T) {
 	buckets := EqualBuckets(100e6, 16)
 	var serial float64
 	for _, b := range buckets {
-		serial += HierarchicalAllreduceTime(intra, inter, h, b)
+		serial += AllreduceTime(intra, inter, h, nil, b)
 	}
 	// Even with a zero backward window the cross-tier pipeline beats the
 	// serial composition: tier k+1's intra reduce rides under tier k's
 	// inter exchange.
-	zeroWin := OverlappedHierAllreduceTime(intra, inter, h, buckets, 0)
+	zeroWin := OverlappedAllreduceTime(intra, inter, h, nil, buckets, 0)
 	if zeroWin >= serial {
 		t.Fatalf("cross-tier pipelining saved nothing: %.6f vs serial %.6f", zeroWin, serial)
 	}
-	withWin := OverlappedHierAllreduceTime(intra, inter, h, buckets, serial)
+	withWin := OverlappedAllreduceTime(intra, inter, h, nil, buckets, serial)
 	if withWin >= zeroWin {
 		t.Fatalf("a backward window must hide more: %.6f vs %.6f", withWin, zeroWin)
 	}

@@ -38,16 +38,6 @@ func ServeBatchSize(cfg serve.Config, gap serve.Ticks) int {
 	return int(cfg.MaxDelay/gap) + 1
 }
 
-// ServeSaturationRate returns the maximum sustainable request rate of one
-// replica at batch size b, in requests per second: b / S(b).
-func ServeSaturationRate(m serve.ServiceModel, b int) float64 {
-	s := m.BatchTicks(b)
-	if s == 0 {
-		return 0
-	}
-	return float64(b) / (float64(s) / serve.TicksPerSecond)
-}
-
 // ExpectedServeStats prices a run of n uniform-gap requests exactly,
 // counter-for-counter: the returned Stats must Equal the measured stats of
 // serve.Simulate(cfg, serve.UniformTrace(n, gap, …)) — percentiles,

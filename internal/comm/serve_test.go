@@ -125,17 +125,3 @@ func TestExpectedServeStatsRefusals(t *testing.T) {
 		t.Fatal("model accepted gap 0")
 	}
 }
-
-// Saturation rate: one replica at batch 4 with S(4)=1300µs sustains
-// 4/1300µs ≈ 3076.9 req/s.
-func TestServeSaturationRate(t *testing.T) {
-	m := serve.ServiceModel{Base: 500, PerImage: 200}
-	got := ServeSaturationRate(m, 4)
-	want := 4.0 / (1300.0 / serve.TicksPerSecond)
-	if got != want {
-		t.Fatalf("saturation rate %v, want %v", got, want)
-	}
-	if ServeSaturationRate(serve.ServiceModel{}, 4) != 0 {
-		t.Fatal("zero service model should price to 0")
-	}
-}

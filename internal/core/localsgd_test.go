@@ -160,8 +160,8 @@ func TestLocalSGDHierTierComm(t *testing.T) {
 	for _, p := range cfg.Model(1).Params() {
 		nelems += p.Numel()
 	}
-	want := comm.ExpectedLocalSGDTierStats(hier, 4, 2, res.Iterations, nelems, 0, nil)
-	init := dist.HierBroadcastSchedule(hier, 4*int64(nelems)) // construction sync
+	want := comm.ExpectedLocalSGDTierStats(hier, nil, 4, 2, res.Iterations, nelems, 0, nil)
+	init := dist.HierBroadcastSchedule(hier, nil, 4*int64(nelems)) // construction sync
 	want.Add(init)
 	if res.TierComm != want {
 		t.Fatalf("measured tiers %+v, closed form %+v", res.TierComm, want)

@@ -70,7 +70,7 @@ func ReduceWith(algo Algorithm, policy Reduction, bufs [][]float32, stats *CommS
 		}
 	}
 	if stats != nil {
-		stats.Add(reduceSchedule(algo, p, 4*int64(n)))
+		stats.Add(ReduceSchedule(algo, p, 4*int64(n)))
 	}
 }
 
@@ -88,7 +88,7 @@ func Broadcast(algo Algorithm, bufs [][]float32, stats *CommStats) {
 		fanOut(bufs)
 	}
 	if stats != nil {
-		stats.Add(broadcastSchedule(algo, p, 4*int64(n)))
+		stats.Add(BroadcastSchedule(algo, p, 4*int64(n)))
 	}
 }
 

@@ -211,13 +211,14 @@ func ceilLog2(p int) int64 {
 	return n
 }
 
-// reduceSchedule returns the schedule cost of one reduction of a
-// payloadBytes payload across p workers: the gradient-sum phase only
-// (pair with broadcastSchedule for a full allreduce). For Ring the
-// "reduction" is a reduce-scatter plus allgather, which already leaves the
-// result on every worker; its paired broadcast is the binomial weight
-// broadcast the engine issues after the optimizer step.
-func reduceSchedule(algo Algorithm, p int, payloadBytes int64) CommStats {
+// ReduceSchedule returns the closed-form schedule of one reduction of a
+// payloadBytes payload across p workers — the gradient-sum phase only
+// (pair with BroadcastSchedule for a full allreduce), exactly the counters
+// the engine records per bucket and tier. For Ring the "reduction" is a
+// reduce-scatter plus allgather, which already leaves the result on every
+// worker; its paired broadcast is the binomial weight broadcast the engine
+// issues after the optimizer step.
+func ReduceSchedule(algo Algorithm, p int, payloadBytes int64) CommStats {
 	if p <= 1 {
 		return CommStats{}
 	}
@@ -253,9 +254,9 @@ func reduceSchedule(algo Algorithm, p int, payloadBytes int64) CommStats {
 	}
 }
 
-// broadcastSchedule returns the schedule cost of distributing a
+// BroadcastSchedule returns the closed-form schedule of distributing a
 // payloadBytes payload from the root to the other p−1 workers.
-func broadcastSchedule(algo Algorithm, p int, payloadBytes int64) CommStats {
+func BroadcastSchedule(algo Algorithm, p int, payloadBytes int64) CommStats {
 	if p <= 1 {
 		return CommStats{}
 	}
@@ -270,7 +271,7 @@ func broadcastSchedule(algo Algorithm, p int, payloadBytes int64) CommStats {
 	case Tree, Ring:
 		// Binomial broadcast: the set of informed workers doubles each
 		// round. Ring pairs its allreduce with the same binomial weight
-		// broadcast (matching comm.MessagesPerAllreduce's arithmetic).
+		// broadcast (matching comm.ExpectedStats' arithmetic).
 		return CommStats{
 			Messages: int64(p - 1),
 			Bytes:    int64(p-1) * payloadBytes,
@@ -282,7 +283,7 @@ func broadcastSchedule(algo Algorithm, p int, payloadBytes int64) CommStats {
 }
 
 // reduceBytesFactor returns the schedule's aggregate bytes per payload byte:
-// reduceSchedule(algo, p, B).Bytes == reduceBytesFactor(algo, p) * B. The
+// ReduceSchedule(algo, p, B).Bytes == reduceBytesFactor(algo, p) * B. The
 // engine's codec accounting uses it to price non-uniform wire payloads
 // exactly (multiply the summed wire bytes first, divide by the shard count
 // last) instead of truncating a per-shard mean.
@@ -300,22 +301,8 @@ func reduceBytesFactor(algo Algorithm, p int) int64 {
 	}
 }
 
-// ReduceSchedule returns the closed-form schedule of the gradient-sum phase
-// of one reduction of a payloadBytes payload across p workers — exactly the
-// counters the engine records per bucket. Pair with BroadcastSchedule for a
-// full allreduce.
-func ReduceSchedule(algo Algorithm, p int, payloadBytes int64) CommStats {
-	return reduceSchedule(algo, p, payloadBytes)
-}
-
-// BroadcastSchedule returns the closed-form schedule of distributing a
-// payloadBytes payload from the root to the other p−1 workers.
-func BroadcastSchedule(algo Algorithm, p int, payloadBytes int64) CommStats {
-	return broadcastSchedule(algo, p, payloadBytes)
-}
-
 // senderShare returns the message and byte count a single non-root worker
-// originates in one reduceSchedule — the unit of loss re-requested by the
+// originates in one ReduceSchedule — the unit of loss re-requested by the
 // fault-recovery path when that worker's payload is dropped.
 func senderShare(algo Algorithm, p int, payloadBytes int64) (msgs, bytes int64) {
 	if p <= 1 {

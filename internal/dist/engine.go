@@ -322,11 +322,8 @@ func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 		cfg.Shards = len(replicas)
 	}
 	// The one flat-vs-hierarchical decision: a flat world is the P×1
-	// hierarchy. Its intra tier is empty (every schedule over one worker is
-	// zero) and its inter tier is Algo over the live workers, so the
-	// degraded two-tier schedules price it exactly as the flat closed forms
-	// do, at full strength and after evictions alike.
-	topo := Hierarchy{Nodes: len(replicas), PerNode: 1, Inter: cfg.Algo}
+	// hierarchy (see Flat).
+	topo := Flat(cfg.Algo, len(replicas))
 	if cfg.Topology != nil {
 		topo = *cfg.Topology
 	}
@@ -871,7 +868,7 @@ func (e *Engine) reduceBucket(d *Report, bi int, ids []int, bufs [][]float32, we
 // codec payloads are accounted exactly (to the byte) instead of through a
 // truncated per-source mean.
 func (e *Engine) reduceTiers(wireTotal int64, n int) TierStats {
-	t := DegradedHierReduceSchedule(e.topo, e.sizes, 0)
+	t := HierReduceSchedule(e.topo, e.sizes, 0)
 	t.Intra.Bytes = degradedIntraBytesFactor(e.topo, e.sizes) * wireTotal / int64(n)
 	t.Inter.Bytes = reduceBytesFactor(e.topo.Inter, len(e.sizes)) * wireTotal / int64(n)
 	return t
@@ -992,7 +989,7 @@ func (e *Engine) BroadcastWeights() error {
 		}
 		var d Report
 		for _, bucket := range e.buckets {
-			d.file(DegradedHierBroadcastSchedule(e.topo, e.sizes, 4*int64(bucket[1]-bucket[0])), false)
+			d.file(HierBroadcastSchedule(e.topo, e.sizes, 4*int64(bucket[1]-bucket[0])), false)
 		}
 		e.add(d)
 		return nil

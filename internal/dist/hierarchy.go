@@ -24,7 +24,10 @@ import "fmt"
 // same shard split. What changes is the accounting — TierStats splits the
 // schedule into the intra and inter fabrics so each tier can be priced on
 // its own alpha-beta profile (comm.ExpectedTierStats is the closed-form
-// twin, comm.HierarchicalAllreduceTime the two-fabric price).
+// twin, comm.AllreduceTime the two-fabric price).
+//
+// A flat world is not a second kind of topology: it is the P×1 layout
+// (Flat), every worker its own node, the intra tier empty.
 type Hierarchy struct {
 	// Nodes is the node count — the size of the inter tier.
 	Nodes int
@@ -45,8 +48,35 @@ func NewHierarchy(nodes, perNode int) Hierarchy {
 	return Hierarchy{Nodes: nodes, PerNode: perNode, Intra: Ring, Inter: Tree}
 }
 
+// Flat returns a flat p-worker world under algo as the p×1 hierarchy: every
+// worker is its own node and leader, algo is the exchange among them, and
+// the intra tier is empty (every schedule over one worker is zero). It is
+// the one place a flat world is given a layout — NewEngine resolves
+// Config.Algo through it, cluster.Cluster.Hierarchy its flat clusters, and
+// comm's closed forms take nothing else — so the two-tier schedules price a
+// flat world exactly as its own closed forms would, at full strength and
+// after membership changes alike.
+func Flat(algo Algorithm, p int) Hierarchy {
+	return Hierarchy{Nodes: p, PerNode: 1, Inter: algo}
+}
+
 // Workers returns the total worker count, Nodes·PerNode.
 func (h Hierarchy) Workers() int { return h.Nodes * h.PerNode }
+
+// FrontFilled returns the size list of a fleet of `world` live workers
+// seated node by node from the front: full nodes of PerNode, then one partial
+// node, drained nodes absent — the fleet left when workers are lost from
+// the tail (the last node drains first and leaves the inter tier), or, for a
+// flat layout, grown at it (world may exceed Workers: every extra worker is
+// one more node of one). It is the sizes argument of the two-tier schedules
+// and of comm's closed forms for such a fleet.
+func (h Hierarchy) FrontFilled(world int) []int {
+	sizes := make([]int, 0, (world+h.PerNode-1)/h.PerNode)
+	for left := world; left > 0; left -= h.PerNode {
+		sizes = append(sizes, min(h.PerNode, left))
+	}
+	return sizes
+}
 
 // String renders the layout as "NxM intra/inter", e.g. "2x4 ring/tree".
 func (h Hierarchy) String() string {
@@ -87,24 +117,18 @@ func (t TierStats) Total() CommStats {
 	return total
 }
 
-// uniformSizes returns the full-strength node layout: Nodes entries of
-// PerNode live workers each.
-func uniformSizes(h Hierarchy) []int {
-	sizes := make([]int, h.Nodes)
-	for i := range sizes {
-		sizes[i] = h.PerNode
-	}
-	return sizes
-}
-
-// twoTier composes one flat schedule (ReduceSchedule or BroadcastSchedule)
-// over a possibly degraded hierarchy, sizes listing the live-worker count of
-// every surviving (non-empty) node. The intra-node collectives run
-// concurrently on disjoint fabrics, so intra latency rounds are the maximum
-// over nodes while messages and bytes sum; the inter tier is the flat
-// schedule among the len(sizes) surviving node leaders — a node that lost
-// all its workers has left the leader exchange.
+// twoTier composes one per-tier schedule (ReduceSchedule or
+// BroadcastSchedule) over a fleet: sizes lists the live-worker count of every
+// surviving (non-empty) node, nil meaning full strength (h.Nodes nodes of
+// h.PerNode). The intra-node collectives run concurrently on disjoint
+// fabrics, so intra latency rounds are the maximum over nodes while messages
+// and bytes sum; the inter tier is the schedule among the len(sizes)
+// surviving node leaders — a node that lost all its workers has left the
+// leader exchange.
 func twoTier(schedule func(Algorithm, int, int64) CommStats, h Hierarchy, sizes []int, payloadBytes int64) TierStats {
+	if sizes == nil {
+		sizes = h.FrontFilled(h.Workers())
+	}
 	var intra CommStats
 	for _, p := range sizes {
 		s := schedule(h.Intra, p, payloadBytes)
@@ -129,36 +153,22 @@ func degradedIntraBytesFactor(h Hierarchy, sizes []int) int64 {
 	return f
 }
 
-// DegradedHierReduceSchedule returns the closed-form per-tier schedule of
-// one hierarchical gradient reduction over a degraded fleet — exactly the
-// counters the engine records per bucket at any membership, with sizes the
-// live-worker counts of the surviving nodes: concurrent intra-node
-// reductions feeding one inter-node reduction among the node leaders. Pair
-// with DegradedHierBroadcastSchedule for a full degraded allreduce.
-func DegradedHierReduceSchedule(h Hierarchy, sizes []int, payloadBytes int64) TierStats {
-	return twoTier(reduceSchedule, h, sizes, payloadBytes)
-}
-
-// DegradedHierBroadcastSchedule returns the closed-form per-tier schedule
-// of one hierarchical broadcast over a degraded fleet: root to the surviving
-// node leaders on the inter fabric, then every leader fanning out within its
-// node concurrently on the intra fabrics.
-func DegradedHierBroadcastSchedule(h Hierarchy, sizes []int, payloadBytes int64) TierStats {
-	return twoTier(broadcastSchedule, h, sizes, payloadBytes)
-}
-
 // HierReduceSchedule returns the closed-form per-tier schedule of one
-// hierarchical gradient reduction of a payloadBytes payload at full
-// strength. Pair with HierBroadcastSchedule for a full hierarchical
-// allreduce.
-func HierReduceSchedule(h Hierarchy, payloadBytes int64) TierStats {
-	return DegradedHierReduceSchedule(h, uniformSizes(h), payloadBytes)
+// hierarchical gradient reduction of a payloadBytes payload — exactly the
+// counters the engine records per bucket at any membership, with sizes the
+// live-worker counts of the surviving nodes (nil = full strength):
+// concurrent intra-node reductions feeding one inter-node reduction among
+// the node leaders. Pair with HierBroadcastSchedule for a full allreduce.
+func HierReduceSchedule(h Hierarchy, sizes []int, payloadBytes int64) TierStats {
+	return twoTier(ReduceSchedule, h, sizes, payloadBytes)
 }
 
 // HierBroadcastSchedule returns the closed-form per-tier schedule of one
-// hierarchical broadcast of a payloadBytes payload at full strength.
-func HierBroadcastSchedule(h Hierarchy, payloadBytes int64) TierStats {
-	return DegradedHierBroadcastSchedule(h, uniformSizes(h), payloadBytes)
+// hierarchical broadcast over the same fleet description: root to the
+// surviving node leaders on the inter fabric, then every leader fanning out
+// within its node concurrently on the intra fabrics.
+func HierBroadcastSchedule(h Hierarchy, sizes []int, payloadBytes int64) TierStats {
+	return twoTier(BroadcastSchedule, h, sizes, payloadBytes)
 }
 
 // degradedSenderShare returns the tier-attributed resend traffic of one
@@ -214,7 +224,7 @@ func HierReduce(h Hierarchy, bufs [][]float32, tiers *TierStats) {
 		}
 	}
 	if tiers != nil {
-		tiers.Add(HierReduceSchedule(h, 4*int64(n)))
+		tiers.Add(HierReduceSchedule(h, nil, 4*int64(n)))
 	}
 }
 
@@ -228,6 +238,6 @@ func HierBroadcast(h Hierarchy, bufs [][]float32, tiers *TierStats) {
 		fanOut(bufs)
 	}
 	if tiers != nil {
-		tiers.Add(HierBroadcastSchedule(h, 4*int64(n)))
+		tiers.Add(HierBroadcastSchedule(h, nil, 4*int64(n)))
 	}
 }

@@ -138,7 +138,7 @@ func TestEngineHierStepStatsMatchExpected(t *testing.T) {
 		tiers := e.StepTierStats()
 		step := e.StepStats()
 		e.Close()
-		want := comm.ExpectedTierStats(h, payload)
+		want := comm.ExpectedTierStats(h, nil, payload)
 		if tiers != want {
 			t.Errorf("%v: measured tiers %+v, want closed form %+v", h, tiers, want)
 		}

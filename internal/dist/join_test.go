@@ -76,8 +76,8 @@ func TestJoinRebalanceIdentity(t *testing.T) {
 // TestRejoinAfterEvictionIdentity: a preempted worker that was already
 // evicted returns — the full preemptible-node round trip. Post-rejoin
 // steps are bit-identical to a fresh engine at the restored world size,
-// and the clean post-rejoin schedule matches ExpectedStatsAt with a
-// negative eviction count (the grown-world closed form).
+// and the clean post-rejoin schedule matches the closed form at the
+// restored world.
 func TestRejoinAfterEvictionIdentity(t *testing.T) {
 	x, labels, factory := testTask(64)
 	payload := int64(4 * factory(1).NumParams())
@@ -119,9 +119,9 @@ func TestRejoinAfterEvictionIdentity(t *testing.T) {
 		}
 	}
 	// Steps 6-8 were clean steps at the restored world 4: the measured
-	// schedule is the grown-world closed form (one worker "evicted" from a
-	// notional world of 3 — i.e. evicted = −1).
-	if got, want := elastic.StepStats(), comm.ExpectedStatsAt(dist.Tree, 3, -1, payload); got != want {
+	// schedule is the closed form at the live world, which is all a grown
+	// world is.
+	if got, want := elastic.StepStats(), comm.ExpectedStats(dist.Tree, 4, payload); got != want {
 		t.Fatalf("post-rejoin step stats %+v, want grown-world closed form %+v", got, want)
 	}
 	m := elastic.Membership()
@@ -137,8 +137,8 @@ func TestRejoinAfterEvictionIdentity(t *testing.T) {
 }
 
 // TestGrowShrinkGrowClosedForms walks a full grow-shrink-grow membership
-// timeline and checks that comm's one closed form — ExpectedStatsAt with
-// positive, zero and negative eviction counts — matches the measured step
+// timeline and checks that comm's one closed form — ExpectedStats at the
+// live world, whichever way the fleet got there — matches the measured step
 // counters exactly at every world size, and that the membership histogram
 // stays consistent throughout.
 func TestGrowShrinkGrowClosedForms(t *testing.T) {
@@ -169,13 +169,9 @@ func TestGrowShrinkGrowClosedForms(t *testing.T) {
 		if got := e.LiveWorkers(); got != w {
 			t.Fatalf("step %d: world %d, want %d", step, got, w)
 		}
-		if got, want := e.StepStats(), comm.ExpectedStatsAt(dist.Tree, 5, 5-w, payload); got != want {
+		if got, want := e.StepStats(), comm.ExpectedStats(dist.Tree, w, payload); got != want {
 			t.Fatalf("step %d (world %d): step stats %+v, want closed form %+v", step, w, got, want)
 		}
-	}
-	// The grown-world closed form is the full-strength schedule at p+|k|.
-	if got, want := comm.ExpectedStatsAt(dist.Tree, 4, -1, payload), comm.ExpectedStats(dist.Tree, 5, payload); got != want {
-		t.Fatalf("ExpectedStatsAt(4, -1) = %+v, want ExpectedStats(5) = %+v", got, want)
 	}
 	m := e.Membership()
 	if m.Joins != 2 || m.Evictions != 1 {
@@ -286,10 +282,10 @@ func TestHierarchyNodeRejoinRestoresInterTier(t *testing.T) {
 	// The restored fleet's per-tier schedule is exactly the full-strength
 	// closed form — and the degraded closed form at restored sizes agrees.
 	tiers := e.StepTierStats()
-	if want := comm.ExpectedTierStats(h, payload); tiers != want {
+	if want := comm.ExpectedTierStats(h, nil, payload); tiers != want {
 		t.Fatalf("restored tier stats %+v, want full-strength closed form %+v", tiers, want)
 	}
-	if want := comm.ExpectedDegradedTierStats(h, []int{2, 2}, payload); tiers != want {
+	if want := comm.ExpectedTierStats(h, []int{2, 2}, payload); tiers != want {
 		t.Fatalf("restored tier stats %+v, want degraded closed form at restored sizes %+v", tiers, want)
 	}
 }

@@ -209,7 +209,7 @@ func (e *Engine) intraSyncRound(active []int) {
 	}
 	for bi, b := range e.buckets {
 		t := TierStats{Intra: e.reduceTiers(e.transform(bi, active, e.localBuf), len(active)).Intra}
-		t.Intra.Add(DegradedHierBroadcastSchedule(e.topo, e.sizes, 4*int64(b[1]-b[0])).Intra)
+		t.Intra.Add(HierBroadcastSchedule(e.topo, e.sizes, 4*int64(b[1]-b[0])).Intra)
 		d.file(t, false)
 	}
 	sp := kernel.StartPhase(kernel.PhaseReduce)

@@ -183,10 +183,10 @@ func TestLocalSGDHierarchicalCounters(t *testing.T) {
 				}
 			}
 			nelems := flatLen(e)
-			want := comm.ExpectedLocalSGDTierStats(hier, tc.h, tc.hi, steps, nelems, 0, nil)
+			want := comm.ExpectedLocalSGDTierStats(hier, nil, tc.h, tc.hi, steps, nelems, 0, nil)
 			got := e.TierStats()
 			// Drop the construction-time broadcast from the intra/inter split.
-			init := dist.HierBroadcastSchedule(hier, 4*int64(nelems))
+			init := dist.HierBroadcastSchedule(hier, nil, 4*int64(nelems))
 			got.Intra = subStats(got.Intra, init.Intra)
 			got.Inter = subStats(got.Inter, init.Inter)
 			if got != want {

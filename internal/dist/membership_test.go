@@ -151,7 +151,7 @@ func TestHierarchyTierShrinkOnEviction(t *testing.T) {
 	if tiers.Inter != (dist.CommStats{}) {
 		t.Fatalf("inter tier still carries traffic after its only peer node left: %+v", tiers.Inter)
 	}
-	want := comm.ExpectedDegradedTierStats(h, []int{2}, payload)
+	want := comm.ExpectedTierStats(h, []int{2}, payload)
 	if tiers != want {
 		t.Fatalf("degraded tier stats %+v, want closed form %+v", tiers, want)
 	}
@@ -311,7 +311,8 @@ func TestUnevenSpansRebalanceSmallWorld(t *testing.T) {
 
 // TestMembershipAccounting: MembershipStats counts evictions, rebalanced
 // shards and resynchronization bytes, files every step under the world size
-// it executed at, and the post-eviction schedule matches ExpectedStatsAt.
+// it executed at, and the post-eviction schedule matches comm.ExpectedStats
+// at the surviving world.
 func TestMembershipAccounting(t *testing.T) {
 	x, labels, factory := testTask(64)
 	payload := int64(4 * factory(1).NumParams())
@@ -347,8 +348,8 @@ func TestMembershipAccounting(t *testing.T) {
 		t.Fatalf("timeline %q, want %q", got, want)
 	}
 	// A clean post-eviction step prices exactly like a fresh P−1 fleet.
-	if got, want := e.StepStats(), comm.ExpectedStatsAt(dist.Tree, 4, 1, payload); got != want {
-		t.Fatalf("post-eviction step stats %+v, want ExpectedStatsAt %+v", got, want)
+	if got, want := e.StepStats(), comm.ExpectedStats(dist.Tree, 3, payload); got != want {
+		t.Fatalf("post-eviction step stats %+v, want the P−1 closed form %+v", got, want)
 	}
 	sm := e.StepReport().Membership
 	if sm.Evictions != 0 || sm.StepsAtWorld[3] != 1 {

@@ -141,7 +141,7 @@ func TestOverlapSplitEqualsStats(t *testing.T) {
 
 // TestOverlapStatsMatchExpected is the closed-form acceptance criterion:
 // one clean overlapped step's measured hidden/exposed split must equal
-// comm.ExpectedOverlapStats (or its hierarchical twin) exactly.
+// comm.ExpectedOverlapStats at the configuration's topology exactly.
 func TestOverlapStatsMatchExpected(t *testing.T) {
 	x, labels, factory := testTask(64)
 	var paramElems []int
@@ -161,13 +161,11 @@ func TestOverlapStatsMatchExpected(t *testing.T) {
 			}
 			got := e.StepOverlapStats()
 			e.Close()
-			var want dist.OverlapStats
+			h := dist.Flat(cfg.Algo, 4)
 			if cfg.Topology != nil {
-				want = comm.ExpectedHierOverlapStats(*cfg.Topology, paramElems, bucketElems)
-			} else {
-				want = comm.ExpectedOverlapStats(cfg.Algo, 4, paramElems, bucketElems)
+				h = *cfg.Topology
 			}
-			if got != want {
+			if want := comm.ExpectedOverlapStats(h, nil, paramElems, bucketElems); got != want {
 				t.Errorf("%+v bucket=%d: measured overlap %+v, want closed form %+v", cfg, bucketElems, got, want)
 			}
 		}

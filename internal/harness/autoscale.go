@@ -16,9 +16,9 @@ import (
 // (joins, evictions, how many were involuntary), its reaction time in
 // trace intervals, the worst backlog it let build, and the dollar bill
 // against the baseline. The model column cross-checks every phase's
-// closed-form schedule (comm.ExpectedStatsAt with evicted running negative
-// at grown worlds) — the same identity the engine's measured counters
-// satisfy after joins. Everything is exact arithmetic on a fixed trace, so
+// closed-form schedule (comm.ExpectedTierStats at the phase's world, shrunk
+// or grown) — the same identity the engine's measured counters satisfy
+// after evictions and joins. Everything is exact arithmetic on a fixed trace, so
 // the docs-drift job regenerates this section bit-identically.
 func AutoscaleStudy() (*Table, error) {
 	const (
@@ -61,12 +61,13 @@ func AutoscaleStudy() (*Table, error) {
 		{"util 0.8, cooldown 2", cluster.AutoscalePolicy{Min: 2, Max: 8, TargetUtilization: 0.8, CooldownIntervals: 2, USDPerDeviceHour: usdPerHour}},
 		{"backlog 30s", cluster.AutoscalePolicy{Min: 2, Max: 8, MaxBacklogSec: 30, USDPerDeviceHour: usdPerHour}},
 	}
+	h, _ := c.Hierarchy()
 	for _, p := range policies {
 		est := cluster.SimulateAutoscale(c, spec, batch, intervalSec, trace, p.pol)
 		match := "exact"
 		maxBacklog := 0.0
 		for _, ph := range est.Phases {
-			if want := comm.ExpectedStatsAt(c.Algo, c.Count, c.Count-ph.Devices, spec.WeightBytes()); ph.Comm != want {
+			if want := comm.ExpectedTierStats(h, h.FrontFilled(ph.Devices), spec.WeightBytes()).Total(); ph.Comm != want {
 				match = fmt.Sprintf("DRIFT @%d: want %+v", ph.Interval, want)
 			}
 			if ph.BacklogSec > maxBacklog {
@@ -90,7 +91,7 @@ func AutoscaleStudy() (*Table, error) {
 	t.Note("Capacity at every world size is the same per-iteration phase pricing SimulateElastic uses (efficiency curve + alpha-beta collective), so growing from %d devices buys sublinear throughput — the collective's cost grows with the world.", c.Count)
 	t.Note("The first row pins Min = Max with no scaling rule: the preempted device is never replaced, so even a \"static\" fleet needs the control plane to hold its size — and it still runs 8%% under the static-Max bill it is benchmarked against.")
 	t.Note("The preemption at interval 8 lands mid-surge: the utilization policies replace the lost device at the next decision, the cluster-scale mirror of the engine's evict-then-join grid (tested bit-identical there).")
-	t.Note("The model column replays every interval against comm.ExpectedStatsAt at that world — evicted runs negative once the fleet grows past its starting size — and \"exact\" means every counter matches.")
+	t.Note("The model column replays every interval against comm.ExpectedTierStats at that world — one size list whether the fleet has shrunk below or grown past its starting size — and \"exact\" means every counter matches.")
 	t.Note("vs static: dollar cost relative to pinning Max devices for the whole trace; the gap is what the control plane is worth on this trace.")
 	return t, nil
 }

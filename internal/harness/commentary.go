@@ -35,7 +35,7 @@ func Commentary(markdown bool) string {
 	// 10GbE ring versus 8x8 NVLink-intra + 10GbE-inter composition.
 	h := dist.Hierarchy{Nodes: 8, PerNode: 8, Intra: dist.Ring, Inter: dist.Ring}
 	flatMS := 1e3 * comm.Intel10GbE.AllreduceTime(dist.Ring, 64, resnet.WeightBytes())
-	hierMS := 1e3 * comm.HierarchicalAllreduceTime(cluster.NVLinkHybrid, comm.Intel10GbE, h, resnet.WeightBytes())
+	hierMS := 1e3 * comm.AllreduceTime(cluster.NVLinkHybrid, comm.Intel10GbE, h, nil, resnet.WeightBytes())
 
 	// Overlap pricing: the paper's 512-KNL ResNet-50 row with bucket
 	// reductions pipelined against the backward pass, versus serial

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/dist"
-	"repro/internal/nn"
 )
 
 // AllreduceStudy drives the real synchronous engine — shard forward/
@@ -22,71 +21,33 @@ func AllreduceStudy(s *Setup, workers int) (*Table, error) {
 		ID: "Allreduce study", Title: fmt.Sprintf("One measured engine step per topology (P=%d, micro-AlexNet)", workers),
 		Header: []string{"algorithm", "messages", "payload MB", "latency rounds", "model msgs", "model rounds", "FDR time"},
 	}
-	ds := s.Dataset()
-	idx := make([]int, min(256, ds.Train.Len()))
-	for i := range idx {
-		idx[i] = i
-	}
-	x, labels := ds.Train.MustGather(idx)
-	newReplicas := func() []*nn.Network {
-		replicas := make([]*nn.Network, workers)
-		for i := range replicas {
-			replicas[i] = s.Factory()(s.Seed + uint64(i)*7919)
-		}
-		return replicas
-	}
-	row := func(label string, step dist.CommStats, modelMsgs, modelSteps int64, sec float64) {
+	f := newFixture(s.Factory(), s.Seed, s.Dataset(), min(256, s.Dataset().Train.Len()))
+	_, nparams := f.paramElems()
+	row := func(label string, step, model dist.CommStats) {
 		t.Add(label,
 			fmt.Sprintf("%d", step.Messages),
 			fmt.Sprintf("%.2f", float64(step.Bytes)/1e6),
 			fmt.Sprintf("%d", step.Steps),
-			fmt.Sprintf("%d", modelMsgs),
-			fmt.Sprintf("%d", modelSteps),
-			fmt.Sprintf("%.2fms", 1e3*sec))
+			fmt.Sprintf("%d", model.Messages),
+			fmt.Sprintf("%d", model.Steps),
+			fmt.Sprintf("%.2fms", 1e3*comm.MellanoxFDR.TimeFromStats(step)))
 	}
-	var weightBytes int64
-	for _, algo := range []dist.Algorithm{dist.Central, dist.Tree, dist.Ring} {
-		replicas := newReplicas()
-		weightBytes = int64(4 * replicas[0].NumParams())
-		e := dist.NewEngine(dist.Config{Algo: algo}, replicas)
-		if _, err := e.ComputeGradient(x, labels); err != nil {
-			e.Close()
+	for _, h := range studyTopologies(workers) {
+		r, err := f.step(h, dist.Config{})
+		if err != nil {
 			return nil, err
 		}
-		if err := e.BroadcastWeights(); err != nil {
-			e.Close()
-			return nil, err
+		tiers, model := r.TierComm, comm.ExpectedTierStats(h, nil, 4*int64(nparams))
+		if h.PerNode > 1 {
+			// The composed two-tier schedule over the same workers: the
+			// reduced values are bit-identical to the flat rows (tested);
+			// only the accounting splits by fabric, so print the split.
+			row(fmt.Sprintf("%v intra", h), tiers.Intra, model.Intra)
+			row(fmt.Sprintf("%v inter", h), tiers.Inter, model.Inter)
+			row(fmt.Sprintf("%v total", h), tiers.Total(), model.Total())
+			continue
 		}
-		step := e.StepStats()
-		e.Close()
-		model := comm.ExpectedStats(algo, workers, weightBytes)
-		row(algo.String(), step, model.Messages, model.Steps, comm.MellanoxFDR.TimeFromStats(step))
-	}
-	if workers >= 4 && workers%2 == 0 {
-		// The composed two-tier schedule over the same workers: ring
-		// inside each of two nodes, tree across the node leaders. The
-		// reduced values are bit-identical to the flat rows (tested);
-		// only the accounting splits by fabric.
-		h := dist.NewHierarchy(2, workers/2)
-		e := dist.NewEngine(dist.Config{Topology: &h}, newReplicas())
-		if _, err := e.ComputeGradient(x, labels); err != nil {
-			e.Close()
-			return nil, err
-		}
-		if err := e.BroadcastWeights(); err != nil {
-			e.Close()
-			return nil, err
-		}
-		tiers := e.StepTierStats()
-		e.Close()
-		model := comm.ExpectedTierStats(h, weightBytes)
-		row(fmt.Sprintf("%v intra", h), tiers.Intra, model.Intra.Messages, model.Intra.Steps,
-			comm.MellanoxFDR.TimeFromStats(tiers.Intra))
-		row(fmt.Sprintf("%v inter", h), tiers.Inter, model.Inter.Messages, model.Inter.Steps,
-			comm.MellanoxFDR.TimeFromStats(tiers.Inter))
-		total := tiers.Total()
-		mt := model.Total()
-		row(fmt.Sprintf("%v total", h), total, mt.Messages, mt.Steps, comm.MellanoxFDR.TimeFromStats(total))
+		row(topologyLabel(h), tiers.Total(), model.Total())
 	}
 	t.Note("Observed counters come from the executed schedule (internal/dist); the model columns are comm.ExpectedStats / comm.ExpectedTierStats closed forms.")
 	t.Note("Ring trades P× more (small) messages for per-link payloads 1/P the size — the bandwidth optimality of Table 2's systems.")

@@ -2,9 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/comm"
-	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/nn"
@@ -22,8 +22,8 @@ const elasticStudySteps = 6
 // over the survivors, and training continues at the smaller world size. The
 // table reports the steps-to-eviction, the world-size timeline, the
 // per-step schedule at P versus the degraded world (cross-checked against
-// comm.ExpectedStatsAt / comm.ExpectedDegradedTierStats), and the
-// comm-bound throughput of both worlds on FDR InfiniBand. Everything is
+// comm.ExpectedTierStats at the surviving node sizes), and the comm-bound
+// throughput of both worlds on FDR InfiniBand. Everything is
 // deterministic — exact schedule arithmetic on a seeded micro model — so
 // the docs-drift job regenerates this section bit-identically alongside
 // the analytic exhibits.
@@ -33,98 +33,48 @@ func ElasticityStudy() (*Table, error) {
 		ID: "Elasticity study", Title: fmt.Sprintf("Evicting a dead worker and continuing on the survivors (P=%d, evict after 2 failed recoveries)", workers),
 		Header: []string{"topology", "dead", "evicted at", "world timeline", "rounds @P", "rounds degraded", "model", "FDR img/s @P -> degraded"},
 	}
-	ds := data.GenerateSynth(data.SynthConfig{
-		Classes: 4, TrainSize: 256, TestSize: 64,
-		C: 3, H: 8, W: 8, Noise: 0.25, MaxShift: 1, Seed: 7,
-	})
-	idx := make([]int, batch)
-	for i := range idx {
-		idx[i] = i
-	}
-	x, labels := ds.Train.MustGather(idx)
-	factory := func(seed uint64) *nn.Network {
+	f := newFixture(func(seed uint64) *nn.Network {
 		return models.NewMLP(models.MicroConfig{Classes: 4, InC: 3, InH: 8, InW: 8, Width: 4, Seed: seed})
+	}, 1, studySynth(8, 64), batch)
+	_, nparams := f.paramElems()
+	fdr := func(s dist.CommStats) float64 {
+		return float64(batch) / comm.MellanoxFDR.TimeFromStats(s) / 1e6
 	}
-	var payload int64
-
-	hier := dist.NewHierarchy(2, 2)
-	row := func(label string, topology *dist.Hierarchy, algo dist.Algorithm, dead map[int]int64, deadLabel string) error {
-		replicas := make([]*nn.Network, workers)
-		for i := range replicas {
-			replicas[i] = factory(1 + uint64(i)*7919)
+	for _, h := range studyTopologies(workers) {
+		// A flat world loses its last worker; the hierarchy its whole last
+		// node, which then leaves the inter tier.
+		dead, deadLabel := map[int]int64{}, fmt.Sprintf("worker %d @ step 2", workers-1)
+		if h.PerNode > 1 {
+			deadLabel = fmt.Sprintf("node %d @ step 2", h.Nodes-1)
 		}
-		payload = int64(4 * replicas[0].NumParams())
-		e := dist.NewEngine(dist.Config{
-			Algo: algo, Topology: topology,
+		for w := workers - h.PerNode; w < workers; w++ {
+			dead[w] = 2
+		}
+		var m dist.MembershipStats
+		var world int
+		steps, err := f.run(h, dist.Config{
 			Faults:  &dist.FaultPlan{Dead: dead},
 			Elastic: &dist.Elastic{EvictAfter: 2},
-		}, replicas)
-		defer e.Close()
-		evictStep := -1
-		var healthy, degraded dist.CommStats
-		var degradedTiers dist.TierStats
-		for step := 0; step < elasticStudySteps; step++ {
-			before := e.LiveWorkers()
-			if _, err := e.ComputeGradient(x, labels); err != nil {
-				return err
-			}
-			if err := e.BroadcastWeights(); err != nil {
-				return err
-			}
-			if e.LiveWorkers() < before && evictStep < 0 {
-				evictStep = step
-			}
-			switch step {
-			case 1: // last clean full-strength step
-				healthy = e.StepStats()
-			case elasticStudySteps - 1: // clean step on the survivors
-				degraded = e.StepStats()
-				degradedTiers = e.StepTierStats()
-			}
+		}, elasticStudySteps, func(e *dist.Engine) { m, world = e.Membership(), e.LiveWorkers() })
+		if err != nil {
+			return nil, err
 		}
-		m := e.Membership()
-		world := e.LiveWorkers()
-		match := "exact"
-		if topology != nil {
-			sizes := make([]int, 0, 2)
-			for n := 0; n < topology.Nodes; n++ {
-				if size := world - n*topology.PerNode; size > 0 {
-					if size > topology.PerNode {
-						size = topology.PerNode
-					}
-					sizes = append(sizes, size)
-				}
-			}
-			if want := comm.ExpectedDegradedTierStats(*topology, sizes, payload); degradedTiers != want {
-				match = fmt.Sprintf("DRIFT: want %+v", want)
-			}
-		} else if want := comm.ExpectedStatsAt(algo, workers, workers-world, payload); degraded != want {
-			match = fmt.Sprintf("DRIFT: want %+v", want)
-		}
-		fdr := func(s dist.CommStats) float64 {
-			return float64(batch) / comm.MellanoxFDR.TimeFromStats(s) / 1e6
-		}
-		t.Add(label,
+		evictStep := slices.IndexFunc(steps, func(r dist.Report) bool { return r.Membership.Evictions > 0 })
+		// The last clean full-strength step, and a clean step on the
+		// survivors.
+		healthy, degraded := steps[1], steps[elasticStudySteps-1]
+		t.Add(topologyLabel(h),
 			deadLabel,
 			fmt.Sprintf("step %d", evictStep),
 			m.Timeline(),
-			fmt.Sprintf("%d", healthy.Steps),
-			fmt.Sprintf("%d", degraded.Steps),
-			match,
-			fmt.Sprintf("%.2fM -> %.2fM", fdr(healthy), fdr(degraded)))
-		return nil
-	}
-	for _, algo := range []dist.Algorithm{dist.Central, dist.Tree, dist.Ring} {
-		if err := row(algo.String(), nil, algo, map[int]int64{3: 2}, "worker 3 @ step 2"); err != nil {
-			return nil, err
-		}
-	}
-	if err := row(hier.String(), &hier, dist.Tree, map[int]int64{2: 2, 3: 2}, "node 1 @ step 2"); err != nil {
-		return nil, err
+			fmt.Sprintf("%d", healthy.Comm.Steps),
+			fmt.Sprintf("%d", degraded.Comm.Steps),
+			matchCell(degraded.TierComm, comm.ExpectedTierStats(h, h.FrontFilled(world), 4*int64(nparams))),
+			fmt.Sprintf("%.2fM -> %.2fM", fdr(healthy.Comm), fdr(degraded.Comm)))
 	}
 	t.Note("A dead worker fails recovery for 2 consecutive steps and is evicted at the end of the second; the shard spans rebalance over the survivors (data.Spans) and the master re-broadcasts the weights, so every later step is bit-identical to a fresh run at the smaller world size (tested).")
 	t.Note("The hierarchical row kills both workers of node 1: the drained node leaves the inter tier, so the degraded schedule is a single node's intra ring with no leader exchange.")
-	t.Note("The model column cross-checks the degraded step against comm.ExpectedStatsAt (flat) / comm.ExpectedDegradedTierStats (hierarchical); \"exact\" means every counter matches.")
+	t.Note("The model column cross-checks the degraded step against comm.ExpectedTierStats at the surviving node sizes (a flat world is one worker per node); \"exact\" means every counter matches.")
 	t.Note("FDR column: comm-bound millions of images/sec (batch %d over the alpha-beta step time) before the death and after the eviction — the surviving fleet's smaller collective claws back some of the lost capacity.", batch)
 	return t, nil
 }

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/kernel"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/rng"
-	"repro/internal/tensor"
 )
 
 // HotLoopStudy profiles the training hot loop under both reduction
@@ -34,34 +32,28 @@ func HotLoopStudy() (*Table, error) {
 		Header:   []string{"reduction", "identity (P, topology)", "reduce GB/s", "step wall", "gemm", "im2col", "convert", "reduce", "codec", "other"},
 		Volatile: true,
 	}
-	ds := data.GenerateSynth(data.SynthConfig{
-		Classes: 4, TrainSize: 256, TestSize: 64,
-		C: 3, H: 16, W: 16, Noise: 0.25, MaxShift: 1, Seed: 7,
-	})
-	idx := make([]int, 64)
-	for i := range idx {
-		idx[i] = i
-	}
-	x, labels := ds.Train.MustGather(idx)
-	factory := func(seed uint64) *nn.Network {
+	ds := studySynth(16, 64)
+	conv := newFixture(func(seed uint64) *nn.Network {
 		return models.NewMicroAlexNet(models.MicroConfig{Classes: 4, InH: 16, Width: 4, Seed: seed})
-	}
+	}, 1, ds, 64)
+	// The identity model is the dropout-free MLP: dropout masks are drawn
+	// from each replica's own RNG, so they — not the reduction — would break
+	// cross-P identity (the same modeling choice the engine's bit-identity
+	// tests make).
+	mlp := newFixture(func(seed uint64) *nn.Network {
+		return models.NewMLP(models.MicroConfig{Classes: 4, InC: 3, InH: 16, InW: 16, Width: 4, Seed: seed})
+	}, 1, ds, 64)
 
 	for _, policy := range []dist.Reduction{dist.CanonicalF64, dist.PairwiseF32} {
-		identity, err := reductionIdentity(policy, x, labels)
+		identity, err := reductionIdentity(mlp, policy)
 		if err != nil {
 			return nil, err
 		}
-		gbps := reduceThroughput(policy)
-		prof, err := profiledStep(policy, x, labels, factory)
+		prof, err := conv.profiledStep(dist.Config{Reduction: policy})
 		if err != nil {
 			return nil, err
 		}
-		pct := func(ns int64) string { return fmt.Sprintf("%.1f%%", 100*prof.Share(ns)) }
-		t.Add(policy.String(), identity,
-			fmt.Sprintf("%.2f", gbps),
-			fmt.Sprintf("%.1fms", float64(prof.WallNS)/1e6),
-			pct(prof.GemmNS), pct(prof.Im2colNS), pct(prof.ConvertNS), pct(prof.ReduceNS), pct(prof.CodecNS), pct(prof.OtherNS))
+		t.Add(append([]string{policy.String(), identity, fmt.Sprintf("%.2f", reduceThroughput(policy))}, phaseCells(prof)...)...)
 	}
 	t.Note("Identity column is exact (dropout-free MLP, Shards pinned to 4): one engine step at P=2, P=4 and flat-vs-hierarchical P=4 must produce bitwise-equal reduced gradients under the policy — the fixed-tree pairwise kernel keeps this true in float32 because its tree shape depends only on the live shard count.")
 	t.Note("Reduce GB/s times the bare summation kernel (8 shards x 1M coords, input bytes/sec): the pairwise-f32 kernel's unrolled multi-accumulator float32 loops beat the canonical float64 chain — the ROADMAP's \"vectorizable f32 pairwise summation\" item.")
@@ -69,57 +61,32 @@ func HotLoopStudy() (*Table, error) {
 	return t, nil
 }
 
-// reductionIdentity runs the policy's determinism contract and reports
-// "exact" only if every configuration reduces to the same bits. The model
-// is the dropout-free MLP: dropout masks are drawn from each replica's own
-// RNG, so they — not the reduction — would break cross-P identity (the
-// same modeling choice the engine's bit-identity tests make).
-func reductionIdentity(policy dist.Reduction, x *tensor.Tensor, labels []int) (string, error) {
-	factory := func(seed uint64) *nn.Network {
-		return models.NewMLP(models.MicroConfig{Classes: 4, InC: 3, InH: 16, InW: 16, Width: 4, Seed: seed})
-	}
-	hier := dist.NewHierarchy(2, 2)
-	ref, err := reducedGrad(dist.Config{Algo: dist.Ring, Shards: 4, Reduction: policy}, 2, x, labels, factory)
-	if err != nil {
-		return "", err
-	}
-	for _, cfg := range []struct {
-		label   string
-		workers int
-		cfg     dist.Config
-	}{
-		{"P=4 ring", 4, dist.Config{Algo: dist.Ring, Shards: 4, Reduction: policy}},
-		{"P=4 hier", 4, dist.Config{Topology: &hier, Shards: 4, Reduction: policy}},
-	} {
-		got, err := reducedGrad(cfg.cfg, cfg.workers, x, labels, factory)
+// reductionIdentity runs the policy's determinism contract over f — one
+// engine step at P=2, P=4 and 2x2 hierarchical, shards pinned to 4, must
+// leave bitwise-equal reduced gradients on the master — and reports "exact"
+// only if every topology reduces to the same bits.
+func reductionIdentity(f fixture, policy dist.Reduction) (string, error) {
+	var ref []float32
+	for _, h := range []dist.Hierarchy{dist.Flat(dist.Ring, 2), dist.Flat(dist.Ring, 4), dist.NewHierarchy(2, 2)} {
+		var got []float32
+		_, err := f.run(h, dist.Config{Shards: 4, Reduction: policy}, 1, func(e *dist.Engine) {
+			for _, p := range e.Master().Params() {
+				got = append(got, p.G.Data...)
+			}
+		})
 		if err != nil {
 			return "", err
 		}
+		if ref == nil {
+			ref = got
+		}
 		for i := range got {
 			if got[i] != ref[i] {
-				return fmt.Sprintf("DRIFT at %s coord %d", cfg.label, i), nil
+				return fmt.Sprintf("DRIFT at P=%d %s coord %d", h.Workers(), topologyLabel(h), i), nil
 			}
 		}
 	}
 	return "exact", nil
-}
-
-// reducedGrad runs one engine step and returns the master's flat gradient.
-func reducedGrad(cfg dist.Config, workers int, x *tensor.Tensor, labels []int, factory func(uint64) *nn.Network) ([]float32, error) {
-	replicas := make([]*nn.Network, workers)
-	for i := range replicas {
-		replicas[i] = factory(1 + uint64(i)*7919)
-	}
-	e := dist.NewEngine(cfg, replicas)
-	defer e.Close()
-	if _, err := e.ComputeGradient(x, labels); err != nil {
-		return nil, err
-	}
-	var out []float32
-	for _, p := range e.Master().Params() {
-		out = append(out, p.G.Data...)
-	}
-	return out, nil
 }
 
 // reduceThroughput times the bare summation kernel of one policy over an
@@ -149,28 +116,4 @@ func reduceThroughput(policy dist.Reduction) float64 {
 	}
 	sec := time.Since(start).Seconds()
 	return float64(iters) * float64(shards) * float64(4*n) / sec / 1e9
-}
-
-// profiledStep runs one profiled engine step (gradient + weight broadcast,
-// fp16 codec so every phase is populated) and returns its phase profile.
-func profiledStep(policy dist.Reduction, x *tensor.Tensor, labels []int, factory func(uint64) *nn.Network) (dist.ProfileStats, error) {
-	replicas := make([]*nn.Network, 4)
-	for i := range replicas {
-		replicas[i] = factory(1 + uint64(i)*7919)
-	}
-	e := dist.NewEngine(dist.Config{
-		Algo: dist.Ring, Reduction: policy, Codec: dist.FP16Codec{}, Profile: true,
-	}, replicas)
-	defer e.Close()
-	if _, err := e.ComputeGradient(x, labels); err != nil {
-		return dist.ProfileStats{}, err
-	}
-	if err := e.BroadcastWeights(); err != nil {
-		return dist.ProfileStats{}, err
-	}
-	prof := e.StepProfile()
-	if prof.Accounted() != prof.WallNS {
-		return dist.ProfileStats{}, fmt.Errorf("harness: profile shares (%d ns) do not sum to step wall (%d ns)", prof.Accounted(), prof.WallNS)
-	}
-	return prof, nil
 }

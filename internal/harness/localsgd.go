@@ -7,7 +7,6 @@ import (
 	"repro/internal/async"
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/nn"
@@ -22,8 +21,8 @@ import (
 // collective at all, staleness instead of drift). Every row trains the
 // same seeded micro task for the same step budget; the table reports the
 // measured communication volume against the closed form
-// (comm.ExpectedLocalSGDStats / ExpectedLocalSGDTierStats — "exact" means
-// counter-for-counter equality), the volume ratio against the synchronous
+// (comm.ExpectedLocalSGDTierStats at the row's topology — "exact" means
+// counter-for-counter equality on both tiers), the volume ratio against the synchronous
 // baseline, the final training loss and test accuracy, and the L2 distance
 // of the final weights from the synchronous run's — the divergence-vs-H
 // tradeoff the communication savings buy. Deterministic end to end (the
@@ -36,10 +35,7 @@ func LocalSGDStudy() (*Table, error) {
 		Title:  fmt.Sprintf("The synchronous <-> local <-> asynchronous spectrum (P=%d, B=%d, %d epochs)", workers, batch, epochs),
 		Header: []string{"mode", "comm bytes", "vs sync", "closed form", "sync rounds", "final loss", "test acc", "||w - w_sync||"},
 	}
-	ds := data.GenerateSynth(data.SynthConfig{
-		Classes: 4, TrainSize: 256, TestSize: 64,
-		C: 3, H: 8, W: 8, Noise: 0.25, MaxShift: 1, Seed: 7,
-	})
+	ds := studySynth(8, 64)
 
 	// Capture each run's first-built replica: core.Train's replica 0 is the
 	// master (and at window-closing step counts every replica agrees with
@@ -53,7 +49,7 @@ func LocalSGDStudy() (*Table, error) {
 			return net
 		}
 	}
-	flat := func(net *nn.Network) []float32 {
+	flatWeights := func(net *nn.Network) []float32 {
 		var out []float32
 		for _, p := range net.Params() {
 			out = append(out, p.W.Data...)
@@ -69,96 +65,61 @@ func LocalSGDStudy() (*Table, error) {
 		return math.Sqrt(sum)
 	}
 
-	baseCfg := func(first **nn.Network) core.Config {
-		return core.Config{
-			Model: capturing(first), Workers: workers, Algo: dist.Ring,
-			Batch: batch, Epochs: epochs, Method: core.BaselineSGD,
-			BaseLR: 0.1, Seed: 11,
-		}
+	// The collective rows, synchronous end first: every run is one
+	// core.Train over its topology (flat rows are dist.Flat), and the
+	// closed-form check runs per tier — which for a flat world says the
+	// intra tier stayed silent and the inter tier carried everything.
+	flat, hier := dist.Flat(dist.Ring, workers), dist.NewHierarchy(2, 2)
+	rows := []struct {
+		label      string
+		h          dist.Hierarchy
+		sync, intr int // SyncEvery (1 is the every-step gradient path), IntraSyncEvery
+	}{
+		{"sync (H=1)", flat, 1, 0},
+		{"local (H=2)", flat, 2, 0},
+		{"local (H=4)", flat, 4, 0},
+		{"local (H=8)", flat, 8, 0},
+		{"hier local (H=8, Hi=2)", hier, 8, 2},
 	}
-
-	// Synchronous baseline: the reference weights and communication volume.
-	var syncNet *nn.Network
-	syncRes, err := core.Train(baseCfg(&syncNet), ds)
-	if err != nil {
-		return nil, err
-	}
-	syncW := flat(syncNet)
-	steps := syncRes.Iterations
+	var syncRes *core.Result
+	var syncW []float32
+	var steps int64
 	nelems := 0
-	for _, p := range syncNet.Params() {
-		nelems += p.Numel()
-	}
-	// Every run pays one construction broadcast before step 0; the closed
-	// forms price the steps, so add it on their side of the comparison.
-	initFlat := dist.BroadcastSchedule(dist.Ring, workers, 4*int64(nelems))
-	initHier := func(h dist.Hierarchy) dist.TierStats {
-		return dist.HierBroadcastSchedule(h, 4*int64(nelems))
-	}
-
-	addRow := func(label string, res *core.Result, want dist.CommStats, w []float32) {
-		match := "exact"
-		if res.Comm != want {
-			match = fmt.Sprintf("DRIFT: want %+v", want)
-		}
-		rounds := res.LocalSGD.SyncRounds
-		if res.LocalSGD.LocalSteps == 0 {
-			rounds = res.Iterations // synchronous: every step is a round
-		}
-		t.Add(label,
-			fmt.Sprintf("%d", res.Comm.Bytes),
-			fmt.Sprintf("%.3f", float64(res.Comm.Bytes)/float64(syncRes.Comm.Bytes)),
-			match,
-			fmt.Sprintf("%d", rounds),
-			fmt.Sprintf("%.4f", res.FinalLoss),
-			fmt.Sprintf("%.3f", res.TestAcc),
-			fmt.Sprintf("%.4f", l2(w, syncW)))
-	}
-
-	syncWant := comm.ExpectedLocalSGDStats(dist.Ring, workers, 1, steps, nelems, 0, nil)
-	syncWant.Add(initFlat)
-	addRow("sync (H=1)", syncRes, syncWant, syncW)
-
-	// Local SGD at increasing synchronization periods.
-	for _, h := range []int{2, 4, 8} {
+	for _, row := range rows {
 		var net *nn.Network
-		cfg := baseCfg(&net)
-		cfg.SyncEvery = h
+		cfg := core.Config{
+			Model: capturing(&net), Workers: workers, Topology: &row.h,
+			Batch: batch, Epochs: epochs, Method: core.BaselineSGD,
+			BaseLR: 0.1, Seed: 11, SyncEvery: row.sync, IntraSyncEvery: row.intr,
+		}
 		res, err := core.Train(cfg, ds)
 		if err != nil {
 			return nil, err
 		}
-		want := comm.ExpectedLocalSGDStats(dist.Ring, workers, h, steps, nelems, 0, nil)
-		want.Add(initFlat)
-		addRow(fmt.Sprintf("local (H=%d)", h), res, want, flat(net))
+		w := flatWeights(net)
+		rounds := fmt.Sprintf("%d", res.LocalSGD.SyncRounds)
+		switch {
+		case syncRes == nil:
+			// The synchronous baseline: the reference weights, step budget
+			// and communication volume; every step is a round.
+			syncRes, syncW, steps, nelems = res, w, res.Iterations, len(w)
+			rounds = fmt.Sprintf("%d", steps)
+		case row.intr > 0:
+			rounds = fmt.Sprintf("%d+%di", res.LocalSGD.SyncRounds, res.LocalSGD.IntraRounds)
+		}
+		// Every run pays one construction broadcast before step 0; the
+		// closed form prices the steps, so add it on that side.
+		want := comm.ExpectedLocalSGDTierStats(row.h, nil, row.sync, row.intr, steps, nelems, 0, nil)
+		want.Add(dist.HierBroadcastSchedule(row.h, nil, 4*int64(nelems)))
+		t.Add(row.label,
+			fmt.Sprintf("%d", res.Comm.Bytes),
+			fmt.Sprintf("%.3f", float64(res.Comm.Bytes)/float64(syncRes.Comm.Bytes)),
+			matchCell(res.TierComm, want),
+			rounds,
+			fmt.Sprintf("%.4f", res.FinalLoss),
+			fmt.Sprintf("%.3f", res.TestAcc),
+			fmt.Sprintf("%.4f", l2(w, syncW)))
 	}
-
-	// Hierarchical local SGD: rare full rounds, cheap intra-node averages
-	// in between; the closed-form check runs per tier.
-	hier := dist.NewHierarchy(2, 2)
-	var hierNet *nn.Network
-	hierCfg := baseCfg(&hierNet)
-	hierCfg.Topology = &hier
-	hierCfg.SyncEvery = 8
-	hierCfg.IntraSyncEvery = 2
-	hierRes, err := core.Train(hierCfg, ds)
-	if err != nil {
-		return nil, err
-	}
-	wantTiers := comm.ExpectedLocalSGDTierStats(hier, 8, 2, steps, nelems, 0, nil)
-	wantTiers.Add(initHier(hier))
-	match := "exact"
-	if hierRes.TierComm != wantTiers {
-		match = fmt.Sprintf("DRIFT: want %+v", wantTiers)
-	}
-	t.Add("hier local (H=8, Hi=2)",
-		fmt.Sprintf("%d", hierRes.Comm.Bytes),
-		fmt.Sprintf("%.3f", float64(hierRes.Comm.Bytes)/float64(syncRes.Comm.Bytes)),
-		match,
-		fmt.Sprintf("%d+%di", hierRes.LocalSGD.SyncRounds, hierRes.LocalSGD.IntraRounds),
-		fmt.Sprintf("%.4f", hierRes.FinalLoss),
-		fmt.Sprintf("%.3f", hierRes.TestAcc),
-		fmt.Sprintf("%.4f", l2(flat(hierNet), syncW)))
 
 	// The far end of the spectrum: Downpour-style async, same number of
 	// server updates as the others took steps, no collective at all. Its
@@ -180,7 +141,7 @@ func LocalSGDStudy() (*Table, error) {
 		"0",
 		fmt.Sprintf("%.4f", asyncRes.FinalLoss),
 		fmt.Sprintf("%.3f", asyncRes.TestAcc),
-		fmt.Sprintf("%.4f", l2(flat(asyncNet), syncW)))
+		fmt.Sprintf("%.4f", l2(flatWeights(asyncNet), syncW)))
 
 	t.Note("comm bytes include the one-time construction broadcast; the closed forms add it before comparing.")
 	t.Note("||w - w_sync|| is the L2 distance of the final weights from the synchronous run's — the drift the 1/H communication savings buy. %d steps, so every H divides the run and the last step closes its window.", steps)

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/nn"
 	"repro/internal/rng"
@@ -34,14 +33,14 @@ func MixedPrecisionStudy() (*Table, error) {
 		Header:   []string{"precision", "identity (P, topology)", "test acc", "final loss", "loss scale", "step wall", "gemm", "im2col", "convert", "reduce", "codec", "other"},
 		Volatile: true,
 	}
-	ds := data.GenerateSynth(data.SynthConfig{
-		Classes: 4, TrainSize: 256, TestSize: 128,
-		C: 3, H: 8, W: 8, Noise: 0.25, MaxShift: 1, Seed: 7,
-	})
+	ds := studySynth(8, 128)
 
 	var trajectories [2][]float64
 	for i, prec := range []tensor.Precision{tensor.F32, tensor.F16} {
-		identity, traj, err := precisionIdentity(prec, ds)
+		identity, traj, err := trajectoryIdentity(core.Config{
+			Model: precisionNet, Precision: prec,
+			Batch: 64, Epochs: 2, Method: core.BaselineSGD, BaseLR: 0.1, Seed: 9,
+		}, ds)
 		if err != nil {
 			return nil, err
 		}
@@ -59,32 +58,24 @@ func MixedPrecisionStudy() (*Table, error) {
 			scale = fmt.Sprintf("2^%d", int(math.Log2(res.Scale.Scale)))
 		}
 
-		prof, err := precisionProfiledStep(prec, ds)
+		// One P=4 engine step with the replicas at the precision under
+		// study: the convert share is what the f16 path adds.
+		prof, err := newFixture(func(seed uint64) *nn.Network {
+			net := precisionNet(seed)
+			net.SetPrecision(prec)
+			return net
+		}, 1, ds, 64).profiledStep(dist.Config{})
 		if err != nil {
 			return nil, err
 		}
-		pct := func(ns int64) string { return fmt.Sprintf("%.1f%%", 100*prof.Share(ns)) }
-		t.Add(prec.String(), identity,
+		t.Add(append([]string{prec.String(), identity,
 			fmt.Sprintf("%.3f", res.TestAcc),
 			fmt.Sprintf("%.4f", res.FinalLoss),
-			scale,
-			fmt.Sprintf("%.1fms", float64(prof.WallNS)/1e6),
-			pct(prof.GemmNS), pct(prof.Im2colNS), pct(prof.ConvertNS),
-			pct(prof.ReduceNS), pct(prof.CodecNS), pct(prof.OtherNS))
+			scale}, phaseCells(prof)...)...)
 	}
-
-	// Negative control: the two precisions must not share a trajectory.
-	same := len(trajectories[0]) == len(trajectories[1])
-	if same {
-		for e := range trajectories[0] {
-			if trajectories[0][e] != trajectories[1][e] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		return nil, fmt.Errorf("harness: f16 trajectory is bit-identical to f32 — the precision switch is not reaching the kernels")
+	if err := mustDiffer(trajectories[0], trajectories[1],
+		"f16 trajectory is bit-identical to f32 — the precision switch is not reaching the kernels"); err != nil {
+		return nil, err
 	}
 
 	t.Note("Identity column is exact: the 2-epoch loss trajectory at P=1 must reproduce bitwise at P=4 flat, P=4 hierarchical (2x2) and P=4 overlapped (pinned Shards=4) — the f16 kernels keep the fixed-tree accumulation discipline, so decomposition stays invisible at half precision too. A negative control confirms f16 ≠ f32 bitwise.")
@@ -105,83 +96,4 @@ func precisionNet(seed uint64) *nn.Network {
 		nn.NewFlatten(),
 		nn.NewLinear("fc", r, 4*4*4, 4),
 	)
-}
-
-// precisionIdentity runs the trainer-level determinism contract for one
-// precision and returns the reference loss trajectory for the study's
-// negative control.
-func precisionIdentity(prec tensor.Precision, ds *data.Synth) (string, []float64, error) {
-	hier := dist.NewHierarchy(2, 2)
-	run := func(workers int, topology *dist.Hierarchy, bucket int, overlap bool) ([]float64, error) {
-		res, err := core.Train(core.Config{
-			Model: precisionNet, Workers: workers, Shards: 4,
-			Algo: dist.Ring, Topology: topology, Bucket: bucket, Overlap: overlap,
-			Precision: prec,
-			Batch:     64, Epochs: 2, Method: core.BaselineSGD, BaseLR: 0.1, Seed: 9,
-		}, ds)
-		if err != nil {
-			return nil, err
-		}
-		traj := make([]float64, len(res.History))
-		for i, h := range res.History {
-			traj[i] = h.TrainLoss
-		}
-		return traj, nil
-	}
-	ref, err := run(1, nil, 0, false)
-	if err != nil {
-		return "", nil, err
-	}
-	for _, tc := range []struct {
-		label   string
-		workers int
-		topo    *dist.Hierarchy
-		bucket  int
-		overlap bool
-	}{
-		{"P=4 flat", 4, nil, 0, false},
-		{"P=4 hier", 4, &hier, 0, false},
-		{"P=4 overlap", 4, nil, 33, true},
-	} {
-		got, err := run(tc.workers, tc.topo, tc.bucket, tc.overlap)
-		if err != nil {
-			return "", nil, err
-		}
-		for e := range ref {
-			if got[e] != ref[e] {
-				return fmt.Sprintf("DRIFT at %s epoch %d", tc.label, e), ref, nil
-			}
-		}
-	}
-	return "exact", ref, nil
-}
-
-// precisionProfiledStep profiles one P=4 engine step under the given
-// precision (fp16 wire codec so the codec bucket is live too).
-func precisionProfiledStep(prec tensor.Precision, ds *data.Synth) (dist.ProfileStats, error) {
-	idx := make([]int, 64)
-	for i := range idx {
-		idx[i] = i
-	}
-	x, labels := ds.Train.MustGather(idx)
-	replicas := make([]*nn.Network, 4)
-	for i := range replicas {
-		replicas[i] = precisionNet(1 + uint64(i)*7919)
-		replicas[i].SetPrecision(prec)
-	}
-	e := dist.NewEngine(dist.Config{
-		Algo: dist.Ring, Codec: dist.FP16Codec{}, Profile: true,
-	}, replicas)
-	defer e.Close()
-	if _, err := e.ComputeGradient(x, labels); err != nil {
-		return dist.ProfileStats{}, err
-	}
-	if err := e.BroadcastWeights(); err != nil {
-		return dist.ProfileStats{}, err
-	}
-	prof := e.StepProfile()
-	if prof.Accounted() != prof.WallNS {
-		return dist.ProfileStats{}, fmt.Errorf("harness: profile shares (%d ns) do not sum to step wall (%d ns)", prof.Accounted(), prof.WallNS)
-	}
-	return prof, nil
 }

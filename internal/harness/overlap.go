@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/comm"
-	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/nn"
@@ -29,89 +28,41 @@ func OverlapStudy() (*Table, error) {
 		ID: "Overlap study", Title: fmt.Sprintf("Bucket reductions overlapped with the backward pass (P=%d, micro-AlexNet, %d buckets)", workers, overlapBuckets),
 		Header: []string{"topology", "hidden rounds", "exposed rounds", "hidden KB", "exposed KB", "hidden bytes", "model", "FDR exposed (vs serial)"},
 	}
-	ds := data.GenerateSynth(data.SynthConfig{
-		Classes: 4, TrainSize: 256, TestSize: 64,
-		C: 3, H: 16, W: 16, Noise: 0.25, MaxShift: 1, Seed: 7,
-	})
-	idx := make([]int, 64)
-	for i := range idx {
-		idx[i] = i
-	}
-	x, labels := ds.Train.MustGather(idx)
 	// Micro-AlexNet rather than the test MLP: its first conv is tiny, so
 	// nearly every bucket is overlap-eligible — the convnet shape the
 	// overlap argument is about (early layers cheap, late layers heavy).
-	factory := func(seed uint64) *nn.Network {
+	f := newFixture(func(seed uint64) *nn.Network {
 		return models.NewMicroAlexNet(models.MicroConfig{Classes: 4, InH: 16, Width: 4, Seed: seed})
-	}
-	var paramElems []int
-	nparams := 0
-	for _, p := range factory(1).Params() {
-		paramElems = append(paramElems, p.Numel())
-		nparams += p.Numel()
-	}
+	}, 1, studySynth(16, 64), 64)
+	paramElems, nparams := f.paramElems()
 	bucketElems := (nparams + overlapBuckets - 1) / overlapBuckets
 	var bucketBytes []int64
 	for _, b := range dist.BucketRanges(nparams, bucketElems) {
 		bucketBytes = append(bucketBytes, 4*int64(b[1]-b[0]))
 	}
-
-	hier := dist.NewHierarchy(2, workers/2)
-	row := func(label string, topology *dist.Hierarchy, algo dist.Algorithm) error {
-		replicas := make([]*nn.Network, workers)
-		for i := range replicas {
-			replicas[i] = factory(1 + uint64(i)*7919)
+	fdr := comm.MellanoxFDR // both tiers on one fabric, for comparability
+	for _, h := range studyTopologies(workers) {
+		r, err := f.step(h, dist.Config{BucketElems: bucketElems, Overlap: true})
+		if err != nil {
+			return nil, err
 		}
-		e := dist.NewEngine(dist.Config{
-			Algo: algo, Topology: topology, BucketElems: bucketElems, Overlap: true,
-		}, replicas)
-		defer e.Close()
-		if _, err := e.ComputeGradient(x, labels); err != nil {
-			return err
-		}
-		if err := e.BroadcastWeights(); err != nil {
-			return err
-		}
-		got := e.StepOverlapStats()
-		var want dist.OverlapStats
-		var serial, exposed float64
+		got := r.Overlap
 		// The FDR columns price the same bucket layout with a backward
 		// window equal to the serial allreduce time, so the pipeline's
 		// effect is visible regardless of compute calibration.
-		if topology != nil {
-			want = comm.ExpectedHierOverlapStats(*topology, paramElems, bucketElems)
-			for _, b := range bucketBytes {
-				serial += comm.HierarchicalAllreduceTime(comm.MellanoxFDR, comm.MellanoxFDR, *topology, b)
-			}
-			exposed = comm.OverlappedHierAllreduceTime(comm.MellanoxFDR, comm.MellanoxFDR, *topology, bucketBytes, serial)
-		} else {
-			want = comm.ExpectedOverlapStats(algo, workers, paramElems, bucketElems)
-			for _, b := range bucketBytes {
-				serial += comm.MellanoxFDR.AllreduceTime(algo, workers, b)
-			}
-			exposed = comm.MellanoxFDR.OverlappedAllreduceTime(algo, workers, bucketBytes, serial)
+		var serial float64
+		for _, b := range bucketBytes {
+			serial += comm.AllreduceTime(fdr, fdr, h, nil, b)
 		}
-		match := "exact"
-		if got != want {
-			match = fmt.Sprintf("DRIFT: want %+v", want)
-		}
-		t.Add(label,
+		exposed := comm.OverlappedAllreduceTime(fdr, fdr, h, nil, bucketBytes, serial)
+		t.Add(topologyLabel(h),
 			fmt.Sprintf("%d", got.HiddenRounds),
 			fmt.Sprintf("%d", got.ExposedRounds),
 			fmt.Sprintf("%.1f", float64(got.HiddenBytes)/1e3),
 			fmt.Sprintf("%.1f", float64(got.ExposedBytes)/1e3),
 			fmt.Sprintf("%.0f%%", 100*got.HiddenByteFrac()),
-			match,
+			matchCell(got, comm.ExpectedOverlapStats(h, nil, paramElems, bucketElems)),
 			fmt.Sprintf("%.3fms (%.3fms)", 1e3*exposed, 1e3*serial))
-		return nil
-	}
-	for _, algo := range []dist.Algorithm{dist.Central, dist.Tree, dist.Ring} {
-		if err := row(algo.String(), nil, algo); err != nil {
-			return nil, err
-		}
-	}
-	if err := row(hier.String(), &hier, dist.Tree); err != nil {
-		return nil, err
 	}
 	t.Note("Measured columns come from one engine step with Config.Overlap: bucket reductions fire inside the backward pass as their parameters' gradients land; the bucket covering the first layers is only ready when the backward ends, so its reduction — plus the weight broadcast — is exposed.")
 	t.Note("The model column cross-checks comm.ExpectedOverlapStats against the measured split; \"exact\" means every counter matches.")

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/nn"
 )
@@ -38,10 +37,7 @@ func ProgressiveResolutionStudy() (*Table, error) {
 		Header:   []string{"schedule", "identity (P, topology)", "test acc", "final loss", "train wall", "train flops/img by phase", "analytic wall", "analytic flop savings"},
 		Volatile: true,
 	}
-	ds := data.GenerateSynth(data.SynthConfig{
-		Classes: 4, TrainSize: 256, TestSize: 128,
-		C: 3, H: 24, W: 24, Noise: 0.25, MaxShift: 1, Seed: 7,
-	})
+	ds := studySynth(24, 128)
 	spec := models.MicroConvNetSpec(models.MicroConfig{Classes: 4, InC: 3, InH: 24, InW: 24, Width: 4})
 	const epochs, batch = 10, 64
 
@@ -60,7 +56,14 @@ func ProgressiveResolutionStudy() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		identity, err := progressiveIdentity(row.identitySchedule, ds)
+		identitySched, err := data.ParseResolutionSchedule(row.identitySchedule)
+		if err != nil {
+			return nil, err
+		}
+		identity, _, err := trajectoryIdentity(core.Config{
+			Model: progressiveNet, Resolutions: identitySched,
+			Batch: 64, Epochs: 3, Method: core.BaselineSGD, BaseLR: 0.1, Seed: 9,
+		}, ds)
 		if err != nil {
 			return nil, err
 		}
@@ -94,18 +97,9 @@ func ProgressiveResolutionStudy() (*Table, error) {
 			fmt.Sprintf("%.1f%%", est.FLOPSavingsPct()))
 	}
 
-	// Negative control: the curriculum must not share the fixed trajectory.
-	same := len(trajectories[0]) == len(trajectories[1])
-	if same {
-		for e := range trajectories[0] {
-			if trajectories[0][e] != trajectories[1][e] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		return nil, fmt.Errorf("harness: progressive trajectory is bit-identical to fixed — the resolution schedule is not reaching the trainer")
+	if err := mustDiffer(trajectories[0], trajectories[1],
+		"progressive trajectory is bit-identical to fixed — the resolution schedule is not reaching the trainer"); err != nil {
+		return nil, err
 	}
 
 	entrSched, err := data.ParseResolutionSchedule("112x112@0-29,224x224@30+")
@@ -127,57 +121,4 @@ func progressiveNet(seed uint64) *nn.Network {
 	return models.NewMicroConvNet(models.MicroConfig{
 		Classes: 4, InC: 3, InH: 24, InW: 24, Width: 4, Seed: seed,
 	})
-}
-
-// progressiveIdentity runs the dynamic-shape determinism contract for one
-// schedule: the 3-epoch trajectory at P=1 must reproduce bitwise across
-// P=4 decompositions even when the resolution switches between epochs.
-func progressiveIdentity(schedule string, ds *data.Synth) (string, error) {
-	sched, err := data.ParseResolutionSchedule(schedule)
-	if err != nil {
-		return "", err
-	}
-	hier := dist.NewHierarchy(2, 2)
-	run := func(workers int, topology *dist.Hierarchy, bucket int, overlap bool) ([]float64, error) {
-		res, err := core.Train(core.Config{
-			Model: progressiveNet, Workers: workers, Shards: 4,
-			Algo: dist.Ring, Topology: topology, Bucket: bucket, Overlap: overlap,
-			Resolutions: sched,
-			Batch:       64, Epochs: 3, Method: core.BaselineSGD, BaseLR: 0.1, Seed: 9,
-		}, ds)
-		if err != nil {
-			return nil, err
-		}
-		traj := make([]float64, len(res.History))
-		for i, h := range res.History {
-			traj[i] = h.TrainLoss
-		}
-		return traj, nil
-	}
-	ref, err := run(1, nil, 0, false)
-	if err != nil {
-		return "", err
-	}
-	for _, tc := range []struct {
-		label   string
-		workers int
-		topo    *dist.Hierarchy
-		bucket  int
-		overlap bool
-	}{
-		{"P=4 flat", 4, nil, 0, false},
-		{"P=4 hier", 4, &hier, 0, false},
-		{"P=4 overlap", 4, nil, 33, true},
-	} {
-		got, err := run(tc.workers, tc.topo, tc.bucket, tc.overlap)
-		if err != nil {
-			return "", err
-		}
-		for e := range ref {
-			if got[e] != ref[e] {
-				return fmt.Sprintf("DRIFT at %s epoch %d", tc.label, e), nil
-			}
-		}
-	}
-	return "exact", nil
 }

@@ -26,12 +26,13 @@ type LayerSpec struct {
 	// layers use OutC with OutH = OutW = 1.
 	OutC, OutH, OutW int
 
-	// Replay recipe, set by specBuilder: enough to recompute Params, MACs,
-	// and output dims when the model input resolution changes (At /
-	// FLOPsPerImageAt). In is the index of the feeding layer (-1 = model
-	// input) — branches like ResNet projection shortcuts feed from an
-	// earlier layer than their list predecessor. K doubles as the LRN
-	// window. Replay is only defined for builder-produced specs.
+	// The recipe, recorded by specBuilder: with OutC (conv, fc), enough to
+	// compute Params, MACs and output dims at any model input resolution
+	// (At — which is also how the canonical spec's own numbers are
+	// produced). In is the index of the feeding layer (-1 = model input) —
+	// branches like ResNet projection shortcuts feed from an earlier layer
+	// than their list predecessor. K doubles as the LRN window. Replay is
+	// only defined for builder-produced specs.
 	In     int
 	K      int
 	Stride int
@@ -77,10 +78,12 @@ func (m *ModelSpec) FLOPsPerImage() int64 { return 2 * m.MACsPerImage() }
 // for 90-epoch ResNet-50 training is built on.
 func (m *ModelSpec) TrainFLOPsPerImage() int64 { return 3 * m.FLOPsPerImage() }
 
-// At replays the spec at a different input resolution: every layer's output
-// dims, MACs, and (for layers whose parameters depend on the activation
-// size, i.e. fc after flatten) Params are recomputed from the recipe fields
-// while channel widths and kernel geometry stay fixed. GAP-headed models
+// At replays the spec's recipe at input resolution h×w — the one place a
+// layer's geometry, Params and MACs arithmetic is written (the builder's
+// build() is At at the canonical input): every layer's output dims, MACs,
+// and (for layers whose parameters depend on the activation size, i.e. fc
+// after flatten) Params are computed from the recipe fields while channel
+// widths and kernel geometry stay fixed. GAP-headed models
 // keep their exact ParamCount at every resolution; flatten→fc models
 // change |W| with resolution, which At reports faithfully — callers that
 // require a fixed weight vector (the distributed engine, the simulator's
@@ -119,6 +122,7 @@ func (m *ModelSpec) At(h, w int) *ModelSpec {
 				nl.Params += int64(l.OutC)
 			}
 			nl.MACs = in * int64(l.OutC)
+			nl.OutH, nl.OutW = 1, 1
 		case "bn":
 			nl.Params = 2 * int64(inC)
 			nl.MACs = 2 * int64(inC) * int64(inH*inW)
@@ -187,130 +191,92 @@ func (m *ModelSpec) String() string {
 	return b.String()
 }
 
-// specBuilder accumulates layers while tracking the activation shape and
-// the index of the layer that produced it (the feeding layer recorded in
-// each LayerSpec.In so At can replay branches).
+// specBuilder records a model's recipe: each layer's kind, its geometry
+// (OutC, K, Stride, Pad, Groups, Bias) and the index of the layer feeding it
+// (LayerSpec.In, so At can replay branches). It computes no shapes, Params
+// or MACs itself — build() replays the recipe at the canonical input through
+// At, the one place that arithmetic lives — and tracks only what recording
+// needs: the running channel count (conv's group check, residual marks) and
+// the cursor.
 type specBuilder struct {
-	m       *ModelSpec
-	c, h, w int
-	from    int // index of the layer producing the current activation; -1 = input
+	m    *ModelSpec
+	c    int // channels of the current activation
+	from int // index of the layer producing it; -1 = input
 }
 
 func newSpecBuilder(name string, inC, inH, inW, classes int) *specBuilder {
 	return &specBuilder{
 		m: &ModelSpec{Name: name, InputC: inC, InputH: inH, InputW: inW, Classes: classes},
-		c: inC, h: inH, w: inW, from: -1,
+		c: inC, from: -1,
 	}
 }
 
 // specMark is a saved builder cursor: residual branches restore it to
 // append a shortcut path fed from the block input.
 type specMark struct {
-	c, h, w, from int
+	c, from int
 }
 
-func (b *specBuilder) mark() specMark { return specMark{b.c, b.h, b.w, b.from} }
+func (b *specBuilder) mark() specMark { return specMark{b.c, b.from} }
 
-func (b *specBuilder) restore(m specMark) { b.c, b.h, b.w, b.from = m.c, m.h, m.w, m.from }
+func (b *specBuilder) restore(m specMark) { b.c, b.from = m.c, m.from }
 
 // push appends a layer with the feeding-cursor recorded and advances the
 // cursor to it.
-func (b *specBuilder) push(l LayerSpec) {
+func (b *specBuilder) push(l LayerSpec) *specBuilder {
 	l.In = b.from
 	b.m.Layers = append(b.m.Layers, l)
 	b.from = len(b.m.Layers) - 1
+	return b
 }
 
 // conv appends a convolution. groups models AlexNet's two-tower grouped
 // convolutions: parameters and MACs divide by the group count.
 func (b *specBuilder) conv(name string, outC, k, stride, pad, groups int, bias bool) *specBuilder {
-	outH := (b.h+2*pad-k)/stride + 1
-	outW := (b.w+2*pad-k)/stride + 1
-	if outH <= 0 || outW <= 0 {
-		panic(fmt.Sprintf("models: %s: conv %s output empty", b.m.Name, name))
-	}
 	if b.c%groups != 0 || outC%groups != 0 {
 		panic(fmt.Sprintf("models: %s: conv %s groups %d do not divide channels", b.m.Name, name, groups))
 	}
-	params := int64(outC) * int64(b.c/groups) * int64(k*k)
-	if bias {
-		params += int64(outC)
-	}
-	macs := int64(b.c/groups) * int64(k*k) * int64(outC) * int64(outH*outW)
-	b.push(LayerSpec{
-		Name: name, Kind: "conv", Params: params, MACs: macs, OutC: outC, OutH: outH, OutW: outW,
-		K: k, Stride: stride, Pad: pad, Groups: groups, Bias: bias,
-	})
-	b.c, b.h, b.w = outC, outH, outW
-	return b
+	b.c = outC
+	return b.push(LayerSpec{Name: name, Kind: "conv", OutC: outC, K: k, Stride: stride, Pad: pad, Groups: groups, Bias: bias})
 }
 
 // fc appends a fully-connected layer consuming the flattened activation.
 func (b *specBuilder) fc(name string, out int, bias bool) *specBuilder {
-	in := int64(b.c) * int64(b.h) * int64(b.w)
-	params := in * int64(out)
-	if bias {
-		params += int64(out)
-	}
-	b.push(LayerSpec{
-		Name: name, Kind: "fc", Params: params, MACs: in * int64(out), OutC: out, OutH: 1, OutW: 1,
-		Bias: bias,
-	})
-	b.c, b.h, b.w = out, 1, 1
-	return b
+	b.c = out
+	return b.push(LayerSpec{Name: name, Kind: "fc", OutC: out, Bias: bias})
 }
 
 // bn appends batch normalization: 2 learnable scalars per channel and ~4 ops
 // per activation (counted as 2 MACs).
 func (b *specBuilder) bn(name string) *specBuilder {
-	b.push(LayerSpec{
-		Name: name, Kind: "bn", Params: 2 * int64(b.c),
-		MACs: 2 * int64(b.c) * int64(b.h*b.w), OutC: b.c, OutH: b.h, OutW: b.w,
-	})
-	return b
+	return b.push(LayerSpec{Name: name, Kind: "bn"})
 }
 
 // lrn appends local response normalization (no parameters; ~windowSize MACs
 // per activation).
 func (b *specBuilder) lrn(name string, window int) *specBuilder {
-	b.push(LayerSpec{
-		Name: name, Kind: "lrn", MACs: int64(window) * int64(b.c) * int64(b.h*b.w),
-		OutC: b.c, OutH: b.h, OutW: b.w, K: window,
-	})
-	return b
+	return b.push(LayerSpec{Name: name, Kind: "lrn", K: window})
 }
 
 // relu appends an activation (no parameters, negligible MACs).
 func (b *specBuilder) relu(name string) *specBuilder {
-	b.push(LayerSpec{Name: name, Kind: "relu", OutC: b.c, OutH: b.h, OutW: b.w})
-	return b
+	return b.push(LayerSpec{Name: name, Kind: "relu"})
 }
 
 // dropout appends a dropout layer (no parameters or MACs).
 func (b *specBuilder) dropout(name string) *specBuilder {
-	b.push(LayerSpec{Name: name, Kind: "dropout", OutC: b.c, OutH: b.h, OutW: b.w})
-	return b
+	return b.push(LayerSpec{Name: name, Kind: "dropout"})
 }
 
 // maxpool appends max pooling.
 func (b *specBuilder) maxpool(name string, k, stride, pad int) *specBuilder {
-	outH := (b.h+2*pad-k)/stride + 1
-	outW := (b.w+2*pad-k)/stride + 1
-	b.push(LayerSpec{
-		Name: name, Kind: "pool", MACs: int64(k*k) * int64(b.c) * int64(outH*outW) / 2,
-		OutC: b.c, OutH: outH, OutW: outW, K: k, Stride: stride, Pad: pad,
-	})
-	b.h, b.w = outH, outW
-	return b
+	return b.push(LayerSpec{Name: name, Kind: "pool", K: k, Stride: stride, Pad: pad})
 }
 
 // gap appends global average pooling down to 1x1.
 func (b *specBuilder) gap(name string) *specBuilder {
-	b.push(LayerSpec{
-		Name: name, Kind: "gap", MACs: int64(b.c) * int64(b.h*b.w) / 2, OutC: b.c, OutH: 1, OutW: 1,
-	})
-	b.h, b.w = 1, 1
-	return b
+	return b.push(LayerSpec{Name: name, Kind: "gap"})
 }
 
-func (b *specBuilder) build() *ModelSpec { return b.m }
+// build replays the recorded recipe at the canonical input resolution.
+func (b *specBuilder) build() *ModelSpec { return b.m.At(b.m.InputH, b.m.InputW) }
