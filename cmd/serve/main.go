@@ -36,10 +36,11 @@
 // By default the pool executes every batch through real model replicas
 // (forward pass, eval mode) and reports the predicted-class histogram.
 // -model / -width / -classes / -image-size choose the micro model (same
-// flags as cmd/train), -precision f32|f16 the GEMM storage precision, and
-// -checkpoint loads a checkpoint file produced by checkpoint.Save into
-// every replica — the train→serve artifact handoff. -schedule-only skips
-// model execution entirely for pure scheduling experiments at large n.
+// flags and the same models.Micro table as cmd/train), -precision f32|f16
+// the GEMM storage precision, and -checkpoint loads a checkpoint file
+// produced by checkpoint.Save into every replica — the train→serve artifact
+// handoff. -schedule-only skips model execution entirely for pure
+// scheduling experiments at large n.
 //
 // # Worked example: overload
 //
@@ -74,6 +75,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
@@ -103,7 +105,7 @@ func main() {
 		svcBase  = flag.Int64("svc-base", 100, "batch service cost: fixed µs per batch")
 		svcPer   = flag.Int64("svc-per-image", 25, "batch service cost: µs per image")
 
-		modelName = flag.String("model", "micro-alexnet", "model: micro-alexnet | micro-resnet | mlp")
+		modelName = flag.String("model", "micro-alexnet", "model: "+strings.Join(models.MicroNames(), " | "))
 		width     = flag.Int("width", 8, "model base width")
 		classes   = flag.Int("classes", 8, "class count")
 		imageSize = flag.Int("image-size", 24, "image height/width")
@@ -142,14 +144,14 @@ func main() {
 		cfg.MaxBatch, cfg.MaxDelay, cfg.Replicas, capLabel(cfg.QueueCap), cfg.Service.Base, cfg.Service.PerImage)
 
 	var rep *serve.Report
+	var err error
 	if *schedOnly {
-		var err error
 		rep, err = serve.Simulate(cfg, trace)
-		if err != nil {
-			log.Fatal(err)
-		}
 	} else {
-		rep = runPool(cfg, trace, *modelName, *width, *classes, *imageSize, *precision, *ckptPath)
+		rep, err = runPool(cfg, trace, *modelName, *width, *classes, *imageSize, *precision, *ckptPath)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Print(rep.Stats.String())
@@ -168,44 +170,41 @@ func main() {
 
 // runPool executes the trace through real model replicas and prints the
 // predicted-class histogram alongside the schedule.
-func runPool(cfg serve.Config, trace serve.Trace, modelName string, width, classes, imageSize int, precision, ckptPath string) *serve.Report {
-	mcfg := models.MicroConfig{Classes: classes, InH: imageSize, InW: imageSize, Width: width, Seed: 1}
-	var factory func() *nn.Network
-	switch modelName {
-	case "micro-alexnet":
-		factory = func() *nn.Network { return models.NewMicroAlexNet(mcfg) }
-	case "micro-resnet":
-		factory = func() *nn.Network { return models.NewMicroResNet(mcfg) }
-	case "mlp":
-		factory = func() *nn.Network { return models.NewMLP(mcfg) }
-	default:
-		log.Fatalf("unknown model %q", modelName)
+func runPool(cfg serve.Config, trace serve.Trace, modelName string, width, classes, imageSize int, precision, ckptPath string) (*serve.Report, error) {
+	synCfg := data.SynthConfig{
+		Classes: classes, TrainSize: 2, TestSize: max(classes, 8),
+		C: 3, H: imageSize, W: imageSize, Noise: 0.3, MaxShift: 2, Seed: 20180901,
 	}
-
-	var pool *serve.Pool
-	var err error
-	if ckptPath != "" {
-		var c *checkpoint.Checkpoint
-		if c, err = checkpoint.Load(ckptPath); err != nil {
-			log.Fatal(err)
-		}
-		if pool, err = serve.PoolFromCheckpoint(cfg, factory, c); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("loaded checkpoint %s (step %d) into %d replica(s)\n\n", ckptPath, c.Step, pool.Size())
-	} else if pool, err = serve.NewPool(cfg, factory); err != nil {
-		log.Fatal(err)
+	if err := synCfg.Validate(); err != nil {
+		return nil, err
+	}
+	spec, err := models.Micro(modelName, models.MicroConfig{Classes: classes, InH: imageSize, InW: imageSize, Width: width})
+	if err != nil {
+		return nil, err
 	}
 	prec, err := tensor.ParsePrecision(precision)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
+	}
+	build := spec.Factory()
+	factory := func() *nn.Network { return build(1) }
+
+	var pool *serve.Pool
+	if ckptPath != "" {
+		c, err := checkpoint.Load(ckptPath)
+		if err != nil {
+			return nil, err
+		}
+		if pool, err = serve.PoolFromCheckpoint(cfg, factory, c); err != nil {
+			return nil, err
+		}
+		fmt.Printf("loaded checkpoint %s (step %d) into %d replica(s)\n\n", ckptPath, c.Step, pool.Size())
+	} else if pool, err = serve.NewPool(cfg, factory); err != nil {
+		return nil, err
 	}
 	pool.SetPrecision(prec)
 
-	synth := data.GenerateSynth(data.SynthConfig{
-		Classes: classes, TrainSize: 2, TestSize: max(classes, 8),
-		C: 3, H: imageSize, W: imageSize, Noise: 0.3, MaxShift: 2, Seed: 20180901,
-	})
+	synth := data.GenerateSynth(synCfg)
 	idx := make([]int, synth.Test.Len())
 	for i := range idx {
 		idx[i] = i
@@ -218,7 +217,7 @@ func runPool(cfg serve.Config, trace serve.Trace, modelName string, width, class
 	}
 	rep, preds, err := pool.Run(trace, images)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	hist := make([]int, classes)
 	served := 0
@@ -230,7 +229,7 @@ func runPool(cfg serve.Config, trace serve.Trace, modelName string, width, class
 	}
 	fmt.Printf("executed %d forward(s) over %d image(s) at %s; predicted-class histogram: %v\n\n",
 		len(rep.Batches), served, prec, hist)
-	return rep
+	return rep, nil
 }
 
 func capLabel(c int) string {

@@ -116,7 +116,7 @@ func main() {
 	log.SetPrefix("simulate: ")
 
 	var (
-		model      = flag.String("model", "resnet50", "model: alexnet | alexnet-bn | resnet50")
+		model      = flag.String("model", "resnet50", "model: "+strings.Join(models.FullSizeNames(), " | "))
 		machine    = flag.String("machine", "knl", "device: k20 | m40 | p100 | knl | cpu")
 		network    = flag.String("network", "opa", "fabric: fdr | qdr | 10gbe | opa | nvlink (cross-node tier when -per-node is set)")
 		algo       = flag.String("algo", "ring", "allreduce: central | tree | ring (cross-node tier when -per-node is set)")
@@ -150,16 +150,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var spec *models.ModelSpec
-	switch *model {
-	case "alexnet":
-		spec = models.AlexNetSpec()
-	case "alexnet-bn":
-		spec = models.AlexNetBNSpec()
-	case "resnet50":
-		spec = models.ResNet50Spec()
-	default:
-		log.Fatalf("unknown model %q", *model)
+	spec, err := models.FullSize(*model)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var m cluster.Machine
@@ -196,17 +189,11 @@ func main() {
 		}
 	}
 	parseAlgo := func(name string) dist.Algorithm {
-		switch name {
-		case "central":
-			return dist.Central
-		case "tree":
-			return dist.Tree
-		case "ring":
-			return dist.Ring
-		default:
-			log.Fatalf("unknown algorithm %q", name)
-			panic("unreachable")
+		a, err := dist.ParseAlgorithm(name)
+		if err != nil {
+			log.Fatal(err)
 		}
+		return a
 	}
 	net := parseNet(*network)
 	a := parseAlgo(*algo)

@@ -9,7 +9,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"strings"
 
 	"repro/internal/models"
 )
@@ -17,32 +20,37 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("spec: ")
-	model := flag.String("model", "", "alexnet | alexnet-bn | resnet18 | resnet34 | resnet50 (empty = summary of all)")
-	flag.Parse()
-
-	specs := map[string]*models.ModelSpec{
-		"alexnet":    models.AlexNetSpec(),
-		"alexnet-bn": models.AlexNetBNSpec(),
-		"resnet18":   models.ResNet18Spec(),
-		"resnet34":   models.ResNet34Spec(),
-		"resnet50":   models.ResNet50Spec(),
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
 	}
+}
+
+// run is the whole command: it parses args and writes the tables to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("spec", flag.ExitOnError)
+	names := models.FullSizeNames()
+	model := fs.String("model", "", strings.Join(names, " | ")+" (empty = summary of all)")
+	fs.Parse(args) // ExitOnError: a bad flag does not return
 
 	if *model != "" {
-		s, ok := specs[*model]
-		if !ok {
-			log.Fatalf("unknown model %q", *model)
+		s, err := models.FullSize(*model)
+		if err != nil {
+			return err
 		}
-		fmt.Print(s.String())
-		return
+		fmt.Fprint(w, s.String())
+		return nil
 	}
 
-	fmt.Printf("%-12s %14s %16s %16s %10s\n", "model", "params", "flops/image", "train flops/img", "comp/comm")
-	for _, name := range []string{"alexnet", "alexnet-bn", "resnet18", "resnet34", "resnet50"} {
-		s := specs[name]
-		fmt.Printf("%-12s %14d %16d %16d %10.1f\n",
+	fmt.Fprintf(w, "%-12s %14s %16s %16s %10s\n", "model", "params", "flops/image", "train flops/img", "comp/comm")
+	for _, name := range names {
+		s, err := models.FullSize(name)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-12s %14d %16d %16d %10.1f\n",
 			name, s.ParamCount(), s.FLOPsPerImage(), s.TrainFLOPsPerImage(), s.ScalingRatio())
 	}
-	fmt.Println("\ncomp/comm is Table 6's scaling ratio: flops per image / parameters.")
-	fmt.Println("Run with -model <name> for the full layer table.")
+	fmt.Fprintln(w, "\ncomp/comm is Table 6's scaling ratio: flops per image / parameters.")
+	fmt.Fprintln(w, "Run with -model <name> for the full layer table.")
+	return nil
 }

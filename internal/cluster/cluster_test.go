@@ -273,6 +273,30 @@ func TestMicroBatchingKeepsOversizedBatches(t *testing.T) {
 	}
 }
 
+// TestSimulatePricesEveryMicroModel: every model cmd/train can train has a
+// spec the pricer takes — micro-resnet and mlp, the models cmd/serve and the
+// comm-bound benchmark workload run, had none — and the priced allreduce
+// carries exactly the spec's |W|.
+func TestSimulatePricesEveryMicroModel(t *testing.T) {
+	micro := models.MicroConfig{Classes: 8, InH: 24, Width: 8}
+	for _, spec := range []*models.ModelSpec{
+		models.MicroAlexNetSpec(micro),
+		models.MicroConvNetSpec(micro),
+		models.MicroResNetSpec(micro),
+		models.MLPSpec(micro),
+	} {
+		c := KNLCluster(4)
+		est := Simulate(c, spec, 64, 2, 4096)
+		if est.OOM || !(est.CompSec > 0) || !(est.CommSec > 0) || !(est.ImagesSec > 0) {
+			t.Errorf("%s: not priced: %+v", spec.Name, est)
+		}
+		h, _ := c.Hierarchy()
+		if want := comm.ExpectedTierStats(h, nil, spec.WeightBytes()).Total(); est.Comm != want {
+			t.Errorf("%s: allreduce %+v, want the closed form of %d weight bytes %+v", spec.Name, est.Comm, spec.WeightBytes(), want)
+		}
+	}
+}
+
 func TestMaxBatchPositive(t *testing.T) {
 	for _, m := range []Machine{TeslaK20, TeslaM40, TeslaP100, KNL7250, Xeon8160} {
 		for _, spec := range []*models.ModelSpec{models.AlexNetSpec(), models.ResNet50Spec()} {

@@ -14,7 +14,6 @@ package compress
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/kernel"
 )
@@ -129,15 +128,6 @@ func (z *Quantizer) SetResidual(r []float32) {
 		panic(fmt.Sprintf("compress: residual has %d coords, quantizer built for %d", len(r), len(z.residual)))
 	}
 	copy(z.residual, r)
-}
-
-// ResidualNorm returns the L2 norm of the carried error (diagnostic).
-func (z *Quantizer) ResidualNorm() float64 {
-	var s float64
-	for _, v := range z.residual {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 // CompressedAllreduce performs a parameter-server style gradient exchange

@@ -156,8 +156,12 @@ type Config struct {
 	// Topology, Overlap and pinned Shards at both precisions. Evaluation
 	// always runs at the dataset's native resolution. Requires a model
 	// whose parameter count is resolution-independent (a GAP-headed
-	// all-conv net such as models.NewMicroConvNet or NewMicroResNet);
-	// flatten→fc models panic at the first off-native shape. Nil trains
+	// all-conv net such as models.MicroConvNetSpec or MicroResNetSpec).
+	// Train does not see the architecture, so the check belongs to the
+	// caller: cmd/train compares spec.Replay(h, w).ParamCount() with
+	// spec.ParamCount() for every phase and refuses the run; a flatten→fc
+	// model passed here unchecked fails its first off-native step with the
+	// layer's shape error, returned by Train as a worker error. Nil trains
 	// every epoch at native resolution — bit-identical to the pre-schedule
 	// trainer.
 	Resolutions *data.ResolutionSchedule

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/rng"
@@ -37,6 +38,22 @@ func DefaultSynthConfig() SynthConfig {
 	}
 }
 
+// Validate names the first field GenerateSynth cannot render a dataset
+// from: commands check it so a bad flag is one line, not a panic trace.
+func (c SynthConfig) Validate() error {
+	switch {
+	case c.Classes < 2:
+		return fmt.Errorf("data: SynthConfig.Classes = %d: need at least 2 classes", c.Classes)
+	case c.TrainSize < 1:
+		return fmt.Errorf("data: SynthConfig.TrainSize = %d: need at least 1 training example", c.TrainSize)
+	case c.TestSize < 0:
+		return fmt.Errorf("data: SynthConfig.TestSize = %d: cannot be negative", c.TestSize)
+	case c.C < 1 || c.H < 1 || c.W < 1:
+		return fmt.Errorf("data: SynthConfig image %dx%dx%d (C, H, W): every extent must be positive", c.C, c.H, c.W)
+	}
+	return nil
+}
+
 // Synth holds the generated train/test split plus the class templates
 // (exposed for tests that check separability directly).
 type Synth struct {
@@ -54,9 +71,11 @@ type Synth struct {
 //   - single samples are ambiguous enough that optimization quality matters
 //     (noise σ comparable to signal),
 //   - the distribution is exactly reproducible from the seed.
+//
+// It panics with cfg.Validate's error on a config it cannot render.
 func GenerateSynth(cfg SynthConfig) *Synth {
-	if cfg.Classes <= 1 || cfg.TrainSize <= 0 || cfg.C <= 0 || cfg.H <= 0 || cfg.W <= 0 {
-		panic("data: invalid SynthConfig")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	root := rng.New(cfg.Seed)
 	templates := tensor.New(cfg.Classes, cfg.C, cfg.H, cfg.W)

@@ -115,6 +115,16 @@ func (a Algorithm) String() string {
 	}
 }
 
+// ParseAlgorithm is the inverse of String: "central", "tree" or "ring".
+func ParseAlgorithm(name string) (Algorithm, error) {
+	for _, a := range []Algorithm{Central, Tree, Ring} {
+		if a.String() == name {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("dist: unknown algorithm %q (want central | tree | ring)", name)
+}
+
 // CommStats counts the data movement of the executed schedules. The
 // aggregate view (total messages and bytes across all links) is what
 // internal/comm's Figure 9/10 arithmetic models; Steps counts latency

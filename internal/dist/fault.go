@@ -1,5 +1,11 @@
 package dist
 
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
+
 // FaultPlan injects deterministic communication faults into the engine's
 // reduction rounds, for scenario diversity: the same plan over the same run
 // always drops and stalls the same (step, worker) pairs, so faulty runs are
@@ -51,6 +57,31 @@ type FaultPlan struct {
 	// 0 (the master) is always an initial member; NewEngine rejects plans
 	// that mark it.
 	Join map[int]int64
+}
+
+// ParseWorkerSteps parses the flag syntax of Dead and Join: comma-separated
+// "worker@step" pairs of unsigned decimal integers ("3@40,2@60", spaces
+// around a pair tolerated). The empty string is the nil plan. A malformed
+// pair, trailing text, a sign, or a worker listed twice is an error — which
+// workers a plan may name is Config.Validate's business.
+func ParseWorkerSteps(s string) (map[int]int64, error) {
+	if s == "" {
+		return nil, nil
+	}
+	plan := make(map[int]int64)
+	for _, pair := range strings.Split(s, ",") {
+		ws, ss, _ := strings.Cut(strings.TrimSpace(pair), "@")
+		w, werr := strconv.ParseUint(ws, 10, 31)
+		step, serr := strconv.ParseUint(ss, 10, 63)
+		if werr != nil || serr != nil {
+			return nil, fmt.Errorf("dist: bad entry %q: want \"worker@step\", two unsigned integers", pair)
+		}
+		if _, dup := plan[int(w)]; dup {
+			return nil, fmt.Errorf("dist: worker %d listed twice", w)
+		}
+		plan[int(w)] = int64(step)
+	}
+	return plan, nil
 }
 
 // enabled reports whether the plan can ever fire.

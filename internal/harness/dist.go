@@ -21,7 +21,7 @@ func AllreduceStudy(s *Setup, workers int) (*Table, error) {
 		ID: "Allreduce study", Title: fmt.Sprintf("One measured engine step per topology (P=%d, micro-AlexNet)", workers),
 		Header: []string{"algorithm", "messages", "payload MB", "latency rounds", "model msgs", "model rounds", "FDR time"},
 	}
-	f := newFixture(s.Factory(), s.Seed, s.Dataset(), min(256, s.Dataset().Train.Len()))
+	f := newFixture(s.Spec().Factory(), s.Seed, s.Dataset(), min(256, s.Dataset().Train.Len()))
 	_, nparams := f.paramElems()
 	row := func(label string, step, model dist.CommStats) {
 		t.Add(label,

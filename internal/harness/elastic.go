@@ -7,7 +7,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/models"
-	"repro/internal/nn"
 )
 
 // elasticStudySteps is the study's step budget: two healthy steps, the
@@ -33,9 +32,8 @@ func ElasticityStudy() (*Table, error) {
 		ID: "Elasticity study", Title: fmt.Sprintf("Evicting a dead worker and continuing on the survivors (P=%d, evict after 2 failed recoveries)", workers),
 		Header: []string{"topology", "dead", "evicted at", "world timeline", "rounds @P", "rounds degraded", "model", "FDR img/s @P -> degraded"},
 	}
-	f := newFixture(func(seed uint64) *nn.Network {
-		return models.NewMLP(models.MicroConfig{Classes: 4, InC: 3, InH: 8, InW: 8, Width: 4, Seed: seed})
-	}, 1, studySynth(8, 64), batch)
+	net := models.MLPSpec(models.MicroConfig{Classes: 4, InC: 3, InH: 8, InW: 8, Width: 4})
+	f := newFixture(net.Factory(), 1, studySynth(8, 64), batch)
 	_, nparams := f.paramElems()
 	fdr := func(s dist.CommStats) float64 {
 		return float64(batch) / comm.MellanoxFDR.TimeFromStats(s) / 1e6

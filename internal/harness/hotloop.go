@@ -7,7 +7,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/kernel"
 	"repro/internal/models"
-	"repro/internal/nn"
 	"repro/internal/rng"
 )
 
@@ -33,16 +32,13 @@ func HotLoopStudy() (*Table, error) {
 		Volatile: true,
 	}
 	ds := studySynth(16, 64)
-	conv := newFixture(func(seed uint64) *nn.Network {
-		return models.NewMicroAlexNet(models.MicroConfig{Classes: 4, InH: 16, Width: 4, Seed: seed})
-	}, 1, ds, 64)
+	micro := models.MicroConfig{Classes: 4, InC: 3, InH: 16, InW: 16, Width: 4}
+	conv := newFixture(models.MicroAlexNetSpec(micro).Factory(), 1, ds, 64)
 	// The identity model is the dropout-free MLP: dropout masks are drawn
 	// from each replica's own RNG, so they — not the reduction — would break
 	// cross-P identity (the same modeling choice the engine's bit-identity
 	// tests make).
-	mlp := newFixture(func(seed uint64) *nn.Network {
-		return models.NewMLP(models.MicroConfig{Classes: 4, InC: 3, InH: 16, InW: 16, Width: 4, Seed: seed})
-	}, 1, ds, 64)
+	mlp := newFixture(models.MLPSpec(micro).Factory(), 1, ds, 64)
 
 	for _, policy := range []dist.Reduction{dist.CanonicalF64, dist.PairwiseF32} {
 		identity, err := reductionIdentity(mlp, policy)

@@ -40,9 +40,10 @@ func LocalSGDStudy() (*Table, error) {
 	// Capture each run's first-built replica: core.Train's replica 0 is the
 	// master (and at window-closing step counts every replica agrees with
 	// it); async.Train's first factory call builds the parameter server.
+	build := models.MLPSpec(models.MicroConfig{Classes: 4, InC: 3, InH: 8, InW: 8, Width: 4}).Factory()
 	capturing := func(first **nn.Network) func(uint64) *nn.Network {
 		return func(seed uint64) *nn.Network {
-			net := models.NewMLP(models.MicroConfig{Classes: 4, InC: 3, InH: 8, InW: 8, Width: 4, Seed: seed})
+			net := build(seed)
 			if *first == nil {
 				*first = net
 			}

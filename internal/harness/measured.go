@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/models"
-	"repro/internal/nn"
 )
 
 // Setup fixes the measured-experiment configuration: the SynthImageNet task
@@ -49,13 +48,10 @@ func (s *Setup) Dataset() *data.Synth {
 	return s.ds
 }
 
-// Factory builds micro-AlexNet replicas for this setup.
-func (s *Setup) Factory() func(seed uint64) *nn.Network {
-	return func(seed uint64) *nn.Network {
-		return models.NewMicroAlexNet(models.MicroConfig{
-			Classes: s.Classes, InH: s.ImageSize, Width: s.Width, Seed: seed,
-		})
-	}
+// Spec is this setup's micro-AlexNet recipe: Spec().Factory() builds the
+// replicas, and the spec itself prices their flops.
+func (s *Setup) Spec() *models.ModelSpec {
+	return models.MicroAlexNetSpec(models.MicroConfig{Classes: s.Classes, InH: s.ImageSize, Width: s.Width})
 }
 
 // SweepBatches returns the large-batch ladder used by Figure 1 and Table 7,
@@ -100,7 +96,7 @@ func (s *Setup) TrustFor(batch int) float64 {
 // run executes one training configuration.
 func (s *Setup) run(method core.Method, batch int, epochs int) (*core.Result, error) {
 	cfg := core.Config{
-		Model:        s.Factory(),
+		Model:        s.Spec().Factory(),
 		Workers:      s.Workers,
 		Batch:        batch,
 		Epochs:       epochs,
@@ -176,7 +172,7 @@ func Table5(s *Setup) (*Table, error) {
 	for _, mult := range []float64{0.125, 0.25, 0.5, 1, 2, 4, 8} {
 		lr := s.BaseLR * mult
 		cfg := core.Config{
-			Model: s.Factory(), Workers: s.Workers, Batch: batch, Epochs: s.Epochs,
+			Model: s.Spec().Factory(), Workers: s.Workers, Batch: batch, Epochs: s.Epochs,
 			Method: core.LinearScalingWarmup, BaseLR: lr, BaseBatch: s.BaseBatch,
 			WarmupEpochs: s.WarmupFor(batch), Seed: s.Seed,
 		}
@@ -266,10 +262,7 @@ func Figure5and6(s *Setup) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec := models.MicroAlexNetSpec(models.MicroConfig{
-		Classes: s.Classes, InH: s.ImageSize, Width: s.Width,
-	})
-	flopsPerEpoch := float64(spec.TrainFLOPsPerImage()) * float64(s.TrainSize)
+	flopsPerEpoch := float64(s.Spec().TrainFLOPsPerImage()) * float64(s.TrainSize)
 	t := &Table{
 		ID: "Figures 5 & 6", Title: fmt.Sprintf("Accuracy vs epochs and vs flops (B=%d baseline, B=%d LARS)", s.BaseBatch, largeB),
 		Header: []string{"epoch", "train GFLOPs", fmt.Sprintf("B=%d", s.BaseBatch), fmt.Sprintf("B=%d LARS", largeB)},

@@ -6,7 +6,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/models"
-	"repro/internal/nn"
 )
 
 // overlapBuckets is the bucket count the study splits the gradient into —
@@ -31,9 +30,8 @@ func OverlapStudy() (*Table, error) {
 	// Micro-AlexNet rather than the test MLP: its first conv is tiny, so
 	// nearly every bucket is overlap-eligible — the convnet shape the
 	// overlap argument is about (early layers cheap, late layers heavy).
-	f := newFixture(func(seed uint64) *nn.Network {
-		return models.NewMicroAlexNet(models.MicroConfig{Classes: 4, InH: 16, Width: 4, Seed: seed})
-	}, 1, studySynth(16, 64), 64)
+	net := models.MicroAlexNetSpec(models.MicroConfig{Classes: 4, InH: 16, Width: 4})
+	f := newFixture(net.Factory(), 1, studySynth(16, 64), 64)
 	paramElems, nparams := f.paramElems()
 	bucketElems := (nparams + overlapBuckets - 1) / overlapBuckets
 	var bucketBytes []int64

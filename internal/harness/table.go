@@ -42,15 +42,6 @@ func (t *Table) Add(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// Addf appends one row of formatted cells.
-func (t *Table) Addf(format string, cells ...any) {
-	parts := strings.Split(fmt.Sprintf(format, cells...), "|")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	t.Rows = append(t.Rows, parts)
-}
-
 // Note records a caption line.
 func (t *Table) Note(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))

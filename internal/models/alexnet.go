@@ -1,121 +1,44 @@
 package models
 
-import (
-	"repro/internal/nn"
-	"repro/internal/rng"
-)
-
-// AlexNetSpec returns the original (grouped, LRN) AlexNet on 227x227x3 input
-// with 1000 classes: ~61M parameters and ~1.45 GFLOPs per image, the numbers
-// the paper quotes in Table 6.
-func AlexNetSpec() *ModelSpec {
+// alexNet records the original (grouped, LRN) AlexNet on 227x227x3 input
+// with 1000 classes: ~61M parameters (60,965,224) and ~1.45 GFLOPs per
+// image, the numbers the paper quotes in Table 6. Two-tower convolutions
+// (groups=2 on conv2/4/5), LRN after conv1/conv2, dropout on fc6/fc7.
+func alexNet() *specBuilder {
 	b := newSpecBuilder("AlexNet", 3, 227, 227, 1000)
 	b.conv("conv1", 96, 11, 4, 0, 1, true).relu("relu1").lrn("norm1", 5).maxpool("pool1", 3, 2, 0)
 	b.conv("conv2", 256, 5, 1, 2, 2, true).relu("relu2").lrn("norm2", 5).maxpool("pool2", 3, 2, 0)
 	b.conv("conv3", 384, 3, 1, 1, 1, true).relu("relu3")
 	b.conv("conv4", 384, 3, 1, 1, 2, true).relu("relu4")
 	b.conv("conv5", 256, 3, 1, 1, 2, true).relu("relu5").maxpool("pool5", 3, 2, 0)
-	b.fc("fc6", 4096, true).relu("relu6").dropout("drop6")
-	b.fc("fc7", 4096, true).relu("relu7").dropout("drop7")
-	b.fc("fc8", 1000, true)
-	return b.build()
+	return alexNetHead(b)
 }
 
-// AlexNetBNSpec returns Ginsburg's AlexNet-BN refit that the paper uses for
+// alexNetBN records Ginsburg's AlexNet-BN refit that the paper uses for
 // batch size 32K: every LRN is replaced by a batch normalization after the
 // convolution, and grouping is removed (single-tower convolutions), which is
 // what makes the model stable under the very large LARS learning rates.
-func AlexNetBNSpec() *ModelSpec {
+// Built, it is a large allocation (~62M weights plus gradients); the
+// measured experiments use the micro variants instead.
+func alexNetBN() *specBuilder {
 	b := newSpecBuilder("AlexNet-BN", 3, 227, 227, 1000)
 	b.conv("conv1", 96, 11, 4, 0, 1, false).bn("bn1").relu("relu1").maxpool("pool1", 3, 2, 0)
 	b.conv("conv2", 256, 5, 1, 2, 1, false).bn("bn2").relu("relu2").maxpool("pool2", 3, 2, 0)
 	b.conv("conv3", 384, 3, 1, 1, 1, false).bn("bn3").relu("relu3")
 	b.conv("conv4", 384, 3, 1, 1, 1, false).bn("bn4").relu("relu4")
 	b.conv("conv5", 256, 3, 1, 1, 1, false).bn("bn5").relu("relu5").maxpool("pool5", 3, 2, 0)
-	b.fc("fc6", 4096, true).relu("relu6").dropout("drop6")
-	b.fc("fc7", 4096, true).relu("relu7").dropout("drop7")
-	b.fc("fc8", 1000, true)
-	return b.build()
+	return alexNetHead(b)
 }
 
-// NewAlexNet constructs the trainable original AlexNet: grouped two-tower
-// convolutions (groups=2 on conv2/4/5), LRN after conv1/conv2, dropout on
-// fc6/fc7. The allocated parameter count matches AlexNetSpec exactly
-// (60,965,224 at 1000 classes) — asserted in the tests.
-func NewAlexNet(r *rng.Rand, classes int) *nn.Network {
-	net := nn.NewNetwork("alexnet")
-	net.Add(
-		nn.NewConv("conv1", r, 3, 96, 11, 4, 0, nn.ConvOpts{}),
-		nn.NewReLU("relu1"),
-		nn.NewLRN("norm1"),
-		nn.NewMaxPool("pool1", 3, 2, 0),
-
-		nn.NewGroupedConv("conv2", r, 96, 256, 5, 1, 2, 2, nn.ConvOpts{}),
-		nn.NewReLU("relu2"),
-		nn.NewLRN("norm2"),
-		nn.NewMaxPool("pool2", 3, 2, 0),
-
-		nn.NewConv("conv3", r, 256, 384, 3, 1, 1, nn.ConvOpts{}),
-		nn.NewReLU("relu3"),
-
-		nn.NewGroupedConv("conv4", r, 384, 384, 3, 1, 1, 2, nn.ConvOpts{}),
-		nn.NewReLU("relu4"),
-
-		nn.NewGroupedConv("conv5", r, 384, 256, 3, 1, 1, 2, nn.ConvOpts{}),
-		nn.NewReLU("relu5"),
-		nn.NewMaxPool("pool5", 3, 2, 0),
-
-		nn.NewFlatten(),
-		nn.NewLinear("fc6", r, 256*6*6, 4096),
-		nn.NewReLU("relu6"),
-		nn.NewDropout("drop6", r.Split(), 0.5),
-		nn.NewLinear("fc7", r, 4096, 4096),
-		nn.NewReLU("relu7"),
-		nn.NewDropout("drop7", r.Split(), 0.5),
-		nn.NewLinear("fc8", r, 4096, classes),
-	)
-	return net
+// alexNetHead appends the classifier both AlexNets share.
+func alexNetHead(b *specBuilder) *specBuilder {
+	b.fc("fc6", 4096).relu("relu6").dropout("drop6")
+	b.fc("fc7", 4096).relu("relu7").dropout("drop7")
+	return b.fc("fc8", 1000)
 }
 
-// NewAlexNetBN constructs the trainable (ungrouped) AlexNet-BN network. The
-// geometry matches AlexNetBNSpec exactly; the test suite asserts that the
-// allocated parameter count equals the spec's ParamCount. It is a large
-// allocation (~62M weights plus gradients); the measured experiments use the
-// micro variants instead.
-func NewAlexNetBN(r *rng.Rand, classes int) *nn.Network {
-	net := nn.NewNetwork("alexnet-bn")
-	net.Add(
-		nn.NewConv("conv1", r, 3, 96, 11, 4, 0, nn.ConvOpts{NoBias: true}),
-		nn.NewBatchNorm("bn1", 96),
-		nn.NewReLU("relu1"),
-		nn.NewMaxPool("pool1", 3, 2, 0),
+// AlexNetSpec returns the original AlexNet (Table 6's 61M-parameter row).
+func AlexNetSpec() *ModelSpec { return must(alexNet().build()) }
 
-		nn.NewConv("conv2", r, 96, 256, 5, 1, 2, nn.ConvOpts{NoBias: true}),
-		nn.NewBatchNorm("bn2", 256),
-		nn.NewReLU("relu2"),
-		nn.NewMaxPool("pool2", 3, 2, 0),
-
-		nn.NewConv("conv3", r, 256, 384, 3, 1, 1, nn.ConvOpts{NoBias: true}),
-		nn.NewBatchNorm("bn3", 384),
-		nn.NewReLU("relu3"),
-
-		nn.NewConv("conv4", r, 384, 384, 3, 1, 1, nn.ConvOpts{NoBias: true}),
-		nn.NewBatchNorm("bn4", 384),
-		nn.NewReLU("relu4"),
-
-		nn.NewConv("conv5", r, 384, 256, 3, 1, 1, nn.ConvOpts{NoBias: true}),
-		nn.NewBatchNorm("bn5", 256),
-		nn.NewReLU("relu5"),
-		nn.NewMaxPool("pool5", 3, 2, 0),
-
-		nn.NewFlatten(),
-		nn.NewLinear("fc6", r, 256*6*6, 4096),
-		nn.NewReLU("relu6"),
-		nn.NewDropout("drop6", r.Split(), 0.5),
-		nn.NewLinear("fc7", r, 4096, 4096),
-		nn.NewReLU("relu7"),
-		nn.NewDropout("drop7", r.Split(), 0.5),
-		nn.NewLinear("fc8", r, 4096, classes),
-	)
-	return net
-}
+// AlexNetBNSpec returns the AlexNet-BN refit used at batch 32K.
+func AlexNetBNSpec() *ModelSpec { return must(alexNetBN().build()) }

@@ -42,139 +42,54 @@ func (c MicroConfig) withDefaults() MicroConfig {
 	return c
 }
 
-// NewMicroAlexNet builds a two-conv-block AlexNet analogue: conv → norm →
+// microAlexNet records a two-conv-block AlexNet analogue: conv → norm →
 // relu → pool twice, then an FC head with dropout. With UseLRN it mirrors
 // the original AlexNet normalization; without, the AlexNet-BN refit the
-// paper requires for 32K batches.
-func NewMicroAlexNet(cfg MicroConfig) *nn.Network {
-	cfg = cfg.withDefaults()
-	r := rng.New(cfg.Seed)
-	w := cfg.Width
-	norm := func(name string, c int) nn.Layer {
-		if cfg.UseLRN {
-			return nn.NewLRN(name)
-		}
-		return nn.NewBatchNorm(name, c)
-	}
-	net := nn.NewNetwork(fmt.Sprintf("micro-alexnet-w%d", w),
-		nn.NewConv("conv1", r, cfg.InC, w, 3, 1, 1, nn.ConvOpts{NoBias: !cfg.UseLRN}),
-		norm("norm1", w),
-		nn.NewReLU("relu1"),
-		nn.NewMaxPool("pool1", 2, 2, 0),
-
-		nn.NewConv("conv2", r, w, 2*w, 3, 1, 1, nn.ConvOpts{NoBias: !cfg.UseLRN}),
-		norm("norm2", 2*w),
-		nn.NewReLU("relu2"),
-		nn.NewMaxPool("pool2", 2, 2, 0),
-
-		nn.NewFlatten(),
-		nn.NewLinear("fc1", r, 2*w*(cfg.InH/4)*(cfg.InW/4), 8*w),
-		nn.NewReLU("relu3"),
-		nn.NewDropout("drop1", r.Split(), 0.5),
-		nn.NewLinear("fc2", r, 8*w, cfg.Classes),
-	)
-	return net
-}
-
-// NewMicroResNet builds a reduced bottleneck ResNet: stem conv+BN, two
-// stages of bottleneck blocks (the second strided), global average pooling
-// and a linear classifier — ResNet-50's structure at toy scale.
-func NewMicroResNet(cfg MicroConfig) *nn.Network {
-	cfg = cfg.withDefaults()
-	r := rng.New(cfg.Seed)
-	w := cfg.Width
-	net := nn.NewNetwork(fmt.Sprintf("micro-resnet-w%d", w),
-		nn.NewConv("conv1", r, cfg.InC, w, 3, 1, 1, nn.ConvOpts{NoBias: true}),
-		nn.NewBatchNorm("bn1", w),
-		nn.NewReLU("relu1"),
-	)
-	net.Add(
-		newBottleneck(r, "res2_1", w, w/2, 1),
-		newBottleneck(r, "res3_1", 2*w, w, 2),
-	)
-	net.Add(
-		nn.NewGlobalAvgPool("gap"),
-		nn.NewFlatten(),
-		nn.NewLinear("fc", r, 4*w, cfg.Classes),
-	)
-	return net
-}
-
-// NewMicroConvNet builds the all-convolutional, GAP-headed micro model used
-// by the progressive-resolution experiments: conv-relu stacks with two
-// stride-2 downsampling convs, global average pooling, and a linear
-// classifier. Every layer computes its geometry from the incoming batch, so
-// the same weights train and evaluate at any input resolution the two
-// stride-2 stages can absorb (H, W ≥ 4) — unlike MicroAlexNet, whose
-// flatten→fc head bakes the canonical H×W into |W|. It deliberately has no
-// batch normalization or dropout: BN batch statistics and per-replica
-// dropout RNG would break bit-identity across worker counts, and the
-// shape-agnostic regression grid trains this model across P/topologies.
-func NewMicroConvNet(cfg MicroConfig) *nn.Network {
-	cfg = cfg.withDefaults()
-	r := rng.New(cfg.Seed)
-	w := cfg.Width
-	return nn.NewNetwork(fmt.Sprintf("micro-convnet-w%d", w),
-		nn.NewConv("conv1", r, cfg.InC, w, 3, 1, 1, nn.ConvOpts{}),
-		nn.NewReLU("relu1"),
-		nn.NewConv("conv2", r, w, 2*w, 3, 2, 1, nn.ConvOpts{}),
-		nn.NewReLU("relu2"),
-		nn.NewConv("conv3", r, 2*w, 2*w, 3, 1, 1, nn.ConvOpts{}),
-		nn.NewReLU("relu3"),
-		nn.NewConv("conv4", r, 2*w, 4*w, 3, 2, 1, nn.ConvOpts{}),
-		nn.NewReLU("relu4"),
-		nn.NewGlobalAvgPool("gap"),
-		nn.NewFlatten(),
-		nn.NewLinear("fc", r, 4*w, cfg.Classes),
-	)
-}
-
-// NewMLP builds a plain two-hidden-layer perceptron baseline. It is the
-// cheapest model that still shows the large-batch generalization gap, which
-// makes it useful for fast tests of the optimizer machinery.
-func NewMLP(cfg MicroConfig) *nn.Network {
-	cfg = cfg.withDefaults()
-	r := rng.New(cfg.Seed)
-	in := cfg.InC * cfg.InH * cfg.InW
-	h := 8 * cfg.Width
-	return nn.NewNetwork(fmt.Sprintf("mlp-h%d", h),
-		nn.NewFlatten(),
-		nn.NewLinear("fc1", r, in, h),
-		nn.NewReLU("relu1"),
-		nn.NewLinear("fc2", r, h, h),
-		nn.NewReLU("relu2"),
-		nn.NewLinear("fc3", r, h, cfg.Classes),
-	)
-}
-
-// MicroAlexNetSpec mirrors NewMicroAlexNet for cost accounting in the
-// simulator and the communication analysis of the measured experiments.
-func MicroAlexNetSpec(cfg MicroConfig) *ModelSpec {
+// paper requires for 32K batches. The flatten→fc head bakes the canonical
+// H×W into |W|.
+func microAlexNet(cfg MicroConfig) *specBuilder {
 	cfg = cfg.withDefaults()
 	w := cfg.Width
 	b := newSpecBuilder(fmt.Sprintf("micro-alexnet-w%d", w), cfg.InC, cfg.InH, cfg.InW, cfg.Classes)
-	if cfg.UseLRN {
-		b.conv("conv1", w, 3, 1, 1, 1, true).lrn("norm1", 5)
-	} else {
-		b.conv("conv1", w, 3, 1, 1, 1, false).bn("norm1")
+	block := func(i string, outC int) {
+		b.conv("conv"+i, outC, 3, 1, 1, 1, cfg.UseLRN) // under BN, beta is the bias
+		if cfg.UseLRN {
+			b.lrn("norm"+i, 5)
+		} else {
+			b.bn("norm" + i)
+		}
+		b.relu("relu"+i).maxpool("pool"+i, 2, 2, 0)
 	}
-	b.relu("relu1").maxpool("pool1", 2, 2, 0)
-	if cfg.UseLRN {
-		b.conv("conv2", 2*w, 3, 1, 1, 1, true).lrn("norm2", 5)
-	} else {
-		b.conv("conv2", 2*w, 3, 1, 1, 1, false).bn("norm2")
-	}
-	b.relu("relu2").maxpool("pool2", 2, 2, 0)
-	b.fc("fc1", 8*w, true).relu("relu3").dropout("drop1")
-	b.fc("fc2", cfg.Classes, true)
-	return b.build()
+	block("1", w)
+	block("2", 2*w)
+	b.fc("fc1", 8*w).relu("relu3").dropout("drop1")
+	return b.fc("fc2", cfg.Classes)
 }
 
-// MicroConvNetSpec mirrors NewMicroConvNet for cost accounting. Being
-// all-conv with a GAP head, its ParamCount is the same at every input
-// resolution, which is what lets the simulator price a resolution
-// curriculum with a constant communication volume.
-func MicroConvNetSpec(cfg MicroConfig) *ModelSpec {
+// microResNet records a reduced bottleneck ResNet: stem conv+BN, two stages
+// of one bottleneck block each (the second strided), global average pooling
+// and a linear classifier — ResNet-50's structure at toy scale.
+func microResNet(cfg MicroConfig) *specBuilder {
+	cfg = cfg.withDefaults()
+	w := cfg.Width
+	b := newSpecBuilder(fmt.Sprintf("micro-resnet-w%d", w), cfg.InC, cfg.InH, cfg.InW, cfg.Classes)
+	b.conv("conv1", w, 3, 1, 1, 1, false).bn("bn1").relu("relu1")
+	bottleneckSpec(b, "res2_1", w/2, 1)
+	bottleneckSpec(b, "res3_1", w, 2)
+	return b.gap("gap").fc("fc", cfg.Classes)
+}
+
+// microConvNet records the all-convolutional, GAP-headed micro model used by
+// the progressive-resolution experiments: conv-relu stacks with two stride-2
+// downsampling convs, global average pooling, and a linear classifier. Every
+// layer computes its geometry from the incoming batch, so the same weights
+// train and evaluate at any input resolution and ParamCount is the same at
+// every one — which is what lets the simulator price a resolution
+// curriculum with a constant communication volume. It deliberately has no
+// batch normalization or dropout: BN batch statistics and per-replica
+// dropout RNG would break bit-identity across worker counts, and the
+// shape-agnostic regression grid trains this model across P/topologies.
+func microConvNet(cfg MicroConfig) *specBuilder {
 	cfg = cfg.withDefaults()
 	w := cfg.Width
 	b := newSpecBuilder(fmt.Sprintf("micro-convnet-w%d", w), cfg.InC, cfg.InH, cfg.InW, cfg.Classes)
@@ -182,6 +97,49 @@ func MicroConvNetSpec(cfg MicroConfig) *ModelSpec {
 	b.conv("conv2", 2*w, 3, 2, 1, 1, true).relu("relu2")
 	b.conv("conv3", 2*w, 3, 1, 1, 1, true).relu("relu3")
 	b.conv("conv4", 4*w, 3, 2, 1, 1, true).relu("relu4")
-	b.gap("gap").fc("fc", cfg.Classes, true)
-	return b.build()
+	return b.gap("gap").fc("fc", cfg.Classes)
 }
+
+// mlp records a plain two-hidden-layer perceptron baseline. It is the
+// cheapest model that still shows the large-batch generalization gap, which
+// makes it useful for fast tests of the optimizer machinery.
+func mlp(cfg MicroConfig) *specBuilder {
+	cfg = cfg.withDefaults()
+	h := 8 * cfg.Width
+	b := newSpecBuilder(fmt.Sprintf("mlp-h%d", h), cfg.InC, cfg.InH, cfg.InW, cfg.Classes)
+	b.fc("fc1", h).relu("relu1")
+	b.fc("fc2", h).relu("relu2")
+	return b.fc("fc3", cfg.Classes)
+}
+
+// MicroAlexNetSpec returns the micro AlexNet's spec at cfg. Like the other
+// XSpec functions it is for a configuration known to build: it panics where
+// Micro returns an error.
+func MicroAlexNetSpec(cfg MicroConfig) *ModelSpec { return must(microAlexNet(cfg).build()) }
+
+// MicroResNetSpec returns the micro bottleneck ResNet's spec at cfg.
+func MicroResNetSpec(cfg MicroConfig) *ModelSpec { return must(microResNet(cfg).build()) }
+
+// MicroConvNetSpec returns the GAP-headed all-conv micro model's spec at cfg.
+func MicroConvNetSpec(cfg MicroConfig) *ModelSpec { return must(microConvNet(cfg).build()) }
+
+// MLPSpec returns the two-hidden-layer perceptron's spec at cfg.
+func MLPSpec(cfg MicroConfig) *ModelSpec { return must(mlp(cfg).build()) }
+
+// NewMicroAlexNet builds MicroAlexNetSpec(cfg) with weights seeded by cfg.Seed.
+func NewMicroAlexNet(cfg MicroConfig) *nn.Network {
+	return MicroAlexNetSpec(cfg).Build(rng.New(cfg.Seed))
+}
+
+// NewMicroResNet builds MicroResNetSpec(cfg).
+func NewMicroResNet(cfg MicroConfig) *nn.Network {
+	return MicroResNetSpec(cfg).Build(rng.New(cfg.Seed))
+}
+
+// NewMicroConvNet builds MicroConvNetSpec(cfg).
+func NewMicroConvNet(cfg MicroConfig) *nn.Network {
+	return MicroConvNetSpec(cfg).Build(rng.New(cfg.Seed))
+}
+
+// NewMLP builds MLPSpec(cfg).
+func NewMLP(cfg MicroConfig) *nn.Network { return MLPSpec(cfg).Build(rng.New(cfg.Seed)) }

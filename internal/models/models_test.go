@@ -95,7 +95,7 @@ func TestResNet50TrainableMatchesSpec(t *testing.T) {
 		t.Skip("allocates the full 25.6M-parameter network")
 	}
 	r := rng.New(1)
-	net := NewResNet50(r, 1000)
+	net := ResNet50Spec().Build(r)
 	want := ResNet50Spec().ParamCount()
 	if got := int64(net.NumParams()); got != want {
 		t.Errorf("trainable ResNet-50 has %d params, spec says %d", got, want)
@@ -107,7 +107,7 @@ func TestAlexNetTrainableMatchesSpec(t *testing.T) {
 		t.Skip("allocates the full 61M-parameter network")
 	}
 	r := rng.New(1)
-	net := NewAlexNet(r, 1000)
+	net := AlexNetSpec().Build(r)
 	want := AlexNetSpec().ParamCount()
 	if got := int64(net.NumParams()); got != want {
 		t.Errorf("trainable AlexNet has %d params, spec says %d (the canonical 60,965,224)", got, want)
@@ -119,7 +119,7 @@ func TestAlexNetBNTrainableMatchesSpec(t *testing.T) {
 		t.Skip("allocates the full 62M-parameter network")
 	}
 	r := rng.New(1)
-	net := NewAlexNetBN(r, 1000)
+	net := AlexNetBNSpec().Build(r)
 	want := AlexNetBNSpec().ParamCount()
 	if got := int64(net.NumParams()); got != want {
 		t.Errorf("trainable AlexNet-BN has %d params, spec says %d", got, want)

@@ -1,110 +1,73 @@
 package models
 
-import (
-	"fmt"
-
-	"repro/internal/nn"
-	"repro/internal/rng"
-)
-
-// resNet50Stages is the canonical [3,4,6,3] bottleneck layout of ResNet-50
-// with bottleneck widths 64/128/256/512 (He et al. 2016).
-var resNet50Stages = []int{3, 4, 6, 3}
+import "fmt"
 
 // bottleneckSpec appends one He-style bottleneck block (stride on the first
 // 1x1 convolution, as in the original ResNet paper the authors cite) to the
 // builder, including the projection shortcut when the geometry changes.
 func bottleneckSpec(b *specBuilder, name string, mid, stride int) {
-	inC := b.c
-	out := 4 * mid
-	entry := b.mark()
-	b.conv(name+".conv1", mid, 1, stride, 0, 1, false).bn(name + ".bn1").relu(name + ".relu1")
-	b.conv(name+".conv2", mid, 3, 1, 1, 1, false).bn(name + ".bn2").relu(name + ".relu2")
-	b.conv(name+".conv3", out, 1, 1, 0, 1, false).bn(name + ".bn3")
-	body := b.mark()
-	if inC != out || stride != 1 {
-		// Projection shortcut: 1x1 conv fed from the block input, so the
-		// builder cursor branches back to the entry mark and the replay
-		// recipe records the true feeding layer.
-		b.restore(entry)
-		b.conv(name+".down", out, 1, stride, 0, 1, false).bn(name + ".downbn")
-	}
-	// The elementwise sum output has the body geometry.
-	b.restore(body)
-	b.relu(name + ".relu3")
+	b.residual(name, 4*mid, stride, ".relu3", func() {
+		b.conv(name+".conv1", mid, 1, stride, 0, 1, false).bn(name + ".bn1").relu(name + ".relu1")
+		b.conv(name+".conv2", mid, 3, 1, 1, 1, false).bn(name + ".bn2").relu(name + ".relu2")
+		b.conv(name+".conv3", 4*mid, 1, 1, 0, 1, false).bn(name + ".bn3")
+	})
 }
+
+// basicBlockSpec appends one 3x3+3x3 basic residual block.
+func basicBlockSpec(b *specBuilder, name string, out, stride int) {
+	b.residual(name, out, stride, ".relu2", func() {
+		b.conv(name+".conv1", out, 3, stride, 1, 1, false).bn(name + ".bn1").relu(name + ".relu1")
+		b.conv(name+".conv2", out, 3, 1, 1, 1, false).bn(name + ".bn2")
+	})
+}
+
+// resNet records an ImageNet ResNet on 224x224x3 input: the 7x7 stem, four
+// stages of blocks (the first block of every stage but the first strided,
+// the width doubling per stage from 64), global average pooling and the
+// 1000-way classifier.
+func resNet(name string, stages []int, block func(b *specBuilder, name string, width, stride int)) *specBuilder {
+	b := newSpecBuilder(name, 3, 224, 224, 1000)
+	b.conv("conv1", 64, 7, 2, 3, 1, false).bn("bn1").relu("relu1").maxpool("pool1", 3, 2, 1)
+	width := 64
+	for stage, blocks := range stages {
+		for blk := 0; blk < blocks; blk++ {
+			stride := 1
+			if stage > 0 && blk == 0 {
+				stride = 2
+			}
+			block(b, fmt.Sprintf("conv%d_%d", stage+2, blk+1), width, stride)
+		}
+		width *= 2
+	}
+	return b.gap("gap").fc("fc", 1000)
+}
+
+// Basic-block ResNets (ResNet-18/34). The paper evaluates ResNet-50 only,
+// but the spec machinery generalizes to the whole family, which both
+// validates the counting code against more published parameter totals and
+// gives users lighter full-size models.
+
+func resNet18() *specBuilder {
+	return resNet("ResNet-18", []int{2, 2, 2, 2}, basicBlockSpec)
+}
+
+func resNet34() *specBuilder {
+	return resNet("ResNet-34", []int{3, 4, 6, 3}, basicBlockSpec)
+}
+
+// resNet50 is the canonical [3,4,6,3] bottleneck layout with bottleneck
+// widths 64/128/256/512 (He et al. 2016). Built, it allocates ~200MB of
+// weights and gradients; measured experiments use the micro ResNet.
+func resNet50() *specBuilder {
+	return resNet("ResNet-50", []int{3, 4, 6, 3}, bottleneckSpec)
+}
+
+// ResNet18Spec returns the canonical ResNet-18 (11.69M parameters).
+func ResNet18Spec() *ModelSpec { return must(resNet18().build()) }
+
+// ResNet34Spec returns the canonical ResNet-34 (21.80M parameters).
+func ResNet34Spec() *ModelSpec { return must(resNet34().build()) }
 
 // ResNet50Spec returns the exact ResNet-50 architecture on 224x224x3 input:
 // ~25.6M parameters and ~7.7 GFLOPs per image (Table 6).
-func ResNet50Spec() *ModelSpec {
-	b := newSpecBuilder("ResNet-50", 3, 224, 224, 1000)
-	b.conv("conv1", 64, 7, 2, 3, 1, false).bn("bn1").relu("relu1").maxpool("pool1", 3, 2, 1)
-	mid := 64
-	for stage, blocks := range resNet50Stages {
-		for blk := 0; blk < blocks; blk++ {
-			stride := 1
-			if stage > 0 && blk == 0 {
-				stride = 2
-			}
-			bottleneckSpec(b, fmt.Sprintf("conv%d_%d", stage+2, blk+1), mid, stride)
-		}
-		mid *= 2
-	}
-	b.gap("gap").fc("fc", 1000, true)
-	return b.build()
-}
-
-// newBottleneck constructs a trainable bottleneck residual block matching
-// bottleneckSpec.
-func newBottleneck(r *rng.Rand, name string, inC, mid, stride int) *nn.Residual {
-	out := 4 * mid
-	body := nn.NewNetwork(name+".body",
-		nn.NewConv(name+".conv1", r, inC, mid, 1, stride, 0, nn.ConvOpts{NoBias: true}),
-		nn.NewBatchNorm(name+".bn1", mid),
-		nn.NewReLU(name+".relu1"),
-		nn.NewConv(name+".conv2", r, mid, mid, 3, 1, 1, nn.ConvOpts{NoBias: true}),
-		nn.NewBatchNorm(name+".bn2", mid),
-		nn.NewReLU(name+".relu2"),
-		nn.NewConv(name+".conv3", r, mid, out, 1, 1, 0, nn.ConvOpts{NoBias: true}),
-		nn.NewBatchNorm(name+".bn3", out),
-	)
-	var shortcut *nn.Network
-	if inC != out || stride != 1 {
-		shortcut = nn.NewNetwork(name+".short",
-			nn.NewConv(name+".down", r, inC, out, 1, stride, 0, nn.ConvOpts{NoBias: true}),
-			nn.NewBatchNorm(name+".downbn", out),
-		)
-	}
-	return nn.NewResidual(name, body, shortcut)
-}
-
-// NewResNet50 constructs the full trainable ResNet-50. The parameter count
-// matches ResNet50Spec exactly (asserted in tests). At ~25.6M weights plus
-// gradients this allocates ~200MB; measured experiments use NewMicroResNet.
-func NewResNet50(r *rng.Rand, classes int) *nn.Network {
-	net := nn.NewNetwork("resnet-50",
-		nn.NewConv("conv1", r, 3, 64, 7, 2, 3, nn.ConvOpts{NoBias: true}),
-		nn.NewBatchNorm("bn1", 64),
-		nn.NewReLU("relu1"),
-		nn.NewMaxPool("pool1", 3, 2, 1),
-	)
-	inC := 64
-	mid := 64
-	for stage, blocks := range resNet50Stages {
-		for blk := 0; blk < blocks; blk++ {
-			stride := 1
-			if stage > 0 && blk == 0 {
-				stride = 2
-			}
-			net.Add(newBottleneck(r, fmt.Sprintf("conv%d_%d", stage+2, blk+1), inC, mid, stride))
-			inC = 4 * mid
-		}
-		mid *= 2
-	}
-	net.Add(
-		nn.NewGlobalAvgPool("gap"),
-		nn.NewFlatten(),
-		nn.NewLinear("fc", r, inC, classes),
-	)
-	return net
-}
+func ResNet50Spec() *ModelSpec { return must(resNet50().build()) }

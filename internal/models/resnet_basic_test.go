@@ -44,7 +44,7 @@ func TestResNet18TrainableMatchesSpec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates the full 11.7M-parameter network")
 	}
-	net := NewResNet18(rng.New(1), 1000)
+	net := ResNet18Spec().Build(rng.New(1))
 	if got, want := int64(net.NumParams()), ResNet18Spec().ParamCount(); got != want {
 		t.Errorf("trainable ResNet-18 has %d params, spec says %d", got, want)
 	}
@@ -54,7 +54,7 @@ func TestResNet34TrainableMatchesSpec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates the full 21.8M-parameter network")
 	}
-	net := NewResNet34(rng.New(1), 1000)
+	net := ResNet34Spec().Build(rng.New(1))
 	if got, want := int64(net.NumParams()), ResNet34Spec().ParamCount(); got != want {
 		t.Errorf("trainable ResNet-34 has %d params, spec says %d", got, want)
 	}

@@ -53,7 +53,7 @@ func TestAtCanonicalEqualsOriginal(t *testing.T) {
 func TestFLOPsPerImageAtDoubling(t *testing.T) {
 	spec := MicroConvNetSpec(MicroConfig{Classes: 6, InH: 12, Width: 8})
 	base := spec.Layers
-	doubled := spec.LayersAt(24, 24)
+	doubled := spec.At(24, 24).Layers
 	var want int64
 	for i, l := range base {
 		var macs int64
@@ -72,8 +72,8 @@ func TestFLOPsPerImageAtDoubling(t *testing.T) {
 		}
 		want += macs
 	}
-	if got := spec.MACsPerImageAt(24, 24); got != want {
-		t.Errorf("MACsPerImageAt(24,24) = %d, want per-layer sum %d", got, want)
+	if got := spec.At(24, 24).MACsPerImage(); got != want {
+		t.Errorf("At(24,24).MACsPerImage() = %d, want per-layer sum %d", got, want)
 	}
 	if got, want := spec.FLOPsPerImageAt(24, 24), 2*want; got != want {
 		t.Errorf("FLOPsPerImageAt(24,24) = %d, want %d", got, want)

@@ -1,14 +1,21 @@
-// Package models provides the paper's two benchmark networks in two forms:
+// Package models describes each network once, as a recipe: a ModelSpec whose
+// Layers record kind, channel widths, kernel geometry and the feeding layer
+// of every layer, written by the specBuilder functions (AlexNetSpec,
+// ResNet50Spec, MicroAlexNetSpec, ...). Two things are derived from it:
 //
-//   - Exact architecture specs for full-size AlexNet (with and without the
-//     BN refit) and ResNet-50, with per-layer parameter and FLOP counting.
-//     These drive Table 6 (scaling ratio = computation/communication) and the
-//     communication-volume analysis of Figures 8-10, where only |W| and the
-//     per-image FLOP count matter — not trained weights.
+//   - costs at any input resolution — Replay/At compute every layer's output
+//     shape, parameter count and MACs, which drive Table 6 (scaling ratio =
+//     computation/communication), the communication-volume analysis of
+//     Figures 8-10 and the cluster simulator, where only |W| and the
+//     per-image FLOP count matter, not trained weights;
 //
-//   - Trainable instances: full-size builders (used to validate the specs
-//     against real allocations) and reduced "micro" variants suited to the
-//     measured experiments on SynthImageNet.
+//   - the trainable network — Build allocates the nn layers the recipe
+//     lists, so a model's accounting and its weights cannot drift apart.
+//
+// Micro and FullSize resolve a model name through the package's one table
+// and return an error for a recipe that cannot be built at the requested
+// size; the XSpec functions are their panicking forms for known-good
+// configurations.
 package models
 
 import (
@@ -39,6 +46,11 @@ type LayerSpec struct {
 	Pad    int
 	Groups int
 	Bias   bool
+	// Block names the residual block the layer belongs to ("" = none) and
+	// Shortcut marks the layers of its projection branch; the block's last
+	// layer is the ReLU applied to the sum. Only Build reads them.
+	Block    string
+	Shortcut bool
 }
 
 // ModelSpec is an ordered stack of LayerSpecs plus the input geometry.
@@ -78,36 +90,33 @@ func (m *ModelSpec) FLOPsPerImage() int64 { return 2 * m.MACsPerImage() }
 // for 90-epoch ResNet-50 training is built on.
 func (m *ModelSpec) TrainFLOPsPerImage() int64 { return 3 * m.FLOPsPerImage() }
 
-// At replays the spec's recipe at input resolution h×w — the one place a
+// Replay replays the spec's recipe at input resolution h×w — the one place a
 // layer's geometry, Params and MACs arithmetic is written (the builder's
-// build() is At at the canonical input): every layer's output dims, MACs,
+// build() is Replay at the canonical input): every layer's output dims, MACs,
 // and (for layers whose parameters depend on the activation size, i.e. fc
 // after flatten) Params are computed from the recipe fields while channel
 // widths and kernel geometry stay fixed. GAP-headed models
 // keep their exact ParamCount at every resolution; flatten→fc models
-// change |W| with resolution, which At reports faithfully — callers that
+// change |W| with resolution, which Replay reports faithfully — callers that
 // require a fixed weight vector (the distributed engine, the simulator's
-// comm pricing) must check ParamCount invariance. Only defined for specs
-// produced by this package's builder (the recipe fields must be set).
-func (m *ModelSpec) At(h, w int) *ModelSpec {
-	if h <= 0 || w <= 0 {
-		panic(fmt.Sprintf("models: %s: At(%d,%d) input must be positive", m.Name, h, w))
+// comm pricing) must check ParamCount invariance. A resolution the recipe
+// cannot absorb (a kernel wider than its padded input, an empty flatten) is
+// an error naming the layer. Only defined for specs produced by this
+// package's builder (the recipe fields must be set).
+func (m *ModelSpec) Replay(h, w int) (*ModelSpec, error) {
+	if m.InputC <= 0 || h <= 0 || w <= 0 {
+		return nil, m.errorf("input %dx%dx%d must be positive", m.InputC, h, w)
 	}
 	out := &ModelSpec{Name: m.Name, InputC: m.InputC, InputH: h, InputW: w, Classes: m.Classes,
 		Layers: make([]LayerSpec, len(m.Layers))}
 	for i, l := range m.Layers {
-		inC, inH, inW := m.InputC, h, w
-		if l.In >= 0 {
-			f := out.Layers[l.In]
-			inC, inH, inW = f.OutC, f.OutH, f.OutW
-		}
+		inC, inH, inW := out.in(l)
 		nl := l
 		switch l.Kind {
 		case "conv":
-			outH := (inH+2*l.Pad-l.K)/l.Stride + 1
-			outW := (inW+2*l.Pad-l.K)/l.Stride + 1
+			outH, outW := outDim(inH, l.K, l.Stride, l.Pad), outDim(inW, l.K, l.Stride, l.Pad)
 			if outH <= 0 || outW <= 0 {
-				panic(fmt.Sprintf("models: %s: conv %s output empty at input %dx%d", m.Name, l.Name, h, w))
+				return nil, m.errorf("conv %s output empty at input %dx%d", l.Name, h, w)
 			}
 			nl.Params = int64(l.OutC) * int64(inC/l.Groups) * int64(l.K*l.K)
 			if l.Bias {
@@ -131,10 +140,9 @@ func (m *ModelSpec) At(h, w int) *ModelSpec {
 			nl.MACs = int64(l.K) * int64(inC) * int64(inH*inW)
 			nl.OutC, nl.OutH, nl.OutW = inC, inH, inW
 		case "pool":
-			outH := (inH+2*l.Pad-l.K)/l.Stride + 1
-			outW := (inW+2*l.Pad-l.K)/l.Stride + 1
+			outH, outW := outDim(inH, l.K, l.Stride, l.Pad), outDim(inW, l.K, l.Stride, l.Pad)
 			if outH <= 0 || outW <= 0 {
-				panic(fmt.Sprintf("models: %s: pool %s output empty at input %dx%d", m.Name, l.Name, h, w))
+				return nil, m.errorf("pool %s output empty at input %dx%d", l.Name, h, w)
 			}
 			nl.MACs = int64(l.K*l.K) * int64(inC) * int64(outH*outW) / 2
 			nl.OutC, nl.OutH, nl.OutW = inC, outH, outW
@@ -144,18 +152,46 @@ func (m *ModelSpec) At(h, w int) *ModelSpec {
 		case "relu", "dropout":
 			nl.OutC, nl.OutH, nl.OutW = inC, inH, inW
 		default:
-			panic(fmt.Sprintf("models: %s: cannot replay layer kind %q", m.Name, l.Kind))
+			return nil, m.errorf("cannot replay layer kind %q", l.Kind)
 		}
 		out.Layers[i] = nl
 	}
-	return out
+	return out, nil
 }
 
-// LayersAt returns the per-layer specs replayed at input resolution h×w.
-func (m *ModelSpec) LayersAt(h, w int) []LayerSpec { return m.At(h, w).Layers }
+// At is Replay for a resolution known to fit: it panics with Replay's error.
+func (m *ModelSpec) At(h, w int) *ModelSpec { return must(m.Replay(h, w)) }
 
-// MACsPerImageAt returns the forward multiply-accumulates at input h×w.
-func (m *ModelSpec) MACsPerImageAt(h, w int) int64 { return m.At(h, w).MACsPerImage() }
+func must(m *ModelSpec, err error) *ModelSpec {
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+func (m *ModelSpec) errorf(format string, a ...any) error {
+	return fmt.Errorf("models: %s: %s", m.Name, fmt.Sprintf(format, a...))
+}
+
+// in returns the shape of the activation feeding l: the output of layer
+// l.In, or the model input.
+func (m *ModelSpec) in(l LayerSpec) (c, h, w int) {
+	if l.In < 0 {
+		return m.InputC, m.InputH, m.InputW
+	}
+	f := m.Layers[l.In]
+	return f.OutC, f.OutH, f.OutW
+}
+
+// outDim is the output extent of a k-wide window stepping by stride over an
+// input of extent in padded by pad on both sides; 0 when the window does not
+// fit even once.
+func outDim(in, k, stride, pad int) int {
+	if in+2*pad < k {
+		return 0
+	}
+	return (in+2*pad-k)/stride + 1
+}
 
 // FLOPsPerImageAt returns FLOPsPerImage recomputed at input resolution h×w;
 // at the canonical (InputH, InputW) it equals FLOPsPerImage exactly.
@@ -193,15 +229,20 @@ func (m *ModelSpec) String() string {
 
 // specBuilder records a model's recipe: each layer's kind, its geometry
 // (OutC, K, Stride, Pad, Groups, Bias) and the index of the layer feeding it
-// (LayerSpec.In, so At can replay branches). It computes no shapes, Params
-// or MACs itself — build() replays the recipe at the canonical input through
-// At, the one place that arithmetic lives — and tracks only what recording
-// needs: the running channel count (conv's group check, residual marks) and
-// the cursor.
+// (LayerSpec.In, so Replay can follow branches). It computes no shapes,
+// Params or MACs itself — build() replays the recipe at the canonical input
+// through Replay, the one place that arithmetic lives — and tracks only what
+// recording needs: the running channel count (conv's group check, residual
+// branches), the cursor, and the first recording error (a layer of zero width),
+// which build() returns.
 type specBuilder struct {
 	m    *ModelSpec
 	c    int // channels of the current activation
 	from int // index of the layer producing it; -1 = input
+	err  error
+
+	block    string // residual block being recorded, stamped on its layers
+	shortcut bool   // recording that block's projection branch
 }
 
 func newSpecBuilder(name string, inC, inH, inW, classes int) *specBuilder {
@@ -211,39 +252,39 @@ func newSpecBuilder(name string, inC, inH, inW, classes int) *specBuilder {
 	}
 }
 
-// specMark is a saved builder cursor: residual branches restore it to
-// append a shortcut path fed from the block input.
-type specMark struct {
-	c, from int
-}
-
-func (b *specBuilder) mark() specMark { return specMark{b.c, b.from} }
-
-func (b *specBuilder) restore(m specMark) { b.c, b.from = m.c, m.from }
-
 // push appends a layer with the feeding-cursor recorded and advances the
 // cursor to it.
 func (b *specBuilder) push(l LayerSpec) *specBuilder {
-	l.In = b.from
+	l.In, l.Block, l.Shortcut = b.from, b.block, b.shortcut
 	b.m.Layers = append(b.m.Layers, l)
 	b.from = len(b.m.Layers) - 1
 	return b
 }
 
+// widen moves the running channel count to a conv's or fc's output width,
+// which must be positive: a zero-width layer would allocate empty weights.
+func (b *specBuilder) widen(kind, name string, outC int) {
+	if outC <= 0 && b.err == nil {
+		b.err = b.m.errorf("%s %s has %d output channels", kind, name, outC)
+	}
+	b.c = outC
+}
+
 // conv appends a convolution. groups models AlexNet's two-tower grouped
 // convolutions: parameters and MACs divide by the group count.
 func (b *specBuilder) conv(name string, outC, k, stride, pad, groups int, bias bool) *specBuilder {
-	if b.c%groups != 0 || outC%groups != 0 {
-		panic(fmt.Sprintf("models: %s: conv %s groups %d do not divide channels", b.m.Name, name, groups))
+	if (b.c%groups != 0 || outC%groups != 0) && b.err == nil {
+		b.err = b.m.errorf("conv %s groups %d do not divide channels", name, groups)
 	}
-	b.c = outC
+	b.widen("conv", name, outC)
 	return b.push(LayerSpec{Name: name, Kind: "conv", OutC: outC, K: k, Stride: stride, Pad: pad, Groups: groups, Bias: bias})
 }
 
-// fc appends a fully-connected layer consuming the flattened activation.
-func (b *specBuilder) fc(name string, out int, bias bool) *specBuilder {
-	b.c = out
-	return b.push(LayerSpec{Name: name, Kind: "fc", OutC: out, Bias: bias})
+// fc appends a biased fully-connected layer consuming the flattened
+// activation.
+func (b *specBuilder) fc(name string, out int) *specBuilder {
+	b.widen("fc", name, out)
+	return b.push(LayerSpec{Name: name, Kind: "fc", OutC: out, Bias: true})
 }
 
 // bn appends batch normalization: 2 learnable scalars per channel and ~4 ops
@@ -278,5 +319,30 @@ func (b *specBuilder) gap(name string) *specBuilder {
 	return b.push(LayerSpec{Name: name, Kind: "gap"})
 }
 
+// residual records one residual block: body appends the main branch; when
+// the block changes the channel count to out or strides, a projection
+// shortcut (1x1 conv + BN) is appended fed from the block input — the cursor
+// branches back to the block's entry so the recipe records the true feeding
+// layer, then returns to the body's end — and the closing ReLU (name+relu) takes the body geometry, which is
+// the elementwise sum's.
+func (b *specBuilder) residual(name string, out, stride int, relu string, body func()) {
+	inC, entry := b.c, b.from
+	b.block = name
+	body()
+	sumC, sum := b.c, b.from
+	if inC != out || stride != 1 {
+		b.c, b.from, b.shortcut = inC, entry, true
+		b.conv(name+".down", out, 1, stride, 0, 1, false).bn(name + ".downbn")
+		b.c, b.from, b.shortcut = sumC, sum, false
+	}
+	b.relu(name + relu)
+	b.block = ""
+}
+
 // build replays the recorded recipe at the canonical input resolution.
-func (b *specBuilder) build() *ModelSpec { return b.m.At(b.m.InputH, b.m.InputW) }
+func (b *specBuilder) build() (*ModelSpec, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
+	return b.m.Replay(b.m.InputH, b.m.InputW)
+}

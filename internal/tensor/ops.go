@@ -137,17 +137,6 @@ func (t *Tensor) MaxAbs() float32 {
 	return m
 }
 
-// ArgMax returns the index of the largest element of a 1-D view of t.
-func (t *Tensor) ArgMax() int {
-	best, bestV := 0, float32(math.Inf(-1))
-	for i, v := range t.Data {
-		if v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
-}
-
 // ArgMaxRows treats t as [rows, cols] and returns the argmax of each row.
 // It is used to turn logits into class predictions.
 func (t *Tensor) ArgMaxRows() []int {

@@ -33,8 +33,3 @@ func RandNormal(r *rng.Rand, std float32, shape ...int) *Tensor {
 func HeStd(fanIn int) float32 {
 	return float32(math.Sqrt(2 / float64(fanIn)))
 }
-
-// XavierStd returns the Glorot/Xavier standard deviation sqrt(2/(fanIn+fanOut)).
-func XavierStd(fanIn, fanOut int) float32 {
-	return float32(math.Sqrt(2 / float64(fanIn+fanOut)))
-}

@@ -101,11 +101,7 @@ func MicroAlexNetSpec(cfg MicroConfig) *models.ModelSpec { return models.MicroAl
 // MicroAlexNetFactory returns a model factory for core.Config.Model that
 // builds micro-AlexNet replicas seeded per worker.
 func MicroAlexNetFactory(cfg MicroConfig) func(seed uint64) *nn.Network {
-	return func(seed uint64) *nn.Network {
-		c := cfg
-		c.Seed = seed
-		return models.NewMicroAlexNet(c)
-	}
+	return models.MicroAlexNetSpec(cfg).Factory()
 }
 
 // Ring is bandwidth-optimal chunked ring allreduce.
