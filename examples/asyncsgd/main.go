@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro"
 	"repro/internal/async"
@@ -17,6 +19,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the comparison to w; every run in it is seeded, so the output
+// is reproducible byte for byte (testdata/stdout.golden).
+func run(w io.Writer) error {
 	cfg := repro.DefaultSynthConfig()
 	cfg.TrainSize, cfg.H, cfg.W, cfg.Classes = 512, 8, 8, 4
 	ds := repro.GenerateSynth(cfg)
@@ -25,7 +35,7 @@ func main() {
 	const lr, batch = 0.2, 32
 	const updates = 160 // = 10 epochs of 512 examples at batch 32
 
-	fmt.Printf("task: %d train images, %d classes; %d updates at lr=%.2f\n\n",
+	fmt.Fprintf(w, "task: %d train images, %d classes; %d updates at lr=%.2f\n\n",
 		ds.Train.Len(), ds.Train.Classes, updates, lr)
 
 	// Synchronous reference: same schedule, no staleness.
@@ -35,9 +45,9 @@ func main() {
 		BaseLR: lr, Seed: 2,
 	}, ds)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("synchronous SGD:       acc %.3f (staleness 0)\n", sync.TestAcc)
+	fmt.Fprintf(w, "synchronous SGD:       acc %.3f (staleness 0)\n", sync.TestAcc)
 
 	var reference float64
 	for _, p := range []int{1, 4, 8, 16} {
@@ -46,7 +56,7 @@ func main() {
 			BaseLR: lr, Momentum: 0.9, Seed: 2,
 		}, ds)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if p == 1 {
 			// The 1-worker run is the staleness-free async reference (it
@@ -61,11 +71,12 @@ func main() {
 		case p > 1 && res.TestAcc < reference-0.2:
 			note = "  <- staleness collapse"
 		}
-		fmt.Printf("async, %2d workers:     acc %.3f (staleness mean %.1f, max %d)%s\n",
+		fmt.Fprintf(w, "async, %2d workers:     acc %.3f (staleness mean %.1f, max %d)%s\n",
 			p, res.TestAcc, res.MeanStaleness, res.MaxStaleness, note)
 	}
 
-	fmt.Println("\nThe paper: \"asynchronous methods using parameter server are not")
-	fmt.Println("guaranteed to be stable on large-scale systems\" — hence synchronous")
-	fmt.Println("SGD plus large batches (plus LARS to keep those batches trainable).")
+	fmt.Fprintln(w, "\nThe paper: \"asynchronous methods using parameter server are not")
+	fmt.Fprintln(w, "guaranteed to be stable on large-scale systems\" — hence synchronous")
+	fmt.Fprintln(w, "SGD plus large batches (plus LARS to keep those batches trainable).")
+	return nil
 }

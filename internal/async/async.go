@@ -11,13 +11,16 @@
 // the classic gradient-staleness model, with the momentum interaction of
 // Mitliagkas et al. 2016 emerging naturally.
 //
-// The event loop is a deterministic discrete-event simulation (virtual
-// completion times with seeded jitter), so runs are exactly reproducible —
-// unlike wall-clock async training, but with identical update dynamics.
+// Workers are regular: each gradient takes the same time, so they finish in
+// the order they were dispatched and the server applies them round-robin —
+// update v applies worker v mod P's gradient, computed P−1 updates earlier
+// (fewer for the first P). The simulation is a plain loop over updates and
+// exactly reproducible, unlike wall-clock async training, but with
+// identical update dynamics.
 package async
 
 import (
-	"container/heap"
+	"errors"
 	"fmt"
 	"math"
 
@@ -44,12 +47,6 @@ type Config struct {
 	BaseLR    float64
 	PolyPower float64
 	Momentum  float64
-
-	// JitterStd is the standard deviation of per-gradient compute time
-	// around 1.0 virtual seconds. Zero means perfectly regular workers
-	// (staleness exactly P−1 in steady state); larger values model the
-	// heterogeneous clusters where async was thought to win.
-	JitterStd float64
 
 	Seed uint64
 }
@@ -86,34 +83,18 @@ type Result struct {
 	Updates       int
 }
 
-// event is one in-flight gradient computation.
-type event struct {
-	completeAt float64
-	worker     int
-	seq        int64 // FIFO tiebreak for equal times (determinism)
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].completeAt != h[j].completeAt {
-		return h[i].completeAt < h[j].completeAt
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) Peek() event   { return h[0] }
-
-var _ heap.Interface = (*eventHeap)(nil)
-
 // Train runs Downpour-style asynchronous SGD and returns the result.
 func Train(cfg Config, ds *data.Synth) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Model == nil {
-		panic("async: Config.Model is required")
+	switch {
+	case cfg.Model == nil:
+		return nil, errors.New("async: Config.Model is required")
+	case cfg.Workers < 0:
+		return nil, fmt.Errorf("async: Config.Workers = %d is negative", cfg.Workers)
+	case cfg.Batch < 0:
+		return nil, fmt.Errorf("async: Config.Batch = %d is negative", cfg.Batch)
+	case ds.Train.Len() == 0:
+		return nil, errors.New("async: empty training set")
 	}
 	server := cfg.Model(cfg.Seed)
 	serverParams := server.Params()
@@ -127,12 +108,11 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 		grads [][]float32
 		// version is the server version the in-flight gradient was
 		// computed against.
-		version int64
+		version int
 		sampler *rng.Rand
 	}
 
 	workers := make([]*workerState, cfg.Workers)
-	jr := rng.New(cfg.Seed ^ 0x5a5a5a5a5a5a5a5a)
 	for i := range workers {
 		rep := cfg.Model(cfg.Seed + uint64(i)*104729)
 		rep.CopyWeightsFrom(server)
@@ -144,11 +124,10 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 	}
 
 	res := &Result{}
-	var serverVersion int64
-	var seq int64
+	var serverVersion int
 	var stalenessSum float64
 
-	compute := func(w *workerState) error {
+	compute := func(w *workerState) {
 		// Pull: snapshot current server weights.
 		w.replica.CopyWeightsFrom(server)
 		w.version = serverVersion
@@ -169,55 +148,28 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 		for pi, p := range w.replica.Params() {
 			copy(w.grads[pi], p.G.Data)
 		}
-		return nil
+	}
+	for _, w := range workers {
+		compute(w)
 	}
 
-	h := &eventHeap{}
-	now := 0.0
-	dispatch := func(i int) error {
-		if err := compute(workers[i]); err != nil {
-			return err
-		}
-		dur := 1.0
-		if cfg.JitterStd > 0 {
-			dur += cfg.JitterStd * jr.NormFloat64()
-			if dur < 0.1 {
-				dur = 0.1
-			}
-		}
-		heap.Push(h, event{completeAt: now + dur, worker: i, seq: seq})
-		seq++
-		return nil
-	}
-	for i := range workers {
-		if err := dispatch(i); err != nil {
-			return nil, err
-		}
-	}
-
-	for int(serverVersion) < cfg.Updates && !res.Diverged {
-		e := heap.Pop(h).(event)
-		now = e.completeAt
-		w := workers[e.worker]
+	for serverVersion < cfg.Updates && !res.Diverged {
+		w := workers[serverVersion%cfg.Workers]
 		// Push: apply the (stale) gradient at the current schedule rate.
 		staleness := serverVersion - w.version
 		stalenessSum += float64(staleness)
-		if int(staleness) > res.MaxStaleness {
-			res.MaxStaleness = int(staleness)
-		}
+		res.MaxStaleness = max(res.MaxStaleness, staleness)
 		for pi, p := range serverParams {
 			copy(p.G.Data, w.grads[pi])
 		}
-		optimizer.Step(sched.LR(int(serverVersion), cfg.Updates))
+		optimizer.Step(sched.LR(serverVersion, cfg.Updates))
 		serverVersion++
-		if int(serverVersion) >= cfg.Updates {
+		if serverVersion >= cfg.Updates {
 			break
 		}
-		if err := dispatch(e.worker); err != nil {
-			return nil, err
-		}
+		compute(w)
 	}
-	res.Updates = int(serverVersion)
+	res.Updates = serverVersion
 	if serverVersion > 0 {
 		res.MeanStaleness = stalenessSum / float64(serverVersion)
 	}
@@ -248,8 +200,6 @@ func evalAccuracy(net *nn.Network, ds *data.Synth) float64 {
 	n := ds.Test.Len()
 	correct := 0
 	const chunk = 256
-	imLen := ds.Test.Images.Numel() / n
-	_ = imLen
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
@@ -269,14 +219,4 @@ func evalAccuracy(net *nn.Network, ds *data.Synth) float64 {
 		}
 	}
 	return float64(correct) / float64(n)
-}
-
-// Describe renders a one-line summary.
-func (r *Result) Describe() string {
-	status := "ok"
-	if r.Diverged {
-		status = "DIVERGED"
-	}
-	return fmt.Sprintf("async: acc=%.4f staleness(mean=%.1f,max=%d) updates=%d %s",
-		r.TestAcc, r.MeanStaleness, r.MaxStaleness, r.Updates, status)
 }

@@ -1,6 +1,7 @@
 package async
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -46,7 +47,7 @@ func TestAsyncSingleWorkerLearns(t *testing.T) {
 func TestAsyncDeterministic(t *testing.T) {
 	ds := testDataset()
 	cfg := Config{Model: factory(), Workers: 4, Batch: 32, Updates: 60,
-		BaseLR: 0.1, JitterStd: 0.2, Seed: 5}
+		BaseLR: 0.1, Seed: 5}
 	a, err := Train(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -78,23 +79,42 @@ func TestStalenessGrowsWithWorkers(t *testing.T) {
 	}
 }
 
-func TestJitterIncreasesStalenessSpread(t *testing.T) {
+// TestRoundRobinStaleness pins the schedule of regular workers: update v
+// applies worker v mod P's gradient, computed min(v, P−1) updates earlier.
+func TestRoundRobinStaleness(t *testing.T) {
 	ds := testDataset()
-	run := func(jitter float64) *Result {
-		res, err := Train(Config{
-			Model: factory(), Workers: 6, Batch: 16, Updates: 120,
-			BaseLR: 0.05, JitterStd: jitter, Seed: 7,
-		}, ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	const p, updates = 5, 23
+	res, err := Train(Config{Model: factory(), Workers: p, Batch: 8, Updates: updates, Seed: 4}, ds)
+	if err != nil {
+		t.Fatal(err)
 	}
-	regular := run(0)
-	noisy := run(0.5)
-	if noisy.MaxStaleness <= regular.MaxStaleness {
-		t.Errorf("jitter should widen the staleness tail: max %d vs %d",
-			noisy.MaxStaleness, regular.MaxStaleness)
+	var sum float64
+	for v := 0; v < updates; v++ {
+		sum += float64(min(v, p-1))
+	}
+	if res.MaxStaleness != p-1 || res.MeanStaleness != sum/updates || res.Updates != updates {
+		t.Fatalf("got max %d mean %v updates %d, want %d, %v, %d",
+			res.MaxStaleness, res.MeanStaleness, res.Updates, p-1, sum/updates, updates)
+	}
+}
+
+// TestTrainRefusesBadConfig: a config Train cannot run is an error naming
+// the field, not a panic.
+func TestTrainRefusesBadConfig(t *testing.T) {
+	ds, empty := testDataset(), &data.Synth{Train: &data.Dataset{}}
+	for _, tc := range []struct {
+		cfg  Config
+		ds   *data.Synth
+		want string
+	}{
+		{Config{}, ds, "Model"},
+		{Config{Model: factory(), Workers: -2}, ds, "Workers"},
+		{Config{Model: factory(), Batch: -1}, ds, "Batch"},
+		{Config{Model: factory()}, empty, "empty training set"},
+	} {
+		if _, err := Train(tc.cfg, tc.ds); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Train(%+v) = %v, want an error naming %s", tc.cfg, err, tc.want)
+		}
 	}
 }
 
@@ -137,12 +157,5 @@ func TestAsyncUnstableAtHighRateVsSync(t *testing.T) {
 	if !asyncWorse {
 		t.Errorf("expected staleness to hurt at lr=%.1f: sync %.3f vs async %.3f",
 			lr, syncRes.TestAcc, asyncRes.TestAcc)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	r := &Result{TestAcc: 0.5, MeanStaleness: 3, MaxStaleness: 7, Updates: 10}
-	if r.Describe() == "" {
-		t.Fatal("empty description")
 	}
 }

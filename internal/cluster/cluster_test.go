@@ -279,12 +279,11 @@ func TestMicroBatchingKeepsOversizedBatches(t *testing.T) {
 // carries exactly the spec's |W|.
 func TestSimulatePricesEveryMicroModel(t *testing.T) {
 	micro := models.MicroConfig{Classes: 8, InH: 24, Width: 8}
-	for _, spec := range []*models.ModelSpec{
-		models.MicroAlexNetSpec(micro),
-		models.MicroConvNetSpec(micro),
-		models.MicroResNetSpec(micro),
-		models.MLPSpec(micro),
-	} {
+	for _, name := range models.MicroNames() {
+		spec, err := models.Micro(name, micro)
+		if err != nil {
+			t.Fatal(err)
+		}
 		c := KNLCluster(4)
 		est := Simulate(c, spec, 64, 2, 4096)
 		if est.OOM || !(est.CompSec > 0) || !(est.CommSec > 0) || !(est.ImagesSec > 0) {

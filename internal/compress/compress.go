@@ -9,14 +9,12 @@
 // magnitude of the positive and negative coordinates), and keep the
 // quantization error as the next step's residual. Error feedback is what
 // makes the scheme converge — the tests demonstrate both that and the
-// failure mode without it.
+// failure mode without it. dist.OneBitCodec carries one Quantizer per
+// bucket slot on the engine's wire; this package also holds the FP16
+// codec's slice converters.
 package compress
 
-import (
-	"fmt"
-
-	"repro/internal/kernel"
-)
+import "fmt"
 
 // OneBit is a quantized gradient: one bit per coordinate plus two scales.
 type OneBit struct {
@@ -35,16 +33,9 @@ func (q *OneBit) Bytes() int64 {
 	return int64(len(q.Bits))*8 + 8 /* two float32 scales */ + 4 /* length */
 }
 
-// CompressionRatio returns raw float32 bytes divided by wire bytes.
-func (q *OneBit) CompressionRatio() float64 {
-	return float64(4*q.N) / float64(q.Bytes())
-}
-
 // Quantizer carries the per-tensor error-feedback residual between steps.
 type Quantizer struct {
 	residual []float32
-	// DisableErrorFeedback drops the residual (for ablation only).
-	DisableErrorFeedback bool
 }
 
 // NewQuantizer returns a quantizer for gradients of n coordinates.
@@ -66,10 +57,7 @@ func (z *Quantizer) Encode(grad []float32) *OneBit {
 	var posCount, negCount int
 	eff := make([]float32, n)
 	for i, g := range grad {
-		v := g
-		if !z.DisableErrorFeedback {
-			v += z.residual[i]
-		}
+		v := g + z.residual[i]
 		eff[i] = v
 		if v >= 0 {
 			posSum += float64(v)
@@ -94,11 +82,7 @@ func (z *Quantizer) Encode(grad []float32) *OneBit {
 		} else {
 			recon = -q.NegScale
 		}
-		if z.DisableErrorFeedback {
-			z.residual[i] = 0
-		} else {
-			z.residual[i] = v - recon
-		}
+		z.residual[i] = v - recon
 	}
 	return q
 }
@@ -128,35 +112,4 @@ func (z *Quantizer) SetResidual(r []float32) {
 		panic(fmt.Sprintf("compress: residual has %d coords, quantizer built for %d", len(r), len(z.residual)))
 	}
 	copy(z.residual, r)
-}
-
-// CompressedAllreduce performs a parameter-server style gradient exchange
-// with 1-bit compression in both directions: each worker's gradient is
-// quantized (with that worker's quantizer), the master sums the decoded
-// reconstructions through the fixed-tree kernel summation (so the mean is
-// a pure function of the worker set, independent of any accumulation
-// order the caller might otherwise impose), and the mean is returned along
-// with the exact and compressed byte counts. Buffers must share a length
-// equal to the quantizers'.
-func CompressedAllreduce(grads [][]float32, quantizers []*Quantizer) (mean []float32, exactBytes, wireBytes int64) {
-	if len(grads) != len(quantizers) {
-		panic("compress: one quantizer per worker required")
-	}
-	n := len(grads[0])
-	recons := make([][]float32, len(grads))
-	for w, g := range grads {
-		q := quantizers[w].Encode(g)
-		recons[w] = make([]float32, n)
-		q.Decode(recons[w])
-		exactBytes += int64(4 * n)
-		wireBytes += q.Bytes()
-	}
-	mean = make([]float32, n)
-	scales := make([]float32, len(grads))
-	inv := 1 / float32(len(grads))
-	for w := range scales {
-		scales[w] = inv
-	}
-	kernel.PairwiseAccumulate(mean, recons, scales)
-	return mean, exactBytes, wireBytes
 }

@@ -36,7 +36,7 @@ func TestCompressionRatioNear32(t *testing.T) {
 		g[i] = r.NormFloat32()
 	}
 	q := z.Encode(g)
-	if ratio := q.CompressionRatio(); ratio < 28 || ratio > 32.5 {
+	if ratio := float64(4*q.N) / float64(q.Bytes()); ratio < 28 || ratio > 32.5 {
 		t.Fatalf("compression ratio %v, want ~32", ratio)
 	}
 }
@@ -97,9 +97,10 @@ func TestResidualAccumulatesOverSteps(t *testing.T) {
 func TestWithoutErrorFeedbackBias(t *testing.T) {
 	// Ablation: without error feedback the small coordinate is swamped by
 	// the shared positive scale every step and the applied sum runs away.
+	// Zeroing the residual before each Encode is the no-feedback quantizer.
 	const n = 64
 	z := NewQuantizer(n)
-	z.DisableErrorFeedback = true
+	zeros := make([]float32, n)
 	g := make([]float32, n)
 	for i := range g {
 		g[i] = 0.01
@@ -108,47 +109,13 @@ func TestWithoutErrorFeedbackBias(t *testing.T) {
 	var applied float64
 	recon := make([]float32, n)
 	for step := 0; step < 50; step++ {
+		z.SetResidual(zeros)
 		q := z.Encode(g)
 		q.Decode(recon)
 		applied += float64(recon[1])
 	}
 	if math.Abs(applied-0.5) < 0.3 {
 		t.Fatalf("expected visible bias without error feedback, applied %v", applied)
-	}
-}
-
-func TestCompressedAllreduceMean(t *testing.T) {
-	const n, p = 1024, 4
-	grads := make([][]float32, p)
-	quants := make([]*Quantizer, p)
-	r := rng.New(3)
-	exact := make([]float64, n)
-	for w := 0; w < p; w++ {
-		grads[w] = make([]float32, n)
-		quants[w] = NewQuantizer(n)
-		for i := range grads[w] {
-			grads[w][i] = r.NormFloat32()
-			exact[i] += float64(grads[w][i]) / p
-		}
-	}
-	mean, exactBytes, wireBytes := CompressedAllreduce(grads, quants)
-	if exactBytes != 4*n*p {
-		t.Fatalf("exact bytes %d", exactBytes)
-	}
-	if float64(wireBytes) > float64(exactBytes)/20 {
-		t.Fatalf("wire bytes %d not ~32x smaller than %d", wireBytes, exactBytes)
-	}
-	// One-step reconstruction is coarse, but the sign structure should
-	// correlate strongly with the exact mean direction.
-	var dot, normA, normB float64
-	for i := range mean {
-		dot += float64(mean[i]) * exact[i]
-		normA += float64(mean[i]) * float64(mean[i])
-		normB += exact[i] * exact[i]
-	}
-	cos := dot / math.Sqrt(normA*normB)
-	if cos < 0.5 {
-		t.Fatalf("compressed mean decorrelated from exact mean: cos %v", cos)
 	}
 }
 

@@ -1,10 +1,6 @@
 package compress
 
-import (
-	"math"
-
-	"repro/internal/kernel"
-)
+import "repro/internal/kernel"
 
 // FP16 gradient exchange: IEEE 754 binary16 conversion, the milder
 // compression point between full precision and 1-bit. The paper notes
@@ -13,19 +9,9 @@ import (
 // likewise halves the beta term of every allreduce.
 //
 // The conversion arithmetic lives in internal/kernel (it is shared with the
-// mixed-precision compute path); this package re-exports it under the codec's
-// historical names. The kernel converters use branch-free magic-number
-// arithmetic that is several times faster than the classic switch-based
-// conversion — the tests in internal/kernel pin them to the same
-// round-to-nearest-even semantics over all 2^16 halves and a dense probe of
-// the float32 rounding boundaries.
-
-// Float32ToHalf converts a float32 to its nearest binary16 representation
-// (round-to-nearest-even), handling subnormals, infinities and NaN.
-func Float32ToHalf(f float32) uint16 { return kernel.Float32ToHalf(f) }
-
-// HalfToFloat32 converts a binary16 value back to float32 exactly.
-func HalfToFloat32(h uint16) float32 { return kernel.HalfToFloat32(h) }
+// mixed-precision compute path): branch-free magic-number converters that
+// the tests there pin to round-to-nearest-even over all 2^16 halves and a
+// dense probe of the float32 rounding boundaries.
 
 // EncodeFP16 packs a float32 slice to binary16.
 func EncodeFP16(src []float32, dst []uint16) {
@@ -41,22 +27,4 @@ func DecodeFP16(src []uint16, dst []float32) {
 		panic("compress: DecodeFP16 length mismatch")
 	}
 	kernel.DecodeHalf(dst, src)
-}
-
-// FP16RoundTripError returns the max relative error introduced by one
-// encode/decode pass over src (diagnostic; ~2^-11 for normal values).
-func FP16RoundTripError(src []float32) float64 {
-	var worst float64
-	for _, v := range src {
-		r := HalfToFloat32(Float32ToHalf(v))
-		denom := math.Abs(float64(v))
-		if denom < 1e-30 {
-			continue
-		}
-		e := math.Abs(float64(r-v)) / denom
-		if e > worst {
-			worst = e
-		}
-	}
-	return worst
 }

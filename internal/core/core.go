@@ -412,7 +412,7 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 	// newStepper builds one instance of the run's optimizer recipe over the
 	// given parameters: the master's in synchronous mode, one per replica
 	// in local mode (each worker steps privately between weight averages).
-	newStepper := func(params []*nn.Param) opt.Optimizer {
+	newStepper := func(params []*nn.Param) dist.Stepper {
 		switch cfg.Method {
 		case LARSWarmup:
 			return opt.NewLARS(params, opt.LARSConfig{

@@ -158,17 +158,20 @@ func TestGatherShapeErrors(t *testing.T) {
 	}
 }
 
-// Property: sharding partitions the dataset — every example lands in exactly
-// one shard and class balance is preserved within one example per class.
+// Property: the shard split partitions a batch — Spans tiles [0, n) with
+// contiguous spans whose sizes differ by at most one, longest first.
 func TestShardPartitionProperty(t *testing.T) {
-	s := GenerateSynth(smallCfg())
-	f := func(pp uint8) bool {
-		p := int(pp%7) + 1
-		total := 0
-		for i := 0; i < p; i++ {
-			total += s.Train.Shard(i, p).Len()
+	f := func(nn, kk uint8) bool {
+		n, k := int(nn), int(kk%9)+1
+		next := 0
+		for i, sp := range Spans(n, k) {
+			size := sp[1] - sp[0]
+			if sp[0] != next || size < n/k || size > n/k+1 || (size > n/k) != (i < n%k) {
+				return false
+			}
+			next = sp[1]
 		}
-		return total == s.Train.Len()
+		return next == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

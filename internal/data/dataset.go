@@ -2,7 +2,7 @@
 // a deterministic synthetic image-classification generator ("SynthImageNet"),
 // batch assembly with optional weak augmentation (random crop + horizontal
 // flip, matching the paper's "weak data augmentation" baseline), epoch
-// shuffling, and the worker sharding used by data-parallel training.
+// shuffling, and the batch-row split (Spans) data-parallel training shards by.
 //
 // ImageNet-1k itself (1.28M images) is not redistributable and far exceeds
 // this environment; SynthImageNet is the substitution documented in
@@ -124,27 +124,6 @@ func (d *Dataset) Subset(idx []int) (*Dataset, error) {
 		return nil, &ShapeError{Op: "Subset", Index: err.(*ShapeError).Index, Detail: err.(*ShapeError).Detail}
 	}
 	return &Dataset{Images: x, Labels: labels, Classes: d.Classes}, nil
-}
-
-// Shard partitions the dataset round-robin into p shards and returns shard
-// i. Round-robin keeps class balance across workers, which matters for the
-// per-worker gradient quality in data-parallel SGD. Panics unless
-// 0 <= i < p.
-func (d *Dataset) Shard(i, p int) *Dataset {
-	if p <= 0 || i < 0 || i >= p {
-		panic(fmt.Sprintf("data: Shard(%d, %d) invalid", i, p))
-	}
-	var idx []int
-	for j := i; j < d.Len(); j += p {
-		idx = append(idx, j)
-	}
-	// Round-robin indices are in range by construction; a failure here is a
-	// malformed dataset, which Shard's contract treats as a programmer error.
-	sub, err := d.Subset(idx)
-	if err != nil {
-		panic(err)
-	}
-	return sub
 }
 
 // Shuffled returns a deterministic permutation of example indices for the

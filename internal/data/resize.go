@@ -172,16 +172,6 @@ func (s *ResolutionSchedule) PhasesIn(epochs int) []ResolutionPhase {
 	return out
 }
 
-// Constant reports whether the schedule uses a single resolution.
-func (s *ResolutionSchedule) Constant() bool {
-	for _, p := range s.phases[1:] {
-		if p.H != s.phases[0].H || p.W != s.phases[0].W {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the schedule back in the parse syntax.
 func (s *ResolutionSchedule) String() string {
 	if len(s.phases) == 1 {

@@ -21,8 +21,8 @@ func TestParseResolutionSchedule(t *testing.T) {
 	if got, want := s.String(), "12x12@0-3,24x24@4+"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
-	if s.Constant() {
-		t.Error("two-resolution schedule reported Constant")
+	if len(s.Phases()) != 2 {
+		t.Errorf("two-resolution schedule has phases %+v", s.Phases())
 	}
 
 	fixed, err := ParseResolutionSchedule("24x16")
@@ -32,8 +32,8 @@ func TestParseResolutionSchedule(t *testing.T) {
 	if h, w := fixed.At(7); h != 24 || w != 16 {
 		t.Errorf("bare HxW schedule At(7) = %dx%d, want 24x16", h, w)
 	}
-	if !fixed.Constant() {
-		t.Error("single-resolution schedule not Constant")
+	if len(fixed.Phases()) != 1 {
+		t.Errorf("single-resolution schedule has phases %+v", fixed.Phases())
 	}
 
 	three, err := ParseResolutionSchedule("8x8@0-1,12x12@2-4,24x24@5+")

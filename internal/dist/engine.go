@@ -24,7 +24,7 @@ type Config struct {
 	// Topology optionally arranges the workers into a two-tier node
 	// hierarchy: reductions then run intra-node first, feeding a
 	// cross-node exchange among node leaders, and the schedule is
-	// reported per fabric tier (Engine.TierStats) as well as in the
+	// reported per fabric tier (Report.TierComm) as well as in the
 	// aggregate counters. Topology.Workers() must equal the replica
 	// count. nil means the P×1 hierarchy built from Algo, whose tier split
 	// stays unreported. Values are unaffected either way — hierarchical
@@ -211,15 +211,14 @@ type Engine struct {
 	buckets  [][2]int      // bucket coordinate ranges
 
 	// Membership state machine (see Elastic). alive marks the replicas
-	// currently in the collective; world counts them. started marks the
-	// replicas with a running worker goroutine (pending joiners have none
-	// yet; evicted workers' goroutines are released). consecDead tracks
-	// each worker's consecutive failed recoveries toward eviction. shards
-	// is the current logical shard count — it follows the world size down
-	// on evictions and up on joins when shardsTrack is set (Config.Shards
-	// was left zero with no codec).
+	// currently in the collective — exactly those with a running worker
+	// goroutine (pending joiners have none yet; evicted workers' goroutines
+	// are released); world counts them. consecDead tracks each worker's
+	// consecutive failed recoveries toward eviction. shards is the current
+	// logical shard count — it follows the world size down on evictions and
+	// up on joins when shardsTrack is set (Config.Shards was left zero with
+	// no codec).
 	alive       []bool
-	started     []bool
 	joinDone    []bool // fault-plan Join entries already applied (one admission each)
 	world       int
 	consecDead  []int
@@ -229,7 +228,8 @@ type Engine struct {
 	// The one topology every schedule is priced on: Config.Topology, or the
 	// P×1 hierarchy a flat Config.Algo resolves to. nodes holds each node's
 	// live members in ascending worker order; sizes lists the live-worker
-	// count of every non-empty node, rebuilt only when membership changes.
+	// count of every non-empty node. reform derives world, nodes and sizes
+	// from alive whenever membership changes.
 	topo  Hierarchy
 	nodes [][]int
 	sizes []int
@@ -336,7 +336,6 @@ func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 		losses:      make([]float64, cfg.Shards),
 		evalOK:      make([]int, len(replicas)),
 		alive:       make([]bool, len(replicas)),
-		started:     make([]bool, len(replicas)),
 		joinDone:    make([]bool, len(replicas)),
 		consecDead:  make([]int, len(replicas)),
 		shards:      cfg.Shards,
@@ -363,10 +362,6 @@ func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 				// must not re-fire as admissions.
 				e.joinDone[w] = true
 			}
-		}
-		if e.alive[w] {
-			e.world++
-			e.nodes[w/topo.PerNode] = append(e.nodes[w/topo.PerNode], w)
 		}
 	}
 	// The default split tracks the live world in both directions, so an
@@ -510,7 +505,7 @@ func (e *Engine) Close() {
 	for w, ch := range e.jobs {
 		// Evicted workers' channels are already closed; pending joiners
 		// that never joined have no goroutine (and no channel) at all.
-		if e.started[w] {
+		if e.alive[w] {
 			close(ch)
 		}
 	}
@@ -530,7 +525,6 @@ func (e *Engine) Close() {
 // any, exited when its channel was closed by evict.
 func (e *Engine) startWorker(w int) {
 	e.jobs[w] = make(chan job)
-	e.started[w] = true
 	e.wg.Add(1)
 	go e.worker(w)
 }

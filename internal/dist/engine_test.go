@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -364,6 +365,24 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 	}
 	// The engine must survive the failed step and accept a corrected one.
 	labels[7] = 0
+	if _, err := e.ComputeGradient(x, labels); err != nil {
+		t.Fatalf("engine unusable after recovered error: %v", err)
+	}
+}
+
+// TestWorkerChunkPanicBecomesError: the same bad label in a batch of 64 on
+// 2 workers, where each 32-row shard is above the loss's parallel grain, so
+// the panic is raised inside a par chunk goroutine rather than on the
+// worker's own stack — it must still come back as the step's error.
+func TestWorkerChunkPanicBecomesError(t *testing.T) {
+	x, labels, factory := testTask(64)
+	labels[45] = 99
+	e := newEngine(dist.Config{}, 2, factory)
+	defer e.Close()
+	if _, err := e.ComputeGradient(x, labels); err == nil || !strings.Contains(err.Error(), "label 99 out of range") {
+		t.Fatalf("got %v, want the worker's out-of-range label error", err)
+	}
+	labels[45] = 0
 	if _, err := e.ComputeGradient(x, labels); err != nil {
 		t.Fatalf("engine unusable after recovered error: %v", err)
 	}

@@ -209,7 +209,7 @@ func TestEngineTierTotalsMatchAggregate(t *testing.T) {
 			t.Fatalf("step %d: tier total %+v != step stats %+v", step, got, want)
 		}
 	}
-	if got, want := e.TierStats().Total(), e.Stats(); got != want {
+	if got, want := e.Report().TierComm.Total(), e.Stats(); got != want {
 		t.Fatalf("cumulative tier total %+v != stats %+v", got, want)
 	}
 	if e.Stats().Retries == 0 || e.Stats().Stalls == 0 {
@@ -259,7 +259,7 @@ func TestEngineHierarchyFaultsRecoverExactly(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return flatGrad(e), e.TierStats()
+		return flatGrad(e), e.Report().TierComm
 	}
 	cleanGrad, _ := run(nil)
 	plan := &dist.FaultPlan{Seed: 11, DropRate: 0.6, StallRate: 0.6}

@@ -24,11 +24,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// Stepper is the optimizer-facing hook of a local-SGD worker: one Step per
-// local gradient, advancing the worker's replica in place. opt.Optimizer
-// satisfies it structurally — dist never imports the optimizer package,
-// mirroring how the synchronous loop keeps the master optimizer outside
-// the engine.
+// Stepper is an optimizer as the trainer drives it: one Step per gradient
+// at the scheduled rate, advancing its parameters in place. opt.SGD and
+// opt.LARS satisfy it structurally — dist never imports the optimizer
+// package; core steps one over the master's parameters in synchronous mode
+// and one per replica in local mode.
 type Stepper interface {
 	Step(lr float64)
 }

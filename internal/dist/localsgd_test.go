@@ -184,7 +184,7 @@ func TestLocalSGDHierarchicalCounters(t *testing.T) {
 			}
 			nelems := flatLen(e)
 			want := comm.ExpectedLocalSGDTierStats(hier, nil, tc.h, tc.hi, steps, nelems, 0, nil)
-			got := e.TierStats()
+			got := e.Report().TierComm
 			// Drop the construction-time broadcast from the intra/inter split.
 			init := dist.HierBroadcastSchedule(hier, nil, 4*int64(nelems))
 			got.Intra = subStats(got.Intra, init.Intra)
@@ -318,7 +318,7 @@ func TestLocalSGDOverlapAllExposed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ov := e.OverlapStats()
+	ov := e.Report().Overlap
 	if ov.HiddenRounds != 0 || ov.HiddenBytes != 0 {
 		t.Fatalf("local mode hid traffic: %+v", ov)
 	}

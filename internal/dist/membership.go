@@ -1,9 +1,6 @@
 package dist
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // DefaultEvictAfter is the eviction threshold used when Elastic.EvictAfter
 // is zero: a worker is declared dead after this many consecutive failed
@@ -300,19 +297,31 @@ func (e *Engine) slotOwners(active []int) [][]int {
 	return slots
 }
 
-// reform rebuilds what a membership change moves — at construction and at
-// each epoch the step template opens or closes: a world-tracking shard split
-// follows the world size, and the topology's live node sizes are recounted
-// (a node that lost all its workers has left the inter tier).
+// reform rebuilds what a membership change moves from alive — at
+// construction and at each epoch the step template opens or closes: the
+// world size, each node's live members in ascending worker order (so a
+// node's leader is its lowest live index), the live node sizes (a node that
+// lost all its workers has left the inter tier), and a world-tracking shard
+// split.
 func (e *Engine) reform() {
-	if e.shardsTrack {
-		e.shards = e.world
+	e.world = 0
+	for n := range e.nodes {
+		e.nodes[n] = e.nodes[n][:0]
+	}
+	for w, a := range e.alive {
+		if a {
+			e.world++
+			e.nodes[w/e.topo.PerNode] = append(e.nodes[w/e.topo.PerNode], w)
+		}
 	}
 	e.sizes = e.sizes[:0]
 	for _, members := range e.nodes {
 		if len(members) > 0 {
 			e.sizes = append(e.sizes, len(members))
 		}
+	}
+	if e.shardsTrack {
+		e.shards = e.world
 	}
 }
 
@@ -403,8 +412,9 @@ func (e *Engine) evictDead() error {
 
 // evict removes worker w from the collective: it counts the shards w owned
 // in the membership assignment (they must find new owners), releases w's
-// goroutine, unhooks its gradient notifications, and drops it from its
-// hierarchy node — a node left empty disappears from the inter tier.
+// goroutine and unhooks its gradient notifications. The caller's reform
+// drops w from its hierarchy node — a node left empty disappears from the
+// inter tier.
 func (e *Engine) evict(w int) {
 	members := e.liveIDs()
 	var owned int64
@@ -414,20 +424,15 @@ func (e *Engine) evict(w int) {
 		}
 	}
 	e.alive[w] = false
-	e.started[w] = false
-	e.world--
 	close(e.jobs[w])
 	if e.cfg.Overlap {
 		e.replicas[w].SetGradNotify(nil)
 	}
-	n := w / e.topo.PerNode
-	i := sort.SearchInts(e.nodes[n], w)
-	e.nodes[n] = append(e.nodes[n][:i:i], e.nodes[n][i+1:]...)
 	// The eviction takes effect for the next step — e.steps was already
 	// advanced past the step whose failed recovery crossed the threshold.
 	e.add(Report{Membership: MembershipStats{
 		Evictions: 1, RebalancedShards: owned,
-		Events: []MembershipEvent{{Step: e.steps, Worker: w, Join: false, World: e.world}},
+		Events: []MembershipEvent{{Step: e.steps, Worker: w, Join: false, World: len(members) - 1}},
 	}})
 }
 
@@ -473,28 +478,24 @@ func (e *Engine) admitJoins() error {
 }
 
 // admit brings worker w into the collective at the current step boundary:
-// a pending or evicted worker gets a fresh goroutine, its gradient-notify
-// hook (when overlapping) and its hierarchy-node seat back — members stay
-// in ascending worker order, so node leadership deterministically restores
-// to the lowest live index, and a node returning from empty rejoins the
-// inter tier. A still-live suspected worker whose outage just ended only
-// needs its failure counter cleared (the caller's broadcast resyncs its
-// weights). Either way the admission is counted and filed on the timeline.
+// a pending or evicted worker gets a fresh goroutine and its gradient-notify
+// hook (when overlapping); the caller's reform gives it its hierarchy-node
+// seat back, so node leadership deterministically restores to the lowest
+// live index and a node returning from empty rejoins the inter tier. A
+// still-live suspected worker whose outage just ended only needs its
+// failure counter cleared (the caller's broadcast resyncs its weights).
+// Either way the admission is counted and filed on the timeline.
 func (e *Engine) admit(w int) {
 	e.consecDead[w] = 0
 	if !e.alive[w] {
 		e.alive[w] = true
-		e.world++
 		e.startWorker(w)
 		if e.cfg.Overlap {
 			e.replicas[w].SetGradNotify(func(param int) { e.gradReady(w, param) })
 		}
-		n := w / e.topo.PerNode
-		i := sort.SearchInts(e.nodes[n], w)
-		e.nodes[n] = append(e.nodes[n][:i:i], append([]int{w}, e.nodes[n][i:]...)...)
 	}
 	e.add(Report{Membership: MembershipStats{
 		Joins:  1,
-		Events: []MembershipEvent{{Step: e.steps, Worker: w, Join: true, World: e.world}},
+		Events: []MembershipEvent{{Step: e.steps, Worker: w, Join: true, World: len(e.liveIDs())}},
 	}})
 }

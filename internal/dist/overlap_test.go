@@ -128,7 +128,7 @@ func TestOverlapSplitEqualsStats(t *testing.T) {
 				t.Fatalf("%+v step %d: overlap split %+v does not partition step stats %+v", cfg, step, ov, st)
 			}
 		}
-		ov, st := e.OverlapStats(), e.Stats()
+		ov, st := e.Report().Overlap, e.Stats()
 		e.Close()
 		if ov.Rounds() != st.Steps || ov.TotalBytes() != st.Bytes {
 			t.Fatalf("%+v: cumulative overlap split %+v does not partition stats %+v", cfg, ov, st)

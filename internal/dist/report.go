@@ -4,7 +4,7 @@ package dist
 // executed, in one value. The engine keeps two — the whole run and the most
 // recent training step — and writes both through one add, so a counter and
 // its per-step view cannot drift apart. The named accessors (Stats,
-// StepStats, OverlapStats, …) are views of single fields.
+// StepStats, StepOverlapStats, …) are views of single fields.
 type Report struct {
 	// Comm is the aggregate schedule: messages, bytes, latency rounds,
 	// retries and stalls.
@@ -84,17 +84,9 @@ func (e *Engine) Stats() CommStats { return e.total.Comm }
 // step (see StepReport).
 func (e *Engine) StepStats() CommStats { return e.last.Comm }
 
-// TierStats returns the cumulative counters split by fabric tier. It is
-// zero unless Config.Topology arranged the workers hierarchically, in which
-// case TierStats().Total() equals Stats().
-func (e *Engine) TierStats() TierStats { return e.Report().TierComm }
-
 // StepTierStats returns the per-tier counters of the most recent training
 // step, the hierarchical split of StepStats.
 func (e *Engine) StepTierStats() TierStats { return e.StepReport().TierComm }
-
-// OverlapStats returns the cumulative hidden/exposed split of Stats.
-func (e *Engine) OverlapStats() OverlapStats { return e.total.Overlap }
 
 // StepOverlapStats returns the hidden/exposed split of the most recent
 // training step, the overlap view of StepStats.

@@ -62,7 +62,7 @@ func networksGoldenDump(full bool) string {
 		{"micro-alexnet", NewMicroAlexNet},
 		{"micro-alexnet-lrn", func(c MicroConfig) *nn.Network { c.UseLRN = true; return NewMicroAlexNet(c) }},
 		{"micro-convnet", NewMicroConvNet},
-		{"micro-resnet", NewMicroResNet},
+		{"micro-resnet", func(c MicroConfig) *nn.Network { return must(microResNet(c).build()).Build(rng.New(c.Seed)) }},
 		{"mlp", NewMLP},
 	} {
 		for _, c := range []struct {
@@ -97,7 +97,7 @@ func networksGoldenDump(full bool) string {
 			name  string
 			build func(r *rng.Rand) *nn.Network
 		}{
-			{"resnet18", ResNet18Spec().Build},
+			{"resnet18", must(resNet18().build()).Build},
 			{"resnet50", ResNet50Spec().Build},
 			{"alexnet", AlexNetSpec().Build},
 			{"alexnet-bn", AlexNetBNSpec().Build},

@@ -117,9 +117,6 @@ func mlp(cfg MicroConfig) *specBuilder {
 // Micro returns an error.
 func MicroAlexNetSpec(cfg MicroConfig) *ModelSpec { return must(microAlexNet(cfg).build()) }
 
-// MicroResNetSpec returns the micro bottleneck ResNet's spec at cfg.
-func MicroResNetSpec(cfg MicroConfig) *ModelSpec { return must(microResNet(cfg).build()) }
-
 // MicroConvNetSpec returns the GAP-headed all-conv micro model's spec at cfg.
 func MicroConvNetSpec(cfg MicroConfig) *ModelSpec { return must(microConvNet(cfg).build()) }
 
@@ -129,11 +126,6 @@ func MLPSpec(cfg MicroConfig) *ModelSpec { return must(mlp(cfg).build()) }
 // NewMicroAlexNet builds MicroAlexNetSpec(cfg) with weights seeded by cfg.Seed.
 func NewMicroAlexNet(cfg MicroConfig) *nn.Network {
 	return MicroAlexNetSpec(cfg).Build(rng.New(cfg.Seed))
-}
-
-// NewMicroResNet builds MicroResNetSpec(cfg).
-func NewMicroResNet(cfg MicroConfig) *nn.Network {
-	return MicroResNetSpec(cfg).Build(rng.New(cfg.Seed))
 }
 
 // NewMicroConvNet builds MicroConvNetSpec(cfg).

@@ -155,7 +155,7 @@ func TestMicroAlexNetSpecMatchesTrainable(t *testing.T) {
 
 func TestMicroResNetForwardBackward(t *testing.T) {
 	cfg := MicroConfig{Classes: 5, InH: 16, Width: 8, Seed: 4}
-	net := NewMicroResNet(cfg)
+	net := must(microResNet(cfg).build()).Build(rng.New(cfg.Seed))
 	r := rng.New(10)
 	x := tensor.RandNormal(r, 1, 2, 3, 16, 16)
 	y := net.Forward(x, true)

@@ -62,12 +62,6 @@ func resNet50() *specBuilder {
 	return resNet("ResNet-50", []int{3, 4, 6, 3}, bottleneckSpec)
 }
 
-// ResNet18Spec returns the canonical ResNet-18 (11.69M parameters).
-func ResNet18Spec() *ModelSpec { return must(resNet18().build()) }
-
-// ResNet34Spec returns the canonical ResNet-34 (21.80M parameters).
-func ResNet34Spec() *ModelSpec { return must(resNet34().build()) }
-
 // ResNet50Spec returns the exact ResNet-50 architecture on 224x224x3 input:
 // ~25.6M parameters and ~7.7 GFLOPs per image (Table 6).
 func ResNet50Spec() *ModelSpec { return must(resNet50().build()) }

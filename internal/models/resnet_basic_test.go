@@ -7,7 +7,7 @@ import (
 )
 
 func TestResNet18SpecCanonical(t *testing.T) {
-	spec := ResNet18Spec()
+	spec := must(resNet18().build())
 	// torchvision resnet18: 11,689,512 parameters.
 	if got := spec.ParamCount(); got != 11689512 {
 		t.Errorf("ResNet-18 params = %d, want 11689512", got)
@@ -20,7 +20,7 @@ func TestResNet18SpecCanonical(t *testing.T) {
 }
 
 func TestResNet34SpecCanonical(t *testing.T) {
-	spec := ResNet34Spec()
+	spec := must(resNet34().build())
 	// torchvision resnet34: 21,797,672 parameters.
 	if got := spec.ParamCount(); got != 21797672 {
 		t.Errorf("ResNet-34 params = %d, want 21797672", got)
@@ -32,8 +32,8 @@ func TestResNet34SpecCanonical(t *testing.T) {
 }
 
 func TestResNetFamilyOrdering(t *testing.T) {
-	p18 := ResNet18Spec().ParamCount()
-	p34 := ResNet34Spec().ParamCount()
+	p18 := must(resNet18().build()).ParamCount()
+	p34 := must(resNet34().build()).ParamCount()
 	p50 := ResNet50Spec().ParamCount()
 	if !(p18 < p34 && p34 < p50) {
 		t.Fatalf("family ordering broken: %d, %d, %d", p18, p34, p50)
@@ -44,8 +44,8 @@ func TestResNet18TrainableMatchesSpec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates the full 11.7M-parameter network")
 	}
-	net := ResNet18Spec().Build(rng.New(1))
-	if got, want := int64(net.NumParams()), ResNet18Spec().ParamCount(); got != want {
+	net := must(resNet18().build()).Build(rng.New(1))
+	if got, want := int64(net.NumParams()), must(resNet18().build()).ParamCount(); got != want {
 		t.Errorf("trainable ResNet-18 has %d params, spec says %d", got, want)
 	}
 }
@@ -54,8 +54,8 @@ func TestResNet34TrainableMatchesSpec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates the full 21.8M-parameter network")
 	}
-	net := ResNet34Spec().Build(rng.New(1))
-	if got, want := int64(net.NumParams()), ResNet34Spec().ParamCount(); got != want {
+	net := must(resNet34().build()).Build(rng.New(1))
+	if got, want := int64(net.NumParams()), must(resNet34().build()).ParamCount(); got != want {
 		t.Errorf("trainable ResNet-34 has %d params, spec says %d", got, want)
 	}
 }

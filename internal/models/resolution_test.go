@@ -16,8 +16,8 @@ func allSpecs() map[string]*ModelSpec {
 	return map[string]*ModelSpec{
 		"alexnet":            AlexNetSpec(),
 		"alexnet-bn":         AlexNetBNSpec(),
-		"resnet-18":          ResNet18Spec(),
-		"resnet-34":          ResNet34Spec(),
+		"resnet-18":          must(resNet18().build()),
+		"resnet-34":          must(resNet34().build()),
 		"resnet-50":          ResNet50Spec(),
 		"micro-alexnet":      MicroAlexNetSpec(micro),
 		"micro-alexnet-lrn":  MicroAlexNetSpec(MicroConfig{Classes: 6, InH: 16, Width: 8, UseLRN: true}),
@@ -88,17 +88,17 @@ func TestFLOPsPerImageAtDoubling(t *testing.T) {
 func TestParamCountAtInvariance(t *testing.T) {
 	conv := MicroConvNetSpec(MicroConfig{Classes: 6, InH: 12, Width: 8})
 	for _, hw := range [][2]int{{12, 12}, {24, 24}, {24, 16}, {48, 48}} {
-		if got, want := conv.ParamCountAt(hw[0], hw[1]), conv.ParamCount(); got != want {
-			t.Errorf("micro-convnet ParamCountAt(%d,%d) = %d, want invariant %d", hw[0], hw[1], got, want)
+		if got, want := conv.At(hw[0], hw[1]).ParamCount(), conv.ParamCount(); got != want {
+			t.Errorf("micro-convnet ParamCount at %dx%d = %d, want invariant %d", hw[0], hw[1], got, want)
 		}
 	}
 	r50 := ResNet50Spec()
-	if got, want := r50.ParamCountAt(112, 112), r50.ParamCount(); got != want {
-		t.Errorf("resnet-50 ParamCountAt(112,112) = %d, want invariant %d", got, want)
+	if got, want := r50.At(112, 112).ParamCount(), r50.ParamCount(); got != want {
+		t.Errorf("resnet-50 ParamCount at 112x112 = %d, want invariant %d", got, want)
 	}
 	alex := MicroAlexNetSpec(MicroConfig{Classes: 6, InH: 16, Width: 8})
-	if got, want := alex.ParamCountAt(32, 32), alex.ParamCount(); got == want {
-		t.Errorf("micro-alexnet ParamCountAt(32,32) = %d should differ from canonical %d (flatten→fc head)", got, want)
+	if got, want := alex.At(32, 32).ParamCount(), alex.ParamCount(); got == want {
+		t.Errorf("micro-alexnet ParamCount at 32x32 = %d should differ from canonical %d (flatten→fc head)", got, want)
 	}
 }
 

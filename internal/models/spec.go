@@ -21,6 +21,8 @@ package models
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/tensor"
 )
 
 // LayerSpec records the cost-model-relevant facts about one layer.
@@ -114,7 +116,7 @@ func (m *ModelSpec) Replay(h, w int) (*ModelSpec, error) {
 		nl := l
 		switch l.Kind {
 		case "conv":
-			outH, outW := outDim(inH, l.K, l.Stride, l.Pad), outDim(inW, l.K, l.Stride, l.Pad)
+			outH, outW := window(l, inH, inW)
 			if outH <= 0 || outW <= 0 {
 				return nil, m.errorf("conv %s output empty at input %dx%d", l.Name, h, w)
 			}
@@ -140,7 +142,7 @@ func (m *ModelSpec) Replay(h, w int) (*ModelSpec, error) {
 			nl.MACs = int64(l.K) * int64(inC) * int64(inH*inW)
 			nl.OutC, nl.OutH, nl.OutW = inC, inH, inW
 		case "pool":
-			outH, outW := outDim(inH, l.K, l.Stride, l.Pad), outDim(inW, l.K, l.Stride, l.Pad)
+			outH, outW := window(l, inH, inW)
 			if outH <= 0 || outW <= 0 {
 				return nil, m.errorf("pool %s output empty at input %dx%d", l.Name, h, w)
 			}
@@ -183,14 +185,12 @@ func (m *ModelSpec) in(l LayerSpec) (c, h, w int) {
 	return f.OutC, f.OutH, f.OutW
 }
 
-// outDim is the output extent of a k-wide window stepping by stride over an
-// input of extent in padded by pad on both sides; 0 when the window does not
-// fit even once.
-func outDim(in, k, stride, pad int) int {
-	if in+2*pad < k {
-		return 0
-	}
-	return (in+2*pad-k)/stride + 1
+// window is the output extent of layer l's K×K window over an inH×inW
+// input, by the rule the nn layers run (tensor.ConvGeom): 0 where the
+// window does not fit even once.
+func window(l LayerSpec, inH, inW int) (outH, outW int) {
+	g := tensor.ConvGeom{InH: inH, InW: inW, KH: l.K, KW: l.K, StrideH: l.Stride, StrideW: l.Stride, PadH: l.Pad, PadW: l.Pad}
+	return g.OutH(), g.OutW()
 }
 
 // FLOPsPerImageAt returns FLOPsPerImage recomputed at input resolution h×w;
@@ -199,10 +199,6 @@ func (m *ModelSpec) FLOPsPerImageAt(h, w int) int64 { return m.At(h, w).FLOPsPer
 
 // TrainFLOPsPerImageAt is the 3x forward+backward accounting at input h×w.
 func (m *ModelSpec) TrainFLOPsPerImageAt(h, w int) int64 { return 3 * m.FLOPsPerImageAt(h, w) }
-
-// ParamCountAt returns |W| at input h×w. Equal to ParamCount at every
-// resolution for GAP-headed models; differs for flatten→fc models.
-func (m *ModelSpec) ParamCountAt(h, w int) int64 { return m.At(h, w).ParamCount() }
 
 // ScalingRatio is Table 6's computation-to-communication ratio:
 // FLOPs per image divided by parameter count. Models with a higher ratio

@@ -82,19 +82,28 @@ func (c *Conv2D) Params() []*Param {
 }
 
 func (c *Conv2D) geometry(x *tensor.Tensor) tensor.ConvGeom {
-	if x.Dims() != 4 {
-		panic(fmt.Sprintf("nn: %s: want NCHW input, got shape %v", c.name, x.Shape))
+	g := window(c.name, x, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW)
+	if g.InC != c.InC {
+		panic(fmt.Sprintf("nn: %s: input has %d channels, layer wants %d", c.name, g.InC, c.InC))
 	}
-	if x.Shape[1] != c.InC {
-		panic(fmt.Sprintf("nn: %s: input has %d channels, layer wants %d", c.name, x.Shape[1], c.InC))
+	return g
+}
+
+// window is the geometry of a layer's kh×kw window over the NCHW input x,
+// shared by Conv2D and the pooling layers. A non-NCHW input or a window
+// that does not fit (tensor.ConvGeom.Check) is refused with the layer's
+// name and the input shape.
+func window(name string, x *tensor.Tensor, kh, kw, strideH, strideW, padH, padW int) tensor.ConvGeom {
+	if x.Dims() != 4 {
+		panic(fmt.Sprintf("nn: %s: want NCHW input, got shape %v", name, x.Shape))
 	}
 	g := tensor.ConvGeom{
-		InC: c.InC, InH: x.Shape[2], InW: x.Shape[3],
-		KH: c.KH, KW: c.KW,
-		StrideH: c.StrideH, StrideW: c.StrideW,
-		PadH: c.PadH, PadW: c.PadW,
+		InC: x.Shape[1], InH: x.Shape[2], InW: x.Shape[3],
+		KH: kh, KW: kw, StrideH: strideH, StrideW: strideW, PadH: padH, PadW: padW,
 	}
-	g.Check()
+	if err := g.Check(); err != nil {
+		panic(fmt.Sprintf("nn: %s: input %v: %v", name, x.Shape, err))
+	}
 	return g
 }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -91,5 +92,36 @@ func expectPanic(t *testing.T, what string) {
 	t.Helper()
 	if recover() == nil {
 		t.Fatalf("expected panic: %s", what)
+	}
+}
+
+// TestWindowWiderThanInputRefused: on a 2×2 input a 3×3 window fits only
+// with padding. Unpadded, conv, max-pool and avg-pool all refuse with a
+// panic naming the layer and the input shape — at n=2 too, where avg-pool's
+// planes split across par chunks — instead of reporting a 1×1 output read
+// from outside the image or indexing past it.
+func TestWindowWiderThanInputRefused(t *testing.T) {
+	r := rng.New(1)
+	for _, n := range []int{1, 2} {
+		x := tensor.RandNormal(r, 1, n, 3, 2, 2)
+		for _, l := range []Layer{
+			NewConv("c", r, 3, 4, 3, 2, 0, ConvOpts{}),
+			NewMaxPool("mp", 3, 2, 0),
+			NewAvgPool("ap", 3, 2),
+		} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, l.Name()+": input [") || !strings.Contains(msg, "does not fit a 2x2 input") {
+						t.Errorf("n=%d %s: recovered %q, want a refusal naming the layer and the input", n, l.Name(), msg)
+					}
+				}()
+				l.Forward(x, true)
+			}()
+		}
+	}
+	// Padded to 4×4, the same conv fits once.
+	if y := NewConv("c", r, 3, 4, 3, 2, 1, ConvOpts{}).Forward(tensor.RandNormal(r, 1, 1, 3, 2, 2), true); y.Shape[2] != 1 || y.Shape[3] != 1 {
+		t.Fatalf("padded conv output %v, want 1x1", y.Shape)
 	}
 }

@@ -10,22 +10,14 @@ import (
 
 // SoftmaxCrossEntropy combines a softmax over class logits with the negative
 // log-likelihood loss, averaged over the batch. Combining the two yields the
-// numerically stable gradient (softmax(x) − target) / N.
-//
-// Smoothing, when positive, applies label smoothing: the target becomes
-// (1−ε)·onehot + ε/K uniform. Smoothing is the regularizer most follow-up
-// large-batch recipes adopt; it is off by default to match the paper.
+// numerically stable gradient (softmax(x) − onehot) / N.
 type SoftmaxCrossEntropy struct {
-	// Smoothing is the label-smoothing ε in [0, 1).
-	Smoothing float32
-
 	probs  *tensor.Tensor
 	labels []int
 }
 
 // Forward computes the mean cross-entropy of logits [N, K] against labels
-// (len N, values in [0, K)). It caches what Backward needs and also exposes
-// Probs for metric computation.
+// (len N, values in [0, K)). It caches what Backward needs.
 func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) float64 {
 	if logits.Dims() != 2 {
 		panic(fmt.Sprintf("nn: loss wants [N,K] logits, got %v", logits.Shape))
@@ -61,24 +53,6 @@ func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) float
 			if lab < 0 || lab >= k {
 				panic(fmt.Sprintf("nn: label %d out of range [0,%d)", lab, k))
 			}
-			if l.Smoothing > 0 {
-				// Cross-entropy against the smoothed target distribution.
-				eps := float64(l.Smoothing)
-				var ce float64
-				for i := range out {
-					target := eps / float64(k)
-					if i == lab {
-						target += 1 - eps
-					}
-					p := float64(out[i])
-					if p < 1e-12 {
-						p = 1e-12
-					}
-					ce -= target * math.Log(p)
-				}
-				losses[s] = ce
-				continue
-			}
 			p := float64(out[lab])
 			if p < 1e-12 {
 				p = 1e-12
@@ -98,26 +72,15 @@ func (l *SoftmaxCrossEntropy) Backward() *tensor.Tensor {
 	n, k := l.probs.Shape[0], l.probs.Shape[1]
 	grad := l.probs.Clone()
 	invN := 1 / float32(n)
-	uniform := l.Smoothing / float32(k)
 	for s := 0; s < n; s++ {
 		row := grad.Data[s*k : (s+1)*k]
-		if l.Smoothing > 0 {
-			for i := range row {
-				row[i] -= uniform
-			}
-			row[l.labels[s]] -= 1 - l.Smoothing
-		} else {
-			row[l.labels[s]] -= 1
-		}
+		row[l.labels[s]] -= 1
 		for i := range row {
 			row[i] *= invN
 		}
 	}
 	return grad
 }
-
-// Probs returns the cached softmax probabilities from the last Forward.
-func (l *SoftmaxCrossEntropy) Probs() *tensor.Tensor { return l.probs }
 
 // Accuracy returns the fraction of rows of logits whose argmax matches the
 // label — the paper's "top-1 accuracy".
@@ -133,28 +96,4 @@ func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 		}
 	}
 	return float64(correct) / float64(len(labels))
-}
-
-// TopKAccuracy returns the fraction of rows where the true label is among
-// the k highest logits.
-func TopKAccuracy(logits *tensor.Tensor, labels []int, k int) float64 {
-	n, c := logits.Shape[0], logits.Shape[1]
-	if k >= c {
-		return 1
-	}
-	correct := 0
-	for s := 0; s < n; s++ {
-		row := logits.Data[s*c : (s+1)*c]
-		target := row[labels[s]]
-		higher := 0
-		for _, v := range row {
-			if v > target {
-				higher++
-			}
-		}
-		if higher < k {
-			correct++
-		}
-	}
-	return float64(correct) / float64(n)
 }

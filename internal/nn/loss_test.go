@@ -16,8 +16,7 @@ func TestSoftmaxCrossEntropyUniform(t *testing.T) {
 	if math.Abs(loss-want) > 1e-6 {
 		t.Fatalf("uniform loss = %v, want ln(4) = %v", loss, want)
 	}
-	probs := l.Probs()
-	for _, p := range probs.Data {
+	for _, p := range l.probs.Data {
 		if math.Abs(float64(p)-0.25) > 1e-6 {
 			t.Fatalf("uniform prob = %v", p)
 		}
@@ -95,19 +94,6 @@ func TestAccuracy(t *testing.T) {
 	acc := Accuracy(logits, []int{1, 0, 0, 1})
 	if acc != 0.5 {
 		t.Fatalf("accuracy = %v, want 0.5", acc)
-	}
-}
-
-func TestTopKAccuracy(t *testing.T) {
-	logits := tensor.FromSlice([]float32{
-		5, 4, 1, 0, // top2 = {0, 1}
-		0, 1, 2, 3, // top2 = {3, 2}
-	}, 2, 4)
-	if got := TopKAccuracy(logits, []int{1, 0}, 2); got != 0.5 {
-		t.Fatalf("top-2 accuracy = %v, want 0.5", got)
-	}
-	if got := TopKAccuracy(logits, []int{1, 0}, 4); got != 1 {
-		t.Fatalf("top-4 accuracy = %v, want 1", got)
 	}
 }
 

@@ -37,15 +37,9 @@ func (l *MaxPool2D) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Dims() != 4 {
-		panic(fmt.Sprintf("nn: %s: want NCHW input, got %v", l.name, x.Shape))
-	}
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	outH := (h+2*l.PadH-l.KH)/l.StrideH + 1
-	outW := (w+2*l.PadW-l.KW)/l.StrideW + 1
-	if outH <= 0 || outW <= 0 {
-		panic(fmt.Sprintf("nn: %s: empty output for input %v", l.name, x.Shape))
-	}
+	g := window(l.name, x, l.KH, l.KW, l.StrideH, l.StrideW, l.PadH, l.PadW)
+	n, c, h, w := x.Shape[0], g.InC, g.InH, g.InW
+	outH, outW := g.OutH(), g.OutW()
 	l.inShape = append(l.inShape[:0], x.Shape...)
 	y := tensor.New(n, c, outH, outW)
 	l.argmax = l.scratch.at(shapeKey{n: n, c: c, h: h, w: w}, n*c*outH*outW)
@@ -176,12 +170,9 @@ func (l *AvgPool2D) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (l *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Dims() != 4 {
-		panic(fmt.Sprintf("nn: %s: want NCHW input, got %v", l.name, x.Shape))
-	}
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	outH := (h-l.KH)/l.StrideH + 1
-	outW := (w-l.KW)/l.StrideW + 1
+	g := window(l.name, x, l.KH, l.KW, l.StrideH, l.StrideW, 0, 0)
+	n, c, h, w := x.Shape[0], g.InC, g.InH, g.InW
+	outH, outW := g.OutH(), g.OutW()
 	l.inShape = append(l.inShape[:0], x.Shape...)
 	y := tensor.New(n, c, outH, outW)
 	inv := 1 / float32(l.KH*l.KW)
@@ -211,8 +202,7 @@ func (l *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (l *AvgPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dx := tensor.New(l.inShape...)
 	h, w := l.inShape[2], l.inShape[3]
-	outH := (h-l.KH)/l.StrideH + 1
-	outW := (w-l.KW)/l.StrideW + 1
+	outH, outW := dout.Shape[2], dout.Shape[3]
 	inv := 1 / float32(l.KH*l.KW)
 	planes := l.inShape[0] * l.inShape[1]
 	for p := 0; p < planes; p++ {

@@ -1,29 +1,17 @@
 package opt
 
-import (
-	"repro/internal/nn"
-	"repro/internal/tensor"
-)
+import "repro/internal/nn"
+
+// eps guards the trust-ratio denominator for zero gradients.
+const eps = 1e-9
 
 // LARSConfig configures Layer-wise Adaptive Rate Scaling.
 type LARSConfig struct {
 	Momentum    float64 // typically 0.9
 	WeightDecay float64 // typically 0.0005
 	// Trust is the LARS trust coefficient η; You/Gitman/Ginsburg use 0.001
-	// for ImageNet-scale networks.
+	// for ImageNet-scale networks (the default when zero).
 	Trust float64
-	// Eps guards the trust-ratio denominator for zero gradients.
-	Eps float64
-	// Clip, when positive, caps the local rate at Clip — the "LARC"
-	// refinement that followed the paper (clipping at 1 makes LARS never
-	// more aggressive than plain SGD at the scheduled global rate). Zero
-	// disables clipping, matching the original algorithm.
-	Clip float64
-}
-
-// DefaultLARSConfig returns the paper's hyperparameters.
-func DefaultLARSConfig() LARSConfig {
-	return LARSConfig{Momentum: 0.9, WeightDecay: 0.0005, Trust: 0.001, Eps: 1e-9}
 }
 
 // LARS implements Layer-wise Adaptive Rate Scaling, the paper's core
@@ -43,9 +31,8 @@ func DefaultLARSConfig() LARSConfig {
 // Parameters marked NoDecay (biases, BN affine) fall back to plain momentum
 // SGD without decay, mirroring the reference NVIDIA Caffe implementation.
 type LARS struct {
-	cfg      LARSConfig
-	params   []*nn.Param
-	velocity []*tensor.Tensor
+	momentum
+	cfg LARSConfig
 	// ratios records the most recent local rate per parameter for
 	// diagnostics (the LARS statistics the paper plots informally).
 	ratios []float64
@@ -56,56 +43,21 @@ func NewLARS(params []*nn.Param, cfg LARSConfig) *LARS {
 	if cfg.Trust == 0 {
 		cfg.Trust = 0.001
 	}
-	if cfg.Eps == 0 {
-		cfg.Eps = 1e-9
-	}
-	l := &LARS{cfg: cfg, params: params,
-		velocity: make([]*tensor.Tensor, len(params)),
-		ratios:   make([]float64, len(params)),
-	}
-	for i, p := range params {
-		l.velocity[i] = tensor.New(p.W.Shape...)
-	}
-	return l
+	return &LARS{momentum: newMomentum(params), cfg: cfg, ratios: make([]float64, len(params))}
 }
 
-// Name implements Optimizer.
-func (l *LARS) Name() string { return "lars" }
-
-// Step implements Optimizer.
+// Step applies one update at the global learning rate lr. The caller zeroes
+// the gradients afterwards.
 func (l *LARS) Step(lr float64) {
 	for i, p := range l.params {
-		v := l.velocity[i]
-		m := float32(l.cfg.Momentum)
-		if p.NoDecay {
-			// Plain momentum SGD for bias/BN parameters.
-			l.ratios[i] = 1
-			lrf := float32(lr)
-			vd, wd, gd := v.Data, p.W.Data, p.G.Data
-			for j := range vd {
-				vd[j] = m*vd[j] + lrf*gd[j]
-				wd[j] -= vd[j]
-			}
-			continue
-		}
-		wNorm := p.W.Norm2()
-		gNorm := p.G.Norm2()
 		local := 1.0
-		if wNorm > 0 {
-			local = l.cfg.Trust * wNorm / (gNorm + l.cfg.WeightDecay*wNorm + l.cfg.Eps)
-		}
-		if l.cfg.Clip > 0 && local > l.cfg.Clip {
-			local = l.cfg.Clip
+		if !p.NoDecay {
+			if wNorm := p.W.Norm2(); wNorm > 0 {
+				local = l.cfg.Trust * wNorm / (p.G.Norm2() + l.cfg.WeightDecay*wNorm + eps)
+			}
 		}
 		l.ratios[i] = local
-		scale := float32(lr * local)
-		wd := float32(l.cfg.WeightDecay)
-		vd, wdta, gd := v.Data, p.W.Data, p.G.Data
-		for j := range vd {
-			grad := gd[j] + wd*wdta[j]
-			vd[j] = m*vd[j] + scale*grad
-			wdta[j] -= vd[j]
-		}
+		l.update(i, float32(l.cfg.Momentum), float32(lr*local), float32(l.cfg.WeightDecay), !p.NoDecay)
 	}
 }
 

@@ -9,12 +9,11 @@ import (
 	"repro/internal/rng"
 )
 
-func TestConstantSchedule(t *testing.T) {
-	s := Constant{Base: 0.1}
-	if s.LR(0, 100) != 0.1 || s.LR(99, 100) != 0.1 {
-		t.Fatal("constant schedule must not vary")
-	}
-}
+// flat is a constant schedule for exercising Warmup's hand-over.
+type flat float64
+
+func (f flat) LR(step, totalSteps int) float64 { return float64(f) }
+func (f flat) String() string                  { return "flat" }
 
 func TestPolySchedule(t *testing.T) {
 	// The paper's poly policy with power 2: starts at base, ends at 0.
@@ -43,8 +42,7 @@ func TestPolyMonotoneDecreasing(t *testing.T) {
 }
 
 func TestWarmupRampsToInner(t *testing.T) {
-	inner := Constant{Base: 1.0}
-	w := Warmup{Inner: inner, WarmupSteps: 10}
+	w := Warmup{Inner: flat(1), WarmupSteps: 10}
 	if got := w.LR(0, 100); got > 0.2 {
 		t.Fatalf("warmup step 0 = %v, want small", got)
 	}
@@ -84,16 +82,16 @@ func TestLinearScalingRule(t *testing.T) {
 	}
 }
 
-func TestTotalSteps(t *testing.T) {
-	// Table 2: 100 epochs of 1.28M images at batch 512 = 250,000 iterations.
-	if got := TotalSteps(100, 1280000, 512); got != 250000 {
-		t.Fatalf("TotalSteps = %d, want 250000", got)
-	}
-	// And batch 32768: 100 * ceil(1280000/32768) = 100 * 40 = 4000.
-	if got := TotalSteps(100, 1280000, 32768); got != 4000 {
-		t.Fatalf("TotalSteps = %d, want 4000", got)
+func TestScheduleStrings(t *testing.T) {
+	for _, s := range []Schedule{Poly{Base: 1, Power: 2}, Warmup{Inner: Poly{Base: 1}, WarmupSteps: 5}} {
+		if s.String() == "" {
+			t.Fatalf("%T has empty String()", s)
+		}
 	}
 }
+
+// paperLARS is the paper's LARS hyperparameters.
+var paperLARS = LARSConfig{Momentum: 0.9, WeightDecay: 0.0005, Trust: 0.001}
 
 func makeParam(t *testing.T, seed uint64, n int) *nn.Param {
 	t.Helper()
@@ -156,12 +154,12 @@ func TestSGDNoDecayRespected(t *testing.T) {
 
 func TestLARSTrustRatio(t *testing.T) {
 	p := makeParam(t, 1, 1000)
-	cfg := DefaultLARSConfig()
+	cfg := paperLARS
 	cfg.Momentum = 0
 	l := NewLARS([]*nn.Param{p}, cfg)
 	wN, gN := p.W.Norm2(), p.G.Norm2()
 	l.Step(1)
-	want := cfg.Trust * wN / (gN + cfg.WeightDecay*wN + cfg.Eps)
+	want := cfg.Trust * wN / (gN + cfg.WeightDecay*wN + eps)
 	got := l.TrustRatios()[0]
 	if math.Abs(got-want)/want > 1e-9 {
 		t.Fatalf("trust ratio = %v, want %v", got, want)
@@ -182,7 +180,7 @@ func TestLARSGradientScaleInvariance(t *testing.T) {
 			p.G.FillNormal(r, 0, 0.1)
 			return p
 		}
-		cfg := LARSConfig{Momentum: 0, WeightDecay: 0, Trust: 0.01, Eps: 0}
+		cfg := LARSConfig{Momentum: 0, WeightDecay: 0, Trust: 0.01}
 		p1 := mk()
 		NewLARS([]*nn.Param{p1}, cfg).Step(0.5)
 		p2 := mk()
@@ -209,7 +207,7 @@ func TestLARSRelativeUpdateBounded(t *testing.T) {
 		p.W.FillNormal(r, 0, 1)
 		p.G.FillNormal(r, 0, gradScale)
 		before := p.W.Clone()
-		cfg := LARSConfig{Momentum: 0, WeightDecay: 0, Trust: 0.001, Eps: 0}
+		cfg := LARSConfig{Momentum: 0, WeightDecay: 0, Trust: 0.001}
 		NewLARS([]*nn.Param{p}, cfg).Step(1)
 		before.Sub(p.W) // Δw
 		rel := before.Norm2() / p.W.Norm2()
@@ -225,7 +223,7 @@ func TestLARSZeroWeightFallback(t *testing.T) {
 	// falls back to 1 (plain SGD step).
 	p := nn.NewParam("w", 4)
 	p.G.Data[0] = 1
-	l := NewLARS([]*nn.Param{p}, DefaultLARSConfig())
+	l := NewLARS([]*nn.Param{p}, paperLARS)
 	l.Step(0.1)
 	if p.W.HasNaN() {
 		t.Fatal("LARS produced NaN on zero weights")
@@ -240,7 +238,7 @@ func TestLARSNoDecayParamPlainSGD(t *testing.T) {
 	p.NoDecay = true
 	p.W.Data[0] = 1
 	p.G.Data[0] = 0.5
-	l := NewLARS([]*nn.Param{p}, DefaultLARSConfig())
+	l := NewLARS([]*nn.Param{p}, paperLARS)
 	l.Step(0.1)
 	want := 1 - 0.1*0.5
 	if math.Abs(float64(p.W.Data[0])-want) > 1e-6 {
@@ -260,7 +258,7 @@ func TestLARSVsSGDLargeLR(t *testing.T) {
 	sgdGrowth := sgdP.W.Norm2() / before
 
 	larsP := mk()
-	NewLARS([]*nn.Param{larsP}, DefaultLARSConfig()).Step(100)
+	NewLARS([]*nn.Param{larsP}, paperLARS).Step(100)
 	larsGrowth := larsP.W.Norm2() / before
 
 	if sgdGrowth < 5 {

@@ -1,13 +1,16 @@
-// Package opt implements the optimizers and learning-rate schedules of the
-// paper's large-batch training recipe:
+// Package opt implements the update rules and the learning-rate schedule of
+// the paper's large-batch training recipe:
 //
 //   - SGD with momentum and weight decay (the baseline),
 //   - LARS, Layer-wise Adaptive Rate Scaling (You/Gitman/Ginsburg 2017), the
-//     paper's core enabling algorithm,
+//     paper's core enabling algorithm — the same momentum update at a
+//     per-layer rate,
 //   - the linear scaling rule (Krizhevsky 2014),
 //   - gradual warmup (Goyal et al. 2017), and
 //   - polynomial decay with power 2 ("poly policy"), the schedule used in
-//     every experiment table of the paper.
+//     every experiment table of the paper,
+//
+// plus the dynamic loss scaler of mixed-precision training.
 package opt
 
 import (
@@ -23,14 +26,6 @@ type Schedule interface {
 	LR(step, totalSteps int) float64
 	fmt.Stringer
 }
-
-// Constant is a fixed learning rate.
-type Constant struct{ Base float64 }
-
-// LR implements Schedule.
-func (c Constant) LR(step, totalSteps int) float64 { return c.Base }
-
-func (c Constant) String() string { return fmt.Sprintf("constant(%g)", c.Base) }
 
 // Poly is the polynomial decay policy η(t) = Base·(1 − t/T)^Power. The paper
 // uses Power = 2 throughout (Tables 5 and 7).
@@ -57,62 +52,14 @@ func (p Poly) LR(step, totalSteps int) float64 {
 
 func (p Poly) String() string { return fmt.Sprintf("poly(%g, power=%g)", p.Base, p.Power) }
 
-// Cosine anneals the rate from Base to Min along half a cosine period —
-// not used by the paper but the schedule most follow-up large-batch work
-// adopted; provided for ablations.
-type Cosine struct {
-	Base float64
-	Min  float64
-}
-
-// LR implements Schedule.
-func (c Cosine) LR(step, totalSteps int) float64 {
-	if totalSteps <= 0 {
-		return c.Base
-	}
-	frac := float64(step) / float64(totalSteps)
-	if frac > 1 {
-		frac = 1
-	}
-	return c.Min + 0.5*(c.Base-c.Min)*(1+math.Cos(math.Pi*frac))
-}
-
-func (c Cosine) String() string { return fmt.Sprintf("cosine(%g->%g)", c.Base, c.Min) }
-
-// MultiStep drops the rate by Gamma at each milestone step (Goyal et al.'s
-// /10 at epochs 30/60/80 uses this form).
-type MultiStep struct {
-	Base       float64
-	Milestones []int
-	Gamma      float64
-}
-
-// LR implements Schedule.
-func (m MultiStep) LR(step, totalSteps int) float64 {
-	lr := m.Base
-	for _, ms := range m.Milestones {
-		if step >= ms {
-			lr *= m.Gamma
-		}
-	}
-	return lr
-}
-
-func (m MultiStep) String() string {
-	return fmt.Sprintf("multistep(%g, %v, x%g)", m.Base, m.Milestones, m.Gamma)
-}
-
-// Warmup wraps another schedule with Goyal-style gradual warmup: the rate
-// ramps linearly from Inner's base rate divided by the scaling factor up to
-// the full rate over WarmupSteps, then hands over to Inner. Warmup exists
+// Warmup wraps another schedule with Goyal-style gradual warmup: step s <
+// WarmupSteps runs at (s+1)/WarmupSteps of the rate Inner reaches at
+// WarmupSteps, after which Inner takes over. Warmup exists
 // because the linear scaling rule demands a very large rate that diverges if
 // applied from step 0 (the paper's Table 5 failures at LR ≥ 0.07).
 type Warmup struct {
 	Inner       Schedule
 	WarmupSteps int
-	// StartFraction is the fraction of the target rate at step 0
-	// (default ~0, ramping to 1 at WarmupSteps).
-	StartFraction float64
 }
 
 // LR implements Schedule.
@@ -121,8 +68,7 @@ func (w Warmup) LR(step, totalSteps int) float64 {
 		return w.Inner.LR(step, totalSteps)
 	}
 	target := w.Inner.LR(w.WarmupSteps, totalSteps)
-	frac := w.StartFraction + (1-w.StartFraction)*float64(step+1)/float64(w.WarmupSteps)
-	return target * frac
+	return target * (float64(step+1) / float64(w.WarmupSteps))
 }
 
 func (w Warmup) String() string {
@@ -133,16 +79,4 @@ func (w Warmup) String() string {
 // baseBatch to batch, the base learning rate grows proportionally.
 func LinearScalingRule(baseLR float64, baseBatch, batch int) float64 {
 	return baseLR * float64(batch) / float64(baseBatch)
-}
-
-// StepsPerEpoch returns ceil(datasetSize / batch) — the paper's E·n/B
-// iteration count divided by E.
-func StepsPerEpoch(datasetSize, batch int) int {
-	return (datasetSize + batch - 1) / batch
-}
-
-// TotalSteps returns the fixed-epoch-budget iteration count E·n/B that all
-// of the paper's comparisons hold constant.
-func TotalSteps(epochs, datasetSize, batch int) int {
-	return epochs * StepsPerEpoch(datasetSize, batch)
 }

@@ -5,76 +5,70 @@ import (
 	"repro/internal/tensor"
 )
 
-// Optimizer updates a fixed set of parameters from their accumulated
-// gradients. Step takes the learning rate explicitly so schedules stay
-// decoupled from update rules.
-type Optimizer interface {
-	// Step applies one update using the given global learning rate. The
-	// caller is responsible for zeroing gradients afterwards.
-	Step(lr float64)
-	// Name identifies the rule in experiment records.
-	Name() string
-}
-
-// SGDConfig configures momentum SGD.
-type SGDConfig struct {
-	Momentum    float64 // typically 0.9 (Tables 5 and 7)
-	WeightDecay float64 // typically 0.0005 for AlexNet, 0.0001 for ResNet
-	// Nesterov applies the lookahead correction: the step uses the
-	// momentum-extrapolated gradient m·v + lr·g instead of v alone. Off in
-	// the paper's experiments; provided for ablations.
-	Nesterov bool
-}
-
-// SGD is Caffe-style momentum SGD with L2 weight decay:
+// momentum is the state and the update SGD and LARS share: one velocity
+// buffer per parameter and the heavy-ball step
 //
-//	v ← m·v + lr·(∇w + λw)
-//	w ← w − v            (heavy ball)
-//	w ← w − (m·v + lr·g)  (Nesterov)
+//	v ← m·v + r·(g + λw)
+//	w ← w − v
 //
-// Decay is skipped for parameters marked NoDecay (biases, BN affine).
-type SGD struct {
-	cfg      SGDConfig
+// at a per-parameter rate r. The rules differ only in the r and λ they pass.
+type momentum struct {
 	params   []*nn.Param
 	velocity []*tensor.Tensor
 }
 
-// NewSGD builds a momentum-SGD optimizer over params.
-func NewSGD(params []*nn.Param, cfg SGDConfig) *SGD {
-	s := &SGD{cfg: cfg, params: params, velocity: make([]*tensor.Tensor, len(params))}
+func newMomentum(params []*nn.Param) momentum {
+	s := momentum{params: params, velocity: make([]*tensor.Tensor, len(params))}
 	for i, p := range params {
 		s.velocity[i] = tensor.New(p.W.Shape...)
 	}
 	return s
 }
 
-// Name implements Optimizer.
-func (s *SGD) Name() string { return "sgd" }
+// update applies the step to parameter i. decay=false drops the λw term
+// outright rather than adding 0·w, which would turn a −0 gradient into +0:
+// LARS's NoDecay parameters take that path, SGD always adds the term
+// (testdata/update.golden pins both).
+func (s *momentum) update(i int, m, r, lambda float32, decay bool) {
+	v, w, g := s.velocity[i].Data, s.params[i].W.Data, s.params[i].G.Data
+	for j := range v {
+		grad := g[j]
+		if decay {
+			grad += lambda * w[j]
+		}
+		v[j] = m*v[j] + r*grad
+		w[j] -= v[j]
+	}
+}
 
-// Step implements Optimizer.
+// SGDConfig configures momentum SGD.
+type SGDConfig struct {
+	Momentum    float64 // typically 0.9 (Tables 5 and 7)
+	WeightDecay float64 // typically 0.0005 for AlexNet, 0.0001 for ResNet
+}
+
+// SGD is Caffe-style momentum SGD with L2 weight decay, the momentum update
+// at r = lr. Decay is skipped (λ = 0) for parameters marked NoDecay
+// (biases, BN affine).
+type SGD struct {
+	momentum
+	cfg SGDConfig
+}
+
+// NewSGD builds a momentum-SGD optimizer over params.
+func NewSGD(params []*nn.Param, cfg SGDConfig) *SGD {
+	return &SGD{momentum: newMomentum(params), cfg: cfg}
+}
+
+// Step applies one update at the global learning rate lr. The caller zeroes
+// the gradients afterwards.
 func (s *SGD) Step(lr float64) {
 	for i, p := range s.params {
-		v := s.velocity[i]
 		wd := float32(s.cfg.WeightDecay)
 		if p.NoDecay {
 			wd = 0
 		}
-		m := float32(s.cfg.Momentum)
-		lrf := float32(lr)
-		vd, wdta, gd := v.Data, p.W.Data, p.G.Data
-		if s.cfg.Nesterov {
-			for j := range vd {
-				grad := gd[j] + wd*wdta[j]
-				vd[j] = m*vd[j] + lrf*grad
-				wdta[j] -= m*vd[j] + lrf*grad
-			}
-		} else {
-			for j := range vd {
-				grad := gd[j] + wd*wdta[j]
-				vd[j] = m*vd[j] + lrf*grad
-				wdta[j] -= vd[j]
-			}
-		}
+		s.update(i, float32(s.cfg.Momentum), float32(lr), wd, true)
 	}
 }
 

@@ -6,6 +6,11 @@
 // channel" idiom. Work is only parallelized when the range is large enough to
 // amortize goroutine startup, so small tensors stay on the caller's
 // goroutine and remain cheap.
+//
+// A panic in a chunk or task does not kill the process from its goroutine:
+// every chunk still runs to completion, then the first panic value is
+// re-raised on the caller, where a recover (dist.Engine's worker recover,
+// a test's) sees it as if the loop had run inline.
 package par
 
 import (
@@ -49,19 +54,12 @@ func ForGrain(n, grain int, body func(lo, hi int)) {
 		chunks = workers
 	}
 	size := (n + chunks - 1) / chunks
-	var wg sync.WaitGroup
+	var g group
 	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
+		hi := min(lo+size, n)
+		g.run(func() { body(lo, hi) })
 	}
-	wg.Wait()
+	g.wait()
 }
 
 // Do runs every task concurrently and waits for all of them. It is used for
@@ -71,13 +69,40 @@ func Do(tasks ...func()) {
 		tasks[0]()
 		return
 	}
-	var wg sync.WaitGroup
+	var g group
 	for _, t := range tasks {
-		wg.Add(1)
-		go func(t func()) {
-			defer wg.Done()
-			t()
-		}(t)
+		g.run(t)
 	}
-	wg.Wait()
+	g.wait()
+}
+
+// group runs functions on their own goroutines and keeps the first panic
+// among them for wait to re-raise on the caller.
+type group struct {
+	wg       sync.WaitGroup
+	once     sync.Once
+	panicked bool
+	value    any
+}
+
+func (g *group) run(f func()) {
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		defer func() {
+			if r := recover(); r != nil {
+				g.once.Do(func() { g.panicked, g.value = true, r })
+			}
+		}()
+		f()
+	}()
+}
+
+// wait blocks until every function has returned, then re-raises the first
+// panic, if any.
+func (g *group) wait() {
+	g.wg.Wait()
+	if g.panicked {
+		panic(g.value)
+	}
 }

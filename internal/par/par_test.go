@@ -163,3 +163,42 @@ func TestForGrainRounding(t *testing.T) {
 		}
 	}
 }
+
+// TestChunkPanicReachesCaller: a panic in one chunk of a split loop (or one
+// task of Do) is re-raised on the caller after every other chunk has run,
+// so the caller's recover sees it instead of the process dying.
+func TestChunkPanicReachesCaller(t *testing.T) {
+	if MaxWorkers() < 2 {
+		t.Skip("needs GOMAXPROCS >= 2 for the loop to split")
+	}
+	catch := func(f func()) (r any) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+	const n = 64
+	var done atomic.Int32
+	r := catch(func() {
+		ForGrain(n, 1, func(lo, hi int) {
+			if lo == 0 {
+				panic("chunk 0 failed")
+			}
+			done.Add(int32(hi - lo))
+		})
+	})
+	if r != "chunk 0 failed" {
+		t.Fatalf("recovered %v, want the chunk's panic value", r)
+	}
+	chunks := min(n, MaxWorkers())
+	if first := (n + chunks - 1) / chunks; done.Load() != int32(n-first) {
+		t.Fatalf("other chunks covered %d rows, want %d", done.Load(), n-first)
+	}
+
+	var ran atomic.Int32
+	r = catch(func() {
+		Do(func() { ran.Add(1) }, func() { panic("task failed") }, func() { ran.Add(1) })
+	})
+	if r != "task failed" || ran.Load() != 2 {
+		t.Fatalf("Do: recovered %v with %d other tasks run, want the task's panic and 2", r, ran.Load())
+	}
+}

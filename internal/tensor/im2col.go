@@ -8,6 +8,8 @@ import (
 )
 
 // ConvGeom describes the geometry of a 2-D convolution or pooling window.
+// It is the one place the output extent of a window is defined: the conv
+// and pooling layers and the model specs all size their outputs by it.
 type ConvGeom struct {
 	InC, InH, InW    int // input channels and spatial extent
 	KH, KW           int // kernel extent
@@ -15,20 +17,33 @@ type ConvGeom struct {
 	PadH, PadW       int
 }
 
-// OutH returns the output height.
-func (g ConvGeom) OutH() int { return (g.InH+2*g.PadH-g.KH)/g.StrideH + 1 }
+// OutH returns the output height: how many windows fit the padded input.
+func (g ConvGeom) OutH() int { return windows(g.InH+2*g.PadH, g.KH, g.StrideH) }
 
 // OutW returns the output width.
-func (g ConvGeom) OutW() int { return (g.InW+2*g.PadW-g.KW)/g.StrideW + 1 }
+func (g ConvGeom) OutW() int { return windows(g.InW+2*g.PadW, g.KW, g.StrideW) }
 
-// Check panics if the geometry is degenerate.
-func (g ConvGeom) Check() {
+// windows counts the k-wide windows, stride apart, that fit in extent in:
+// 0 when not even one does (a bare (in−k)/stride + 1 would truncate a
+// negative numerator towards zero and report one window hanging off the
+// input).
+func windows(in, k, stride int) int {
+	if in < k {
+		return 0
+	}
+	return (in-k)/stride + 1
+}
+
+// Check reports a geometry no layer can run: a non-positive window or
+// stride, or a window that does not fit its padded input.
+func (g ConvGeom) Check() error {
 	if g.StrideH <= 0 || g.StrideW <= 0 || g.KH <= 0 || g.KW <= 0 {
-		panic(fmt.Sprintf("tensor: invalid conv geometry %+v", g))
+		return fmt.Errorf("tensor: invalid window geometry %+v", g)
 	}
 	if g.OutH() <= 0 || g.OutW() <= 0 {
-		panic(fmt.Sprintf("tensor: conv geometry %+v yields empty output", g))
+		return fmt.Errorf("tensor: %dx%d window with padding %d,%d does not fit a %dx%d input", g.KH, g.KW, g.PadH, g.PadW, g.InH, g.InW)
 	}
+	return nil
 }
 
 // Im2Col lowers one image (CHW layout, shape [InC*InH*InW]) into a patch

@@ -35,7 +35,9 @@ func TestConvGeomOutput(t *testing.T) {
 
 func TestIm2ColMatchesDirectConv(t *testing.T) {
 	g := ConvGeom{InC: 2, InH: 5, InW: 6, KH: 3, KW: 3, StrideH: 1, StrideW: 2, PadH: 1, PadW: 1}
-	g.Check()
+	if err := g.Check(); err != nil {
+		t.Fatal(err)
+	}
 	r := rng.New(11)
 	src := RandNormal(r, 1, g.InC*g.InH*g.InW)
 	filter := RandNormal(r, 1, g.InC*g.KH*g.KW)
@@ -68,7 +70,9 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 			InC: int(s1%3) + 1, InH: int(s2%5) + 3, InW: int(s1%4) + 3,
 			KH: 3, KW: 2, StrideH: int(s2%2) + 1, StrideW: 1, PadH: 1, PadW: 1,
 		}
-		g.Check()
+		if g.Check() != nil {
+			return false
+		}
 		r := rng.New(seed)
 		rows := g.InC * g.KH * g.KW
 		cols := g.OutH() * g.OutW()
@@ -115,5 +119,30 @@ func BenchmarkIm2Col(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Im2Col(g, src.Data, col)
+	}
+}
+
+// TestWindowRule pins ConvGeom's one output rule: a window that does not
+// fit its padded input gives 0 (never the 1 that truncating a negative
+// (in+2p−k)/s towards zero would report), and Check refuses it with an
+// error, as it does a non-positive window or stride.
+func TestWindowRule(t *testing.T) {
+	for _, tc := range []struct {
+		g          ConvGeom
+		outH, outW int
+		ok         bool
+	}{
+		{ConvGeom{InC: 1, InH: 2, InW: 2, KH: 3, KW: 3, StrideH: 2, StrideW: 2}, 0, 0, false},
+		{ConvGeom{InC: 1, InH: 2, InW: 2, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, 1, 1, true},
+		{ConvGeom{InC: 1, InH: 3, InW: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 1}, 1, 0, false},
+		{ConvGeom{InC: 1, InH: 7, InW: 8, KH: 3, KW: 3, StrideH: 2, StrideW: 2}, 3, 3, true},
+		{ConvGeom{InC: 1, InH: 4, InW: 4, KH: 0, KW: 3, StrideH: 1, StrideW: 1}, 5, 2, false},
+	} {
+		if tc.g.OutH() != tc.outH || tc.g.OutW() != tc.outW {
+			t.Errorf("%+v: out %dx%d, want %dx%d", tc.g, tc.g.OutH(), tc.g.OutW(), tc.outH, tc.outW)
+		}
+		if err := tc.g.Check(); (err == nil) != tc.ok {
+			t.Errorf("%+v: Check() = %v, want ok=%v", tc.g, err, tc.ok)
+		}
 	}
 }

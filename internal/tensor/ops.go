@@ -29,17 +29,6 @@ func (t *Tensor) Sub(u *Tensor) {
 	})
 }
 
-// Mul computes t *= u elementwise (Hadamard product).
-func (t *Tensor) Mul(u *Tensor) {
-	checkSameLen("Mul", t, u)
-	a, b := t.Data, u.Data
-	par.For(len(a), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a[i] *= b[i]
-		}
-	})
-}
-
 // Scale computes t *= s.
 func (t *Tensor) Scale(s float32) {
 	a := t.Data

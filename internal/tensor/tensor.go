@@ -179,9 +179,7 @@ func (t *Tensor) String() string {
 	return fmt.Sprintf("Tensor%v[%d elements, l2=%.4g]", t.Shape, t.Numel(), t.Norm2())
 }
 
-// HasNaN reports whether any element is NaN or infinite. The training loop
-// uses it to detect divergence (the paper's 0.001-accuracy rows in Table 5
-// correspond to exactly this failure mode).
+// HasNaN reports whether any element is NaN or infinite.
 func (t *Tensor) HasNaN() bool {
 	for _, v := range t.Data {
 		f := float64(v)

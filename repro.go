@@ -11,11 +11,12 @@
 //	internal/rng        deterministic SplitMix64 streams
 //	internal/tensor     float32 tensors, GEMM, im2col
 //	internal/nn         layers with exact gradients (conv incl. grouped, BN,
-//	                    LRN, pooling, residual blocks, label smoothing)
+//	                    LRN, pooling, residual blocks, softmax loss)
 //	internal/models     AlexNet(+BN), ResNet-18/34/50 specs + trainable nets
-//	internal/data       SynthImageNet, sharding, augmentation, resolution
+//	internal/data       SynthImageNet, batch spans, augmentation, resolution
 //	                    schedules
-//	internal/opt        SGD(+Nesterov), LARS(+LARC), poly/warmup/cosine
+//	internal/opt        momentum SGD and LARS (one update loop), poly decay
+//	                    with warmup, linear scaling, loss scaling
 //	internal/dist       synchronous data-parallel engine: lockstep goroutine
 //	                    workers, central/tree/ring allreduce with exact
 //	                    message/byte/round accounting, two-tier hierarchical
@@ -28,8 +29,8 @@
 //	internal/cluster    calibrated machine profiles + time simulator
 //	internal/core       the large-batch Trainer (the paper's recipe)
 //	internal/harness    one function per paper table/figure
-//	internal/async      asynchronous parameter-server baseline
-//	internal/compress   1-bit SGD with error feedback, FP16 exchange
+//	internal/async      asynchronous parameter-server baseline (one loop)
+//	internal/compress   1-bit quantizer with error feedback, FP16 slices
 //	internal/checkpoint binary snapshots with bit-identical resume
 //	internal/serve      dynamic-batching inference scheduler + replica pool
 //
