@@ -74,7 +74,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"repro/internal/checkpoint"
@@ -89,32 +91,45 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("serve: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run is the whole command: it parses args, serves the trace, and writes
+// the report to w. A flag value it cannot use is an error returned before
+// anything is printed.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var (
-		traceKind = flag.String("trace", "uniform", "traffic generator: uniform | poisson | bursty")
-		rate      = flag.Float64("rate", 10000, "offered load in requests/second (quantized to whole-tick gaps)")
-		requests  = flag.Int("requests", 4000, "trace length in requests")
-		seed      = flag.Uint64("seed", 1, "trace generator seed")
-		burstLen  = flag.Int("burst-len", 32, "requests per burst (bursty trace)")
-		burstIdle = flag.Int64("burst-idle", 10000, "idle µs between bursts (bursty trace)")
+		traceKind = fs.String("trace", "uniform", "traffic generator: uniform | poisson | bursty")
+		rate      = fs.Float64("rate", 10000, "offered load in requests/second (quantized to whole-tick gaps)")
+		requests  = fs.Int("requests", 4000, "trace length in requests")
+		seed      = fs.Uint64("seed", 1, "trace generator seed")
+		burstLen  = fs.Int("burst-len", 32, "requests per burst (bursty trace)")
+		burstIdle = fs.Int64("burst-idle", 10000, "idle µs between bursts (bursty trace)")
 
-		maxBatch = flag.Int("max-batch", 8, "flush a batch at this size (K)")
-		maxDelay = flag.Int64("max-delay", 2000, "flush when the oldest request has waited this many µs (D)")
-		queueCap = flag.Int("queue-cap", 0, "bounded waiting room; arrivals beyond it are rejected (0 = unbounded)")
-		replicas = flag.Int("replicas", 1, "model replica pool size")
-		svcBase  = flag.Int64("svc-base", 100, "batch service cost: fixed µs per batch")
-		svcPer   = flag.Int64("svc-per-image", 25, "batch service cost: µs per image")
+		maxBatch = fs.Int("max-batch", 8, "flush a batch at this size (K)")
+		maxDelay = fs.Int64("max-delay", 2000, "flush when the oldest request has waited this many µs (D)")
+		queueCap = fs.Int("queue-cap", 0, "bounded waiting room; arrivals beyond it are rejected (0 = unbounded)")
+		replicas = fs.Int("replicas", 1, "model replica pool size")
+		svcBase  = fs.Int64("svc-base", 100, "batch service cost: fixed µs per batch")
+		svcPer   = fs.Int64("svc-per-image", 25, "batch service cost: µs per image")
 
-		modelName = flag.String("model", "micro-alexnet", "model: "+strings.Join(models.MicroNames(), " | "))
-		width     = flag.Int("width", 8, "model base width")
-		classes   = flag.Int("classes", 8, "class count")
-		imageSize = flag.Int("image-size", 24, "image height/width")
-		precision = flag.String("precision", "f32", "GEMM storage precision: f32 | f16")
-		ckptPath  = flag.String("checkpoint", "", "load this checkpoint file into every replica")
-		schedOnly = flag.Bool("schedule-only", false, "skip model execution; pure virtual-clock scheduling")
+		modelName = fs.String("model", "micro-alexnet", "model: "+strings.Join(models.MicroNames(), " | "))
+		width     = fs.Int("width", 8, "model base width")
+		classes   = fs.Int("classes", 8, "class count")
+		imageSize = fs.Int("image-size", 24, "image height/width")
+		precision = fs.String("precision", "f32", "GEMM storage precision: f32 | f16")
+		ckptPath  = fs.String("checkpoint", "", "load this checkpoint file into every replica")
+		schedOnly = fs.Bool("schedule-only", false, "skip model execution; pure virtual-clock scheduling")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag does not return
 
+	prec, err := tensor.ParsePrecision(*precision)
+	if err != nil {
+		return err
+	}
 	cfg := serve.Config{
 		MaxBatch: *maxBatch,
 		MaxDelay: serve.Ticks(*maxDelay),
@@ -136,41 +151,41 @@ func main() {
 	case "bursty":
 		trace = serve.BurstyTrace(*requests, *burstLen, gap, serve.Ticks(*burstIdle), *classes, *seed)
 	default:
-		log.Fatalf("unknown trace %q", *traceKind)
+		return fmt.Errorf("unknown trace %q (want uniform | poisson | bursty)", *traceKind)
 	}
-	fmt.Printf("trace %s: %d requests, offered %.0f req/s (gap %dµs), seed %d\n",
+	fmt.Fprintf(w, "trace %s: %d requests, offered %.0f req/s (gap %dµs), seed %d\n",
 		trace.Name, len(trace.Requests), trace.Rate(), gap, *seed)
-	fmt.Printf("window K=%d D=%dµs, %d replica(s), queue cap %s, S(b) = %d + %d·b µs\n\n",
+	fmt.Fprintf(w, "window K=%d D=%dµs, %d replica(s), queue cap %s, S(b) = %d + %d·b µs\n\n",
 		cfg.MaxBatch, cfg.MaxDelay, cfg.Replicas, capLabel(cfg.QueueCap), cfg.Service.Base, cfg.Service.PerImage)
 
 	var rep *serve.Report
-	var err error
 	if *schedOnly {
 		rep, err = serve.Simulate(cfg, trace)
 	} else {
-		rep, err = runPool(cfg, trace, *modelName, *width, *classes, *imageSize, *precision, *ckptPath)
+		rep, err = runPool(w, cfg, trace, *modelName, *width, *classes, *imageSize, prec, *ckptPath)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Print(rep.Stats.String())
+	fmt.Fprint(w, rep.Stats.String())
 
 	if *traceKind == "uniform" {
 		want, err := comm.ExpectedServeStats(cfg, *requests, gap)
 		if err != nil {
-			fmt.Printf("\nclosed form: not applicable (%v)\n", err)
+			fmt.Fprintf(w, "\nclosed form: not applicable (%v)\n", err)
 		} else if rep.Stats.Equal(want) {
-			fmt.Printf("\nclosed form: exact (every counter matches comm.ExpectedServeStats)\n")
+			fmt.Fprintf(w, "\nclosed form: exact (every counter matches comm.ExpectedServeStats)\n")
 		} else {
-			fmt.Printf("\nclosed form: DRIFT\n%s", rep.Stats.Diff(want))
+			fmt.Fprintf(w, "\nclosed form: DRIFT\n%s", rep.Stats.Diff(want))
 		}
 	}
+	return nil
 }
 
-// runPool executes the trace through real model replicas and prints the
-// predicted-class histogram alongside the schedule.
-func runPool(cfg serve.Config, trace serve.Trace, modelName string, width, classes, imageSize int, precision, ckptPath string) (*serve.Report, error) {
+// runPool executes the trace through real model replicas at precision prec
+// and writes the predicted-class histogram to w alongside the schedule.
+func runPool(w io.Writer, cfg serve.Config, trace serve.Trace, modelName string, width, classes, imageSize int, prec tensor.Precision, ckptPath string) (*serve.Report, error) {
 	synCfg := data.SynthConfig{
 		Classes: classes, TrainSize: 2, TestSize: max(classes, 8),
 		C: 3, H: imageSize, W: imageSize, Noise: 0.3, MaxShift: 2, Seed: 20180901,
@@ -179,10 +194,6 @@ func runPool(cfg serve.Config, trace serve.Trace, modelName string, width, class
 		return nil, err
 	}
 	spec, err := models.Micro(modelName, models.MicroConfig{Classes: classes, InH: imageSize, InW: imageSize, Width: width})
-	if err != nil {
-		return nil, err
-	}
-	prec, err := tensor.ParsePrecision(precision)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +209,7 @@ func runPool(cfg serve.Config, trace serve.Trace, modelName string, width, class
 		if pool, err = serve.PoolFromCheckpoint(cfg, factory, c); err != nil {
 			return nil, err
 		}
-		fmt.Printf("loaded checkpoint %s (step %d) into %d replica(s)\n\n", ckptPath, c.Step, pool.Size())
+		fmt.Fprintf(w, "loaded checkpoint %s (step %d) into %d replica(s)\n\n", ckptPath, c.Step, pool.Size())
 	} else if pool, err = serve.NewPool(cfg, factory); err != nil {
 		return nil, err
 	}
@@ -227,7 +238,7 @@ func runPool(cfg serve.Config, trace serve.Trace, modelName string, width, class
 			served++
 		}
 	}
-	fmt.Printf("executed %d forward(s) over %d image(s) at %s; predicted-class histogram: %v\n\n",
+	fmt.Fprintf(w, "executed %d forward(s) over %d image(s) at %s; predicted-class histogram: %v\n\n",
 		len(rep.Batches), served, prec, hist)
 	return rep, nil
 }

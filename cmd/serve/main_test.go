@@ -1,11 +1,67 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/serve"
+	"repro/internal/tensor"
 )
+
+// TestStdoutGolden pins the command's whole report against what the parent
+// commit's binary printed: a -schedule-only uniform trace (stats table and
+// the closed-form line) and one run through a two-replica f32 pool of real
+// micro-AlexNet forwards (the predicted-class histogram too, so a kernel
+// change that moved a logit's bits far enough to flip a prediction fails
+// here).
+func TestStdoutGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   string
+	}{
+		{"schedule-only", "-schedule-only -trace uniform -rate 10000 -requests 5000 -max-batch 5 -max-delay 1000 -replicas 1"},
+		{"pool-f32", "-precision f32 -requests 200 -replicas 2"},
+	} {
+		var out bytes.Buffer
+		if err := run(strings.Fields(tc.args), &out); err != nil {
+			t.Errorf("serve %s: %v", tc.args, err)
+			continue
+		}
+		want, err := os.ReadFile("testdata/" + tc.golden + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != string(want) {
+			t.Errorf("serve %s differs from testdata/%s.golden:\n%s", tc.args, tc.golden, out.String())
+		}
+	}
+}
+
+// TestRefusedFlags: a -trace or -precision the command cannot use is one
+// error line returned before any report is written — -precision used to
+// print the trace header first and die inside runPool.
+func TestRefusedFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want string
+	}{
+		{"-trace zipf", `unknown trace "zipf" (want uniform | poisson | bursty)`},
+		{"-precision f8", `unknown precision "f8"`},
+		{"-schedule-only -precision f8", `unknown precision "f8"`},
+	} {
+		var out bytes.Buffer
+		err := run(strings.Fields(tc.args), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("serve %s: got %v, want an error containing %q", tc.args, err, tc.want)
+			continue
+		}
+		if strings.Contains(err.Error(), "\n") || out.Len() != 0 {
+			t.Errorf("serve %s: want a one-line error and no report, got %q and %q", tc.args, err, out.String())
+		}
+	}
+}
 
 // TestRunPoolRefusals: a model the pool cannot build or a dataset it cannot
 // render is one error before any replica is allocated — -classes 0 used to
@@ -16,18 +72,17 @@ func TestRunPoolRefusals(t *testing.T) {
 		name                      string
 		model                     string
 		width, classes, imageSize int
-		precision                 string
 		want                      string
 	}{
-		{"-classes 0", "micro-alexnet", 8, 0, 24, "f32", "SynthConfig.Classes = 0"},
-		{"-classes 1", "micro-alexnet", 8, 1, 24, "f32", "SynthConfig.Classes = 1"},
-		{"-image-size 0", "mlp", 8, 8, 0, "f32", "image 3x0x0"},
-		{"-image-size 2", "micro-alexnet", 8, 8, 2, "f32", "pool pool2 output empty at input 2x2"},
-		{"-model micro-resnet -width 1", "micro-resnet", 1, 8, 24, "f32", "conv res2_1.conv1 has 0 output channels"},
-		{"-model alexnet", "alexnet", 8, 8, 24, "f32", `unknown model "alexnet" (want micro-alexnet | `},
-		{"-precision f8", "mlp", 8, 8, 24, "f8", `unknown precision "f8"`},
+		{"-classes 0", "micro-alexnet", 8, 0, 24, "SynthConfig.Classes = 0"},
+		{"-classes 1", "micro-alexnet", 8, 1, 24, "SynthConfig.Classes = 1"},
+		{"-image-size 0", "mlp", 8, 8, 0, "image 3x0x0"},
+		{"-image-size 2", "micro-alexnet", 8, 8, 2, "pool pool2 output empty at input 2x2"},
+		{"-model micro-resnet -width 1", "micro-resnet", 1, 8, 24, "conv res2_1.conv1 has 0 output channels"},
+		{"-model alexnet", "alexnet", 8, 8, 24, `unknown model "alexnet" (want micro-alexnet | `},
 	} {
-		rep, err := runPool(cfg, serve.UniformTrace(8, 10, 8), tc.model, tc.width, tc.classes, tc.imageSize, tc.precision, "")
+		var out bytes.Buffer
+		rep, err := runPool(&out, cfg, serve.UniformTrace(8, 10, 8), tc.model, tc.width, tc.classes, tc.imageSize, tensor.F32, "")
 		if err == nil || rep != nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
 			t.Errorf("serve %s: got %v, want a one-line error containing %q", tc.name, err, tc.want)
 		}

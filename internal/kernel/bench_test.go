@@ -27,34 +27,59 @@ var benchShapes = []struct {
 // storage costs at the kernel, not a speedup.
 func BenchmarkGemm(b *testing.B) {
 	for _, sh := range benchShapes {
-		r := rng.New(42)
-		a32 := make([]float32, sh.m*sh.k)
-		b32 := make([]float32, sh.k*sh.n)
-		for i := range a32 {
-			a32[i] = r.NormFloat32()
-		}
-		for i := range b32 {
-			b32[i] = r.NormFloat32()
-		}
-		a16 := make([]uint16, len(a32))
-		b16 := make([]uint16, len(b32))
-		EncodeHalf(a16, a32)
-		EncodeHalf(b16, b32)
-		c := make([]float32, sh.m*sh.n)
-		flops := 2 * int64(sh.m) * int64(sh.n) * int64(sh.k)
-		b.Run(fmt.Sprintf("%s/%dx%dx%d/f32", sh.name, sh.m, sh.n, sh.k), func(b *testing.B) {
-			b.SetBytes(flops)
-			for i := 0; i < b.N; i++ {
-				GemmNN(sh.m, sh.n, sh.k, 1, a32, b32, 0, c)
-			}
-		})
-		b.Run(fmt.Sprintf("%s/%dx%dx%d/f16", sh.name, sh.m, sh.n, sh.k), func(b *testing.B) {
-			b.SetBytes(flops)
-			for i := 0; i < b.N; i++ {
-				GemmNNHalf(sh.m, sh.n, sh.k, 1, a16, b16, 0, c)
-			}
-		})
+		benchGemmPair(b, sh.name, sh.m, sh.n, sh.k, GemmNN, GemmNNHalf)
 	}
+}
+
+// BenchmarkGemmNT times the NT case (four columns per pairwiseDotQuad pass)
+// at the shapes that lower onto it: micro-AlexNet's conv1 and conv2 dW
+// (dy·colᵀ, one sample: outC × inC·3·3 over outH·outW pixels) and the
+// fully-connected forward x·Wᵀ of a 32-image batch.
+func BenchmarkGemmNT(b *testing.B) {
+	for _, sh := range []struct {
+		name    string
+		m, n, k int
+	}{
+		{"conv1-dW", 8, 27, 576},
+		{"conv2-dW", 16, 72, 144},
+		{"fc-forward", 32, 512, 1728},
+	} {
+		benchGemmPair(b, sh.name, sh.m, sh.n, sh.k, GemmNT, GemmNTHalf)
+	}
+}
+
+// benchGemmPair runs one m×n×k product through a kernel's f32 and f16 entry
+// points on the same random operands (bytes/sec reads as flop/s).
+func benchGemmPair(b *testing.B, name string, m, n, k int,
+	f32 func(m, n, k int, alpha float32, a, b []float32, beta float32, c []float32),
+	f16 func(m, n, k int, alpha float32, a, b []uint16, beta float32, c []float32)) {
+	r := rng.New(42)
+	a32 := make([]float32, m*k)
+	b32 := make([]float32, k*n)
+	for i := range a32 {
+		a32[i] = r.NormFloat32()
+	}
+	for i := range b32 {
+		b32[i] = r.NormFloat32()
+	}
+	a16 := make([]uint16, len(a32))
+	b16 := make([]uint16, len(b32))
+	EncodeHalf(a16, a32)
+	EncodeHalf(b16, b32)
+	c := make([]float32, m*n)
+	flops := 2 * int64(m) * int64(n) * int64(k)
+	b.Run(fmt.Sprintf("%s/%dx%dx%d/f32", name, m, n, k), func(b *testing.B) {
+		b.SetBytes(flops)
+		for i := 0; i < b.N; i++ {
+			f32(m, n, k, 1, a32, b32, 0, c)
+		}
+	})
+	b.Run(fmt.Sprintf("%s/%dx%dx%d/f16", name, m, n, k), func(b *testing.B) {
+		b.SetBytes(flops)
+		for i := 0; i < b.N; i++ {
+			f16(m, n, k, 1, a16, b16, 0, c)
+		}
+	})
 }
 
 // BenchmarkResize times the progressive-resolution resampling kernels on

@@ -239,35 +239,73 @@ func axpyRow(c []float32, s float32, b []float32) {
 // Both operands of each output element are contiguous, so every element is
 // one fixed-tree multi-accumulator dot product (PairwiseDot) — breaking the
 // single-accumulator dependency chain of the naive loop while keeping each
-// output a pure function of its inputs.
+// output a pure function of its inputs. Columns go four at a time through
+// pairwiseDotQuad, which walks the same tree with one SSE pass per leaf
+// (dot_amd64.s), so the bits are those of one PairwiseDot per element.
 func GemmNT(m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-	gemmNT(m, n, k, alpha, a, b, beta, c)
+	gemmNT(m, n, k, alpha, a, k, b, k, beta, c)
 }
 
-// GemmNTHalf is GemmNT over binary16 A and B: the whole B block and each A
-// row widen once, then every element is the same dot product — bit-identical
-// to GemmNT over the widened operands.
+// GemmNTHalf is GemmNT over binary16 A and B: both blocks widen once, then
+// every element is the same dot product — bit-identical to GemmNT over the
+// widened operands.
 func GemmNTHalf(m, n, k int, alpha float32, a, b []uint16, beta float32, c []float32) {
-	gemmNT(m, n, k, alpha, a, b, beta, c)
+	gemmNT(m, n, k, alpha, a, k, b, k, beta, c)
 }
 
-func gemmNT[T storage](m, n, k int, alpha float32, a, b []T, beta float32, c []float32) {
+// GemmNTStrided is GemmNT with row strides: row i of A is a[i*lda:i*lda+k]
+// and row j of B is b[j*ldb:j*ldb+k], so the k-wide window of a wider
+// row-major array is an operand in place (Conv2D's per-sample dW over a
+// block panel). Each element is the same PairwiseDot as GemmNT's.
+func GemmNTStrided(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32) {
+	gemmNT(m, n, k, alpha, a, lda, b, ldb, beta, c)
+}
+
+// GemmNTStridedHalf is GemmNTStrided over binary16 A and B: bit-identical to
+// GemmNTStrided over the widened operands.
+func GemmNTStridedHalf(m, n, k int, alpha float32, a []uint16, lda int, b []uint16, ldb int, beta float32, c []float32) {
+	gemmNT(m, n, k, alpha, a, lda, b, ldb, beta, c)
+}
+
+// gemmNT walks C four columns at a time with the rows inside, so the four B
+// rows of a quad stay cache-resident while the A rows stream past them.
+func gemmNT[T storage](m, n, k int, alpha float32, a []T, lda int, b []T, ldb int, beta float32, c []float32) {
+	if m == 0 || n == 0 {
+		return
+	}
 	var pa, pb panel
 	defer pa.release()
 	defer pb.release()
-	bw, _ := widenTile(&pb, b, n, k, k)
-	for i := 0; i < m; i++ {
-		arow, _ := widenTile(&pa, a[i*k:], 1, k, k)
-		crow := c[i*n : (i+1)*n]
-		for j := range crow {
-			s := pairwiseDot(arow[:k], bw[j*k:(j+1)*k])
-			if beta == 0 {
-				crow[j] = alpha * s
-			} else {
-				crow[j] = beta*crow[j] + alpha*s
-			}
+	aw, lda := widenTile(&pa, a, m, k, lda)
+	bw, ldb := widenTile(&pb, b, n, k, ldb)
+	row := func(w []float32, ld, r int) []float32 { return w[r*ld : r*ld+k] }
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		b0, b1, b2, b3 := row(bw, ldb, j), row(bw, ldb, j+1), row(bw, ldb, j+2), row(bw, ldb, j+3)
+		for i := 0; i < m; i++ {
+			s0, s1, s2, s3 := pairwiseDotQuad(row(aw, lda, i), b0, b1, b2, b3)
+			cq := c[i*n+j : i*n+j+4]
+			cq[0] = scaleAdd(cq[0], s0, alpha, beta)
+			cq[1] = scaleAdd(cq[1], s1, alpha, beta)
+			cq[2] = scaleAdd(cq[2], s2, alpha, beta)
+			cq[3] = scaleAdd(cq[3], s3, alpha, beta)
 		}
 	}
+	for ; j < n; j++ {
+		bj := row(bw, ldb, j)
+		for i := 0; i < m; i++ {
+			c[i*n+j] = scaleAdd(c[i*n+j], pairwiseDot(row(aw, lda, i), bj), alpha, beta)
+		}
+	}
+}
+
+// scaleAdd is one NT/TT output element: alpha·s + beta·c, where beta == 0
+// overwrites (never multiplies a pre-existing NaN).
+func scaleAdd(c, s, alpha, beta float32) float32 {
+	if beta == 0 {
+		return alpha * s
+	}
+	return beta*c + alpha*s
 }
 
 // GemmTT computes C[m×n] = alpha·op(A)·op(B) + beta·C with both operands
@@ -282,11 +320,7 @@ func GemmTT(m, n, k int, alpha float32, a []float32, lda, i0 int, b []float32, l
 			for l := 0; l < k; l++ {
 				s += a[l*lda+i0+i] * b[j*ldb+l]
 			}
-			if beta == 0 {
-				crow[j] = alpha * s
-			} else {
-				crow[j] = beta*crow[j] + alpha*s
-			}
+			crow[j] = scaleAdd(crow[j], s, alpha, beta)
 		}
 	}
 }

@@ -96,21 +96,41 @@ func PairwiseDot(x, y []float32) float32 {
 
 func pairwiseDot(x, y []float32) float32 {
 	if len(x) <= blockN {
-		var s0, s1, s2, s3 float32
-		i := 0
-		for ; i+4 <= len(x); i += 4 {
-			s0 += x[i] * y[i]
-			s1 += x[i+1] * y[i+1]
-			s2 += x[i+2] * y[i+2]
-			s3 += x[i+3] * y[i+3]
-		}
-		for ; i < len(x); i++ {
-			s0 += x[i] * y[i]
-		}
-		return (s0 + s1) + (s2 + s3)
+		return baseDot(x, y)
 	}
 	h := splitPoint(len(x))
 	return pairwiseDot(x[:h], y[:h]) + pairwiseDot(x[h:], y[h:])
+}
+
+// baseDot is the pairwise dot's base case: four strided partial sums, the
+// tail into the first, finished as (s0+s1)+(s2+s3).
+func baseDot(x, y []float32) float32 {
+	var s0, s1, s2, s3 float32
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		s0 += x[i] * y[i]
+		s1 += x[i+1] * y[i+1]
+		s2 += x[i+2] * y[i+2]
+		s3 += x[i+3] * y[i+3]
+	}
+	for ; i < len(x); i++ {
+		s0 += x[i] * y[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// pairwiseDotQuad returns pairwiseDot(x, y_c) for four columns y0..y3 at
+// once: it walks the same splitPoint tree, with dotQuad at the leaves, so
+// each sum is bit-identical to its scalar pairwiseDot while x is read once
+// per four columns. Every y_c must have len(x) elements.
+func pairwiseDotQuad(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
+	if len(x) <= blockN {
+		return dotQuad(x, y0, y1, y2, y3)
+	}
+	h := splitPoint(len(x))
+	l0, l1, l2, l3 := pairwiseDotQuad(x[:h], y0[:h], y1[:h], y2[:h], y3[:h])
+	r0, r1, r2, r3 := pairwiseDotQuad(x[h:], y0[h:], y1[h:], y2[h:], y3[h:])
+	return l0 + r0, l1 + r1, l2 + r2, l3 + r3
 }
 
 // accScratch pools the temporary rows the pairwise source tree combines

@@ -9,7 +9,9 @@ import (
 )
 
 // Conv2D is a 2-D convolution over NCHW activations, lowered onto GEMM via
-// im2col. Weights have shape [outC, inC·kh·kw]; bias has shape [outC].
+// im2col over blocks of samples (blockSize per block, one panel per block).
+// Its outputs and gradients are bit-identical to lowering one sample at a
+// time. Weights have shape [outC, inC·kh·kw]; bias has shape [outC].
 type Conv2D struct {
 	name             string
 	InC, OutC        int
@@ -23,18 +25,14 @@ type Conv2D struct {
 	x    *tensor.Tensor
 	geom tensor.ConvGeom
 
-	// Per-input-shape workspaces (im2col panels, f16 packs), keyed by the
-	// spatial dims so a resolution schedule reallocates deterministically
-	// on change and reuses slots on return. cur is the slot of the shape
-	// Forward last saw, consumed by Backward.
-	scratch convCache
-	cur     *convScratch
+	// Block panels and f16 packs, shared by every input shape (see
+	// scratch.go).
+	scratch convScratch
 
 	// Storage precision of the GEMM operands. At F16 they are binary16
 	// copies repacked each call (weights change every step; activations
 	// every batch); the float32 master weights in Weight are never touched
-	// by precision. The weight pack is shape-independent and so lives on
-	// the layer, not the cache.
+	// by precision.
 	precision tensor.Precision
 	w         operand     // Weight.W, packed once per Forward and reused by Backward
 	wHalf     tensor.Half // w's storage at F16
@@ -107,35 +105,45 @@ func window(name string, x *tensor.Tensor, kh, kw, strideH, strideW, padH, padW 
 	return g
 }
 
-// Forward implements Layer.
+// convPanelBudget bounds one block's column panel at about 256 KB of
+// float32: a layer lowers nb = max(1, convPanelBudget/(k·l)) samples at a
+// time, so the panel stays cache-sized and independent of the batch, and an
+// eval or serve batch of any size costs no more scratch than a training one.
+const convPanelBudget = 64 << 10
+
+// blockSize is the number of samples a [k, l]-per-sample layer lowers at
+// once over a batch of n.
+func blockSize(k, l, n int) int { return min(n, max(1, convPanelBudget/(k*l))) }
+
+// Forward implements Layer: per block of samples, one im2col into the
+// block's panel, one GEMM against the filters, and one pass that scatters
+// the block's [outC, nb·l] rows to NCHW with the bias added.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := c.geometry(x)
 	c.x, c.geom = x, g
 	n := x.Shape[0]
 	outH, outW := g.OutH(), g.OutW()
-	k := c.InC * c.KH * c.KW
-	l := outH * outW
-	c.cur = c.scratch.at(shapeKey{h: g.InH, w: g.InW}, k*l)
-	col := c.cur.col
-	y := tensor.New(n, c.OutC, outH, outW)
+	k, l := c.InC*c.KH*c.KW, outH*outW
 	imLen := c.InC * g.InH * g.InW
-	colM := tensor.FromSlice(col, k, l)
+	y := tensor.New(n, c.OutC, outH, outW)
 	c.w = pack(c.precision, &c.wHalf, c.Weight.W)
-	for s := 0; s < n; s++ {
-		tensor.Im2Col(g, x.Data[s*imLen:(s+1)*imLen], col)
-		ym := tensor.FromSlice(y.Data[s*c.OutC*l:(s+1)*c.OutC*l], c.OutC, l)
-		gemm(false, false, 1, c.w, pack(c.precision, &c.cur.colHalf, colM), 0, ym)
-	}
-	if c.useBias {
-		bd := c.Bias.W.Data
-		yd := y.Data
-		for s := 0; s < n; s++ {
-			base := s * c.OutC * l
+	nb := blockSize(k, l, n)
+	for s0 := 0; s0 < n; s0 += nb {
+		b := min(nb, n-s0)
+		col, rows := c.scratch.block(k, c.OutC, b*l)
+		tensor.Im2ColBlock(g, b, x.Data[s0*imLen:(s0+b)*imLen], col.Data)
+		gemm(false, false, 1, c.w, pack(c.precision, &c.scratch.colHalf, col), 0, rows)
+		for s := 0; s < b; s++ {
 			for oc := 0; oc < c.OutC; oc++ {
-				b := bd[oc]
-				row := yd[base+oc*l : base+(oc+1)*l]
-				for i := range row {
-					row[i] += b
+				src := rows.Data[(oc*b+s)*l : (oc*b+s+1)*l]
+				dst := y.Data[((s0+s)*c.OutC+oc)*l : ((s0+s)*c.OutC+oc+1)*l]
+				if !c.useBias {
+					copy(dst, src)
+					continue
+				}
+				bias := c.Bias.W.Data[oc]
+				for i, v := range src {
+					dst[i] = v + bias
 				}
 			}
 		}
@@ -143,34 +151,35 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// Backward implements Layer.
+// Backward implements Layer. Per block it re-lowers the cached input into
+// the block's panel, accumulates dW += dy_s·col_sᵀ sample by sample in
+// batch order, then overwrites the panel with the block's Wᵀ·dY and
+// scatters it into dx with one col2im. Every gradient element sees the adds
+// of a sample-at-a-time loop, in the same order.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	g := c.geom
 	x := c.x
 	n := x.Shape[0]
-	outH, outW := g.OutH(), g.OutW()
-	k := c.InC * c.KH * c.KW
-	l := outH * outW
-	col := c.cur.col
-	colM := tensor.FromSlice(col, k, l)
-	// dcol rides the same shape slot as col: the beta=0 GEMM below rewrites
-	// every element before Col2Im reads it.
-	dcol := c.cur.dcol
-	dcolM := tensor.FromSlice(dcol, k, l)
-	dx := tensor.New(x.Shape...)
+	k, l := c.InC*c.KH*c.KW, g.OutH()*g.OutW()
 	imLen := c.InC * g.InH * g.InW
-
-	for s := 0; s < n; s++ {
-		dym := tensor.FromSlice(dout.Data[s*c.OutC*l:(s+1)*c.OutC*l], c.OutC, l)
-		// dW += dy · colᵀ  (recompute the im2col of the cached input).
-		tensor.Im2Col(g, x.Data[s*imLen:(s+1)*imLen], col)
-		colOp := pack(c.precision, &c.cur.colHalf, colM)
-		dyOp := pack(c.precision, &c.cur.dyHalf, dym)
-		gemm(false, true, 1, dyOp, colOp, 1, c.Weight.G)
-		// dx = col2im(Wᵀ · dy); c.w still holds this step's weights from
-		// Forward. Gradients (G, dcol) stay float32 at either precision.
-		gemm(true, false, 1, c.w, dyOp, 0, dcolM)
-		tensor.Col2Im(g, dcol, dx.Data[s*imLen:(s+1)*imLen])
+	dx := tensor.New(x.Shape...)
+	nb := blockSize(k, l, n)
+	for s0 := 0; s0 < n; s0 += nb {
+		b := min(nb, n-s0)
+		col, rows := c.scratch.block(k, c.OutC, b*l)
+		tensor.Im2ColBlock(g, b, x.Data[s0*imLen:(s0+b)*imLen], col.Data)
+		for s := 0; s < b; s++ {
+			for oc := 0; oc < c.OutC; oc++ {
+				copy(rows.Data[(oc*b+s)*l:(oc*b+s+1)*l], dout.Data[((s0+s)*c.OutC+oc)*l:((s0+s)*c.OutC+oc+1)*l])
+			}
+		}
+		colOp := pack(c.precision, &c.scratch.colHalf, col)
+		dyOp := pack(c.precision, &c.scratch.dyHalf, rows)
+		gemmNTSamples(dyOp, colOp, b, l, c.Weight.G)
+		// dx = col2im(Wᵀ · dY); c.w still holds this step's weights from
+		// Forward. Gradients (G, the panel) stay float32 at either precision.
+		gemm(true, false, 1, c.w, dyOp, 0, col)
+		tensor.Col2ImBlock(g, b, col.Data, dx.Data[s0*imLen:(s0+b)*imLen])
 	}
 	if c.useBias {
 		// Each spatial row reduces through the fixed-tree kernel sum, the

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -123,5 +124,81 @@ func TestWindowWiderThanInputRefused(t *testing.T) {
 	// Padded to 4×4, the same conv fits once.
 	if y := NewConv("c", r, 3, 4, 3, 2, 1, ConvOpts{}).Forward(tensor.RandNormal(r, 1, 1, 3, 2, 2), true); y.Shape[2] != 1 || y.Shape[3] != 1 {
 		t.Fatalf("padded conv output %v, want 1x1", y.Shape)
+	}
+}
+
+// TestConvBlocksMatchPerSample: Conv2D lowers blockSize samples at a time,
+// and no block may leak into its neighbours. At batch sizes around the
+// block boundary (1, nb−1, nb, nb+1, 2nb+3) a batched Forward (train and
+// eval) and Backward must equal, bit for bit, the same layer run one sample
+// at a time — outputs, input gradients and the weight and bias gradients
+// accumulated over the batch — at both precisions, both strides and both
+// paddings.
+func TestConvBlocksMatchPerSample(t *testing.T) {
+	const inC, outC, ksz, hw = 3, 4, 3, 12
+	for _, prec := range []tensor.Precision{tensor.F32, tensor.F16} {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, 1} {
+				g := tensor.ConvGeom{InC: inC, InH: hw, InW: hw, KH: ksz, KW: ksz, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
+				nb := blockSize(inC*ksz*ksz, g.OutH()*g.OutW(), 1<<20)
+				for _, n := range []int{1, nb - 1, nb, nb + 1, 2*nb + 3} {
+					if n < 1 {
+						continue
+					}
+					label := fmt.Sprintf("%v stride=%d pad=%d nb=%d n=%d", prec, stride, pad, nb, n)
+					batched := NewConv("c", rng.New(9), inC, outC, ksz, stride, pad, ConvOpts{})
+					single := NewConv("c", rng.New(9), inC, outC, ksz, stride, pad, ConvOpts{})
+					batched.SetPrecision(prec)
+					single.SetPrecision(prec)
+					r := rng.New(uint64(n))
+					x := tensor.RandNormal(r, 1, n, inC, hw, hw)
+					eval := batched.Forward(x, false)
+					y := batched.Forward(x, true)
+					dy := tensor.RandNormal(r, 1, y.Shape...)
+					dx := batched.Backward(dy)
+					bitsEqual(t, label+" eval vs train", eval.Data, y.Data)
+
+					xLen, yLen := len(x.Data)/n, len(y.Data)/n
+					for s := 0; s < n; s++ {
+						xs := tensor.FromSlice(x.Data[s*xLen:(s+1)*xLen], 1, inC, hw, hw)
+						ys := single.Forward(xs, true)
+						dys := tensor.FromSlice(dy.Data[s*yLen:(s+1)*yLen], ys.Shape...)
+						dxs := single.Backward(dys)
+						bitsEqual(t, label+" y", y.Data[s*yLen:(s+1)*yLen], ys.Data)
+						bitsEqual(t, label+" dx", dx.Data[s*xLen:(s+1)*xLen], dxs.Data)
+					}
+					bitsEqual(t, label+" dW", batched.Weight.G.Data, single.Weight.G.Data)
+					bitsEqual(t, label+" db", batched.Bias.G.Data, single.Bias.G.Data)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkConv2D times one Forward+Backward of micro-AlexNet's two conv
+// layers over a 32-image batch (conv1: 3→8 channels at 24×24, conv2: 8→16
+// at 12×12, both 3×3 pad 1), at each storage precision.
+func BenchmarkConv2D(b *testing.B) {
+	for _, sh := range []struct {
+		name          string
+		inC, outC, hw int
+	}{
+		{"conv1", 3, 8, 24},
+		{"conv2", 8, 16, 12},
+	} {
+		for _, prec := range []tensor.Precision{tensor.F32, tensor.F16} {
+			b.Run(fmt.Sprintf("%s/%v", sh.name, prec), func(b *testing.B) {
+				r := rng.New(1)
+				conv := NewConv(sh.name, r, sh.inC, sh.outC, 3, 1, 1, ConvOpts{})
+				conv.SetPrecision(prec)
+				x := tensor.RandNormal(r, 1, 32, sh.inC, sh.hw, sh.hw)
+				dy := tensor.RandNormal(r, 1, 32, sh.outC, sh.hw, sh.hw)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					conv.Forward(x, true)
+					conv.Backward(dy)
+				}
+			})
+		}
 	}
 }

@@ -2,14 +2,15 @@ package nn
 
 import "repro/internal/tensor"
 
-// Shape-keyed scratch for the dynamic-shape training path.
+// Layer workspaces for the dynamic-shape training path.
 //
-// Layers that lower onto workspaces (Conv2D's im2col panels and f16 packs,
-// MaxPool2D's argmax plane) historically sized them for one resolution and
-// cap-grew in place. Under a progressive-resolution schedule the input
-// shape changes between epochs, so the workspaces live in a small map keyed
-// by the input shape instead: the first batch at a new shape allocates that
-// shape's slot, later batches — including after switching back — reuse it.
+// Conv2D lowers onto one workspace per layer (its block panels and f16
+// packs). A block panel holds at most convPanelBudget floats whatever the
+// input shape, so the workspace cap-grows to the largest block it has served
+// and every later shape, smaller or revisited, reuses it. MaxPool2D's argmax
+// plane covers the whole batch, so it lives in a small map keyed by the input
+// shape: the first batch at a new shape allocates that shape's slot, later
+// batches — including after switching back — reuse it.
 //
 // Determinism: allocation is a pure function of the sequence of input
 // shapes the layer sees (which the resolution schedule fixes per epoch),
@@ -18,37 +19,32 @@ import "repro/internal/tensor"
 // so reuse cannot leak one resolution's values into another's, and the
 // fixed-tree reduction discipline downstream is untouched.
 
-// shapeKey identifies one scratch slot. Fields a layer's workspace does not
-// depend on stay zero (Conv2D's im2col panel is per-sample, so n and c are
-// zero there; MaxPool2D's argmax covers the whole batch).
+// shapeKey identifies one argmax slot: the full NCHW input shape.
 type shapeKey struct {
 	n, c, h, w int
 }
 
-// convScratch bundles Conv2D's per-shape workspaces: the im2col panel, the
-// gradient panel it is transposed into during Backward, and the binary16
-// packs of the f16 compute path (which take storage only when the layer
-// runs at F16).
+// convScratch is Conv2D's workspace: the column panel of one block of
+// samples (the im2col of the block, which Backward overwrites with the
+// block's Wᵀ·dY), the block's [outC, nb·l] output rows (Forward's GEMM
+// result, Backward's gathered dY), and the binary16 packs of the f16 compute
+// path (which take storage only when the layer runs at F16).
 type convScratch struct {
-	col, dcol       []float32
+	col, rows       []float32
 	colHalf, dyHalf tensor.Half
 }
 
-// convCache maps input shape → workspace for one Conv2D.
-type convCache map[shapeKey]*convScratch
-
-// at returns the slot for key, allocating its float32 panels on first use
-// at this shape.
-func (m *convCache) at(key shapeKey, colLen int) *convScratch {
-	if *m == nil {
-		*m = make(convCache)
+// block returns the workspace's panels for a block of cols = nb·l patch
+// columns: col as [k, cols] and rows as [outC, cols]. They grow on the first
+// block that needs more room and are reused after that.
+func (s *convScratch) block(k, outC, cols int) (col, rows *tensor.Tensor) {
+	if cap(s.col) < k*cols {
+		s.col = make([]float32, k*cols)
 	}
-	s := (*m)[key]
-	if s == nil {
-		s = &convScratch{col: make([]float32, colLen), dcol: make([]float32, colLen)}
-		(*m)[key] = s
+	if cap(s.rows) < outC*cols {
+		s.rows = make([]float32, outC*cols)
 	}
-	return s
+	return tensor.FromSlice(s.col[:k*cols], k, cols), tensor.FromSlice(s.rows[:outC*cols], outC, cols)
 }
 
 // argmaxCache maps input shape → argmax plane for one MaxPool2D.

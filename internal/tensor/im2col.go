@@ -50,90 +50,127 @@ func (g ConvGeom) Check() error {
 // matrix of shape [InC*KH*KW, OutH*OutW] written into col. Each column holds
 // the receptive field of one output position, so a convolution becomes a
 // GEMM between the [outC, InC*KH*KW] filter matrix and this patch matrix.
-// Out-of-bounds (padding) positions contribute zeros.
-func Im2Col(g ConvGeom, src []float32, col []float32) {
+// Out-of-bounds (padding) positions contribute zeros. It is Im2ColBlock with
+// a block of one.
+func Im2Col(g ConvGeom, src []float32, col []float32) { Im2ColBlock(g, 1, src, col) }
+
+// Im2ColBlock lowers nb images (consecutive CHW planes in src) into one patch
+// panel of shape [InC*KH*KW, nb*OutH*OutW]: sample s owns columns
+// [s*OutH*OutW, (s+1)*OutH*OutW) of every row, laid out as Im2Col lays out
+// its one image, so a single GEMM against the filter matrix convolves the
+// whole block.
+func Im2ColBlock(g ConvGeom, nb int, src, col []float32) {
 	outH, outW := g.OutH(), g.OutW()
-	cols := outH * outW
+	l := outH * outW
 	rows := g.InC * g.KH * g.KW
-	if len(src) != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Im2Col src has %d elements, want %d", len(src), g.InC*g.InH*g.InW))
+	imLen := g.InC * g.InH * g.InW
+	if len(src) != nb*imLen {
+		panic(fmt.Sprintf("tensor: Im2ColBlock src has %d elements, want %d", len(src), nb*imLen))
 	}
-	if len(col) != rows*cols {
-		panic(fmt.Sprintf("tensor: Im2Col col has %d elements, want %d", len(col), rows*cols))
+	if len(col) != rows*nb*l {
+		panic(fmt.Sprintf("tensor: Im2ColBlock col has %d elements, want %d", len(col), rows*nb*l))
 	}
 	defer kernel.StartPhase(kernel.PhaseIm2col).End()
 	par.ForGrain(rows, 8, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			c := r / (g.KH * g.KW)
-			rem := r % (g.KH * g.KW)
-			kh := rem / g.KW
-			kw := rem % g.KW
-			dst := col[r*cols : (r+1)*cols]
-			plane := src[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
-			idx := 0
-			for oh := 0; oh < outH; oh++ {
-				ih := oh*g.StrideH - g.PadH + kh
-				if ih < 0 || ih >= g.InH {
-					for ow := 0; ow < outW; ow++ {
-						dst[idx] = 0
-						idx++
+			kh := r % (g.KH * g.KW) / g.KW
+			kw := r % g.KW
+			owLo, owHi, iw0 := g.inBounds(kw, outW)
+			for s := 0; s < nb; s++ {
+				dst := col[(r*nb+s)*l : (r*nb+s+1)*l]
+				plane := src[s*imLen+c*g.InH*g.InW : s*imLen+(c+1)*g.InH*g.InW]
+				for oh := 0; oh < outH; oh++ {
+					drow := dst[oh*outW : (oh+1)*outW]
+					ih := oh*g.StrideH - g.PadH + kh
+					if ih < 0 || ih >= g.InH {
+						clear(drow)
+						continue
 					}
-					continue
-				}
-				rowBase := ih * g.InW
-				iw := -g.PadW + kw
-				for ow := 0; ow < outW; ow++ {
-					if iw >= 0 && iw < g.InW {
-						dst[idx] = plane[rowBase+iw]
-					} else {
-						dst[idx] = 0
+					srow := plane[ih*g.InW : (ih+1)*g.InW]
+					if g.StrideW == 1 {
+						clear(drow[:owLo])
+						copy(drow[owLo:owHi], srow[iw0:])
+						clear(drow[owHi:])
+						continue
 					}
-					idx++
-					iw += g.StrideW
+					iw := -g.PadW + kw
+					for ow := range drow {
+						if iw >= 0 && iw < g.InW {
+							drow[ow] = srow[iw]
+						} else {
+							drow[ow] = 0
+						}
+						iw += g.StrideW
+					}
 				}
 			}
 		}
 	})
 }
 
-// Col2Im accumulates a patch matrix (the gradient of Im2Col's output) back
-// into an image gradient of CHW layout. It is the exact adjoint of Im2Col:
-// positions that were read k times receive the sum of k contributions, and
-// padding positions are dropped.
-func Col2Im(g ConvGeom, col []float32, dst []float32) {
-	outH, outW := g.OutH(), g.OutW()
-	cols := outH * outW
-	rows := g.InC * g.KH * g.KW
-	if len(dst) != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Col2Im dst has %d elements, want %d", len(dst), g.InC*g.InH*g.InW))
+// inBounds returns the output columns [owLo, owHi) whose stride-1 tap kw
+// reads inside the input row, and the input column iw0 that owLo reads: the
+// run Im2ColBlock copies and Col2ImBlock adds in one pass, the rest being
+// padding. A tap that never lands inside the row gets the empty run at 0.
+func (g ConvGeom) inBounds(kw, outW int) (owLo, owHi, iw0 int) {
+	owLo = max(0, g.PadW-kw)
+	owHi = min(outW, g.InW+g.PadW-kw)
+	if owLo >= owHi {
+		return 0, 0, 0
 	}
-	if len(col) != rows*cols {
-		panic(fmt.Sprintf("tensor: Col2Im col has %d elements, want %d", len(col), rows*cols))
+	return owLo, owHi, owLo - g.PadW + kw
+}
+
+// Col2ImBlock accumulates a patch panel laid out as Im2ColBlock writes it
+// (the gradient of Im2ColBlock's output) back into nb image gradients of
+// CHW layout: sample s's columns accumulate into the s-th plane of dst. It
+// is the exact adjoint of Im2ColBlock: positions that were read k times
+// receive the sum of k contributions, and padding positions are dropped.
+// Per destination element the contributions add in the same order whatever
+// the block size.
+func Col2ImBlock(g ConvGeom, nb int, col, dst []float32) {
+	outH, outW := g.OutH(), g.OutW()
+	l := outH * outW
+	rows := g.InC * g.KH * g.KW
+	imLen := g.InC * g.InH * g.InW
+	if len(dst) != nb*imLen {
+		panic(fmt.Sprintf("tensor: Col2ImBlock dst has %d elements, want %d", len(dst), nb*imLen))
+	}
+	if len(col) != rows*nb*l {
+		panic(fmt.Sprintf("tensor: Col2ImBlock col has %d elements, want %d", len(col), rows*nb*l))
 	}
 	defer kernel.StartPhase(kernel.PhaseIm2col).End()
-	// Parallelize over input channels: every destination element belongs to
-	// exactly one channel, so channel-partitioned writes never race.
-	par.ForGrain(g.InC, 1, func(clo, chi int) {
-		for c := clo; c < chi; c++ {
-			plane := dst[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
+	// Parallelize over (sample, input channel) planes: every destination
+	// element belongs to exactly one, so plane-partitioned writes never race.
+	par.ForGrain(nb*g.InC, 1, func(plo, phi int) {
+		for p := plo; p < phi; p++ {
+			s, c := p/g.InC, p%g.InC
+			plane := dst[p*g.InH*g.InW : (p+1)*g.InH*g.InW]
 			for kh := 0; kh < g.KH; kh++ {
 				for kw := 0; kw < g.KW; kw++ {
 					r := (c*g.KH+kh)*g.KW + kw
-					src := col[r*cols : (r+1)*cols]
-					idx := 0
+					src := col[(r*nb+s)*l : (r*nb+s+1)*l]
+					owLo, owHi, iw0 := g.inBounds(kw, outW)
 					for oh := 0; oh < outH; oh++ {
 						ih := oh*g.StrideH - g.PadH + kh
 						if ih < 0 || ih >= g.InH {
-							idx += outW
 							continue
 						}
-						rowBase := ih * g.InW
-						iw := -g.PadW + kw
-						for ow := 0; ow < outW; ow++ {
-							if iw >= 0 && iw < g.InW {
-								plane[rowBase+iw] += src[idx]
+						srow := src[oh*outW : (oh+1)*outW]
+						prow := plane[ih*g.InW : (ih+1)*g.InW]
+						if g.StrideW == 1 {
+							run := prow[iw0:]
+							for i, v := range srow[owLo:owHi] {
+								run[i] += v
 							}
-							idx++
+							continue
+						}
+						iw := -g.PadW + kw
+						for _, v := range srow {
+							if iw >= 0 && iw < g.InW {
+								prow[iw] += v
+							}
 							iw += g.StrideW
 						}
 					}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -61,7 +62,7 @@ func TestIm2ColMatchesDirectConv(t *testing.T) {
 	}
 }
 
-// Property: Col2Im is the adjoint of Im2Col, i.e. <Im2Col(x), y> == <x, Col2Im(y)>
+// Property: Col2ImBlock is the adjoint of Im2Col, i.e. <Im2Col(x), y> == <x, Col2ImBlock(y)>
 // for all x, y. This is exactly the condition for the conv backward pass to
 // compute correct input gradients.
 func TestCol2ImAdjointProperty(t *testing.T) {
@@ -81,7 +82,7 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 		colX := make([]float32, rows*cols)
 		Im2Col(g, x.Data, colX)
 		imY := make([]float32, g.InC*g.InH*g.InW)
-		Col2Im(g, y.Data, imY)
+		Col2ImBlock(g, 1, y.Data, imY)
 		lhs := FromSlice(colX, rows*cols).Dot(y.Reshape(rows * cols))
 		rhs := x.Dot(FromSlice(imY, g.InC*g.InH*g.InW))
 		return almostEq(lhs, rhs, 1e-3)
@@ -93,7 +94,7 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 
 func TestCol2ImAccumulates(t *testing.T) {
 	// With a 2x2 kernel, stride 1, no padding on a 3x3 input, the center
-	// pixel is read by all four output positions; Col2Im of all-ones must
+	// pixel is read by all four output positions; Col2ImBlock of all-ones must
 	// therefore put 4 there.
 	g := ConvGeom{InC: 1, InH: 3, InW: 3, KH: 2, KW: 2, StrideH: 1, StrideW: 1}
 	cols := g.OutH() * g.OutW()
@@ -102,12 +103,70 @@ func TestCol2ImAccumulates(t *testing.T) {
 		col[i] = 1
 	}
 	img := make([]float32, 9)
-	Col2Im(g, col, img)
+	Col2ImBlock(g, 1, col, img)
 	if img[4] != 4 {
 		t.Fatalf("center accumulation = %v, want 4", img[4])
 	}
 	if img[0] != 1 {
 		t.Fatalf("corner accumulation = %v, want 1", img[0])
+	}
+}
+
+// TestBlockLoweringMatchesReference checks Im2ColBlock and Col2ImBlock bit for
+// bit against an element-at-a-time reference over a block of three samples,
+// at strides 1 (the copy/add-over-a-run path) and 2, with padding from none
+// to wider than the window's reach into a narrow input, and a window wider
+// than its input plus one side's padding (taps that never land in the row).
+func TestBlockLoweringMatchesReference(t *testing.T) {
+	const nb = 3
+	r := rng.New(12)
+	for _, stride := range []int{1, 2} {
+		for _, pad := range []int{0, 1, 2, 3} {
+			for _, win := range [][2]int{{2, 3}, {7, 3}, {1, 6}} {
+				inW, kw := win[0], win[1]
+				g := ConvGeom{InC: 2, InH: 5, InW: inW, KH: 3, KW: kw, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
+				if g.Check() != nil {
+					continue
+				}
+				outH, outW := g.OutH(), g.OutW()
+				l, rows, imLen := outH*outW, g.InC*g.KH*g.KW, g.InC*g.InH*g.InW
+				src := RandNormal(r, 1, nb*imLen).Data
+				dcol := RandNormal(r, 1, rows*nb*l).Data
+				wantCol := make([]float32, rows*nb*l)
+				wantIm := make([]float32, nb*imLen)
+				for s := 0; s < nb; s++ {
+					for row := 0; row < rows; row++ {
+						c, kh, kw := row/(g.KH*g.KW), row/g.KW%g.KH, row%g.KW
+						for oh := 0; oh < outH; oh++ {
+							for ow := 0; ow < outW; ow++ {
+								ih, iw := oh*stride-pad+kh, ow*stride-pad+kw
+								if ih < 0 || ih >= g.InH || iw < 0 || iw >= g.InW {
+									continue
+								}
+								at := s*imLen + (c*g.InH+ih)*g.InW + iw
+								p := (row*nb+s)*l + oh*outW + ow
+								wantCol[p] = src[at]
+								wantIm[at] += dcol[p]
+							}
+						}
+					}
+				}
+				col := RandNormal(r, 1, rows*nb*l).Data // stale values must all be overwritten
+				Im2ColBlock(g, nb, src, col)
+				im := make([]float32, nb*imLen)
+				Col2ImBlock(g, nb, dcol, im)
+				for i := range col {
+					if math.Float32bits(col[i]) != math.Float32bits(wantCol[i]) {
+						t.Fatalf("%+v: Im2ColBlock[%d] = %v, want %v", g, i, col[i], wantCol[i])
+					}
+				}
+				for i := range im {
+					if math.Float32bits(im[i]) != math.Float32bits(wantIm[i]) {
+						t.Fatalf("%+v: Col2ImBlock[%d] = %v, want %v", g, i, im[i], wantIm[i])
+					}
+				}
+			}
+		}
 	}
 }
 
