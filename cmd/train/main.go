@@ -274,14 +274,8 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown reduction %q", *reduction)
 	}
 
-	switch *codec {
-	case "":
-	case "fp16":
-		cfg.Codec = dist.FP16Codec{}
-	case "1bit":
-		cfg.Codec = dist.NewOneBitCodec()
-	default:
-		return fmt.Errorf("unknown codec %q", *codec)
+	if cfg.Codec, err = dist.ParseCodec(*codec); err != nil {
+		return err
 	}
 
 	dead, err := dist.ParseWorkerSteps(*faultDead)

@@ -70,6 +70,7 @@ func TestRefusedFlags(t *testing.T) {
 		{"-model mlp -resolutions 12x12@0,24x24@1+", "mlp has"},
 		{"-resolutions 2x2", "pool pool2 output empty at input 2x2"},
 		{"-algo star", `unknown algorithm "star"`},
+		{"-codec zip", `dist: unknown codec "zip" (want "" | fp16 | 1bit)`},
 		{"-per-node 2 -workers 4 -intra-algo star", `unknown algorithm "star"`},
 		{"-loss-scale 8", "-loss-scale needs -precision f16"},
 		{"-evict-after 2", "-evict-after needs -elastic"},

@@ -1,10 +1,12 @@
 package dist
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/compress"
+	"repro/internal/kernel"
 )
 
 // Codec compresses reduction payloads on the (simulated) wire. The engine
@@ -31,25 +33,29 @@ type Codec interface {
 // coordinate on the wire, values rounded through float16 on the way.
 type FP16Codec struct{}
 
-// fp16Scratch pools the encode buffers: Transform runs per shard per
-// bucket on every training step, and a fresh allocation there would be
-// pure GC churn in the engine's hot reduction path.
-var fp16Scratch = sync.Pool{New: func() any { return []uint16(nil) }}
-
 // Name implements Codec.
 func (FP16Codec) Name() string { return "fp16" }
 
-// Transform implements Codec.
+// Transform implements Codec: one in-place pass of kernel.RoundHalf, whose
+// every element is the decode of its binary16 encoding, so the payload
+// carries the wire's values without a half buffer or a second pass.
 func (FP16Codec) Transform(_ int, data []float32) int64 {
-	buf := fp16Scratch.Get().([]uint16)
-	if cap(buf) < len(data) {
-		buf = make([]uint16, len(data))
-	}
-	buf = buf[:len(data)]
-	compress.EncodeFP16(data, buf)
-	compress.DecodeFP16(buf, data)
-	fp16Scratch.Put(buf)
+	kernel.RoundHalf(data)
 	return 2 * int64(len(data))
+}
+
+// ParseCodec is the inverse of Name: "fp16" selects FP16Codec, "1bit" a
+// fresh OneBitCodec, and "" the raw float32 wire (a nil Codec).
+func ParseCodec(name string) (Codec, error) {
+	if name == "" {
+		return nil, nil
+	}
+	for _, c := range []Codec{FP16Codec{}, NewOneBitCodec()} {
+		if c.Name() == name {
+			return c, nil
+		}
+	}
+	return nil, fmt.Errorf("dist: unknown codec %q (want \"\" | fp16 | 1bit)", name)
 }
 
 // OneBitCodec is Seide et al.'s 1-bit SGD as a dist payload codec: one sign

@@ -22,6 +22,26 @@ func TestParseAlgorithmInvertsString(t *testing.T) {
 	}
 }
 
+// TestParseCodecInvertsName: every codec's Name parses back to a codec of
+// that name, "" is the raw wire, and anything else is one error listing the
+// names.
+func TestParseCodecInvertsName(t *testing.T) {
+	for _, c := range []Codec{FP16Codec{}, NewOneBitCodec()} {
+		got, err := ParseCodec(c.Name())
+		if err != nil || got == nil || got.Name() != c.Name() {
+			t.Errorf("ParseCodec(%q) = %v, %v; want the %s codec", c.Name(), got, err, c.Name())
+		}
+	}
+	if got, err := ParseCodec(""); got != nil || err != nil {
+		t.Errorf(`ParseCodec("") = %v, %v; want the raw wire (nil, nil)`, got, err)
+	}
+	for _, bad := range []string{"FP16", "1-bit", "raw", " fp16"} {
+		if got, err := ParseCodec(bad); got != nil || err == nil || !strings.Contains(err.Error(), `"" | fp16 | 1bit`) {
+			t.Errorf("ParseCodec(%q) = %v, %v; want an error listing the names", bad, got, err)
+		}
+	}
+}
+
 // TestParseWorkerSteps: the -fault-dead / -fault-join syntax is strict. The
 // three rejected-by-name rows were accepted by the Sscanf("%d@%d") loop this
 // parser replaced (trailing text ignored, a negative step passed through, a

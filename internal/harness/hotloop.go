@@ -52,7 +52,7 @@ func HotLoopStudy() (*Table, error) {
 		t.Add(append([]string{policy.String(), identity, fmt.Sprintf("%.2f", reduceThroughput(policy))}, phaseCells(prof)...)...)
 	}
 	t.Note("Identity column is exact (dropout-free MLP, Shards pinned to 4): one engine step at P=2, P=4 and flat-vs-hierarchical P=4 must produce bitwise-equal reduced gradients under the policy — the fixed-tree pairwise kernel keeps this true in float32 because its tree shape depends only on the live shard count.")
-	t.Note("Reduce GB/s times the bare summation kernel (8 shards x 1M coords, input bytes/sec): the pairwise-f32 kernel's unrolled multi-accumulator float32 loops beat the canonical float64 chain — the ROADMAP's \"vectorizable f32 pairwise summation\" item.")
+	t.Note("Reduce GB/s times the bare summation kernel (8 shards x 1M coords, input bytes/sec): the pairwise-f32 tree runs unrolled multi-accumulator float32 loops, and on amd64 the canonical float64 chain runs one SSE2 pass that keeps four coordinates' chains in registers while the shards stream past in order.")
 	t.Note("Phase columns come from one profiled engine step (dist.ProfileStats): exclusive attribution guarantees the six shares sum to the step wall (convert is zero here: float32 operands never pack through binary16). GEMM dominating is Table 6's scaling-ratio story measured from execution; the reduce share is what the policy column shrinks.")
 	return t, nil
 }

@@ -13,3 +13,12 @@ package kernel
 //
 //go:noescape
 func axpyQuad(c0, c1, c2, c3, b []float32, s0, s1, s2, s3 float32)
+
+// axpy computes c[j] += s·b[j] over j = 0..len(b)-1, four lanes at a time
+// with SSE (axpy_amd64.s): the one-row update behind axpyRow, which every
+// row with a zero neighbour in its register block takes (ReLU-sparse
+// operands put most rows there). Element-wise IEEE operations, so the bits
+// match the scalar loop of axpy_generic.go. c must have len(b) elements.
+//
+//go:noescape
+func axpy(c, b []float32, s float32)

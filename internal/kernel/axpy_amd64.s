@@ -103,3 +103,64 @@ tailloop:
 
 done:
 	RET
+
+// func axpy(c, b []float32, s float32)
+//
+// One-row axpy, c[j] += s·b[j], eight then four lanes at a time with a
+// scalar tail: the same element-wise IEEE multiply and add as the scalar
+// loop, so the bits match it. Lengths are taken from b.
+TEXT ·axpy(SB), NOSPLIT, $0-52
+	MOVQ  c_base+0(FP), DI
+	MOVQ  b_base+24(FP), SI
+	MOVQ  b_len+32(FP), AX
+	MOVSS s+48(FP), X4
+	SHUFPS $0x00, X4, X4
+	CMPQ  AX, $8
+	JLT   four
+
+eight:
+	MOVUPS (SI), X0
+	MOVUPS 16(SI), X1
+	MULPS  X4, X0
+	MULPS  X4, X1
+	MOVUPS (DI), X2
+	MOVUPS 16(DI), X3
+	ADDPS  X0, X2
+	ADDPS  X1, X3
+	MOVUPS X2, (DI)
+	MOVUPS X3, 16(DI)
+	ADDQ   $32, SI
+	ADDQ   $32, DI
+	SUBQ   $8, AX
+	CMPQ   AX, $8
+	JGE    eight
+
+four:
+	CMPQ   AX, $4
+	JLT    tail
+	MOVUPS (SI), X0
+	MULPS  X4, X0
+	MOVUPS (DI), X2
+	ADDPS  X0, X2
+	MOVUPS X2, (DI)
+	ADDQ   $16, SI
+	ADDQ   $16, DI
+	SUBQ   $4, AX
+
+tail:
+	TESTQ AX, AX
+	JEQ   done
+
+tailloop:
+	MOVSS (SI), X0
+	MULSS X4, X0
+	MOVSS (DI), X2
+	ADDSS X0, X2
+	MOVSS X2, (DI)
+	ADDQ  $4, SI
+	ADDQ  $4, DI
+	DECQ  AX
+	JNE   tailloop
+
+done:
+	RET

@@ -16,3 +16,13 @@ func axpyQuad(c0, c1, c2, c3, b []float32, s0, s1, s2, s3 float32) {
 		c3[j] += s3 * bv
 	}
 }
+
+// axpy computes c[j] += s·b[j] over j = 0..len(b)-1 — the one-row update
+// behind axpyRow. This is the portable scalar form of the SSE kernel in
+// axpy_amd64.s; both perform the same element-wise IEEE multiply and add.
+// c must have len(b) elements.
+func axpy(c, b []float32, s float32) {
+	for j, bv := range b {
+		c[j] += s * bv
+	}
+}

@@ -21,10 +21,11 @@ func axpyQuadScalar(c0, c1, c2, c3, b []float32, s0, s1, s2, s3 float32) {
 	}
 }
 
-// TestAxpyQuadMatchesScalar: axpyQuad equals the scalar loop bit for bit at
-// every length around the four-wide vector step and its tail, on sub-slices
-// at unaligned offsets, with ±0, denormal, Inf and NaN lanes in b and in c —
-// and writes nothing outside its rows. No lane adds a NaN product to a NaN in
+// TestAxpyQuadMatchesScalar: axpyQuad, and the one-row axpy on each of its
+// rows, equal the scalar loop bit for bit at every length around the
+// four- and eight-wide vector steps and their tail, on sub-slices at
+// unaligned offsets, with ±0, denormal, Inf and NaN lanes in b and in c —
+// and write nothing outside their rows. No lane adds a NaN product to a NaN in
 // c: which of two NaN operands an x86 add returns is the instruction's
 // operand order, which IEEE leaves open and the two forms need not share.
 func TestAxpyQuadMatchesScalar(t *testing.T) {
@@ -63,12 +64,23 @@ func TestAxpyQuadMatchesScalar(t *testing.T) {
 					want[r] = append([]float32(nil), back[r]...)
 				}
 				row := func(set [][]float32, r int) []float32 { return set[r][guard+off : guard+off+n] }
+				one := make([][]float32, 5)
+				for r := range back {
+					one[r] = append([]float32(nil), back[r]...)
+				}
 				axpyQuad(row(back, 0), row(back, 1), row(back, 2), row(back, 3), row(back, 4), s[0], s[1], s[2], s[3])
+				for r := 0; r < 4; r++ {
+					axpy(row(one, r), row(one, 4), s[r])
+				}
 				axpyQuadScalar(row(want, 0), row(want, 1), row(want, 2), row(want, 3), row(want, 4), s[0], s[1], s[2], s[3])
 				for r := range back {
 					if i := bitsEqual(back[r], want[r]); i >= 0 {
 						t.Fatalf("n=%d off=%d scales=%v row %d elem %d: axpyQuad %x vs scalar %x",
 							n, off, s, r, i-guard-off, math.Float32bits(back[r][i]), math.Float32bits(want[r][i]))
+					}
+					if i := bitsEqual(one[r], want[r]); i >= 0 {
+						t.Fatalf("n=%d off=%d scale=%v row %d elem %d: axpy %x vs scalar %x",
+							n, off, s[r], r, i-guard-off, math.Float32bits(one[r][i]), math.Float32bits(want[r][i]))
 					}
 				}
 			}

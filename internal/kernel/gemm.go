@@ -188,10 +188,11 @@ func gemmTN[T storage](m, n, k int, alpha float32, a []T, lda, i0 int, b []T, be
 // gemmRowBlock is the one four-row micro-kernel of the package: c is four
 // contiguous rows of C, pk the packed widened A tile (pk[4·l + r] scales row
 // r at step l), bp the widened kc×n B panel. Per l, the four rows accumulate
-// s_r·B[l] with per-row zero skips; the non-zero fast path runs through
-// axpyQuad, the four-row fused update that the amd64 build vectorizes
-// four-wide (element-wise IEEE mul/add, so results are bit-identical to the
-// scalar loop). Per element the adds happen in ascending l, so every C row
+// s_r·B[l] with per-row zero skips; the all-non-zero fast path runs through
+// axpyQuad, the four-row fused update, and a block holding a zero through
+// one axpy per non-zero row. The amd64 build vectorizes both four-wide
+// (element-wise IEEE mul/add, so results are bit-identical to the scalar
+// loops). Per element the adds happen in ascending l, so every C row
 // stays a pure function of the operands under any caller-side chunking.
 func gemmRowBlock(n, kc int, alpha float32, pk, bp, c []float32) {
 	c0 := c[0*n : 1*n]
@@ -224,14 +225,14 @@ func gemmRowBlock(n, kc int, alpha float32, pk, bp, c []float32) {
 // axpyRow computes c += s·b, skipping entirely when s is zero — the one
 // per-row update semantics every NN/TN path shares, so a row's result never
 // depends on which rows share its register block or on the caller's row
-// chunking.
+// chunking. The non-zero update is axpy, SSE on amd64: after a ReLU most
+// four-row blocks hold a zero, so this is where sparse operands spend their
+// time.
 func axpyRow(c []float32, s float32, b []float32) {
 	if s == 0 {
 		return
 	}
-	for j, bv := range b {
-		c[j] += s * bv
-	}
+	axpy(c, b, s)
 }
 
 // GemmNT computes C[m×n] = alpha·A[m×k]·op(B) + beta·C where op(B) column j

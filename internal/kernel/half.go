@@ -97,3 +97,14 @@ func DecodeHalf(dst []float32, src []uint16) {
 		}
 	}
 }
+
+// RoundHalf rounds x through binary16 in place: x[i] becomes
+// HalfToFloat32(Float32ToHalf(x[i])), the value a half-precision wire
+// delivers, in one pass and with no half buffer. On amd64 an SSE2 kernel
+// rounds four lanes at a time in float32 bits (half_amd64.s); the tail, and
+// every element elsewhere, takes the two scalar converters.
+func RoundHalf(x []float32) {
+	for i := roundHalfVec(x); i < len(x); i++ {
+		x[i] = HalfToFloat32(Float32ToHalf(x[i]))
+	}
+}

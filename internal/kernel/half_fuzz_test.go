@@ -13,8 +13,9 @@ import (
 //   - decode→encode reproduces any non-NaN half exactly (decode is exact,
 //     encode of an exactly-representable value is identity), and any NaN
 //     half canonicalizes to the quiet NaN 0x7e00 with its sign,
-//   - the batched EncodeHalf/DecodeHalf agree with the scalar converters
-//     element-wise on every lane, including the non-inlined edge lanes,
+//   - the batched EncodeHalf/DecodeHalf and the in-place RoundHalf agree
+//     with the scalar converters element-wise, on every lane of RoundHalf's
+//     SSE kernel and of its scalar tail,
 //   - no input — NaN payloads, infinities, subnormals, negative zero —
 //     panics or produces a non-canonical class.
 //
@@ -85,22 +86,40 @@ func FuzzHalfConverters(f *testing.F) {
 			t.Fatalf("half %04x -> %v -> %04x, decode/encode not exact", h, d, re)
 		}
 
-		// Batched converters agree with the scalar path element-wise. The
-		// vector mixes the fuzzed value with rotations of its bits and the
-		// decoded half so every lane exercises a different range, and its
-		// length (7) is not a multiple of the unrolled widths.
-		src := []float32{
-			v, -v, d,
-			math.Float32frombits(bits.RotateLeft32(fbits, 7)),
-			math.Float32frombits(bits.RotateLeft32(fbits, 19)),
-			math.Float32frombits(fbits ^ 0x00000fff),
-			math.Float32frombits(^fbits),
+		// Batched converters and RoundHalf agree with the scalar path
+		// element-wise. The vector mixes the fuzzed value with rotations of
+		// its bits and the decoded half so every lane exercises a different
+		// range; its length (19) fills four four-lane SSE blocks and leaves
+		// a three-element scalar tail, and the six variants cycle, so each
+		// lands in several lane positions and in the tail.
+		var src []float32
+		for i := 0; i < 19; i++ {
+			x := fbits
+			switch i % 6 {
+			case 1:
+				x ^= 0x80000000
+			case 2:
+				x = math.Float32bits(d)
+			case 3:
+				x = bits.RotateLeft32(fbits, 7+i)
+			case 4:
+				x ^= 0x00000fff
+			case 5:
+				x = ^fbits
+			}
+			src = append(src, math.Float32frombits(x))
 		}
 		enc := make([]uint16, len(src))
 		EncodeHalf(enc, src)
+		rounded := append([]float32(nil), src...)
+		RoundHalf(rounded)
 		for i, x := range src {
-			if want := Float32ToHalf(x); enc[i] != want {
+			want := Float32ToHalf(x)
+			if enc[i] != want {
 				t.Fatalf("EncodeHalf lane %d: %04x, scalar %04x (input %08x)", i, enc[i], want, math.Float32bits(x))
+			}
+			if got, want := math.Float32bits(rounded[i]), math.Float32bits(HalfToFloat32(want)); got != want {
+				t.Fatalf("RoundHalf lane %d: %08x, decode of encode %08x (input %08x)", i, got, want, math.Float32bits(x))
 			}
 		}
 		dec := make([]float32, len(enc))

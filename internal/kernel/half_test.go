@@ -138,28 +138,45 @@ func TestHalfRoundTripExhaustive(t *testing.T) {
 	}
 }
 
-// TestBatchedConvertersMatchScalar: the batched fast paths agree with the
-// scalar entry points element for element, specials included.
+// TestBatchedConvertersMatchScalar runs EncodeHalf and RoundHalf over every
+// encode probe (each half value, its float32 neighbours and rounding ties,
+// the thresholds, specials and a million random patterns) and DecodeHalf
+// over all 2^16 halves, each starting at every offset mod 8, so every lane
+// of RoundHalf's SSE kernel and every tail length meets every class. Each
+// element must carry the scalar converters' bits exactly, NaN included: the
+// kernel mints its NaNs, it never passes one through.
 func TestBatchedConvertersMatchScalar(t *testing.T) {
-	r := rng.New(7)
-	src := make([]float32, 4096)
-	for i := range src {
-		src[i] = math.Float32frombits(uint32(r.Uint64()))
+	probes := encodeProbes()
+	src := make([]float32, len(probes))
+	for i, b := range probes {
+		src[i] = math.Float32frombits(b)
 	}
-	src = append(src, 0, float32(math.Inf(1)), float32(math.Inf(-1)),
-		float32(math.NaN()), 65504, 65520, 1e-8, -1e-8, halfSubMagic)
-	enc := make([]uint16, len(src))
-	EncodeHalf(enc, src)
-	for i, v := range src {
-		if want := Float32ToHalf(v); enc[i] != want {
-			t.Fatalf("EncodeHalf[%d] = %#04x, scalar gives %#04x for %v", i, enc[i], want, v)
+	halves := make([]uint16, 1<<16)
+	for h := range halves {
+		halves[h] = uint16(h)
+	}
+	for off := 0; off < 8; off++ {
+		in := src[off:]
+		enc := make([]uint16, len(in))
+		EncodeHalf(enc, in)
+		rounded := append([]float32(nil), in...)
+		RoundHalf(rounded)
+		for i, v := range in {
+			want := Float32ToHalf(v)
+			if enc[i] != want {
+				t.Fatalf("off %d: EncodeHalf(%#08x) = %#04x, scalar %#04x", off, math.Float32bits(v), enc[i], want)
+			}
+			if got, want := math.Float32bits(rounded[i]), math.Float32bits(HalfToFloat32(want)); got != want {
+				t.Fatalf("off %d: RoundHalf(%#08x) = %#08x, decode of encode %#08x", off, math.Float32bits(v), got, want)
+			}
 		}
-	}
-	dec := make([]float32, len(enc))
-	DecodeHalf(dec, enc)
-	for i, h := range enc {
-		if want := HalfToFloat32(h); math.Float32bits(dec[i]) != math.Float32bits(want) {
-			t.Fatalf("DecodeHalf[%d] = %v, scalar gives %v for %#04x", i, dec[i], want, h)
+		hin := halves[off:]
+		dec := make([]float32, len(hin))
+		DecodeHalf(dec, hin)
+		for i, h := range hin {
+			if got, want := math.Float32bits(dec[i]), math.Float32bits(HalfToFloat32(h)); got != want {
+				t.Fatalf("off %d: DecodeHalf(%#04x) = %#08x, scalar %#08x", off, h, got, want)
+			}
 		}
 	}
 }
@@ -328,6 +345,14 @@ func BenchmarkHalfConvert(b *testing.B) {
 			for j, v := range src {
 				enc[j] = refFloat32ToHalf(v)
 			}
+		}
+	})
+	b.Run("round/in-place", func(b *testing.B) {
+		x := make([]float32, len(src))
+		b.SetBytes(int64(4 * len(src)))
+		for i := 0; i < b.N; i++ {
+			copy(x, src)
+			RoundHalf(x)
 		}
 	})
 	b.Run("decode/batched", func(b *testing.B) {

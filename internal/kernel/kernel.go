@@ -238,7 +238,11 @@ const canonBlock = 512
 // instead of a per-coordinate loop over sources — turns a serial
 // float64-add dependency chain of length P per coordinate into independent
 // streaming adds, which is where the measured speedup over the old
-// canonicalSum comes from.
+// canonicalSum comes from. On amd64, canonicalVec (reduce_amd64.s) goes
+// further: four coordinates' chains sit in two SSE2 registers while the
+// sources stream past, one pass and no scratch block, with the same
+// float64 operations in the same order; the blocked loop is the portable
+// form and the amd64 tail.
 func CanonicalAccumulate(dst []float32, srcs [][]float32, scales []float64) {
 	if scales != nil && len(scales) != len(srcs) {
 		panic("kernel: CanonicalAccumulate needs one scale per source")
@@ -251,9 +255,15 @@ func CanonicalAccumulate(dst []float32, srcs [][]float32, scales []float64) {
 			panic("kernel: CanonicalAccumulate source/dst length mismatch")
 		}
 	}
+	// On amd64 the vector kernel takes every coordinate but a tail of at
+	// most three, keeping each one's float64 chain in a register.
+	lo := 0
+	if len(srcs) > 0 {
+		lo = canonicalVec(dst, srcs, scales)
+	}
 	var acc [canonBlock]float64
 	n := len(dst)
-	for lo := 0; lo < n; lo += canonBlock {
+	for ; lo < n; lo += canonBlock {
 		hi := lo + canonBlock
 		if hi > n {
 			hi = n

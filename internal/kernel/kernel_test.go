@@ -196,57 +196,110 @@ func TestPairwiseAccumulateAliasesRoot(t *testing.T) {
 	}
 }
 
-// TestCanonicalAccumulateBitCompat pins CanonicalAccumulate to the scalar
-// per-coordinate loops it replaced, in both seeding modes.
+// TestCanonicalAccumulateBitCompat pins CanonicalAccumulate (on amd64 the
+// SSE2 pass, elsewhere the blocked loop) to the scalar per-coordinate loops
+// it replaced: nil scales seeded from srcs[0] (the historical collective),
+// scales zero-seeded (the engine's shard-weighted loop), and in place on the
+// root as the collective calls it. Lengths cover every tail around the
+// four-wide vector step and several canonBlock rows, source counts run up
+// to nine. Two input kinds: plain sources in which every even coordinate
+// has srcs[0] = 2^40·x and srcs[p-1] = −srcs[0], so its float32 result
+// depends on the order the sources are added in (the test checks that it
+// does); and sources salted, in a minority of coordinates, with ±0,
+// subnormals, ±Inf and values whose sum overflows float32. One NaN source
+// per coordinate at most: which of two NaN operands an x86 add returns is
+// operand order, not arithmetic.
 func TestCanonicalAccumulateBitCompat(t *testing.T) {
-	r := rng.New(7)
-	for _, p := range []int{1, 2, 3, 8} {
-		const n = 1300 // spans multiple canonBlock rows
-		srcs := make([][]float32, p)
-		for s := range srcs {
-			srcs[s] = randVec(r, n)
-		}
-		// nil scales: seeded from srcs[0], the historical collective loop.
-		want := make([]float32, n)
-		for i := 0; i < n; i++ {
-			acc := float64(srcs[0][i])
-			for s := 1; s < p; s++ {
-				acc += float64(srcs[s][i])
-			}
-			want[i] = float32(acc)
-		}
-		dst := make([]float32, n)
-		CanonicalAccumulate(dst, srcs, nil)
-		for i := range want {
-			if dst[i] != want[i] {
-				t.Fatalf("p=%d coord %d: %v != scalar reference %v", p, i, dst[i], want[i])
-			}
-		}
-		// In-place on the root, as the collective calls it.
-		root := append([]float32(nil), srcs[0]...)
-		aliased := append([][]float32{root}, srcs[1:]...)
-		CanonicalAccumulate(root, aliased, nil)
-		for i := range want {
-			if root[i] != want[i] {
-				t.Fatalf("p=%d coord %d: in-place %v != %v", p, i, root[i], want[i])
-			}
-		}
-		// Weighted: zero-seeded, the engine's shard-weighted loop.
-		scales := make([]float64, p)
-		for s := range scales {
-			scales[s] = float64(s+1) / float64(p)
-		}
-		for i := 0; i < n; i++ {
+	specials := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(1), -math.Float32frombits(0x007fffff),
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32, -math.MaxFloat32, float32(math.NaN())}
+	var lengths []int
+	for n := 0; n <= 37; n++ {
+		lengths = append(lengths, n)
+	}
+	// reference is the scalar per-coordinate loop, visiting the sources in
+	// the given order (seeded from the first one when sc is nil).
+	reference := func(srcs [][]float32, sc []float64, order []int) []float32 {
+		out := make([]float32, len(srcs[0]))
+		for i := range out {
 			var acc float64
-			for s := 0; s < p; s++ {
-				acc += scales[s] * float64(srcs[s][i])
+			for k, s := range order {
+				switch {
+				case sc != nil:
+					acc += sc[s] * float64(srcs[s][i])
+				case k == 0:
+					acc = float64(srcs[s][i])
+				default:
+					acc += float64(srcs[s][i])
+				}
 			}
-			want[i] = float32(acc)
+			out[i] = float32(acc)
 		}
-		CanonicalAccumulate(dst, srcs, scales)
-		for i := range want {
-			if dst[i] != want[i] {
-				t.Fatalf("p=%d coord %d (weighted): %v != scalar reference %v", p, i, dst[i], want[i])
+		return out
+	}
+	r := rng.New(11)
+	for p := 1; p <= 9; p++ {
+		for _, n := range append([]int{1300}, lengths...) {
+			for _, salted := range []bool{false, true} {
+				srcs := make([][]float32, p)
+				for s := range srcs {
+					srcs[s] = randVec(r, n)
+				}
+				ordinary := 0
+				for i := 0; i < n; i++ {
+					for s := range srcs {
+						if k := (i + 3*s + n) % 37; salted && k < len(specials) && (k != len(specials)-1 || s == 0) {
+							srcs[s][i] = specials[k]
+						}
+					}
+					if !salted && p >= 3 && i%2 == 0 {
+						srcs[0][i] *= 1 << 40
+						srcs[p-1][i] = -srcs[0][i]
+					}
+					finite := true
+					for s := range srcs {
+						finite = finite && math.Abs(float64(srcs[s][i])) < math.MaxFloat32
+					}
+					if finite {
+						ordinary++
+					}
+				}
+				if n >= 37 && ordinary == 0 {
+					t.Fatalf("p=%d n=%d: the salt leaves no finite coordinate", p, n)
+				}
+				order := make([]int, p)
+				for s := range order {
+					order[s] = s
+				}
+				if !salted && p >= 3 && n == 1300 {
+					// Adding the cancelling pair first changes the bits, so
+					// the comparison below pins the source order.
+					other := append([]int{0, p - 1}, order[1:p-1]...)
+					seq, alt := reference(srcs, nil, order), reference(srcs, nil, other)
+					same := true
+					for i := range seq {
+						same = same && math.Float32bits(seq[i]) == math.Float32bits(alt[i])
+					}
+					if same {
+						t.Fatalf("p=%d: the inputs do not depend on the source order", p)
+					}
+				}
+				scales := make([]float64, p)
+				for s := range scales {
+					scales[s] = float64(s+1) / float64(p+2)
+				}
+				for _, sc := range [][]float64{nil, scales} {
+					want := reference(srcs, sc, order)
+					dst := make([]float32, n)
+					CanonicalAccumulate(dst, srcs, sc)
+					root := append([]float32(nil), srcs[0]...)
+					CanonicalAccumulate(root, append([][]float32{root}, srcs[1:]...), sc)
+					for i := range want {
+						if math.Float32bits(dst[i]) != math.Float32bits(want[i]) || math.Float32bits(root[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("p=%d n=%d salted=%v scaled=%v coord %d: %#08x (in place %#08x), scalar %#08x",
+								p, n, salted, sc != nil, i, math.Float32bits(dst[i]), math.Float32bits(root[i]), math.Float32bits(want[i]))
+						}
+					}
+				}
 			}
 		}
 	}

@@ -1,6 +1,10 @@
 package opt
 
-import "repro/internal/nn"
+import (
+	"math"
+
+	"repro/internal/nn"
+)
 
 // eps guards the trust-ratio denominator for zero gradients.
 const eps = 1e-9
@@ -52,13 +56,28 @@ func (l *LARS) Step(lr float64) {
 	for i, p := range l.params {
 		local := 1.0
 		if !p.NoDecay {
-			if wNorm := p.W.Norm2(); wNorm > 0 {
-				local = l.cfg.Trust * wNorm / (p.G.Norm2() + l.cfg.WeightDecay*wNorm + eps)
+			if wNorm, gNorm := norms(p.W.Data, p.G.Data); wNorm > 0 {
+				local = l.cfg.Trust * wNorm / (gNorm + l.cfg.WeightDecay*wNorm + eps)
 			}
 		}
 		l.ratios[i] = local
 		l.update(i, float32(l.cfg.Momentum), float32(lr*local), float32(l.cfg.WeightDecay), !p.NoDecay)
 	}
+}
+
+// norms returns the Euclidean norms of w and g, each bit-identical to
+// tensor.Norm2's (the same strict-order float64 chain, which no vector unit
+// may reorder); the two chains are independent, so one pass runs both for
+// the latency of one.
+func norms(w, g []float32) (wNorm, gNorm float64) {
+	g = g[:len(w)]
+	var sw, sg float64
+	for i, v := range w {
+		a, b := float64(v), float64(g[i])
+		sw += a * a
+		sg += b * b
+	}
+	return math.Sqrt(sw), math.Sqrt(sg)
 }
 
 // TrustRatios returns the per-parameter local rates from the last Step, in
