@@ -207,15 +207,9 @@ func run(args []string, w io.Writer) error {
 	)
 	fs.Parse(args) // ExitOnError: a bad flag does not return
 
-	switch *method {
-	case "sgd":
-		cfg.Method = core.BaselineSGD
-	case "linear":
-		cfg.Method = core.LinearScalingWarmup
-	case "lars":
-		cfg.Method = core.LARSWarmup
-	default:
-		return fmt.Errorf("unknown method %q", *method)
+	var err error
+	if cfg.Method, err = core.ParseMethod(*method); err != nil {
+		return err
 	}
 
 	synCfg := data.DefaultSynthConfig()
@@ -265,13 +259,8 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	switch *reduction {
-	case "canonical":
-		cfg.Reduction = dist.CanonicalF64
-	case "pairwise":
-		cfg.Reduction = dist.PairwiseF32
-	default:
-		return fmt.Errorf("unknown reduction %q", *reduction)
+	if cfg.Reduction, err = dist.ParseReduction(*reduction); err != nil {
+		return err
 	}
 
 	if cfg.Codec, err = dist.ParseCodec(*codec); err != nil {

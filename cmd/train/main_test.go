@@ -69,6 +69,8 @@ func TestRefusedFlags(t *testing.T) {
 		{"-resolutions 12x12", "-resolutions needs a model whose weight count does not depend on the input size: micro-alexnet has"},
 		{"-model mlp -resolutions 12x12@0,24x24@1+", "mlp has"},
 		{"-resolutions 2x2", "pool pool2 output empty at input 2x2"},
+		{"-method adam", `core: unknown method "adam" (want sgd | linear | lars)`},
+		{"-reduction kahan", `dist: unknown reduction "kahan" (want canonical | pairwise)`},
 		{"-algo star", `unknown algorithm "star"`},
 		{"-codec zip", `dist: unknown codec "zip" (want "" | fp16 | 1bit)`},
 		{"-per-node 2 -workers 4 -intra-algo star", `unknown algorithm "star"`},

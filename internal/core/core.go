@@ -60,6 +60,20 @@ func (m Method) String() string {
 	}
 }
 
+// ParseMethod reads a recipe name: a flag spelling ("sgd", "linear",
+// "lars") or the String form ("linear+warmup", "lars+warmup").
+func ParseMethod(name string) (Method, error) {
+	switch name {
+	case "sgd":
+		return BaselineSGD, nil
+	case "linear", "linear+warmup":
+		return LinearScalingWarmup, nil
+	case "lars", "lars+warmup":
+		return LARSWarmup, nil
+	}
+	return 0, fmt.Errorf("core: unknown method %q (want sgd | linear | lars)", name)
+}
+
 // Config describes one training run.
 type Config struct {
 	// Model builds one replica; called once per worker with distinct seeds

@@ -41,6 +41,18 @@ func (r Reduction) String() string {
 	}
 }
 
+// ParseReduction reads a reduction name: a flag spelling ("canonical",
+// "pairwise") or the String form ("canonical-f64", "pairwise-f32").
+func ParseReduction(name string) (Reduction, error) {
+	switch name {
+	case "canonical", "canonical-f64":
+		return CanonicalF64, nil
+	case "pairwise", "pairwise-f32":
+		return PairwiseF32, nil
+	}
+	return 0, fmt.Errorf("dist: unknown reduction %q (want canonical | pairwise)", name)
+}
+
 // Reduce performs the gradient-sum phase of one allreduce over the workers'
 // equal-length buffers: the element-wise sum of all buffers lands in
 // bufs[0] (the root). Under Ring — whose reduce-scatter + allgather leaves

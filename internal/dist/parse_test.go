@@ -22,6 +22,27 @@ func TestParseAlgorithmInvertsString(t *testing.T) {
 	}
 }
 
+// TestParseReductionInvertsString: each reduction parses back from its
+// String form and from its flag spelling; anything else is one error
+// listing the flag names.
+func TestParseReductionInvertsString(t *testing.T) {
+	for _, tc := range []struct {
+		r    Reduction
+		flag string
+	}{{CanonicalF64, "canonical"}, {PairwiseF32, "pairwise"}} {
+		for _, name := range []string{tc.r.String(), tc.flag} {
+			if got, err := ParseReduction(name); err != nil || got != tc.r {
+				t.Errorf("ParseReduction(%q) = %v, %v; want %v", name, got, err, tc.r)
+			}
+		}
+	}
+	for _, bad := range []string{"", "kahan", "Canonical", "Reduction(7)"} {
+		if _, err := ParseReduction(bad); err == nil || !strings.Contains(err.Error(), "canonical | pairwise") {
+			t.Errorf("ParseReduction(%q): got %v, want an error listing the names", bad, err)
+		}
+	}
+}
+
 // TestParseCodecInvertsName: every codec's Name parses back to a codec of
 // that name, "" is the raw wire, and anything else is one error listing the
 // names.

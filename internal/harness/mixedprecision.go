@@ -18,7 +18,7 @@ import (
 // overlapped with a pinned shard split — (b) trains to completion and
 // reports accuracy (parity is the acceptance criterion) plus the dynamic
 // loss scaler's final scale, and (c) profiles one engine step, where the
-// convert column is the packing overhead the f16 path adds on top of the
+// convert column is the binary16 rounding the f16 path adds on top of the
 // same float32 arithmetic.
 // A negative control confirms the f16 trajectory differs bitwise from f32 —
 // without it the identity column could pass with the precision switch dead.
@@ -29,7 +29,7 @@ import (
 func MixedPrecisionStudy() (*Table, error) {
 	t := &Table{
 		ID:       "MixedPrecision study",
-		Title:    "Mixed-precision training: f16 storage, f32 accumulation (P=4, micro conv net)",
+		Title:    "Mixed-precision training: f16 operands, f32 accumulation (P=4, micro conv net)",
 		Header:   []string{"precision", "identity (P, topology)", "test acc", "final loss", "loss scale", "step wall", "gemm", "im2col", "convert", "reduce", "codec", "other"},
 		Volatile: true,
 	}
@@ -78,9 +78,9 @@ func MixedPrecisionStudy() (*Table, error) {
 		return nil, err
 	}
 
-	t.Note("Identity column is exact: the 2-epoch loss trajectory at P=1 must reproduce bitwise at P=4 flat, P=4 hierarchical (2x2) and P=4 overlapped (pinned Shards=4) — the f16 kernels keep the fixed-tree accumulation discipline, so decomposition stays invisible at half precision too. A negative control confirms f16 ≠ f32 bitwise.")
-	t.Note("Accuracy parity on SynthImageNet is the paper's mixed-precision claim: binary16 GEMM operands with float32 accumulation and float32 master weights, plus dynamic loss scaling (grow-on-stable, halve-on-overflow), match the full-precision run within noise. The loss-scale column is the scaler's final power of two.")
-	t.Note("Phase columns profile one P=4 engine step (fp16 wire codec, so every bucket is live): convert is the binary16 packing the f16 path adds. On this host binary16 is a storage format with f32 arithmetic: both precisions run the same float32 micro-kernel, f16 after decoding its panels, so f16 costs a pack and a decode and cannot out-run f32 — what it buys is the recipe's numerics and half the operand bytes (benchmark/'s kernel.gemm_f16_gflops vs kernel.gemm_f32_gflops probes record the kernel ratio).")
+	t.Note("Identity column is exact: the 2-epoch loss trajectory at P=1 must reproduce bitwise at P=4 flat, P=4 hierarchical (2x2) and P=4 overlapped (pinned Shards=4) — the f16 path runs the f32 kernels on binary16-rounded operands, so it keeps the fixed-tree accumulation discipline and decomposition stays invisible at half precision too. A negative control confirms f16 ≠ f32 bitwise.")
+	t.Note("Accuracy parity on SynthImageNet is the paper's mixed-precision claim: binary16-rounded GEMM operands with float32 accumulation and float32 master weights, plus dynamic loss scaling (grow-on-stable, halve-on-overflow), match the full-precision run within noise. The loss-scale column is the scaler's final power of two.")
+	t.Note("Phase columns profile one P=4 engine step (fp16 wire codec, so every bucket is live): convert is the binary16 rounding the f16 path adds. On this host binary16 has no arithmetic of its own, so the f16 layers hold binary16 values in float32: each GEMM operand is rounded once through binary16 in layer scratch (kernel.RoundHalf) and the product runs the same float32 micro-kernel as f32 — bit-identical to packing halves and running the binary16 GEMM, without its encode and per-panel decode. f16 costs that rounding pass and cannot out-run f32; what it buys is the recipe's numerics (benchmark/'s kernel.gemm_f16_gflops vs kernel.gemm_f32_gflops probes record the packed kernels' ratio).")
 	return t, nil
 }
 

@@ -7,8 +7,8 @@ import "sync"
 // element type its A and B are *stored* in — float32, or IEEE binary16 held
 // as uint16. The body widens each panel to float32 once (widenTile: the slice
 // itself for float32, a DecodeHalf into pooled scratch for binary16; widening
-// binary16 is exact, so the only precision loss of the f16 path is the one
-// rounding applied when a tensor was packed) and everything after that is
+// binary16 is exact, so the only precision loss of a binary16 operand is the
+// one rounding applied when it was packed) and everything after that is
 // storage-blind float32 arithmetic through the one four-row micro-kernel,
 // gemmRowBlock. So the f16 kernels are bit-identical to the f32 kernels over
 // the widened operands by construction, and both inherit one determinism
@@ -19,7 +19,12 @@ import "sync"
 //
 // On this host binary16 is a storage format with float32 arithmetic: the f16
 // entry points run the f32 instructions plus a decode, and cannot out-run
-// them.
+// them. So no layer calls them any more: the F16 layers (internal/nn) round
+// each operand through binary16 into float32 scratch with RoundHalf and call
+// the f32 kernels, which by the contract above gives the bits the f16
+// kernels would, without the encode pass or the per-chunk decode. The f16
+// entry points remain for benchmark/'s kernel probes and as the oracle
+// those bits are defined by.
 
 // gemmKC is the k-tile width of the blocked GEMM kernels: the B (or packed
 // A) panel touched by one tile is gemmKC rows, small enough to stay
@@ -88,7 +93,8 @@ func GemmNN(m, n, k int, alpha float32, a, b []float32, beta float32, c []float3
 }
 
 // GemmNNHalf is GemmNN over binary16 A and B (C stays float32): bit-identical
-// to GemmNN over the widened operands.
+// to GemmNN over the widened operands. No layer calls it; see the package
+// GEMM notes above.
 func GemmNNHalf(m, n, k int, alpha float32, a, b []uint16, beta float32, c []float32) {
 	gemmNN(m, n, k, alpha, a, b, beta, c)
 }
@@ -142,7 +148,7 @@ func GemmTN(m, n, k int, alpha float32, a []float32, lda, i0 int, b []float32, b
 }
 
 // GemmTNHalf is GemmTN over binary16 A and B: bit-identical to GemmTN over
-// the widened operands.
+// the widened operands. No layer calls it; see the package GEMM notes above.
 func GemmTNHalf(m, n, k int, alpha float32, a []uint16, lda, i0 int, b []uint16, beta float32, c []float32) {
 	gemmTN(m, n, k, alpha, a, lda, i0, b, beta, c)
 }
@@ -249,7 +255,7 @@ func GemmNT(m, n, k int, alpha float32, a, b []float32, beta float32, c []float3
 
 // GemmNTHalf is GemmNT over binary16 A and B: both blocks widen once, then
 // every element is the same dot product — bit-identical to GemmNT over the
-// widened operands.
+// widened operands. No layer calls it; see the package GEMM notes above.
 func GemmNTHalf(m, n, k int, alpha float32, a, b []uint16, beta float32, c []float32) {
 	gemmNT(m, n, k, alpha, a, k, b, k, beta, c)
 }
@@ -259,12 +265,6 @@ func GemmNTHalf(m, n, k int, alpha float32, a, b []uint16, beta float32, c []flo
 // row-major array is an operand in place (Conv2D's per-sample dW over a
 // block panel). Each element is the same PairwiseDot as GemmNT's.
 func GemmNTStrided(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32) {
-	gemmNT(m, n, k, alpha, a, lda, b, ldb, beta, c)
-}
-
-// GemmNTStridedHalf is GemmNTStrided over binary16 A and B: bit-identical to
-// GemmNTStrided over the widened operands.
-func GemmNTStridedHalf(m, n, k int, alpha float32, a []uint16, lda int, b []uint16, ldb int, beta float32, c []float32) {
 	gemmNT(m, n, k, alpha, a, lda, b, ldb, beta, c)
 }
 

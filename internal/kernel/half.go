@@ -2,16 +2,19 @@ package kernel
 
 import "math"
 
-// IEEE 754 binary16 converters. Values are *stored* as uint16 halves; every
-// arithmetic operation elsewhere widens to float32 first (gemm.go's widenTile),
-// and binary16→binary32 widening is exact, so the only precision loss of the
-// f16 compute path is the one rounding applied when a tensor is packed.
+// IEEE 754 binary16 converters. Halves are *stored* as uint16; every
+// arithmetic operation widens to float32 first (gemm.go's widenTile), and
+// binary16→binary32 widening is exact, so the only precision loss of a
+// binary16 value is the one rounding that made it.
 //
 // The conversion scalars use the branch-light "magic number" algorithms
 // (round-to-nearest-even on encode, exact on decode, subnormals and NaN
-// included); the batched EncodeHalf/DecodeHalf inline the common normal-value
-// path and are the entry points every higher layer (tensor packing, the GEMM
-// panels, the compress FP16 codec) funnels through.
+// included). RoundHalf is the pair composed in place — the value a binary16
+// store would hand back, held in float32 — and is what the hot paths call:
+// the fp16 gradient wire and the F16 layers' GEMM operands (internal/nn).
+// The batched EncodeHalf/DecodeHalf inline the common normal-value path and
+// serve tensor.PackHalf, the binary16 GEMM panels and the compress FP16
+// codec, none of which a layer or the engine's wire calls any more.
 
 // halfSubMagic is 2^-14, the smallest normal binary16 magnitude. Subtracting
 // it renormalizes a decoded subnormal exactly; adding 0.5 (its bits appear in
@@ -64,7 +67,9 @@ func HalfToFloat32(h uint16) float32 {
 
 // EncodeHalf packs src into binary16 (round-to-nearest-even), one element per
 // slot. Lengths must match. The normal-value path is inlined so the batched
-// form is substantially faster than a loop over scalar conversions.
+// form is substantially faster than a loop over scalar conversions. No layer
+// calls it any more (they round with RoundHalf); tensor.PackHalf and the
+// compress FP16 codec do.
 func EncodeHalf(dst []uint16, src []float32) {
 	if len(dst) != len(src) {
 		panic("kernel: EncodeHalf length mismatch")
@@ -84,7 +89,8 @@ func EncodeHalf(dst []uint16, src []float32) {
 }
 
 // DecodeHalf widens binary16 src into dst exactly. Lengths must match. As
-// with EncodeHalf the normal-value path is inlined.
+// with EncodeHalf the normal-value path is inlined. No layer calls it any
+// more; the binary16 GEMM panels and the compress FP16 codec do.
 func DecodeHalf(dst []float32, src []uint16) {
 	if len(dst) != len(src) {
 		panic("kernel: DecodeHalf length mismatch")

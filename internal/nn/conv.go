@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -25,17 +26,18 @@ type Conv2D struct {
 	x    *tensor.Tensor
 	geom tensor.ConvGeom
 
-	// Block panels and f16 packs, shared by every input shape (see
-	// scratch.go).
+	// Block panels and the rounded input block, shared by every input
+	// shape (see scratch.go).
 	scratch convScratch
 
-	// Storage precision of the GEMM operands. At F16 they are binary16
-	// copies repacked each call (weights change every step; activations
-	// every batch); the float32 master weights in Weight are never touched
-	// by precision.
+	// Numeric precision of the GEMM operands. At F16 each operand is
+	// rounded through binary16 into float32 layer scratch, once per call
+	// (weights change every step; activations every batch), and the
+	// products run the F32 kernels; the float32 master weights in Weight,
+	// the caller's input and the incoming gradient are never written.
 	precision tensor.Precision
-	w         operand     // Weight.W, packed once per Forward and reused by Backward
-	wHalf     tensor.Half // w's storage at F16
+	w         *tensor.Tensor // Weight.W as an operand, set by Forward and reused by Backward
+	wRound    tensor.Tensor  // w's storage at F16
 }
 
 // ConvOpts configures optional Conv2D behaviour.
@@ -126,13 +128,13 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	k, l := c.InC*c.KH*c.KW, outH*outW
 	imLen := c.InC * g.InH * g.InW
 	y := tensor.New(n, c.OutC, outH, outW)
-	c.w = pack(c.precision, &c.wHalf, c.Weight.W)
+	c.w = operand(c.precision, &c.wRound, c.Weight.W)
 	nb := blockSize(k, l, n)
 	for s0 := 0; s0 < n; s0 += nb {
 		b := min(nb, n-s0)
 		col, rows := c.scratch.block(k, c.OutC, b*l)
-		tensor.Im2ColBlock(g, b, x.Data[s0*imLen:(s0+b)*imLen], col.Data)
-		gemm(false, false, 1, c.w, pack(c.precision, &c.scratch.colHalf, col), 0, rows)
+		tensor.Im2ColBlock(g, b, c.inputBlock(x.Data[s0*imLen:(s0+b)*imLen]), col.Data)
+		tensor.Gemm(false, false, 1, c.w, col, 0, rows)
 		for s := 0; s < b; s++ {
 			for oc := 0; oc < c.OutC; oc++ {
 				src := rows.Data[(oc*b+s)*l : (oc*b+s+1)*l]
@@ -151,11 +153,23 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
+// inputBlock returns one block of the input as the lowering reads it: xb
+// itself at F32, its copy rounded through binary16 at F16. im2col only
+// copies values and writes +0 for padding, so lowering the rounded block
+// gives the rounded panel — a KH·KW-th of the rounding work.
+func (c *Conv2D) inputBlock(xb []float32) []float32 {
+	if c.precision != tensor.F16 {
+		return xb
+	}
+	return roundedCopy(&c.scratch.in, xb)
+}
+
 // Backward implements Layer. Per block it re-lowers the cached input into
 // the block's panel, accumulates dW += dy_s·col_sᵀ sample by sample in
 // batch order, then overwrites the panel with the block's Wᵀ·dY and
 // scatters it into dx with one col2im. Every gradient element sees the adds
-// of a sample-at-a-time loop, in the same order.
+// of a sample-at-a-time loop, in the same order. At F16 the gathered dY
+// rows are rounded in place; the bias gradient sums the unrounded dout.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	g := c.geom
 	x := c.x
@@ -167,18 +181,19 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	for s0 := 0; s0 < n; s0 += nb {
 		b := min(nb, n-s0)
 		col, rows := c.scratch.block(k, c.OutC, b*l)
-		tensor.Im2ColBlock(g, b, x.Data[s0*imLen:(s0+b)*imLen], col.Data)
+		tensor.Im2ColBlock(g, b, c.inputBlock(x.Data[s0*imLen:(s0+b)*imLen]), col.Data)
 		for s := 0; s < b; s++ {
 			for oc := 0; oc < c.OutC; oc++ {
 				copy(rows.Data[(oc*b+s)*l:(oc*b+s+1)*l], dout.Data[((s0+s)*c.OutC+oc)*l:((s0+s)*c.OutC+oc+1)*l])
 			}
 		}
-		colOp := pack(c.precision, &c.scratch.colHalf, col)
-		dyOp := pack(c.precision, &c.scratch.dyHalf, rows)
-		gemmNTSamples(dyOp, colOp, b, l, c.Weight.G)
+		if c.precision == tensor.F16 {
+			roundHalf(rows.Data)
+		}
+		gemmNTSamples(rows, col, b, l, c.Weight.G)
 		// dx = col2im(Wᵀ · dY); c.w still holds this step's weights from
-		// Forward. Gradients (G, the panel) stay float32 at either precision.
-		gemm(true, false, 1, c.w, dyOp, 0, col)
+		// Forward.
+		tensor.Gemm(true, false, 1, c.w, rows, 0, col)
 		tensor.Col2ImBlock(g, b, col.Data, dx.Data[s0*imLen:(s0+b)*imLen])
 	}
 	if c.useBias {
@@ -193,4 +208,26 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return dx
+}
+
+// gemmNTSamples accumulates c += Σ_s a_s·b_sᵀ over the nb samples of a block
+// panel, in sample order: a is [m, nb·l] and b is [n, nb·l], and sample s
+// owns columns [s·l, (s+1)·l) of both. Each sample's product is one strided
+// NT kernel call, so every element of c sees the adds of nb separate
+// tensor.Gemm(false, true, 1, a_s, b_s, 1, c) calls in the same order, while
+// the rows of c fan out across goroutines once per block rather than once
+// per sample.
+func gemmNTSamples(a, b *tensor.Tensor, nb, l int, c *tensor.Tensor) {
+	m, n, ld := c.Shape[0], c.Shape[1], nb*l
+	defer kernel.StartPhase(kernel.PhaseGemm).End()
+	grain := 1
+	if work := ld * n; work < 4096 {
+		grain = 4096/work + 1
+	}
+	par.ForGrain(m, grain, func(lo, hi int) {
+		cd := c.Data[lo*n : hi*n]
+		for s := 0; s < nb; s++ {
+			kernel.GemmNTStrided(hi-lo, n, l, 1, a.Data[lo*ld+s*l:], ld, b.Data[s*l:], ld, 1, cd)
+		}
+	})
 }

@@ -177,7 +177,7 @@ func TestConvBlocksMatchPerSample(t *testing.T) {
 
 // BenchmarkConv2D times one Forward+Backward of micro-AlexNet's two conv
 // layers over a 32-image batch (conv1: 3→8 channels at 24×24, conv2: 8→16
-// at 12×12, both 3×3 pad 1), at each storage precision.
+// at 12×12, both 3×3 pad 1), at each precision.
 func BenchmarkConv2D(b *testing.B) {
 	for _, sh := range []struct {
 		name          string

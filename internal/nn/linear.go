@@ -14,13 +14,15 @@ type Linear struct {
 	In, Out      int
 	Weight, Bias *Param
 
-	// Storage precision of the GEMM operands (see Conv2D): binary16
-	// copies at F16, float32 master weights and gradients always.
+	// Numeric precision of the GEMM operands (see Conv2D): at F16 copies
+	// of x, W and dout rounded through binary16 in layer scratch, which the
+	// F32 kernels then multiply; float32 master weights and gradients
+	// always.
 	precision tensor.Precision
-	w         operand // Weight.W, packed once per Forward and reused by Backward
-	x         operand // input batch, packed in Forward and kept for Backward's dW
+	w         *tensor.Tensor // Weight.W as an operand, set by Forward and reused by Backward
+	x         *tensor.Tensor // input batch as an operand, kept for Backward's dW
 
-	wHalf, xHalf, dyHalf tensor.Half // storage of w, x and dout at F16
+	wRound, xRound, dyRound tensor.Tensor // storage of w, x and dout at F16
 }
 
 // NewLinear constructs a fully-connected layer with He initialization.
@@ -50,9 +52,9 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Shape[0]
 	y := tensor.New(n, l.Out)
 	// y = x · Wᵀ
-	l.x = pack(l.precision, &l.xHalf, x)
-	l.w = pack(l.precision, &l.wHalf, l.Weight.W)
-	gemm(false, true, 1, l.x, l.w, 0, y)
+	l.x = operand(l.precision, &l.xRound, x)
+	l.w = operand(l.precision, &l.wRound, l.Weight.W)
+	tensor.Gemm(false, true, 1, l.x, l.w, 0, y)
 	bd := l.Bias.W.Data
 	for s := 0; s < n; s++ {
 		row := y.Data[s*l.Out : (s+1)*l.Out]
@@ -67,9 +69,9 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	n := dout.Shape[0]
 	// dW += doutᵀ · x
-	dy := pack(l.precision, &l.dyHalf, dout)
-	gemm(true, false, 1, dy, l.x, 1, l.Weight.G)
-	// db += column sums of dout
+	dy := operand(l.precision, &l.dyRound, dout)
+	tensor.Gemm(true, false, 1, dy, l.x, 1, l.Weight.G)
+	// db += column sums of dout (unrounded at either precision)
 	gd := l.Bias.G.Data
 	for s := 0; s < n; s++ {
 		row := dout.Data[s*l.Out : (s+1)*l.Out]
@@ -79,6 +81,6 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	}
 	// dx = dout · W
 	dx := tensor.New(n, l.In)
-	gemm(false, false, 1, dy, l.w, 0, dx)
+	tensor.Gemm(false, false, 1, dy, l.w, 0, dx)
 	return dx
 }

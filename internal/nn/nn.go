@@ -133,7 +133,7 @@ func (n *Network) SetGradNotify(fn func(param int)) {
 // PrecisionLayer is implemented by layers that own a reduced-precision
 // compute path (Conv2D, Linear) or contain layers that do (GroupedConv2D,
 // Residual). SetPrecision selects the
-// storage precision of the layer's GEMM operands; parameters themselves
+// numeric precision of the layer's GEMM operands; parameters themselves
 // always stay float32 masters.
 type PrecisionLayer interface {
 	SetPrecision(p tensor.Precision)
@@ -141,9 +141,9 @@ type PrecisionLayer interface {
 
 // SetPrecision selects the compute precision of every layer that implements
 // PrecisionLayer; the remaining layers (activations, pooling, BN, loss)
-// always run float32. With tensor.F16 the conv/fc hot path stores its GEMM
-// operands as binary16 and accumulates in float32, while the trainer keeps
-// float32 master weights — the mixed-precision recipe the paper credits for
+// always run float32. With tensor.F16 the conv/fc hot path rounds its GEMM
+// operands through binary16 and accumulates in float32, while the trainer
+// keeps float32 master weights — the mixed-precision recipe the paper credits for
 // NVIDIA's half-precision DGX-1 result.
 func (n *Network) SetPrecision(p tensor.Precision) {
 	for _, l := range n.Layers {

@@ -27,7 +27,7 @@ func BenchmarkServeSchedule(b *testing.B) {
 }
 
 // BenchmarkServeForward measures one batch forward pass through the serve
-// pool's replica at each batch size, at f32 and f16 storage — the curve
+// pool's replica at each batch size, at f32 and f16 — the curve
 // benchmark/'s serve_f32 / serve_f16 workloads archive end to end
 // (serve.fit_base_us + serve.fit_per_image_us per batch).
 func BenchmarkServeForward(b *testing.B) {

@@ -6,25 +6,29 @@ import (
 	"repro/internal/kernel"
 )
 
-// Precision selects the storage precision of a layer's compute path. The
-// trainer always holds float32 master weights; F16 only changes how GEMM
-// operands are stored while they flow through the kernels (binary16 storage,
-// float32 accumulation), following the mixed-precision recipe of Akiba et
-// al. that the paper cites for NVIDIA's half-precision DGX-1 result. There
-// the halves feed half-precision arithmetic units; on this host they are
-// widened and run the F32 path's own instructions, so F16 reproduces the
-// recipe's numerics (one rounding per operand, loss scaling) and halves the
-// operand bytes, but costs a pack and a decode and cannot out-run F32.
+// Precision selects the numeric precision of a layer's compute path. The
+// trainer always holds float32 master weights; F16 only changes the values
+// the GEMM operands carry (each rounded once to binary16, accumulation in
+// float32), following the mixed-precision recipe of Akiba et al. that the
+// paper cites for NVIDIA's half-precision DGX-1 result. There the halves
+// feed half-precision arithmetic units; on this host they would be widened
+// back to float32 to run the F32 path's own instructions, so the layers
+// skip the half storage altogether: they round each operand through binary16
+// in float32 scratch (kernel.RoundHalf) and run the F32 kernels. F16 thus
+// reproduces the recipe's numerics (one rounding per operand, loss scaling)
+// at the cost of one rounding pass per operand; it does not halve the
+// operand bytes and cannot out-run F32.
 type Precision int
 
 const (
 	// F32 is the default full-precision path.
 	F32 Precision = iota
-	// F16 stores GEMM operands as binary16 and accumulates in
-	// float32. Deterministic: a fixed one-rounding pack per operand plus
-	// the kernels' fixed accumulation order, so results are bit-identical
-	// under any worker count, chunking or topology — but (deliberately)
-	// not equal to the F32 path's bits.
+	// F16 rounds each GEMM operand to binary16 (held in float32) and
+	// accumulates in float32. Deterministic: a fixed one-rounding pass per
+	// operand plus the kernels' fixed accumulation order, so results are
+	// bit-identical under any worker count, chunking or topology — and to
+	// GemmHalf over the packed operands — but (deliberately) not equal to
+	// the F32 path's bits.
 	F16
 )
 
@@ -52,16 +56,17 @@ func ParsePrecision(s string) (Precision, error) {
 	}
 }
 
-// Half is a dense, contiguous, row-major binary16 buffer with a shape — the
-// storage type of the F16 compute path. It deliberately mirrors Tensor's
-// transparent representation; layers keep a Half scratch per operand and
-// repack it each step.
+// Half is a dense, contiguous, row-major binary16 buffer with a shape. It
+// deliberately mirrors Tensor's transparent representation. No layer holds
+// one any more (the F16 layers round in float32, see Precision); it remains
+// the operand type of GemmHalf and PackHalf.
 type Half struct {
 	Shape []int
 	Data  []uint16
 }
 
-// NewHalf allocates a zero-filled half buffer with the given shape.
+// NewHalf allocates a zero-filled half buffer with the given shape. No layer
+// calls it; benchmark/'s GEMM probes do.
 func NewHalf(shape ...int) *Half {
 	return &Half{Shape: append([]int(nil), shape...), Data: make([]uint16, numel(shape))}
 }
@@ -71,7 +76,8 @@ func (h *Half) Numel() int { return len(h.Data) }
 
 // PackHalf rounds src into h (round-to-nearest-even, one rounding per
 // element), resizing h to src's shape and reusing its storage when possible.
-// The conversion is accounted to the profiler's convert phase.
+// The conversion is accounted to the profiler's convert phase. No layer calls
+// it any more; benchmark/'s GEMM and pack probes do.
 func PackHalf(h *Half, src *Tensor) {
 	defer kernel.StartPhase(kernel.PhaseConvert).End()
 	n := len(src.Data)

@@ -29,7 +29,9 @@ func Gemm(transA, transB bool, alpha float32, a, b *Tensor, beta float32, c *Ten
 // Gemm over the widened operands for every transpose case, under any worker
 // count or chunking. On this host that makes binary16 a storage format, not
 // a faster arithmetic: GemmHalf costs a decode on top of Gemm and cannot
-// out-run it.
+// out-run it. So no layer calls it any more: the F16 layers round their
+// operands in float32 and call Gemm, which gives these bits without the
+// decode (see Precision). benchmark/'s f16 GEMM probe still times it.
 func GemmHalf(transA, transB bool, alpha float32, a, b *Half, beta float32, c *Tensor) {
 	gemm("GemmHalf", f16Kernels, transA, transB, alpha, a.Shape, a.Data, b.Shape, b.Data, beta, c)
 }
