@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/compress"
 	"repro/internal/kernel"
 )
 
@@ -58,18 +57,22 @@ func ParseCodec(name string) (Codec, error) {
 	return nil, fmt.Errorf("dist: unknown codec %q (want \"\" | fp16 | 1bit)", name)
 }
 
-// OneBitCodec is Seide et al.'s 1-bit SGD as a dist payload codec: one sign
-// bit per coordinate plus two scales on the wire (~32x smaller), with the
-// quantization error carried per slot as the next step's residual — the
-// error feedback that makes the scheme converge.
+// OneBitCodec is Seide et al.'s 1-bit SGD ("1-bit stochastic gradient
+// descent", 2014, cited in the paper's related work as the other lever on
+// the communication bottleneck) as a dist payload codec: where LARS cuts the
+// number of gradient exchanges by enabling huge batches, 1-bit SGD shrinks
+// each one ~32x. The wire carries one sign bit per coordinate plus two
+// scales — the mean magnitudes of the non-negative and the negative
+// coordinates — and the quantization error is carried per slot as the next
+// step's residual: the error feedback that makes the scheme converge.
 type OneBitCodec struct {
 	mu    sync.Mutex
-	slots map[int]*compress.Quantizer
+	slots map[int][]float32
 }
 
 // NewOneBitCodec returns a 1-bit codec with empty error-feedback state.
 func NewOneBitCodec() *OneBitCodec {
-	return &OneBitCodec{slots: make(map[int]*compress.Quantizer)}
+	return &OneBitCodec{slots: make(map[int][]float32)}
 }
 
 // Name implements Codec.
@@ -94,34 +97,65 @@ func (c *OneBitCodec) Slots() []int {
 func (c *OneBitCodec) SlotResidual(slot int) []float32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	z := c.slots[slot]
-	if z == nil {
-		return nil
+	if r := c.slots[slot]; r != nil {
+		return append([]float32(nil), r...)
 	}
-	return append([]float32(nil), z.Residual()...)
+	return nil
 }
 
-// RestoreSlot installs a residual for slot (copying it), creating the
-// slot's quantizer at the residual's length — the restore half of the
-// checkpoint round trip.
+// RestoreSlot installs a copy of residual for slot, whose payloads must then
+// have its length — the restore half of the checkpoint round trip.
 func (c *OneBitCodec) RestoreSlot(slot int, residual []float32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	z := compress.NewQuantizer(len(residual))
-	z.SetResidual(residual)
-	c.slots[slot] = z
+	c.slots[slot] = append(make([]float32, 0, len(residual)), residual...)
 }
 
-// Transform implements Codec.
+// Transform implements Codec in two in-place passes. The first adds the
+// slot's residual into data and sums the magnitudes of each sign class in
+// float64; the second replaces every value v by its reconstruction — the
+// non-negative class's mean for v >= 0, minus the negative class's mean
+// otherwise (NaN included) — and keeps v minus it as the new residual. The
+// wire carries the sign bits in 64-bit words plus two float32 scales and a
+// length: 8·⌈n/64⌉+12 bytes.
 func (c *OneBitCodec) Transform(slot int, data []float32) int64 {
 	c.mu.Lock()
-	z := c.slots[slot]
-	if z == nil {
-		z = compress.NewQuantizer(len(data))
-		c.slots[slot] = z
+	residual := c.slots[slot]
+	if residual == nil {
+		residual = make([]float32, len(data))
+		c.slots[slot] = residual
 	}
 	c.mu.Unlock()
-	q := z.Encode(data)
-	q.Decode(data)
-	return q.Bytes()
+	if len(data) != len(residual) {
+		panic(fmt.Sprintf("dist: 1-bit payload has %d coords, slot %d carries %d", len(data), slot, len(residual)))
+	}
+	var posSum, negSum float64
+	var posCount, negCount int
+	for i := range data {
+		v := data[i] + residual[i]
+		data[i] = v
+		if v >= 0 {
+			posSum += float64(v)
+			posCount++
+		} else {
+			negSum += float64(-v)
+			negCount++
+		}
+	}
+	var posScale, negScale float32
+	if posCount > 0 {
+		posScale = float32(posSum / float64(posCount))
+	}
+	if negCount > 0 {
+		negScale = float32(negSum / float64(negCount))
+	}
+	for i, v := range data {
+		recon := -negScale
+		if v >= 0 {
+			recon = posScale
+		}
+		residual[i] = v - recon
+		data[i] = recon
+	}
+	return 8*int64((len(data)+63)/64) + 12
 }

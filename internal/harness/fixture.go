@@ -182,28 +182,40 @@ func mustDiffer(a, b []float64, what string) error {
 	return nil
 }
 
-// profiledStep profiles one P=4 ring engine step over the fixture under cfg
-// (fp16 wire codec, so every phase is populated) and checks the profiler's
-// construction: the phase shares sum to the step wall.
-func (f fixture) profiledStep(cfg dist.Config) (dist.ProfileStats, error) {
-	cfg.Codec, cfg.Profile = dist.FP16Codec{}, true
-	r, err := f.step(dist.Flat(dist.Ring, 4), cfg)
-	if err != nil {
-		return dist.ProfileStats{}, err
-	}
-	prof := r.Profile
-	if prof.Accounted() != prof.WallNS {
-		return dist.ProfileStats{}, fmt.Errorf("harness: profile shares (%d ns) do not sum to step wall (%d ns)", prof.Accounted(), prof.WallNS)
-	}
-	return prof, nil
-}
+// profiledSteps is how many steps profiledStep times after its warm-up: one
+// step's wall swings several-fold with the host, the median of twenty does
+// not.
+const profiledSteps = 20
 
-// phaseCells renders a step profile as the studies' seven cells: the step
-// wall, then the gemm / im2col / convert / reduce / codec / other shares.
-func phaseCells(prof dist.ProfileStats) []string {
-	cells := []string{fmt.Sprintf("%.1fms", float64(prof.WallNS)/1e6)}
-	for _, ns := range []int64{prof.GemmNS, prof.Im2colNS, prof.ConvertNS, prof.ReduceNS, prof.CodecNS, prof.OtherNS} {
-		cells = append(cells, fmt.Sprintf("%.1f%%", 100*prof.Share(ns)))
+// profiledStep profiles P=4 ring engine steps over the fixture under cfg
+// (fp16 wire codec, so every phase is populated) — one warm-up, then
+// profiledSteps timed — and checks the profiler's construction on every one:
+// the phase shares sum to the step wall. It renders the studies' seven
+// cells: the timed steps' median wall, then the gemm / im2col / convert /
+// reduce / codec / other shares of their summed profile.
+func (f fixture) profiledStep(cfg dist.Config) ([]string, error) {
+	cfg.Codec, cfg.Profile = dist.FP16Codec{}, true
+	reports, err := f.run(dist.Flat(dist.Ring, 4), cfg, 1+profiledSteps, nil)
+	if err != nil {
+		return nil, err
 	}
-	return cells
+	var sum dist.ProfileStats
+	var walls []int64
+	for i, r := range reports {
+		prof := r.Profile
+		if prof.Accounted() != prof.WallNS {
+			return nil, fmt.Errorf("harness: profile shares (%d ns) do not sum to step wall (%d ns)", prof.Accounted(), prof.WallNS)
+		}
+		if i > 0 {
+			sum.Add(prof)
+			walls = append(walls, prof.WallNS)
+		}
+	}
+	slices.Sort(walls)
+	median := float64(walls[profiledSteps/2-1]+walls[profiledSteps/2]) / 2
+	cells := []string{fmt.Sprintf("%.1fms", median/1e6)}
+	for _, ns := range []int64{sum.GemmNS, sum.Im2colNS, sum.ConvertNS, sum.ReduceNS, sum.CodecNS, sum.OtherNS} {
+		cells = append(cells, fmt.Sprintf("%.1f%%", 100*sum.Share(ns)))
+	}
+	return cells, nil
 }

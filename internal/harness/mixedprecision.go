@@ -17,7 +17,7 @@ import (
 // reproduce bit-identically at P=4 flat, P=4 hierarchical and P=4
 // overlapped with a pinned shard split — (b) trains to completion and
 // reports accuracy (parity is the acceptance criterion) plus the dynamic
-// loss scaler's final scale, and (c) profiles one engine step, where the
+// loss scaler's final scale, and (c) profiles engine steps, where the
 // convert column is the binary16 rounding the f16 path adds on top of the
 // same float32 arithmetic.
 // A negative control confirms the f16 trajectory differs bitwise from f32 —
@@ -58,9 +58,9 @@ func MixedPrecisionStudy() (*Table, error) {
 			scale = fmt.Sprintf("2^%d", int(math.Log2(res.Scale.Scale)))
 		}
 
-		// One P=4 engine step with the replicas at the precision under
-		// study: the convert share is what the f16 path adds.
-		prof, err := newFixture(func(seed uint64) *nn.Network {
+		// P=4 engine steps with the replicas at the precision under study:
+		// the convert share is what the f16 path adds.
+		phases, err := newFixture(func(seed uint64) *nn.Network {
 			net := precisionNet(seed)
 			net.SetPrecision(prec)
 			return net
@@ -71,7 +71,7 @@ func MixedPrecisionStudy() (*Table, error) {
 		t.Add(append([]string{prec.String(), identity,
 			fmt.Sprintf("%.3f", res.TestAcc),
 			fmt.Sprintf("%.4f", res.FinalLoss),
-			scale}, phaseCells(prof)...)...)
+			scale}, phases...)...)
 	}
 	if err := mustDiffer(trajectories[0], trajectories[1],
 		"f16 trajectory is bit-identical to f32 — the precision switch is not reaching the kernels"); err != nil {
@@ -80,7 +80,7 @@ func MixedPrecisionStudy() (*Table, error) {
 
 	t.Note("Identity column is exact: the 2-epoch loss trajectory at P=1 must reproduce bitwise at P=4 flat, P=4 hierarchical (2x2) and P=4 overlapped (pinned Shards=4) — the f16 path runs the f32 kernels on binary16-rounded operands, so it keeps the fixed-tree accumulation discipline and decomposition stays invisible at half precision too. A negative control confirms f16 ≠ f32 bitwise.")
 	t.Note("Accuracy parity on SynthImageNet is the paper's mixed-precision claim: binary16-rounded GEMM operands with float32 accumulation and float32 master weights, plus dynamic loss scaling (grow-on-stable, halve-on-overflow), match the full-precision run within noise. The loss-scale column is the scaler's final power of two.")
-	t.Note("Phase columns profile one P=4 engine step (fp16 wire codec, so every bucket is live): convert is the binary16 rounding the f16 path adds. On this host binary16 has no arithmetic of its own, so the f16 layers hold binary16 values in float32: each GEMM operand is rounded once through binary16 in layer scratch (kernel.RoundHalf) and the product runs the same float32 micro-kernel as f32 — bit-identical to packing halves and running the binary16 GEMM, without its encode and per-panel decode. f16 costs that rounding pass and cannot out-run f32; what it buys is the recipe's numerics (benchmark/'s kernel.gemm_f16_gflops vs kernel.gemm_f32_gflops probes record the packed kernels' ratio).")
+	t.Note("Phase columns profile twenty P=4 engine steps after one warm-up (fp16 wire codec, so every bucket is live): step wall is their median, the shares those of their summed profile. Convert is the binary16 rounding the f16 path adds. On this host binary16 has no arithmetic of its own, so it is a rounding, not a type: each GEMM operand is rounded once through binary16 in layer scratch (kernel.RoundHalf) and the product runs the same float32 micro-kernel as f32. The binary16 GEMM entry points benchmark/ probes are that same kernel after one decode of each packed operand, so they give these bits and cost that decode besides. f16 costs the rounding pass and cannot out-run f32; what it buys is the recipe's numerics (benchmark/'s kernel.gemm_f16_gflops vs kernel.gemm_f32_gflops probes record the packed entry points' ratio).")
 	return t, nil
 }
 

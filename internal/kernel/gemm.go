@@ -1,85 +1,29 @@
 package kernel
 
-import "sync"
-
-// One GEMM path. Storage precision is a property of the operand, not of the
-// kernel: each transpose case (NN, TN, NT) has one body, generic over the
-// element type its A and B are *stored* in — float32, or IEEE binary16 held
-// as uint16. The body widens each panel to float32 once (widenTile: the slice
-// itself for float32, a DecodeHalf into pooled scratch for binary16; widening
-// binary16 is exact, so the only precision loss of a binary16 operand is the
-// one rounding applied when it was packed) and everything after that is
-// storage-blind float32 arithmetic through the one four-row micro-kernel,
-// gemmRowBlock. So the f16 kernels are bit-identical to the f32 kernels over
-// the widened operands by construction, and both inherit one determinism
-// contract: per output element the accumulation order over l is ascending
-// regardless of blocking, and each C row is a pure function of the operands,
-// so results are bit-identical under any caller-side row chunking, worker
-// count or reduction topology.
+// One GEMM body per transpose case (NN, TN, NT), over float32 operands. Per
+// output element the accumulation order over l is ascending regardless of
+// blocking, and each C row is a pure function of the operands, so results
+// are bit-identical under any caller-side row chunking, worker count or
+// reduction topology.
 //
-// On this host binary16 is a storage format with float32 arithmetic: the f16
-// entry points run the f32 instructions plus a decode, and cannot out-run
-// them. So no layer calls them any more: the F16 layers (internal/nn) round
-// each operand through binary16 into float32 scratch with RoundHalf and call
-// the f32 kernels, which by the contract above gives the bits the f16
-// kernels would, without the encode pass or the per-chunk decode. The f16
-// entry points remain for benchmark/'s kernel probes and as the oracle
-// those bits are defined by.
+// Binary16 is a rounding, not an operand type: on this host it has no
+// arithmetic of its own, and widening it to float32 is exact. So the F16
+// layers (internal/nn) round each operand through binary16 into float32
+// scratch with RoundHalf and call the f32 kernels, and the Half entry
+// points below — benchmark/'s kernel probes, no layer — decode their
+// operands once into float32 and run the same f32 body. "f16 == f32 on the
+// widened operands" is how they are written, not a property to maintain.
 
 // gemmKC is the k-tile width of the blocked GEMM kernels: the B (or packed
 // A) panel touched by one tile is gemmKC rows, small enough to stay
 // cache-resident across the whole row range of the block.
 const gemmKC = 256
 
-// storage is the set of element types a GEMM operand may be stored in.
-type storage interface{ float32 | uint16 }
-
-// panelPool recycles the decoded-panel buffers of binary16 operands; the
-// kernels run per layer per shard per step, so fresh allocations would be
-// pure GC churn, exactly as with the pairwise tree's accScratch.
-var panelPool = sync.Pool{New: func() any { return new([]float32) }}
-
-// panel is one kernel call's hold on a pooled buffer, taken on first use —
-// float32 operands never touch the pool.
-type panel struct{ buf *[]float32 }
-
-func (p *panel) grow(n int) []float32 {
-	if p.buf == nil {
-		p.buf = panelPool.Get().(*[]float32)
-	}
-	if cap(*p.buf) < n {
-		*p.buf = make([]float32, n)
-	}
-	return (*p.buf)[:n]
-}
-
-func (p *panel) release() {
-	if p.buf != nil {
-		panelPool.Put(p.buf)
-	}
-}
-
-// widenTile returns the rows×cols tile at the head of src (row stride ld) as
-// float32, with the row stride to read the result by: float32 storage is
-// returned as is (no copy, stride ld), binary16 is decoded into p (compact,
-// stride cols). This is the only place a kernel looks at its storage type,
-// once per panel and never per element.
-func widenTile[T storage](p *panel, src []T, rows, cols, ld int) ([]float32, int) {
-	switch s := any(src).(type) {
-	case []float32:
-		return s, ld
-	case []uint16:
-		dst := p.grow(rows * cols)
-		if ld == cols {
-			DecodeHalf(dst, s[:rows*cols])
-		} else {
-			for r := 0; r < rows; r++ {
-				DecodeHalf(dst[r*cols:(r+1)*cols], s[r*ld:r*ld+cols])
-			}
-		}
-		return dst, cols
-	}
-	panic("unreachable")
+// GemmNNHalf is GemmNN over binary16 A and B (C stays float32): both widen
+// once, then GemmNN runs. No layer calls it; see the package GEMM notes
+// above.
+func GemmNNHalf(m, n, k int, alpha float32, a, b []uint16, beta float32, c []float32) {
+	GemmNN(m, n, k, alpha, widenHalves(a[:m*k]), widenHalves(b[:k*n]), beta, c)
 }
 
 // GemmNN computes C[m×n] = alpha·A[m×k]·B[k×n] + beta·C over contiguous
@@ -88,39 +32,26 @@ func widenTile[T storage](p *panel, src []T, rows, cols, ld int) ([]float32, int
 // hands each goroutine its contiguous A/C sub-blocks. Per output row the
 // accumulation order over l is ascending regardless of blocking, so every
 // row of C is deterministic for any caller-side chunking.
+//
+// It k-tiles the l loop (the B panel of one tile stays hot across all rows
+// of the block) and register-blocks four rows of C at a time, so each
+// streamed row of B is reused fourfold.
 func GemmNN(m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-	gemmNN(m, n, k, alpha, a, b, beta, c)
-}
-
-// GemmNNHalf is GemmNN over binary16 A and B (C stays float32): bit-identical
-// to GemmNN over the widened operands. No layer calls it; see the package
-// GEMM notes above.
-func GemmNNHalf(m, n, k int, alpha float32, a, b []uint16, beta float32, c []float32) {
-	gemmNN(m, n, k, alpha, a, b, beta, c)
-}
-
-// gemmNN k-tiles the l loop (the widened B panel of one tile stays hot across
-// all rows of the block) and register-blocks four rows of C at a time, so
-// each streamed row of B is reused fourfold.
-func gemmNN[T storage](m, n, k int, alpha float32, a, b []T, beta float32, c []float32) {
 	applyBeta(c[:m*n], beta)
 	if n == 0 {
 		return
 	}
-	var pa, pb panel
-	defer pa.release()
-	defer pb.release()
 	var pk [4 * gemmKC]float32
 	for kt := 0; kt < k; kt += gemmKC {
 		kc := min(gemmKC, k-kt)
-		bp, _ := widenTile(&pb, b[kt*n:], kc, n, n)
+		bp := b[kt*n:]
 		for i := 0; i < m; i += 4 {
-			rows := min(4, m-i)
-			aw, lda := widenTile(&pa, a[i*k+kt:], rows, kc, k)
-			if rows < 4 {
+			// Row i+r's k-tile is at[r*k : r*k+kc].
+			at := a[i*k+kt:]
+			if rows := m - i; rows < 4 {
 				for r := 0; r < rows; r++ {
 					crow := c[(i+r)*n : (i+r+1)*n]
-					for l, av := range aw[r*lda : r*lda+kc] {
+					for l, av := range at[r*k : r*k+kc] {
 						axpyRow(crow, alpha*av, bp[l*n:(l+1)*n])
 					}
 				}
@@ -129,7 +60,7 @@ func gemmNN[T storage](m, n, k int, alpha float32, a, b []T, beta float32, c []f
 			// Pack the four rows' tiles interleaved: pk[4·l + r] = A[i+r][kt+l].
 			for r := 0; r < 4; r++ {
 				q := r
-				for _, v := range aw[r*lda : r*lda+kc] {
+				for _, v := range at[r*k : r*k+kc] {
 					pk[q] = v
 					q += 4
 				}
@@ -143,38 +74,26 @@ func gemmNN[T storage](m, n, k int, alpha float32, a, b []T, beta float32, c []f
 // column i0+i of the row-major array a with row stride lda (i.e. element
 // (i, l) is a[l*lda + i0 + i]). Accumulation order per output row is
 // ascending l, as in GemmNN.
-func GemmTN(m, n, k int, alpha float32, a []float32, lda, i0 int, b []float32, beta float32, c []float32) {
-	gemmTN(m, n, k, alpha, a, lda, i0, b, beta, c)
-}
-
-// GemmTNHalf is GemmTN over binary16 A and B: bit-identical to GemmTN over
-// the widened operands. No layer calls it; see the package GEMM notes above.
-func GemmTNHalf(m, n, k int, alpha float32, a []uint16, lda, i0 int, b []uint16, beta float32, c []float32) {
-	gemmTN(m, n, k, alpha, a, lda, i0, b, beta, c)
-}
-
-// gemmTN packs each k-tile of four A columns into a contiguous panel first,
-// so the inner loops run the same register-blocked micro-kernel as gemmNN
+//
+// It packs each k-tile of four A columns into a contiguous panel first, so
+// the inner loops run the same register-blocked micro-kernel as GemmNN
 // instead of striding through a.
-func gemmTN[T storage](m, n, k int, alpha float32, a []T, lda, i0 int, b []T, beta float32, c []float32) {
+func GemmTN(m, n, k int, alpha float32, a []float32, lda, i0 int, b []float32, beta float32, c []float32) {
 	applyBeta(c[:m*n], beta)
 	if n == 0 {
 		return
 	}
-	var pa, pb panel
-	defer pa.release()
-	defer pb.release()
 	var pk [4 * gemmKC]float32
 	for kt := 0; kt < k; kt += gemmKC {
 		kc := min(gemmKC, k-kt)
-		bp, _ := widenTile(&pb, b[kt*n:], kc, n, n)
-		// The tile of op(A), still transposed: aw[l·ld + i] = op(A)[i][kt+l].
-		aw, ld := widenTile(&pa, a[kt*lda+i0:], kc, m, lda)
+		bp := b[kt*n:]
+		// The tile of op(A), still transposed: aw[l·lda + i] = op(A)[i][kt+l].
+		aw := a[kt*lda+i0:]
 		i := 0
 		for ; i+4 <= m; i += 4 {
 			// Pack the four columns' tile: pk[4·l + r] = op(A)[i+r][kt+l].
 			for l := 0; l < kc; l++ {
-				off := l*ld + i
+				off := l*lda + i
 				pk[4*l+0] = aw[off]
 				pk[4*l+1] = aw[off+1]
 				pk[4*l+2] = aw[off+2]
@@ -185,15 +104,15 @@ func gemmTN[T storage](m, n, k int, alpha float32, a []T, lda, i0 int, b []T, be
 		for ; i < m; i++ {
 			crow := c[i*n : (i+1)*n]
 			for l := 0; l < kc; l++ {
-				axpyRow(crow, alpha*aw[l*ld+i], bp[l*n:(l+1)*n])
+				axpyRow(crow, alpha*aw[l*lda+i], bp[l*n:(l+1)*n])
 			}
 		}
 	}
 }
 
 // gemmRowBlock is the one four-row micro-kernel of the package: c is four
-// contiguous rows of C, pk the packed widened A tile (pk[4·l + r] scales row
-// r at step l), bp the widened kc×n B panel. Per l, the four rows accumulate
+// contiguous rows of C, pk the packed A tile (pk[4·l + r] scales row r at
+// step l), bp the kc×n B panel. Per l, the four rows accumulate
 // s_r·B[l] with per-row zero skips; the all-non-zero fast path runs through
 // axpyQuad, the four-row fused update, and a block holding a zero through
 // one axpy per non-zero row. The amd64 build vectorizes both four-wide
@@ -250,41 +169,32 @@ func axpyRow(c []float32, s float32, b []float32) {
 // pairwiseDotQuad, which walks the same tree with one SSE pass per leaf
 // (dot_amd64.s), so the bits are those of one PairwiseDot per element.
 func GemmNT(m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-	gemmNT(m, n, k, alpha, a, k, b, k, beta, c)
+	GemmNTStrided(m, n, k, alpha, a, k, b, k, beta, c)
 }
 
-// GemmNTHalf is GemmNT over binary16 A and B: both blocks widen once, then
-// every element is the same dot product — bit-identical to GemmNT over the
-// widened operands. No layer calls it; see the package GEMM notes above.
+// GemmNTHalf is GemmNT over binary16 A and B: both widen once, then GemmNT
+// runs. No layer calls it; see the package GEMM notes above.
 func GemmNTHalf(m, n, k int, alpha float32, a, b []uint16, beta float32, c []float32) {
-	gemmNT(m, n, k, alpha, a, k, b, k, beta, c)
+	GemmNT(m, n, k, alpha, widenHalves(a[:m*k]), widenHalves(b[:n*k]), beta, c)
 }
 
 // GemmNTStrided is GemmNT with row strides: row i of A is a[i*lda:i*lda+k]
 // and row j of B is b[j*ldb:j*ldb+k], so the k-wide window of a wider
 // row-major array is an operand in place (Conv2D's per-sample dW over a
 // block panel). Each element is the same PairwiseDot as GemmNT's.
-func GemmNTStrided(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32) {
-	gemmNT(m, n, k, alpha, a, lda, b, ldb, beta, c)
-}
-
-// gemmNT walks C four columns at a time with the rows inside, so the four B
+//
+// It walks C four columns at a time with the rows inside, so the four B
 // rows of a quad stay cache-resident while the A rows stream past them.
-func gemmNT[T storage](m, n, k int, alpha float32, a []T, lda int, b []T, ldb int, beta float32, c []float32) {
+func GemmNTStrided(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32) {
 	if m == 0 || n == 0 {
 		return
 	}
-	var pa, pb panel
-	defer pa.release()
-	defer pb.release()
-	aw, lda := widenTile(&pa, a, m, k, lda)
-	bw, ldb := widenTile(&pb, b, n, k, ldb)
 	row := func(w []float32, ld, r int) []float32 { return w[r*ld : r*ld+k] }
 	j := 0
 	for ; j+4 <= n; j += 4 {
-		b0, b1, b2, b3 := row(bw, ldb, j), row(bw, ldb, j+1), row(bw, ldb, j+2), row(bw, ldb, j+3)
+		b0, b1, b2, b3 := row(b, ldb, j), row(b, ldb, j+1), row(b, ldb, j+2), row(b, ldb, j+3)
 		for i := 0; i < m; i++ {
-			s0, s1, s2, s3 := pairwiseDotQuad(row(aw, lda, i), b0, b1, b2, b3)
+			s0, s1, s2, s3 := pairwiseDotQuad(row(a, lda, i), b0, b1, b2, b3)
 			cq := c[i*n+j : i*n+j+4]
 			cq[0] = scaleAdd(cq[0], s0, alpha, beta)
 			cq[1] = scaleAdd(cq[1], s1, alpha, beta)
@@ -293,9 +203,9 @@ func gemmNT[T storage](m, n, k int, alpha float32, a []T, lda int, b []T, ldb in
 		}
 	}
 	for ; j < n; j++ {
-		bj := row(bw, ldb, j)
+		bj := row(b, ldb, j)
 		for i := 0; i < m; i++ {
-			c[i*n+j] = scaleAdd(c[i*n+j], pairwiseDot(row(aw, lda, i), bj), alpha, beta)
+			c[i*n+j] = scaleAdd(c[i*n+j], pairwiseDot(row(a, lda, i), bj), alpha, beta)
 		}
 	}
 }

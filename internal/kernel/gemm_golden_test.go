@@ -55,16 +55,14 @@ func hashBits(c []float32) uint64 {
 // goldenGemm computes rows [lo, lo+m) of one product with the exported kernel
 // of its transpose case and storage, slicing or offsetting A the way
 // tensor.Gemm's row-range parallelism does. a and b hold the float32 operands
-// (for f16, the widened halves: the doubly-transposed case has no binary16
-// kernel of its own and runs GemmTT on those).
+// (for f16, the widened halves: the transposed-A cases have no binary16
+// kernel of their own and run GemmTN and GemmTT on those).
 func goldenGemm(tcase string, f16 bool, m, n, k int, alpha float32, a []float32, ah []uint16, lda, off, lo int, b []float32, bh []uint16, beta float32, c []float32) {
 	switch {
 	case tcase == "NN" && f16:
 		GemmNNHalf(m, n, k, alpha, ah[lo*k:(lo+m)*k], bh, beta, c)
 	case tcase == "NN":
 		GemmNN(m, n, k, alpha, a[lo*k:(lo+m)*k], b, beta, c)
-	case tcase == "TN" && f16:
-		GemmTNHalf(m, n, k, alpha, ah, lda, off+lo, bh, beta, c)
 	case tcase == "TN":
 		GemmTN(m, n, k, alpha, a, lda, off+lo, b, beta, c)
 	case tcase == "NT" && f16:

@@ -2,10 +2,10 @@ package kernel
 
 import "math"
 
-// IEEE 754 binary16 converters. Halves are *stored* as uint16; every
-// arithmetic operation widens to float32 first (gemm.go's widenTile), and
-// binary16→binary32 widening is exact, so the only precision loss of a
-// binary16 value is the one rounding that made it.
+// IEEE 754 binary16 converters. Halves are *stored* as uint16 and have no
+// arithmetic of their own here: binary16→binary32 widening is exact, so a
+// binary16 value is a float32 that went through one rounding, and that
+// rounding is its only precision loss.
 //
 // The conversion scalars use the branch-light "magic number" algorithms
 // (round-to-nearest-even on encode, exact on decode, subnormals and NaN
@@ -13,8 +13,9 @@ import "math"
 // store would hand back, held in float32 — and is what the hot paths call:
 // the fp16 gradient wire and the F16 layers' GEMM operands (internal/nn).
 // The batched EncodeHalf/DecodeHalf inline the common normal-value path and
-// serve tensor.PackHalf, the binary16 GEMM panels and the compress FP16
-// codec, none of which a layer or the engine's wire calls any more.
+// serve tensor.PackHalf/GemmHalf, the binary16 GEMM entry points (one decode
+// of each operand, widenHalves) and the compress FP16 wrappers, none of
+// which a layer or the engine's wire calls.
 
 // halfSubMagic is 2^-14, the smallest normal binary16 magnitude. Subtracting
 // it renormalizes a decoded subnormal exactly; adding 0.5 (its bits appear in
@@ -102,6 +103,14 @@ func DecodeHalf(dst []float32, src []uint16) {
 			dst[i] = HalfToFloat32(h)
 		}
 	}
+}
+
+// widenHalves returns src decoded into a fresh float32 slice: how the
+// binary16 GEMM entry points meet the f32 kernels.
+func widenHalves(src []uint16) []float32 {
+	dst := make([]float32, len(src))
+	DecodeHalf(dst, src)
+	return dst
 }
 
 // RoundHalf rounds x through binary16 in place: x[i] becomes

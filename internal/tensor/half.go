@@ -11,13 +11,12 @@ import (
 // the GEMM operands carry (each rounded once to binary16, accumulation in
 // float32), following the mixed-precision recipe of Akiba et al. that the
 // paper cites for NVIDIA's half-precision DGX-1 result. There the halves
-// feed half-precision arithmetic units; on this host they would be widened
-// back to float32 to run the F32 path's own instructions, so the layers
-// skip the half storage altogether: they round each operand through binary16
-// in float32 scratch (kernel.RoundHalf) and run the F32 kernels. F16 thus
-// reproduces the recipe's numerics (one rounding per operand, loss scaling)
-// at the cost of one rounding pass per operand; it does not halve the
-// operand bytes and cannot out-run F32.
+// feed half-precision arithmetic units; on this host binary16 has no
+// arithmetic, so it is a rounding, not a type: the layers round each operand
+// through binary16 in float32 scratch (kernel.RoundHalf) and run the F32
+// kernels. F16 thus reproduces the recipe's numerics (one rounding per
+// operand, loss scaling) at the cost of one rounding pass per operand; it
+// does not halve the operand bytes and cannot out-run F32.
 type Precision int
 
 const (
@@ -27,8 +26,8 @@ const (
 	// accumulates in float32. Deterministic: a fixed one-rounding pass per
 	// operand plus the kernels' fixed accumulation order, so results are
 	// bit-identical under any worker count, chunking or topology — and to
-	// GemmHalf over the packed operands — but (deliberately) not equal to
-	// the F32 path's bits.
+	// GemmHalf over the packed operands, which widens them and runs Gemm —
+	// but (deliberately) not equal to the F32 path's bits.
 	F16
 )
 
@@ -58,8 +57,8 @@ func ParsePrecision(s string) (Precision, error) {
 
 // Half is a dense, contiguous, row-major binary16 buffer with a shape. It
 // deliberately mirrors Tensor's transparent representation. No layer holds
-// one any more (the F16 layers round in float32, see Precision); it remains
-// the operand type of GemmHalf and PackHalf.
+// one (the F16 layers round in float32, see Precision); it is the packed
+// form benchmark/'s probes build with PackHalf and time through GemmHalf.
 type Half struct {
 	Shape []int
 	Data  []uint16
@@ -87,4 +86,11 @@ func PackHalf(h *Half, src *Tensor) {
 	}
 	h.Data = h.Data[:n]
 	kernel.EncodeHalf(h.Data, src.Data)
+}
+
+// widen decodes h into a float32 tensor of its shape (GemmHalf's operands).
+func (h *Half) widen() *Tensor {
+	t := &Tensor{Shape: h.Shape, Data: make([]float32, len(h.Data))}
+	kernel.DecodeHalf(t.Data, h.Data)
+	return t
 }

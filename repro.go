@@ -30,7 +30,7 @@
 //	internal/core       the large-batch Trainer (the paper's recipe)
 //	internal/harness    one function per paper table/figure
 //	internal/async      asynchronous parameter-server baseline (one loop)
-//	internal/compress   1-bit quantizer with error feedback, FP16 slices
+//	internal/compress   FP16 slice converters (the packed wire form)
 //	internal/checkpoint binary snapshots with bit-identical resume
 //	internal/serve      dynamic-batching inference scheduler + replica pool
 //
