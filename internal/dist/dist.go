@@ -27,17 +27,20 @@
 //     forward/backward, one bucket reduction (codec pass, schedule,
 //     weighted accumulate) and one evaluation; one ledger (Report, kept
 //     for the run and for the last step and written through a single add);
-//     and one topology: a flat Config.Algo world is the P×1 Hierarchy, so
-//     every schedule is priced by the same two-tier closed forms. Around
-//     that: weight broadcast, gradient bucketing (chunked reduction, the
-//     overlap-friendly granularity real frameworks use), bucket reductions
-//     overlapped with the backward pass (Config.Overlap: each bucket's
-//     allreduce fires the moment its last covering parameter's gradient
-//     lands, driven by nn.Network's gradient-ready notification, with the
-//     schedule split into hidden vs exposed in OverlapStats), optional
-//     payload compression (internal/compress 1-bit SGD or FP16 via the
-//     Codec hook) and deterministic fault injection (dropped payloads are
-//     re-requested, straggling workers are awaited) for scenario diversity;
+//     one topology: a flat Config.Algo world is the P×1 Hierarchy, so
+//     every schedule is priced by the same two-tier closed forms; and one
+//     parameter layout: every Param.W and Param.G views a run of the
+//     engine's flat vectors, so a backward writes its shard's gradient in
+//     place and a weight broadcast is one copy per replica. Around that:
+//     gradient bucketing (chunked reduction, the overlap-friendly
+//     granularity real frameworks use), bucket reductions overlapped with
+//     the backward pass (Config.Overlap: each bucket's allreduce fires the
+//     moment its last covering parameter's gradient lands, driven by
+//     nn.Network's gradient-ready notification, with the schedule split
+//     into hidden vs exposed in OverlapStats), optional payload compression
+//     (FP16Codec or OneBitCodec 1-bit SGD via the Codec hook) and
+//     deterministic fault injection (dropped payloads are re-requested,
+//     straggling workers are awaited) for scenario diversity;
 //
 //   - elastic membership (Config.Elastic): when the fault plan kills a
 //     worker permanently (FaultPlan.Dead — the preemptible-node scenario),

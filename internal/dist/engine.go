@@ -48,7 +48,7 @@ type Config struct {
 	// nn.Network.Backward drives an overlap scheduler that launches a
 	// bucket's allreduce the moment its last covering parameter lands.
 	// Values stay canonical and bit-identical to the non-overlapped path
-	// (same per-coordinate arithmetic, same codec state); what changes is
+	// (same backward, arithmetic and codec state); what changes is
 	// when the collectives run and how they are accounted: OverlapStats
 	// splits every step's rounds and bytes into hidden (reduced inside
 	// the backward) versus exposed (the bucket covering the first
@@ -201,6 +201,12 @@ func (c Config) Validate(workers int) error {
 // Config.SyncEvery the caller runs LocalStep instead; both entry points are
 // bodies of one step template.)
 //
+// Parameters live in the engine's flat vectors: each replica's Param.W
+// tensors view one weight vector, a shard's backward writes straight into
+// its flat gradient, and the master's Param.G views the reduced vector.
+// The *tensor.Tensor values never change, so parameter lists taken before
+// the first step stay valid; the views outlive Close.
+//
 // The engine is not safe for concurrent use; like the replicas it owns, it
 // belongs to one training loop. Close releases the worker goroutines.
 type Engine struct {
@@ -234,18 +240,15 @@ type Engine struct {
 	nodes [][]int
 	sizes []int
 
-	// Overlap-scheduler structures (see Config.Overlap). paramOffs maps
-	// master parameter index to its flat-gradient offset; paramBuckets
+	// Overlap-scheduler structures (see Config.Overlap). paramBuckets
 	// lists the buckets each parameter's coordinates fall into;
 	// coverCount is the number of parameters covering each bucket; and
 	// bucketHidden marks the buckets that become ready strictly before
 	// the backward pass ends (they do not cover parameter 0, the last
 	// gradient to land).
-	paramOffs    []int
 	paramBuckets [][]int
 	coverCount   []int
 	bucketHidden []bool
-	curSlot      []int          // per worker: logical shard being back-propagated
 	remaining    []atomic.Int64 // per bucket: outstanding (shard, param) landings
 	readyCh      chan int       // per step: buckets whose gradients are final
 
@@ -253,17 +256,17 @@ type Engine struct {
 	done chan error
 	wg   sync.WaitGroup
 
-	grads  [][]float32 // per logical shard: flat gradient
-	losses []float64   // per logical shard: mean loss over the shard
-	evalOK []int       // per worker: correct predictions of the last eval
+	weights [][]float32 // per replica: the flat weights its Param.W tensors view
+	grads   [][]float32 // per logical shard: the flat gradient its backward writes
+	losses  []float64   // per logical shard: mean loss over the shard
+	evalOK  []int       // per worker: correct predictions of the last eval
 
 	// Local-SGD machinery (see Config.SyncEvery). localSteppers holds one
 	// optimizer per replica, stepped by the worker goroutines inside
-	// jobLocal; localBuf is per-worker flat scratch, holding the locally
-	// reduced gradient during the step and the flattened weights at sync
-	// boundaries.
+	// jobLocal; localGrads holds each worker's gradient reduced over its
+	// own shards, which its Param.G tensors view while it steps.
 	localSteppers []Stepper
-	localBuf      [][]float32
+	localGrads    [][]float32
 
 	reduced    []float32 // scratch: canonically reduced flat gradient
 	steps      int64
@@ -289,7 +292,6 @@ type jobKind int
 const (
 	jobGrad jobKind = iota
 	jobEval
-	jobSync
 	jobLocal
 )
 
@@ -303,10 +305,11 @@ type job struct {
 	lr     float64  // learning rate of a local optimizer step (jobLocal)
 }
 
-// NewEngine builds an engine over the given replicas (one per worker; at
-// least one required) and synchronizes their weights to the master
-// (replicas[0]) so all workers start from identical parameters. It panics
-// with Config.Validate's error on a configuration that cannot run.
+// NewEngine builds an engine over the given replicas (one per worker, at
+// least one), re-homes their parameters into its flat vectors and copies
+// the master's (replicas[0]) weights to the others. It panics with
+// Config.Validate's error, or if a parameter's size differs from the
+// master's.
 func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 	if err := cfg.Validate(len(replicas)); err != nil {
 		panic(err)
@@ -369,14 +372,25 @@ func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 	// engine it is bit-identical to.
 	e.reform()
 	e.total.Membership.StepsAtWorld = make([]int64, len(replicas)+1)
-	for w, r := range replicas {
-		e.params[w] = r.Params()
-		if len(e.params[w]) != len(e.params[0]) {
-			panic(fmt.Sprintf("dist: replica %d has %d params, master has %d", w, len(e.params[w]), len(e.params[0])))
-		}
-	}
-	for _, p := range e.params[0] {
+	for _, p := range replicas[0].Params() {
 		e.nparams += p.Numel()
+	}
+	e.weights = make([][]float32, len(replicas))
+	for w, r := range replicas {
+		ps := r.Params()
+		e.params[w] = ps
+		if len(ps) != len(e.params[0]) {
+			panic(fmt.Sprintf("dist: replica %d has %d params, master has %d", w, len(ps), len(e.params[0])))
+		}
+		flat := make([]float32, 0, e.nparams)
+		for i, p := range ps {
+			if n, want := p.Numel(), e.params[0][i].Numel(); n != want {
+				panic(fmt.Sprintf("dist: replica %d param %d (%s) has %d elements, master's has %d", w, i, p.Name, n, want))
+			}
+			flat = append(flat, p.W.Data...)
+		}
+		e.weights[w] = flat
+		view(flat, ps, weightOf)
 	}
 	e.buckets = BucketRanges(e.nparams, cfg.BucketElems)
 	for s := range e.grads {
@@ -385,11 +399,9 @@ func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 	e.reduced = make([]float32, e.nparams)
 	if cfg.Overlap {
 		e.mapBuckets()
-		e.curSlot = make([]int, len(replicas))
 		e.remaining = make([]atomic.Int64, len(e.buckets))
-		for w := range replicas {
-			w := w
-			replicas[w].SetGradNotify(func(param int) { e.gradReady(w, param) })
+		for _, r := range replicas {
+			r.SetGradNotify(e.gradReady)
 		}
 	}
 
@@ -399,9 +411,7 @@ func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 			e.startWorker(w)
 		}
 	}
-	if err := e.BroadcastWeights(); err != nil {
-		panic(err) // replicas were just validated to share the architecture
-	}
+	e.BroadcastWeights()
 	e.profActive = true // the profile covers training steps, not construction
 	return e
 }
@@ -435,9 +445,9 @@ func BucketRanges(n, elems int) [][2]int {
 // land in reverse order, only buckets covering parameter 0 wait for the very
 // end of the backward — every other bucket is overlap-eligible (hidden).
 func (e *Engine) mapBuckets() {
-	e.paramOffs = make([]int, len(e.params[0])+1)
+	offs := make([]int, len(e.params[0])+1)
 	for i, p := range e.params[0] {
-		e.paramOffs[i+1] = e.paramOffs[i] + p.Numel()
+		offs[i+1] = offs[i] + p.Numel()
 	}
 	e.paramBuckets = make([][]int, len(e.params[0]))
 	e.coverCount = make([]int, len(e.buckets))
@@ -446,7 +456,7 @@ func (e *Engine) mapBuckets() {
 	for bi, b := range e.buckets {
 		first := -1
 		for pi := cursor; pi < len(e.params[0]); pi++ {
-			plo, phi := e.paramOffs[pi], e.paramOffs[pi+1]
+			plo, phi := offs[pi], offs[pi+1]
 			if plo >= b[1] {
 				break
 			}
@@ -467,15 +477,12 @@ func (e *Engine) mapBuckets() {
 }
 
 // gradReady is the per-parameter notification nn.Network.Backward fires on
-// worker w: it copies the now-final parameter gradient of the shard the
-// worker is back-propagating into the flat shard gradient, and hands every
-// bucket whose last covering (shard, parameter) pair just landed to the
+// every replica under Config.Overlap: parameter pi's gradient is final in
+// the shard's flat gradient, so it counts down the buckets pi covers and
+// hands each bucket whose last (shard, parameter) pair just landed to the
 // overlap scheduler. The atomic countdown plus the buffered channel give the
 // scheduler a happens-before edge over all shard writes it will read.
-func (e *Engine) gradReady(w, pi int) {
-	slot := e.curSlot[w]
-	off := e.paramOffs[pi]
-	copy(e.grads[slot][off:e.paramOffs[pi+1]], e.params[w][pi].G.Data)
+func (e *Engine) gradReady(pi int) {
 	for _, bi := range e.paramBuckets[pi] {
 		if e.remaining[bi].Add(-1) == 0 {
 			e.readyCh <- bi
@@ -522,19 +529,20 @@ func (e *Engine) Close() {
 // startWorker gives worker w a fresh job channel and a goroutine draining
 // it — at construction for the initial members, and again when an evicted
 // (or never-started) worker joins the collective. The old goroutine, if
-// any, exited when its channel was closed by evict.
+// any, exited when evict closed its channel; each ranges over the channel
+// it is handed, so only the driving goroutine touches e.jobs.
 func (e *Engine) startWorker(w int) {
 	e.jobs[w] = make(chan job)
 	e.wg.Add(1)
-	go e.worker(w)
+	go e.worker(w, e.jobs[w])
 }
 
 // worker is the lockstep loop of one persistent worker goroutine.
-func (e *Engine) worker(w int) {
+func (e *Engine) worker(w int, jobs <-chan job) {
 	defer e.wg.Done()
 	net := e.replicas[w]
 	loss := &nn.SoftmaxCrossEntropy{}
-	for j := range e.jobs[w] {
+	for j := range jobs {
 		e.done <- e.run(w, net, loss, j)
 	}
 }
@@ -571,17 +579,14 @@ func (e *Engine) run(w int, net *nn.Network, loss *nn.SoftmaxCrossEntropy, j job
 			}
 		}
 		e.evalOK[w] = correct
-	case jobSync:
-		if w != 0 {
-			net.CopyWeightsFrom(e.replicas[0])
-		}
 	}
 	return nil
 }
 
 // shardGradients runs forward/backward on every non-empty shard the job
 // assigns worker w, leaving each shard's mean loss in e.losses and its flat
-// gradient in e.grads — the worker half of both step entry points.
+// gradient in e.grads, written in place through the replica's Param.G views
+// — the worker half of both step entry points.
 func (e *Engine) shardGradients(w int, net *nn.Network, loss *nn.SoftmaxCrossEntropy, j job) {
 	for _, slot := range j.slots {
 		lo, hi := j.spans[slot][0], j.spans[slot][1]
@@ -589,7 +594,8 @@ func (e *Engine) shardGradients(w int, net *nn.Network, loss *nn.SoftmaxCrossEnt
 			continue
 		}
 		x, labels := sliceRows(j.x, j.labels, lo, hi)
-		net.ZeroGrad()
+		clear(e.grads[slot])
+		view(e.grads[slot], e.params[w], gradOf)
 		out := net.Forward(x, true)
 		e.losses[slot] = loss.Forward(out, labels)
 		dl := loss.Backward()
@@ -601,16 +607,7 @@ func (e *Engine) shardGradients(w int, net *nn.Network, loss *nn.SoftmaxCrossEnt
 				dl.Data[i] *= s
 			}
 		}
-		if e.cfg.Overlap {
-			// gradReady flattens per parameter as Backward lands them,
-			// feeding the overlap scheduler. (A local step has no bucket
-			// countdown armed; the flattening is all it uses.)
-			e.curSlot[w] = slot
-			net.Backward(dl)
-		} else {
-			net.Backward(dl)
-			flatten(e.grads[slot], e.params[w], gradOf)
-		}
+		net.Backward(dl)
 	}
 }
 
@@ -622,25 +619,18 @@ func sliceRows(x *tensor.Tensor, labels []int, lo, hi int) (*tensor.Tensor, []in
 	return tensor.FromSlice(x.Data[lo*rowLen:hi*rowLen], shape...), labels[lo:hi]
 }
 
-// gradOf and weightOf name the tensor of a parameter a flat vector mirrors.
+// gradOf and weightOf name the tensor of a parameter a flat vector backs.
 func gradOf(p *nn.Param) *tensor.Tensor   { return p.G }
 func weightOf(p *nn.Param) *tensor.Tensor { return p.W }
 
-// flatten copies every parameter's gradient (or weights) into one flat
-// vector; scatter copies a flat vector back.
-func flatten(dst []float32, params []*nn.Param, of func(*nn.Param) *tensor.Tensor) {
+// view points the named tensor of every parameter at its run of flat, in
+// Params() order — no copy: the tensor's values become flat's.
+func view(flat []float32, params []*nn.Param, of func(*nn.Param) *tensor.Tensor) {
 	off := 0
 	for _, p := range params {
-		copy(dst[off:off+p.Numel()], of(p).Data)
-		off += p.Numel()
-	}
-}
-
-func scatter(src []float32, params []*nn.Param, of func(*nn.Param) *tensor.Tensor) {
-	off := 0
-	for _, p := range params {
-		copy(of(p).Data, src[off:off+p.Numel()])
-		off += p.Numel()
+		n := p.Numel()
+		of(p).Data = flat[off : off+n : off+n]
+		off += n
 	}
 }
 
@@ -823,7 +813,7 @@ func (e *Engine) ComputeGradient(x *tensor.Tensor, labels []int) (float64, error
 				payloads[bi] = e.reduceBucket(&d, bi, live, e.grads, weights, false)
 			}
 		}
-		scatter(e.reduced, e.params[0], gradOf)
+		view(e.reduced, e.params[0], gradOf)
 		e.injectFaults(&d, payloads)
 		e.add(d)
 		return nil
@@ -831,8 +821,8 @@ func (e *Engine) ComputeGradient(x *tensor.Tensor, labels []int) (float64, error
 }
 
 // reduceBucket reduces bucket bi of the source vectors bufs[id], id ∈ ids —
-// the live shards' gradients, or the active workers' flattened weights at a
-// local-SGD averaging round — into e.reduced: the optional codec rounds
+// the live shards' gradients, or the active workers' weights at a local-SGD
+// averaging round — into e.reduced: the optional codec rounds
 // every source's payload through its wire format, the schedule of the
 // topology is accounted into d (hidden when the overlap scheduler fired the
 // bucket inside the backward pass), and the weighted sum lands in the
@@ -970,17 +960,18 @@ func (e *Engine) injectFaults(d *Report, payloads []int64) {
 	}
 }
 
-// BroadcastWeights resynchronizes every replica's parameters from the
-// master — the weight-distribution phase following the optimizer step —
-// and accounts the broadcast schedule per bucket (always exposed: it runs
-// after the optimizer step). A worker failure (architecture drift between
-// replicas) is returned so the training loop can abort the step cleanly
-// instead of crashing the process.
+// BroadcastWeights resynchronizes every active replica's parameters from
+// the master — the weight-distribution phase following the optimizer step,
+// one copy of the master's flat weights per replica — and accounts the
+// broadcast schedule per bucket (always exposed: it runs after the
+// optimizer step). The error is always nil: NewEngine checked the layout.
 func (e *Engine) BroadcastWeights() error {
 	return e.window(func() error {
-		if err := e.dispatch(e.activeIDs(e.steps), func(int) job { return job{kind: jobSync} }); err != nil {
-			return err
+		var bufs [][]float32 // the master's first: activeIDs ascends
+		for _, w := range e.activeIDs(e.steps) {
+			bufs = append(bufs, e.weights[w])
 		}
+		fanOut(bufs)
 		var d Report
 		for _, bucket := range e.buckets {
 			d.file(HierBroadcastSchedule(e.topo, e.sizes, 4*int64(bucket[1]-bucket[0])), false)

@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/opt"
 	"repro/internal/tensor"
 )
 
@@ -561,4 +563,135 @@ func TestCloseIdempotent(t *testing.T) {
 	e := newEngine(dist.Config{}, 2, factory)
 	e.Close()
 	e.Close()
+}
+
+// TestNewEngineRejectsMismatchedLayout: every replica's parameters view
+// runs of one flat vector laid out like the master's, so NewEngine refuses a
+// replica whose parameter count matches but one parameter's size does not,
+// naming the replica and the parameter.
+func TestNewEngineRejectsMismatchedLayout(t *testing.T) {
+	_, _, factory := testTask(8)
+	wider := models.NewMLP(models.MicroConfig{Classes: 4, InC: 3, InH: 8, InW: 8, Width: 5, Seed: 3})
+	replicas := []*nn.Network{factory(1), factory(2), wider}
+	if got, want := len(wider.Params()), len(replicas[0].Params()); got != want {
+		t.Fatalf("wider MLP has %d params, want the master's %d", got, want)
+	}
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		dist.NewEngine(dist.Config{}, replicas)
+		return ""
+	}()
+	if !strings.Contains(msg, "replica 2") || !strings.Contains(msg, "param 0") {
+		t.Fatalf("NewEngine panic %q does not name replica 2 and param 0", msg)
+	}
+}
+
+// TestReplicasOutliveTheirEngine: an engine re-homes its replicas'
+// parameters into its own flat vectors, and the replicas keep those views
+// after Close. A second engine over the same replicas must step exactly like
+// one over fresh replicas holding the first engine's final master weights:
+// re-homing copies the values, and no stale gradient view into the closed
+// engine's vectors is ever read.
+func TestReplicasOutliveTheirEngine(t *testing.T) {
+	x, labels, factory := testTask(32)
+	step := func(e *dist.Engine) (float64, []float32) {
+		t.Helper()
+		loss, err := e.ComputeGradient(x, labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grad := flatGrad(e)
+		opt.NewSGD(e.Master().Params(), opt.SGDConfig{Momentum: 0.9, WeightDecay: 0.0005}).Step(0.05)
+		if err := e.BroadcastWeights(); err != nil {
+			t.Fatal(err)
+		}
+		return loss, grad
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  dist.Config
+	}{
+		{"plain", dist.Config{Algo: dist.Ring}},
+		{"overlap-fp16", dist.Config{Algo: dist.Tree, BucketElems: 64, Overlap: true, Codec: dist.FP16Codec{}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			replicas := make([]*nn.Network, 3)
+			for i := range replicas {
+				replicas[i] = factory(1 + uint64(i)*7919)
+			}
+			a := dist.NewEngine(tc.cfg, replicas)
+			for range 3 {
+				step(a)
+			}
+			a.Close()
+			final := flatWeights(replicas[0])
+
+			b := dist.NewEngine(tc.cfg, replicas)
+			defer b.Close()
+			fresh := make([]*nn.Network, len(replicas))
+			for i := range fresh {
+				fresh[i] = factory(100 + uint64(i))
+			}
+			fresh[0].CopyWeightsFrom(replicas[0])
+			ref := dist.NewEngine(tc.cfg, fresh)
+			defer ref.Close()
+			for w := range replicas {
+				for _, n := range []*nn.Network{replicas[w], fresh[w]} {
+					if i := sameBits(flatWeights(n), final); i >= 0 {
+						t.Fatalf("replica %d weight %d differs from the first engine's final master weights after construction", w, i)
+					}
+				}
+			}
+
+			loss, grad := step(b)
+			refLoss, refGrad := step(ref)
+			if loss != refLoss {
+				t.Fatalf("loss %v differs bitwise from the fresh engine's %v", loss, refLoss)
+			}
+			if n := sameBits(grad, refGrad); n >= 0 {
+				t.Fatalf("reduced gradient coord %d = %v, fresh engine's %v", n, grad[n], refGrad[n])
+			}
+			for w := range replicas {
+				got, want := flatWeights(replicas[w]), flatWeights(fresh[w])
+				if n := sameBits(got, want); n >= 0 {
+					t.Fatalf("replica %d weight %d = %v after the broadcast, fresh engine's %v", w, n, got[n], want[n])
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEngineStep times one synchronous step of the train_fc_comm
+// shape — a width-64 MLP on 3×24×24 inputs over 8 classes, 2 replicas, a
+// ring, the fp16 wire and 65536-element buckets overlapped with the
+// backward at batch 16: ComputeGradient, then BroadcastWeights. It is the
+// engine-only per-step probe; the optimizer step is left out.
+func BenchmarkEngineStep(b *testing.B) {
+	ds := data.GenerateSynth(data.SynthConfig{
+		Classes: 8, TrainSize: 16, TestSize: 8,
+		C: 3, H: 24, W: 24, Noise: 0.25, MaxShift: 1, Seed: 7,
+	})
+	idx := make([]int, 16)
+	for i := range idx {
+		idx[i] = i
+	}
+	x, labels := ds.Train.MustGather(idx)
+	replicas := make([]*nn.Network, 2)
+	for i := range replicas {
+		replicas[i] = models.NewMLP(models.MicroConfig{Classes: 8, InC: 3, InH: 24, InW: 24, Width: 64, Seed: 1 + uint64(i)})
+	}
+	e := dist.NewEngine(dist.Config{
+		Algo: dist.Ring, Codec: dist.FP16Codec{}, BucketElems: 65536, Overlap: true,
+	}, replicas)
+	defer e.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := e.ComputeGradient(x, labels); err != nil {
+			b.Fatal(err)
+		}
+		if err := e.BroadcastWeights(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

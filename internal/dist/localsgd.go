@@ -66,8 +66,9 @@ func (s *LocalSGDStats) Add(o LocalSGDStats) {
 }
 
 // SetLocalSteppers installs one local optimizer per replica — the workers
-// step them inside LocalStep, each on its own replica's parameters. Must
-// be called before the first LocalStep. Call it between steps only, like
+// step them inside LocalStep, each on its own replica's parameters, whose
+// Param.G views the worker's local gradient while it steps. Must be called
+// before the first LocalStep. Call it between steps only, like
 // SetLossScale: the job channels provide the happens-before edge.
 func (e *Engine) SetLocalSteppers(steppers []Stepper) {
 	if len(steppers) != len(e.replicas) {
@@ -79,10 +80,10 @@ func (e *Engine) SetLocalSteppers(steppers []Stepper) {
 		}
 	}
 	e.localSteppers = steppers
-	if e.localBuf == nil {
-		e.localBuf = make([][]float32, len(e.replicas))
-		for w := range e.localBuf {
-			e.localBuf[w] = make([]float32, e.nparams)
+	if e.localGrads == nil {
+		e.localGrads = make([][]float32, len(e.replicas))
+		for w := range e.localGrads {
+			e.localGrads[w] = make([]float32, e.nparams)
 		}
 	}
 }
@@ -136,10 +137,10 @@ func (e *Engine) LocalStep(x *tensor.Tensor, labels []int, lr float64) (float64,
 
 // localReduceStep is the worker-side tail of a jobLocal: reduce the
 // gradients of the worker's own shards — sample-weighted over the rows it
-// computed, canonical slot order — into its replica's parameter gradients,
-// then step its local optimizer. Runs on the worker goroutine; it touches
-// only worker-owned state (its shards' gradients, its scratch, its
-// replica, its stepper).
+// computed, canonical slot order — into its local gradient vector, point its
+// replica's parameter gradients at it, then step its local optimizer. Runs
+// on the worker goroutine; it touches only worker-owned state (its shards'
+// gradients, its local gradient, its replica, its stepper).
 func (e *Engine) localReduceStep(w int, j job) {
 	var owned int
 	var srcs [][]float32
@@ -157,8 +158,8 @@ func (e *Engine) localReduceStep(w int, j job) {
 	for i := range weights {
 		weights[i] /= float64(owned)
 	}
-	e.accumulate(e.localBuf[w], srcs, weights)
-	scatter(e.localBuf[w], e.params[w], gradOf)
+	e.accumulate(e.localGrads[w], srcs, weights)
+	view(e.localGrads[w], e.params[w], gradOf)
 	e.localSteppers[w].Step(j.lr)
 }
 
@@ -172,23 +173,21 @@ func uniform(n int) []float64 {
 }
 
 // syncRound runs one full weight-averaging round over the active workers:
-// flatten every worker's parameters, reduce them bucket by bucket exactly
-// like a gradient reduction (codec-rounded on the wire, the reduce schedule
-// accounted) but uniformly weighted in canonical worker order into the
-// master, roll the fault plan — the only point the eviction clock ticks in
-// local mode — and rebroadcast. All of it is exposed: a sync round is a
-// barrier, there is no backward pass to hide inside.
+// reduce their flat weights bucket by bucket exactly like a gradient
+// reduction (codec-rounded on the wire, the reduce schedule accounted) but
+// uniformly weighted in canonical worker order into the master, roll the
+// fault plan — the only point the eviction clock ticks in local mode — and
+// rebroadcast. The codec rounds the weights in place; the average and the
+// broadcast overwrite every one it rounds. All of it is exposed: a sync
+// round is a barrier, there is no backward pass to hide inside.
 func (e *Engine) syncRound(active []int) error {
 	d := Report{LocalSGD: LocalSGDStats{SyncRounds: 1}}
-	for _, w := range active {
-		flatten(e.localBuf[w], e.params[w], weightOf)
-	}
 	weights := uniform(len(active))
 	payloads := make([]int64, len(e.buckets))
 	for bi := range e.buckets {
-		payloads[bi] = e.reduceBucket(&d, bi, active, e.localBuf, weights, false)
+		payloads[bi] = e.reduceBucket(&d, bi, active, e.weights, weights, false)
 	}
-	scatter(e.reduced, e.params[0], weightOf)
+	copy(e.weights[0], e.reduced)
 	e.injectFaults(&d, payloads)
 	e.add(d)
 	return e.BroadcastWeights()
@@ -199,16 +198,16 @@ func (e *Engine) syncRound(active []int) error {
 // intra fabric — leaders never exchange, so the inter tier stays silent.
 // The schedule is the intra half of the two-tier round (reduce plus
 // broadcast, priced at the live node sizes like every hierarchical
-// schedule), accounted exposed on the intra tier only.
+// schedule), accounted exposed on the intra tier only. The node averages
+// overwrite every weight vector the codec rounded in place.
 func (e *Engine) intraSyncRound(active []int) {
 	d := Report{LocalSGD: LocalSGDStats{IntraRounds: 1}}
 	activeSet := make(map[int]bool, len(active))
 	for _, w := range active {
 		activeSet[w] = true
-		flatten(e.localBuf[w], e.params[w], weightOf)
 	}
 	for bi, b := range e.buckets {
-		t := TierStats{Intra: e.reduceTiers(e.transform(bi, active, e.localBuf), len(active)).Intra}
+		t := TierStats{Intra: e.reduceTiers(e.transform(bi, active, e.weights), len(active)).Intra}
 		t.Intra.Add(HierBroadcastSchedule(e.topo, e.sizes, 4*int64(b[1]-b[0])).Intra)
 		d.file(t, false)
 	}
@@ -217,7 +216,7 @@ func (e *Engine) intraSyncRound(active []int) {
 		var srcs [][]float32
 		for _, m := range members {
 			if activeSet[m] {
-				srcs = append(srcs, e.localBuf[m])
+				srcs = append(srcs, e.weights[m])
 			}
 		}
 		if len(srcs) == 0 {
@@ -226,7 +225,7 @@ func (e *Engine) intraSyncRound(active []int) {
 		e.accumulate(e.reduced, srcs, uniform(len(srcs)))
 		for _, m := range members {
 			if activeSet[m] {
-				scatter(e.reduced, e.params[m], weightOf)
+				copy(e.weights[m], e.reduced)
 			}
 		}
 	}

@@ -491,7 +491,7 @@ func (e *Engine) admit(w int) {
 		e.alive[w] = true
 		e.startWorker(w)
 		if e.cfg.Overlap {
-			e.replicas[w].SetGradNotify(func(param int) { e.gradReady(w, param) })
+			e.replicas[w].SetGradNotify(e.gradReady)
 		}
 	}
 	e.add(Report{Membership: MembershipStats{
