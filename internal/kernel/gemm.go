@@ -163,11 +163,11 @@ func axpyRow(c []float32, s float32, b []float32) {
 // GemmNT computes C[m×n] = alpha·A[m×k]·op(B) + beta·C where op(B) column j
 // is row j of the row-major array b (so element (l, j) is b[j*k + l]).
 // Both operands of each output element are contiguous, so every element is
-// one fixed-tree multi-accumulator dot product (PairwiseDot) — breaking the
+// one fixed-tree multi-accumulator dot product (pairwiseDot) — breaking the
 // single-accumulator dependency chain of the naive loop while keeping each
 // output a pure function of its inputs. Columns go four at a time through
 // pairwiseDotQuad, which walks the same tree with one SSE pass per leaf
-// (dot_amd64.s), so the bits are those of one PairwiseDot per element.
+// (dot_amd64.s), so the bits are those of one pairwiseDot per element.
 func GemmNT(m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
 	GemmNTStrided(m, n, k, alpha, a, k, b, k, beta, c)
 }
@@ -181,7 +181,7 @@ func GemmNTHalf(m, n, k int, alpha float32, a, b []uint16, beta float32, c []flo
 // GemmNTStrided is GemmNT with row strides: row i of A is a[i*lda:i*lda+k]
 // and row j of B is b[j*ldb:j*ldb+k], so the k-wide window of a wider
 // row-major array is an operand in place (Conv2D's per-sample dW over a
-// block panel). Each element is the same PairwiseDot as GemmNT's.
+// block panel). Each element is the same pairwiseDot as GemmNT's.
 //
 // It walks C four columns at a time with the rows inside, so the four B
 // rows of a quad stay cache-resident while the A rows stream past them.

@@ -11,14 +11,14 @@
 //     from restructuring the per-coordinate source loop (a serial float64
 //     dependency chain) into blocked row-wise passes the CPU can pipeline.
 //
-//   - PairwiseSum / PairwiseSumSq / PairwiseDot / PairwiseAccumulate — a
-//     fixed-shape pairwise-tree float32 summation with unrolled
-//     multi-accumulator base blocks. The tree shape is a pure function of
-//     the input length (for the vector sums) or the source count (for
-//     Accumulate) — never of worker count, goroutine chunking, or slice
-//     position — so results are bit-identical however the surrounding code
-//     parallelizes or shards, while the error stays O(log n)·ε instead of
-//     the naive sum's O(n)·ε.
+//   - PairwiseSum / PairwiseSumAndSq / PairwiseSumAndDot /
+//     PairwiseAccumulate — a fixed-shape pairwise-tree float32 summation
+//     with unrolled multi-accumulator base blocks. The tree shape is a pure
+//     function of the input length (for the vector sums) or the source
+//     count (for Accumulate) — never of worker count, goroutine chunking,
+//     or slice position — so results are bit-identical however the
+//     surrounding code parallelizes or shards, while the error stays
+//     O(log n)·ε instead of the naive sum's O(n)·ε.
 //
 // Everything in this package is serial and allocation-free on the hot path
 // (a small pooled scratch backs the pairwise tree); callers own the
@@ -64,36 +64,78 @@ func PairwiseSum(x []float32) float32 {
 	return PairwiseSum(x[:h]) + PairwiseSum(x[h:])
 }
 
-// PairwiseSumSq returns the fixed-tree pairwise sum of x[i]², with the same
-// tree-shape contract as PairwiseSum.
-func PairwiseSumSq(x []float32) float32 {
+// PairwiseSumAndSq returns PairwiseSum(x) and the fixed-tree pairwise sum
+// of x[i]² in one pass: both walk the same splitPoint tree with the same
+// four-accumulator base case, so each is bit for bit the sum it would be
+// on its own, while x is read once.
+func PairwiseSumAndSq(x []float32) (sum, sq float32) {
 	if len(x) <= blockN {
-		var s0, s1, s2, s3 float32
+		var s0, s1, s2, s3, q0, q1, q2, q3 float32
 		i := 0
 		for ; i+4 <= len(x); i += 4 {
-			s0 += x[i] * x[i]
-			s1 += x[i+1] * x[i+1]
-			s2 += x[i+2] * x[i+2]
-			s3 += x[i+3] * x[i+3]
+			x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
+			s0 += x0
+			s1 += x1
+			s2 += x2
+			s3 += x3
+			q0 += x0 * x0
+			q1 += x1 * x1
+			q2 += x2 * x2
+			q3 += x3 * x3
 		}
 		for ; i < len(x); i++ {
-			s0 += x[i] * x[i]
+			s0 += x[i]
+			q0 += x[i] * x[i]
 		}
-		return (s0 + s1) + (s2 + s3)
+		return (s0 + s1) + (s2 + s3), (q0 + q1) + (q2 + q3)
 	}
 	h := splitPoint(len(x))
-	return PairwiseSumSq(x[:h]) + PairwiseSumSq(x[h:])
+	ls, lq := PairwiseSumAndSq(x[:h])
+	rs, rq := PairwiseSumAndSq(x[h:])
+	return ls + rs, lq + rq
 }
 
-// PairwiseDot returns the fixed-tree pairwise dot product Σ x[i]·y[i] for
-// equal-length slices, with the same tree-shape contract as PairwiseSum.
-func PairwiseDot(x, y []float32) float32 {
+// PairwiseSumAndDot returns PairwiseSum(x) and the fixed-tree pairwise dot
+// product Σ x[i]·y[i] (pairwiseDot's bits) in one pass over equal-length
+// slices, with PairwiseSumAndSq's one-tree contract.
+func PairwiseSumAndDot(x, y []float32) (sum, dot float32) {
 	if len(x) != len(y) {
-		panic("kernel: PairwiseDot length mismatch")
+		panic("kernel: PairwiseSumAndDot length mismatch")
 	}
-	return pairwiseDot(x, y)
+	return pairwiseSumAndDot(x, y)
 }
 
+func pairwiseSumAndDot(x, y []float32) (sum, dot float32) {
+	if len(x) <= blockN {
+		y = y[:len(x)]
+		var s0, s1, s2, s3, d0, d1, d2, d3 float32
+		i := 0
+		for ; i+4 <= len(x); i += 4 {
+			x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
+			s0 += x0
+			s1 += x1
+			s2 += x2
+			s3 += x3
+			d0 += x0 * y[i]
+			d1 += x1 * y[i+1]
+			d2 += x2 * y[i+2]
+			d3 += x3 * y[i+3]
+		}
+		for ; i < len(x); i++ {
+			s0 += x[i]
+			d0 += x[i] * y[i]
+		}
+		return (s0 + s1) + (s2 + s3), (d0 + d1) + (d2 + d3)
+	}
+	h := splitPoint(len(x))
+	ls, ld := pairwiseSumAndDot(x[:h], y[:h])
+	rs, rd := pairwiseSumAndDot(x[h:], y[h:])
+	return ls + rs, ld + rd
+}
+
+// pairwiseDot returns the fixed-tree pairwise dot product Σ x[i]·y[i] for
+// equal-length slices, with the same tree-shape contract as PairwiseSum. It
+// is the NT GEMM's per-element sum.
 func pairwiseDot(x, y []float32) float32 {
 	if len(x) <= blockN {
 		return baseDot(x, y)

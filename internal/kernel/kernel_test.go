@@ -66,16 +66,16 @@ func TestPairwiseSumMatchesReferenceShape(t *testing.T) {
 		for i, v := range x {
 			xsq[i] = v * v
 		}
-		if got, want := PairwiseSumSq(x), refPairwiseSum(xsq); got != want {
-			t.Fatalf("n=%d: PairwiseSumSq = %v, reference tree = %v", n, got, want)
+		if _, got := PairwiseSumAndSq(x); got != refPairwiseSum(xsq) {
+			t.Fatalf("n=%d: PairwiseSumAndSq's squares = %v, reference tree = %v", n, got, refPairwiseSum(xsq))
 		}
 		y := randVec(r, n)
 		xy := make([]float32, n)
 		for i := range xy {
 			xy[i] = x[i] * y[i]
 		}
-		if got, want := PairwiseDot(x, y), refPairwiseSum(xy); got != want {
-			t.Fatalf("n=%d: PairwiseDot = %v, reference tree = %v", n, got, want)
+		if _, got := PairwiseSumAndDot(x, y); got != refPairwiseSum(xy) {
+			t.Fatalf("n=%d: PairwiseSumAndDot's dot = %v, reference tree = %v", n, got, refPairwiseSum(xy))
 		}
 	}
 }
@@ -305,11 +305,62 @@ func TestCanonicalAccumulateBitCompat(t *testing.T) {
 	}
 }
 
-func TestPairwiseDotLengthMismatchPanics(t *testing.T) {
+func TestPairwiseSumAndDotLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("PairwiseDot accepted mismatched lengths")
+			t.Fatal("PairwiseSumAndDot accepted mismatched lengths")
 		}
 	}()
-	PairwiseDot(make([]float32, 3), make([]float32, 4))
+	PairwiseSumAndDot(make([]float32, 3), make([]float32, 4))
+}
+
+// pairwiseSumSq is the separate squared-sum kernel PairwiseSumAndSq
+// replaced, kept as written: the fused pass must reproduce its bits.
+func pairwiseSumSq(x []float32) float32 {
+	if len(x) <= blockN {
+		var s0, s1, s2, s3 float32
+		i := 0
+		for ; i+4 <= len(x); i += 4 {
+			s0 += x[i] * x[i]
+			s1 += x[i+1] * x[i+1]
+			s2 += x[i+2] * x[i+2]
+			s3 += x[i+3] * x[i+3]
+		}
+		for ; i < len(x); i++ {
+			s0 += x[i] * x[i]
+		}
+		return (s0 + s1) + (s2 + s3)
+	}
+	h := splitPoint(len(x))
+	return pairwiseSumSq(x[:h]) + pairwiseSumSq(x[h:])
+}
+
+// TestFusedPairwiseMatchSeparate holds the one-pass statistics kernels to
+// the separate sums they replaced, bit for bit: PairwiseSumAndSq to
+// PairwiseSum and pairwiseSumSq, PairwiseSumAndDot to PairwiseSum and
+// pairwiseDot, at every length through 1100 (the base case, the first
+// splits around 128 and 256, and BatchNorm's 12×12 and 24×24 planes), on
+// values of mixed magnitude with signed zeros and ties planted.
+func TestFusedPairwiseMatchSeparate(t *testing.T) {
+	r := rng.New(21)
+	for n := 0; n <= 1100; n++ {
+		x, y := randVec(r, n), randVec(r, n)
+		for i := range x {
+			switch i % 9 {
+			case 2:
+				x[i] = float32(math.Copysign(0, float64(x[i])))
+			case 5:
+				x[i] *= 1 << 12
+			case 7:
+				x[i] = x[i-1]
+			}
+		}
+		bits := math.Float32bits
+		if s, q := PairwiseSumAndSq(x); bits(s) != bits(PairwiseSum(x)) || bits(q) != bits(pairwiseSumSq(x)) {
+			t.Fatalf("n=%d: PairwiseSumAndSq = (%v, %v), separate (%v, %v)", n, s, q, PairwiseSum(x), pairwiseSumSq(x))
+		}
+		if s, d := PairwiseSumAndDot(x, y); bits(s) != bits(PairwiseSum(x)) || bits(d) != bits(pairwiseDot(x, y)) {
+			t.Fatalf("n=%d: PairwiseSumAndDot = (%v, %v), separate (%v, %v)", n, s, d, PairwiseSum(x), pairwiseDot(x, y))
+		}
+	}
 }

@@ -1,14 +1,20 @@
 package nn
 
 import (
+	"fmt"
+
+	"repro/internal/kernel"
 	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
-// ReLU is the rectified linear unit, y = max(x, 0).
+// ReLU is the rectified linear unit, y = max(x, 0), with the exact rule
+// x > 0 ? x : +0 (NaN and −0 give +0). It keeps no mask: Backward reads the
+// training Forward's output, since y > 0 exactly where x > 0, and releases
+// it. An eval Forward keeps nothing.
 type ReLU struct {
 	name string
-	mask []bool // true where the input was positive
+	y    *tensor.Tensor // the last training Forward's output, until Backward
 }
 
 // NewReLU returns a ReLU activation layer.
@@ -22,37 +28,24 @@ func (l *ReLU) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n := x.Numel()
-	if cap(l.mask) < n {
-		l.mask = make([]bool, n)
-	}
-	l.mask = l.mask[:n]
 	y := tensor.New(x.Shape...)
-	xd, yd, m := x.Data, y.Data, l.mask
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if xd[i] > 0 {
-				yd[i] = xd[i]
-				m[i] = true
-			} else {
-				yd[i] = 0
-				m[i] = false
-			}
-		}
-	})
+	xd, yd := x.Data, y.Data
+	par.For(len(yd), func(lo, hi int) { kernel.ReLU(yd[lo:hi], xd[lo:hi]) })
+	l.y = nil
+	if train {
+		l.y = y
+	}
 	return y
 }
 
 // Backward implements Layer.
 func (l *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	if l.y == nil {
+		panic(fmt.Sprintf("nn: %s: Backward without a training Forward", l.name))
+	}
 	dx := tensor.New(dout.Shape...)
-	dd, xd, m := dx.Data, dout.Data, l.mask
-	par.For(len(dd), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if m[i] {
-				dd[i] = xd[i]
-			}
-		}
-	})
+	dd, yd, gd := dx.Data, l.y.Data, dout.Data
+	par.For(len(dd), func(lo, hi int) { kernel.ReLUBackward(dd[lo:hi], yd[lo:hi], gd[lo:hi]) })
+	l.y = nil
 	return dx
 }

@@ -28,7 +28,8 @@ type BatchNorm struct {
 	// RunningMean and RunningVar are the inference-time statistics.
 	RunningMean, RunningVar *tensor.Tensor
 
-	// cached between Forward(train=true) and Backward
+	// cached between Forward(train=true) and Backward; xhat is nil after
+	// an eval Forward and after Backward
 	xhat    *tensor.Tensor
 	invStd  []float32
 	inShape []int
@@ -76,38 +77,46 @@ func (l *BatchNorm) channelLayout(x *tensor.Tensor) (n, area int) {
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. An eval Forward normalizes with the running
+// statistics and records nothing for Backward.
 func (l *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, area := l.channelLayout(x)
-	l.inShape = append(l.inShape[:0], x.Shape...)
-	l.spatial = x.Dims() == 4
 	y := tensor.New(x.Shape...)
-	if cap(l.invStd) < l.C {
-		l.invStd = make([]float32, l.C)
+	l.xhat = nil
+	var xhat []float32
+	if train {
+		l.inShape = append(l.inShape[:0], x.Shape...)
+		l.spatial = x.Dims() == 4
+		if cap(l.invStd) < l.C {
+			l.invStd = make([]float32, l.C)
+		}
+		l.invStd = l.invStd[:l.C]
+		l.xhat = tensor.New(x.Shape...)
+		xhat = l.xhat.Data
 	}
-	l.invStd = l.invStd[:l.C]
-	l.xhat = tensor.New(x.Shape...)
 
 	count := float64(n * area)
 	stride := l.C * area
+	xd, yd := x.Data, y.Data
 	gd, bd := l.Gamma.W.Data, l.Beta.W.Data
 
 	par.ForGrain(l.C, 1, func(clo, chi int) {
 		// Per-channel statistics reduce through the fixed-tree kernel sums:
-		// each sample's contiguous segment collapses first, then the
-		// per-sample partials collapse pairwise over the batch — one
-		// reduction discipline shared with the rest of the train path, and
-		// a pure function of (channel data, n), independent of chunking.
-		segSum := make([]float32, n)
-		segSq := make([]float32, n)
+		// each sample's contiguous segment collapses first (its sum and its
+		// sum of squares in one pass), then the per-sample partials collapse
+		// pairwise over the batch — one reduction discipline shared with the
+		// rest of the train path, and a pure function of (channel data, n),
+		// independent of chunking.
+		var segSum, segSq []float32
+		if train {
+			segSum, segSq = make([]float32, n), make([]float32, n)
+		}
 		for c := clo; c < chi; c++ {
 			var mean, variance float64
 			if train {
 				for s := 0; s < n; s++ {
 					base := s*stride + c*area
-					seg := x.Data[base : base+area]
-					segSum[s] = kernel.PairwiseSum(seg)
-					segSq[s] = kernel.PairwiseSumSq(seg)
+					segSum[s], segSq[s] = kernel.PairwiseSumAndSq(xd[base : base+area])
 				}
 				mean = float64(kernel.PairwiseSum(segSum)) / count
 				variance = float64(kernel.PairwiseSum(segSq))/count - mean*mean
@@ -123,16 +132,26 @@ func (l *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				variance = float64(l.RunningVar.Data[c])
 			}
 			inv := float32(1 / math.Sqrt(variance+float64(l.Eps)))
-			l.invStd[c] = inv
 			mu := float32(mean)
 			g, b := gd[c], bd[c]
 			for s := 0; s < n; s++ {
 				base := s*stride + c*area
-				for i := 0; i < area; i++ {
-					xh := (x.Data[base+i] - mu) * inv
-					l.xhat.Data[base+i] = xh
-					y.Data[base+i] = g*xh + b
+				xs, ys := xd[base:base+area], yd[base:base+area]
+				if train {
+					hs := xhat[base : base+area]
+					for i, v := range xs {
+						xh := (v - mu) * inv
+						hs[i] = xh
+						ys[i] = g*xh + b
+					}
+				} else {
+					for i, v := range xs {
+						ys[i] = g*((v-mu)*inv) + b
+					}
 				}
+			}
+			if train {
+				l.invStd[c] = inv
 			}
 		}
 	})
@@ -146,6 +165,9 @@ func (l *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 //
 // where M is the per-channel element count.
 func (l *BatchNorm) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	if l.xhat == nil {
+		panic(fmt.Sprintf("nn: %s: Backward without a training Forward", l.name))
+	}
 	n := l.inShape[0]
 	area := 1
 	if l.spatial {
@@ -154,36 +176,36 @@ func (l *BatchNorm) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	stride := l.C * area
 	m := float32(n * area)
 	dx := tensor.New(l.inShape...)
-	gd := l.Gamma.W.Data
+	dd, gd, xhat, dxd := dout.Data, l.Gamma.W.Data, l.xhat.Data, dx.Data
 	dgd, dbd := l.Gamma.G.Data, l.Beta.G.Data
 
 	par.ForGrain(l.C, 1, func(clo, chi int) {
-		// Σdy and Σdy·x̂ per channel through the same two-level fixed-tree
-		// kernel reduction as the forward statistics.
+		// Σdy and Σdy·x̂ per channel, in one pass per segment, through the
+		// same two-level fixed-tree kernel reduction as the forward
+		// statistics.
 		segDy := make([]float32, n)
 		segDyXhat := make([]float32, n)
 		for c := clo; c < chi; c++ {
 			for s := 0; s < n; s++ {
 				base := s*stride + c*area
-				segDy[s] = kernel.PairwiseSum(dout.Data[base : base+area])
-				segDyXhat[s] = kernel.PairwiseDot(dout.Data[base:base+area], l.xhat.Data[base:base+area])
+				segDy[s], segDyXhat[s] = kernel.PairwiseSumAndDot(dd[base:base+area], xhat[base:base+area])
 			}
 			sumDy := kernel.PairwiseSum(segDy)
 			sumDyXhat := kernel.PairwiseSum(segDyXhat)
 			dgd[c] += sumDyXhat
 			dbd[c] += sumDy
-			g := gd[c]
-			inv := l.invStd[c]
+			gi := gd[c] * l.invStd[c]
 			meanDy := sumDy / m
 			meanDyXhat := sumDyXhat / m
 			for s := 0; s < n; s++ {
 				base := s*stride + c*area
-				for i := 0; i < area; i++ {
-					xh := l.xhat.Data[base+i]
-					dx.Data[base+i] = g * inv * (dout.Data[base+i] - meanDy - xh*meanDyXhat)
+				ds, hs, xs := dd[base:base+area], xhat[base:base+area], dxd[base:base+area]
+				for i, d := range ds {
+					xs[i] = gi * (d - meanDy - hs[i]*meanDyXhat)
 				}
 			}
 		}
 	})
+	l.xhat = nil
 	return dx
 }

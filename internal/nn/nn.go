@@ -9,6 +9,10 @@
 // batch can be processed in micro-batches; call Network.ZeroGrad between
 // optimizer steps.
 //
+// BatchNorm, MaxPool2D and ReLU record what Backward reads only on a
+// training Forward, and Backward consumes it: an eval Forward (train ==
+// false) records nothing, so a Backward after one panics naming the layer.
+//
 // A Layer instance owns scratch buffers and cached activations, so it must
 // not be shared between goroutines. Data-parallel training (internal/dist)
 // gives each worker its own replica and synchronizes parameters explicitly,
@@ -41,10 +45,10 @@ func NewParam(name string, shape ...int) *Param {
 // Numel returns the number of scalar weights.
 func (p *Param) Numel() int { return p.W.Numel() }
 
-// Layer is a differentiable module. Forward caches whatever Backward needs;
-// Backward consumes the gradient w.r.t. the layer output and returns the
-// gradient w.r.t. the layer input, accumulating parameter gradients on the
-// way.
+// Layer is a differentiable module. A training Forward caches whatever
+// Backward needs; Backward consumes the gradient w.r.t. the layer output and
+// returns the gradient w.r.t. the layer input, accumulating parameter
+// gradients on the way.
 type Layer interface {
 	// Name identifies the layer in logs and LARS statistics.
 	Name() string
