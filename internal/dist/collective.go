@@ -70,19 +70,12 @@ func Reduce(algo Algorithm, bufs [][]float32, stats *CommStats) {
 // keeps the three algorithms bitwise identical to each other; what changes
 // is the summation arithmetic itself (see Reduction).
 func ReduceWith(algo Algorithm, policy Reduction, bufs [][]float32, stats *CommStats) {
-	p := len(bufs)
-	if p == 0 {
+	if len(bufs) == 0 {
 		return
 	}
-	n := checkUniform("Reduce", bufs)
-	if p > 1 {
-		sumInto(policy, bufs)
-		if algo == Ring {
-			fanOut(bufs)
-		}
-	}
+	t := reduce("Reduce", Flat(algo, len(bufs)), policy, bufs)
 	if stats != nil {
-		stats.Add(ReduceSchedule(algo, p, 4*int64(n)))
+		stats.Add(t.Total())
 	}
 }
 
@@ -91,17 +84,42 @@ func ReduceWith(algo Algorithm, policy Reduction, bufs [][]float32, stats *CommS
 // non-nil. Paired with Reduce it completes one allreduce: afterwards every
 // buffer holds the reduced value under any algorithm.
 func Broadcast(algo Algorithm, bufs [][]float32, stats *CommStats) {
-	p := len(bufs)
-	if p == 0 {
+	if len(bufs) == 0 {
 		return
 	}
-	n := checkUniform("Broadcast", bufs)
-	if p > 1 {
+	t := broadcast("Broadcast", Flat(algo, len(bufs)), bufs)
+	if stats != nil {
+		stats.Add(t.Total())
+	}
+}
+
+// reduce is the one reduction body, over any layout: the sum of all buffers
+// lands in bufs[0] and, when Inter is Ring (whose leader exchange leaves it
+// on every leader), on every node leader too — every worker of a flat world.
+// It returns the executed schedule per tier.
+func reduce(op string, h Hierarchy, policy Reduction, bufs [][]float32) TierStats {
+	n := checkHier(op, h, bufs)
+	if len(bufs) > 1 {
+		sumInto(policy, bufs)
+		if h.Inter == Ring {
+			leaders := make([][]float32, h.Nodes)
+			for node := range leaders {
+				leaders[node] = bufs[node*h.PerNode]
+			}
+			fanOut(leaders)
+		}
+	}
+	return HierReduceSchedule(h, nil, 4*int64(n))
+}
+
+// broadcast is the one broadcast body, over any layout: bufs[0] reaches
+// every worker, and the executed schedule is returned per tier.
+func broadcast(op string, h Hierarchy, bufs [][]float32) TierStats {
+	n := checkHier(op, h, bufs)
+	if len(bufs) > 1 {
 		fanOut(bufs)
 	}
-	if stats != nil {
-		stats.Add(BroadcastSchedule(algo, p, 4*int64(n)))
-	}
+	return HierBroadcastSchedule(h, nil, 4*int64(n))
 }
 
 // sumInto computes the element-wise sum of all buffers into bufs[0] under

@@ -49,9 +49,13 @@
 //     (data.Spans), shrinks the topology (a hierarchy node losing all its
 //     workers leaves the inter tier), resynchronizes the weights, and
 //     continues lockstep at the smaller world — with the whole episode
-//     accounted in MembershipStats. Without Elastic a permanently dead
-//     worker surfaces a typed *WorkerDeadError instead of being retried
-//     forever.
+//     accounted in MembershipStats. Joins (FaultPlan.Join) are the mirror
+//     image. The membership is one value, a roster whose admit, strike and
+//     evict transitions are pure functions of the roster, the fault plan,
+//     the step and the eviction threshold; the engine only applies their
+//     effects (worker goroutines, gradient hooks, the resync broadcast, the
+//     ledger). Without Elastic a permanently dead worker surfaces a typed
+//     *WorkerDeadError instead of being retried forever.
 //
 // # Reproducibility contract
 //

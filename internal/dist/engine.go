@@ -207,6 +207,12 @@ func (c Config) Validate(workers int) error {
 // The *tensor.Tensor values never change, so parameter lists taken before
 // the first step stay valid; the views outlive Close.
 //
+// Membership is one value, the roster (see Elastic): the step template asks
+// its pure transitions what changes at each boundary, and the engine only
+// applies the effects — starting or closing a worker goroutine, installing
+// or removing its gradient-notify hook, the one resync broadcast, and the
+// ledger.
+//
 // The engine is not safe for concurrent use; like the replicas it owns, it
 // belongs to one training loop. Close releases the worker goroutines.
 type Engine struct {
@@ -216,29 +222,15 @@ type Engine struct {
 	nparams  int           // total float32 coordinates per replica
 	buckets  [][2]int      // bucket coordinate ranges
 
-	// Membership state machine (see Elastic). alive marks the replicas
-	// currently in the collective — exactly those with a running worker
-	// goroutine (pending joiners have none yet; evicted workers' goroutines
-	// are released); world counts them. consecDead tracks each worker's
-	// consecutive failed recoveries toward eviction. shards is the current
-	// logical shard count — it follows the world size down on evictions and
-	// up on joins when shardsTrack is set (Config.Shards was left zero with
-	// no codec).
-	alive       []bool
-	joinDone    []bool // fault-plan Join entries already applied (one admission each)
-	world       int
-	consecDead  []int
-	shards      int
-	shardsTrack bool
+	// The membership (see Elastic) is one value: the live workers, their
+	// strikes, the pending joins, the shard count and the live node sizes
+	// every schedule is priced at. Its transitions decide; the engine applies
+	// their effects. A worker is live exactly when it has a job channel.
+	roster roster
 
 	// The one topology every schedule is priced on: Config.Topology, or the
-	// P×1 hierarchy a flat Config.Algo resolves to. nodes holds each node's
-	// live members in ascending worker order; sizes lists the live-worker
-	// count of every non-empty node. reform derives world, nodes and sizes
-	// from alive whenever membership changes.
-	topo  Hierarchy
-	nodes [][]int
-	sizes []int
+	// P×1 hierarchy a flat Config.Algo resolves to.
+	topo Hierarchy
 
 	// Overlap-scheduler structures (see Config.Overlap). paramBuckets
 	// lists the buckets each parameter's coordinates fall into;
@@ -301,7 +293,7 @@ type job struct {
 	x      *tensor.Tensor
 	labels []int
 	spans  [][2]int // row spans, indexed by slot
-	slots  []int    // which spans this worker owns
+	owners []int    // the worker computing each span
 	lr     float64  // learning rate of a local optimizer step (jobLocal)
 }
 
@@ -330,47 +322,25 @@ func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 	if cfg.Topology != nil {
 		topo = *cfg.Topology
 	}
+	// A fresh joiner starts outside the collective: no goroutine, no
+	// hierarchy-node seat. The default split tracks the live world in both
+	// directions, so an engine born with pending joiners shards like the
+	// fresh smaller engine it is bit-identical to.
 	e := &Engine{
-		cfg:         cfg,
-		replicas:    replicas,
-		params:      make([][]*nn.Param, len(replicas)),
-		done:        make(chan error, len(replicas)),
-		grads:       make([][]float32, cfg.Shards),
-		losses:      make([]float64, cfg.Shards),
-		evalOK:      make([]int, len(replicas)),
-		alive:       make([]bool, len(replicas)),
-		joinDone:    make([]bool, len(replicas)),
-		consecDead:  make([]int, len(replicas)),
-		shards:      cfg.Shards,
-		shardsTrack: trackWorld,
-		topo:        topo,
-		nodes:       make([][]int, topo.Nodes),
-		steps:       cfg.StartStep,
+		cfg:      cfg,
+		replicas: replicas,
+		params:   make([][]*nn.Param, len(replicas)),
+		done:     make(chan error, len(replicas)),
+		grads:    make([][]float32, cfg.Shards),
+		losses:   make([]float64, cfg.Shards),
+		evalOK:   make([]int, len(replicas)),
+		roster:   newRoster(len(replicas), topo, cfg.Shards, trackWorld, cfg.Faults, cfg.StartStep),
+		topo:     topo,
+		steps:    cfg.StartStep,
 	}
 	if cfg.Profile {
 		kernel.SetProfiling(true)
 	}
-	// A worker the fault plan schedules to join later (and that is not a
-	// returning initial member) starts outside the collective: not alive,
-	// no goroutine, no hierarchy-node seat. admitJoins brings it in at its
-	// step boundary.
-	for w := range e.alive {
-		e.alive[w] = true
-		if f := cfg.Faults; f != nil {
-			if !f.initialMember(w) && f.Join[w] > cfg.StartStep {
-				e.alive[w] = false
-			}
-			if s, ok := f.Join[w]; ok && s <= cfg.StartStep {
-				// A resumed run's past joins are already in effect; they
-				// must not re-fire as admissions.
-				e.joinDone[w] = true
-			}
-		}
-	}
-	// The default split tracks the live world in both directions, so an
-	// engine born with pending joiners shards like the fresh smaller
-	// engine it is bit-identical to.
-	e.reform()
 	e.total.Membership.StepsAtWorld = make([]int64, len(replicas)+1)
 	for _, p := range replicas[0].Params() {
 		e.nparams += p.Numel()
@@ -406,10 +376,8 @@ func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 	}
 
 	e.jobs = make([]chan job, len(replicas))
-	for w := range replicas {
-		if e.alive[w] {
-			e.startWorker(w)
-		}
+	for _, w := range e.roster.live {
+		e.startWorker(w)
 	}
 	e.BroadcastWeights()
 	e.profActive = true // the profile covers training steps, not construction
@@ -509,10 +477,9 @@ func (e *Engine) Close() {
 	if e.cfg.Profile {
 		kernel.SetProfiling(false)
 	}
-	for w, ch := range e.jobs {
-		// Evicted workers' channels are already closed; pending joiners
-		// that never joined have no goroutine (and no channel) at all.
-		if e.alive[w] {
+	for _, ch := range e.jobs {
+		// Evicted workers and pending joiners have no channel.
+		if ch != nil {
 			close(ch)
 		}
 	}
@@ -529,8 +496,8 @@ func (e *Engine) Close() {
 // startWorker gives worker w a fresh job channel and a goroutine draining
 // it — at construction for the initial members, and again when an evicted
 // (or never-started) worker joins the collective. The old goroutine, if
-// any, exited when evict closed its channel; each ranges over the channel
-// it is handed, so only the driving goroutine touches e.jobs.
+// any, exited when its eviction closed its channel; each ranges over the
+// channel it is handed, so only the driving goroutine touches e.jobs.
 func (e *Engine) startWorker(w int) {
 	e.jobs[w] = make(chan job)
 	e.wg.Add(1)
@@ -569,7 +536,10 @@ func (e *Engine) run(w int, net *nn.Network, loss *nn.SoftmaxCrossEntropy, j job
 		e.localReduceStep(w, j)
 	case jobEval:
 		correct := 0
-		for _, slot := range j.slots {
+		for slot, o := range j.owners {
+			if o != w {
+				continue
+			}
 			x, labels := sliceRows(j.x, j.labels, j.spans[slot][0], j.spans[slot][1])
 			preds := net.Forward(x, false).ArgMaxRows()
 			for i, p := range preds {
@@ -588,9 +558,9 @@ func (e *Engine) run(w int, net *nn.Network, loss *nn.SoftmaxCrossEntropy, j job
 // gradient in e.grads, written in place through the replica's Param.G views
 // — the worker half of both step entry points.
 func (e *Engine) shardGradients(w int, net *nn.Network, loss *nn.SoftmaxCrossEntropy, j job) {
-	for _, slot := range j.slots {
+	for slot, o := range j.owners {
 		lo, hi := j.spans[slot][0], j.spans[slot][1]
-		if lo == hi {
+		if o != w || lo == hi {
 			continue
 		}
 		x, labels := sliceRows(j.x, j.labels, lo, hi)
@@ -660,18 +630,16 @@ type batchPlan struct {
 	x      *tensor.Tensor
 	labels []int
 	spans  [][2]int
-	// active lists the workers that can answer this step: the live fleet
-	// minus any worker the fault plan holds permanently dead (its shards
-	// are recomputed by survivors, the failed recovery injectFaults
-	// accounts). slots assigns them the shard slots.
+	// active lists the workers that can answer this step (see
+	// roster.members); owners assigns them the shard slots.
 	active []int
-	slots  [][]int
+	owners []int
 }
 
 // jobs returns the per-worker job of the given kind over the plan.
 func (p batchPlan) jobs(kind jobKind, lr float64) func(w int) job {
 	return func(w int) job {
-		return job{kind: kind, x: p.x, labels: p.labels, spans: p.spans, slots: p.slots[w], lr: lr}
+		return job{kind: kind, x: p.x, labels: p.labels, spans: p.spans, owners: p.owners, lr: lr}
 	}
 }
 
@@ -681,10 +649,11 @@ func (p batchPlan) jobs(kind jobKind, lr float64) func(w int) job {
 // membership changes at the step's boundaries — opens admits the workers the
 // plan schedules to join before the batch is sharded, so the step itself
 // runs (and is accounted) at the grown world size, warm-started from the
-// admission broadcast; closes evicts the workers whose recovery has failed
-// Elastic.EvictAfter consecutive times after the step is filed — the shard
-// plan, the step counter and the shard-weighted batch-mean loss. A body that
-// fails leaves the step uncounted.
+// admission broadcast; closes strikes the workers the plan holds dead and
+// evicts those whose recovery has failed Elastic.EvictAfter consecutive
+// times after the step is filed — the shard plan, the step counter and the
+// shard-weighted batch-mean loss. A body that fails leaves the step
+// uncounted.
 func (e *Engine) step(op string, x *tensor.Tensor, labels []int, opens, closes bool, body func(batchPlan) error) (float64, error) {
 	b := x.Shape[0]
 	if b == 0 {
@@ -700,21 +669,25 @@ func (e *Engine) step(op string, x *tensor.Tensor, labels []int, opens, closes b
 	var spans [][2]int
 	err := e.window(func() error {
 		if opens {
-			if err := e.admitJoins(); err != nil {
+			if err := e.apply(e.roster.admit(e.cfg.Faults, e.steps)); err != nil {
 				return err
 			}
 		}
-		spans = data.Spans(b, e.shards)
-		active := e.activeIDs(e.steps)
-		if err := body(batchPlan{x: x, labels: labels, spans: spans, active: active, slots: e.slotOwners(active)}); err != nil {
+		spans = data.Spans(b, e.roster.shards)
+		if err := body(batchPlan{x: x, labels: labels, spans: spans, active: e.members(), owners: e.ShardOwners()}); err != nil {
 			return err
 		}
 		e.noteStep() // filed at the world size the step executed at
-		e.steps++
-		if closes {
-			return e.evictDead()
+		if !closes {
+			e.steps++
+			return nil
 		}
-		return nil
+		e.roster = e.roster.strike(e.cfg.Faults, e.steps)
+		e.steps++
+		if e.cfg.Elastic == nil {
+			return nil
+		}
+		return e.apply(e.roster.evict(e.cfg.Elastic.evictAfter(), e.steps))
 	})
 	if err != nil {
 		return 0, err
@@ -852,9 +825,10 @@ func (e *Engine) reduceBucket(d *Report, bi int, ids []int, bufs [][]float32, we
 // codec payloads are accounted exactly (to the byte) instead of through a
 // truncated per-source mean.
 func (e *Engine) reduceTiers(wireTotal int64, n int) TierStats {
-	t := HierReduceSchedule(e.topo, e.sizes, 0)
-	t.Intra.Bytes = degradedIntraBytesFactor(e.topo, e.sizes) * wireTotal / int64(n)
-	t.Inter.Bytes = reduceBytesFactor(e.topo.Inter, len(e.sizes)) * wireTotal / int64(n)
+	sizes := e.roster.sizes
+	t := HierReduceSchedule(e.topo, sizes, 0)
+	t.Intra.Bytes = degradedIntraBytesFactor(e.topo, sizes) * wireTotal / int64(n)
+	t.Inter.Bytes = reduceBytesFactor(e.topo.Inter, len(sizes)) * wireTotal / int64(n)
 	return t
 }
 
@@ -915,33 +889,29 @@ func (e *Engine) accumulate(dst []float32, srcs [][]float32, weights []float64) 
 // recovery traffic into d: a dropped worker payload is re-requested and
 // resent (Retries plus that worker's sender share of every bucket), a
 // straggler holds the barrier for one round (Stalls). A permanently dead
-// worker's step is a failed recovery: a survivor recomputes its shards, the
-// resend is accounted the same way, and the worker's consecutive-failure
-// counter advances toward Elastic.EvictAfter instead of resetting. The
-// traffic lands on the tier the worker sends on — intra for node members,
-// inter for the surviving node leaders (every worker of a flat world).
-// Recovery happens at the step barrier, so it is always exposed. Values are
-// never affected — recovery is exact, which is what keeps faulty runs
-// bit-identical to clean ones.
+// worker's step is a failed recovery: a survivor recomputes its shards and
+// the resend is accounted the same way (the step's closing strike counts it
+// toward Elastic.EvictAfter). The traffic lands on the tier the worker sends
+// on — intra for node members, inter for the surviving node leaders (every
+// worker of a flat world). Recovery happens at the step barrier, so it is
+// always exposed. Values are never affected — recovery is exact, which is
+// what keeps faulty runs bit-identical to clean ones.
 func (e *Engine) injectFaults(d *Report, payloads []int64) {
 	f := e.cfg.Faults
-	if !f.enabled() || e.world == 1 {
+	if !f.enabled() || len(e.roster.live) == 1 {
 		return
 	}
-	for _, w := range e.liveIDs() {
+	for _, w := range e.roster.live {
 		// Failed recovery: the re-request goes unanswered and a survivor
 		// recomputes and resends the dead worker's shards.
 		drop, stall := true, false
-		if f.deadAt(e.steps, w) {
-			e.consecDead[w]++
-		} else {
-			e.consecDead[w] = 0
+		if !f.deadAt(e.steps, w) {
 			drop, stall = f.roll(e.steps, w)
 		}
 		if !drop && !stall {
 			continue
 		}
-		leader, nodeSize, liveNodes := e.nodeRole(w)
+		leader, nodeSize, liveNodes := e.roster.seat(w)
 		var t TierStats
 		sendsOn := &t.Intra
 		if leader {
@@ -967,14 +937,14 @@ func (e *Engine) injectFaults(d *Report, payloads []int64) {
 // optimizer step). The error is always nil: NewEngine checked the layout.
 func (e *Engine) BroadcastWeights() error {
 	return e.window(func() error {
-		var bufs [][]float32 // the master's first: activeIDs ascends
-		for _, w := range e.activeIDs(e.steps) {
+		var bufs [][]float32 // the master's first: members ascend
+		for _, w := range e.members() {
 			bufs = append(bufs, e.weights[w])
 		}
 		fanOut(bufs)
 		var d Report
 		for _, bucket := range e.buckets {
-			d.file(HierBroadcastSchedule(e.topo, e.sizes, 4*int64(bucket[1]-bucket[0])), false)
+			d.file(HierBroadcastSchedule(e.topo, e.roster.sizes, 4*int64(bucket[1]-bucket[0])), false)
 		}
 		e.add(d)
 		return nil
@@ -987,11 +957,11 @@ func (e *Engine) BroadcastWeights() error {
 // every chunk's logits are identical whichever replica computes them. A
 // worker failure (bad labels, shape drift) is returned as an error.
 func (e *Engine) EvalAccuracy(images *tensor.Tensor, labels []int, batch int) (float64, error) {
-	return e.eval(e.activeIDs(e.steps), images, labels, batch)
+	return e.eval(e.members(), images, labels, batch)
 }
 
 // eval grades the images on the given workers' replicas, chunks assigned
-// round-robin.
+// by the ownership rule.
 func (e *Engine) eval(workers []int, images *tensor.Tensor, labels []int, batch int) (float64, error) {
 	n := images.Shape[0]
 	if n == 0 {
@@ -1008,12 +978,7 @@ func (e *Engine) eval(workers []int, images *tensor.Tensor, labels []int, batch 
 		}
 		spans = append(spans, [2]int{lo, hi})
 	}
-	slots := make([][]int, len(e.replicas))
-	for i := range spans {
-		w := workers[i%len(workers)]
-		slots[w] = append(slots[w], i)
-	}
-	plan := batchPlan{x: images, labels: labels, spans: spans, slots: slots}
+	plan := batchPlan{x: images, labels: labels, spans: spans, owners: owners(workers, len(spans))}
 	if err := e.dispatch(workers, plan.jobs(jobEval, 0)); err != nil {
 		return 0, err
 	}

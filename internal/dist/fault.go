@@ -106,22 +106,6 @@ func (f *FaultPlan) deadAt(step int64, w int) bool {
 	return true
 }
 
-// initialMember reports whether worker w is part of the collective at
-// construction time (as opposed to a fresh replica that joins mid-run):
-// either the plan never schedules it to join, or its join is the return
-// from an outage that started earlier (Dead[w] < Join[w]).
-func (f *FaultPlan) initialMember(w int) bool {
-	if f == nil {
-		return true
-	}
-	j, ok := f.Join[w]
-	if !ok {
-		return true
-	}
-	d, dead := f.Dead[w]
-	return dead && d < j
-}
-
 // roll returns the two fault decisions for a worker at a step. Worker 0 is
 // the root/coordinator and never drops its own payload (a parameter server
 // does not lose messages to itself), though it can straggle.

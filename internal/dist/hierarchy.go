@@ -212,19 +212,9 @@ func checkHier(op string, h Hierarchy, bufs [][]float32) int {
 // worker order, float64 accumulation — so hierarchical and flat reductions
 // are bitwise identical; only the accounted schedule differs.
 func HierReduce(h Hierarchy, bufs [][]float32, tiers *TierStats) {
-	n := checkHier("HierReduce", h, bufs)
-	if len(bufs) > 1 {
-		sumInto(CanonicalF64, bufs)
-		if h.Inter == Ring {
-			// The leader ring's reduce-scatter + allgather leaves the sum
-			// on every node leader, mirroring flat Ring's placement.
-			for node := 1; node < h.Nodes; node++ {
-				copy(bufs[node*h.PerNode], bufs[0])
-			}
-		}
-	}
+	t := reduce("HierReduce", h, CanonicalF64, bufs)
 	if tiers != nil {
-		tiers.Add(HierReduceSchedule(h, nil, 4*int64(n)))
+		tiers.Add(t)
 	}
 }
 
@@ -233,11 +223,8 @@ func HierReduce(h Hierarchy, bufs [][]float32, tiers *TierStats) {
 // intra-node — accounting the schedule per tier into tiers when non-nil.
 // Paired with HierReduce it completes one hierarchical allreduce.
 func HierBroadcast(h Hierarchy, bufs [][]float32, tiers *TierStats) {
-	n := checkHier("HierBroadcast", h, bufs)
-	if len(bufs) > 1 {
-		fanOut(bufs)
-	}
+	t := broadcast("HierBroadcast", h, bufs)
 	if tiers != nil {
-		tiers.Add(HierBroadcastSchedule(h, nil, 4*int64(n)))
+		tiers.Add(t)
 	}
 }

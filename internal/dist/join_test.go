@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/comm"
@@ -467,5 +468,68 @@ func TestJoinPlanValidation(t *testing.T) {
 			e := dist.NewEngine(tc.cfg, replicas(2))
 			e.Close()
 		})
+	}
+}
+
+// stepReports runs an engine built at StartStep start through step last and
+// returns each step's report, keyed by step.
+func stepReports(t *testing.T, cfg dist.Config, start, last int64) map[int64]dist.Report {
+	t.Helper()
+	x, labels, factory := testTask(48)
+	cfg.StartStep = start
+	e := newEngine(cfg, 4, factory)
+	defer e.Close()
+	reports := make(map[int64]dist.Report)
+	for step := start; step <= last; step++ {
+		stepOnce(t, e, x, labels)
+		reports[step] = e.StepReport()
+	}
+	return reports
+}
+
+// TestResumeAtJoinStepAdmits: a checkpoint taken after step k−1 resumes at
+// StartStep k, before step k's opening admission, so a join scheduled for
+// step k must still fire — the resumed engine's step k files the same
+// admission, comm and membership as the uninterrupted run's. Resuming one
+// step earlier or later reproduces the uninterrupted steps from k on as well
+// (one later, the join is already in effect). A returning member resumed
+// inside its outage is evicted afresh, since strikes are not carried across
+// a resume, and then readmitted on time.
+func TestResumeAtJoinStepAdmits(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		plan   dist.FaultPlan
+		join   int64
+		before string // the timeline of a run resumed at join−1
+	}{
+		{"fresh joiner", dist.FaultPlan{Join: map[int]int64{3: 3}}, 3, "+3@3"},
+		{"returning member", dist.FaultPlan{Dead: map[int]int64{2: 1}, Join: map[int]int64{2: 4}}, 4, "-2@4 +2@4"},
+	} {
+		cfg := dist.Config{Algo: dist.Ring, Faults: &tc.plan, Elastic: &dist.Elastic{EvictAfter: 1}}
+		k := tc.join
+		full := stepReports(t, cfg, 0, k+1)
+		if full[k].Membership.Joins != 1 {
+			t.Fatalf("%s: uninterrupted step %d files %d joins, want 1", tc.name, k, full[k].Membership.Joins)
+		}
+		for _, start := range []int64{k - 1, k, k + 1} {
+			resumed := stepReports(t, cfg, start, k+1)
+			for step := max(start, k); step <= k+1; step++ {
+				got, want := resumed[step], full[step]
+				if got.Comm != want.Comm || !reflect.DeepEqual(got.Membership, want.Membership) {
+					t.Errorf("%s: resumed at %d, step %d files comm %+v membership %+v; uninterrupted %+v %+v",
+						tc.name, start, step, got.Comm, got.Membership, want.Comm, want.Membership)
+				}
+			}
+			if start != k-1 {
+				continue
+			}
+			var m dist.MembershipStats
+			for step := start; step <= k+1; step++ {
+				m.Add(resumed[step].Membership)
+			}
+			if got := m.EventTimeline(); got != tc.before {
+				t.Errorf("%s: resumed at %d files %q, want %q", tc.name, start, got, tc.before)
+			}
+		}
 	}
 }

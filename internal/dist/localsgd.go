@@ -145,8 +145,8 @@ func (e *Engine) localReduceStep(w int, j job) {
 	var owned int
 	var srcs [][]float32
 	var weights []float64
-	for _, slot := range j.slots {
-		if n := j.spans[slot][1] - j.spans[slot][0]; n > 0 {
+	for slot, o := range j.owners {
+		if n := j.spans[slot][1] - j.spans[slot][0]; o == w && n > 0 {
 			owned += n
 			srcs = append(srcs, e.grads[slot])
 			weights = append(weights, float64(n))
@@ -208,11 +208,11 @@ func (e *Engine) intraSyncRound(active []int) {
 	}
 	for bi, b := range e.buckets {
 		t := TierStats{Intra: e.reduceTiers(e.transform(bi, active, e.weights), len(active)).Intra}
-		t.Intra.Add(HierBroadcastSchedule(e.topo, e.sizes, 4*int64(b[1]-b[0])).Intra)
+		t.Intra.Add(HierBroadcastSchedule(e.topo, e.roster.sizes, 4*int64(b[1]-b[0])).Intra)
 		d.file(t, false)
 	}
 	sp := kernel.StartPhase(kernel.PhaseReduce)
-	for _, members := range e.nodes {
+	for _, members := range e.roster.nodes {
 		var srcs [][]float32
 		for _, m := range members {
 			if activeSet[m] {
@@ -241,5 +241,5 @@ func (e *Engine) intraSyncRound(active []int) {
 // pinning one replica keeps the metric well-defined and deterministic at
 // any point in the window.
 func (e *Engine) EvalAccuracyLocal(images *tensor.Tensor, labels []int, batch int) (float64, error) {
-	return e.eval(e.activeIDs(e.steps)[:1], images, labels, batch)
+	return e.eval(e.members()[:1], images, labels, batch)
 }

@@ -1,16 +1,19 @@
 package dist
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // DefaultEvictAfter is the eviction threshold used when Elastic.EvictAfter
 // is zero: a worker is declared dead after this many consecutive failed
 // recoveries.
 const DefaultEvictAfter = 3
 
-// Elastic is the engine's elastic-membership policy (ROADMAP: "Elastic
-// membership"). Without it the engine recovers every fault in place and a
-// permanently dead worker surfaces a *WorkerDeadError; with it the engine
-// runs a small membership state machine per worker:
+// Elastic is the engine's elastic-membership policy. Without it the engine
+// recovers every fault in place and a permanently dead worker surfaces a
+// *WorkerDeadError; with it the engine runs a small membership state machine
+// per worker:
 //
 //	healthy --fault plan marks worker dead--> suspected
 //	suspected --recovery fails EvictAfter consecutive steps--> evicted
@@ -21,6 +24,18 @@ const DefaultEvictAfter = 3
 // (pending is the state of a fresh replica whose FaultPlan.Join step has
 // not arrived yet: it holds no shards, runs no goroutine, and occupies no
 // hierarchy-node seat.)
+//
+// The whole machine is one value, the engine's roster, whose transitions are
+// pure functions of (roster, FaultPlan, step, EvictAfter): admit at a step's
+// opening boundary, then strike (count each live worker's consecutive failed
+// recoveries) and evict at its closing one. Each returns the next roster plus
+// the MembershipEvents and shard counts to file; the engine applies the
+// effects. Shard s is owned by members[s mod len(members)], where members
+// are the live workers minus those the plan holds dead at the step — one
+// rule for the step's shard plan, ShardOwners, RebalancedShards (counted
+// over the live list before a step's evictions) and JoinedShards (over the
+// assignment after its admissions). Event worlds are sequential: each event
+// carries the world size after that one change.
 //
 // Eviction removes the worker from the collective at the end of the step
 // that crossed the threshold:
@@ -105,7 +120,8 @@ type MembershipStats struct {
 	Joins int64
 	// RebalancedShards counts the logical shards that had to find new
 	// owners because the world shrank: each evicted worker contributes
-	// the shards it owned in the membership assignment at eviction time.
+	// the shards it owned in the assignment over the live workers before
+	// the step's evictions.
 	RebalancedShards int64
 	// JoinedShards counts the logical shards that moved onto admitted
 	// workers: each joiner contributes the shards it owns in the
@@ -234,15 +250,193 @@ func (e *WorkerDeadError) Error() string {
 	return fmt.Sprintf("dist: worker %d is permanently dead at step %d and Config.Elastic is unset: cannot recover its shards (evict it by enabling elastic membership)", e.Worker, e.Step)
 }
 
+// roster is the engine's membership as one value: who is in the collective,
+// each worker's consecutive failed recoveries, which scheduled joins are still
+// to come, the logical shard count, and the hierarchy seats the live workers
+// hold. Its transitions — admit, strike and evict — are pure functions of
+// (roster, FaultPlan, step, EvictAfter): each returns the next roster, never
+// writing the slices of the one it was given, plus the events and the shard
+// count to file. The Engine only applies their effects.
+type roster struct {
+	live    []int   // the workers in the collective, ascending
+	strikes []int   // per worker: consecutive failed recoveries toward eviction
+	pending int64   // joins scheduled at this step or later are still to admit
+	shards  int     // the logical shard count
+	track   bool    // shards follows len(live): the default split, no codec
+	perNode int     // the hierarchy's workers per node
+	nodes   [][]int // each node's live members, ascending: its leader first
+	sizes   []int   // the live size of every non-empty node
+}
+
+// newRoster is the membership a run starting at step start opens with: every
+// worker but the fresh joiners whose FaultPlan.Join step is still to come —
+// at start or later, since a join at start fires at that step's opening
+// boundary. A worker with Dead[w] < Join[w] is an initial member whose outage
+// ends at the join. A resumed run's earlier joins are in effect; its strikes
+// begin at zero.
+func newRoster(workers int, h Hierarchy, shards int, track bool, f *FaultPlan, start int64) roster {
+	var join, dead map[int]int64
+	if f != nil {
+		join, dead = f.Join, f.Dead
+	}
+	var live []int
+	for w := range workers {
+		j, joins := join[w]
+		d, died := dead[w]
+		if !joins || j < start || died && d < j {
+			live = append(live, w)
+		}
+	}
+	r := roster{strikes: make([]int, workers), pending: start, shards: shards, track: track, perNode: h.PerNode, nodes: make([][]int, h.Nodes)}
+	return r.with(live)
+}
+
+// with returns r over the given live list, re-deriving the node seats (a
+// node's leader is its lowest live index), the live node sizes (a node that
+// lost all its workers has left the inter tier) and a world-tracking shard
+// count from it.
+func (r roster) with(live []int) roster {
+	r.live, r.sizes = live, nil
+	r.nodes = make([][]int, len(r.nodes))
+	for _, w := range live {
+		r.nodes[w/r.perNode] = append(r.nodes[w/r.perNode], w)
+	}
+	for _, members := range r.nodes {
+		if len(members) > 0 {
+			r.sizes = append(r.sizes, len(members))
+		}
+	}
+	if r.track {
+		r.shards = len(live)
+	}
+	return r
+}
+
+// members returns the workers that can work at step: the live ones, minus any
+// the plan holds dead — a survivor recomputes their shards, the failed
+// recovery injectFaults accounts. Without a Dead plan it is the live list
+// itself.
+func (r roster) members(f *FaultPlan, step int64) []int {
+	if f == nil || len(f.Dead) == 0 {
+		return r.live
+	}
+	return slices.DeleteFunc(slices.Clone(r.live), func(w int) bool { return f.deadAt(step, w) })
+}
+
+// seat locates live worker w in the possibly degraded hierarchy: whether it
+// leads its node, the node's live size, and the inter tier's world.
+func (r roster) seat(w int) (leader bool, nodeSize, liveNodes int) {
+	members := r.nodes[w/r.perNode]
+	return members[0] == w, len(members), len(r.sizes)
+}
+
+// owners is the one ownership rule: slot s of n belongs to
+// members[s mod len(members)], which keeps every member's load within one
+// slot of even for any slot/member ratio, at full strength and degraded alike.
+func owners(members []int, n int) []int {
+	out := make([]int, n)
+	for s := range out {
+		out[s] = members[s%len(members)]
+	}
+	return out
+}
+
+// admit is the opening boundary of step: every worker the plan schedules to
+// join at a step no earlier admission has reached — in [r.pending, step], so
+// a join inside a local-SGD window waits for the window start — enters, in
+// worker order. A suspected worker whose outage ended is still live and keeps
+// its seat; its event alone resyncs it. Strikes are left to the step's
+// closing strike, which clears every joiner's (none is dead at its join). It
+// also returns the shards the joiners own in the assignment the step runs.
+func (r roster) admit(f *FaultPlan, step int64) (roster, []MembershipEvent, int64) {
+	if f == nil || len(f.Join) == 0 {
+		return r, nil, 0
+	}
+	from := r.pending
+	r.pending = step + 1
+	due := func(w int) bool {
+		s, ok := f.Join[w]
+		return ok && from <= s && s <= step
+	}
+	live := r.live
+	var events []MembershipEvent
+	for w := range len(r.strikes) {
+		if !due(w) {
+			continue
+		}
+		if !slices.Contains(live, w) {
+			live = append(slices.Clip(live), w)
+			slices.Sort(live)
+		}
+		events = append(events, MembershipEvent{Step: step, Worker: w, Join: true, World: len(live)})
+	}
+	if events == nil {
+		return r, nil, 0
+	}
+	r = r.with(live)
+	var gained int64
+	for _, o := range owners(r.members(f, step), r.shards) {
+		if due(o) {
+			gained++
+		}
+	}
+	return r, events, gained
+}
+
+// strike is the recovery outcome of closing step: each live worker the plan
+// holds dead at step has failed one more recovery in a row, and every other
+// live worker's count clears. Without a Dead plan every count stays zero.
+func (r roster) strike(f *FaultPlan, step int64) roster {
+	if f == nil || len(f.Dead) == 0 {
+		return r
+	}
+	r.strikes = slices.Clone(r.strikes)
+	for _, w := range r.live {
+		if f.deadAt(step, w) {
+			r.strikes[w]++
+		} else {
+			r.strikes[w] = 0
+		}
+	}
+	return r
+}
+
+// evict is the closing boundary before step: every live worker but the master
+// whose strikes reached after leaves, in worker order, and step is the first
+// step without it. Event worlds are sequential. Each evictee's shards — those
+// it owned in the assignment over the live list before any of these
+// evictions — must find new owners.
+func (r roster) evict(after int, step int64) (roster, []MembershipEvent, int64) {
+	struck := func(w int) bool { return w != 0 && r.strikes[w] >= after }
+	world := len(r.live)
+	var events []MembershipEvent
+	for _, w := range r.live {
+		if struck(w) {
+			world--
+			events = append(events, MembershipEvent{Step: step, Worker: w, World: world})
+		}
+	}
+	if events == nil {
+		return r, nil, 0
+	}
+	var moved int64
+	for _, o := range owners(r.live, r.shards) {
+		if struck(o) {
+			moved++
+		}
+	}
+	return r.with(slices.DeleteFunc(slices.Clone(r.live), struck)), events, moved
+}
+
 // LiveWorkers returns the current world size: the replicas currently in
 // the collective. It equals Workers() until evictions shrink the fleet or
 // pending joiners mean some replicas have not entered yet.
-func (e *Engine) LiveWorkers() int { return e.world }
+func (e *Engine) LiveWorkers() int { return len(e.roster.live) }
 
 // Shards returns the current logical shard count. It equals Config.Shards
 // until elastic evictions (joins) rebalance a world-tracking shard split
 // down (up); pinned and codec-bearing splits never move.
-func (e *Engine) Shards() int { return e.shards }
+func (e *Engine) Shards() int { return e.roster.shards }
 
 // ShardOwners returns the owner of every logical shard slot in the
 // assignment the next step would use: shard s is computed by worker
@@ -250,112 +444,10 @@ func (e *Engine) Shards() int { return e.shards }
 // per-worker load stays within one shard of even — the conservation
 // invariant the membership property tests pin across arbitrary evict/join
 // sequences.
-func (e *Engine) ShardOwners() []int {
-	active := e.activeIDs(e.steps)
-	owners := make([]int, e.shards)
-	for s := range owners {
-		owners[s] = active[s%len(active)]
-	}
-	return owners
-}
+func (e *Engine) ShardOwners() []int { return owners(e.members(), e.roster.shards) }
 
-// liveIDs returns the indices of the workers still in the collective.
-func (e *Engine) liveIDs() []int {
-	ids := make([]int, 0, len(e.replicas))
-	for w, a := range e.alive {
-		if a {
-			ids = append(ids, w)
-		}
-	}
-	return ids
-}
-
-// activeIDs returns the workers that can do work at the given step: live
-// and not marked permanently dead by the fault plan. A dead-but-not-yet-
-// evicted worker is excluded from dispatch — its shards are recomputed by
-// the survivors, which is the failed-recovery path injectFaults accounts.
-func (e *Engine) activeIDs(step int64) []int {
-	ids := make([]int, 0, len(e.replicas))
-	for w, a := range e.alive {
-		if a && !e.cfg.Faults.deadAt(step, w) {
-			ids = append(ids, w)
-		}
-	}
-	return ids
-}
-
-// slotOwners assigns the logical shard slots round-robin over the active
-// workers — shard s belongs to active[s mod len(active)] — keeping the
-// per-worker load within one shard of even for any shard/worker ratio, at
-// full strength and after evictions alike.
-func (e *Engine) slotOwners(active []int) [][]int {
-	slots := make([][]int, len(e.replicas))
-	for s := 0; s < e.shards; s++ {
-		w := active[s%len(active)]
-		slots[w] = append(slots[w], s)
-	}
-	return slots
-}
-
-// reform rebuilds what a membership change moves from alive — at
-// construction and at each epoch the step template opens or closes: the
-// world size, each node's live members in ascending worker order (so a
-// node's leader is its lowest live index), the live node sizes (a node that
-// lost all its workers has left the inter tier), and a world-tracking shard
-// split.
-func (e *Engine) reform() {
-	e.world = 0
-	for n := range e.nodes {
-		e.nodes[n] = e.nodes[n][:0]
-	}
-	for w, a := range e.alive {
-		if a {
-			e.world++
-			e.nodes[w/e.topo.PerNode] = append(e.nodes[w/e.topo.PerNode], w)
-		}
-	}
-	e.sizes = e.sizes[:0]
-	for _, members := range e.nodes {
-		if len(members) > 0 {
-			e.sizes = append(e.sizes, len(members))
-		}
-	}
-	if e.shardsTrack {
-		e.shards = e.world
-	}
-}
-
-// resync ends a membership epoch: the master rebroadcasts the weights at the
-// new world size, accounted (exposed) like any other barrier traffic, and
-// the bytes it moved are returned for the membership ledger.
-func (e *Engine) resync() (moved int64, err error) {
-	before := e.total.Comm.Bytes
-	err = e.BroadcastWeights()
-	return e.total.Comm.Bytes - before, err
-}
-
-// nodeRole locates live worker w in the degraded hierarchy: whether it
-// leads its node (a node's leader is its first surviving member), the
-// node's live size, and the count of non-empty nodes (the inter tier's
-// world). It panics if w is not a live member of any node.
-func (e *Engine) nodeRole(w int) (leader bool, nodeSize, liveNodes int) {
-	for _, members := range e.nodes {
-		if len(members) == 0 {
-			continue
-		}
-		liveNodes++
-		for i, m := range members {
-			if m == w {
-				leader = i == 0
-				nodeSize = len(members)
-			}
-		}
-	}
-	if nodeSize == 0 {
-		panic(fmt.Sprintf("dist: worker %d is not a live member of any node", w))
-	}
-	return leader, nodeSize, liveNodes
-}
+// members returns the workers that can work at the current step.
+func (e *Engine) members() []int { return e.roster.members(e.cfg.Faults, e.steps) }
 
 // checkDead enforces the no-forever-retry contract when elasticity is off:
 // if the fault plan marks a live worker permanently dead at this step, the
@@ -365,7 +457,7 @@ func (e *Engine) checkDead(step int64) error {
 	if e.cfg.Elastic != nil {
 		return nil
 	}
-	for _, w := range e.liveIDs() {
+	for _, w := range e.roster.live {
 		if e.cfg.Faults.deadAt(step, w) {
 			return &WorkerDeadError{Worker: w, Step: step}
 		}
@@ -376,126 +468,52 @@ func (e *Engine) checkDead(step int64) error {
 // noteStep files the just-completed step under the world size it executed
 // at.
 func (e *Engine) noteStep() {
-	at := make([]int64, e.world+1)
-	at[e.world] = 1
+	world := len(e.roster.live)
+	at := make([]int64, world+1)
+	at[world] = 1
 	e.add(Report{Membership: MembershipStats{StepsAtWorld: at}})
 }
 
-// evictDead runs the eviction side of the membership state machine at the
-// end of a step: every worker whose consecutive failed recoveries reached
-// the policy threshold is removed from the collective (worker-index order,
-// for determinism), the shard split and topology are rebuilt over the
-// survivors — one membership epoch per step — and the master resynchronizes
-// the fleet, the broadcast's payload also filed under RebalancedBytes. No-op
-// unless Config.Elastic is set and a worker crossed the threshold.
-func (e *Engine) evictDead() error {
-	if e.cfg.Elastic == nil {
+// apply makes next the membership and carries out a transition's effects:
+// an evictee's goroutine is released and its gradient-notify hook removed; a
+// joiner without a goroutine (pending, or evicted earlier) gets a fresh one
+// and its hook back. Then the counts are filed and the master resynchronizes
+// the fleet once at the new world size — the broadcast is accounted
+// (exposed) into the step's CommStats and its payload filed under
+// JoinedBytes or RebalancedBytes. A transition's events are all admissions
+// or all evictions.
+func (e *Engine) apply(next roster, events []MembershipEvent, shards int64) error {
+	e.roster = next
+	if len(events) == 0 {
 		return nil
 	}
-	threshold := e.cfg.Elastic.evictAfter()
-	evicted := false
-	for w := 1; w < len(e.replicas); w++ {
-		if !e.alive[w] || e.consecDead[w] < threshold {
+	m := MembershipStats{Events: events}
+	for _, ev := range events {
+		w, notify := ev.Worker, e.gradReady
+		switch {
+		case !ev.Join:
+			m.Evictions++
+			close(e.jobs[w])
+			e.jobs[w], notify = nil, nil
+		case e.jobs[w] != nil:
+			m.Joins++
 			continue
+		default:
+			m.Joins++
+			e.startWorker(w)
 		}
-		e.evict(w)
-		evicted = true
-	}
-	if !evicted {
-		return nil
-	}
-	e.reform()
-	moved, err := e.resync()
-	e.add(Report{Membership: MembershipStats{RebalancedBytes: moved}})
-	return err
-}
-
-// evict removes worker w from the collective: it counts the shards w owned
-// in the membership assignment (they must find new owners), releases w's
-// goroutine and unhooks its gradient notifications. The caller's reform
-// drops w from its hierarchy node — a node left empty disappears from the
-// inter tier.
-func (e *Engine) evict(w int) {
-	members := e.liveIDs()
-	var owned int64
-	for s := 0; s < e.shards; s++ {
-		if members[s%len(members)] == w {
-			owned++
-		}
-	}
-	e.alive[w] = false
-	close(e.jobs[w])
-	if e.cfg.Overlap {
-		e.replicas[w].SetGradNotify(nil)
-	}
-	// The eviction takes effect for the next step — e.steps was already
-	// advanced past the step whose failed recovery crossed the threshold.
-	e.add(Report{Membership: MembershipStats{
-		Evictions: 1, RebalancedShards: owned,
-		Events: []MembershipEvent{{Step: e.steps, Worker: w, Join: false, World: len(members) - 1}},
-	}})
-}
-
-// admitJoins runs the admission side of the membership state machine at a
-// step boundary, before the step's batch is sharded: every worker the
-// fault plan schedules to join at this step enters the collective
-// (worker-index order, for determinism), the shard split and topology are
-// rebuilt over the grown fleet — one membership epoch per step, mirroring
-// evictDead — the shards that land on the joiners under the new assignment
-// are counted, and the master warm-starts the fleet with a weight broadcast
-// at the grown world size whose payload is also filed under JoinedBytes.
-// No-op unless the plan names this step — or, at a local-SGD window start, a
-// step the window skipped past: LocalStep checks boundaries only, so a join
-// scheduled mid-window defers to the next boundary (sync boundaries are the
-// only legal membership-change points). In the every-step modes the two
-// conditions coincide, since admission runs each step.
-func (e *Engine) admitJoins() error {
-	f := e.cfg.Faults
-	if f == nil || len(f.Join) == 0 {
-		return nil
-	}
-	joined := make(map[int]bool)
-	for w := 1; w < len(e.replicas); w++ {
-		if s, ok := f.Join[w]; ok && s <= e.steps && !e.joinDone[w] {
-			e.joinDone[w] = true
-			e.admit(w)
-			joined[w] = true
-		}
-	}
-	if len(joined) == 0 {
-		return nil
-	}
-	e.reform()
-	var gained int64
-	for _, owner := range e.ShardOwners() {
-		if joined[owner] {
-			gained++
-		}
-	}
-	moved, err := e.resync()
-	e.add(Report{Membership: MembershipStats{JoinedShards: gained, JoinedBytes: moved}})
-	return err
-}
-
-// admit brings worker w into the collective at the current step boundary:
-// a pending or evicted worker gets a fresh goroutine and its gradient-notify
-// hook (when overlapping); the caller's reform gives it its hierarchy-node
-// seat back, so node leadership deterministically restores to the lowest
-// live index and a node returning from empty rejoins the inter tier. A
-// still-live suspected worker whose outage just ended only needs its
-// failure counter cleared (the caller's broadcast resyncs its weights).
-// Either way the admission is counted and filed on the timeline.
-func (e *Engine) admit(w int) {
-	e.consecDead[w] = 0
-	if !e.alive[w] {
-		e.alive[w] = true
-		e.startWorker(w)
 		if e.cfg.Overlap {
-			e.replicas[w].SetGradNotify(e.gradReady)
+			e.replicas[w].SetGradNotify(notify)
 		}
 	}
-	e.add(Report{Membership: MembershipStats{
-		Joins:  1,
-		Events: []MembershipEvent{{Step: e.steps, Worker: w, Join: true, World: len(e.liveIDs())}},
-	}})
+	before := e.total.Comm.Bytes
+	err := e.BroadcastWeights()
+	moved := e.total.Comm.Bytes - before
+	if m.Joins > 0 {
+		m.JoinedShards, m.JoinedBytes = shards, moved
+	} else {
+		m.RebalancedShards, m.RebalancedBytes = shards, moved
+	}
+	e.add(Report{Membership: m})
+	return err
 }

@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -454,5 +455,34 @@ func TestCodecSlotsStableAcrossEviction(t *testing.T) {
 	if elastic.LiveWorkers() != 2 || elastic.Shards() != 3 {
 		t.Fatalf("world %d shards %d, want world 2 with the codec-pinned split at 3",
 			elastic.LiveWorkers(), elastic.Shards())
+	}
+}
+
+// TestTwoEvictionsCountPreEvictionOwners: when one step evicts two workers,
+// each contributes the shards it owned in the assignment over the live
+// workers before any of that step's evictions — not over a roster the first
+// eviction already shrank — while the event worlds stay sequential.
+func TestTwoEvictionsCountPreEvictionOwners(t *testing.T) {
+	x, labels, factory := testTask(48)
+	for _, tc := range []struct{ shards, want int }{
+		{6, 3}, // over live {0,1,2,3}: worker 1 owns {1,5}, worker 2 owns {2}
+		{8, 4}, // worker 1 owns {1,5}, worker 2 owns {2,6}
+		{0, 2}, // the world-tracking split: one shard each
+	} {
+		e := newEngine(dist.Config{
+			Algo: dist.Ring, Shards: tc.shards,
+			Faults:  &dist.FaultPlan{Dead: map[int]int64{1: 0, 2: 0}},
+			Elastic: &dist.Elastic{EvictAfter: 1},
+		}, 4, factory)
+		stepOnce(t, e, x, labels)
+		m := e.Membership()
+		e.Close()
+		if m.RebalancedShards != int64(tc.want) {
+			t.Errorf("Shards %d: RebalancedShards = %d, want %d", tc.shards, m.RebalancedShards, tc.want)
+		}
+		want := []dist.MembershipEvent{{Step: 1, Worker: 1, World: 3}, {Step: 1, Worker: 2, World: 2}}
+		if !reflect.DeepEqual(m.Events, want) {
+			t.Errorf("Shards %d: events %v, want %v", tc.shards, m.Events, want)
+		}
 	}
 }
