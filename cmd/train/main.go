@@ -100,10 +100,11 @@
 //	      -warmup 2 -workers 4 -algo ring -fault-dead 3@40 \
 //	      -fault-join 3@60 -elastic -evict-after 3
 //
-// The paper's recipe on the fast reduction kernel, with the hot loop
-// profiled — the final lines report the phase shares and pin the run to
-// the pairwise-f32 summation tree (bit-identical for any -workers at this
-// -shards split):
+// The paper's recipe on the float32 pairwise reduction tree, with the hot
+// loop profiled — the final lines report the phase shares and pin the run
+// to the pairwise-f32 summation tree (bit-identical for any -workers at
+// this -shards split; a precision contrast, not a speed-up: the canonical
+// default is the faster kernel as measured):
 //
 //	train -model micro-alexnet -batch 1024 -epochs 15 -method lars \
 //	      -warmup 2 -workers 4 -shards 4 -algo ring \
@@ -275,7 +276,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-fault-join: %w", err)
 	}
-	if *dropRate > 0 || *stallRate > 0 || dead != nil || join != nil {
+	if *dropRate != 0 || *stallRate != 0 || dead != nil || join != nil {
 		cfg.Faults = &dist.FaultPlan{Seed: cfg.Seed, DropRate: *dropRate, StallRate: *stallRate, Dead: dead, Join: join}
 	}
 	if *elastic {

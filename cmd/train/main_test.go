@@ -84,6 +84,12 @@ func TestRefusedFlags(t *testing.T) {
 		{"-fault-dead 5@3", "FaultPlan.Dead marks worker 5"},
 		{"-fault-dead 0@3", "cannot mark worker 0"},
 		{"-fault-join 1@3", "FaultPlan.Join requires Config.Elastic"},
+		{"-precision f16 -loss-scale -4", "opt: loss scale -4 outside"},
+		{"-precision f16 -loss-scale 1e-30", "opt: loss scale 1e-30 outside"},
+		{"-precision f16 -loss-scale 1e9", "opt: loss scale 1e+09 outside"},
+		{"-fault-drop 1.5", "FaultPlan.DropRate = 1.5"},
+		{"-fault-drop NaN", "FaultPlan.DropRate = NaN"},
+		{"-fault-stall -1", "FaultPlan.StallRate = -1"},
 	} {
 		var out bytes.Buffer
 		err := run(append(small[:len(small):len(small)], strings.Fields(tc.args)...), &out)

@@ -240,9 +240,9 @@ func run(w io.Writer) {
 	// The reduction arithmetic is the one policy knob the reproducibility
 	// contract leaves open (dist.Config.Reduction). Run both over the same
 	// buffers: values differ only by rounding, every topology stays
-	// bit-identical under either, and the fixed-tree pairwise-f32 kernel
-	// is the faster sum (see the HotLoop study in EXPERIMENTS.md and
-	// BenchmarkReduction for the measured throughputs).
+	// bit-identical under either, and the canonical-f64 kernel is the
+	// faster sum as measured, not the pairwise-f32 tree (see the HotLoop
+	// study in EXPERIMENTS.md and BenchmarkReduction for the throughputs).
 	{
 		const workers = 8
 		results := map[dist.Reduction][]float32{}

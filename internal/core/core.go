@@ -352,6 +352,9 @@ func (c Config) Validate() error {
 	case c.SyncEvery > 1 && c.LossScale > 0:
 		return errors.New("core: LossScale is incompatible with SyncEvery > 1 (local mode trains unscaled)")
 	}
+	if err := opt.CheckLossScale(c.LossScale); err != nil {
+		return err
+	}
 	if err := c.engineConfig().Validate(c.Workers); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -505,12 +508,6 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 			gradient = accumulating(engine, cfg.MicroBatch)
 		}
 	}
-	// Local mode pins evaluation to one live replica: between sync
-	// boundaries the replicas legitimately disagree.
-	eval := engine.EvalAccuracy
-	if local {
-		eval = engine.EvalAccuracyLocal
-	}
 
 	res := &Result{Config: cfg, TestAcc: math.NaN()}
 	_, nativeH, nativeW := ds.Train.ImageShape()
@@ -565,7 +562,7 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 		}
 		last := epoch == cfg.Epochs-1 || res.Diverged
 		if last || epoch%cfg.EvalEveryEpochs == 0 {
-			acc, err := eval(ds.Test.Images, ds.Test.Labels, 256)
+			acc, err := engine.EvalAccuracy(ds.Test.Images, ds.Test.Labels, 256)
 			if err != nil {
 				return nil, err
 			}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/opt"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -684,6 +685,26 @@ func TestF16AccuracyParity(t *testing.T) {
 	}
 	if half.TestAcc < full.TestAcc-0.05 {
 		t.Fatalf("F16 accuracy %v trails F32 accuracy %v by more than 5 points", half.TestAcc, full.TestAcc)
+	}
+}
+
+// TestLossScaleOutOfRangeRefused: an initial loss scale the scaler cannot
+// start from is refused by Validate with the scaler's own error, and Train
+// returns it instead of panicking inside the run.
+func TestLossScaleOutOfRangeRefused(t *testing.T) {
+	ds := tinyDataset()
+	for _, scale := range []float64{-4, 1e-30, 1e9, math.NaN()} {
+		cfg := Config{Model: mlpFactory(4), Batch: 32, Epochs: 1, Seed: 1, Precision: tensor.F16, LossScale: scale}
+		want := opt.CheckLossScale(scale)
+		if want == nil {
+			t.Fatalf("opt.CheckLossScale(%v) accepted it", scale)
+		}
+		if err := cfg.Validate(); err == nil || err.Error() != want.Error() {
+			t.Errorf("LossScale %v: Validate = %v, want %v", scale, err, want)
+		}
+		if res, err := Train(cfg, ds); err == nil || res != nil {
+			t.Errorf("LossScale %v: Train returned (%v, %v), want an error", scale, res, err)
+		}
 	}
 }
 

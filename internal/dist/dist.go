@@ -35,9 +35,12 @@
 //     gradient bucketing (chunked reduction, the overlap-friendly
 //     granularity real frameworks use), bucket reductions overlapped with
 //     the backward pass (Config.Overlap: each bucket's allreduce fires the
-//     moment its last covering parameter's gradient lands, driven by
-//     nn.Network's gradient-ready notification, with the schedule split
-//     into hidden vs exposed in OverlapStats), optional payload compression
+//     moment its last gradient coordinate lands on every shard, driven by
+//     nn.Network's gradient-ready notification through a countdown that is
+//     plain arithmetic over the parameter offsets, with the schedule split
+//     into hidden vs exposed in OverlapStats — the reduce stage is one loop
+//     either way, fed by those hooks or, without Overlap, after the
+//     barrier), optional payload compression
 //     (FP16Codec or OneBitCodec 1-bit SGD via the Codec hook) and
 //     deterministic fault injection (dropped payloads are re-requested,
 //     straggling workers are awaited) for scenario diversity;
@@ -53,8 +56,7 @@
 //     image. The membership is one value, a roster whose admit, strike and
 //     evict transitions are pure functions of the roster, the fault plan,
 //     the step and the eviction threshold; the engine only applies their
-//     effects (worker goroutines, gradient hooks, the resync broadcast, the
-//     ledger). Without Elastic a permanently dead worker surfaces a typed
+//     effects (worker goroutines, the resync broadcast, the ledger). Without Elastic a permanently dead worker surfaces a typed
 //     *WorkerDeadError instead of being retried forever.
 //
 // # Reproducibility contract

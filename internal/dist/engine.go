@@ -57,12 +57,12 @@ type Config struct {
 	Overlap bool
 	// Reduction selects the arithmetic of the gradient reduction:
 	// CanonicalF64 (the default — strict left-to-right float64
-	// accumulation in canonical shard order) or PairwiseF32 (the
-	// fixed-tree float32 kernel; faster, still bit-identical across
-	// worker counts, topologies, shard-to-worker assignments and
-	// overlap, because the tree shape depends only on the live shard
-	// count). Changing the policy changes the reduced values slightly
-	// (different rounding), so pin it across runs being compared.
+	// accumulation in canonical shard order, and the faster kernel as
+	// measured) or PairwiseF32 (the fixed-tree float32 kernel; still
+	// bit-identical across worker counts, topologies, shard-to-worker
+	// assignments and overlap, because the tree shape depends only on the
+	// live shard count). Changing the policy changes the reduced values
+	// slightly (different rounding), so pin it across runs being compared.
 	Reduction Reduction
 	// Codec optionally compresses every reduction payload on the wire
 	// (lossy; see FP16Codec and OneBitCodec). nil exchanges raw float32.
@@ -164,6 +164,12 @@ func (c Config) Validate(workers int) error {
 	if f == nil {
 		return nil
 	}
+	if !(f.DropRate >= 0 && f.DropRate <= 1) {
+		return fmt.Errorf("dist: FaultPlan.DropRate = %v: a probability must lie in [0, 1]", f.DropRate)
+	}
+	if !(f.StallRate >= 0 && f.StallRate <= 1) {
+		return fmt.Errorf("dist: FaultPlan.StallRate = %v: a probability must lie in [0, 1]", f.StallRate)
+	}
 	for w := range f.Dead {
 		if w == 0 {
 			return errors.New("dist: FaultPlan.Dead cannot mark worker 0 (the master) dead")
@@ -207,11 +213,15 @@ func (c Config) Validate(workers int) error {
 // The *tensor.Tensor values never change, so parameter lists taken before
 // the first step stay valid; the views outlive Close.
 //
+// The reduce stage is one loop over ready buckets: under Config.Overlap the
+// gradient-notify hooks NewEngine installs on every replica (and Close
+// removes) count each bucket's coordinates down inside the backward pass;
+// otherwise every bucket is ready after the barrier.
+//
 // Membership is one value, the roster (see Elastic): the step template asks
 // its pure transitions what changes at each boundary, and the engine only
-// applies the effects — starting or closing a worker goroutine, installing
-// or removing its gradient-notify hook, the one resync broadcast, and the
-// ledger.
+// applies the effects — starting or closing a worker goroutine, the one
+// resync broadcast, and the ledger.
 //
 // The engine is not safe for concurrent use; like the replicas it owns, it
 // belongs to one training loop. Close releases the worker goroutines.
@@ -220,6 +230,7 @@ type Engine struct {
 	replicas []*nn.Network
 	params   [][]*nn.Param // per-replica parameter lists
 	nparams  int           // total float32 coordinates per replica
+	offsets  []int         // parameter i spans flat coordinates [offsets[i], offsets[i+1])
 	buckets  [][2]int      // bucket coordinate ranges
 
 	// The membership (see Elastic) is one value: the live workers, their
@@ -232,17 +243,11 @@ type Engine struct {
 	// P×1 hierarchy a flat Config.Algo resolves to.
 	topo Hierarchy
 
-	// Overlap-scheduler structures (see Config.Overlap). paramBuckets
-	// lists the buckets each parameter's coordinates fall into;
-	// coverCount is the number of parameters covering each bucket; and
-	// bucketHidden marks the buckets that become ready strictly before
-	// the backward pass ends (they do not cover parameter 0, the last
-	// gradient to land).
-	paramBuckets [][]int
-	coverCount   []int
-	bucketHidden []bool
-	remaining    []atomic.Int64 // per bucket: outstanding (shard, param) landings
-	readyCh      chan int       // per step: buckets whose gradients are final
+	// The reduce stage of ComputeGradient drains readyCh, which under
+	// Config.Overlap gradReady feeds from inside the backward pass as each
+	// bucket's countdown of outstanding gradient coordinates reaches zero.
+	remaining []atomic.Int64
+	readyCh   chan int
 
 	jobs []chan job
 	done chan error
@@ -260,14 +265,12 @@ type Engine struct {
 	localSteppers []Stepper
 	localGrads    [][]float32
 
-	reduced    []float32 // scratch: canonically reduced flat gradient
-	steps      int64
-	total      Report  // the whole run's ledger
-	last       Report  // the most recent training step's (see add)
-	profActive bool    // true once construction is done: the profile covers training steps, not setup
-	inWindow   bool    // a profile window is open (see window)
-	lossScale  float32 // multiplier applied to dL/dy before Backward (0 or 1: off)
-	closed     bool
+	reduced   []float32 // scratch: canonically reduced flat gradient
+	steps     int64
+	total     Report  // the whole run's ledger
+	last      Report  // the most recent training step's (see add)
+	lossScale float32 // multiplier applied to dL/dy before Backward (0 or 1: off)
+	closed    bool
 }
 
 // SetLossScale sets the factor every worker multiplies the loss gradient by
@@ -342,9 +345,11 @@ func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 		kernel.SetProfiling(true)
 	}
 	e.total.Membership.StepsAtWorld = make([]int64, len(replicas)+1)
+	e.offsets = []int{0}
 	for _, p := range replicas[0].Params() {
-		e.nparams += p.Numel()
+		e.offsets = append(e.offsets, e.offsets[len(e.offsets)-1]+p.Numel())
 	}
+	e.nparams = e.offsets[len(e.offsets)-1]
 	e.weights = make([][]float32, len(replicas))
 	for w, r := range replicas {
 		ps := r.Params()
@@ -354,33 +359,29 @@ func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 		}
 		flat := make([]float32, 0, e.nparams)
 		for i, p := range ps {
-			if n, want := p.Numel(), e.params[0][i].Numel(); n != want {
+			if n, want := p.Numel(), e.offsets[i+1]-e.offsets[i]; n != want {
 				panic(fmt.Sprintf("dist: replica %d param %d (%s) has %d elements, master's has %d", w, i, p.Name, n, want))
 			}
 			flat = append(flat, p.W.Data...)
 		}
 		e.weights[w] = flat
 		view(flat, ps, weightOf)
+		if cfg.Overlap {
+			r.SetGradNotify(e.gradReady)
+		}
 	}
 	e.buckets = BucketRanges(e.nparams, cfg.BucketElems)
+	e.remaining = make([]atomic.Int64, len(e.buckets))
 	for s := range e.grads {
 		e.grads[s] = make([]float32, e.nparams)
 	}
 	e.reduced = make([]float32, e.nparams)
-	if cfg.Overlap {
-		e.mapBuckets()
-		e.remaining = make([]atomic.Int64, len(e.buckets))
-		for _, r := range replicas {
-			r.SetGradNotify(e.gradReady)
-		}
-	}
 
 	e.jobs = make([]chan job, len(replicas))
 	for _, w := range e.roster.live {
 		e.startWorker(w)
 	}
-	e.BroadcastWeights()
-	e.profActive = true // the profile covers training steps, not construction
+	e.broadcast() // outside any profile window: the profile covers training steps
 	return e
 }
 
@@ -405,58 +406,29 @@ func BucketRanges(n, elems int) [][2]int {
 	return out
 }
 
-// mapBuckets builds the bucket/parameter cover maps the overlap scheduler
-// and the hidden/exposed classification use: which buckets each parameter's
-// coordinates fall into, how many parameters cover each bucket, and which
-// buckets become ready strictly before the backward pass ends. A bucket is
-// ready when its lowest-indexed covering parameter lands; since parameters
-// land in reverse order, only buckets covering parameter 0 wait for the very
-// end of the backward — every other bucket is overlap-eligible (hidden).
-func (e *Engine) mapBuckets() {
-	offs := make([]int, len(e.params[0])+1)
-	for i, p := range e.params[0] {
-		offs[i+1] = offs[i] + p.Numel()
-	}
-	e.paramBuckets = make([][]int, len(e.params[0]))
-	e.coverCount = make([]int, len(e.buckets))
-	e.bucketHidden = make([]bool, len(e.buckets))
-	cursor := 0 // buckets and parameters are both coordinate-sorted
-	for bi, b := range e.buckets {
-		first := -1
-		for pi := cursor; pi < len(e.params[0]); pi++ {
-			plo, phi := offs[pi], offs[pi+1]
-			if plo >= b[1] {
-				break
-			}
-			if phi <= b[0] || plo == phi {
-				continue
-			}
-			e.paramBuckets[pi] = append(e.paramBuckets[pi], bi)
-			e.coverCount[bi]++
-			if first < 0 {
-				first = pi
-			}
+// gradReady is the per-parameter notification nn.Network.Backward fires on
+// every replica under Config.Overlap: parameter pi's gradient is final in the
+// shard's flat gradient, so each bucket its coordinates fall into counts them
+// off, and a bucket whose countdown reaches zero — every live shard's copy of
+// every coordinate final — goes to the reduce stage. BucketRanges cuts equal
+// buckets, so coordinate c lies in bucket c / width(bucket 0); an empty
+// parameter touches no bucket. The atomic countdown plus the buffered channel
+// give the reduce stage a happens-before edge over all shard writes it reads.
+func (e *Engine) gradReady(pi int) {
+	for lo, hi := e.offsets[pi], e.offsets[pi+1]; lo < hi; {
+		bi := lo / e.buckets[0][1]
+		end := min(hi, e.buckets[bi][1])
+		if e.remaining[bi].Add(int64(lo-end)) == 0 {
+			e.readyCh <- bi
 		}
-		if first >= 0 {
-			cursor = first
-		}
-		e.bucketHidden[bi] = first > 0
+		lo = end
 	}
 }
 
-// gradReady is the per-parameter notification nn.Network.Backward fires on
-// every replica under Config.Overlap: parameter pi's gradient is final in
-// the shard's flat gradient, so it counts down the buckets pi covers and
-// hands each bucket whose last (shard, parameter) pair just landed to the
-// overlap scheduler. The atomic countdown plus the buffered channel give the
-// scheduler a happens-before edge over all shard writes it will read.
-func (e *Engine) gradReady(pi int) {
-	for _, bi := range e.paramBuckets[pi] {
-		if e.remaining[bi].Add(-1) == 0 {
-			e.readyCh <- bi
-		}
-	}
-}
+// hidden reports whether bucket bi's reduction can hide inside the backward
+// pass: it does unless it covers parameter 0, the last gradient to land
+// (comm.ExpectedOverlapStats applies the same rule).
+func (e *Engine) hidden(bi int) bool { return e.buckets[bi][0] >= e.offsets[1] }
 
 // Workers returns the physical worker (replica) count.
 func (e *Engine) Workers() int { return len(e.replicas) }
@@ -604,16 +576,16 @@ func view(flat []float32, params []*nn.Param, of func(*nn.Param) *tensor.Tensor)
 	}
 }
 
-// dispatch sends one job to each of the given workers and waits for the
+// dispatch sends the job to each of the given workers and waits for the
 // lockstep barrier, returning the first worker error. Evicted and
 // currently-dead workers are simply not in the list — the barrier only
 // waits on workers that can answer.
-func (e *Engine) dispatch(workers []int, mk func(w int) job) error {
+func (e *Engine) dispatch(workers []int, j job) error {
 	if e.closed {
 		panic("dist: engine used after Close")
 	}
 	for _, w := range workers {
-		e.jobs[w] <- mk(w)
+		e.jobs[w] <- j
 	}
 	var first error
 	for range workers {
@@ -624,37 +596,20 @@ func (e *Engine) dispatch(workers []int, mk func(w int) job) error {
 	return first
 }
 
-// batchPlan is one global batch as the step template split it: the row span
-// of every logical shard and which worker computes which.
-type batchPlan struct {
-	x      *tensor.Tensor
-	labels []int
-	spans  [][2]int
-	// active lists the workers that can answer this step (see
-	// roster.members); owners assigns them the shard slots.
-	active []int
-	owners []int
-}
-
-// jobs returns the per-worker job of the given kind over the plan.
-func (p batchPlan) jobs(kind jobKind, lr float64) func(w int) job {
-	return func(w int) job {
-		return job{kind: kind, x: p.x, labels: p.labels, spans: p.spans, owners: p.owners, lr: lr}
-	}
-}
-
 // step is the one training-step template; ComputeGradient and LocalStep are
-// bodies passed to it. It owns everything the two share: batch validation,
-// the no-forever-retry check, the per-step ledger reset, the profile window,
-// membership changes at the step's boundaries — opens admits the workers the
-// plan schedules to join before the batch is sharded, so the step itself
-// runs (and is accounted) at the grown world size, warm-started from the
-// admission broadcast; closes strikes the workers the plan holds dead and
-// evicts those whose recovery has failed Elastic.EvictAfter consecutive
-// times after the step is filed — the shard plan, the step counter and the
-// shard-weighted batch-mean loss. A body that fails leaves the step
-// uncounted.
-func (e *Engine) step(op string, x *tensor.Tensor, labels []int, opens, closes bool, body func(batchPlan) error) (float64, error) {
+// bodies passed to it, each handed the step's job — the batch, the row span
+// of every logical shard and which worker computes which — and the workers
+// that can answer (see roster.members). It owns everything the two share:
+// batch validation, the no-forever-retry check, the per-step ledger reset,
+// the profile window, membership changes at the step's boundaries — opens
+// admits the workers the plan schedules to join before the batch is sharded,
+// so the step itself runs (and is accounted) at the grown world size,
+// warm-started from the admission broadcast; closes strikes the workers the
+// plan holds dead and evicts those whose recovery has failed
+// Elastic.EvictAfter consecutive times after the step is filed — the shard
+// plan, the step counter and the shard-weighted batch-mean loss. A body that
+// fails leaves the step uncounted.
+func (e *Engine) step(op string, x *tensor.Tensor, labels []int, opens, closes bool, body func(j job, active []int) error) (float64, error) {
 	b := x.Shape[0]
 	if b == 0 {
 		panic("dist: " + op + " on an empty batch")
@@ -669,12 +624,10 @@ func (e *Engine) step(op string, x *tensor.Tensor, labels []int, opens, closes b
 	var spans [][2]int
 	err := e.window(func() error {
 		if opens {
-			if err := e.apply(e.roster.admit(e.cfg.Faults, e.steps)); err != nil {
-				return err
-			}
+			e.apply(e.roster.admit(e.cfg.Faults, e.steps))
 		}
 		spans = data.Spans(b, e.roster.shards)
-		if err := body(batchPlan{x: x, labels: labels, spans: spans, active: e.members(), owners: e.ShardOwners()}); err != nil {
+		if err := body(job{x: x, labels: labels, spans: spans, owners: e.ShardOwners()}, e.members()); err != nil {
 			return err
 		}
 		e.noteStep() // filed at the world size the step executed at
@@ -684,10 +637,10 @@ func (e *Engine) step(op string, x *tensor.Tensor, labels []int, opens, closes b
 		}
 		e.roster = e.roster.strike(e.cfg.Faults, e.steps)
 		e.steps++
-		if e.cfg.Elastic == nil {
-			return nil
+		if e.cfg.Elastic != nil {
+			e.apply(e.roster.evict(e.cfg.Elastic.evictAfter(), e.steps))
 		}
-		return e.apply(e.roster.evict(e.cfg.Elastic.evictAfter(), e.steps))
+		return nil
 	})
 	if err != nil {
 		return 0, err
@@ -702,18 +655,15 @@ func (e *Engine) step(op string, x *tensor.Tensor, labels []int, opens, closes b
 	return loss, nil
 }
 
-// window runs fn inside the engine's profile window — the only place one is
-// opened. A call made while a window is already open (the broadcasts a step
-// issues at sync rounds and membership changes) runs inside the enclosing
-// window, so no instant is attributed twice.
+// window runs fn inside a profile window — the only place one is opened, and
+// only step and BroadcastWeights open one. Nothing either calls opens
+// another, so no instant is attributed twice.
 func (e *Engine) window(fn func() error) error {
-	if !e.cfg.Profile || !e.profActive || e.inWindow {
+	if !e.cfg.Profile {
 		return fn()
 	}
-	e.inWindow = true
 	base, start := kernel.ProfileSnapshot()
 	err := fn()
-	e.inWindow = false
 	e.add(Report{Profile: profileDelta(base, start)})
 	return err
 }
@@ -730,61 +680,56 @@ func (e *Engine) window(fn func() error) error {
 // identical weights (NewEngine and BroadcastWeights guarantee this in the
 // standard loop). Every step is a membership boundary on both sides.
 func (e *Engine) ComputeGradient(x *tensor.Tensor, labels []int) (float64, error) {
-	return e.step("ComputeGradient", x, labels, true, true, func(p batchPlan) error {
+	return e.step("ComputeGradient", x, labels, true, true, func(j job, active []int) error {
 		// The batch-mean weight of every non-empty (live) shard.
 		var live []int
 		var weights []float64
-		for s, span := range p.spans {
+		for s, span := range j.spans {
 			if span[0] != span[1] {
 				live = append(live, s)
 				weights = append(weights, float64(span[1]-span[0])/float64(len(labels)))
 			}
 		}
-		// The step's schedule is gathered here and filed only once every
-		// worker has answered, so a failed step accounts nothing — also
-		// under Overlap, whose scheduler records buckets that fire before
-		// the failure surfaces. (A data-dependent codec's error-feedback
-		// state may still have advanced for those buckets — the aborted
-		// step's values are discarded either way.)
+		// The reduce stage takes each bucket as it becomes ready: from the
+		// hooks inside the backward pass under Overlap, otherwise all of them
+		// after the barrier. The step's schedule is gathered here and filed
+		// only once every worker has answered, so a failed step accounts
+		// nothing. (A data-dependent codec's error-feedback state may still
+		// have advanced for buckets reduced before the failure surfaced — the
+		// aborted step's values are discarded either way.)
 		var d Report
 		payloads := make([]int64, len(e.buckets))
-		if e.cfg.Overlap && len(e.buckets) > 0 {
-			for bi := range e.buckets {
-				e.remaining[bi].Store(int64(e.coverCount[bi]) * int64(len(live)))
-			}
-			// Buffered to the bucket count so gradReady never blocks a
-			// worker, even when the scheduler lags or a step aborts.
-			e.readyCh = make(chan int, len(e.buckets))
-			abort := make(chan struct{})
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for n := 0; n < len(e.buckets); n++ {
-					select {
-					case bi := <-e.readyCh:
-						payloads[bi] = e.reduceBucket(&d, bi, live, e.grads, weights, e.bucketHidden[bi])
-					case <-abort:
-						return
-					}
+		for bi, b := range e.buckets {
+			e.remaining[bi].Store(int64(b[1]-b[0]) * int64(len(live)))
+		}
+		// Buffered to the bucket count so no send ever blocks, even when the
+		// reduce stage lags or a step aborts.
+		e.readyCh = make(chan int, len(e.buckets))
+		abort, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for range e.buckets {
+				select {
+				case bi := <-e.readyCh:
+					payloads[bi] = e.reduceBucket(&d, bi, live, e.grads, weights, e.cfg.Overlap && e.hidden(bi))
+				case <-abort:
+					return
 				}
-			}()
-			err := e.dispatch(p.active, p.jobs(jobGrad, 0))
-			if err != nil {
-				// A failed worker leaves bucket countdowns unresolved; the
-				// scheduler would wait forever without the abort.
-				close(abort)
 			}
-			<-done
-			if err != nil {
-				return err
-			}
-		} else {
-			if err := e.dispatch(p.active, p.jobs(jobGrad, 0)); err != nil {
-				return err
-			}
+		}()
+		err := e.dispatch(active, j)
+		if err != nil {
+			// A failed worker leaves bucket countdowns unresolved; the
+			// reduce stage would wait forever without the abort.
+			close(abort)
+		} else if !e.cfg.Overlap {
 			for bi := range e.buckets {
-				payloads[bi] = e.reduceBucket(&d, bi, live, e.grads, weights, false)
+				e.readyCh <- bi
 			}
+		}
+		<-done
+		if err != nil {
+			return err
 		}
 		view(e.reduced, e.params[0], gradOf)
 		e.injectFaults(&d, payloads)
@@ -931,38 +876,41 @@ func (e *Engine) injectFaults(d *Report, payloads []int64) {
 }
 
 // BroadcastWeights resynchronizes every active replica's parameters from
-// the master — the weight-distribution phase following the optimizer step,
-// one copy of the master's flat weights per replica — and accounts the
-// broadcast schedule per bucket (always exposed: it runs after the
-// optimizer step). The error is always nil: NewEngine checked the layout.
+// the master — the weight-distribution phase following the optimizer step —
+// inside its own profile window. The error is always nil: NewEngine checked
+// the layout.
 func (e *Engine) BroadcastWeights() error {
-	return e.window(func() error {
-		var bufs [][]float32 // the master's first: members ascend
-		for _, w := range e.members() {
-			bufs = append(bufs, e.weights[w])
-		}
-		fanOut(bufs)
-		var d Report
-		for _, bucket := range e.buckets {
-			d.file(HierBroadcastSchedule(e.topo, e.roster.sizes, 4*int64(bucket[1]-bucket[0])), false)
-		}
-		e.add(d)
-		return nil
-	})
+	return e.window(func() error { e.broadcast(); return nil })
+}
+
+// broadcast copies the master's flat weights to every other active replica and
+// accounts the broadcast schedule per bucket (always exposed: it runs after
+// the optimizer step, at construction, or at a membership or sync boundary).
+func (e *Engine) broadcast() {
+	var bufs [][]float32 // the master's first: members ascend
+	for _, w := range e.members() {
+		bufs = append(bufs, e.weights[w])
+	}
+	fanOut(bufs)
+	var d Report
+	for _, bucket := range e.buckets {
+		d.file(HierBroadcastSchedule(e.topo, e.roster.sizes, 4*int64(bucket[1]-bucket[0])), false)
+	}
+	e.add(d)
 }
 
 // EvalAccuracy computes top-1 accuracy of the master weights over the
 // images, processed data-parallel in chunks of at most batch rows assigned
 // round-robin to the workers. The replicas must be weight-synchronized, so
-// every chunk's logits are identical whichever replica computes them. A
-// worker failure (bad labels, shape drift) is returned as an error.
+// every chunk's logits are identical whichever replica computes them. Under
+// Config.SyncEvery > 1 the replicas disagree inside a window, so the first
+// member grades every chunk alone. A worker failure (bad labels, shape
+// drift) is returned as an error.
 func (e *Engine) EvalAccuracy(images *tensor.Tensor, labels []int, batch int) (float64, error) {
-	return e.eval(e.members(), images, labels, batch)
-}
-
-// eval grades the images on the given workers' replicas, chunks assigned
-// by the ownership rule.
-func (e *Engine) eval(workers []int, images *tensor.Tensor, labels []int, batch int) (float64, error) {
+	workers := e.members()
+	if e.cfg.SyncEvery > 1 {
+		workers = workers[:1]
+	}
 	n := images.Shape[0]
 	if n == 0 {
 		return 0, nil
@@ -978,8 +926,7 @@ func (e *Engine) eval(workers []int, images *tensor.Tensor, labels []int, batch 
 		}
 		spans = append(spans, [2]int{lo, hi})
 	}
-	plan := batchPlan{x: images, labels: labels, spans: spans, owners: owners(workers, len(spans))}
-	if err := e.dispatch(workers, plan.jobs(jobEval, 0)); err != nil {
+	if err := e.dispatch(workers, job{kind: jobEval, x: images, labels: labels, spans: spans, owners: owners(workers, len(spans))}); err != nil {
 		return 0, err
 	}
 	correct := 0

@@ -120,16 +120,16 @@ func (e *Engine) LocalStep(x *tensor.Tensor, labels []int, lr float64) (float64,
 	// to the window start, and only the step that closes a window evicts.
 	done := e.steps + 1
 	opens, closes := e.steps%h == 0, done%h == 0
-	return e.step("LocalStep", x, labels, opens, closes, func(p batchPlan) error {
-		if err := e.dispatch(p.active, p.jobs(jobLocal, lr)); err != nil {
+	return e.step("LocalStep", x, labels, opens, closes, func(j job, active []int) error {
+		j.kind, j.lr = jobLocal, lr
+		if err := e.dispatch(active, j); err != nil {
 			return err
 		}
 		e.add(Report{LocalSGD: LocalSGDStats{LocalSteps: 1}})
 		if closes {
-			return e.syncRound(p.active)
-		}
-		if hi := int64(e.cfg.IntraSyncEvery); hi > 0 && done%hi == 0 {
-			e.intraSyncRound(p.active)
+			e.syncRound(active)
+		} else if hi := int64(e.cfg.IntraSyncEvery); hi > 0 && done%hi == 0 {
+			e.intraSyncRound(active)
 		}
 		return nil
 	})
@@ -180,7 +180,7 @@ func uniform(n int) []float64 {
 // rebroadcast. The codec rounds the weights in place; the average and the
 // broadcast overwrite every one it rounds. All of it is exposed: a sync
 // round is a barrier, there is no backward pass to hide inside.
-func (e *Engine) syncRound(active []int) error {
+func (e *Engine) syncRound(active []int) {
 	d := Report{LocalSGD: LocalSGDStats{SyncRounds: 1}}
 	weights := uniform(len(active))
 	payloads := make([]int64, len(e.buckets))
@@ -190,7 +190,7 @@ func (e *Engine) syncRound(active []int) error {
 	copy(e.weights[0], e.reduced)
 	e.injectFaults(&d, payloads)
 	e.add(d)
-	return e.BroadcastWeights()
+	e.broadcast()
 }
 
 // intraSyncRound runs one intra-node-only averaging round: each Topology
@@ -231,15 +231,4 @@ func (e *Engine) intraSyncRound(active []int) {
 	}
 	sp.End()
 	e.add(d)
-}
-
-// EvalAccuracyLocal evaluates top-1 accuracy on a single live replica — the
-// lowest-numbered active worker — chunking the test set into batches of the
-// given size. Between sync boundaries local-SGD replicas legitimately
-// disagree, so the fleet-wide EvalAccuracy (which farms spans across all
-// live workers) would grade different test spans with different models;
-// pinning one replica keeps the metric well-defined and deterministic at
-// any point in the window.
-func (e *Engine) EvalAccuracyLocal(images *tensor.Tensor, labels []int, batch int) (float64, error) {
-	return e.eval(e.members()[:1], images, labels, batch)
 }

@@ -40,10 +40,11 @@ const DefaultEvictAfter = 3
 // Eviction removes the worker from the collective at the end of the step
 // that crossed the threshold:
 //
-//   - the worker's goroutine is released and its gradient-notify hook (the
-//     overlap scheduler's input) is unhooked — the scheduler's bucket
-//     cover maps depend only on the parameter layout, and its per-step
-//     countdowns rescale to the surviving shard count automatically;
+//   - the worker's goroutine is released; its gradient-notify hook (the
+//     overlap scheduler's input, installed once by NewEngine) stays, since a
+//     replica without a goroutine never runs Backward — the scheduler's
+//     bucket countdowns are arithmetic over the parameter offsets and start
+//     each step at the live shard count;
 //   - the logical shard spans are recomputed over the surviving P−1 workers
 //     via data.Spans — with the default split (Config.Shards left zero, no
 //     codec) the shard count follows the world size down, so the
@@ -63,10 +64,9 @@ const DefaultEvictAfter = 3
 // Admission is the exact mirror, at the start of the step FaultPlan.Join
 // names (so the step itself already runs at the grown world):
 //
-//   - the worker's goroutine starts (or restarts, for an evicted returner)
-//     and its gradient-notify hook is re-installed — the overlap
-//     scheduler's per-step countdowns rescale to the grown shard count
-//     automatically;
+//   - the worker's goroutine starts (or restarts, for an evicted returner);
+//     its hook never left, and the overlap scheduler's per-step countdowns
+//     start at the grown live shard count;
 //   - the shard split recomputes over the P+1 workers: the default
 //     world-tracking split grows to exactly the split a fresh P+1 engine
 //     would use, while pinned and codec-bearing splits keep their shard
@@ -475,39 +475,34 @@ func (e *Engine) noteStep() {
 }
 
 // apply makes next the membership and carries out a transition's effects:
-// an evictee's goroutine is released and its gradient-notify hook removed; a
-// joiner without a goroutine (pending, or evicted earlier) gets a fresh one
-// and its hook back. Then the counts are filed and the master resynchronizes
-// the fleet once at the new world size — the broadcast is accounted
-// (exposed) into the step's CommStats and its payload filed under
-// JoinedBytes or RebalancedBytes. A transition's events are all admissions
-// or all evictions.
-func (e *Engine) apply(next roster, events []MembershipEvent, shards int64) error {
+// an evictee's goroutine is released; a joiner without a goroutine (pending,
+// or evicted earlier) gets a fresh one. Gradient-notify hooks stay installed
+// throughout — a worker without a goroutine never runs Backward. Then the
+// counts are filed and the master resynchronizes the fleet once at the new
+// world size — the broadcast is accounted (exposed) into the step's CommStats
+// and its payload filed under JoinedBytes or RebalancedBytes. A transition's
+// events are all admissions or all evictions.
+func (e *Engine) apply(next roster, events []MembershipEvent, shards int64) {
 	e.roster = next
 	if len(events) == 0 {
-		return nil
+		return
 	}
 	m := MembershipStats{Events: events}
 	for _, ev := range events {
-		w, notify := ev.Worker, e.gradReady
-		switch {
+		switch w := ev.Worker; {
 		case !ev.Join:
 			m.Evictions++
 			close(e.jobs[w])
-			e.jobs[w], notify = nil, nil
-		case e.jobs[w] != nil:
-			m.Joins++
-			continue
-		default:
+			e.jobs[w] = nil
+		case e.jobs[w] == nil:
 			m.Joins++
 			e.startWorker(w)
-		}
-		if e.cfg.Overlap {
-			e.replicas[w].SetGradNotify(notify)
+		default:
+			m.Joins++
 		}
 	}
 	before := e.total.Comm.Bytes
-	err := e.BroadcastWeights()
+	e.broadcast()
 	moved := e.total.Comm.Bytes - before
 	if m.Joins > 0 {
 		m.JoinedShards, m.JoinedBytes = shards, moved
@@ -515,5 +510,4 @@ func (e *Engine) apply(next roster, events []MembershipEvent, shards int64) erro
 		m.RebalancedShards, m.RebalancedBytes = shards, moved
 	}
 	e.add(Report{Membership: m})
-	return err
 }

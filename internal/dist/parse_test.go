@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -18,6 +19,28 @@ func TestParseAlgorithmInvertsString(t *testing.T) {
 	for _, bad := range []string{"", "Ring", "star", "Algorithm(7)"} {
 		if _, err := ParseAlgorithm(bad); err == nil || !strings.Contains(err.Error(), "central | tree | ring") {
 			t.Errorf("ParseAlgorithm(%q): got %v, want an error listing the three names", bad, err)
+		}
+	}
+}
+
+// TestFaultRatesValidated: a drop or stall rate is a probability. NaN or a
+// value outside [0, 1] is refused by name; the bounds themselves are fine.
+func TestFaultRatesValidated(t *testing.T) {
+	for _, tc := range []struct {
+		plan FaultPlan
+		want string
+	}{
+		{FaultPlan{DropRate: 1.5}, "FaultPlan.DropRate = 1.5"},
+		{FaultPlan{DropRate: math.NaN()}, "FaultPlan.DropRate = NaN"},
+		{FaultPlan{DropRate: -0.1}, "FaultPlan.DropRate = -0.1"},
+		{FaultPlan{StallRate: -1}, "FaultPlan.StallRate = -1"},
+		{FaultPlan{StallRate: math.Inf(1)}, "FaultPlan.StallRate = +Inf"},
+		{FaultPlan{DropRate: 1, StallRate: 0}, ""},
+		{FaultPlan{DropRate: 0, StallRate: 1}, ""},
+	} {
+		err := Config{Faults: &tc.plan}.Validate(2)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%+v: Validate = %v, want %q", tc.plan, err, tc.want)
 		}
 	}
 }

@@ -53,16 +53,26 @@ type LossScaler struct {
 	stats       ScaleStats
 }
 
+// CheckLossScale reports why scale cannot be a scaler's initial scale, or
+// nil: a nonzero scale must lie in [2^-24, 2^24] (0 selects
+// DefaultLossScale).
+func CheckLossScale(scale float64) error {
+	if scale != 0 && !(scale >= minLossScale && scale <= maxLossScale) {
+		return fmt.Errorf("opt: loss scale %v outside [%v, %v]", scale, minLossScale, float64(maxLossScale))
+	}
+	return nil
+}
+
 // NewLossScaler builds a scaler with the given initial scale (0 selects
 // DefaultLossScale) and growth interval (0 selects defaultGrowthEvery).
 // The initial scale is rounded to the nearest power of two to preserve the
-// exact-unscaling invariant.
+// exact-unscaling invariant. It panics with CheckLossScale's error.
 func NewLossScaler(scale float64, growthEvery int) *LossScaler {
+	if err := CheckLossScale(scale); err != nil {
+		panic(err)
+	}
 	if scale == 0 {
 		scale = DefaultLossScale
-	}
-	if scale < minLossScale || scale > maxLossScale || math.IsNaN(scale) {
-		panic(fmt.Sprintf("opt: loss scale %v outside [%v, %v]", scale, minLossScale, float64(maxLossScale)))
 	}
 	scale = math.Exp2(math.Round(math.Log2(scale)))
 	if growthEvery <= 0 {
