@@ -76,6 +76,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"strings"
 
@@ -129,6 +130,16 @@ func run(args []string, w io.Writer) error {
 	prec, err := tensor.ParsePrecision(*precision)
 	if err != nil {
 		return err
+	}
+	switch {
+	case *requests < 0:
+		return fmt.Errorf("-requests %d, want >= 0", *requests)
+	case *replicas < 1:
+		return fmt.Errorf("-replicas %d, want >= 1", *replicas)
+	case !(*rate > 0) || math.IsInf(*rate, 1):
+		return fmt.Errorf("-rate %v, want a positive finite rate", *rate)
+	case *traceKind == "bursty" && *burstLen < 1:
+		return fmt.Errorf("-burst-len %d, want >= 1", *burstLen)
 	}
 	cfg := serve.Config{
 		MaxBatch: *maxBatch,

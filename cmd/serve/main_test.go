@@ -39,9 +39,12 @@ func TestStdoutGolden(t *testing.T) {
 	}
 }
 
-// TestRefusedFlags: a -trace or -precision the command cannot use is one
-// error line returned before any report is written — -precision used to
-// print the trace header first and die inside runPool.
+// TestRefusedFlags: a flag value the command cannot use is one error line
+// returned before any report is written — -precision used to print the
+// trace header first and die inside runPool, -requests -1 panicked in
+// makeslice, and the others ran: -replicas 0 on the one replica the pool
+// defaults to, a negative or NaN -rate at one request per tick, a bursty
+// trace with -burst-len 0 as bursts of one.
 func TestRefusedFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -50,6 +53,11 @@ func TestRefusedFlags(t *testing.T) {
 		{"-trace zipf", `unknown trace "zipf" (want uniform | poisson | bursty)`},
 		{"-precision f8", `unknown precision "f8"`},
 		{"-schedule-only -precision f8", `unknown precision "f8"`},
+		{"-requests -1", "-requests -1, want >= 0"},
+		{"-replicas 0", "-replicas 0, want >= 1"},
+		{"-rate -5", "-rate -5, want a positive finite rate"},
+		{"-rate NaN", "-rate NaN, want a positive finite rate"},
+		{"-trace bursty -burst-len 0", "-burst-len 0, want >= 1"},
 	} {
 		var out bytes.Buffer
 		err := run(strings.Fields(tc.args), &out)

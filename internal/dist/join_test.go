@@ -292,10 +292,10 @@ func TestHierarchyNodeRejoinRestoresInterTier(t *testing.T) {
 }
 
 // TestOverlapRescaleAfterJoin: the overlap scheduler survives an admission
-// — the joiner's notify hook is installed, the bucket cover maps stay
-// valid, and the per-step countdowns rescale to the grown shard count — so
-// bucket reductions keep firing inside the backward pass with values
-// bit-identical to the sequential grown engine.
+// — the joiner's notify hook has been installed since NewEngine, and the
+// bucket countdowns, arithmetic over the parameter offsets, start each step
+// at the grown shard count — so bucket reductions keep firing inside the
+// backward pass with values bit-identical to the sequential grown engine.
 func TestOverlapRescaleAfterJoin(t *testing.T) {
 	x, labels, _ := testTask(60)
 	factory := func(seed uint64) *nn.Network {

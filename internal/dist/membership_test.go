@@ -159,11 +159,11 @@ func TestHierarchyTierShrinkOnEviction(t *testing.T) {
 }
 
 // TestOverlapCoverMapRebuildAfterEviction: the overlap scheduler survives
-// an eviction — the evicted replica's notify hook is unhooked, the bucket
-// cover maps (which depend only on the parameter layout) stay valid, and
-// the per-step countdowns rescale to the surviving shard count — so bucket
-// reductions keep firing inside the backward pass with values bit-identical
-// to the sequential degraded engine.
+// an eviction — the evicted replica keeps its notify hook but, without a
+// goroutine, never runs Backward; the bucket countdowns, arithmetic over
+// the parameter offsets, start each step at the surviving shard count — so
+// bucket reductions keep firing inside the backward pass with values
+// bit-identical to the sequential degraded engine.
 func TestOverlapCoverMapRebuildAfterEviction(t *testing.T) {
 	x, labels, _ := testTask(60)
 	// A convnet rather than the test MLP: its first conv is tiny, so most

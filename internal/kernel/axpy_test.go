@@ -22,13 +22,18 @@ func axpyQuadScalar(c0, c1, c2, c3, b []float32, s0, s1, s2, s3 float32) {
 }
 
 // TestAxpyQuadMatchesScalar: axpyQuad, and the one-row axpy on each of its
-// rows, equal the scalar loop bit for bit at every length around the
-// four- and eight-wide vector steps and their tail, on sub-slices at
+// rows, equal the scalar loop bit for bit in every form the CPU runs (AVX2
+// and SSE, or the portable loops) at every length around the four-, eight-
+// and sixteen-wide vector steps and their tail, on sub-slices at
 // unaligned offsets, with ±0, denormal, Inf and NaN lanes in b and in c —
 // and write nothing outside their rows. No lane adds a NaN product to a NaN in
 // c: which of two NaN operands an x86 add returns is the instruction's
 // operand order, which IEEE leaves open and the two forms need not share.
 func TestAxpyQuadMatchesScalar(t *testing.T) {
+	eachForm(func(form string) { testAxpyQuadMatchesScalar(t, form) })
+}
+
+func testAxpyQuadMatchesScalar(t *testing.T, form string) {
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	denorm := math.Float32frombits(1)
 	negZero := math.Float32frombits(0x80000000)
@@ -75,12 +80,12 @@ func TestAxpyQuadMatchesScalar(t *testing.T) {
 				axpyQuadScalar(row(want, 0), row(want, 1), row(want, 2), row(want, 3), row(want, 4), s[0], s[1], s[2], s[3])
 				for r := range back {
 					if i := bitsEqual(back[r], want[r]); i >= 0 {
-						t.Fatalf("n=%d off=%d scales=%v row %d elem %d: axpyQuad %x vs scalar %x",
-							n, off, s, r, i-guard-off, math.Float32bits(back[r][i]), math.Float32bits(want[r][i]))
+						t.Fatalf("%s n=%d off=%d scales=%v row %d elem %d: axpyQuad %x vs scalar %x",
+							form, n, off, s, r, i-guard-off, math.Float32bits(back[r][i]), math.Float32bits(want[r][i]))
 					}
 					if i := bitsEqual(one[r], want[r]); i >= 0 {
-						t.Fatalf("n=%d off=%d scale=%v row %d elem %d: axpy %x vs scalar %x",
-							n, off, s[r], r, i-guard-off, math.Float32bits(one[r][i]), math.Float32bits(want[r][i]))
+						t.Fatalf("%s n=%d off=%d scale=%v row %d elem %d: axpy %x vs scalar %x",
+							form, n, off, s[r], r, i-guard-off, math.Float32bits(one[r][i]), math.Float32bits(want[r][i]))
 					}
 				}
 			}

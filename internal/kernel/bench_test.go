@@ -7,28 +7,55 @@ import (
 	"repro/internal/rng"
 )
 
-// benchShapes are the GEMM geometries the micro models actually feed:
-// a conv-lowered panel (outC x outH·outW with k = inC·kh·kw), a square
-// reference point, and a fully-connected batch.
+// benchShapes are the NN geometries the micro models feed: a conv-lowered
+// panel (outC × outH·outW with k = inC·kh·kw), micro-AlexNet's conv1 and
+// conv2 forward products (one sample: outC × outH·outW over inC·3·3), a
+// square reference point, and a fully-connected batch.
 var benchShapes = []struct {
 	name    string
 	m, n, k int
 }{
 	{"conv-lowered", 32, 256, 27},
+	{"conv1-forward", 8, 2304, 27},
+	{"conv2-forward", 16, 864, 72},
 	{"square", 256, 256, 256},
 	{"fc", 64, 512, 1024},
 }
 
 // BenchmarkGemm compares the float32 GEMM against the binary16-storage GEMM
 // at the micro-model shapes. Both run one body and one micro-kernel; the f16
-// side decodes its panels first, so on this host it is the f32 figure minus
-// the price of that decode and cannot exceed it — the ratio of benchmark/'s
+// side decodes its panels first, so it is the f32 figure minus the price of
+// that decode and cannot exceed it — the ratio of benchmark/'s
 // kernel.gemm_f16_gflops to kernel.gemm_f32_gflops probes is what binary16
-// storage costs at the kernel, not a speedup.
+// storage costs at the kernel, not a speedup. The TN sub-benchmarks time
+// micro-AlexNet's conv1 and conv2 dX products (Wᵀ·dy, one sample: inC·3·3 ×
+// outH·outW over outC), which have no binary16 entry point.
 func BenchmarkGemm(b *testing.B) {
 	for _, sh := range benchShapes {
 		benchGemmPair(b, sh.name, sh.m, sh.n, sh.k, GemmNN, GemmNNHalf)
 	}
+	for _, sh := range []struct {
+		name    string
+		m, n, k int
+	}{
+		{"conv1-dX", 27, 2304, 8},
+		{"conv2-dX", 72, 864, 16},
+	} {
+		benchGemmTN(b, sh.name, sh.m, sh.n, sh.k)
+	}
+}
+
+// benchGemmTN runs one m×n×k TN product, op(A) read from the k×m array a
+// (lda = m), on random operands (bytes/sec reads as flop/s).
+func benchGemmTN(b *testing.B, name string, m, n, k int) {
+	r := rng.New(42)
+	a, bm, c := randVec(r, k*m), randVec(r, k*n), make([]float32, m*n)
+	b.Run(fmt.Sprintf("%s/%dx%dx%d/f32", name, m, n, k), func(b *testing.B) {
+		b.SetBytes(2 * int64(m) * int64(n) * int64(k))
+		for i := 0; i < b.N; i++ {
+			GemmTN(m, n, k, 1, a, m, 0, bm, 0, c)
+		}
+	})
 }
 
 // BenchmarkGemmNT times the NT case (four columns per pairwiseDotQuad pass)

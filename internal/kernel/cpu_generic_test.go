@@ -1,0 +1,7 @@
+//go:build !amd64
+
+package kernel
+
+// eachForm runs f once: the portable build has one form of each kernel,
+// the scalar loops.
+func eachForm(f func(form string)) { f("scalar") }

@@ -1,5 +1,7 @@
 package kernel
 
+import "slices"
+
 // One GEMM body per transpose case (NN, TN, NT), over float32 operands. Per
 // output element the accumulation order over l is ascending regardless of
 // blocking, and each C row is a pure function of the operands, so results
@@ -35,7 +37,7 @@ func GemmNNHalf(m, n, k int, alpha float32, a, b []uint16, beta float32, c []flo
 //
 // It k-tiles the l loop (the B panel of one tile stays hot across all rows
 // of the block) and register-blocks four rows of C at a time, so each
-// streamed row of B is reused fourfold.
+// streamed row of B is reused fourfold; see gemmRowBlock.
 func GemmNN(m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
 	applyBeta(c[:m*n], beta)
 	if n == 0 {
@@ -57,15 +59,16 @@ func GemmNN(m, n, k int, alpha float32, a, b []float32, beta float32, c []float3
 				}
 				break
 			}
-			// Pack the four rows' tiles interleaved: pk[4·l + r] = A[i+r][kt+l].
+			// Pack the four rows' scales interleaved:
+			// pk[4·l + r] = alpha·A[i+r][kt+l].
 			for r := 0; r < 4; r++ {
 				q := r
 				for _, v := range at[r*k : r*k+kc] {
-					pk[q] = v
+					pk[q] = alpha * v
 					q += 4
 				}
 			}
-			gemmRowBlock(n, kc, alpha, pk[:4*kc], bp, c[i*n:(i+4)*n])
+			gemmRowBlock(n, kc, pk[:4*kc], bp, c[i*n:(i+4)*n])
 		}
 	}
 }
@@ -91,15 +94,16 @@ func GemmTN(m, n, k int, alpha float32, a []float32, lda, i0 int, b []float32, b
 		aw := a[kt*lda+i0:]
 		i := 0
 		for ; i+4 <= m; i += 4 {
-			// Pack the four columns' tile: pk[4·l + r] = op(A)[i+r][kt+l].
+			// Pack the four columns' scales:
+			// pk[4·l + r] = alpha·op(A)[i+r][kt+l].
 			for l := 0; l < kc; l++ {
 				off := l*lda + i
-				pk[4*l+0] = aw[off]
-				pk[4*l+1] = aw[off+1]
-				pk[4*l+2] = aw[off+2]
-				pk[4*l+3] = aw[off+3]
+				pk[4*l+0] = alpha * aw[off]
+				pk[4*l+1] = alpha * aw[off+1]
+				pk[4*l+2] = alpha * aw[off+2]
+				pk[4*l+3] = alpha * aw[off+3]
 			}
-			gemmRowBlock(n, kc, alpha, pk[:4*kc], bp, c[i*n:(i+4)*n])
+			gemmRowBlock(n, kc, pk[:4*kc], bp, c[i*n:(i+4)*n])
 		}
 		for ; i < m; i++ {
 			crow := c[i*n : (i+1)*n]
@@ -111,48 +115,57 @@ func GemmTN(m, n, k int, alpha float32, a []float32, lda, i0 int, b []float32, b
 }
 
 // gemmRowBlock is the one four-row micro-kernel of the package: c is four
-// contiguous rows of C, pk the packed A tile (pk[4·l + r] scales row r at
-// step l), bp the kc×n B panel. Per l, the four rows accumulate
-// s_r·B[l] with per-row zero skips; the all-non-zero fast path runs through
-// axpyQuad, the four-row fused update, and a block holding a zero through
-// one axpy per non-zero row. The amd64 build vectorizes both four-wide
-// (element-wise IEEE mul/add, so results are bit-identical to the scalar
-// loops). Per element the adds happen in ascending l, so every C row
-// stays a pure function of the operands under any caller-side chunking.
-func gemmRowBlock(n, kc int, alpha float32, pk, bp, c []float32) {
-	c0 := c[0*n : 1*n]
-	c1 := c[1*n : 2*n]
-	c2 := c[2*n : 3*n]
-	c3 := c[3*n : 4*n]
+// contiguous rows of C, sc the packed scales of one k-tile (sc[4·l + r] =
+// alpha·A[r][l] scales row r at step l), bp the kc×n B panel. Every element
+// accumulates s_r·B[l][j] in ascending l, each a rounded multiply and then
+// a rounded add (no FMA), so every C row stays a pure function of the
+// operands under any caller-side chunking.
+//
+// A k-tile without a zero scale goes through the register tile (gemmTile,
+// AVX2 on amd64) over the leading multiple of 16 columns: each 4×16 strip of
+// C is loaded once, takes all kc updates in registers and is stored once,
+// instead of streaming through cache once per l. The remaining columns, and
+// the whole block when a scale is zero, take the per-step path: axpyQuad,
+// the fused four-row update, when all four scales of a step are non-zero,
+// and one axpyRow per row otherwise. Columns are independent, so the split
+// does not move a bit.
+func gemmRowBlock(n, kc int, sc, bp, c []float32) {
+	j0 := 0
+	if !slices.Contains(sc, 0) {
+		j0 = gemmTile(c, sc, bp, n)
+	}
+	if j0 == n {
+		return
+	}
+	c0 := c[0*n+j0 : 1*n]
+	c1 := c[1*n+j0 : 2*n]
+	c2 := c[2*n+j0 : 3*n]
+	c3 := c[3*n+j0 : 4*n]
 	for l := 0; l < kc; l++ {
-		pq := pk[4*l : 4*l+4]
-		s0 := alpha * pq[0]
-		s1 := alpha * pq[1]
-		s2 := alpha * pq[2]
-		s3 := alpha * pq[3]
-		brow := bp[l*n : (l+1)*n]
-		if s0 == 0 || s1 == 0 || s2 == 0 || s3 == 0 {
+		s := sc[4*l : 4*l+4]
+		brow := bp[l*n+j0 : (l+1)*n]
+		if s[0] == 0 || s[1] == 0 || s[2] == 0 || s[3] == 0 {
 			// Mixed or all-zero scales: drop to per-row updates so a zero
 			// row skips exactly as a lone row would. Each row's arithmetic
 			// must not depend on its block neighbors (0·Inf would mint a
 			// NaN, 0 + -0 would flip a sign a lone row never sees), or
 			// results would vary with the caller's row chunking.
-			axpyRow(c0, s0, brow)
-			axpyRow(c1, s1, brow)
-			axpyRow(c2, s2, brow)
-			axpyRow(c3, s3, brow)
+			axpyRow(c0, s[0], brow)
+			axpyRow(c1, s[1], brow)
+			axpyRow(c2, s[2], brow)
+			axpyRow(c3, s[3], brow)
 			continue
 		}
-		axpyQuad(c0, c1, c2, c3, brow, s0, s1, s2, s3)
+		axpyQuad(c0, c1, c2, c3, brow, s[0], s[1], s[2], s[3])
 	}
 }
 
 // axpyRow computes c += s·b, skipping entirely when s is zero — the one
 // per-row update semantics every NN/TN path shares, so a row's result never
 // depends on which rows share its register block or on the caller's row
-// chunking. The non-zero update is axpy, SSE on amd64: after a ReLU most
-// four-row blocks hold a zero, so this is where sparse operands spend their
-// time.
+// chunking. The non-zero update is axpy, AVX2 or SSE on amd64: after a
+// ReLU most four-row blocks hold a zero, so this is where sparse operands
+// spend their time.
 func axpyRow(c []float32, s float32, b []float32) {
 	if s == 0 {
 		return

@@ -1,0 +1,153 @@
+package kernel
+
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+)
+
+// gemmSpec is the specification of GemmNN and GemmTN: C is scaled by beta
+// (0 overwrites, 1 leaves it), then row i takes s·B[l] for l = 0..k-1 in
+// ascending order with s = alpha·A[i][l], one rounded multiply and one
+// rounded add per element, and a zero s skips its step.
+func gemmSpec(m, n, k int, alpha float32, at func(i, l int) float32, b []float32, beta float32, c []float32) {
+	for j := range c[:m*n] {
+		switch beta {
+		case 0:
+			c[j] = 0
+		case 1:
+		default:
+			c[j] *= beta
+		}
+	}
+	for i := 0; i < m; i++ {
+		for l := 0; l < k; l++ {
+			s := alpha * at(i, l)
+			if s == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				c[i*n+j] += float32(s * b[l*n+j])
+			}
+		}
+	}
+}
+
+// FuzzGemmNN checks GemmNN and GemmTN — the register tile, axpyQuad, the
+// one-row axpy and their zero skips — against the scalar loop of gemmSpec,
+// in every form of the kernels the CPU runs (see eachForm), and the AVX2
+// form against the SSE one bit for bit, NaN payloads included: the two
+// share their operand order. Against the scalar loop a NaN matches any NaN,
+// as in FuzzDotQuad.
+//
+// The fuzzer picks m < 14, n < 50, k < 600 (so a product can span three
+// k-tiles of gemmKC), a mask of zeroed A rows (bit i mod 16 zeroes row i),
+// the bits of alpha and beta, and a byte string: A, B and C are filled from
+// it read as float32 words, cycling. GemmTN reads op(A) at column offset 1
+// of a k×(m+2) array whose other columns are NaN, so a read outside op(A)
+// shows. The seeds below and the named inputs under
+// testdata/fuzz/FuzzGemmNN cover m mod 4 ≠ 0, n below, at and across 16,
+// k = 257 and 513, alpha and beta in {0, 1, other, NaN}, zero rows, lone
+// zero scales (zero words and alpha·A underflowing to zero), and ±0, ±Inf
+// and NaN in A, B and C; `go test` replays them all.
+func FuzzGemmNN(f *testing.F) {
+	bits := math.Float32bits
+	words := func(ws ...uint32) []byte {
+		var raw []byte
+		for _, w := range ws {
+			raw = binary.LittleEndian.AppendUint32(raw, w)
+		}
+		return raw
+	}
+	ordinary := words(0x3f800000, 0xc0490fdb, 0x3dcccccd, 0x40a00000, 0xbeaaaaab, 0x3f7ffffe, 0x42c80000)
+	special := words(0x3f800000, 0x00000000, 0xc0490fdb, 0x80000000, 0x3dcccccd, 0x7f800000,
+		0x40a00000, 0xff800000, 0xbeaaaaab, 0x7fc00000, 0x3f7ffffe, 0x00000001, 0x42c80000)
+	lone := words(0x3f800000, 0xc0490fdb, 0x3dcccccd, 0x00000000, 0x40a00000, 0xbeaaaaab, 0x42c80000)
+	tiny := words(0x1e3ce508, 0x3f800000, 0x9e3ce508, 0xc0400000, 0x3dcccccd) // ±1e-20 among ordinary
+	for _, s := range []struct {
+		m, n, k, zero uint16
+		alpha, beta   float32
+		raw           []byte
+	}{
+		{5, 37, 300, 0, 0.7, 0.3, ordinary},
+		{8, 16, 27, 0, 1, 0, ordinary},
+		{7, 33, 257, 0, 1, 1, special},
+		{6, 23, 9, 0b10, -1.5, 0, special},
+		{13, 49, 513, 0b1000100, 0.7, 2, ordinary},
+		{9, 48, 40, 0, 1e-30, 0.3, tiny},
+		{4, 17, 64, 0, 1, 0, lone},
+		{12, 32, 72, 0b100000000001, 0, 0.5, ordinary},
+		{3, 0, 5, 0, 1, 0.5, ordinary},
+		{2, 5, 0, 0, 1, 0.5, ordinary},
+	} {
+		f.Add(s.m, s.n, s.k, s.zero, bits(s.alpha), bits(s.beta), s.raw)
+	}
+	f.Fuzz(func(t *testing.T, m16, n16, k16, zeroRows uint16, alphaBits, betaBits uint32, raw []byte) {
+		m, n, k := int(m16%14), int(n16%50), int(k16%600)
+		alpha, beta := math.Float32frombits(alphaBits), math.Float32frombits(betaBits)
+		word := func(i int) float32 {
+			if len(raw) < 4 {
+				return 0
+			}
+			off := 4 * (i % (len(raw) / 4))
+			return math.Float32frombits(binary.LittleEndian.Uint32(raw[off:]))
+		}
+		a := make([]float32, m*k)
+		for i := range a {
+			if zeroRows>>(i/k%16)&1 == 0 {
+				a[i] = word(i)
+			}
+		}
+		b, c := make([]float32, k*n), make([]float32, m*n)
+		for i := range b {
+			b[i] = word(m*k + i)
+		}
+		for i := range c {
+			c[i] = word(m*k + k*n + i)
+		}
+		const i0 = 1
+		lda := m + 2
+		aT := make([]float32, k*lda)
+		for i := range aT {
+			aT[i] = float32(math.NaN())
+		}
+		for i := 0; i < m; i++ {
+			for l := 0; l < k; l++ {
+				aT[l*lda+i0+i] = a[i*k+l]
+			}
+		}
+		want := append([]float32(nil), c...)
+		gemmSpec(m, n, k, alpha, func(i, l int) float32 { return a[i*k+l] }, b, beta, want)
+
+		got := map[string][2][]float32{}
+		eachForm(func(form string) {
+			nn, tn := append([]float32(nil), c...), append([]float32(nil), c...)
+			GemmNN(m, n, k, alpha, a, b, beta, nn)
+			GemmTN(m, n, k, alpha, aT, lda, i0, b, beta, tn)
+			got[form] = [2][]float32{nn, tn}
+		})
+		for form, out := range got {
+			for x, name := range []string{"GemmNN", "GemmTN"} {
+				for j, v := range out[x] {
+					if v != v && want[j] != want[j] {
+						continue
+					}
+					if bits(v) != bits(want[j]) {
+						t.Fatalf("%s %s m=%d n=%d k=%d: C[%d][%d] = %v (%08x), scalar loop %v (%08x)",
+							form, name, m, n, k, j/n, j%n, v, bits(v), want[j], bits(want[j]))
+					}
+				}
+			}
+		}
+		avx2, ok := got["avx2"]
+		if !ok {
+			return // the CPU has no AVX2: nothing to hold to the SSE form
+		}
+		for x, name := range []string{"GemmNN", "GemmTN"} {
+			if j := bitsEqual(avx2[x], got["sse"][x]); j >= 0 {
+				t.Fatalf("%s m=%d n=%d k=%d: C[%d][%d] is %08x with AVX2, %08x with SSE",
+					name, m, n, k, j/n, j%n, bits(avx2[x][j]), bits(got["sse"][x][j]))
+			}
+		}
+	})
+}

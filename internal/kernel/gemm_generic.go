@@ -1,0 +1,7 @@
+//go:build !amd64
+
+package kernel
+
+// gemmTile is gemmRowBlock's register tile, which only the amd64 build has:
+// here it covers no columns, and the per-step path does all of them.
+func gemmTile(c, sc, bp []float32, n int) int { return 0 }

@@ -20,6 +20,14 @@
 //     surrounding code parallelizes or shards, while the error stays
 //     O(log n)·ε instead of the naive sum's O(n)·ε.
 //
+// On amd64 the hot loops are assembly. The GEMM register tile, axpyQuad and
+// the one-row axpy run eight lanes wide with AVX2 when CPUID and XGETBV
+// report it (read once, at package init) and four wide with SSE otherwise;
+// dotQuad, RoundHalf, CanonicalAccumulate's pass and ReLU are SSE. None
+// uses FMA: every form does the scalar loop's rounded multiplies and adds
+// in its order, so every form gives the same bits, and the portable build
+// runs the scalar loops of the *_generic.go files.
+//
 // Everything in this package is serial and allocation-free on the hot path
 // (a small pooled scratch backs the pairwise tree); callers own the
 // parallel decomposition and may invoke the kernels concurrently on
