@@ -84,12 +84,36 @@ import (
 type sizes struct {
 	nodes, batch, epochs, dataset int
 	perNode                       int
-	sweep, evict, autoscale       bool
+	sweep, autoscale              bool
+	evict                         string // -evict as given
 	scaleMax                      int
 	interval                      float64
 }
 
+// evictions parses -evict: one run fraction in [0, 1] per lost device.
+func (s sizes) evictions() ([]float64, error) {
+	if s.evict == "" {
+		return nil, nil
+	}
+	var fracs []float64
+	for _, f := range strings.Split(s.evict, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		if err != nil || v < 0 || v > 1 {
+			return nil, fmt.Errorf("bad -evict fraction %q: want numbers in [0,1]", f)
+		}
+		fracs = append(fracs, v)
+	}
+	return fracs, nil
+}
+
 func (s sizes) check() error {
+	fracs, err := s.evictions()
+	if err != nil {
+		return err
+	}
+	if s.nodes > 0 && len(fracs) >= s.nodes {
+		return fmt.Errorf("-evict loses %d devices, fleet has %d", len(fracs), s.nodes)
+	}
 	switch {
 	case s.nodes <= 0:
 		return fmt.Errorf("-nodes %d: want a positive device count", s.nodes)
@@ -101,7 +125,7 @@ func (s sizes) check() error {
 		return fmt.Errorf("-dataset %d: want a positive dataset size", s.dataset)
 	case s.perNode > 0 && s.nodes%s.perNode != 0:
 		return fmt.Errorf("-per-node %d does not divide %d devices", s.perNode, s.nodes)
-	case s.sweep && s.evict:
+	case s.sweep && s.evict != "":
 		return errors.New("-evict is not supported with -sweep")
 	case s.autoscale && s.interval <= 0:
 		return fmt.Errorf("-interval %g: want a positive trace resolution in seconds", s.interval)
@@ -142,11 +166,12 @@ func main() {
 		intraAlg   = flag.String("intra-algo", "ring", "within-node allreduce when -per-node is set: central | tree | ring")
 	)
 	flag.Parse()
-	if err := (sizes{
+	sz := sizes{
 		nodes: *nodes, batch: *batch, epochs: *epochs, dataset: *dataset, perNode: *perNode,
-		sweep: *sweep, evict: *evict != "", autoscale: *autoscale != "",
+		sweep: *sweep, evict: *evict, autoscale: *autoscale != "",
 		scaleMax: *scaleMax, interval: *interval,
-	}).check(); err != nil {
+	}
+	if err := sz.check(); err != nil {
 		log.Fatal(err)
 	}
 
@@ -265,17 +290,7 @@ func main() {
 	fmt.Printf("total:       %s\n", e.Duration().Round(1e9))
 
 	if *evict != "" {
-		var fracs []float64
-		for _, s := range strings.Split(*evict, ",") {
-			f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil || f < 0 || f > 1 {
-				log.Fatalf("bad -evict fraction %q: want numbers in [0,1]", s)
-			}
-			fracs = append(fracs, f)
-		}
-		if len(fracs) >= *nodes {
-			log.Fatalf("-evict loses %d devices, fleet has %d", len(fracs), *nodes)
-		}
+		fracs, _ := sz.evictions() // checked above
 		el := cluster.SimulateElastic(buildCluster(*nodes), spec, *batch, *epochs, *dataset, fracs)
 		fmt.Printf("\neviction timeline (%d devices lost; fixed %d-epoch budget, serial communication):\n", len(fracs), *epochs)
 		fmt.Printf("  %-8s %-12s %-12s %-12s %-12s\n", "world", "iterations", "comp/iter", "comm/iter", "img/s")

@@ -12,6 +12,11 @@ func TestSizesCheck(t *testing.T) {
 	if err := ok.check(); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
 	}
+	evicting := ok
+	evicting.nodes, evicting.evict = 4, "0.1, 0.2,0.3"
+	if err := evicting.check(); err != nil {
+		t.Fatalf("three evictions from four devices rejected: %v", err)
+	}
 	pod := ok
 	pod.nodes, pod.perNode, pod.autoscale = 16, 8, true
 	if err := pod.check(); err != nil {
@@ -29,7 +34,10 @@ func TestSizesCheck(t *testing.T) {
 		{"-nodes 0", func(s *sizes) { s.nodes = 0 }, "-nodes"},
 		{"-dataset -1", func(s *sizes) { s.dataset = -1 }, "-dataset"},
 		{"-per-node 3", func(s *sizes) { s.perNode = 3 }, "-per-node"},
-		{"-sweep -evict", func(s *sizes) { s.sweep, s.evict = true, true }, "-evict"},
+		{"-sweep -evict", func(s *sizes) { s.sweep, s.evict = true, "0.5" }, "-evict"},
+		{"-nodes 4 -evict 0.1,0.2,0.3,0.4", func(s *sizes) { s.nodes, s.evict = 4, "0.1,0.2,0.3,0.4" }, "-evict loses 4"},
+		{"-evict 0.5,abc", func(s *sizes) { s.evict = "0.5,abc" }, "-evict fraction"},
+		{"-evict 1.5", func(s *sizes) { s.evict = "1.5" }, "-evict fraction"},
 		{"-autoscale -interval 0", func(s *sizes) { s.autoscale, s.interval = true, 0 }, "-interval"},
 	} {
 		s := ok

@@ -144,7 +144,7 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 			res.Diverged = true
 		}
 		res.FinalLoss = loss
-		w.replica.Backward(w.loss.Backward())
+		w.replica.BackwardParams(w.loss.Backward())
 		for pi, p := range w.replica.Params() {
 			copy(w.grads[pi], p.G.Data)
 		}

@@ -10,9 +10,10 @@ import (
 
 // Codec compresses reduction payloads on the (simulated) wire. The engine
 // passes every logical shard's bucket payload through Transform before
-// reduction, so the lossy wire format feeds back into training exactly as
-// it would on real hardware, while CommStats.Bytes records the wire size
-// instead of the raw 4n float bytes.
+// reduction — except FP16Codec's, whose rounding the reduce applies as it
+// reads each payload — so the lossy wire format feeds back into training
+// exactly as it would on real hardware, while CommStats.Bytes records the
+// wire size instead of the raw 4n float bytes.
 //
 // Transform is keyed by slot — a stable (shard, bucket) identifier — so
 // stateful codecs (1-bit SGD's error feedback) carry per-payload residual
@@ -30,14 +31,21 @@ type Codec interface {
 
 // FP16Codec exchanges gradients in IEEE half precision: 2 bytes per
 // coordinate on the wire, values rounded through float16 on the way.
+//
+// The engine does not call its Transform. Every reduce it runs under this
+// codec — gradient buckets, local-SGD weight averaging, either Reduction —
+// rounds each source as it reads it (kernel.CanonicalAccumulateHalf,
+// kernel.PairwiseAccumulateHalf): the values Transform followed by the
+// plain reduce would give, bit for bit, in one pass that writes no payload.
+// So the fp16 wire runs no codec phase; its time is reduce time.
 type FP16Codec struct{}
 
 // Name implements Codec.
 func (FP16Codec) Name() string { return "fp16" }
 
 // Transform implements Codec: one in-place pass of kernel.RoundHalf, whose
-// every element is the decode of its binary16 encoding, so the payload
-// carries the wire's values without a half buffer or a second pass.
+// every element is the decode of its binary16 encoding — the wire's values,
+// which the engine's reduces reproduce on read.
 func (FP16Codec) Transform(_ int, data []float32) int64 {
 	kernel.RoundHalf(data)
 	return 2 * int64(len(data))

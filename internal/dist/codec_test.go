@@ -9,6 +9,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/opt"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -325,4 +326,84 @@ func TestOneBitSizeMismatchPanics(t *testing.T) {
 			c.Transform(0, make([]float32, 5))
 		})
 	}
+}
+
+// inPlaceHalf is FP16Codec's wire applied as a payload transform: its
+// Transform rounds every payload in place before the plain reduce reads it.
+// The engine recognizes only FP16Codec itself as the rounding it applies on
+// read, so an engine on inPlaceHalf is the in-place oracle.
+type inPlaceHalf struct{}
+
+func (inPlaceHalf) Name() string { return "fp16-in-place" }
+func (inPlaceHalf) Transform(slot int, data []float32) int64 {
+	return dist.FP16Codec{}.Transform(slot, data)
+}
+
+// TestFP16RoundOnReadMatchesInPlace: every reduce the engine runs under
+// FP16Codec rounds its sources as it reads them, and gives the bits of
+// rounding every payload in place first — for both Reduction policies, on
+// the gradient path with overlapped buckets (reduced gradients, every step)
+// and on the local-SGD path with full and intra-node averaging rounds
+// (final weights) — and files the same counters.
+func TestFP16RoundOnReadMatchesInPlace(t *testing.T) {
+	x, labels, factory := testTask(64)
+	hier := dist.NewHierarchy(2, 2)
+	for _, red := range []dist.Reduction{dist.CanonicalF64, dist.PairwiseF32} {
+		grads := func(codec dist.Codec) ([][]float32, dist.CommStats) {
+			e := newEngine(dist.Config{Algo: dist.Ring, Reduction: red, Codec: codec, BucketElems: 64, Overlap: true}, 2, factory)
+			defer e.Close()
+			sgd := opt.NewSGD(e.Master().Params(), opt.SGDConfig{Momentum: 0.9})
+			var out [][]float32
+			for step := 0; step < 3; step++ {
+				if _, err := e.ComputeGradient(x, labels); err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, flatGrad(e))
+				sgd.Step(0.05)
+				if err := e.BroadcastWeights(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return out, e.Stats()
+		}
+		got, gotStats := grads(dist.FP16Codec{})
+		want, wantStats := grads(inPlaceHalf{})
+		for step := range want {
+			if i := firstBitDiff(got[step], want[step]); i >= 0 {
+				t.Fatalf("%v gradient step %d: coord %d is %v, in-place rounding gives %v", red, step, i, got[step][i], want[step][i])
+			}
+		}
+		if gotStats != wantStats {
+			t.Fatalf("%v gradient counters %+v, in-place %+v", red, gotStats, wantStats)
+		}
+
+		local := func(codec dist.Codec) ([]float32, dist.CommStats) {
+			e := localEngine(dist.Config{Topology: &hier, Reduction: red, Codec: codec, SyncEvery: 4, IntraSyncEvery: 2}, 4, factory)
+			defer e.Close()
+			for step := 0; step < 8; step++ {
+				if _, err := e.LocalStep(x, labels, 0.05); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return flatWeights(e.Master()), e.Stats()
+		}
+		gotW, gotStats := local(dist.FP16Codec{})
+		wantW, wantStats := local(inPlaceHalf{})
+		if i := firstBitDiff(gotW, wantW); i >= 0 {
+			t.Fatalf("%v local SGD weight %d is %v, in-place rounding gives %v", red, i, gotW[i], wantW[i])
+		}
+		if gotStats != wantStats {
+			t.Fatalf("%v local-SGD counters %+v, in-place %+v", red, gotStats, wantStats)
+		}
+	}
+}
+
+// firstBitDiff returns the first index where a and b differ bitwise, or -1.
+func firstBitDiff(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
 }

@@ -24,8 +24,9 @@
 //     loss) with two bodies — ComputeGradient, the every-step gradient
 //     allreduce into the master, and LocalStep, local SGD with periodic
 //     weight averaging (Config.SyncEvery) — sharing one worker-side shard
-//     forward/backward, one bucket reduction (codec pass, schedule,
-//     weighted accumulate) and one evaluation; one ledger (Report, kept
+//     forward/backward, one bucket reduction (codec wire, schedule,
+//     weighted accumulate, which applies the fp16 wire's rounding as it
+//     reads each source) and one evaluation; one ledger (Report, kept
 //     for the run and for the last step and written through a single add);
 //     one topology: a flat Config.Algo world is the P×1 Hierarchy, so
 //     every schedule is priced by the same two-tier closed forms; and one

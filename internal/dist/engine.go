@@ -549,7 +549,7 @@ func (e *Engine) shardGradients(w int, net *nn.Network, loss *nn.SoftmaxCrossEnt
 				dl.Data[i] *= s
 			}
 		}
-		net.Backward(dl)
+		net.BackwardParams(dl)
 	}
 }
 
@@ -740,14 +740,16 @@ func (e *Engine) ComputeGradient(x *tensor.Tensor, labels []int) (float64, error
 
 // reduceBucket reduces bucket bi of the source vectors bufs[id], id ∈ ids —
 // the live shards' gradients, or the active workers' weights at a local-SGD
-// averaging round — into e.reduced: the optional codec rounds
-// every source's payload through its wire format, the schedule of the
-// topology is accounted into d (hidden when the overlap scheduler fired the
-// bucket inside the backward pass), and the weighted sum lands in the
-// scratch vector. It returns the rounded mean wire payload so fault
-// recovery prices resends consistently. Safe to run concurrently with
-// workers still back-propagating other buckets' coordinates: it only
-// touches [lo, hi).
+// averaging round — into e.reduced: the codec's wire is applied to every
+// source's payload (rounded on read under FP16Codec, transformed in place
+// under any other codec), the schedule of the topology is accounted into d
+// (hidden when the overlap scheduler fired the bucket inside the backward
+// pass), and the weighted sum lands in the scratch vector. Under the fp16
+// wire that is one pass per bucket: each source's payload is read once and
+// the sum written once, and no source is written. It returns the rounded
+// mean wire payload so fault recovery prices resends consistently. Safe to
+// run concurrently with workers still back-propagating other buckets'
+// coordinates: it only touches [lo, hi).
 func (e *Engine) reduceBucket(d *Report, bi int, ids []int, bufs [][]float32, weights []float64, hidden bool) int64 {
 	lo, hi := e.buckets[bi][0], e.buckets[bi][1]
 	wireTotal := e.transform(bi, ids, bufs)
@@ -757,7 +759,7 @@ func (e *Engine) reduceBucket(d *Report, bi int, ids []int, bufs [][]float32, we
 	for i, id := range ids {
 		srcs[i] = bufs[id][lo:hi]
 	}
-	e.accumulate(e.reduced[lo:hi], srcs, weights)
+	e.accumulate(e.reduced[lo:hi], srcs, weights, e.halfWire())
 	sp.End()
 	n := int64(len(ids))
 	return (wireTotal + n/2) / n
@@ -777,18 +779,23 @@ func (e *Engine) reduceTiers(wireTotal int64, n int) TierStats {
 	return t
 }
 
-// transform rounds bucket bi of every source vector bufs[id], id ∈ ids,
-// through the codec's wire format in place and returns the summed wire
-// bytes (the raw float32 size when no codec is configured). Per-payload wire
-// sizes may differ for data-dependent codecs, hence the exact sum. Slots are
-// keyed id·len(buckets)+bi — by logical shard for gradients, by worker for
+// transform applies the codec's in-place part to bucket bi of every source
+// vector bufs[id], id ∈ ids, and returns the summed wire bytes: 4 per
+// coordinate on the raw wire and 2 on the fp16 wire, neither of which
+// writes a payload (the fp16 wire rounds on read, in accumulate), and
+// whatever a stateful codec's Transform reports, which may differ per
+// payload for data-dependent codecs, hence the exact sum. Slots are keyed
+// id·len(buckets)+bi — by logical shard for gradients, by worker for
 // local-SGD weights — so stateful codecs (1-bit error feedback) carry
 // per-source residuals across rounds; an engine is driven through one entry
 // point only, so the two keyings never meet.
 func (e *Engine) transform(bi int, ids []int, bufs [][]float32) int64 {
 	lo, hi := e.buckets[bi][0], e.buckets[bi][1]
-	if e.cfg.Codec == nil {
+	switch {
+	case e.cfg.Codec == nil:
 		return 4 * int64(hi-lo) * int64(len(ids))
+	case e.halfWire():
+		return 2 * int64(hi-lo) * int64(len(ids))
 	}
 	defer kernel.StartPhase(kernel.PhaseCodec).End()
 	wires := make([]int64, len(ids))
@@ -805,11 +812,20 @@ func (e *Engine) transform(bi int, ids []int, bufs [][]float32) int64 {
 	return total
 }
 
+// halfWire reports whether the wire is FP16Codec's, whose rounding the
+// reduce applies as it reads each source.
+func (e *Engine) halfWire() bool {
+	_, ok := e.cfg.Codec.(FP16Codec)
+	return ok
+}
+
 // accumulate writes Σ weights[i]·srcs[i] into dst under Config.Reduction —
 // canonical float64 or the fixed-tree pairwise float32 kernel, whose scales
-// are the weights rounded to float32. Both kernels are chunking-invariant,
-// so the parallel decomposition never affects the reduced bits.
-func (e *Engine) accumulate(dst []float32, srcs [][]float32, weights []float64) {
+// are the weights rounded to float32 — with every source value rounded
+// through binary16 as it is read when half is set (the fp16 wire). Both
+// kernels are chunking-invariant, so the parallel decomposition never
+// affects the reduced bits.
+func (e *Engine) accumulate(dst []float32, srcs [][]float32, weights []float64, half bool) {
 	var scales []float32
 	if e.cfg.Reduction == PairwiseF32 {
 		scales = make([]float32, len(weights))
@@ -822,9 +838,14 @@ func (e *Engine) accumulate(dst []float32, srcs [][]float32, weights []float64) 
 		for i := range srcs {
 			sub[i] = srcs[i][l:h]
 		}
-		if scales != nil {
+		switch {
+		case scales != nil && half:
+			kernel.PairwiseAccumulateHalf(dst[l:h], sub, scales)
+		case scales != nil:
 			kernel.PairwiseAccumulate(dst[l:h], sub, scales)
-		} else {
+		case half:
+			kernel.CanonicalAccumulateHalf(dst[l:h], sub, weights)
+		default:
 			kernel.CanonicalAccumulate(dst[l:h], sub, weights)
 		}
 	})

@@ -158,7 +158,7 @@ func (e *Engine) localReduceStep(w int, j job) {
 	for i := range weights {
 		weights[i] /= float64(owned)
 	}
-	e.accumulate(e.localGrads[w], srcs, weights)
+	e.accumulate(e.localGrads[w], srcs, weights, false)
 	view(e.localGrads[w], e.params[w], gradOf)
 	e.localSteppers[w].Step(j.lr)
 }
@@ -177,9 +177,10 @@ func uniform(n int) []float64 {
 // reduction (codec-rounded on the wire, the reduce schedule accounted) but
 // uniformly weighted in canonical worker order into the master, roll the
 // fault plan — the only point the eviction clock ticks in local mode — and
-// rebroadcast. The codec rounds the weights in place; the average and the
-// broadcast overwrite every one it rounds. All of it is exposed: a sync
-// round is a barrier, there is no backward pass to hide inside.
+// rebroadcast. The fp16 wire rounds the weights as the reduce reads them;
+// a codec that transforms in place (1-bit) writes them, and the average
+// and the broadcast overwrite every one it wrote. All of it is exposed: a
+// sync round is a barrier, there is no backward pass to hide inside.
 func (e *Engine) syncRound(active []int) {
 	d := Report{LocalSGD: LocalSGDStats{SyncRounds: 1}}
 	weights := uniform(len(active))
@@ -198,8 +199,9 @@ func (e *Engine) syncRound(active []int) {
 // intra fabric — leaders never exchange, so the inter tier stays silent.
 // The schedule is the intra half of the two-tier round (reduce plus
 // broadcast, priced at the live node sizes like every hierarchical
-// schedule), accounted exposed on the intra tier only. The node averages
-// overwrite every weight vector the codec rounded in place.
+// schedule), accounted exposed on the intra tier only. The fp16 wire
+// rounds on read; the node averages overwrite every weight vector an
+// in-place codec wrote.
 func (e *Engine) intraSyncRound(active []int) {
 	d := Report{LocalSGD: LocalSGDStats{IntraRounds: 1}}
 	activeSet := make(map[int]bool, len(active))
@@ -222,7 +224,7 @@ func (e *Engine) intraSyncRound(active []int) {
 		if len(srcs) == 0 {
 			continue
 		}
-		e.accumulate(e.reduced, srcs, uniform(len(srcs)))
+		e.accumulate(e.reduced, srcs, uniform(len(srcs)), e.halfWire())
 		for _, m := range members {
 			if activeSet[m] {
 				copy(e.weights[m], e.reduced)

@@ -161,41 +161,56 @@ func TestPairwiseFaultRecoveryExact(t *testing.T) {
 
 // TestProfileStatsSumToStepWall is the profiler's acceptance criterion:
 // the five phase buckets of a profiled step sum exactly to the measured
-// step wall time, and the compute phases are actually populated.
+// step wall time, and the compute phases are actually populated. The 1-bit
+// codec transforms payloads in place, so its steps have a codec phase; the
+// fp16 wire rounds inside the reduce, so its steps have none, and the
+// rounding's time is reduce time.
 func TestProfileStatsSumToStepWall(t *testing.T) {
 	x, labels, factory := testTask(64)
-	e := newEngine(dist.Config{
-		Algo: dist.Ring, Codec: dist.FP16Codec{}, Profile: true,
-	}, 2, factory)
-	defer e.Close()
-	var cumulative dist.ProfileStats
-	for step := 0; step < 3; step++ {
-		if _, err := e.ComputeGradient(x, labels); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		codec     dist.Codec
+		codecPass bool
+	}{
+		{dist.NewOneBitCodec(), true},
+		{dist.FP16Codec{}, false},
+	} {
+		e := newEngine(dist.Config{
+			Algo: dist.Ring, Codec: tc.codec, Profile: true,
+		}, 2, factory)
+		var cumulative dist.ProfileStats
+		for step := 0; step < 3; step++ {
+			if _, err := e.ComputeGradient(x, labels); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.BroadcastWeights(); err != nil {
+				t.Fatal(err)
+			}
+			p := e.StepProfile()
+			name := tc.codec.Name()
+			if p.WallNS <= 0 {
+				t.Fatalf("%s step %d: no wall time profiled: %+v", name, step, p)
+			}
+			if p.Accounted() != p.WallNS {
+				t.Fatalf("%s step %d: phases sum to %d ns, wall is %d ns", name, step, p.Accounted(), p.WallNS)
+			}
+			if p.GemmNS <= 0 {
+				t.Fatalf("%s step %d: GEMM phase empty: %+v", name, step, p)
+			}
+			if tc.codecPass && p.CodecNS <= 0 {
+				t.Fatalf("%s step %d: codec phase empty despite an in-place codec: %+v", name, step, p)
+			}
+			if !tc.codecPass && p.CodecNS != 0 {
+				t.Fatalf("%s step %d: codec phase %d ns, but the fp16 wire rounds inside the reduce: %+v", name, step, p.CodecNS, p)
+			}
+			if p.ReduceNS <= 0 {
+				t.Fatalf("%s step %d: reduce phase empty: %+v", name, step, p)
+			}
+			cumulative.Add(p)
 		}
-		if err := e.BroadcastWeights(); err != nil {
-			t.Fatal(err)
+		if e.Profile() != cumulative {
+			t.Fatalf("%s: cumulative profile %+v != sum of step profiles %+v", tc.codec.Name(), e.Profile(), cumulative)
 		}
-		p := e.StepProfile()
-		if p.WallNS <= 0 {
-			t.Fatalf("step %d: no wall time profiled: %+v", step, p)
-		}
-		if p.Accounted() != p.WallNS {
-			t.Fatalf("step %d: phases sum to %d ns, wall is %d ns", step, p.Accounted(), p.WallNS)
-		}
-		if p.GemmNS <= 0 {
-			t.Fatalf("step %d: GEMM phase empty: %+v", step, p)
-		}
-		if p.CodecNS <= 0 {
-			t.Fatalf("step %d: codec phase empty despite fp16 codec: %+v", step, p)
-		}
-		if p.ReduceNS <= 0 {
-			t.Fatalf("step %d: reduce phase empty: %+v", step, p)
-		}
-		cumulative.Add(p)
-	}
-	if e.Profile() != cumulative {
-		t.Fatalf("cumulative profile %+v != sum of step profiles %+v", e.Profile(), cumulative)
+		e.Close()
 	}
 }
 

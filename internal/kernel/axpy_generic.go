@@ -6,15 +6,16 @@ package kernel
 // the fused four-row update behind gemmRowBlock. This is the portable scalar
 // form; axpy_amd64.s carries eight-lane AVX2 and four-lane SSE versions that
 // perform the same element-wise IEEE multiply and add, so all produce
-// identical bits. All
+// identical bits. Each product is converted to float32 explicitly, which
+// forbids the compiler from fusing it into the add (arm64 would). All
 // scales must be non-zero (the caller routes zero scales through axpyRow's
 // skip path); c rows and b must have equal length.
 func axpyQuad(c0, c1, c2, c3, b []float32, s0, s1, s2, s3 float32) {
 	for j, bv := range b {
-		c0[j] += s0 * bv
-		c1[j] += s1 * bv
-		c2[j] += s2 * bv
-		c3[j] += s3 * bv
+		c0[j] += float32(s0 * bv)
+		c1[j] += float32(s1 * bv)
+		c2[j] += float32(s2 * bv)
+		c3[j] += float32(s3 * bv)
 	}
 }
 
@@ -25,6 +26,6 @@ func axpyQuad(c0, c1, c2, c3, b []float32, s0, s1, s2, s3 float32) {
 // c must have len(b) elements.
 func axpy(c, b []float32, s float32) {
 	for j, bv := range b {
-		c[j] += s * bv
+		c[j] += float32(s * bv)
 	}
 }

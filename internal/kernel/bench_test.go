@@ -162,6 +162,24 @@ func BenchmarkReduction(b *testing.B) {
 			CanonicalAccumulate(dst, srcs, nil)
 		}
 	})
+	// The fp16 wire's reduces: every source rounded through binary16 as it
+	// is read, at the engine's batch-mean weights.
+	weights, scales := make([]float64, shards), make([]float32, shards)
+	for s := range weights {
+		weights[s], scales[s] = 1.0/shards, 1.0/shards
+	}
+	b.Run("pairwise-f32-half", func(b *testing.B) {
+		b.SetBytes(int64(shards) * 4 * n)
+		for i := 0; i < b.N; i++ {
+			PairwiseAccumulateHalf(dst, srcs, scales)
+		}
+	})
+	b.Run("canonical-f64-half", func(b *testing.B) {
+		b.SetBytes(int64(shards) * 4 * n)
+		for i := 0; i < b.N; i++ {
+			CanonicalAccumulateHalf(dst, srcs, weights)
+		}
+	})
 }
 
 // BenchmarkGemmReLU times the products whose A operand went through a ReLU:

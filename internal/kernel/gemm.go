@@ -229,7 +229,7 @@ func scaleAdd(c, s, alpha, beta float32) float32 {
 	if beta == 0 {
 		return alpha * s
 	}
-	return beta*c + alpha*s
+	return float32(beta*c) + float32(alpha*s)
 }
 
 // GemmTT computes C[m×n] = alpha·op(A)·op(B) + beta·C with both operands
@@ -242,7 +242,7 @@ func GemmTT(m, n, k int, alpha float32, a []float32, lda, i0 int, b []float32, l
 		for j := range crow {
 			var s float32
 			for l := 0; l < k; l++ {
-				s += a[l*lda+i0+i] * b[j*ldb+l]
+				s += float32(a[l*lda+i0+i] * b[j*ldb+l])
 			}
 			crow[j] = scaleAdd(crow[j], s, alpha, beta)
 		}

@@ -2,10 +2,10 @@
 
 #include "textflag.h"
 
-// SSE2 RoundHalf: the lane-wise transcription of half.go's scalar
-// HalfToFloat32(Float32ToHalf(x)), kept in float32 bits, with every branch
-// turned into a mask select. The kernel handles the leading multiple of four
-// elements and returns how many it wrote; the Go caller finishes the tail.
+// RoundHalf's vector kernels, and the canonical reduce that rounds its
+// sources the same way as it reads them. The rounding is the lane-wise
+// transcription of half.go's scalar HalfToFloat32(Float32ToHalf(x)), kept
+// in float32 bits, with every branch turned into a mask select:
 //
 // Per lane, with u = |x|'s bits:
 //   normal  n = (u + 0xfff + ((u>>13)&1)) &^ 0x1fff   (RTNE to 10 mantissa bits)
@@ -14,90 +14,280 @@
 //   u or n ≥ 2^16            → ±Inf (u's own test catches Inf/NaN, whose n wraps)
 //   u > Inf                  → the quiet NaN
 // The float add/sub of the small lane is the scalar path's own "+0.5" trick,
-// so its rounding is the FPU's round-to-nearest-even in both.
+// so its rounding is the FPU's round-to-nearest-even in both. ROUND16SSE is
+// this sequence at four lanes; ROUND16AVX gives the same lanes at eight
+// with the float trick for the normal lanes too (see there). Each kernel
+// matched the scalar converters on all 2^32 float32 patterns.
 
-DATA absmask<>+0(SB)/8, $0x7fffffff7fffffff
-DATA absmask<>+8(SB)/8, $0x7fffffff7fffffff
-GLOBL absmask<>(SB), RODATA|NOPTR, $16
+// Each constant is one 32-bit lane repeated across 32 bytes, so a YMM
+// operand reads all of it and an XMM one its first 16 (the linker aligns a
+// 32-byte symbol to 32, as SSE2's memory operands need).
+#define LANES(name, v) \
+	DATA name<>+0(SB)/8, v; \
+	DATA name<>+8(SB)/8, v; \
+	DATA name<>+16(SB)/8, v; \
+	DATA name<>+24(SB)/8, v; \
+	GLOBL name<>(SB), RODATA|NOPTR, $32
 
-DATA roundbias<>+0(SB)/8, $0x00000fff00000fff
-DATA roundbias<>+8(SB)/8, $0x00000fff00000fff
-GLOBL roundbias<>(SB), RODATA|NOPTR, $16
+LANES(absmask, $0x7fffffff7fffffff)
+LANES(roundbias, $0x00000fff00000fff)
+LANES(keepmask, $0xffffe000ffffe000)
+LANES(half, $0x3f0000003f000000)
+LANES(minnormal, $0x3880000038800000)
+LANES(exp13, $0x0680000006800000)
+LANES(maxfinite, $0x477fffff477fffff)
+LANES(inf32, $0x7f8000007f800000)
+LANES(quiet32, $0x0040000000400000)
 
-DATA keepmask<>+0(SB)/8, $0xffffe000ffffe000
-DATA keepmask<>+8(SB)/8, $0xffffe000ffffe000
-GLOBL keepmask<>(SB), RODATA|NOPTR, $16
+// ROUND16SSE rounds the four lanes of x through binary16 in place, using u
+// and t2..t6 as scratch: normal lanes keep n, small lanes s, overflow
+// becomes ±Inf and NaN the quiet NaN with its sign — the values the decode
+// of the encode yields.
+#define ROUND16SSE(x, u, t2, t3, t4, t5, t6) \
+	MOVOU   x, u; \
+	PAND    absmask<>(SB), u; \
+	PXOR    u, x; \
+	MOVOU   u, t2; \
+	PSLLL   $18, t2; \
+	PSRLL   $31, t2; \
+	PADDL   u, t2; \
+	PADDL   roundbias<>(SB), t2; \
+	PAND    keepmask<>(SB), t2; \
+	MOVOU   u, t3; \
+	ADDPS   half<>(SB), t3; \
+	SUBPS   half<>(SB), t3; \
+	MOVOU   minnormal<>(SB), t4; \
+	PCMPGTL u, t4; \
+	PAND    t4, t3; \
+	PANDN   t2, t4; \
+	POR     t3, t4; \
+	MOVOU   u, t5; \
+	PCMPGTL maxfinite<>(SB), t5; \
+	MOVOU   t4, t6; \
+	PCMPGTL maxfinite<>(SB), t6; \
+	POR     t6, t5; \
+	MOVOU   t5, t6; \
+	PAND    inf32<>(SB), t6; \
+	PANDN   t4, t5; \
+	POR     t6, t5; \
+	MOVOU   u, t6; \
+	PCMPGTL inf32<>(SB), t6; \
+	PAND    quiet32<>(SB), t6; \
+	POR     t6, t5; \
+	POR     t5, x
 
-DATA half<>+0(SB)/8, $0x3f0000003f000000
-DATA half<>+8(SB)/8, $0x3f0000003f000000
-GLOBL half<>(SB), RODATA|NOPTR, $16
+// ROUND16AVX rounds the lanes of x through binary16 in place, eight on YMM
+// registers and four on XMM ones, using u and t2..t4 as scratch. It yields
+// ROUND16SSE's lanes in fewer operations: with c = max(2^13·2^e(|x|), 0.5)
+// — the exponent field of |x| plus 13, floored at 0.5 —
+//   r = (|x| + c) − c
+// rounds |x| to 11 significant bits (a normal half) or, for |x| < 2^-14,
+// to a multiple of 2^-24 (a subnormal one; c is 0.5 there, the small lane
+// above), both by the FPU's round-to-nearest-even, and both exact adds
+// apart from that one rounding. Overflow is max(u, r) > maxfinite on signed
+// lanes (u's own test catches Inf/NaN and huge |x|, whose c overflows), and
+// NaN is u > Inf, as in ROUND16SSE.
+#define ROUND16AVX(x, u, t2, t3, t4) \
+	VPAND     absmask<>(SB), x, u; \
+	VPXOR     u, x, x; \
+	VPAND     inf32<>(SB), u, t2; \
+	VPADDD    exp13<>(SB), t2, t2; \
+	VPMAXSD   half<>(SB), t2, t2; \
+	VADDPS    t2, u, t3; \
+	VSUBPS    t2, t3, t3; \
+	VPMAXSD   t3, u, t4; \
+	VPCMPGTD  maxfinite<>(SB), t4, t4; \
+	VBLENDVPS t4, inf32<>(SB), t3, t3; \
+	VPCMPGTD  inf32<>(SB), u, t4; \
+	VPAND     quiet32<>(SB), t4, t4; \
+	VPOR      t4, t3, t3; \
+	VPOR      t3, x, x
 
-DATA minnormal<>+0(SB)/8, $0x3880000038800000
-DATA minnormal<>+8(SB)/8, $0x3880000038800000
-GLOBL minnormal<>(SB), RODATA|NOPTR, $16
-
-DATA maxfinite<>+0(SB)/8, $0x477fffff477fffff
-DATA maxfinite<>+8(SB)/8, $0x477fffff477fffff
-GLOBL maxfinite<>(SB), RODATA|NOPTR, $16
-
-DATA inf32<>+0(SB)/8, $0x7f8000007f800000
-DATA inf32<>+8(SB)/8, $0x7f8000007f800000
-GLOBL inf32<>(SB), RODATA|NOPTR, $16
-
-DATA quiet32<>+0(SB)/8, $0x0040000000400000
-DATA quiet32<>+8(SB)/8, $0x0040000000400000
-GLOBL quiet32<>(SB), RODATA|NOPTR, $16
-
-// func roundHalfVec(x []float32) int
+// func roundHalfSSE(x []float32) int
 //
-// x[i] = HalfToFloat32(Float32ToHalf(x[i])) in place, in float32 bits:
-// normal lanes keep n, small lanes s, overflow becomes ±Inf and NaN the
-// quiet NaN with its sign — the values the decode of the encode yields.
-TEXT ·roundHalfVec(SB), NOSPLIT, $0-32
+// x[i] = HalfToFloat32(Float32ToHalf(x[i])) in place over the leading
+// multiple of four elements; returns how many it wrote.
+TEXT ·roundHalfSSE(SB), NOSPLIT, $0-32
 	MOVQ x_base+0(FP), SI
 	MOVQ x_len+8(FP), CX
 	ANDQ $-4, CX
 	MOVQ CX, ret+24(FP)
 	SHRQ $2, CX
-	JEQ  rounddone
+	JEQ  ssedone
 
-roundloop:
-	MOVUPS  (SI), X0
-	MOVOU   X0, X1
-	PAND    absmask<>(SB), X1
-	PXOR    X1, X0
-	MOVOU   X1, X2
-	PSLLL   $18, X2
-	PSRLL   $31, X2
-	PADDL   X1, X2
-	PADDL   roundbias<>(SB), X2
-	PAND    keepmask<>(SB), X2
-	MOVOU   X1, X3
-	ADDPS   half<>(SB), X3
-	SUBPS   half<>(SB), X3
-	MOVOU   minnormal<>(SB), X4
-	PCMPGTL X1, X4
-	PAND    X4, X3
-	PANDN   X2, X4
-	POR     X3, X4
-	MOVOU   X1, X5
-	PCMPGTL maxfinite<>(SB), X5
-	MOVOU   X4, X6
-	PCMPGTL maxfinite<>(SB), X6
-	POR     X6, X5
-	MOVOU   X5, X6
-	PAND    inf32<>(SB), X6
-	PANDN   X4, X5
-	POR     X6, X5
-	MOVOU   X1, X6
-	PCMPGTL inf32<>(SB), X6
-	PAND    quiet32<>(SB), X6
-	POR     X6, X5
-	POR     X0, X5
-	MOVUPS  X5, (SI)
-	ADDQ    $16, SI
+sseloop:
+	MOVUPS (SI), X0
+	ROUND16SSE(X0, X1, X2, X3, X4, X5, X6)
+	MOVUPS X0, (SI)
+	ADDQ   $16, SI
+	DECQ   CX
+	JNE    sseloop
+
+ssedone:
+	RET
+
+// func roundHalfAVX2(x []float32) int
+//
+// roundHalfSSE at eight lanes, over the leading multiple of eight elements.
+TEXT ·roundHalfAVX2(SB), NOSPLIT, $0-32
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	ANDQ $-8, CX
+	MOVQ CX, ret+24(FP)
+	SHRQ $3, CX
+	JEQ  avxdone
+
+avxloop:
+	VMOVUPS (SI), Y0
+	ROUND16AVX(Y0, Y1, Y2, Y3, Y4)
+	VMOVUPS Y0, (SI)
+	ADDQ    $32, SI
 	DECQ    CX
-	JNE     roundloop
+	JNE     avxloop
+	VZEROUPPER
 
-rounddone:
+avxdone:
+	RET
+
+// func canonicalHalfSSE(dst []float32, srcs [][]float32, scales []float64) int
+//
+// CanonicalAccumulateHalf over the leading multiple of four coordinates: the
+// weighted pass of canonicalVec (reduce_amd64.s) with each source's four
+// values rounded through binary16 in register between the load and the
+// widening. Per coordinate that is +0, then acc + x·scales[s] over s in
+// order, then one narrowing, with the operands in canonicalVec's order, so
+// the bits are RoundHalf's followed by CanonicalAccumulate's and no source
+// is written. scales has one entry per source. Returns the count written.
+TEXT ·canonicalHalfSSE(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ srcs_base+24(FP), SI
+	MOVQ srcs_len+32(FP), R8
+	MOVQ scales_base+48(FP), R9
+	ANDQ $-4, CX
+	MOVQ CX, ret+72(FP)
+	SHLQ $2, CX          // end, in bytes
+	XORQ BX, BX          // byte offset of the current four coordinates
+	CMPQ BX, CX
+	JGE  ssecdone
+
+ssequad:
+	XORPD X8, X8
+	XORPD X9, X9
+	XORQ  DX, DX
+	MOVQ  SI, R11
+
+ssesource:
+	CMPQ     DX, R8
+	JGE      ssestore
+	MOVQ     (R11), AX
+	MOVUPS   (AX)(BX*1), X0
+	ROUND16SSE(X0, X1, X2, X3, X4, X5, X6)
+	MOVSD    (R9)(DX*8), X7
+	UNPCKLPD X7, X7
+	CVTPS2PD X0, X2
+	MOVHLPS  X0, X0
+	CVTPS2PD X0, X3
+	MULPD    X7, X2
+	MULPD    X7, X3
+	ADDPD    X2, X8
+	ADDPD    X3, X9
+	INCQ     DX
+	ADDQ     $24, R11
+	JMP      ssesource
+
+ssestore:
+	CVTPD2PS X8, X8
+	CVTPD2PS X9, X9
+	MOVLHPS  X9, X8
+	MOVUPS   X8, (DI)(BX*1)
+	ADDQ     $16, BX
+	CMPQ     BX, CX
+	JLT      ssequad
+
+ssecdone:
+	RET
+
+// func canonicalHalfAVX2(dst []float32, srcs [][]float32, scales []float64) int
+//
+// canonicalHalfSSE at eight coordinates per pass — the rounding in one YMM
+// register, the eight float64 chains in two — and then one pass of four
+// (rounding in XMM, chains in one YMM), so it covers the same leading
+// multiple of four. The operations per coordinate and their operand order
+// are the SSE form's. Returns the count written.
+TEXT ·canonicalHalfAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ srcs_base+24(FP), SI
+	MOVQ srcs_len+32(FP), R8
+	MOVQ scales_base+48(FP), R9
+	ANDQ $-4, CX
+	MOVQ CX, ret+72(FP)
+	SHLQ $2, CX          // end, in bytes
+	MOVQ CX, R10
+	ANDQ $-32, R10       // end of the eight-coordinate passes, in bytes
+	XORQ BX, BX          // byte offset of the current coordinates
+	CMPQ BX, R10
+	JGE  avxfour
+
+avxeight:
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	XORQ   DX, DX
+	MOVQ   SI, R11
+
+avxsource:
+	CMPQ         DX, R8
+	JGE          avxstore
+	MOVQ         (R11), AX
+	VMOVUPS      (AX)(BX*1), Y0
+	ROUND16AVX(Y0, Y1, Y2, Y3, Y4)
+	VBROADCASTSD (R9)(DX*8), Y7
+	VCVTPS2PD    X0, Y2
+	VEXTRACTF128 $1, Y0, X3
+	VCVTPS2PD    X3, Y3
+	VMULPD       Y7, Y2, Y2
+	VMULPD       Y7, Y3, Y3
+	VADDPD       Y2, Y8, Y8
+	VADDPD       Y3, Y9, Y9
+	INCQ         DX
+	ADDQ         $24, R11
+	JMP          avxsource
+
+avxstore:
+	VCVTPD2PSY  Y8, X8
+	VCVTPD2PSY  Y9, X9
+	VINSERTF128 $1, X9, Y8, Y8
+	VMOVUPS     Y8, (DI)(BX*1)
+	ADDQ        $32, BX
+	CMPQ        BX, R10
+	JLT         avxeight
+
+avxfour:
+	CMPQ   BX, CX
+	JGE    avxcdone
+	VXORPD Y8, Y8, Y8
+	XORQ   DX, DX
+	MOVQ   SI, R11
+
+avxfoursource:
+	CMPQ         DX, R8
+	JGE          avxfourstore
+	MOVQ         (R11), AX
+	VMOVUPS      (AX)(BX*1), X0
+	ROUND16AVX(X0, X1, X2, X3, X4)
+	VBROADCASTSD (R9)(DX*8), Y7
+	VCVTPS2PD    X0, Y2
+	VMULPD       Y7, Y2, Y2
+	VADDPD       Y2, Y8, Y8
+	INCQ         DX
+	ADDQ         $24, R11
+	JMP          avxfoursource
+
+avxfourstore:
+	VCVTPD2PSY Y8, X8
+	VMOVUPS    X8, (DI)(BX*1)
+
+avxcdone:
+	VZEROUPPER
 	RET

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"testing"
@@ -15,7 +16,7 @@ import (
 //     half canonicalizes to the quiet NaN 0x7e00 with its sign,
 //   - the batched EncodeHalf/DecodeHalf and the in-place RoundHalf agree
 //     with the scalar converters element-wise, on every lane of RoundHalf's
-//     SSE kernel and of its scalar tail,
+//     AVX2 and SSE kernels (see eachForm) and of its scalar tail,
 //   - no input — NaN payloads, infinities, subnormals, negative zero —
 //     panics or produces a non-canonical class.
 //
@@ -89,11 +90,12 @@ func FuzzHalfConverters(f *testing.F) {
 		// Batched converters and RoundHalf agree with the scalar path
 		// element-wise. The vector mixes the fuzzed value with rotations of
 		// its bits and the decoded half so every lane exercises a different
-		// range; its length (19) fills four four-lane SSE blocks and leaves
-		// a three-element scalar tail, and the six variants cycle, so each
+		// range; its length (23) fills two eight-lane AVX2 blocks, then one
+		// four-lane SSE block (five under SSE alone), and leaves a
+		// three-element scalar tail, and the six variants cycle, so each
 		// lands in several lane positions and in the tail.
 		var src []float32
-		for i := 0; i < 19; i++ {
+		for i := 0; i < 23; i++ {
 			x := fbits
 			switch i % 6 {
 			case 1:
@@ -111,17 +113,20 @@ func FuzzHalfConverters(f *testing.F) {
 		}
 		enc := make([]uint16, len(src))
 		EncodeHalf(enc, src)
-		rounded := append([]float32(nil), src...)
-		RoundHalf(rounded)
 		for i, x := range src {
-			want := Float32ToHalf(x)
-			if enc[i] != want {
+			if want := Float32ToHalf(x); enc[i] != want {
 				t.Fatalf("EncodeHalf lane %d: %04x, scalar %04x (input %08x)", i, enc[i], want, math.Float32bits(x))
 			}
-			if got, want := math.Float32bits(rounded[i]), math.Float32bits(HalfToFloat32(want)); got != want {
-				t.Fatalf("RoundHalf lane %d: %08x, decode of encode %08x (input %08x)", i, got, want, math.Float32bits(x))
-			}
 		}
+		eachForm(func(form string) {
+			rounded := append([]float32(nil), src...)
+			RoundHalf(rounded)
+			for i, x := range src {
+				if got, want := math.Float32bits(rounded[i]), math.Float32bits(HalfToFloat32(Float32ToHalf(x))); got != want {
+					t.Fatalf("%s RoundHalf lane %d: %08x, decode of encode %08x (input %08x)", form, i, got, want, math.Float32bits(x))
+				}
+			}
+		})
 		dec := make([]float32, len(enc))
 		DecodeHalf(dec, enc)
 		for i, hb := range enc {
@@ -129,6 +134,104 @@ func FuzzHalfConverters(f *testing.F) {
 			if math.Float32bits(dec[i]) != math.Float32bits(want) {
 				t.Fatalf("DecodeHalf lane %d: %v (%08x), scalar %v (%08x)", i, dec[i], math.Float32bits(dec[i]), want, math.Float32bits(want))
 			}
+		}
+	})
+}
+
+// FuzzCanonicalHalf checks the fp16 wire's reduces — CanonicalAccumulateHalf
+// in every form the CPU runs (see eachForm) and PairwiseAccumulateHalf —
+// against their definition: RoundHalf over a copy of each source, then
+// CanonicalAccumulate (or PairwiseAccumulate) of the copies, bit for bit,
+// NaN payloads included. The vector forms cover the leading multiple of four
+// coordinates with CanonicalAccumulate's vector pass's operand order and the
+// blocked loop takes the same tail, so even two NaNs meeting keep the
+// same one. It also checks that no source is written, and the in-place form
+// with dst aliasing the first source.
+//
+// The fuzzer picks 1–9 sources, a length below 70 (eight-lane passes, a
+// four-lane pass and a scalar tail of 0–3), and a byte string read as
+// float32 words, cycling, for the sources, then as float64 words for the
+// weights. The seeds below and the named inputs under
+// testdata/fuzz/FuzzCanonicalHalf cover ±0, ±Inf, NaN payloads, subnormals
+// at binary16's and binary32's edge, overflow, rounding ties and lengths on
+// both sides of 4 and 8; `go test` replays them all.
+func FuzzCanonicalHalf(f *testing.F) {
+	words := func(ws ...uint32) []byte {
+		var raw []byte
+		for _, w := range ws {
+			raw = binary.LittleEndian.AppendUint32(raw, w)
+		}
+		return raw
+	}
+	ordinary := words(0x3f800000, 0xc0490fdb, 0x3dcccccd, 0x40a00000, 0xbeaaaaab, 0x3f7ffffe, 0x42c80000)
+	special := words(0x3f800000, 0x00000000, 0x80000000, 0x7f800000, 0xff800000, 0x7fc00001,
+		0xffa00000, 0x33000000, 0x387fffff, 0x477ff000, 0x38801000, 0x00000001, 0xc0490fdb)
+	for _, s := range []struct {
+		nsrc, n uint8
+		raw     []byte
+	}{
+		{1, 3, ordinary}, {2, 4, ordinary}, {3, 7, special}, {4, 8, special},
+		{5, 9, special}, {6, 12, ordinary}, {9, 69, special}, {7, 33, special},
+	} {
+		f.Add(s.nsrc, s.n, s.raw)
+	}
+	f.Fuzz(func(t *testing.T, nsrc8, n8 uint8, raw []byte) {
+		nsrc, n := 1+int(nsrc8%9), int(n8%70)
+		word := func(i int) uint32 {
+			if len(raw) < 4 {
+				return 0x3f800000
+			}
+			off := 4 * (i % (len(raw) / 4))
+			return binary.LittleEndian.Uint32(raw[off:])
+		}
+		srcs := make([][]float32, nsrc)
+		for s := range srcs {
+			srcs[s] = make([]float32, n)
+			for i := range srcs[s] {
+				srcs[s][i] = math.Float32frombits(word(s*n + i))
+			}
+		}
+		scales := make([]float64, nsrc)
+		scales32 := make([]float32, nsrc)
+		for s := range scales {
+			scales[s] = math.Float64frombits(uint64(word(2*s))<<32 | uint64(word(2*s+1)))
+			scales32[s] = float32(scales[s])
+		}
+		rounded := make([][]float32, nsrc)
+		for s, src := range srcs {
+			rounded[s] = append([]float32(nil), src...)
+			RoundHalf(rounded[s])
+		}
+		canon, pair := make([]float32, n), make([]float32, n)
+		CanonicalAccumulate(canon, rounded, scales)
+		PairwiseAccumulate(pair, rounded, scales32)
+		keep := make([][]float32, nsrc)
+		for s, src := range srcs {
+			keep[s] = append([]float32(nil), src...)
+		}
+		check := func(what string, got, want []float32) {
+			t.Helper()
+			if i := bitsEqual(got, want); i >= 0 {
+				t.Fatalf("%s, %d sources, n=%d: coord %d is %08x, want %08x", what, nsrc, n, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+			for s := range srcs {
+				if i := bitsEqual(srcs[s], keep[s]); i >= 0 {
+					t.Fatalf("%s wrote source %d at %d", what, s, i)
+				}
+			}
+		}
+		eachForm(func(form string) {
+			dst := make([]float32, n)
+			CanonicalAccumulateHalf(dst, srcs, scales)
+			check(form+" CanonicalAccumulateHalf", dst, canon)
+		})
+		dst := make([]float32, n)
+		PairwiseAccumulateHalf(dst, srcs, scales32)
+		check("PairwiseAccumulateHalf", dst, pair)
+		// In place: dst is the first source; the others stay unwritten.
+		CanonicalAccumulateHalf(srcs[0], srcs, scales)
+		if i := bitsEqual(srcs[0], canon); i >= 0 {
+			t.Fatalf("in-place CanonicalAccumulateHalf, %d sources, n=%d: coord %d is %08x, want %08x", nsrc, n, i, math.Float32bits(srcs[0][i]), math.Float32bits(canon[i]))
 		}
 	})
 }

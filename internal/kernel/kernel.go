@@ -20,13 +20,15 @@
 //     surrounding code parallelizes or shards, while the error stays
 //     O(log n)·ε instead of the naive sum's O(n)·ε.
 //
-// On amd64 the hot loops are assembly. The GEMM register tile, axpyQuad and
-// the one-row axpy run eight lanes wide with AVX2 when CPUID and XGETBV
+// On amd64 the hot loops are assembly. The GEMM register tile, axpyQuad,
+// the one-row axpy, RoundHalf, the fp16 wire's CanonicalAccumulateHalf and
+// the Momentum update run eight lanes wide with AVX2 when CPUID and XGETBV
 // report it (read once, at package init) and four wide with SSE otherwise;
-// dotQuad, RoundHalf, CanonicalAccumulate's pass and ReLU are SSE. None
-// uses FMA: every form does the scalar loop's rounded multiplies and adds
-// in its order, so every form gives the same bits, and the portable build
-// runs the scalar loops of the *_generic.go files.
+// dotQuad, CanonicalAccumulate's pass and ReLU are SSE. None uses FMA:
+// every form does the scalar loop's rounded multiplies and adds in its
+// order, so every form gives the same bits, and the portable build runs the
+// scalar loops of the *_generic.go files (and of momentum.go), whose
+// products are converted explicitly so that no compiler fuses them.
 //
 // Everything in this package is serial and allocation-free on the hot path
 // (a small pooled scratch backs the pairwise tree); callers own the
@@ -86,14 +88,14 @@ func PairwiseSumAndSq(x []float32) (sum, sq float32) {
 			s1 += x1
 			s2 += x2
 			s3 += x3
-			q0 += x0 * x0
-			q1 += x1 * x1
-			q2 += x2 * x2
-			q3 += x3 * x3
+			q0 += float32(x0 * x0)
+			q1 += float32(x1 * x1)
+			q2 += float32(x2 * x2)
+			q3 += float32(x3 * x3)
 		}
 		for ; i < len(x); i++ {
 			s0 += x[i]
-			q0 += x[i] * x[i]
+			q0 += float32(x[i] * x[i])
 		}
 		return (s0 + s1) + (s2 + s3), (q0 + q1) + (q2 + q3)
 	}
@@ -124,14 +126,14 @@ func pairwiseSumAndDot(x, y []float32) (sum, dot float32) {
 			s1 += x1
 			s2 += x2
 			s3 += x3
-			d0 += x0 * y[i]
-			d1 += x1 * y[i+1]
-			d2 += x2 * y[i+2]
-			d3 += x3 * y[i+3]
+			d0 += float32(x0 * y[i])
+			d1 += float32(x1 * y[i+1])
+			d2 += float32(x2 * y[i+2])
+			d3 += float32(x3 * y[i+3])
 		}
 		for ; i < len(x); i++ {
 			s0 += x[i]
-			d0 += x[i] * y[i]
+			d0 += float32(x[i] * y[i])
 		}
 		return (s0 + s1) + (s2 + s3), (d0 + d1) + (d2 + d3)
 	}
@@ -158,13 +160,13 @@ func baseDot(x, y []float32) float32 {
 	var s0, s1, s2, s3 float32
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
-		s0 += x[i] * y[i]
-		s1 += x[i+1] * y[i+1]
-		s2 += x[i+2] * y[i+2]
-		s3 += x[i+3] * y[i+3]
+		s0 += float32(x[i] * y[i])
+		s1 += float32(x[i+1] * y[i+1])
+		s2 += float32(x[i+2] * y[i+2])
+		s3 += float32(x[i+3] * y[i+3])
 	}
 	for ; i < len(x); i++ {
-		s0 += x[i] * y[i]
+		s0 += float32(x[i] * y[i])
 	}
 	return (s0 + s1) + (s2 + s3)
 }
@@ -200,12 +202,29 @@ func PairwiseAccumulate(dst []float32, srcs [][]float32, scales []float32) {
 	if scales != nil && len(scales) != len(srcs) {
 		panic("kernel: PairwiseAccumulate needs one scale per source")
 	}
+	checkSources("PairwiseAccumulate", dst, srcs)
+	pairAcc(dst, srcs, scales, false)
+}
+
+// PairwiseAccumulateHalf is PairwiseAccumulate with every source value
+// rounded through binary16 as the tree's leaves read it: bit for bit
+// RoundHalf over each source followed by PairwiseAccumulate, with no source
+// written. It is the pairwise reduce of the fp16 wire.
+func PairwiseAccumulateHalf(dst []float32, srcs [][]float32, scales []float32) {
+	if scales != nil && len(scales) != len(srcs) {
+		panic("kernel: PairwiseAccumulateHalf needs one scale per source")
+	}
+	checkSources("PairwiseAccumulateHalf", dst, srcs)
+	pairAcc(dst, srcs, scales, true)
+}
+
+// checkSources panics unless every source has len(dst) elements.
+func checkSources(op string, dst []float32, srcs [][]float32) {
 	for _, s := range srcs {
 		if len(s) != len(dst) {
-			panic("kernel: PairwiseAccumulate source/dst length mismatch")
+			panic("kernel: " + op + " source/dst length mismatch")
 		}
 	}
-	pairAcc(dst, srcs, scales)
 }
 
 // scaleAt returns the s-th scale, defaulting to exactly 1 (1·x == x
@@ -217,7 +236,59 @@ func scaleAt(scales []float32, s int) float32 {
 	return scales[s]
 }
 
-func pairAcc(dst []float32, srcs [][]float32, scales []float32) {
+// halfBlock is how many coordinates of each source the pairwise tree's
+// leaves round through binary16 at a time, into a block on the stack.
+const halfBlock = 256
+
+// pairAcc is the pairwise source tree: sources split ⌈p/2⌉/⌊p/2⌋ down to
+// leaves of at most four, which pairLeaf combines. Under half each leaf's
+// sources are rounded through binary16 block by block into stack scratch
+// (RoundHalf), and the leaf combines the rounded copies, so no source is
+// written.
+func pairAcc(dst []float32, srcs [][]float32, scales []float32, half bool) {
+	if len(srcs) > 4 {
+		h := (len(srcs) + 1) / 2
+		var lhsScales, rhsScales []float32
+		if scales != nil {
+			lhsScales, rhsScales = scales[:h], scales[h:]
+		}
+		pairAcc(dst, srcs[:h], lhsScales, half)
+		tp := accScratch.Get().(*[]float32)
+		tmp := *tp
+		if cap(tmp) < len(dst) {
+			tmp = make([]float32, len(dst))
+		}
+		tmp = tmp[:len(dst)]
+		pairAcc(tmp, srcs[h:], rhsScales, half)
+		for i := range dst {
+			dst[i] += tmp[i]
+		}
+		*tp = tmp
+		accScratch.Put(tp)
+		return
+	}
+	if !half {
+		pairLeaf(dst, srcs, scales)
+		return
+	}
+	var blk [4][halfBlock]float32
+	var rounded [4][]float32
+	for lo := 0; lo < len(dst); lo += halfBlock {
+		hi := min(lo+halfBlock, len(dst))
+		for k, src := range srcs {
+			rounded[k] = blk[k][:hi-lo]
+			copy(rounded[k], src[lo:hi])
+			RoundHalf(rounded[k])
+		}
+		pairLeaf(dst[lo:hi], rounded[:len(srcs)], scales)
+	}
+}
+
+// pairLeaf combines at most four sources in the tree's shape. Each product
+// is converted to float32 explicitly, which forbids the compiler from
+// fusing it into the add that follows (arm64 would), so every platform
+// rounds both.
+func pairLeaf(dst []float32, srcs [][]float32, scales []float32) {
 	switch len(srcs) {
 	case 0:
 		for i := range dst {
@@ -232,14 +303,14 @@ func pairAcc(dst []float32, srcs [][]float32, scales []float32) {
 		s0, s1 := scaleAt(scales, 0), scaleAt(scales, 1)
 		a, b := srcs[0], srcs[1]
 		for i := range dst {
-			dst[i] = s0*a[i] + s1*b[i]
+			dst[i] = float32(s0*a[i]) + float32(s1*b[i])
 		}
 	case 3:
 		// Same shape as the general split (⌈3/2⌉ = pair + single).
 		s0, s1, s2 := scaleAt(scales, 0), scaleAt(scales, 1), scaleAt(scales, 2)
 		a, b, c := srcs[0], srcs[1], srcs[2]
 		for i := range dst {
-			dst[i] = (s0*a[i] + s1*b[i]) + s2*c[i]
+			dst[i] = (float32(s0*a[i]) + float32(s1*b[i])) + float32(s2*c[i])
 		}
 	case 4:
 		// Same shape as the general split (pair + pair).
@@ -247,27 +318,8 @@ func pairAcc(dst []float32, srcs [][]float32, scales []float32) {
 		s2, s3 := scaleAt(scales, 2), scaleAt(scales, 3)
 		a, b, c, d := srcs[0], srcs[1], srcs[2], srcs[3]
 		for i := range dst {
-			dst[i] = (s0*a[i] + s1*b[i]) + (s2*c[i] + s3*d[i])
+			dst[i] = (float32(s0*a[i]) + float32(s1*b[i])) + (float32(s2*c[i]) + float32(s3*d[i]))
 		}
-	default:
-		h := (len(srcs) + 1) / 2
-		var lhsScales, rhsScales []float32
-		if scales != nil {
-			lhsScales, rhsScales = scales[:h], scales[h:]
-		}
-		pairAcc(dst, srcs[:h], lhsScales)
-		tp := accScratch.Get().(*[]float32)
-		tmp := *tp
-		if cap(tmp) < len(dst) {
-			tmp = make([]float32, len(dst))
-		}
-		tmp = tmp[:len(dst)]
-		pairAcc(tmp, srcs[h:], rhsScales)
-		for i := range dst {
-			dst[i] += tmp[i]
-		}
-		*tp = tmp
-		accScratch.Put(tp)
 	}
 }
 
@@ -300,17 +352,46 @@ func CanonicalAccumulate(dst []float32, srcs [][]float32, scales []float64) {
 	if scales == nil && len(srcs) == 0 {
 		panic("kernel: CanonicalAccumulate with nil scales needs a seed source")
 	}
-	for _, s := range srcs {
-		if len(s) != len(dst) {
-			panic("kernel: CanonicalAccumulate source/dst length mismatch")
-		}
-	}
+	checkSources("CanonicalAccumulate", dst, srcs)
 	// On amd64 the vector kernel takes every coordinate but a tail of at
 	// most three, keeping each one's float64 chain in a register.
 	lo := 0
 	if len(srcs) > 0 {
 		lo = canonicalVec(dst, srcs, scales)
 	}
+	canonicalBlocks(dst, srcs, scales, lo, false)
+}
+
+// CanonicalAccumulateHalf is CanonicalAccumulate's weighted form with every
+// source rounded through binary16 as it is read: dst[i] = Σ_s
+// scales[s]·float64(HalfToFloat32(Float32ToHalf(srcs[s][i]))), from +0 in
+// source order with float64 accumulation. Element for element those are the
+// operations of RoundHalf over each source followed by CanonicalAccumulate,
+// so the bits are theirs; but each source is read once, dst is written once
+// and no source is written. It is the fp16 wire's reduce. scales must hold
+// one weight per source; dst may alias srcs[0]; every source must have
+// len(dst) elements.
+//
+// On amd64 canonicalHalfVec (half_amd64.s) rounds each source's lanes in
+// register between the load and the widening — eight coordinates per pass
+// with AVX2, four with SSE2 — over the same leading multiple of four that
+// canonicalVec covers; the blocked loop takes the tail, and every
+// coordinate on the portable build.
+func CanonicalAccumulateHalf(dst []float32, srcs [][]float32, scales []float64) {
+	if scales == nil || len(scales) != len(srcs) {
+		panic("kernel: CanonicalAccumulateHalf needs one scale per source")
+	}
+	checkSources("CanonicalAccumulateHalf", dst, srcs)
+	lo := canonicalHalfVec(dst, srcs, scales)
+	canonicalBlocks(dst, srcs, scales, lo, true)
+}
+
+// canonicalBlocks is the canonical reduce's blocked loop over coordinates
+// [lo, len(dst)): seeded from srcs[0] when scales is nil, else from +0
+// adding scales[s]·x, with each x rounded through binary16 first when half
+// is set. Each product is converted to float64 explicitly, which forbids
+// the compiler from fusing it into the add (arm64 would).
+func canonicalBlocks(dst []float32, srcs [][]float32, scales []float64, lo int, half bool) {
 	var acc [canonBlock]float64
 	n := len(dst)
 	for ; lo < n; lo += canonBlock {
@@ -333,14 +414,20 @@ func CanonicalAccumulate(dst []float32, srcs [][]float32, scales []float64) {
 		}
 		for s := start; s < len(srcs); s++ {
 			row := srcs[s][lo:hi]
-			if scales == nil {
+			switch {
+			case scales == nil:
 				for j, v := range row {
 					blk[j] += float64(v)
 				}
-			} else {
+			case half:
 				w := scales[s]
 				for j, v := range row {
-					blk[j] += w * float64(v)
+					blk[j] += float64(w * float64(HalfToFloat32(Float32ToHalf(v))))
+				}
+			default:
+				w := scales[s]
+				for j, v := range row {
+					blk[j] += float64(w * float64(v))
 				}
 			}
 		}

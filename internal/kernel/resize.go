@@ -56,8 +56,8 @@ func ResizeAreaPlane(dst []float32, dh, dw int, src []float32, sh, sw int) {
 				wy := overlap1D(float64(iy), y0, y1)
 				row := src[iy*sw:]
 				for ix := ix0; ix < ix1; ix++ {
-					w := wy * overlap1D(float64(ix), x0, x1)
-					acc += w * float64(row[ix])
+					w := float64(wy * overlap1D(float64(ix), x0, x1))
+					acc += float64(w * float64(row[ix]))
 					area += w
 				}
 			}
@@ -120,7 +120,7 @@ func ResizeBilinearPlane(dst []float32, dh, dw int, src []float32, sh, sw int) {
 	scaleY := float64(sh) / float64(dh)
 	scaleX := float64(sw) / float64(dw)
 	for oy := 0; oy < dh; oy++ {
-		sy := (float64(oy)+0.5)*scaleY - 0.5
+		sy := float64((float64(oy)+0.5)*scaleY) - 0.5
 		y0, fy := tapAt(sy, sh)
 		y1 := y0 + 1
 		if y1 > sh-1 {
@@ -129,15 +129,15 @@ func ResizeBilinearPlane(dst []float32, dh, dw int, src []float32, sh, sw int) {
 		r0 := src[y0*sw:]
 		r1 := src[y1*sw:]
 		for ox := 0; ox < dw; ox++ {
-			sx := (float64(ox)+0.5)*scaleX - 0.5
+			sx := float64((float64(ox)+0.5)*scaleX) - 0.5
 			x0, fx := tapAt(sx, sw)
 			x1 := x0 + 1
 			if x1 > sw-1 {
 				x1 = sw - 1
 			}
-			top := (1-fx)*float64(r0[x0]) + fx*float64(r0[x1])
-			bot := (1-fx)*float64(r1[x0]) + fx*float64(r1[x1])
-			dst[oy*dw+ox] = float32((1-fy)*top + fy*bot)
+			top := float64((1-fx)*float64(r0[x0])) + float64(fx*float64(r0[x1]))
+			bot := float64((1-fx)*float64(r1[x0])) + float64(fx*float64(r1[x1]))
+			dst[oy*dw+ox] = float32(float64((1-fy)*top) + float64(fy*bot))
 		}
 	}
 }

@@ -171,12 +171,23 @@ func (c *Conv2D) inputBlock(xb []float32) []float32 {
 // of a sample-at-a-time loop, in the same order. At F16 the gathered dY
 // rows are rounded in place; the bias gradient sums the unrounded dout.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	return c.backward(dout, true)
+}
+
+// backwardParams is Backward without dx, for a first layer: no Wᵀ·dY GEMM,
+// no col2im and no dx allocation.
+func (c *Conv2D) backwardParams(dout *tensor.Tensor) { c.backward(dout, false) }
+
+func (c *Conv2D) backward(dout *tensor.Tensor, wantDx bool) *tensor.Tensor {
 	g := c.geom
 	x := c.x
 	n := x.Shape[0]
 	k, l := c.InC*c.KH*c.KW, g.OutH()*g.OutW()
 	imLen := c.InC * g.InH * g.InW
-	dx := tensor.New(x.Shape...)
+	var dx *tensor.Tensor
+	if wantDx {
+		dx = tensor.New(x.Shape...)
+	}
 	nb := blockSize(k, l, n)
 	for s0 := 0; s0 < n; s0 += nb {
 		b := min(nb, n-s0)
@@ -191,6 +202,9 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			roundHalf(rows.Data)
 		}
 		gemmNTSamples(rows, col, b, l, c.Weight.G)
+		if !wantDx {
+			continue
+		}
 		// dx = col2im(Wᵀ · dY); c.w still holds this step's weights from
 		// Forward.
 		tensor.Gemm(true, false, 1, c.w, rows, 0, col)

@@ -67,6 +67,19 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	dy := l.paramGrads(dout)
+	// dx = dout · W
+	dx := tensor.New(dout.Shape[0], l.In)
+	tensor.Gemm(false, false, 1, dy, l.w, 0, dx)
+	return dx
+}
+
+// backwardParams is Backward without dx, for a first layer.
+func (l *Linear) backwardParams(dout *tensor.Tensor) { l.paramGrads(dout) }
+
+// paramGrads accumulates dW and db and returns dout as the GEMM operand
+// (rounded at F16), which Backward's dx GEMM reuses.
+func (l *Linear) paramGrads(dout *tensor.Tensor) *tensor.Tensor {
 	n := dout.Shape[0]
 	// dW += doutᵀ · x
 	dy := operand(l.precision, &l.dyRound, dout)
@@ -79,8 +92,5 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			gd[j] += v
 		}
 	}
-	// dx = dout · W
-	dx := tensor.New(n, l.In)
-	tensor.Gemm(false, false, 1, dy, l.w, 0, dx)
-	return dx
+	return dy
 }

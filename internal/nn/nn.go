@@ -93,25 +93,46 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward runs all layers in reverse order. When a gradient-ready callback
-// is registered (SetGradNotify), it fires for each parameter as soon as the
+// Backward runs all layers in reverse order and returns the gradient with
+// respect to the network's input. When a gradient-ready callback is
+// registered (SetGradNotify), it fires for each parameter as soon as the
 // owning layer's backward completes — the hook distributed engines use to
 // overlap gradient reduction with the rest of the backward pass.
 func (n *Network) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if n.gradNotify == nil {
-		for i := len(n.Layers) - 1; i >= 0; i-- {
-			dout = n.Layers[i].Backward(dout)
-		}
-		return dout
-	}
-	if len(n.notifyBase) != len(n.Layers)+1 {
+	return n.backward(dout, true)
+}
+
+// BackwardParams is Backward for a caller that needs only the parameter
+// gradients, as a trainer whose first layer reads the input batch does: the
+// parameter gradients and the notifications are Backward's, but a Linear or
+// Conv2D first layer computes no input gradient (no dx GEMM, no col2im).
+func (n *Network) BackwardParams(dout *tensor.Tensor) {
+	n.backward(dout, false)
+}
+
+// paramsBackward is implemented by layers that can accumulate their
+// parameter gradients without computing the input gradient.
+type paramsBackward interface {
+	backwardParams(dout *tensor.Tensor)
+}
+
+func (n *Network) backward(dout *tensor.Tensor, wantDx bool) *tensor.Tensor {
+	if n.gradNotify != nil && len(n.notifyBase) != len(n.Layers)+1 {
 		n.notifyBase = make([]int, len(n.Layers)+1)
 		for i, l := range n.Layers {
 			n.notifyBase[i+1] = n.notifyBase[i] + len(l.Params())
 		}
 	}
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		dout = n.Layers[i].Backward(dout)
+		if pb, ok := n.Layers[i].(paramsBackward); ok && i == 0 && !wantDx {
+			pb.backwardParams(dout)
+			dout = nil
+		} else {
+			dout = n.Layers[i].Backward(dout)
+		}
+		if n.gradNotify == nil {
+			continue
+		}
 		// Parameters land in reverse Params() order: the network's last
 		// parameter is ready first, parameter 0 last.
 		for p := n.notifyBase[i+1] - 1; p >= n.notifyBase[i]; p-- {

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/rng"
@@ -101,5 +103,69 @@ func TestGradNotifyUnregister(t *testing.T) {
 	net.Backward(loss.Backward())
 	if fired {
 		t.Fatal("unregistered callback still fired")
+	}
+}
+
+// TestBackwardParamsMatchesBackward: BackwardParams leaves every parameter
+// gradient bit-identical to Backward's and fires the same notifications in
+// the same order, for a Linear and a Conv2D first layer (which skip their
+// input gradient) and a first layer without that shortcut, at F32 and F16.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	builds := map[string]func() (*Network, *tensor.Tensor){
+		"linear-first": func() (*Network, *tensor.Tensor) {
+			r := rng.New(4)
+			net := NewNetwork("lin", NewLinear("fc1", r, 12, 8), NewReLU("relu"), NewLinear("fc2", r, 8, 4))
+			x := tensor.New(3, 12)
+			x.FillNormal(rng.New(5), 0, 1)
+			return net, x
+		},
+		"conv-first": func() (*Network, *tensor.Tensor) {
+			r := rng.New(6)
+			net := NewNetwork("conv", NewConv("conv1", r, 2, 3, 3, 1, 1, ConvOpts{}), NewReLU("relu"),
+				NewFlatten(), NewLinear("fc", r, 3*5*5, 4))
+			x := tensor.New(3, 2, 5, 5)
+			x.FillNormal(rng.New(7), 0, 1)
+			return net, x
+		},
+		"flatten-first": func() (*Network, *tensor.Tensor) {
+			net := notifyNet()
+			x := tensor.New(3, 3, 2, 2)
+			x.FillNormal(rng.New(8), 0, 1)
+			return net, x
+		},
+	}
+	for name, build := range builds {
+		for _, prec := range []tensor.Precision{tensor.F32, tensor.F16} {
+			run := func(paramsOnly bool) ([][]float32, []int) {
+				net, x := build()
+				net.SetPrecision(prec)
+				var order []int
+				net.SetGradNotify(func(p int) { order = append(order, p) })
+				loss := &SoftmaxCrossEntropy{}
+				loss.Forward(net.Forward(x, true), []int{0, 3, 1})
+				if paramsOnly {
+					net.BackwardParams(loss.Backward())
+				} else {
+					net.Backward(loss.Backward())
+				}
+				var grads [][]float32
+				for _, p := range net.Params() {
+					grads = append(grads, p.G.Data)
+				}
+				return grads, order
+			}
+			want, wantOrder := run(false)
+			got, gotOrder := run(true)
+			if fmt.Sprint(gotOrder) != fmt.Sprint(wantOrder) {
+				t.Fatalf("%s %v: notifications %v, Backward's %v", name, prec, gotOrder, wantOrder)
+			}
+			for p := range want {
+				for i := range want[p] {
+					if math.Float32bits(got[p][i]) != math.Float32bits(want[p][i]) {
+						t.Fatalf("%s %v: param %d coord %d is %v, Backward's %v", name, prec, p, i, got[p][i], want[p][i])
+					}
+				}
+			}
+		}
 	}
 }

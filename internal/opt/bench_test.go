@@ -26,13 +26,40 @@ func mlpParams() []*nn.Param {
 	return ps
 }
 
-// BenchmarkLARSStep times one LARS step over the MLP's parameters: each
-// parameter's fused norm pass, then its momentum update.
+// normSink keeps the norms sub-benchmark's results live.
+var normSink float64
+
+// BenchmarkLARSStep times one LARS step over the MLP's parameters ("step":
+// each parameter's fused norm pass, then its momentum update) and each of
+// the two passes alone: "norms", the strict float64 chains, and "update",
+// kernel.Momentum at every parameter's local rate.
 func BenchmarkLARSStep(b *testing.B) {
 	params := mlpParams()
 	l := NewLARS(params, LARSConfig{Momentum: 0.9, WeightDecay: 5e-4, Trust: 0.05})
-	b.SetBytes(4 * 1152520)
-	for i := 0; i < b.N; i++ {
-		l.Step(1e-3)
+	var numel int64
+	for _, p := range params {
+		numel += int64(p.Numel())
 	}
+	b.Run("step", func(b *testing.B) {
+		b.SetBytes(4 * numel)
+		for i := 0; i < b.N; i++ {
+			l.Step(1e-3)
+		}
+	})
+	b.Run("norms", func(b *testing.B) {
+		b.SetBytes(4 * numel)
+		for i := 0; i < b.N; i++ {
+			for _, p := range params {
+				normSink, _ = norms(p.W.Data, p.G.Data)
+			}
+		}
+	})
+	b.Run("update", func(b *testing.B) {
+		b.SetBytes(4 * numel)
+		for i := 0; i < b.N; i++ {
+			for j, p := range params {
+				l.update(j, 0.9, 1e-3*float32(l.ratios[j]), 5e-4, !p.NoDecay)
+			}
+		}
+	})
 }

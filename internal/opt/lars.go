@@ -57,7 +57,7 @@ func (l *LARS) Step(lr float64) {
 		local := 1.0
 		if !p.NoDecay {
 			if wNorm, gNorm := norms(p.W.Data, p.G.Data); wNorm > 0 {
-				local = l.cfg.Trust * wNorm / (gNorm + l.cfg.WeightDecay*wNorm + eps)
+				local = l.cfg.Trust * wNorm / (gNorm + float64(l.cfg.WeightDecay*wNorm) + eps)
 			}
 		}
 		l.ratios[i] = local
@@ -68,14 +68,15 @@ func (l *LARS) Step(lr float64) {
 // norms returns the Euclidean norms of w and g, each bit-identical to
 // tensor.Norm2's (the same strict-order float64 chain, which no vector unit
 // may reorder); the two chains are independent, so one pass runs both for
-// the latency of one.
+// the latency of one. Each square is converted to float64 explicitly, which
+// forbids the compiler from fusing it into the add (arm64 would).
 func norms(w, g []float32) (wNorm, gNorm float64) {
 	g = g[:len(w)]
 	var sw, sg float64
 	for i, v := range w {
 		a, b := float64(v), float64(g[i])
-		sw += a * a
-		sg += b * b
+		sw += float64(a * a)
+		sg += float64(b * b)
 	}
 	return math.Sqrt(sw), math.Sqrt(sg)
 }

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"repro/internal/kernel"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -25,20 +26,12 @@ func newMomentum(params []*nn.Param) momentum {
 	return s
 }
 
-// update applies the step to parameter i. decay=false drops the λw term
-// outright rather than adding 0·w, which would turn a −0 gradient into +0:
-// LARS's NoDecay parameters take that path, SGD always adds the term
-// (testdata/update.golden pins both).
+// update applies the step to parameter i with kernel.Momentum. decay=false
+// drops the λw term outright rather than adding 0·w, which would turn a −0
+// gradient into +0: LARS's NoDecay parameters take that path, SGD always
+// adds the term (testdata/update.golden pins both).
 func (s *momentum) update(i int, m, r, lambda float32, decay bool) {
-	v, w, g := s.velocity[i].Data, s.params[i].W.Data, s.params[i].G.Data
-	for j := range v {
-		grad := g[j]
-		if decay {
-			grad += lambda * w[j]
-		}
-		v[j] = m*v[j] + r*grad
-		w[j] -= v[j]
-	}
+	kernel.Momentum(s.velocity[i].Data, s.params[i].W.Data, s.params[i].G.Data, m, r, lambda, decay)
 }
 
 // SGDConfig configures momentum SGD.
