@@ -72,6 +72,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -92,16 +93,17 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("serve: ")
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
 }
 
 // run is the whole command: it parses args, serves the trace, and writes
 // the report to w. A flag value it cannot use is an error returned before
-// anything is printed.
+// anything is printed; -h is flag.ErrHelp, after the flag package printed
+// the usage.
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var (
 		traceKind = fs.String("trace", "uniform", "traffic generator: uniform | poisson | bursty")
 		rate      = fs.Float64("rate", 10000, "offered load in requests/second (quantized to whole-tick gaps)")
@@ -125,7 +127,9 @@ func run(args []string, w io.Writer) error {
 		ckptPath  = fs.String("checkpoint", "", "load this checkpoint file into every replica")
 		schedOnly = fs.Bool("schedule-only", false, "skip model execution; pure virtual-clock scheduling")
 	)
-	fs.Parse(args) // ExitOnError: a bad flag does not return
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	prec, err := tensor.ParsePrecision(*precision)
 	if err != nil {

@@ -58,6 +58,8 @@ func TestRefusedFlags(t *testing.T) {
 		{"-rate -5", "-rate -5, want a positive finite rate"},
 		{"-rate NaN", "-rate NaN, want a positive finite rate"},
 		{"-trace bursty -burst-len 0", "-burst-len 0, want >= 1"},
+		{"-replicas abc", `invalid value "abc" for flag -replicas`},
+		{"-no-such-flag", "flag provided but not defined: -no-such-flag"},
 	} {
 		var out bytes.Buffer
 		err := run(strings.Fields(tc.args), &out)

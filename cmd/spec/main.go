@@ -7,6 +7,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -20,17 +21,21 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("spec: ")
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
 }
 
-// run is the whole command: it parses args and writes the tables to w.
+// run is the whole command: it parses args and writes the tables to w. A
+// malformed flag is an error returned before anything is printed; -h is
+// flag.ErrHelp, after the flag package printed the usage.
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("spec", flag.ExitOnError)
+	fs := flag.NewFlagSet("spec", flag.ContinueOnError)
 	names := models.FullSizeNames()
 	model := fs.String("model", "", strings.Join(names, " | ")+" (empty = summary of all)")
-	fs.Parse(args) // ExitOnError: a bad flag does not return
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *model != "" {
 		s, err := models.FullSize(*model)

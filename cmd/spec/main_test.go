@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"os"
 	"strings"
 	"testing"
@@ -35,6 +37,18 @@ func TestStdoutGolden(t *testing.T) {
 		if out.String() != string(want) {
 			t.Errorf("spec %v differs from testdata/%s.golden:\n%s", tc.args, tc.golden, out.String())
 		}
+	}
+}
+
+// TestMalformedFlagIsAnError: a flag run cannot parse is its error, not an
+// exit inside the flag package, and -h is flag.ErrHelp (main's exit 0).
+func TestMalformedFlagIsAnError(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-no-such-flag"}, &out); err == nil || !strings.Contains(err.Error(), "-no-such-flag") || out.Len() != 0 {
+		t.Errorf("spec -no-such-flag: got %v and %q, want an error naming the flag and no output", err, out.String())
+	}
+	if err := run([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) || out.Len() != 0 {
+		t.Errorf("spec -h: got %v and %q, want flag.ErrHelp and no output", err, out.String())
 	}
 }
 

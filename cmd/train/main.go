@@ -157,15 +157,16 @@ func main() {
 	log.SetPrefix("train: ")
 	if err := run(os.Args[1:], os.Stdout); errors.Is(err, errDiverged) {
 		os.Exit(2)
-	} else if err != nil {
+	} else if err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
 }
 
 // run is the whole command: it parses args, trains, and writes the report
-// to w.
+// to w. A flag value it cannot use is an error returned before anything is
+// printed; -h is flag.ErrHelp, after the flag package printed the usage.
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("train", flag.ExitOnError)
+	fs := flag.NewFlagSet("train", flag.ContinueOnError)
 	var cfg core.Config // the flags that are a Config field verbatim are bound to it
 	fs.IntVar(&cfg.Batch, "batch", 32, "global batch size")
 	fs.IntVar(&cfg.Epochs, "epochs", 15, "fixed epoch budget")
@@ -206,7 +207,19 @@ func run(args []string, w io.Writer) error {
 		imageSize   = fs.Int("image-size", 24, "synthetic image height/width")
 		quiet       = fs.Bool("quiet", false, "print only the final summary line")
 	)
-	fs.Parse(args) // ExitOnError: a bad flag does not return
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// core.Config reads a zero as "use the default"; on the command line
+	// the defaults are the flags' own, so a zero is a mistake, not a request.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"epochs", cfg.Epochs}, {"batch", cfg.Batch}, {"workers", cfg.Workers}, {"base-batch", cfg.BaseBatch}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s %d, want >= 1", f.name, f.v)
+		}
+	}
 
 	var err error
 	if cfg.Method, err = core.ParseMethod(*method); err != nil {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"os"
 	"regexp"
 	"strings"
@@ -90,6 +92,18 @@ func TestRefusedFlags(t *testing.T) {
 		{"-fault-drop 1.5", "FaultPlan.DropRate = 1.5"},
 		{"-fault-drop NaN", "FaultPlan.DropRate = NaN"},
 		{"-fault-stall -1", "FaultPlan.StallRate = -1"},
+		// core.Config reads these zeros as its own defaults (10 epochs,
+		// batch 32, one worker), which the usage line does not show.
+		{"-epochs 0", "-epochs 0, want >= 1"},
+		{"-batch 0", "-batch 0, want >= 1"},
+		{"-workers 0", "-workers 0, want >= 1"},
+		{"-base-batch 0", "-base-batch 0, want >= 1"},
+		{"-epochs -3", "-epochs -3, want >= 1"},
+		{"-workers -2", "-workers -2, want >= 1"},
+		// A malformed value is run's error, not an exit inside the flag
+		// package.
+		{"-workers abc", `invalid value "abc" for flag -workers`},
+		{"-no-such-flag", "flag provided but not defined: -no-such-flag"},
 	} {
 		var out bytes.Buffer
 		err := run(append(small[:len(small):len(small)], strings.Fields(tc.args)...), &out)
@@ -103,19 +117,29 @@ func TestRefusedFlags(t *testing.T) {
 	}
 }
 
-// TestHeaderPrintsTheConfigThatRan: -epochs 0 and -batch 0 select
-// core.Config's defaults (10 epochs, batch 32); the header used to print the
-// flag values beside a ten-epoch table.
+// TestHeaderPrintsTheConfigThatRan: the header prints the batch and epoch
+// budget the run trained with, above one row per epoch. (It once printed
+// the flag values beside core.Config's defaults for -epochs 0 -batch 0;
+// TestRefusedFlags now refuses those zeros.)
 func TestHeaderPrintsTheConfigThatRan(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(strings.Fields("-train-size 64 -image-size 8 -width 2 -epochs 0 -batch 0"), &out); err != nil {
+	if err := run(strings.Fields("-train-size 64 -image-size 8 -width 2 -epochs 3 -batch 16"), &out); err != nil {
 		t.Fatal(err)
 	}
 	header, _, _ := strings.Cut(out.String(), "\n")
-	if !strings.Contains(header, "batch=32 epochs=10 ") {
-		t.Errorf("header %q, want batch=32 epochs=10", header)
+	if !strings.Contains(header, "batch=16 epochs=3 ") {
+		t.Errorf("header %q, want batch=16 epochs=3", header)
 	}
-	if rows := strings.Count(out.String(), "\n") - 3; rows != 10 {
-		t.Errorf("%d epoch rows under that header, want 10:\n%s", rows, out.String())
+	if rows := strings.Count(out.String(), "\n") - 3; rows != 3 {
+		t.Errorf("%d epoch rows under that header, want 3:\n%s", rows, out.String())
+	}
+}
+
+// TestHelpIsNotAnError: -h prints the usage and returns flag.ErrHelp, which
+// main turns into exit status 0.
+func TestHelpIsNotAnError(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) || out.Len() != 0 {
+		t.Errorf("train -h: got %v and %q, want flag.ErrHelp and no report", err, out.String())
 	}
 }

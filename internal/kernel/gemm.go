@@ -178,9 +178,8 @@ func axpyRow(c []float32, s float32, b []float32) {
 // Both operands of each output element are contiguous, so every element is
 // one fixed-tree multi-accumulator dot product (pairwiseDot) — breaking the
 // single-accumulator dependency chain of the naive loop while keeping each
-// output a pure function of its inputs. Columns go four at a time through
-// pairwiseDotQuad, which walks the same tree with one SSE pass per leaf
-// (dot_amd64.s), so the bits are those of one pairwiseDot per element.
+// output a pure function of its inputs. See GemmNTStrided for how the
+// columns are grouped; the bits are those of one pairwiseDot per element.
 func GemmNT(m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
 	GemmNTStrided(m, n, k, alpha, a, k, b, k, beta, c)
 }
@@ -196,14 +195,42 @@ func GemmNTHalf(m, n, k int, alpha float32, a, b []uint16, beta float32, c []flo
 // row-major array is an operand in place (Conv2D's per-sample dW over a
 // block panel). Each element is the same pairwiseDot as GemmNT's.
 //
-// It walks C four columns at a time with the rows inside, so the four B
-// rows of a quad stay cache-resident while the A rows stream past them.
+// It walks C eight columns at a time with the rows inside, so the eight B
+// rows of a tile stay cache-resident while the A rows stream past them in
+// pairs: pairwiseDotTile computes two rows × eight columns per walk of the
+// pairwise tree (AVX2 on amd64, the scalar twin in the portable build), and
+// an odd last row runs the same tile one row wide. On amd64 without AVX2
+// (ntTileCols covers nothing), and for the columns after the last multiple
+// of eight, columns go four at a time through pairwiseDotQuad (dotQuad is
+// SSE), and the last n mod 4 through the scalar pairwiseDot. Columns are
+// independent, so the split moves no bit.
 func GemmNTStrided(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32) {
 	if m == 0 || n == 0 {
 		return
 	}
 	row := func(w []float32, ld, r int) []float32 { return w[r*ld : r*ld+k] }
+	store := func(i, j int, s []float32) {
+		cs := c[i*n+j : i*n+j+len(s)]
+		for q, v := range s {
+			cs[q] = scaleAdd(cs[q], v, alpha, beta)
+		}
+	}
 	j := 0
+	for cols := ntTileCols(n); j < cols; j += 8 {
+		bt := b[j*ldb : (j+7)*ldb+k]
+		var s [16]float32
+		i := 0
+		for ; i+2 <= m; i += 2 {
+			pairwiseDotTile(&s, row(a, lda, i), row(a, lda, i+1), bt, ldb, 2)
+			store(i, j, s[:8])
+			store(i+1, j, s[8:])
+		}
+		if i < m {
+			a0 := row(a, lda, i)
+			pairwiseDotTile(&s, a0, a0, bt, ldb, 1)
+			store(i, j, s[:8])
+		}
+	}
 	for ; j+4 <= n; j += 4 {
 		b0, b1, b2, b3 := row(b, ldb, j), row(b, ldb, j+1), row(b, ldb, j+2), row(b, ldb, j+3)
 		for i := 0; i < m; i++ {

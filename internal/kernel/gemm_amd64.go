@@ -17,3 +17,13 @@ func gemmTile(c, sc, bp []float32, n int) int {
 
 //go:noescape
 func gemmTileAVX2(c, sc, bp []float32, n, cols int)
+
+// ntTileCols returns how many leading columns of an n-column NT product
+// GemmNTStrided runs through pairwiseDotTile: the multiple of eight below n
+// with AVX2, none without (the SSE build keeps dotQuad for every column).
+func ntTileCols(n int) int {
+	if !useAVX2 {
+		return 0
+	}
+	return n &^ 7
+}

@@ -151,3 +151,135 @@ func FuzzGemmNN(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGemmNT checks GemmNTStrided — the two-row tile and its one-row form
+// over the leading multiple of eight columns, dotQuad's four-column walk
+// after it, the scalar pairwiseDot for the last n mod 4 columns — against
+// its definition, one pairwiseDot and one scaleAdd per element, in every
+// form of the kernels the CPU runs (see eachForm: AVX2 tile and SSE quad on
+// amd64, the scalar twins under GOARCH=386), and the AVX2 form against the
+// SSE one bit for bit, NaN payloads included. Against the definition a NaN
+// matches any NaN, as in FuzzDotQuad.
+//
+// The fuzzer picks m < 10 and n < 20 (so every n mod 8 occurs), k ≤ 1728
+// (fc1's input width), pads that widen the row strides lda and ldb past k
+// as gemmNTSamples' block panels do, the bits of alpha, beta from {0, 1,
+// −0.5}, and a byte string: the A and B windows and C are filled from it
+// read as float32 words, cycling. The pads between the windows hold NaN, so
+// a read outside a window shows; with beta 0, C starts as NaN, which must be
+// overwritten; and the words around C must stay unwritten. The seeds below
+// and the named inputs under testdata/fuzz/FuzzGemmNT cover k = 0, 1,
+// 127–129, 257 and 1728, one row (the serve batch of one), odd m, windows,
+// NaN payloads meeting across a split of the pairwise tree, Inf meeting
+// zero, signed-zero sums and overflow; `go test` replays them all.
+func FuzzGemmNT(f *testing.F) {
+	bits := math.Float32bits
+	words := func(ws ...uint32) []byte {
+		var raw []byte
+		for _, w := range ws {
+			raw = binary.LittleEndian.AppendUint32(raw, w)
+		}
+		return raw
+	}
+	ordinary := words(0x3f800000, 0xc0490fdb, 0x3dcccccd, 0x40a00000, 0xbeaaaaab, 0x3f7ffffe, 0x42c80000)
+	special := words(0x3f800000, 0x00000000, 0xc0490fdb, 0x80000000, 0x3dcccccd, 0x7f800000,
+		0x40a00000, 0xff800000, 0xbeaaaaab, 0x7fc00000, 0x3f7ffffe, 0x00000001, 0x42c80000)
+	for _, s := range []struct {
+		m, n, k     uint16
+		pads, betaI uint8
+		alpha       float32
+		raw         []byte
+	}{
+		{0, 5, 3, 0, 0, 1, ordinary},
+		{3, 0, 3, 0, 1, 1, ordinary},
+		{1, 8, 1, 0, 0, 1, ordinary},
+		{2, 16, 0, 0, 2, 0.5, ordinary},
+		{3, 9, 127, 0b0101, 1, -1.5, special},
+		{9, 19, 128, 0, 0, 1, ordinary},
+		{4, 12, 129, 0b1110, 2, 0.7, special},
+		{5, 15, 1728, 0b0110, 1, 1, ordinary},
+		{1, 14, 1728, 0, 0, 1, ordinary},
+		{7, 13, 257, 0b0011, 0, 2, special},
+		{6, 18, 576, 0b1001, 2, 1e-3, ordinary},
+		{8, 10, 2, 0, 1, 1, special},
+	} {
+		f.Add(s.m, s.n, s.k, s.pads, bits(s.alpha), s.betaI, s.raw)
+	}
+	f.Fuzz(func(t *testing.T, m16, n16, k16 uint16, pads uint8, alphaBits uint32, betaI uint8, raw []byte) {
+		m, n, k := int(m16%10), int(n16%20), int(k16%1729)
+		lda, ldb := k+int(pads&3), k+int(pads>>2&3)
+		alpha, beta := math.Float32frombits(alphaBits), []float32{0, 1, -0.5}[betaI%3]
+		word := func(i int) float32 {
+			if len(raw) < 4 {
+				return 0
+			}
+			off := 4 * (i % (len(raw) / 4))
+			return math.Float32frombits(binary.LittleEndian.Uint32(raw[off:]))
+		}
+		pad := math.Float32frombits(0x7fc0dead)
+		// window lays out rows rows of k words from word(first) at stride
+		// ld, NaN in between, ending with the last row's window.
+		window := func(rows, ld, first int) []float32 {
+			if rows == 0 {
+				return nil
+			}
+			w := make([]float32, (rows-1)*ld+k)
+			for i := range w {
+				w[i] = pad
+			}
+			for r := 0; r < rows; r++ {
+				for l := 0; l < k; l++ {
+					w[r*ld+l] = word(first + r*k + l)
+				}
+			}
+			return w
+		}
+		a, b := window(m, lda, 0), window(n, ldb, m*k)
+		const guard = 8
+		sentinel := math.Float32frombits(0x7fc0beef)
+		c0 := make([]float32, guard+m*n+guard)
+		for i := range c0 {
+			c0[i] = sentinel
+		}
+		for i := 0; i < m*n; i++ {
+			if beta == 0 {
+				c0[guard+i] = float32(math.NaN())
+			} else {
+				c0[guard+i] = word(m*k + n*k + i)
+			}
+		}
+		want := append([]float32(nil), c0...)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				e := &want[guard+i*n+j]
+				*e = scaleAdd(*e, pairwiseDot(a[i*lda:i*lda+k], b[j*ldb:j*ldb+k]), alpha, beta)
+			}
+		}
+
+		got := map[string][]float32{}
+		eachForm(func(form string) {
+			c := append([]float32(nil), c0...)
+			GemmNTStrided(m, n, k, alpha, a, lda, b, ldb, beta, c[guard:guard+m*n])
+			got[form] = c
+		})
+		for form, c := range got {
+			for x, v := range c {
+				if v != v && want[x] != want[x] && x >= guard && x < guard+m*n {
+					continue
+				}
+				if bits(v) != bits(want[x]) {
+					t.Fatalf("%s m=%d n=%d k=%d lda=%d ldb=%d: word %d of C (guard %d) = %v (%08x), definition %v (%08x)",
+						form, m, n, k, lda, ldb, x, guard, v, bits(v), want[x], bits(want[x]))
+				}
+			}
+		}
+		avx2, ok := got["avx2"]
+		if !ok {
+			return // the CPU has no AVX2: nothing to hold to the SSE form
+		}
+		if x := bitsEqual(avx2, got["sse"]); x >= 0 {
+			t.Fatalf("m=%d n=%d k=%d lda=%d ldb=%d: word %d of C (guard %d) is %08x with AVX2, %08x with SSE",
+				m, n, k, lda, ldb, x, guard, bits(avx2[x]), bits(got["sse"][x]))
+		}
+	})
+}

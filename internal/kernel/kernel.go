@@ -20,11 +20,12 @@
 //     surrounding code parallelizes or shards, while the error stays
 //     O(log n)·ε instead of the naive sum's O(n)·ε.
 //
-// On amd64 the hot loops are assembly. The GEMM register tile, axpyQuad,
-// the one-row axpy, RoundHalf, the fp16 wire's CanonicalAccumulateHalf and
-// the Momentum update run eight lanes wide with AVX2 when CPUID and XGETBV
-// report it (read once, at package init) and four wide with SSE otherwise;
-// dotQuad, CanonicalAccumulate's pass and ReLU are SSE. None uses FMA:
+// On amd64 the hot loops are assembly. The GEMM register tiles (NN/TN's
+// 4×16 strip of C and NT's two-row dotTile), axpyQuad, the one-row axpy,
+// RoundHalf, the fp16 wire's CanonicalAccumulateHalf and the Momentum update
+// run eight lanes wide with AVX2 when CPUID and XGETBV report it (read once,
+// at package init) and four wide with SSE otherwise (NT through dotQuad);
+// CanonicalAccumulate's pass and ReLU are SSE. None uses FMA:
 // every form does the scalar loop's rounded multiplies and adds in its
 // order, so every form gives the same bits, and the portable build runs the
 // scalar loops of the *_generic.go files (and of momentum.go), whose
@@ -174,7 +175,10 @@ func baseDot(x, y []float32) float32 {
 // pairwiseDotQuad returns pairwiseDot(x, y_c) for four columns y0..y3 at
 // once: it walks the same splitPoint tree, with dotQuad at the leaves, so
 // each sum is bit-identical to its scalar pairwiseDot while x is read once
-// per four columns. Every y_c must have len(x) elements.
+// per four columns. Every y_c must have len(x) elements. The joins are
+// inlined Go adds, which compile to addSums' operand order (the right
+// half's sum first); FuzzGemmNT's NaN seeds pin that the AVX2 tile and this
+// walk agree.
 func pairwiseDotQuad(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
 	if len(x) <= blockN {
 		return dotQuad(x, y0, y1, y2, y3)
@@ -183,6 +187,24 @@ func pairwiseDotQuad(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
 	l0, l1, l2, l3 := pairwiseDotQuad(x[:h], y0[:h], y1[:h], y2[:h], y3[:h])
 	r0, r1, r2, r3 := pairwiseDotQuad(x[h:], y0[h:], y1[h:], y2[h:], y3[h:])
 	return l0 + r0, l1 + r1, l2 + r2, l3 + r3
+}
+
+// pairwiseDotTile writes pairwiseDot(a_r, b_c) into s[8·r + c] for one or
+// two rows a0, a1 (rows; a1 is read only when rows is 2, and must be as
+// long as a0) against the eight columns b_c = b[c·ldb : c·ldb+len(a0)]. It
+// walks the splitPoint tree once for the whole tile, with dotTile at the
+// leaves, so each sum is bit-identical to its scalar pairwiseDot while the
+// recursion is paid once per sixteen outputs.
+func pairwiseDotTile(s *[16]float32, a0, a1, b []float32, ldb, rows int) {
+	if len(a0) <= blockN {
+		dotTile(s, a0, a1, b, ldb, rows)
+		return
+	}
+	h := splitPoint(len(a0))
+	var r [16]float32
+	pairwiseDotTile(s, a0[:h], a1[:h], b, ldb, rows)
+	pairwiseDotTile(&r, a0[h:], a1[h:], b[h:], ldb, rows)
+	addSums(s[:8*rows], r[:8*rows])
 }
 
 // accScratch pools the temporary rows the pairwise source tree combines

@@ -119,14 +119,14 @@ func (l *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 					segSum[s], segSq[s] = kernel.PairwiseSumAndSq(xd[base : base+area])
 				}
 				mean = float64(kernel.PairwiseSum(segSum)) / count
-				variance = float64(kernel.PairwiseSum(segSq))/count - mean*mean
+				variance = float64(kernel.PairwiseSum(segSq))/count - float64(mean*mean)
 				if variance < 0 {
 					variance = 0
 				}
 				// Update running statistics (safe: one goroutine per channel).
 				m := float64(l.Momentum)
-				l.RunningMean.Data[c] = float32(m*float64(l.RunningMean.Data[c]) + (1-m)*mean)
-				l.RunningVar.Data[c] = float32(m*float64(l.RunningVar.Data[c]) + (1-m)*variance)
+				l.RunningMean.Data[c] = float32(float64(m*float64(l.RunningMean.Data[c])) + float64((1-m)*mean))
+				l.RunningVar.Data[c] = float32(float64(m*float64(l.RunningVar.Data[c])) + float64((1-m)*variance))
 			} else {
 				mean = float64(l.RunningMean.Data[c])
 				variance = float64(l.RunningVar.Data[c])
@@ -142,11 +142,11 @@ func (l *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 					for i, v := range xs {
 						xh := (v - mu) * inv
 						hs[i] = xh
-						ys[i] = g*xh + b
+						ys[i] = float32(g*xh) + b
 					}
 				} else {
 					for i, v := range xs {
-						ys[i] = g*((v-mu)*inv) + b
+						ys[i] = float32(g*((v-mu)*inv)) + b
 					}
 				}
 			}
@@ -201,7 +201,7 @@ func (l *BatchNorm) Backward(dout *tensor.Tensor) *tensor.Tensor {
 				base := s*stride + c*area
 				ds, hs, xs := dd[base:base+area], xhat[base:base+area], dxd[base:base+area]
 				for i, d := range ds {
-					xs[i] = gi * (d - meanDy - hs[i]*meanDyXhat)
+					xs[i] = gi * (d - meanDy - float32(hs[i]*meanDyXhat))
 				}
 			}
 		}

@@ -71,7 +71,7 @@ func (l *LRN) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 						win[m] = v * v
 						m++
 					}
-					d := l.K + coeff*kernel.PairwiseSum(win[:m])
+					d := l.K + float32(coeff*kernel.PairwiseSum(win[:m]))
 					l.scale.Data[base+ch*area+pos] = d
 					y.Data[base+ch*area+pos] = x.Data[base+ch*area+pos] * float32(math.Pow(float64(d), -float64(l.Beta)))
 				}
@@ -107,7 +107,7 @@ func (l *LRN) Backward(dout *tensor.Tensor) *tensor.Tensor {
 					i := base + j*area + pos
 					d := float64(l.scale.Data[i])
 					window := kernel.PairwiseSum(t[max(0, j-half):min(j+half+1, c)])
-					dx.Data[i] = dout.Data[i]*float32(math.Pow(d, -float64(l.Beta))) - factor*l.x.Data[i]*window
+					dx.Data[i] = float32(dout.Data[i]*float32(math.Pow(d, -float64(l.Beta)))) - float32(factor*l.x.Data[i]*window)
 				}
 			}
 		}

@@ -9,6 +9,11 @@
 // batch can be processed in micro-batches; call Network.ZeroGrad between
 // optimizer steps.
 //
+// A product that feeds an add or a subtract is converted explicitly
+// (float32(g*x) + b): the Go compiler may fuse x*y+z into one multiply-add
+// (it does on arm64) unless a conversion rounds the product, and a fused
+// product would move the bits the amd64 and 386 builds pin.
+//
 // BatchNorm, MaxPool2D and ReLU record what Backward reads only on a
 // training Forward, and Backward consumes it: an eval Forward (train ==
 // false) records nothing, so a Backward after one panics naming the layer.

@@ -261,7 +261,7 @@ func (l *AvgPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		in := dx.Data[p*h*w : (p+1)*h*w]
 		for oh := 0; oh < outH; oh++ {
 			for ow := 0; ow < outW; ow++ {
-				g := out[oh*outW+ow] * inv
+				g := float32(out[oh*outW+ow] * inv)
 				for kh := 0; kh < l.KH; kh++ {
 					row := (oh*l.StrideH + kh) * w
 					for kw := 0; kw < l.KW; kw++ {

@@ -7,6 +7,10 @@
 // and property tests are replayable bit-for-bit. The standard library's
 // math/rand/v2 would work, but a local SplitMix64 keeps the sequence stable
 // across Go releases and lets us derive independent child streams cheaply.
+// Every product that can feed an add — Float64's scaled integer, the
+// Box-Muller terms — is converted explicitly (float64(u*u)), so that no
+// compiler fuses it into a multiply-add (arm64 would) and draws a different
+// sequence than the amd64 and 386 builds.
 package rng
 
 import "math"
@@ -44,7 +48,7 @@ func (r *Rand) Uint64() uint64 {
 
 // Float64 returns a uniform value in [0, 1).
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Float32 returns a uniform value in [0, 1).
@@ -68,9 +72,9 @@ func (r *Rand) NormFloat64() float64 {
 	}
 	var u, v, s float64
 	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		u = float64(2*r.Float64()) - 1
+		v = float64(2*r.Float64()) - 1
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}

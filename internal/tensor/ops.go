@@ -56,7 +56,7 @@ func (t *Tensor) Axpy(alpha float32, u *Tensor) {
 	a, b := t.Data, u.Data
 	par.For(len(a), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			a[i] += alpha * b[i]
+			a[i] += float32(alpha * b[i])
 		}
 	})
 }
@@ -67,7 +67,7 @@ func (t *Tensor) Lerp(beta, alpha float32, u *Tensor) {
 	a, b := t.Data, u.Data
 	par.For(len(a), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			a[i] = a[i]*beta + alpha*b[i]
+			a[i] = float32(a[i]*beta) + float32(alpha*b[i])
 		}
 	})
 }
@@ -96,7 +96,7 @@ func (t *Tensor) Dot(u *Tensor) float64 {
 	checkSameLen("Dot", t, u)
 	var s float64
 	for i, v := range t.Data {
-		s += float64(v) * float64(u.Data[i])
+		s += float64(float64(v) * float64(u.Data[i]))
 	}
 	return s
 }
@@ -107,7 +107,7 @@ func (t *Tensor) Norm2() float64 {
 	var s float64
 	for _, v := range t.Data {
 		f := float64(v)
-		s += f * f
+		s += float64(f * f)
 	}
 	return math.Sqrt(s)
 }

@@ -9,7 +9,7 @@ import (
 // FillNormal fills t with N(mean, std²) variates drawn from r.
 func (t *Tensor) FillNormal(r *rng.Rand, mean, std float32) {
 	for i := range t.Data {
-		t.Data[i] = mean + std*r.NormFloat32()
+		t.Data[i] = mean + float32(std*r.NormFloat32())
 	}
 }
 
@@ -17,7 +17,7 @@ func (t *Tensor) FillNormal(r *rng.Rand, mean, std float32) {
 func (t *Tensor) FillUniform(r *rng.Rand, lo, hi float32) {
 	span := hi - lo
 	for i := range t.Data {
-		t.Data[i] = lo + span*r.Float32()
+		t.Data[i] = lo + float32(span*r.Float32())
 	}
 }
 

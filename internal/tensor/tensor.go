@@ -10,7 +10,10 @@
 // Heavy kernels (matrix multiply, im2col) parallelize across goroutines via
 // internal/par; everything is deterministic for a fixed GOMAXPROCS-independent
 // result because parallel loops only split elementwise or per-row work whose
-// results do not depend on execution order.
+// results do not depend on execution order. A product that feeds an add is
+// converted explicitly (float32(alpha*b[i])), so that no compiler fuses the
+// pair into one multiply-add (arm64 would) and moves the bits other builds
+// pin.
 package tensor
 
 import (
