@@ -207,10 +207,9 @@ type Config struct {
 	// comm.ExpectedLocalSGDStats) at the cost of inter-sync weight drift;
 	// Result.LocalSGD reports the step/round ledger. 0 or 1 is the
 	// synchronous every-step path, bit-identical to a config without the
-	// field. Local mode is incompatible with MicroBatch (gradient
-	// accumulation assumes a single master optimizer), and F16 runs train
-	// without dynamic loss scaling (the scaler's overflow protocol needs
-	// the master-gradient barrier; LossScale is rejected).
+	// field. F16 runs in local mode train without dynamic loss scaling (the
+	// scaler's overflow protocol needs the master-gradient barrier;
+	// LossScale is rejected).
 	SyncEvery int
 	// IntraSyncEvery, when > 0 (requires SyncEvery > 1 and Topology),
 	// additionally averages weights inside each node every IntraSyncEvery
@@ -219,13 +218,16 @@ type Config struct {
 	// ones. Result.TierComm attributes the extra rounds to the intra tier.
 	IntraSyncEvery int
 
-	// MicroBatch, when positive and smaller than Batch, processes each
-	// global batch in sequential chunks of this size, accumulating
-	// gradients before the optimizer step — gradient accumulation, the
-	// same memory-driven micro-batching the cluster simulator models for
-	// Table 9's B=8192 single-DGX-1 row. The optimizer trajectory matches
-	// the single-pass batch up to float32 summation order (batch-norm
-	// statistics are per-chunk, as on real hardware).
+	// MicroBatch, when positive and smaller than a shard's rows, runs each
+	// shard in sequential chunks of at most this many rows, accumulating
+	// their gradients before the step's one reduction — gradient
+	// accumulation per shard (dist.Config.MicroBatch), the per-device
+	// micro-batch the cluster simulator prices for Table 9's B=8192
+	// single-DGX-1 row. With one shard the chunks cut the global batch.
+	// The trajectory matches the whole shard's up to float32 summation
+	// order (batch-norm statistics are per-chunk, as on real hardware);
+	// the communication does not change at all. It works in both step
+	// modes.
 	MicroBatch int
 
 	Seed uint64
@@ -304,7 +306,9 @@ type Result struct {
 	BestAcc   float64 // peak test accuracy over the run (the paper reports peak)
 	Diverged  bool
 	// Iterations counts optimizer steps — one per global batch, E·n/B for a
-	// run that completes (a batch processed in MicroBatch chunks is one).
+	// run that completes, however many MicroBatch chunks each shard ran as.
+	// It equals the engine's step count (dist.Engine.Steps), which keys the
+	// fault plan and the membership timeline.
 	Iterations int64
 	Wall       time.Duration
 	// Report is the engine's ledger of the run, taken whole: Comm (the
@@ -328,14 +332,11 @@ type Result struct {
 func (c Config) engineConfig() dist.Config {
 	return dist.Config{
 		Algo: c.Algo, Topology: c.Topology, Shards: c.Shards, BucketElems: c.Bucket,
-		Overlap: c.Overlap, Reduction: c.Reduction, Codec: c.Codec,
+		MicroBatch: c.MicroBatch, Overlap: c.Overlap, Reduction: c.Reduction, Codec: c.Codec,
 		Faults: c.Faults, Elastic: c.Elastic, Profile: c.Profile,
 		SyncEvery: c.SyncEvery, IntraSyncEvery: c.IntraSyncEvery,
 	}
 }
-
-// micro reports whether each global batch is processed in MicroBatch chunks.
-func (c Config) micro() bool { return c.MicroBatch > 0 && c.MicroBatch < c.Batch }
 
 // Validate reports why the configuration (after defaults) cannot be
 // trained, or nil: the trainer's own requirements, then the engine's
@@ -347,8 +348,6 @@ func (c Config) Validate() error {
 		return errors.New("core: Config.Model is required")
 	case c.Workers < 1 || c.Batch < 1 || c.Epochs < 1:
 		return fmt.Errorf("core: Workers = %d, Batch = %d, Epochs = %d: all three must be positive", c.Workers, c.Batch, c.Epochs)
-	case c.SyncEvery > 1 && c.micro():
-		return errors.New("core: MicroBatch is incompatible with SyncEvery > 1 (gradient accumulation assumes a single master optimizer)")
 	case c.SyncEvery > 1 && c.LossScale > 0:
 		return errors.New("core: LossScale is incompatible with SyncEvery > 1 (local mode trains unscaled)")
 	}
@@ -359,47 +358,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: %w", err)
 	}
 	return nil
-}
-
-// accumulating returns the gradient half of a micro-batched step: it leaves
-// the batch-mean gradient in the master's parameter gradients by chunking
-// the batch through microBatch-sized pieces, each chunk's reduced gradient
-// weighted by its share of the batch.
-func accumulating(engine *dist.Engine, microBatch int) func(*tensor.Tensor, []int, float64) (float64, error) {
-	masterParams := engine.Master().Params()
-	accum := make([]*tensor.Tensor, len(masterParams))
-	for i, p := range masterParams {
-		accum[i] = tensor.New(p.W.Shape...)
-	}
-	return func(x *tensor.Tensor, labels []int, _ float64) (float64, error) {
-		for _, a := range accum {
-			a.Zero()
-		}
-		imLen := x.Numel() / x.Shape[0]
-		b := x.Shape[0]
-		var total float64
-		for lo := 0; lo < b; lo += microBatch {
-			hi := lo + microBatch
-			if hi > b {
-				hi = b
-			}
-			shape := append([]int{hi - lo}, x.Shape[1:]...)
-			chunk := tensor.FromSlice(x.Data[lo*imLen:hi*imLen], shape...)
-			loss, err := engine.ComputeGradient(chunk, labels[lo:hi])
-			if err != nil {
-				return 0, err
-			}
-			w := float32(hi-lo) / float32(b)
-			total += loss * float64(w)
-			for i, p := range masterParams {
-				accum[i].Axpy(w, p.G)
-			}
-		}
-		for i, p := range masterParams {
-			p.G.CopyFrom(accum[i])
-		}
-		return total, nil
-	}
 }
 
 // Train runs the configured recipe on the dataset and returns the result.
@@ -457,12 +415,12 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 		aug = data.NewAugmenter(2, true, rng.New(cfg.Seed^0xa5a5a5a5))
 	}
 
-	// The run's step is chosen once — local, every-step or accumulating —
-	// as two halves around the divergence test: gradient leaves the
-	// batch-mean loss (and, in the synchronous modes, the batch-mean
-	// gradient in the master's parameter gradients); update turns that
-	// gradient into the next synchronized weights. Each is called once per
-	// global batch.
+	// The run's step is chosen once — local or synchronous — as two halves
+	// around the divergence test: gradient leaves the batch-mean loss (and,
+	// in synchronous mode, the batch-mean gradient in the master's parameter
+	// gradients); update turns that gradient into the next synchronized
+	// weights. Each is called once per global batch; micro-batching, if any,
+	// happens inside the engine's step.
 	var gradient func(x *tensor.Tensor, labels []int, lr float64) (float64, error)
 	update := func(float64) error { return nil }
 	var scaler *opt.LossScaler
@@ -503,9 +461,6 @@ func Train(cfg Config, ds *data.Synth) (*Result, error) {
 		}
 		gradient = func(x *tensor.Tensor, labels []int, _ float64) (float64, error) {
 			return engine.ComputeGradient(x, labels)
-		}
-		if cfg.micro() {
-			gradient = accumulating(engine, cfg.MicroBatch)
 		}
 	}
 

@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/models"
@@ -273,6 +276,98 @@ func TestMicroBatchUnevenChunks(t *testing.T) {
 	}
 }
 
+// TestMicroBatchShardSplitInvariance: with the shard split pinned, a run
+// whose 16-row shards each run as 5, 5, 5 and 1 rows is the same bit for bit
+// at 1, 2 and 4 workers and on 2×2, with and without overlap, at each
+// precision: final weights, history, iterations and loss-scaler counters. At
+// every world its ledger is the whole-shard run's (micro-batching moves no
+// bytes, and an overlapped run hides exactly Iterations ×
+// comm.ExpectedOverlapStats: buckets launch once a step, not once a chunk),
+// and a MicroBatch of a whole shard is the whole-shard run bit for bit.
+func TestMicroBatchShardSplitInvariance(t *testing.T) {
+	ds := tinyDataset()
+	hier := dist.NewHierarchy(2, 2)
+	type outcome struct {
+		cfg     Config
+		res     *Result
+		weights []float32
+	}
+	run := func(workers int, topo *dist.Hierarchy, overlap bool, p tensor.Precision, micro int) outcome {
+		var master *nn.Network // replica 0, built first
+		cfg := Config{
+			Model: func(seed uint64) *nn.Network {
+				n := mlpFactory(4)(seed)
+				if master == nil {
+					master = n
+				}
+				return n
+			},
+			Workers: workers, Algo: dist.Ring, Topology: topo, Shards: 4, Batch: 64, Epochs: 2,
+			Method: LARSWarmup, BaseLR: 0.1, Seed: 6, Precision: p, MicroBatch: micro,
+		}
+		if overlap {
+			cfg.Bucket, cfg.Overlap = 256, true
+		}
+		res, err := Train(cfg, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w []float32
+		for _, prm := range master.Params() {
+			w = append(w, prm.W.Data...)
+		}
+		return outcome{cfg, res, w}
+	}
+	sameWeights := func(a, b []float32) bool {
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	worlds := []struct {
+		workers int
+		topo    *dist.Hierarchy
+	}{{1, nil}, {2, nil}, {4, nil}, {4, &hier}}
+	for _, p := range []tensor.Precision{tensor.F32, tensor.F16} {
+		var ref *outcome
+		for _, w := range worlds {
+			for _, overlap := range []bool{false, true} {
+				name := fmt.Sprintf("%v/W=%d/hier=%v/overlap=%v", p, w.workers, w.topo != nil, overlap)
+				micro := run(w.workers, w.topo, overlap, p, 5)
+				whole := run(w.workers, w.topo, overlap, p, 0)
+				full := run(w.workers, w.topo, overlap, p, 16)
+				if ref == nil {
+					ref = &micro
+				}
+				if msg := sameLosses(micro.res, ref.res); msg != "" || !sameWeights(micro.weights, ref.weights) ||
+					micro.res.Iterations != ref.res.Iterations || micro.res.Scale != ref.res.Scale {
+					t.Fatalf("%s: differs from the first micro-batched run: %s (iterations %d, scaler %+v)",
+						name, msg, micro.res.Iterations, micro.res.Scale)
+				}
+				if msg := sameRun(full.res, whole.res); msg != "" || !sameWeights(full.weights, whole.weights) {
+					t.Fatalf("%s: MicroBatch 16 differs from whole shards: %s", name, msg)
+				}
+				if !reflect.DeepEqual(micro.res.Report, whole.res.Report) || micro.res.Scale != whole.res.Scale {
+					t.Fatalf("%s: micro-batched ledger %+v, whole shards %+v", name, micro.res.Report, whole.res.Report)
+				}
+				if overlap {
+					var elems []int
+					for _, prm := range micro.cfg.Model(1).Params() {
+						elems = append(elems, prm.Numel())
+					}
+					per := comm.ExpectedOverlapStats(topology(micro.cfg), nil, elems, micro.cfg.Bucket)
+					if got := micro.res.Overlap; got.HiddenRounds != micro.res.Iterations*per.HiddenRounds ||
+						got.HiddenBytes != micro.res.Iterations*per.HiddenBytes || (w.workers > 1) != (got.HiddenRounds > 0) {
+						t.Fatalf("%s: hid %+v over %d steps, closed form %+v a step", name, got, micro.res.Iterations, per)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestLARSHoldsAccuracyAtLargeBatch is the measured core result: at a batch
 // size where linear scaling + warmup collapses, LARS + warmup stays near the
 // small-batch baseline (the Figure 1 / Figure 4 phenomenon). This is the
@@ -464,6 +559,45 @@ func TestElasticTrainerJoinBitIdenticalToClean(t *testing.T) {
 	}
 	if m.JoinedShards == 0 || m.JoinedBytes == 0 {
 		t.Fatalf("join accounting empty: %+v", m)
+	}
+}
+
+// TestMicroBatchedRunKeysFaultsByOptimizerStep: the fault plan, the
+// eviction clock and the membership timeline count optimizer steps, so a
+// micro-batched run loses its worker at the same step as the run that
+// takes each shard whole — not at the step's third chunk. The world
+// histogram sums to the engine's step count, which is Iterations.
+func TestMicroBatchedRunKeysFaultsByOptimizerStep(t *testing.T) {
+	ds := tinyDataset()
+	run := func(micro int) *Result {
+		res, err := Train(Config{
+			Model: mlpFactory(4), Workers: 2, Batch: 64, Epochs: 2,
+			Method: BaselineSGD, BaseLR: 0.1, Seed: 3, MicroBatch: micro,
+			Faults:  &dist.FaultPlan{Seed: 5, Dead: map[int]int64{1: 3}},
+			Elastic: &dist.Elastic{EvictAfter: 2},
+		}, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	whole, micro := run(0), run(8)
+	for _, r := range []*Result{whole, micro} {
+		var steps int64
+		for _, n := range r.Membership.StepsAtWorld {
+			steps += n
+		}
+		if steps != r.Iterations {
+			t.Fatalf("world histogram %v counts %d steps, the run took %d", r.Membership.StepsAtWorld, steps, r.Iterations)
+		}
+	}
+	// Dead at step 3, struck at 3 and 4, gone from step 5 on.
+	if got := micro.Membership.EventTimeline(); got != "-1@5" || got != whole.Membership.EventTimeline() {
+		t.Fatalf("micro-batched timeline %q, whole shards %q, want %q", got, whole.Membership.EventTimeline(), "-1@5")
+	}
+	if !reflect.DeepEqual(micro.Membership.StepsAtWorld, whole.Membership.StepsAtWorld) || micro.Iterations != whole.Iterations {
+		t.Fatalf("micro-batched world histogram %v over %d steps, whole shards %v over %d",
+			micro.Membership.StepsAtWorld, micro.Iterations, whole.Membership.StepsAtWorld, whole.Iterations)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -197,10 +198,11 @@ func TestLocalSGDF16Trains(t *testing.T) {
 }
 
 // TestLocalSGDRejectsIncompatibleConfigs pins the trainer-level contract:
-// gradient accumulation and dynamic loss scaling need the master-optimizer
-// barrier local mode removes — and, like every configuration the engine
-// cannot run, they come back from Train (and Validate) as an error, not a
-// panic.
+// dynamic loss scaling needs the master-optimizer barrier local mode
+// removes — and, like every configuration the engine cannot run, it comes
+// back from Train (and Validate) as an error, not a panic. Micro-batching is
+// not among them: each worker accumulates its chunks before its own step,
+// and the run moves the same bytes as without chunks.
 func TestLocalSGDRejectsIncompatibleConfigs(t *testing.T) {
 	ds := tinyDataset()
 	mustPanic := func(name string, cfg Config) {
@@ -212,14 +214,32 @@ func TestLocalSGDRejectsIncompatibleConfigs(t *testing.T) {
 			t.Fatalf("%s: Train returned (%v, %v), want an error", name, res, err)
 		}
 	}
-	micro := localBase()
-	micro.SyncEvery = 2
-	micro.MicroBatch = 16
-	mustPanic("MicroBatch", micro)
+	whole := localBase()
+	whole.SyncEvery = 2
+	micro := whole
+	micro.MicroBatch = 5 // 16-row shards run as 5, 5, 5 and 1 rows
+	want, err := Train(whole, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Train(micro, ds)
+	if err != nil {
+		t.Fatalf("micro-batched local SGD: %v", err)
+	}
+	if got.Diverged || got.LocalSGD != want.LocalSGD || got.Comm != want.Comm {
+		t.Fatalf("micro-batched local SGD: diverged %v, ledger %+v comm %+v; whole shards %+v %+v",
+			got.Diverged, got.LocalSGD, got.Comm, want.LocalSGD, want.Comm)
+	}
 	scaled := localBase()
 	scaled.SyncEvery = 2
 	scaled.LossScale = 1024
 	mustPanic("LossScale", scaled)
+	negative := localBase()
+	negative.MicroBatch = -1
+	mustPanic("negative MicroBatch", negative)
+	if err := negative.Validate(); !strings.Contains(err.Error(), "Config.MicroBatch") {
+		t.Fatalf("negative MicroBatch: %v does not name the field", err)
+	}
 	starved := localBase()
 	starved.Shards = 2
 	mustPanic("Shards < Workers", starved)

@@ -289,9 +289,7 @@ func TestOneBitTrainingConverges(t *testing.T) {
 					off += p.Numel()
 				}
 			}
-			for _, p := range net.Params() {
-				p.W.Axpy(-0.05, p.G)
-			}
+			addScaledGrads(net.Params(), -0.05)
 		}
 		return final
 	}

@@ -41,6 +41,12 @@ type Config struct {
 	// more, smaller messages). 0 reduces the whole gradient as one
 	// bucket.
 	BucketElems int
+	// MicroBatch runs every shard as chunks of at most this many rows,
+	// accumulated into the shard's one gradient before the step's one
+	// reduction — the per-device micro-batch the cluster twin prices. The
+	// chunks depend only on the shard's span, so the shard-split contract
+	// holds. 0, or a value no smaller than a shard, runs it whole.
+	MicroBatch int
 	// Overlap fires each bucket's reduction as soon as the gradients it
 	// covers are final on every shard — while later layers are still
 	// back-propagating — instead of reducing everything after the full
@@ -142,6 +148,9 @@ func (c Config) Validate(workers int) error {
 		if h.Workers() != workers {
 			return fmt.Errorf("dist: %v hierarchy needs %d workers, engine has %d replicas", *h, h.Workers(), workers)
 		}
+	}
+	if c.MicroBatch < 0 {
+		return fmt.Errorf("dist: Config.MicroBatch = %d: a chunk size cannot be negative", c.MicroBatch)
 	}
 	if c.SyncEvery < 0 {
 		return fmt.Errorf("dist: Config.SyncEvery = %d: the synchronization period cannot be negative", c.SyncEvery)
@@ -408,10 +417,11 @@ func BucketRanges(n, elems int) [][2]int {
 
 // gradReady is the per-parameter notification nn.Network.Backward fires on
 // every replica under Config.Overlap: parameter pi's gradient is final in the
-// shard's flat gradient, so each bucket its coordinates fall into counts them
-// off, and a bucket whose countdown reaches zero — every live shard's copy of
-// every coordinate final — goes to the reduce stage. BucketRanges cuts equal
-// buckets, so coordinate c lies in bucket c / width(bucket 0); an empty
+// shard's flat gradient for this chunk, so each bucket its coordinates fall
+// into counts them off, and a bucket whose countdown reaches zero — every
+// chunk of every live shard landed every coordinate — goes to the reduce
+// stage. BucketRanges cuts equal buckets, so coordinate c lies in bucket
+// c / width(bucket 0); an empty
 // parameter touches no bucket. The atomic countdown plus the buffered channel
 // give the reduce stage a happens-before edge over all shard writes it reads.
 func (e *Engine) gradReady(pi int) {
@@ -436,7 +446,9 @@ func (e *Engine) Workers() int { return len(e.replicas) }
 // Master returns the master replica, whose parameters the optimizer steps.
 func (e *Engine) Master() *nn.Network { return e.replicas[0] }
 
-// Steps returns the number of gradient reductions performed.
+// Steps returns Config.StartStep plus the optimizer steps taken — one per
+// ComputeGradient or LocalStep, however many chunks its shards ran as: the
+// clock of the fault plan and the membership timeline.
 func (e *Engine) Steps() int64 { return e.steps }
 
 // Close shuts down the worker goroutines. The engine must not be used
@@ -528,29 +540,51 @@ func (e *Engine) run(w int, net *nn.Network, loss *nn.SoftmaxCrossEntropy, j job
 // shardGradients runs forward/backward on every non-empty shard the job
 // assigns worker w, leaving each shard's mean loss in e.losses and its flat
 // gradient in e.grads, written in place through the replica's Param.G views
-// — the worker half of both step entry points.
+// — the worker half of both step entry points. A shard is cleared once,
+// then its chunks (see chunks) run into it, every layer accumulating; each
+// chunk's loss seed and loss are scaled by its share of the shard.
 func (e *Engine) shardGradients(w int, net *nn.Network, loss *nn.SoftmaxCrossEntropy, j job) {
 	for slot, o := range j.owners {
 		lo, hi := j.spans[slot][0], j.spans[slot][1]
 		if o != w || lo == hi {
 			continue
 		}
-		x, labels := sliceRows(j.x, j.labels, lo, hi)
 		clear(e.grads[slot])
 		view(e.grads[slot], e.params[w], gradOf)
-		out := net.Forward(x, true)
-		e.losses[slot] = loss.Forward(out, labels)
-		dl := loss.Backward()
-		if s := e.lossScale; s != 0 && s != 1 {
-			// Mixed-precision loss scaling: lift the seed gradient so
-			// small values survive binary16 storage downstream. The
-			// trainer unscales after reduction.
-			for i := range dl.Data {
-				dl.Data[i] *= s
+		e.losses[slot] = 0
+		rows, _ := e.chunks(hi - lo)
+		for c := lo; c < hi; c += rows {
+			end := min(c+rows, hi)
+			x, labels := sliceRows(j.x, j.labels, c, end)
+			out := net.Forward(x, true)
+			e.losses[slot] += float64(end-c) / float64(hi-lo) * loss.Forward(out, labels)
+			dl := loss.Backward()
+			// The chunk's share of the shard (1 for a whole shard), times
+			// the mixed-precision loss scale, which lifts the seed so small
+			// values survive binary16 storage downstream; the trainer
+			// unscales after reduction.
+			f := float32(end-c) / float32(hi-lo)
+			if s := e.lossScale; s != 0 {
+				f *= s
 			}
+			if f != 1 {
+				for i := range dl.Data {
+					dl.Data[i] *= f
+				}
+			}
+			net.BackwardParams(dl)
 		}
-		net.BackwardParams(dl)
 	}
+}
+
+// chunks returns how a shard of n rows runs: as count micro-batches of at
+// most rows rows — Config.MicroBatch, or one whole chunk when that is off or
+// no smaller than the shard.
+func (e *Engine) chunks(n int) (rows, count int) {
+	if m := e.cfg.MicroBatch; m > 0 && m < n {
+		return m, (n + m - 1) / m
+	}
+	return n, 1
 }
 
 // sliceRows returns an aliasing view of rows [lo, hi) of a batch tensor and
@@ -681,13 +715,17 @@ func (e *Engine) window(fn func() error) error {
 // standard loop). Every step is a membership boundary on both sides.
 func (e *Engine) ComputeGradient(x *tensor.Tensor, labels []int) (float64, error) {
 	return e.step("ComputeGradient", x, labels, true, true, func(j job, active []int) error {
-		// The batch-mean weight of every non-empty (live) shard.
+		// The batch-mean weight of every non-empty (live) shard, and how
+		// many chunks land each coordinate: every chunk of every live shard.
 		var live []int
 		var weights []float64
+		var chunks int64
 		for s, span := range j.spans {
-			if span[0] != span[1] {
+			if n := span[1] - span[0]; n != 0 {
 				live = append(live, s)
-				weights = append(weights, float64(span[1]-span[0])/float64(len(labels)))
+				weights = append(weights, float64(n)/float64(len(labels)))
+				_, k := e.chunks(n)
+				chunks += int64(k)
 			}
 		}
 		// The reduce stage takes each bucket as it becomes ready: from the
@@ -700,7 +738,7 @@ func (e *Engine) ComputeGradient(x *tensor.Tensor, labels []int) (float64, error
 		var d Report
 		payloads := make([]int64, len(e.buckets))
 		for bi, b := range e.buckets {
-			e.remaining[bi].Store(int64(b[1]-b[0]) * int64(len(live)))
+			e.remaining[bi].Store(int64(b[1]-b[0]) * chunks)
 		}
 		// Buffered to the bucket count so no send ever blocks, even when the
 		// reduce stage lags or a step aborts.

@@ -40,6 +40,15 @@ func newEngine(cfg dist.Config, workers int, factory func(uint64) *nn.Network) *
 	return dist.NewEngine(cfg, replicas)
 }
 
+// addScaledGrads takes a toy optimizer step, W += alpha·G, on every parameter.
+func addScaledGrads(params []*nn.Param, alpha float32) {
+	for _, p := range params {
+		for i, g := range p.G.Data {
+			p.W.Data[i] += float32(alpha * g)
+		}
+	}
+}
+
 // flatGrad flattens the master's parameter gradients.
 func flatGrad(e *dist.Engine) []float32 {
 	var out []float32
@@ -208,9 +217,7 @@ func TestFaultInjectionRecoversDeterministically(t *testing.T) {
 				t.Fatal(err)
 			}
 			// A toy update so successive steps see changed weights.
-			for _, p := range e.Master().Params() {
-				p.W.Axpy(-0.05, p.G)
-			}
+			addScaledGrads(e.Master().Params(), -0.05)
 			if err := e.BroadcastWeights(); err != nil {
 				t.Fatal(err)
 			}
@@ -316,9 +323,7 @@ func TestOneBitCodecCompressesAndConverges(t *testing.T) {
 	}
 	loss := first
 	for i := 0; i < 30; i++ {
-		for _, p := range e.Master().Params() {
-			p.W.Axpy(-0.1, p.G)
-		}
+		addScaledGrads(e.Master().Params(), -0.1)
 		if err := e.BroadcastWeights(); err != nil {
 			t.Fatal(err)
 		}

@@ -252,9 +252,7 @@ func TestEngineHierarchyFaultsRecoverExactly(t *testing.T) {
 			if _, err := e.ComputeGradient(x, labels); err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range e.Master().Params() {
-				p.W.Axpy(-0.05, p.G)
-			}
+			addScaledGrads(e.Master().Params(), -0.05)
 			if err := e.BroadcastWeights(); err != nil {
 				t.Fatal(err)
 			}

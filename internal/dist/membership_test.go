@@ -21,9 +21,7 @@ func stepOnce(t *testing.T, e *dist.Engine, x *tensor.Tensor, labels []int) floa
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range e.Master().Params() {
-		p.W.Axpy(-0.05, p.G)
-	}
+	addScaledGrads(e.Master().Params(), -0.05)
 	if err := e.BroadcastWeights(); err != nil {
 		t.Fatal(err)
 	}

@@ -82,9 +82,7 @@ func TestOverlapBitIdenticalWithCodecAndShards(t *testing.T) {
 				t.Fatal(err)
 			}
 			// A toy update so the codec's residual state matters.
-			for _, p := range e.Master().Params() {
-				p.W.Axpy(-0.05, p.G)
-			}
+			addScaledGrads(e.Master().Params(), -0.05)
 			if err := e.BroadcastWeights(); err != nil {
 				t.Fatal(err)
 			}

@@ -203,7 +203,9 @@ func TestMLPTrainsOnToyProblem(t *testing.T) {
 		net.ZeroGrad()
 		net.Backward(loss.Backward())
 		for _, p := range net.Params() {
-			p.W.Axpy(-0.1, p.G)
+			for i, g := range p.G.Data {
+				p.W.Data[i] += float32(-0.1 * g)
+			}
 		}
 	}
 	y := net.Forward(x, false)

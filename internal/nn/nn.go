@@ -6,8 +6,9 @@
 //
 // Every layer implements exact reverse-mode gradients (validated against
 // finite differences in the tests). Gradients accumulate into Param.G so a
-// batch can be processed in micro-batches; call Network.ZeroGrad between
-// optimizer steps.
+// batch can be processed in micro-batches: the dist engine clears each
+// shard's flat gradient once and runs its chunks into it; a caller driving
+// a Network directly calls Network.ZeroGrad between optimizer steps.
 //
 // A product that feeds an add or a subtract is converted explicitly
 // (float32(g*x) + b): the Go compiler may fuse x*y+z into one multiply-add

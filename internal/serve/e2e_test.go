@@ -43,7 +43,9 @@ func TestTrainCheckpointServeBitIdentical(t *testing.T) {
 			t.Fatalf("train step %d: %v", step, err)
 		}
 		for _, p := range engine.Master().Params() {
-			p.W.Axpy(-0.05, p.G)
+			for i, g := range p.G.Data {
+				p.W.Data[i] += float32(-0.05 * g)
+			}
 		}
 		if err := engine.BroadcastWeights(); err != nil {
 			t.Fatalf("broadcast step %d: %v", step, err)

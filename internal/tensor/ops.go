@@ -49,18 +49,6 @@ func (t *Tensor) AddScalar(s float32) {
 	})
 }
 
-// Axpy computes t += alpha*u (the BLAS axpy primitive). It is the workhorse
-// of every optimizer update in internal/opt.
-func (t *Tensor) Axpy(alpha float32, u *Tensor) {
-	checkSameLen("Axpy", t, u)
-	a, b := t.Data, u.Data
-	par.For(len(a), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a[i] += float32(alpha * b[i])
-		}
-	})
-}
-
 // Lerp sets t = t*beta + u*alpha, used for momentum-style blends.
 func (t *Tensor) Lerp(beta, alpha float32, u *Tensor) {
 	checkSameLen("Lerp", t, u)

@@ -90,17 +90,6 @@ func TestElementwiseOps(t *testing.T) {
 	}
 }
 
-func TestAxpy(t *testing.T) {
-	x := FromSlice([]float32{1, 1, 1}, 3)
-	y := FromSlice([]float32{1, 2, 3}, 3)
-	x.Axpy(2, y)
-	for i, v := range []float32{3, 5, 7} {
-		if x.Data[i] != v {
-			t.Fatalf("Axpy: got %v", x.Data)
-		}
-	}
-}
-
 func TestLerp(t *testing.T) {
 	v := FromSlice([]float32{10, 20}, 2)
 	g := FromSlice([]float32{1, 2}, 2)
