@@ -81,6 +81,7 @@ func TestRefusedFlags(t *testing.T) {
 		// Left to core.Config.Validate, whose messages are as specific.
 		{"-shards 1", "1 shards cannot feed 2 workers"},
 		{"-sync-every -1", "SyncEvery = -1"},
+		{"-bucket -5", "BucketElems = -5"},
 		{"-intra-sync-every 2", "IntraSyncEvery needs Config.Topology"},
 		{"-per-node 3 -workers 4", "hierarchy needs 3 workers, engine has 4 replicas"},
 		{"-fault-dead 5@3", "FaultPlan.Dead marks worker 5"},

@@ -59,7 +59,8 @@ type Config struct {
 	// splits every step's rounds and bytes into hidden (reduced inside
 	// the backward) versus exposed (the bucket covering the first
 	// parameter, weight broadcasts, recovery traffic). Pair with
-	// BucketElems — with a single bucket nothing can hide.
+	// BucketElems — with a single bucket nothing can hide. The first
+	// Engine.LocalStep turns the hooks off: nothing hides in local SGD.
 	Overlap bool
 	// Reduction selects the arithmetic of the gradient reduction:
 	// CanonicalF64 (the default — strict left-to-right float64
@@ -149,6 +150,9 @@ func (c Config) Validate(workers int) error {
 			return fmt.Errorf("dist: %v hierarchy needs %d workers, engine has %d replicas", *h, h.Workers(), workers)
 		}
 	}
+	if c.BucketElems < 0 {
+		return fmt.Errorf("dist: Config.BucketElems = %d: a bucket size cannot be negative", c.BucketElems)
+	}
 	if c.MicroBatch < 0 {
 		return fmt.Errorf("dist: Config.MicroBatch = %d: a chunk size cannot be negative", c.MicroBatch)
 	}
@@ -211,21 +215,22 @@ func (c Config) Validate(workers int) error {
 // persistent worker goroutines in lockstep. Per training step the caller
 // runs ComputeGradient (shard forward/backward + gradient allreduce into
 // the master replica), steps the optimizer on the master's parameters, and
-// calls BroadcastWeights to resynchronize the replicas — the exact
+// calls BroadcastWeights, which accounts the weight broadcast — the exact
 // two-phase structure the paper's cost model prices. (Under
 // Config.SyncEvery the caller runs LocalStep instead; both entry points are
 // bodies of one step template.)
 //
-// Parameters live in the engine's flat vectors: each replica's Param.W
-// tensors view one weight vector, a shard's backward writes straight into
-// its flat gradient, and the master's Param.G views the reduced vector.
-// The *tensor.Tensor values never change, so parameter lists taken before
-// the first step stay valid; the views outlive Close.
+// Parameters live in the engine's flat vectors: every replica's Param.W
+// tensors view the master's weight vector (its own copy only in local-SGD
+// mode), a shard's backward writes straight into its flat gradient, and the
+// master's Param.G views the reduced vector. The *tensor.Tensor values never
+// change, so parameter lists taken before the first step stay valid; the
+// views outlive Close.
 //
 // The reduce stage is one loop over ready buckets: under Config.Overlap the
-// gradient-notify hooks NewEngine installs on every replica (and Close
-// removes) count each bucket's coordinates down inside the backward pass;
-// otherwise every bucket is ready after the barrier.
+// gradient-notify hooks NewEngine installs on every replica (and the first
+// LocalStep or Close removes) count each bucket's coordinates down inside the
+// backward pass; otherwise every bucket is ready after the barrier.
 //
 // Membership is one value, the roster (see Elastic): the step template asks
 // its pure transitions what changes at each boundary, and the engine only
@@ -262,7 +267,7 @@ type Engine struct {
 	done chan error
 	wg   sync.WaitGroup
 
-	weights [][]float32 // per replica: the flat weights its Param.W tensors view
+	weights [][]float32 // per replica: the flat weights its Param.W tensors view (the master's until the first LocalStep)
 	grads   [][]float32 // per logical shard: the flat gradient its backward writes
 	losses  []float64   // per logical shard: mean loss over the shard
 	evalOK  []int       // per worker: correct predictions of the last eval
@@ -270,7 +275,8 @@ type Engine struct {
 	// Local-SGD machinery (see Config.SyncEvery). localSteppers holds one
 	// optimizer per replica, stepped by the worker goroutines inside
 	// jobLocal; localGrads holds each worker's gradient reduced over its
-	// own shards, which its Param.G tensors view while it steps.
+	// own shards, which its Param.G tensors view while it steps. The first
+	// LocalStep allocates it: non-nil means local-SGD mode.
 	localSteppers []Stepper
 	localGrads    [][]float32
 
@@ -310,10 +316,10 @@ type job struct {
 }
 
 // NewEngine builds an engine over the given replicas (one per worker, at
-// least one), re-homes their parameters into its flat vectors and copies
-// the master's (replicas[0]) weights to the others. It panics with
-// Config.Validate's error, or if a parameter's size differs from the
-// master's.
+// least one) and re-homes their parameters into its flat vectors; every
+// replica's Param.W views one copy of the master's (replicas[0]) weights. It
+// panics with Config.Validate's error, or if a replica's parameters differ
+// from the master's in count or size.
 func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 	if err := cfg.Validate(len(replicas)); err != nil {
 		panic(err)
@@ -360,21 +366,23 @@ func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 	}
 	e.nparams = e.offsets[len(e.offsets)-1]
 	e.weights = make([][]float32, len(replicas))
+	master := make([]float32, 0, e.nparams)
 	for w, r := range replicas {
 		ps := r.Params()
 		e.params[w] = ps
 		if len(ps) != len(e.params[0]) {
 			panic(fmt.Sprintf("dist: replica %d has %d params, master has %d", w, len(ps), len(e.params[0])))
 		}
-		flat := make([]float32, 0, e.nparams)
 		for i, p := range ps {
 			if n, want := p.Numel(), e.offsets[i+1]-e.offsets[i]; n != want {
 				panic(fmt.Sprintf("dist: replica %d param %d (%s) has %d elements, master's has %d", w, i, p.Name, n, want))
 			}
-			flat = append(flat, p.W.Data...)
+			if w == 0 {
+				master = append(master, p.W.Data...)
+			}
 		}
-		e.weights[w] = flat
-		view(flat, ps, weightOf)
+		e.weights[w] = master
+		view(master, ps, weightOf)
 		if cfg.Overlap {
 			r.SetGradNotify(e.gradReady)
 		}
@@ -398,19 +406,12 @@ func NewEngine(cfg Config, replicas []*nn.Network) *Engine {
 // bucket layout the engine reduces (and, under Config.Overlap, the
 // granularity at which reductions hide inside the backward pass).
 func BucketRanges(n, elems int) [][2]int {
-	if elems <= 0 || elems >= n {
-		if n == 0 {
-			return nil
-		}
-		return [][2]int{{0, n}}
+	if elems <= 0 {
+		elems = n
 	}
 	var out [][2]int
 	for lo := 0; lo < n; lo += elems {
-		hi := lo + elems
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
+		out = append(out, [2]int{lo, min(lo+elems, n)})
 	}
 	return out
 }
@@ -468,12 +469,10 @@ func (e *Engine) Close() {
 		}
 	}
 	e.wg.Wait()
-	if e.cfg.Overlap {
-		// Unhook the gradient notifications so the replicas can be used
-		// (or rewrapped in a new engine) after shutdown.
-		for _, r := range e.replicas {
-			r.SetGradNotify(nil)
-		}
+	// Unhook any gradient notifications so the replicas can be used (or
+	// rewrapped in a new engine) after shutdown.
+	for _, r := range e.replicas {
+		r.SetGradNotify(nil)
 	}
 }
 
@@ -710,9 +709,9 @@ func (e *Engine) window(fn func() error) error {
 // reduction fires the moment the gradients it covers are final on every
 // shard, concurrently with the still-running backward pass; otherwise all
 // buckets reduce after the barrier. Either way the reduced values are
-// bit-identical. It returns the batch-mean loss. The replicas must hold
-// identical weights (NewEngine and BroadcastWeights guarantee this in the
-// standard loop). Every step is a membership boundary on both sides.
+// bit-identical. It returns the batch-mean loss. Every replica views the
+// master's weights, so each shard sees the optimizer's last step. Every step
+// is a membership boundary on both sides.
 func (e *Engine) ComputeGradient(x *tensor.Tensor, labels []int) (float64, error) {
 	return e.step("ComputeGradient", x, labels, true, true, func(j job, active []int) error {
 		// The batch-mean weight of every non-empty (live) shard, and how
@@ -836,18 +835,14 @@ func (e *Engine) transform(bi int, ids []int, bufs [][]float32) int64 {
 		return 2 * int64(hi-lo) * int64(len(ids))
 	}
 	defer kernel.StartPhase(kernel.PhaseCodec).End()
-	wires := make([]int64, len(ids))
+	var total atomic.Int64
 	tasks := make([]func(), len(ids))
 	for i, id := range ids {
-		i, slot, seg := i, id*len(e.buckets)+bi, bufs[id][lo:hi]
-		tasks[i] = func() { wires[i] = e.cfg.Codec.Transform(slot, seg) }
+		slot, seg := id*len(e.buckets)+bi, bufs[id][lo:hi]
+		tasks[i] = func() { total.Add(e.cfg.Codec.Transform(slot, seg)) }
 	}
 	par.Do(tasks...)
-	var total int64
-	for _, w := range wires {
-		total += w
-	}
-	return total
+	return total.Load()
 }
 
 // halfWire reports whether the wire is FP16Codec's, whose rounding the
@@ -934,23 +929,26 @@ func (e *Engine) injectFaults(d *Report, payloads []int64) {
 	}
 }
 
-// BroadcastWeights resynchronizes every active replica's parameters from
-// the master — the weight-distribution phase following the optimizer step —
-// inside its own profile window. The error is always nil: NewEngine checked
-// the layout.
+// BroadcastWeights is the weight-distribution phase following the optimizer
+// step, inside its own profile window: after it, every active replica
+// computes with the master's weights, which in synchronous mode it already
+// views. The error is always nil: NewEngine checked the layout.
 func (e *Engine) BroadcastWeights() error {
 	return e.window(func() error { e.broadcast(); return nil })
 }
 
-// broadcast copies the master's flat weights to every other active replica and
-// accounts the broadcast schedule per bucket (always exposed: it runs after
-// the optimizer step, at construction, or at a membership or sync boundary).
+// broadcast accounts the broadcast schedule per bucket (always exposed: it
+// runs after the optimizer step, at construction, or at a membership or sync
+// boundary); in local-SGD mode it also copies the master's flat weights to
+// every other active replica's own.
 func (e *Engine) broadcast() {
-	var bufs [][]float32 // the master's first: members ascend
-	for _, w := range e.members() {
-		bufs = append(bufs, e.weights[w])
+	if e.localGrads != nil {
+		var bufs [][]float32 // the master's first: members ascend
+		for _, w := range e.members() {
+			bufs = append(bufs, e.weights[w])
+		}
+		fanOut(bufs)
 	}
-	fanOut(bufs)
 	var d Report
 	for _, bucket := range e.buckets {
 		d.file(HierBroadcastSchedule(e.topo, e.roster.sizes, 4*int64(bucket[1]-bucket[0])), false)
@@ -960,11 +958,10 @@ func (e *Engine) broadcast() {
 
 // EvalAccuracy computes top-1 accuracy of the master weights over the
 // images, processed data-parallel in chunks of at most batch rows assigned
-// round-robin to the workers. The replicas must be weight-synchronized, so
-// every chunk's logits are identical whichever replica computes them. Under
-// Config.SyncEvery > 1 the replicas disagree inside a window, so the first
-// member grades every chunk alone. A worker failure (bad labels, shape
-// drift) is returned as an error.
+// round-robin to the workers: in synchronous mode each views the master's
+// weights. Under Config.SyncEvery > 1 the replicas disagree inside a window,
+// so the first member grades every chunk alone. A worker failure (bad
+// labels, shape drift) is returned as an error.
 func (e *Engine) EvalAccuracy(images *tensor.Tensor, labels []int, batch int) (float64, error) {
 	workers := e.members()
 	if e.cfg.SyncEvery > 1 {
@@ -979,11 +976,7 @@ func (e *Engine) EvalAccuracy(images *tensor.Tensor, labels []int, batch int) (f
 	}
 	var spans [][2]int
 	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		spans = append(spans, [2]int{lo, hi})
+		spans = append(spans, [2]int{lo, min(lo+batch, n)})
 	}
 	if err := e.dispatch(workers, job{kind: jobEval, x: images, labels: labels, spans: spans, owners: owners(workers, len(spans))}); err != nil {
 		return 0, err

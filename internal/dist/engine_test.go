@@ -666,6 +666,52 @@ func TestReplicasOutliveTheirEngine(t *testing.T) {
 	}
 }
 
+// TestSyncReplicasReadMasterWeights: in synchronous mode every replica
+// computes with the master's weights, so an optimizer step on the master
+// reaches every shard without a BroadcastWeights — the reduced gradient and
+// the loss equal a one-worker engine's on the same weights and the same
+// pinned shards, bit for bit, on a flat ring and on 2×2, with and without
+// overlap.
+func TestSyncReplicasReadMasterWeights(t *testing.T) {
+	x, labels, factory := testTask(48)
+	h22 := dist.NewHierarchy(2, 2)
+	for _, tc := range []struct {
+		name    string
+		workers int
+		cfg     dist.Config
+	}{
+		{"ring3", 3, dist.Config{Algo: dist.Ring}},
+		{"2x2", 4, dist.Config{Topology: &h22}},
+	} {
+		for _, overlap := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/overlap=%v", tc.name, overlap), func(t *testing.T) {
+				cfg := tc.cfg
+				cfg.Shards, cfg.BucketElems, cfg.Overlap = 4, 64, overlap
+				e := newEngine(cfg, tc.workers, factory)
+				defer e.Close()
+				one := newEngine(dist.Config{Shards: 4}, 1, factory)
+				defer one.Close()
+				for step := range 3 {
+					loss, err := e.ComputeGradient(x, labels)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantLoss, err := one.ComputeGradient(x, labels)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, want := flatGrad(e), flatGrad(one)
+					if n := sameBits(got, want); n >= 0 || loss != wantLoss {
+						t.Fatalf("step %d: loss %v vs %v; first differing gradient coordinate %d", step, loss, wantLoss, n)
+					}
+					addScaledGrads(e.Master().Params(), -0.1)
+					addScaledGrads(one.Master().Params(), -0.1)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkEngineStep times one synchronous step of the train_fc_comm
 // shape — a width-64 MLP on 3×24×24 inputs over 8 classes, 2 replicas, a
 // ring, the fp16 wire and 65536-element buckets overlapped with the

@@ -19,6 +19,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/tensor"
@@ -80,12 +81,6 @@ func (e *Engine) SetLocalSteppers(steppers []Stepper) {
 		}
 	}
 	e.localSteppers = steppers
-	if e.localGrads == nil {
-		e.localGrads = make([][]float32, len(e.replicas))
-		for w := range e.localGrads {
-			e.localGrads[w] = make([]float32, e.nparams)
-		}
-	}
 }
 
 // LocalStep runs one local-SGD step: every active worker forward/backwards
@@ -106,7 +101,10 @@ func (e *Engine) SetLocalSteppers(steppers []Stepper) {
 // identical to the every-step gradient path's. SetLocalSteppers must have
 // installed the local optimizers. An engine is driven through either
 // LocalStep or ComputeGradient, never both: the two paths key codec slots
-// differently (per worker here, per shard there).
+// differently (per worker here, per shard there). The first LocalStep puts
+// the engine in local-SGD mode: every replica's Param.W views its own copy of
+// the master's weights from then on (the steppers read W.Data on every Step),
+// and the Config.Overlap hooks come off.
 func (e *Engine) LocalStep(x *tensor.Tensor, labels []int, lr float64) (float64, error) {
 	h := int64(e.cfg.SyncEvery)
 	if h < 1 {
@@ -114,6 +112,17 @@ func (e *Engine) LocalStep(x *tensor.Tensor, labels []int, lr float64) (float64,
 	}
 	if e.localSteppers == nil {
 		panic("dist: LocalStep before SetLocalSteppers (the workers have no local optimizers)")
+	}
+	if e.localGrads == nil {
+		e.localGrads = make([][]float32, len(e.replicas))
+		for w, r := range e.replicas {
+			e.localGrads[w] = make([]float32, e.nparams)
+			if w > 0 {
+				e.weights[w] = slices.Clone(e.weights[0])
+				view(e.weights[w], e.params[w], weightOf)
+			}
+			r.SetGradNotify(nil)
+		}
 	}
 	// Sync boundaries are the only legal membership-change points: a join
 	// the plan scheduled for a step inside the previous window was deferred
@@ -204,10 +213,6 @@ func (e *Engine) syncRound(active []int) {
 // in-place codec wrote.
 func (e *Engine) intraSyncRound(active []int) {
 	d := Report{LocalSGD: LocalSGDStats{IntraRounds: 1}}
-	activeSet := make(map[int]bool, len(active))
-	for _, w := range active {
-		activeSet[w] = true
-	}
 	for bi, b := range e.buckets {
 		t := TierStats{Intra: e.reduceTiers(e.transform(bi, active, e.weights), len(active)).Intra}
 		t.Intra.Add(HierBroadcastSchedule(e.topo, e.roster.sizes, 4*int64(b[1]-b[0])).Intra)
@@ -217,7 +222,7 @@ func (e *Engine) intraSyncRound(active []int) {
 	for _, members := range e.roster.nodes {
 		var srcs [][]float32
 		for _, m := range members {
-			if activeSet[m] {
+			if slices.Contains(active, m) {
 				srcs = append(srcs, e.weights[m])
 			}
 		}
@@ -225,10 +230,8 @@ func (e *Engine) intraSyncRound(active []int) {
 			continue
 		}
 		e.accumulate(e.reduced, srcs, uniform(len(srcs)), e.halfWire())
-		for _, m := range members {
-			if activeSet[m] {
-				copy(e.weights[m], e.reduced)
-			}
+		for _, src := range srcs {
+			copy(src, e.reduced)
 		}
 	}
 	sp.End()

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"slices"
+	"strings"
 )
 
 // DefaultEvictAfter is the eviction threshold used when Elastic.EvictAfter
@@ -195,14 +196,11 @@ func (m MembershipStats) EventTimeline() string {
 	if len(m.Events) == 0 {
 		return "-"
 	}
-	out := ""
+	parts := make([]string, len(m.Events))
 	for i, ev := range m.Events {
-		if i > 0 {
-			out += " "
-		}
-		out += ev.String()
+		parts[i] = ev.String()
 	}
-	return out
+	return strings.Join(parts, " ")
 }
 
 // Steps returns the total steps across all world sizes.
@@ -217,20 +215,16 @@ func (m MembershipStats) Steps() int64 {
 // Timeline renders the world-size history compactly, largest world first,
 // e.g. "4x12 3x8" for twelve steps at P=4 then eight at P=3.
 func (m MembershipStats) Timeline() string {
-	out := ""
+	var parts []string
 	for p := len(m.StepsAtWorld) - 1; p >= 0; p-- {
-		if m.StepsAtWorld[p] == 0 {
-			continue
+		if m.StepsAtWorld[p] != 0 {
+			parts = append(parts, fmt.Sprintf("%dx%d", p, m.StepsAtWorld[p]))
 		}
-		if out != "" {
-			out += " "
-		}
-		out += fmt.Sprintf("%dx%d", p, m.StepsAtWorld[p])
 	}
-	if out == "" {
+	if parts == nil {
 		return "-"
 	}
-	return out
+	return strings.Join(parts, " ")
 }
 
 // WorkerDeadError reports a worker whose reduction payload can no longer be
@@ -476,12 +470,14 @@ func (e *Engine) noteStep() {
 
 // apply makes next the membership and carries out a transition's effects:
 // an evictee's goroutine is released; a joiner without a goroutine (pending,
-// or evicted earlier) gets a fresh one. Gradient-notify hooks stay installed
-// throughout — a worker without a goroutine never runs Backward. Then the
-// counts are filed and the master resynchronizes the fleet once at the new
-// world size — the broadcast is accounted (exposed) into the step's CommStats
-// and its payload filed under JoinedBytes or RebalancedBytes. A transition's
-// events are all admissions or all evictions.
+// or evicted earlier) gets a fresh one. Gradient-notify hooks stay as they
+// are — a worker without a goroutine never runs Backward. Then the counts are
+// filed and the master resynchronizes the fleet once at the new world size:
+// the broadcast is accounted (exposed) into the step's CommStats and its
+// payload filed under JoinedBytes or RebalancedBytes. In synchronous mode
+// every replica already views the master's weights, so that accounting is
+// the whole resync. A transition's events are all admissions or all
+// evictions.
 func (e *Engine) apply(next roster, events []MembershipEvent, shards int64) {
 	e.roster = next
 	if len(events) == 0 {

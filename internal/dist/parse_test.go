@@ -45,6 +45,22 @@ func TestFaultRatesValidated(t *testing.T) {
 	}
 }
 
+// TestNegativeSizesRefused: a negative bucket or chunk size is refused by
+// field name (BucketRanges would otherwise reduce it as one bucket).
+func TestNegativeSizesRefused(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{BucketElems: -5}, "Config.BucketElems = -5"},
+		{Config{MicroBatch: -1}, "Config.MicroBatch = -1"},
+	} {
+		if err := tc.cfg.Validate(2); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: Validate = %v, want %q", tc.cfg, err, tc.want)
+		}
+	}
+}
+
 // TestParseReductionInvertsString: each reduction parses back from its
 // String form and from its flag spelling; anything else is one error
 // listing the flag names.
