@@ -47,8 +47,11 @@ func TestReadRejectsOversizedSection(t *testing.T) {
 	if err == nil || !strings.HasPrefix(err.Error(), "checkpoint:") {
 		t.Fatalf("oversized section: err = %v, want a checkpoint: error", err)
 	}
-	if took := time.Since(start); took > 10*time.Millisecond {
-		t.Errorf("rejecting 29 bytes took %v, want < 10ms", took)
+	// The allocation bound below pins the property deterministically; the
+	// wall bound only has to catch the old 16 GiB make, so it leaves room
+	// for a loaded machine.
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("rejecting 29 bytes took %v, want < 1s", took)
 	}
 	if alloc >= 1<<20 {
 		t.Errorf("rejecting 29 bytes allocated %d bytes, want < 1 MiB", alloc)

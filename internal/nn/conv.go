@@ -11,8 +11,11 @@ import (
 
 // Conv2D is a 2-D convolution over NCHW activations, lowered onto GEMM via
 // im2col over blocks of samples (blockSize per block, one panel per block).
-// Its outputs and gradients are bit-identical to lowering one sample at a
-// time. Weights have shape [outC, inC·kh·kw]; bias has shape [outC].
+// A training Forward keeps the whole batch's panels for Backward, which
+// lowers nothing; an eval Forward reuses one block-sized panel and keeps
+// nothing. Its outputs and gradients are bit-identical to lowering one
+// sample at a time. Weights have shape [outC, inC·kh·kw]; bias has shape
+// [outC].
 type Conv2D struct {
 	name             string
 	InC, OutC        int
@@ -22,12 +25,15 @@ type Conv2D struct {
 	Weight, Bias     *Param
 	useBias          bool
 
-	// cached between Forward and Backward
+	// cached between a training Forward and Backward; x is nil when there
+	// is nothing to back-propagate (no training Forward since the last
+	// Backward, or an eval Forward after it)
 	x    *tensor.Tensor
 	geom tensor.ConvGeom
 
-	// Block panels and the rounded input block, shared by every input
-	// shape (see scratch.go).
+	// The batch's panel kept by a training Forward, the eval block panel,
+	// and the rounded input block, shared by every input shape (see
+	// scratch.go).
 	scratch convScratch
 
 	// Numeric precision of the GEMM operands. At F16 each operand is
@@ -109,8 +115,11 @@ func window(name string, x *tensor.Tensor, kh, kw, strideH, strideW, padH, padW 
 
 // convPanelBudget bounds one block's column panel at about 256 KB of
 // float32: a layer lowers nb = max(1, convPanelBudget/(k·l)) samples at a
-// time, so the panel stays cache-sized and independent of the batch, and an
-// eval or serve batch of any size costs no more scratch than a training one.
+// time, so the GEMMs read a cache-sized panel. An eval or serve Forward
+// lowers every block into the same panel, so a batch of any size costs one
+// block of scratch; a training Forward keeps each block's panel, k·n·l
+// floats for the batch, so that Backward reads them instead of lowering the
+// input again.
 const convPanelBudget = 64 << 10
 
 // blockSize is the number of samples a [k, l]-per-sample layer lowers at
@@ -119,20 +128,25 @@ func blockSize(k, l, n int) int { return min(n, max(1, convPanelBudget/(k*l))) }
 
 // Forward implements Layer: per block of samples, one im2col into the
 // block's panel, one GEMM against the filters, and one pass that scatters
-// the block's [outC, nb·l] rows to NCHW with the bias added.
+// the block's [outC, nb·l] rows to NCHW with the bias added. In training the
+// block's panel is its slice of the batch's panel, kept for Backward.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := c.geometry(x)
-	c.x, c.geom = x, g
+	c.x, c.geom = nil, g
 	n := x.Shape[0]
 	outH, outW := g.OutH(), g.OutW()
 	k, l := c.InC*c.KH*c.KW, outH*outW
 	imLen := c.InC * g.InH * g.InW
 	y := tensor.New(n, c.OutC, outH, outW)
 	c.w = operand(c.precision, &c.wRound, c.Weight.W)
+	if train {
+		c.x = x
+		grow(&c.scratch.panel, k*n*l)
+	}
 	nb := blockSize(k, l, n)
 	for s0 := 0; s0 < n; s0 += nb {
 		b := min(nb, n-s0)
-		col, rows := c.scratch.block(k, c.OutC, b*l)
+		col, rows := c.scratch.block(k, c.OutC, l, s0, b, train)
 		tensor.Im2ColBlock(g, b, c.inputBlock(x.Data[s0*imLen:(s0+b)*imLen]), col.Data)
 		tensor.Gemm(false, false, 1, c.w, col, 0, rows)
 		for s := 0; s < b; s++ {
@@ -164,23 +178,31 @@ func (c *Conv2D) inputBlock(xb []float32) []float32 {
 	return roundedCopy(&c.scratch.in, xb)
 }
 
-// Backward implements Layer. Per block it re-lowers the cached input into
-// the block's panel, accumulates dW += dy_s·col_sᵀ sample by sample in
-// batch order, then overwrites the panel with the block's Wᵀ·dY and
-// scatters it into dx with one col2im. Every gradient element sees the adds
-// of a sample-at-a-time loop, in the same order. At F16 the gathered dY
-// rows are rounded in place; the bias gradient sums the unrounded dout.
+// Backward implements Layer. It needs the panels of a training Forward, and
+// consumes them: per block it accumulates dW += dy_s·col_sᵀ sample by
+// sample in batch order from the block's kept panel, then overwrites that
+// panel with the block's Wᵀ·dY and scatters it into dx with one col2im. A
+// Backward with no training Forward since the last one panics. Every
+// gradient element sees the adds of a sample-at-a-time loop, in the same
+// order. At F16 the kept panel is already the rounded input's, and the
+// gathered dY rows are rounded in place; the bias gradient sums the
+// unrounded dout.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return c.backward(dout, true)
 }
 
 // backwardParams is Backward without dx, for a first layer: no Wᵀ·dY GEMM,
-// no col2im and no dx allocation.
+// no col2im and no dx allocation — only the dW products over the kept
+// panels and the bias sums.
 func (c *Conv2D) backwardParams(dout *tensor.Tensor) { c.backward(dout, false) }
 
 func (c *Conv2D) backward(dout *tensor.Tensor, wantDx bool) *tensor.Tensor {
-	g := c.geom
 	x := c.x
+	if x == nil {
+		panic(fmt.Sprintf("nn: %s: Backward without a training Forward", c.name))
+	}
+	c.x = nil
+	g := c.geom
 	n := x.Shape[0]
 	k, l := c.InC*c.KH*c.KW, g.OutH()*g.OutW()
 	imLen := c.InC * g.InH * g.InW
@@ -191,8 +213,7 @@ func (c *Conv2D) backward(dout *tensor.Tensor, wantDx bool) *tensor.Tensor {
 	nb := blockSize(k, l, n)
 	for s0 := 0; s0 < n; s0 += nb {
 		b := min(nb, n-s0)
-		col, rows := c.scratch.block(k, c.OutC, b*l)
-		tensor.Im2ColBlock(g, b, c.inputBlock(x.Data[s0*imLen:(s0+b)*imLen]), col.Data)
+		col, rows := c.scratch.block(k, c.OutC, l, s0, b, true)
 		for s := 0; s < b; s++ {
 			for oc := 0; oc < c.OutC; oc++ {
 				copy(rows.Data[(oc*b+s)*l:(oc*b+s+1)*l], dout.Data[((s0+s)*c.OutC+oc)*l:((s0+s)*c.OutC+oc+1)*l])
@@ -205,8 +226,8 @@ func (c *Conv2D) backward(dout *tensor.Tensor, wantDx bool) *tensor.Tensor {
 		if !wantDx {
 			continue
 		}
-		// dx = col2im(Wᵀ · dY); c.w still holds this step's weights from
-		// Forward.
+		// dx = col2im(Wᵀ · dY), written over the block's panel, which dW
+		// no longer reads; c.w still holds this step's weights from Forward.
 		tensor.Gemm(true, false, 1, c.w, rows, 0, col)
 		tensor.Col2ImBlock(g, b, col.Data, dx.Data[s0*imLen:(s0+b)*imLen])
 	}

@@ -127,7 +127,10 @@ func TestMaxPoolMatchesScalarOracle(t *testing.T) {
 // state from an earlier step.
 func TestBackwardAfterEvalForwardPanics(t *testing.T) {
 	r := rng.New(42)
-	for _, l := range []Layer{NewBatchNorm("bn7", 2), NewMaxPool("pool7", 2, 2, 0), NewReLU("relu7")} {
+	for _, l := range []Layer{
+		NewBatchNorm("bn7", 2), NewMaxPool("pool7", 2, 2, 0), NewReLU("relu7"),
+		NewConv("conv7", r, 2, 3, 3, 1, 1, ConvOpts{}), NewGroupedConv("gconv7", r, 2, 4, 3, 1, 1, 2, ConvOpts{}),
+	} {
 		x := tensor.RandNormal(r, 1, 2, 2, 4, 4)
 		dy := tensor.New(l.Forward(x, true).Shape...)
 		for _, step := range []struct {

@@ -7,56 +7,78 @@ import (
 
 // Layer workspaces for the dynamic-shape training path.
 //
-// Conv2D lowers onto one workspace per layer (its block panels and, at F16,
-// the block's rounded input). A block panel holds at most convPanelBudget
-// floats whatever the input shape, so the workspace cap-grows to the largest
-// block it has served and every later shape, smaller or revisited, reuses
-// it. MaxPool2D's argmax plane covers the whole batch, so it lives in a
-// small map keyed by the input shape: the first batch at a new shape
-// allocates that shape's slot, later batches — including after switching
-// back — reuse it.
+// Conv2D lowers onto one workspace per layer. A training Forward keeps the
+// batch's panel (k·n·l floats, every block's im2col in block order) for
+// Backward; an eval Forward keeps nothing and lowers each block into one
+// block panel of at most convPanelBudget floats whatever the input shape,
+// so eval and serve memory does not grow with the batch. The block's output
+// rows and, at F16, its rounded input are block-sized too. Each buffer
+// cap-grows to the largest extent it has served and every later shape,
+// smaller or revisited, reuses it. MaxPool2D's argmax plane covers the
+// whole batch, so it lives in a small map keyed by the input shape: the
+// first batch at a new shape allocates that shape's slot, later batches —
+// including after switching back — reuse it.
 //
 // Determinism: allocation is a pure function of the sequence of input
 // shapes the layer sees (which the resolution schedule fixes per epoch),
 // never of timing, worker count, or topology. The buffers themselves carry
-// no state across steps — every element is rewritten before it is read —
-// so reuse cannot leak one resolution's values into another's, and the
-// fixed-tree reduction discipline downstream is untouched.
+// no state across steps — every element is rewritten before it is read,
+// and the panel a training Forward keeps is read only by the Backward of
+// that step — so reuse cannot leak one resolution's values into another's,
+// and the fixed-tree reduction discipline downstream is untouched.
 
 // shapeKey identifies one argmax slot: the full NCHW input shape.
 type shapeKey struct {
 	n, c, h, w int
 }
 
-// convScratch is Conv2D's workspace: the column panel of one block of
-// samples (the im2col of the block, which Backward overwrites with the
-// block's Wᵀ·dY), the block's [outC, nb·l] output rows (Forward's GEMM
-// result, Backward's gathered dY), and at F16 the block's input rounded
-// through binary16 (which takes storage only when the layer runs at F16).
-// colT and rowsT are the panels' tensor headers, reshaped in place per block.
+// convScratch is Conv2D's workspace: panel, the batch's column panels kept
+// by a training Forward (block after block, each the block's im2col as a
+// [k, nb·l] matrix, which Backward reads for dW and then overwrites with
+// the block's Wᵀ·dY); col, the one block panel an eval Forward lowers into;
+// the block's [outC, nb·l] output rows (Forward's GEMM result, Backward's
+// gathered dY); and at F16 the block's input rounded through binary16
+// (which takes storage only when the layer runs at F16). colT and rowsT are
+// the panels' tensor headers, reshaped in place per block.
 type convScratch struct {
+	panel       []float32
 	col, rows   []float32
 	in          []float32
 	colT, rowsT tensor.Tensor
 }
 
-// block returns the workspace's panels for a block of cols = nb·l patch
-// columns: col as [k, cols] and rows as [outC, cols]. They grow on the first
+// block returns the panels of the block of nb samples from sample s0, l
+// patch columns each: rows as [outC, nb·l], and col as [k, nb·l] — with
+// kept, the block's slice of the batch's panel (which Forward has grown to
+// the batch), else the one block panel. The block buffers grow on the first
 // block that needs more room and are reused after that.
-func (s *convScratch) block(k, outC, cols int) (col, rows *tensor.Tensor) {
-	return view(&s.colT, &s.col, k, cols), view(&s.rowsT, &s.rows, outC, cols)
+func (s *convScratch) block(k, outC, l, s0, nb int, kept bool) (col, rows *tensor.Tensor) {
+	rows = view(&s.rowsT, &s.rows, outC, nb*l)
+	if !kept {
+		return view(&s.colT, &s.col, k, nb*l), rows
+	}
+	s.colT.Shape = append(s.colT.Shape[:0], k, nb*l)
+	s.colT.Data = s.panel[k*s0*l : k*(s0+nb)*l]
+	return &s.colT, rows
 }
 
 // view points t at the first r·c elements of *buf as an [r, c] matrix,
 // growing *buf when it is too small. t's shape storage is reused, so a view
 // allocates nothing once *buf is large enough.
 func view(t *tensor.Tensor, buf *[]float32, r, c int) *tensor.Tensor {
-	if cap(*buf) < r*c {
-		*buf = make([]float32, r*c)
-	}
 	t.Shape = append(t.Shape[:0], r, c)
-	t.Data = (*buf)[:r*c]
+	t.Data = grow(buf, r*c)
 	return t
+}
+
+// grow sets *buf to its first n elements, reallocating it when it is too
+// small, and returns it.
+func grow(buf *[]float32, n int) []float32 {
+	if cap(*buf) < n {
+		*buf = make([]float32, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // roundedCopy copies src into *buf, growing it when it is too small, and
@@ -65,11 +87,7 @@ func view(t *tensor.Tensor, buf *[]float32, r, c int) *tensor.Tensor {
 // be a master weight, the caller's input, or a gradient another layer still
 // reads. The pass is accounted to the profiler's convert phase.
 func roundedCopy(buf *[]float32, src []float32) []float32 {
-	if cap(*buf) < len(src) {
-		*buf = make([]float32, len(src))
-	}
-	*buf = (*buf)[:len(src)]
-	copy(*buf, src)
+	copy(grow(buf, len(src)), src)
 	roundHalf(*buf)
 	return *buf
 }

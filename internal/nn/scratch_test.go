@@ -80,25 +80,52 @@ func TestConvScratchShapeAlternation(t *testing.T) {
 	}
 }
 
-// The conv workspace grows to the largest block it has served and is reused,
-// without reallocating, by a smaller or revisited shape — the
-// deterministic-reallocation contract.
+// The conv workspace grows to the largest extent it has served and is
+// reused, without reallocating, by a smaller or revisited shape — the
+// deterministic-reallocation contract. It holds for the batch's panel a
+// training Forward keeps and for the block panel an eval Forward lowers
+// into, and neither pass touches the other's buffer.
 func TestConvScratchSlotReuse(t *testing.T) {
 	r := rng.New(9)
 	conv := NewConv("c", r, 3, 4, 3, 1, 1, ConvOpts{})
 	a := tensor.RandNormal(r, 1, 2, 3, 12, 12)
 	b := tensor.RandNormal(r, 1, 2, 3, 24, 24)
-
-	conv.Forward(a, true)
-	small := &conv.scratch.col[:1][0]
-	conv.Forward(b, true)
-	large := &conv.scratch.col[:1][0]
-	if large == small {
-		t.Fatal("a larger block must grow the workspace")
-	}
-	conv.Forward(a, true)
-	conv.Forward(b, true)
-	if &conv.scratch.col[:1][0] != large {
-		t.Fatal("revisited shapes must reuse the grown workspace")
+	for _, tc := range []struct {
+		name       string
+		train      bool
+		buf, other *[]float32
+		wantLen    func(x *tensor.Tensor) int
+	}{
+		{"kept panel", true, &conv.scratch.panel, &conv.scratch.col, func(x *tensor.Tensor) int {
+			return 27 * x.Shape[0] * x.Shape[2] * x.Shape[3]
+		}},
+		{"eval block panel", false, &conv.scratch.col, &conv.scratch.panel, func(x *tensor.Tensor) int {
+			l := x.Shape[2] * x.Shape[3]
+			return 27 * blockSize(27, l, x.Shape[0]) * l
+		}},
+	} {
+		otherCap := cap(*tc.other)
+		first := func() *float32 { return &(*tc.buf)[:1][0] }
+		conv.Forward(a, tc.train)
+		if len(*tc.buf) != tc.wantLen(a) {
+			t.Fatalf("%s: %d floats after a 12x12 batch, want %d", tc.name, len(*tc.buf), tc.wantLen(a))
+		}
+		small := first()
+		conv.Forward(b, tc.train)
+		if len(*tc.buf) != tc.wantLen(b) {
+			t.Fatalf("%s: %d floats after a 24x24 batch, want %d", tc.name, len(*tc.buf), tc.wantLen(b))
+		}
+		large := first()
+		if large == small {
+			t.Fatalf("%s: a larger batch must grow the workspace", tc.name)
+		}
+		conv.Forward(a, tc.train)
+		conv.Forward(b, tc.train)
+		if first() != large {
+			t.Fatalf("%s: revisited shapes must reuse the grown workspace", tc.name)
+		}
+		if cap(*tc.other) != otherCap {
+			t.Fatalf("%s: the other pass's buffer changed from %d to %d floats", tc.name, otherCap, cap(*tc.other))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -112,62 +113,153 @@ func TestCol2ImAccumulates(t *testing.T) {
 	}
 }
 
-// TestBlockLoweringMatchesReference checks Im2ColBlock and Col2ImBlock bit for
-// bit against an element-at-a-time reference over a block of three samples,
-// at strides 1 (the copy/add-over-a-run path) and 2, with padding from none
-// to wider than the window's reach into a narrow input, and a window wider
-// than its input plus one side's padding (taps that never land in the row).
+// lowerRef is the element-at-a-time definition of block lowering. It returns
+// the patch panel Im2ColBlock writes for src and adds dcol's contributions
+// into im as Col2ImBlock does: one at a time, in ascending (kh, kw) order per
+// destination element.
+func lowerRef(g ConvGeom, nb int, src, dcol, im []float32) (col []float32) {
+	outH, outW := g.OutH(), g.OutW()
+	l, rows, imLen := outH*outW, g.InC*g.KH*g.KW, g.InC*g.InH*g.InW
+	col = make([]float32, rows*nb*l)
+	for s := 0; s < nb; s++ {
+		for row := 0; row < rows; row++ {
+			c, kh, kw := row/(g.KH*g.KW), row/g.KW%g.KH, row%g.KW
+			for oh := 0; oh < outH; oh++ {
+				for ow := 0; ow < outW; ow++ {
+					ih, iw := oh*g.StrideH-g.PadH+kh, ow*g.StrideW-g.PadW+kw
+					if ih < 0 || ih >= g.InH || iw < 0 || iw >= g.InW {
+						continue
+					}
+					at := s*imLen + (c*g.InH+ih)*g.InW + iw
+					p := (row*nb+s)*l + oh*outW + ow
+					col[p] = src[at]
+					im[at] += dcol[p]
+				}
+			}
+		}
+	}
+	return col
+}
+
+// checkLowering holds Im2ColBlock and Col2ImBlock to lowerRef. The panel is
+// a copy, so it must match bit for bit, NaN payloads included, and a stale
+// NaN left in it fails; an accumulated sum that is NaN only has to be NaN,
+// because which of two NaN operands an x86 add returns is operand order,
+// which the compiler picks per loop.
+func checkLowering(t *testing.T, g ConvGeom, nb int, src, dcol, im0 []float32) {
+	t.Helper()
+	wantIm := append([]float32(nil), im0...)
+	wantCol := lowerRef(g, nb, src, dcol, wantIm)
+	col := make([]float32, len(wantCol))
+	for i := range col {
+		col[i] = math.Float32frombits(0x7fc0dead)
+	}
+	Im2ColBlock(g, nb, src, col)
+	im := append([]float32(nil), im0...)
+	Col2ImBlock(g, nb, dcol, im)
+	for i := range col {
+		if math.Float32bits(col[i]) != math.Float32bits(wantCol[i]) {
+			t.Fatalf("%+v nb=%d: Im2ColBlock[%d] = %#x, want %#x", g, nb, i, math.Float32bits(col[i]), math.Float32bits(wantCol[i]))
+		}
+	}
+	for i := range im {
+		got, want := im[i], wantIm[i]
+		if math.Float32bits(got) != math.Float32bits(want) && !(got != got && want != want) {
+			t.Fatalf("%+v nb=%d: Col2ImBlock[%d] = %#x, want %#x", g, nb, i, math.Float32bits(got), math.Float32bits(want))
+		}
+	}
+}
+
+// TestBlockLoweringMatchesReference sweeps the lowering paths against
+// lowerRef: strides 1 to 3 (whole-run and row-by-row copies, straight from
+// the plane or from its phase split; whole-run and row-by-row adds), padding
+// from none to wider than the window's reach into a narrow input, windows
+// wider than their input plus one side's padding (taps that never land in
+// the row), and blocks of one to four samples.
 func TestBlockLoweringMatchesReference(t *testing.T) {
-	const nb = 3
 	r := rng.New(12)
-	for _, stride := range []int{1, 2} {
+	for _, stride := range []int{1, 2, 3} {
 		for _, pad := range []int{0, 1, 2, 3} {
-			for _, win := range [][2]int{{2, 3}, {7, 3}, {1, 6}} {
+			for _, win := range [][2]int{{2, 3}, {7, 3}, {1, 6}, {5, 5}} {
 				inW, kw := win[0], win[1]
 				g := ConvGeom{InC: 2, InH: 5, InW: inW, KH: 3, KW: kw, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
 				if g.Check() != nil {
 					continue
 				}
-				outH, outW := g.OutH(), g.OutW()
-				l, rows, imLen := outH*outW, g.InC*g.KH*g.KW, g.InC*g.InH*g.InW
-				src := RandNormal(r, 1, nb*imLen).Data
-				dcol := RandNormal(r, 1, rows*nb*l).Data
-				wantCol := make([]float32, rows*nb*l)
-				wantIm := make([]float32, nb*imLen)
-				for s := 0; s < nb; s++ {
-					for row := 0; row < rows; row++ {
-						c, kh, kw := row/(g.KH*g.KW), row/g.KW%g.KH, row%g.KW
-						for oh := 0; oh < outH; oh++ {
-							for ow := 0; ow < outW; ow++ {
-								ih, iw := oh*stride-pad+kh, ow*stride-pad+kw
-								if ih < 0 || ih >= g.InH || iw < 0 || iw >= g.InW {
-									continue
-								}
-								at := s*imLen + (c*g.InH+ih)*g.InW + iw
-								p := (row*nb+s)*l + oh*outW + ow
-								wantCol[p] = src[at]
-								wantIm[at] += dcol[p]
-							}
-						}
-					}
-				}
-				col := RandNormal(r, 1, rows*nb*l).Data // stale values must all be overwritten
-				Im2ColBlock(g, nb, src, col)
-				im := make([]float32, nb*imLen)
-				Col2ImBlock(g, nb, dcol, im)
-				for i := range col {
-					if math.Float32bits(col[i]) != math.Float32bits(wantCol[i]) {
-						t.Fatalf("%+v: Im2ColBlock[%d] = %v, want %v", g, i, col[i], wantCol[i])
-					}
-				}
-				for i := range im {
-					if math.Float32bits(im[i]) != math.Float32bits(wantIm[i]) {
-						t.Fatalf("%+v: Col2ImBlock[%d] = %v, want %v", g, i, im[i], wantIm[i])
-					}
+				for nb := 1; nb <= 4; nb++ {
+					imLen, colLen := g.InC*g.InH*g.InW, g.InC*g.KH*g.KW*nb*g.OutH()*g.OutW()
+					src := RandNormal(r, 1, nb*imLen).Data
+					checkLowering(t, g, nb, src, RandNormal(r, 1, colLen).Data, RandNormal(r, 1, nb*imLen).Data)
 				}
 			}
 		}
 	}
+}
+
+// FuzzLowering holds Im2ColBlock and Col2ImBlock to lowerRef over fuzzed
+// geometries and values. Each geometry byte packs two fields, the low nibble
+// for the height (or the channel count) and the high one for the width (or
+// the block size): extents 1–8, windows 1–5, strides 1–3, padding 0–3, 1–3
+// channels, blocks of 1–4 samples. raw's little-endian words fill the input,
+// the panel gradient and the destination's starting values in turn,
+// cycling, so a seed can plant NaN payloads, ±0 and ±Inf anywhere.
+func FuzzLowering(f *testing.F) {
+	words := func(ws ...uint32) []byte {
+		var raw []byte
+		for _, w := range ws {
+			raw = binary.LittleEndian.AppendUint32(raw, w)
+		}
+		return raw
+	}
+	ordinary := words(0x3f800000, 0xc0490fdb, 0x3dcccccd, 0x40a00000, 0xbeaaaaab, 0x3f7ffffe, 0x42c80000)
+	special := words(0x7fc00001, 0x00000000, 0xffc12345, 0x80000000, 0x7f800000, 0x3dcccccd,
+		0xff800000, 0x7f800001, 0x40a00000, 0xffbfffff, 0x00000001, 0xbeaaaaab, 0x7fc0beef)
+	for _, s := range []struct {
+		hw, win, stride, pad, cnb uint8
+		raw                       []byte
+	}{
+		{0x77, 0x22, 0x00, 0x11, 0x31, ordinary}, // 8×8, 3×3, stride 1, pad 1: the whole-run copy
+		{0x77, 0x22, 0x11, 0x11, 0x22, special},  // stride 2, pad 1: whole runs from the phase split
+		{0x67, 0x22, 0x11, 0x11, 0x12, special},  // stride 2 on an odd width
+		{0x55, 0x44, 0x22, 0x22, 0x20, special},  // 5×5 window, stride 3, pad 2
+		{0x11, 0x44, 0x00, 0x33, 0x31, special},  // 5×5 window on 2×2 input, pad 3
+		{0x10, 0x40, 0x10, 0x30, 0x00, ordinary}, // 1×5 window, stride 2, pad 3 on a 2-wide row: taps that never land
+		{0x43, 0x20, 0x01, 0x02, 0x12, special},  // 4×5 input, 1×3 window, stride 2 down and 1 across
+		{0x77, 0x22, 0x00, 0x00, 0x11, special},  // stride 1 unpadded: row-by-row copies
+		{0x00, 0x00, 0x22, 0x00, 0x30, special},  // 1×1 everything, stride 3
+	} {
+		f.Add(s.hw, s.win, s.stride, s.pad, s.cnb, s.raw)
+	}
+	f.Fuzz(func(t *testing.T, hw, win, stride, pad, cnb uint8, raw []byte) {
+		g := ConvGeom{
+			InC: 1 + int(cnb&15)%3, InH: 1 + int(hw&7), InW: 1 + int(hw>>4&7),
+			KH: 1 + int(win&15)%5, KW: 1 + int(win>>4)%5,
+			StrideH: 1 + int(stride&15)%3, StrideW: 1 + int(stride>>4)%3,
+			PadH: int(pad & 3), PadW: int(pad >> 4 & 3),
+		}
+		nb := 1 + int(cnb>>4)%4
+		if g.Check() != nil {
+			return
+		}
+		next := 0
+		fill := func(n int) []float32 {
+			v := make([]float32, n)
+			for i := range v {
+				if len(raw) < 4 {
+					v[i] = float32(next%7) - 3
+				} else {
+					off := 4 * (next % (len(raw) / 4))
+					v[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[off:]))
+				}
+				next++
+			}
+			return v
+		}
+		imLen, colLen := nb*g.InC*g.InH*g.InW, g.InC*g.KH*g.KW*nb*g.OutH()*g.OutW()
+		src := fill(imLen)
+		dcol := fill(colLen)
+		checkLowering(t, g, nb, src, dcol, fill(imLen))
+	})
 }
 
 func BenchmarkIm2Col(b *testing.B) {
@@ -178,6 +270,44 @@ func BenchmarkIm2Col(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Im2Col(g, src.Data, col)
+	}
+}
+
+// BenchmarkLowering times Im2ColBlock and Col2ImBlock on one block at the
+// shapes the conv workloads lower: micro-ConvNet's four 3×3 pad-1 convs on a
+// 24×24 input (width 8) and micro-AlexNet's conv2 at 12×12. The block holds
+// as many samples as nn.Conv2D's 64 Ki-float panel budget allows, which is
+// the block size a batch of 16 or more lowers at.
+func BenchmarkLowering(b *testing.B) {
+	const panelBudget = 64 << 10
+	for _, sh := range []struct {
+		name            string
+		inC, hw, stride int
+	}{
+		{"convnet-conv1", 3, 24, 1},
+		{"convnet-conv2", 8, 24, 2},
+		{"convnet-conv3", 16, 12, 1},
+		{"convnet-conv4", 16, 12, 2},
+		{"alexnet-conv2", 8, 12, 1},
+	} {
+		g := ConvGeom{InC: sh.inC, InH: sh.hw, InW: sh.hw, KH: 3, KW: 3, StrideH: sh.stride, StrideW: sh.stride, PadH: 1, PadW: 1}
+		k, l := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+		nb := max(1, panelBudget/(k*l))
+		r := rng.New(1)
+		im := RandNormal(r, 1, nb*g.InC*g.InH*g.InW).Data
+		col := RandNormal(r, 1, k*nb*l).Data
+		b.Run(sh.name+"/im2col", func(b *testing.B) {
+			b.SetBytes(int64(4 * len(col)))
+			for i := 0; i < b.N; i++ {
+				Im2ColBlock(g, nb, im, col)
+			}
+		})
+		b.Run(sh.name+"/col2im", func(b *testing.B) {
+			b.SetBytes(int64(4 * len(col)))
+			for i := 0; i < b.N; i++ {
+				Col2ImBlock(g, nb, col, im)
+			}
+		})
 	}
 }
 
