@@ -259,17 +259,18 @@ func sameRun(a, b *Result) string {
 	return ""
 }
 
-// sameLosses compares two histories bit for bit: every epoch's loss,
-// accuracy and resolution, and the divergence verdict.
+// sameLosses compares two histories bit for bit, a NaN equal to a NaN:
+// every epoch's number, loss, accuracy, rate and resolution, and the
+// divergence verdict.
 func sameLosses(a, b *Result) string {
 	if len(a.History) != len(b.History) || a.Diverged != b.Diverged {
 		return "history length or divergence"
 	}
 	for e := range a.History {
 		x, y := a.History[e], b.History[e]
-		if math.Float64bits(x.TrainLoss) != math.Float64bits(y.TrainLoss) ||
+		if x.Epoch != y.Epoch || math.Float64bits(x.TrainLoss) != math.Float64bits(y.TrainLoss) ||
 			math.Float64bits(x.TestAcc) != math.Float64bits(y.TestAcc) ||
-			x.ResH != y.ResH || x.ResW != y.ResW {
+			math.Float64bits(x.LR) != math.Float64bits(y.LR) || x.ResH != y.ResH || x.ResW != y.ResW {
 			return fmt.Sprintf("epoch %d: %+v vs %+v", e, x, y)
 		}
 	}

@@ -54,20 +54,40 @@ func TestTrainBaselineLearns(t *testing.T) {
 	}
 }
 
+// TestTrainDeterministic: a configuration trained twice in one process
+// reproduces its whole history bit for bit — the premise on which the
+// measured tables train each configuration once and share the result. The
+// micro-AlexNet-BN case is those tables' model (batch norm, dropout) at
+// their two workers; its results depend on the worker count, so the count
+// is fixed and only repeatability is checked.
 func TestTrainDeterministic(t *testing.T) {
 	ds := tinyDataset()
-	cfg := Config{Model: mlpFactory(4), Batch: 64, Epochs: 3, Method: LARSWarmup,
-		BaseLR: 0.1, WarmupEpochs: 1, Trust: 0.05, Seed: 9}
-	a, err := Train(cfg, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Train(cfg, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.FinalLoss != b.FinalLoss || a.TestAcc != b.TestAcc {
-		t.Fatalf("non-deterministic: (%v,%v) vs (%v,%v)", a.FinalLoss, a.TestAcc, b.FinalLoss, b.TestAcc)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"mlp", Config{Model: mlpFactory(4), Batch: 64, Epochs: 3, Method: LARSWarmup,
+			BaseLR: 0.1, WarmupEpochs: 1, Trust: 0.05, Seed: 9}},
+		{"micro-alexnet-bn", Config{Model: func(seed uint64) *nn.Network {
+			return models.NewMicroAlexNet(models.MicroConfig{Classes: 4, InC: 3, InH: 8, InW: 8, Width: 2, Seed: seed})
+		}, Workers: 2, Batch: 64, Epochs: 3, Method: LARSWarmup,
+			BaseLR: 0.1, WarmupEpochs: 1, Trust: 0.05, Seed: 9}},
+	} {
+		a, err := Train(tc.cfg, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Train(tc.cfg, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := sameLosses(a, b); d != "" || math.Float64bits(a.FinalLoss) != math.Float64bits(b.FinalLoss) ||
+			math.Float64bits(a.TestAcc) != math.Float64bits(b.TestAcc) {
+			t.Fatalf("%s: non-deterministic: %s (final %v,%v vs %v,%v)", tc.name, d, a.FinalLoss, a.TestAcc, b.FinalLoss, b.TestAcc)
+		}
+		if len(a.History) != tc.cfg.Epochs {
+			t.Fatalf("%s: history of %d epochs, want %d", tc.name, len(a.History), tc.cfg.Epochs)
+		}
 	}
 }
 

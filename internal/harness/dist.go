@@ -11,12 +11,11 @@ import (
 // backward, gradient allreduce, weight broadcast — for one training step
 // under each topology and tabulates the observed per-step CommStats next
 // to internal/comm's closed-form schedule and its alpha-beta price on FDR
-// InfiniBand. It is the measured companion of Table 11 and Figure 9: the
-// counters the analytic exhibits model, recorded from execution.
-func AllreduceStudy(s *Setup, workers int) (*Table, error) {
-	if workers <= 0 {
-		workers = 4
-	}
+// InfiniBand, over four workers. It is the measured companion of Table 11
+// and Figure 9: the counters the analytic exhibits model, recorded from
+// execution.
+func AllreduceStudy(s *Setup) (*Table, error) {
+	const workers = 4
 	t := &Table{
 		ID: "Allreduce study", Title: fmt.Sprintf("One measured engine step per topology (P=%d, micro-AlexNet)", workers),
 		Header: []string{"algorithm", "messages", "payload MB", "latency rounds", "model msgs", "model rounds", "FDR time"},

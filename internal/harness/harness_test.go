@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -16,6 +17,11 @@ func fastSetup() *Setup {
 	s.Epochs = 3
 	return s
 }
+
+// sweep is the one setup the measured tables' tests share, as
+// cmd/experiments shares one: whichever test needs a configuration first
+// trains it, and the others read the result.
+var sweep = fastSetup()
 
 func TestTableRendering(t *testing.T) {
 	tbl := &Table{ID: "Table X", Title: "demo", Header: []string{"a", "bb"}}
@@ -38,7 +44,7 @@ func TestTableRendering(t *testing.T) {
 // (intra, inter, total), and the observed message/round columns must equal
 // the closed-form model columns (they share the table).
 func TestAllreduceStudyMechanics(t *testing.T) {
-	tbl, err := AllreduceStudy(fastSetup(), 4)
+	tbl, err := AllreduceStudy(fastSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +139,7 @@ func TestSimulatedTables(t *testing.T) {
 }
 
 func TestMeasuredFigure1Mechanics(t *testing.T) {
-	s := fastSetup()
-	tbl, err := Figure1(s)
+	tbl, err := Figure1(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +152,7 @@ func TestMeasuredFigure1Mechanics(t *testing.T) {
 }
 
 func TestMeasuredTable7Mechanics(t *testing.T) {
-	s := fastSetup()
-	tbl, err := Table7(s)
+	tbl, err := Table7(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,24 +162,22 @@ func TestMeasuredTable7Mechanics(t *testing.T) {
 }
 
 func TestMeasuredFigure4Mechanics(t *testing.T) {
-	s := fastSetup()
-	tbl, err := Figure4(s)
+	tbl, err := Figure4(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != s.Epochs {
-		t.Fatalf("Figure 4 rows = %d, want %d", len(tbl.Rows), s.Epochs)
+	if len(tbl.Rows) != sweep.Epochs {
+		t.Fatalf("Figure 4 rows = %d, want %d", len(tbl.Rows), sweep.Epochs)
 	}
 }
 
 func TestMeasuredFigure5and6Mechanics(t *testing.T) {
-	s := fastSetup()
-	tbl, err := Figure5and6(s)
+	tbl, err := Figure5and6(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != s.Epochs {
-		t.Fatalf("Figures 5&6 rows = %d, want %d", len(tbl.Rows), s.Epochs)
+	if len(tbl.Rows) != sweep.Epochs {
+		t.Fatalf("Figures 5&6 rows = %d, want %d", len(tbl.Rows), sweep.Epochs)
 	}
 	// GFLOPs column must be monotonically increasing.
 	prev := ""
@@ -191,13 +193,46 @@ func TestMeasuredTable5Mechanics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("7 training runs")
 	}
-	s := fastSetup()
-	tbl, err := Table5(s)
+	tbl, err := Table5(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tbl.Rows) != 7 {
 		t.Fatalf("Table 5 rows = %d, want 7", len(tbl.Rows))
+	}
+}
+
+// TestMeasuredSweepTrainsEachConfigOnce: the five measured tables are views
+// of one sweep. Figure 1 trains nine configurations and Table 5 six more
+// (its x1 row is Figure 1's linear run at the large batch); Table 7,
+// Figure 4 and Figures 5 & 6 train nothing new. A second pass over all
+// five trains nothing (every kept result is the same one) and renders the
+// same bytes.
+func TestMeasuredSweepTrainsEachConfigOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("15 training runs")
+	}
+	render := func() string {
+		var b strings.Builder
+		for _, table := range []func(*Setup) (*Table, error){Figure1, Table5, Table7, Figure4, Figure5and6} {
+			tbl, err := table(sweep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(tbl.Markdown())
+		}
+		return b.String()
+	}
+	first := render()
+	if n := len(sweep.runs); n != 15 {
+		t.Fatalf("the five measured tables trained %d configurations, want 15", n)
+	}
+	kept := maps.Clone(sweep.runs)
+	if render() != first {
+		t.Fatal("a second pass over the sweep rendered other bytes")
+	}
+	if !maps.Equal(sweep.runs, kept) {
+		t.Fatal("a second pass over the sweep trained again")
 	}
 }
 

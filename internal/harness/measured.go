@@ -11,7 +11,10 @@ import (
 
 // Setup fixes the measured-experiment configuration: the SynthImageNet task
 // and the tuned micro-AlexNet recipe. The defaults are the calibration used
-// throughout EXPERIMENTS.md; benches shrink Epochs for speed.
+// throughout EXPERIMENTS.md; benches shrink Epochs for speed. Setup keeps
+// every result it trains, so the measured tables are views of one sweep and
+// a configuration they share trains once: it is read-only after its first
+// run, as its lazily built dataset already assumes.
 type Setup struct {
 	Classes   int
 	ImageSize int
@@ -23,7 +26,15 @@ type Setup struct {
 	Workers   int
 	Seed      uint64
 
-	ds *data.Synth
+	ds   *data.Synth
+	runs map[runKey]*core.Result
+}
+
+// runKey tells the sweep's runs apart; the Setup fixes the rest of each.
+type runKey struct {
+	method core.Method
+	batch  int
+	baseLR float64
 }
 
 // DefaultSetup returns the tuned measured-experiment configuration:
@@ -93,15 +104,20 @@ func (s *Setup) TrustFor(batch int) float64 {
 	return 0.05
 }
 
-// run executes one training configuration.
-func (s *Setup) run(method core.Method, batch int, epochs int) (*core.Result, error) {
+// run is the measured tables' one way to core.Train: it trains a
+// configuration of the sweep once and returns the kept result after.
+func (s *Setup) run(method core.Method, batch int, baseLR float64) (*core.Result, error) {
+	key := runKey{method, batch, baseLR}
+	if res, ok := s.runs[key]; ok {
+		return res, nil
+	}
 	cfg := core.Config{
 		Model:        s.Spec().Factory(),
 		Workers:      s.Workers,
 		Batch:        batch,
-		Epochs:       epochs,
+		Epochs:       s.Epochs,
 		Method:       method,
-		BaseLR:       s.BaseLR,
+		BaseLR:       baseLR,
 		BaseBatch:    s.BaseBatch,
 		WarmupEpochs: s.WarmupFor(batch),
 		Trust:        s.TrustFor(batch),
@@ -110,7 +126,24 @@ func (s *Setup) run(method core.Method, batch int, epochs int) (*core.Result, er
 	if method == core.BaselineSGD {
 		cfg.WarmupEpochs = 0
 	}
-	return core.Train(cfg, s.Dataset())
+	res, err := core.Train(cfg, s.Dataset())
+	if err != nil {
+		return nil, err
+	}
+	if s.runs == nil {
+		s.runs = map[runKey]*core.Result{}
+	}
+	s.runs[key] = res
+	return res, nil
+}
+
+// accAt is a run's test accuracy after epoch e, or NaN past its history (a
+// diverged run stops early).
+func accAt(res *core.Result, e int) float64 {
+	if e < len(res.History) {
+		return res.History[e].TestAcc
+	}
+	return math.NaN()
 }
 
 func pct(v float64) string {
@@ -129,7 +162,7 @@ func Figure1(s *Setup) (*Table, error) {
 		ID: "Figure 1", Title: "Top-1 accuracy vs batch size (measured on SynthImageNet)",
 		Header: []string{"batch", "batch/dataset", "linear+warmup", "LARS+warmup", "paper analog"},
 	}
-	base, err := s.run(core.BaselineSGD, s.BaseBatch, s.Epochs)
+	base, err := s.run(core.BaselineSGD, s.BaseBatch, s.BaseLR)
 	if err != nil {
 		return nil, err
 	}
@@ -143,11 +176,11 @@ func Figure1(s *Setup) (*Table, error) {
 		"B=64K: LARS 73.2% vs FB 66.0%",
 	}
 	for i, b := range s.SweepBatches() {
-		lin, err := s.run(core.LinearScalingWarmup, b, s.Epochs)
+		lin, err := s.run(core.LinearScalingWarmup, b, s.BaseLR)
 		if err != nil {
 			return nil, err
 		}
-		lars, err := s.run(core.LARSWarmup, b, s.Epochs)
+		lars, err := s.run(core.LARSWarmup, b, s.BaseLR)
 		if err != nil {
 			return nil, err
 		}
@@ -170,13 +203,7 @@ func Table5(s *Setup) (*Table, error) {
 		Header: []string{"base LR", "effective LR", "warmup", "epochs", "test accuracy"},
 	}
 	for _, mult := range []float64{0.125, 0.25, 0.5, 1, 2, 4, 8} {
-		lr := s.BaseLR * mult
-		cfg := core.Config{
-			Model: s.Spec().Factory(), Workers: s.Workers, Batch: batch, Epochs: s.Epochs,
-			Method: core.LinearScalingWarmup, BaseLR: lr, BaseBatch: s.BaseBatch,
-			WarmupEpochs: s.WarmupFor(batch), Seed: s.Seed,
-		}
-		res, err := core.Train(cfg, s.Dataset())
+		res, err := s.run(core.LinearScalingWarmup, batch, s.BaseLR*mult)
 		if err != nil {
 			return nil, err
 		}
@@ -184,8 +211,8 @@ func Table5(s *Setup) (*Table, error) {
 		if res.Diverged {
 			acc += " (diverged)"
 		}
-		t.Add(fmt.Sprintf("%.4f", lr), fmt.Sprintf("%.2f", cfg.TargetLR()),
-			fmt.Sprintf("%.0f ep", cfg.WarmupEpochs), fmt.Sprintf("%d", s.Epochs), acc)
+		t.Add(fmt.Sprintf("%.4f", res.Config.BaseLR), fmt.Sprintf("%.2f", res.Config.TargetLR()),
+			fmt.Sprintf("%.0f ep", res.Config.WarmupEpochs), fmt.Sprintf("%d", s.Epochs), acc)
 	}
 	t.Note("Paper's Table 5 (AlexNet B=4096): best 53.1%% far below the 58%% baseline, and 0.1%% at LR >= 0.07.")
 	t.Note("Shape match: the prescribed linearly-scaled rate collapses, and large rates hit chance (the 0.1%% analog). " +
@@ -200,13 +227,13 @@ func Table7(s *Setup) (*Table, error) {
 		ID: "Table 7", Title: "LARS + warmup across batch sizes (measured)",
 		Header: []string{"batch", "LR rule", "warmup", "epochs", "test accuracy"},
 	}
-	base, err := s.run(core.BaselineSGD, s.BaseBatch, s.Epochs)
+	base, err := s.run(core.BaselineSGD, s.BaseBatch, s.BaseLR)
 	if err != nil {
 		return nil, err
 	}
 	t.Add(fmt.Sprintf("%d", s.BaseBatch), "regular", "N/A", fmt.Sprintf("%d", s.Epochs), pct(base.TestAcc))
 	for _, b := range s.SweepBatches() {
-		res, err := s.run(core.LARSWarmup, b, s.Epochs)
+		res, err := s.run(core.LARSWarmup, b, s.BaseLR)
 		if err != nil {
 			return nil, err
 		}
@@ -222,11 +249,11 @@ func Table7(s *Setup) (*Table, error) {
 // with and without LARS — the paper's Figure 4 (a)/(b).
 func Figure4(s *Setup) (*Table, error) {
 	batch := s.LargeBatch()
-	lin, err := s.run(core.LinearScalingWarmup, batch, s.Epochs)
+	lin, err := s.run(core.LinearScalingWarmup, batch, s.BaseLR)
 	if err != nil {
 		return nil, err
 	}
-	lars, err := s.run(core.LARSWarmup, batch, s.Epochs)
+	lars, err := s.run(core.LARSWarmup, batch, s.BaseLR)
 	if err != nil {
 		return nil, err
 	}
@@ -235,14 +262,7 @@ func Figure4(s *Setup) (*Table, error) {
 		Header: []string{"epoch", "linear+warmup", "LARS+warmup"},
 	}
 	for e := 0; e < s.Epochs; e++ {
-		linAcc, larsAcc := math.NaN(), math.NaN()
-		if e < len(lin.History) {
-			linAcc = lin.History[e].TestAcc
-		}
-		if e < len(lars.History) {
-			larsAcc = lars.History[e].TestAcc
-		}
-		t.Add(fmt.Sprintf("%d", e), pct(linAcc), pct(larsAcc))
+		t.Add(fmt.Sprintf("%d", e), pct(accAt(lin, e)), pct(accAt(lars, e)))
 	}
 	t.Note("Paper's Figure 4: without LARS the 16K/32K runs plateau ~10 points low; with LARS they track the baseline.")
 	return t, nil
@@ -253,12 +273,12 @@ func Figure4(s *Setup) (*Table, error) {
 // (Figure 5), and therefore in the same number of floating-point operations
 // (Figure 6).
 func Figure5and6(s *Setup) (*Table, error) {
-	small, err := s.run(core.BaselineSGD, s.BaseBatch, s.Epochs)
+	small, err := s.run(core.BaselineSGD, s.BaseBatch, s.BaseLR)
 	if err != nil {
 		return nil, err
 	}
 	largeB := s.TrainSize / 4
-	large, err := s.run(core.LARSWarmup, largeB, s.Epochs)
+	large, err := s.run(core.LARSWarmup, largeB, s.BaseLR)
 	if err != nil {
 		return nil, err
 	}
@@ -268,14 +288,7 @@ func Figure5and6(s *Setup) (*Table, error) {
 		Header: []string{"epoch", "train GFLOPs", fmt.Sprintf("B=%d", s.BaseBatch), fmt.Sprintf("B=%d LARS", largeB)},
 	}
 	for e := 0; e < s.Epochs; e++ {
-		sa, la := math.NaN(), math.NaN()
-		if e < len(small.History) {
-			sa = small.History[e].TestAcc
-		}
-		if e < len(large.History) {
-			la = large.History[e].TestAcc
-		}
-		t.Add(fmt.Sprintf("%d", e), fmt.Sprintf("%.1f", float64(e+1)*flopsPerEpoch/1e9), pct(sa), pct(la))
+		t.Add(fmt.Sprintf("%d", e), fmt.Sprintf("%.1f", float64(e+1)*flopsPerEpoch/1e9), pct(accAt(small, e)), pct(accAt(large, e)))
 	}
 	t.Note("Fixed epochs = fixed flops: the large batch needs no extra operations to match the baseline (Figure 6).")
 	return t, nil

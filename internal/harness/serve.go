@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/comm"
@@ -61,7 +62,8 @@ func ServeStudy() (*Table, error) {
 			if rep.Stats.Equal(want) {
 				model = "exact"
 			} else {
-				model = "DRIFT: " + firstLine(rep.Stats.Diff(want))
+				diff, _, _ := strings.Cut(rep.Stats.Diff(want), "\n")
+				model = "DRIFT: " + diff
 			}
 		}
 		// Replica-invariance control: with an unbounded queue, batch
@@ -156,14 +158,4 @@ func ServeStudy() (*Table, error) {
 	t.Note("Overload row: the bounded queue (cap 24) sheds the burst excess as typed ErrOverloaded rejections — admission control, not an outage; accepted + rejected == offered is property-tested in internal/serve.")
 	t.Note("Sizing rows price a TeslaP100 fleet for the micro AlexNet with cluster.SimulateServe: replicas = ⌈S(b)/(b·gap)⌉ from the same service model, p99 from the same closed form against a 2ms target.")
 	return t, nil
-}
-
-// firstLine truncates a multi-line diff to its first line.
-func firstLine(s string) string {
-	for i, r := range s {
-		if r == '\n' {
-			return s[:i]
-		}
-	}
-	return s
 }

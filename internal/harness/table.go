@@ -102,11 +102,7 @@ func (t *Table) Markdown() string {
 		b.WriteString(VolatileMarker + "\n\n")
 	}
 	fmt.Fprintf(&b, "| %s |\n", strings.Join(t.Header, " | "))
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	fmt.Fprintf(&b, "| %s |\n", strings.Join(sep, " | "))
+	fmt.Fprintf(&b, "|%s\n", strings.Repeat(" --- |", len(t.Header)))
 	for _, row := range t.Rows {
 		fmt.Fprintf(&b, "| %s |\n", strings.Join(row, " | "))
 	}
