@@ -144,6 +144,20 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("-rate %v, want a positive finite rate", *rate)
 	case *traceKind == "bursty" && *burstLen < 1:
 		return fmt.Errorf("-burst-len %d, want >= 1", *burstLen)
+	case *maxBatch < 1:
+		return fmt.Errorf("-max-batch %d, want >= 1", *maxBatch)
+	case *maxDelay < 0:
+		return fmt.Errorf("-max-delay %d, want >= 0", *maxDelay)
+	case *queueCap < 0:
+		return fmt.Errorf("-queue-cap %d, want >= 0", *queueCap)
+	case *svcBase < 0:
+		return fmt.Errorf("-svc-base %d, want >= 0", *svcBase)
+	case *svcPer < 0:
+		return fmt.Errorf("-svc-per-image %d, want >= 0", *svcPer)
+	case !*schedOnly && *classes < 2:
+		return fmt.Errorf("-classes %d, want >= 2 for a pool run", *classes)
+	case !*schedOnly && *imageSize < 1:
+		return fmt.Errorf("-image-size %d, want >= 1 for a pool run", *imageSize)
 	}
 	cfg := serve.Config{
 		MaxBatch: *maxBatch,

@@ -40,11 +40,15 @@ func TestStdoutGolden(t *testing.T) {
 }
 
 // TestRefusedFlags: a flag value the command cannot use is one error line
-// returned before any report is written — -precision used to print the
-// trace header first and die inside runPool, -requests -1 panicked in
-// makeslice, and the others ran: -replicas 0 on the one replica the pool
-// defaults to, a negative or NaN -rate at one request per tick, a bursty
-// trace with -burst-len 0 as bursts of one.
+// returned before any report is written, without the "serve:" prefix main
+// adds — -precision used to print the trace header first and die inside
+// runPool, -requests -1 panicked in makeslice, and the others ran:
+// -replicas 0 on the one replica the pool defaults to, a negative or NaN
+// -rate at one request per tick, a bursty trace with -burst-len 0 as
+// bursts of one. The window, queue and service flags, and -classes and
+// -image-size on a pool run, used to print the trace and window header and
+// then fail inside the serve or data package (the window ones as "serve:
+// serve: MaxBatch 0, want >= 1").
 func TestRefusedFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -58,6 +62,15 @@ func TestRefusedFlags(t *testing.T) {
 		{"-rate -5", "-rate -5, want a positive finite rate"},
 		{"-rate NaN", "-rate NaN, want a positive finite rate"},
 		{"-trace bursty -burst-len 0", "-burst-len 0, want >= 1"},
+		{"-schedule-only -max-batch 0", "-max-batch 0, want >= 1"},
+		{"-schedule-only -max-delay -1", "-max-delay -1, want >= 0"},
+		{"-schedule-only -queue-cap -1", "-queue-cap -1, want >= 0"},
+		{"-schedule-only -svc-base -1", "-svc-base -1, want >= 0"},
+		{"-schedule-only -svc-per-image -1", "-svc-per-image -1, want >= 0"},
+		{"-max-batch 0", "-max-batch 0, want >= 1"},
+		{"-classes 0", "-classes 0, want >= 2 for a pool run"},
+		{"-classes 1", "-classes 1, want >= 2 for a pool run"},
+		{"-image-size 0", "-image-size 0, want >= 1 for a pool run"},
 		{"-replicas abc", `invalid value "abc" for flag -replicas`},
 		{"-no-such-flag", "flag provided but not defined: -no-such-flag"},
 	} {
@@ -67,8 +80,8 @@ func TestRefusedFlags(t *testing.T) {
 			t.Errorf("serve %s: got %v, want an error containing %q", tc.args, err, tc.want)
 			continue
 		}
-		if strings.Contains(err.Error(), "\n") || out.Len() != 0 {
-			t.Errorf("serve %s: want a one-line error and no report, got %q and %q", tc.args, err, out.String())
+		if strings.Contains(err.Error(), "\n") || strings.Contains(err.Error(), "serve:") || out.Len() != 0 {
+			t.Errorf("serve %s: want a one-line error without a prefix and no report, got %q and %q", tc.args, err, out.String())
 		}
 	}
 }

@@ -78,16 +78,26 @@ import (
 	"repro/internal/models"
 )
 
-// sizes are the numeric flags the cluster model takes as given: checked
-// here, in one place, so a bad value is a one-line message instead of a
-// panic trace from inside internal/cluster.
+// sizes are the flags the cluster model takes as given: checked here, in
+// one place and before any line of the report, so a bad value is a
+// one-line message instead of a panic trace from inside internal/cluster,
+// a silent default or a report cut short.
 type sizes struct {
 	nodes, batch, epochs, dataset int
-	perNode                       int
-	sweep, autoscale              bool
-	evict                         string // -evict as given
-	scaleMax                      int
-	interval                      float64
+	perNode, overlapBuckets       int
+	sweep                         bool
+	evict, syncSweep, autoscale   string // as given
+	scaleMin, scaleMax, cooldown  int
+	interval, targetUtil          float64
+	maxBacklog, usdHour           float64
+}
+
+// segment is one "LOADxN[!P]" piece of -autoscale: n intervals of offered
+// load at load times the healthy fleet's throughput, preempt devices lost
+// at the first of them.
+type segment struct {
+	load       float64
+	n, preempt int
 }
 
 // evictions parses -evict: one run fraction in [0, 1] per lost device.
@@ -98,7 +108,7 @@ func (s sizes) evictions() ([]float64, error) {
 	var fracs []float64
 	for _, f := range strings.Split(s.evict, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v < 0 || v > 1 {
+		if err != nil || !(v >= 0 && v <= 1) {
 			return nil, fmt.Errorf("bad -evict fraction %q: want numbers in [0,1]", f)
 		}
 		fracs = append(fracs, v)
@@ -106,9 +116,58 @@ func (s sizes) evictions() ([]float64, error) {
 	return fracs, nil
 }
 
+// periods parses -sync-sweep: one synchronization period H >= 1 per entry.
+func (s sizes) periods() ([]int, error) {
+	if s.syncSweep == "" {
+		return nil, nil
+	}
+	var hs []int
+	for _, f := range strings.Split(s.syncSweep, ",") {
+		h, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || h < 1 {
+			return nil, fmt.Errorf("bad -sync-sweep period %q: want integers >= 1", f)
+		}
+		hs = append(hs, h)
+	}
+	return hs, nil
+}
+
+// segments parses -autoscale into its "LOADxN[!P]" segments.
+func (s sizes) segments() ([]segment, error) {
+	if s.autoscale == "" {
+		return nil, nil
+	}
+	var segs []segment
+	for _, seg := range strings.Split(s.autoscale, ",") {
+		seg = strings.TrimSpace(seg)
+		preempt := 0
+		if body, p, ok := strings.Cut(seg, "!"); ok {
+			n, err := strconv.Atoi(p)
+			if err != nil || n < 0 {
+				return nil, fmt.Errorf("bad -autoscale segment %q: preemption count %q", seg, p)
+			}
+			seg, preempt = body, n
+		}
+		loadStr, nStr, ok := strings.Cut(seg, "x")
+		load, err1 := strconv.ParseFloat(strings.TrimSpace(loadStr), 64)
+		n, err2 := strconv.Atoi(strings.TrimSpace(nStr))
+		if !ok || err1 != nil || err2 != nil || !(load >= 0) || n < 1 {
+			return nil, fmt.Errorf("bad -autoscale segment %q: want \"LOADxN[!P]\"", seg)
+		}
+		segs = append(segs, segment{load, n, preempt})
+	}
+	return segs, nil
+}
+
 func (s sizes) check() error {
 	fracs, err := s.evictions()
 	if err != nil {
+		return err
+	}
+	if _, err := s.periods(); err != nil {
+		return err
+	}
+	if _, err := s.segments(); err != nil {
 		return err
 	}
 	if s.nodes > 0 && len(fracs) >= s.nodes {
@@ -125,12 +184,26 @@ func (s sizes) check() error {
 		return fmt.Errorf("-dataset %d: want a positive dataset size", s.dataset)
 	case s.perNode > 0 && s.nodes%s.perNode != 0:
 		return fmt.Errorf("-per-node %d does not divide %d devices", s.perNode, s.nodes)
+	case s.overlapBuckets < 0:
+		return fmt.Errorf("-overlap-buckets %d: want a bucket count, or 0 for the default", s.overlapBuckets)
 	case s.sweep && s.evict != "":
 		return errors.New("-evict is not supported with -sweep")
-	case s.autoscale && s.interval <= 0:
+	case s.autoscale != "" && !(s.interval > 0):
 		return fmt.Errorf("-interval %g: want a positive trace resolution in seconds", s.interval)
-	case s.autoscale && s.perNode > 1 && s.scaleMax > s.nodes:
+	case s.autoscale != "" && s.perNode > 1 && s.scaleMax > s.nodes:
 		return fmt.Errorf("-scale-max %d: a hierarchical fleet (-per-node %d) cannot grow past its %d devices", s.scaleMax, s.perNode, s.nodes)
+	case s.scaleMin < 0:
+		return fmt.Errorf("-scale-min %d: want a fleet floor >= 0", s.scaleMin)
+	case s.scaleMax < 0:
+		return fmt.Errorf("-scale-max %d: want a fleet ceiling, or 0 for -nodes", s.scaleMax)
+	case s.cooldown < 0:
+		return fmt.Errorf("-cooldown %d: want a number of intervals >= 0", s.cooldown)
+	case !(s.targetUtil >= 0):
+		return fmt.Errorf("-target-util %g: want a utilization >= 0 (0 disables the rule)", s.targetUtil)
+	case !(s.maxBacklog >= 0):
+		return fmt.Errorf("-max-backlog %g: want seconds >= 0 (0 disables the rule)", s.maxBacklog)
+	case !(s.usdHour >= 0):
+		return fmt.Errorf("-usd-hour %g: want a price >= 0", s.usdHour)
 	}
 	return nil
 }
@@ -167,9 +240,11 @@ func main() {
 	)
 	flag.Parse()
 	sz := sizes{
-		nodes: *nodes, batch: *batch, epochs: *epochs, dataset: *dataset, perNode: *perNode,
-		sweep: *sweep, evict: *evict, autoscale: *autoscale != "",
-		scaleMax: *scaleMax, interval: *interval,
+		nodes: *nodes, batch: *batch, epochs: *epochs, dataset: *dataset,
+		perNode: *perNode, overlapBuckets: *obuckets, sweep: *sweep,
+		evict: *evict, syncSweep: *syncSweep, autoscale: *autoscale,
+		scaleMin: *scaleMin, scaleMax: *scaleMax, cooldown: *cooldown,
+		interval: *interval, targetUtil: *targetUtil, maxBacklog: *maxBacklog, usdHour: *usdHour,
 	}
 	if err := sz.check(); err != nil {
 		log.Fatal(err)
@@ -305,14 +380,7 @@ func main() {
 	}
 
 	if *syncSweep != "" {
-		var hs []int
-		for _, s := range strings.Split(*syncSweep, ",") {
-			h, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || h < 1 {
-				log.Fatalf("bad -sync-sweep period %q: want integers >= 1", s)
-			}
-			hs = append(hs, h)
-		}
+		hs, _ := sz.periods() // checked above
 		curve := cluster.LocalSGDCurve(buildCluster(*nodes), spec, *batch, *epochs, *dataset, hs)
 		fmt.Printf("\nlocal-SGD sweep (weight average every H steps; comm volume scales as 1/H):\n")
 		fmt.Printf("  %-6s %-12s %-12s %-12s %-12s %-10s %-10s\n",
@@ -327,27 +395,13 @@ func main() {
 	}
 
 	if *autoscale != "" {
+		segs, _ := sz.segments() // checked above
 		var trace []cluster.TrafficPoint
-		for _, seg := range strings.Split(*autoscale, ",") {
-			seg = strings.TrimSpace(seg)
-			preempt := 0
-			if body, p, ok := strings.Cut(seg, "!"); ok {
-				n, err := strconv.Atoi(p)
-				if err != nil || n < 0 {
-					log.Fatalf("bad -autoscale segment %q: preemption count %q", seg, p)
-				}
-				seg, preempt = body, n
-			}
-			loadStr, nStr, ok := strings.Cut(seg, "x")
-			load, err1 := strconv.ParseFloat(strings.TrimSpace(loadStr), 64)
-			n, err2 := strconv.Atoi(strings.TrimSpace(nStr))
-			if !ok || err1 != nil || err2 != nil || load < 0 || n < 1 {
-				log.Fatalf("bad -autoscale segment %q: want \"LOADxN[!P]\"", seg)
-			}
-			for i := 0; i < n; i++ {
-				tp := cluster.TrafficPoint{OfferedImagesSec: load * e.ImagesSec}
+		for _, seg := range segs {
+			for i := 0; i < seg.n; i++ {
+				tp := cluster.TrafficPoint{OfferedImagesSec: seg.load * e.ImagesSec}
 				if i == 0 {
-					tp.Preemptions = preempt
+					tp.Preemptions = seg.preempt
 				}
 				trace = append(trace, tp)
 			}

@@ -1,16 +1,30 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
 
-// TestSizesCheck: every numeric flag the cluster model would panic on is
-// rejected up front with a message naming the flag.
+// TestSizesCheck: every flag value the cluster model would panic on, or
+// would silently replace with a default, and every -sync-sweep or
+// -autoscale list it cannot parse, is rejected up front with a message
+// naming the flag; the documented "0 = default" values stay accepted.
 func TestSizesCheck(t *testing.T) {
-	ok := sizes{nodes: 2048, batch: 32768, epochs: 90, dataset: 1280000, interval: 60}
+	ok := sizes{nodes: 2048, batch: 32768, epochs: 90, dataset: 1280000,
+		scaleMin: 1, interval: 60, targetUtil: 0.8, usdHour: 3}
 	if err := ok.check(); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
+	}
+	lists := ok
+	lists.syncSweep, lists.autoscale = "1,2,4,8", "0.3x4,1.5x4!1,1.5x4,0.3x8"
+	if err := lists.check(); err != nil {
+		t.Fatalf("the documented -sync-sweep and -autoscale examples rejected: %v", err)
+	}
+	zeros := ok
+	zeros.overlapBuckets, zeros.scaleMin, zeros.targetUtil, zeros.usdHour = 0, 0, 0, 0
+	if err := zeros.check(); err != nil {
+		t.Fatalf("0 for -overlap-buckets, -scale-min, -target-util and -usd-hour rejected: %v", err)
 	}
 	evicting := ok
 	evicting.nodes, evicting.evict = 4, "0.1, 0.2,0.3"
@@ -18,7 +32,7 @@ func TestSizesCheck(t *testing.T) {
 		t.Fatalf("three evictions from four devices rejected: %v", err)
 	}
 	pod := ok
-	pod.nodes, pod.perNode, pod.autoscale = 16, 8, true
+	pod.nodes, pod.perNode, pod.autoscale = 16, 8, "1.0x3"
 	if err := pod.check(); err != nil {
 		t.Fatalf("hierarchical autoscale within the fleet rejected: %v", err)
 	}
@@ -38,7 +52,22 @@ func TestSizesCheck(t *testing.T) {
 		{"-nodes 4 -evict 0.1,0.2,0.3,0.4", func(s *sizes) { s.nodes, s.evict = 4, "0.1,0.2,0.3,0.4" }, "-evict loses 4"},
 		{"-evict 0.5,abc", func(s *sizes) { s.evict = "0.5,abc" }, "-evict fraction"},
 		{"-evict 1.5", func(s *sizes) { s.evict = "1.5" }, "-evict fraction"},
-		{"-autoscale -interval 0", func(s *sizes) { s.autoscale, s.interval = true, 0 }, "-interval"},
+		{"-autoscale -interval 0", func(s *sizes) { s.autoscale, s.interval = "1.0x3", 0 }, "-interval"},
+		{"-autoscale -interval NaN", func(s *sizes) { s.autoscale, s.interval = "1.0x3", math.NaN() }, "-interval"},
+		{"-evict NaN", func(s *sizes) { s.evict = "NaN" }, "-evict fraction"},
+		{"-overlap -overlap-buckets -1", func(s *sizes) { s.overlapBuckets = -1 }, "-overlap-buckets -1"},
+		{"-cooldown -2", func(s *sizes) { s.cooldown = -2 }, "-cooldown -2"},
+		{"-scale-min -1", func(s *sizes) { s.scaleMin = -1 }, "-scale-min -1"},
+		{"-scale-max -1", func(s *sizes) { s.scaleMax = -1 }, "-scale-max -1"},
+		{"-max-backlog -3", func(s *sizes) { s.maxBacklog = -3 }, "-max-backlog -3"},
+		{"-usd-hour -1", func(s *sizes) { s.usdHour = -1 }, "-usd-hour -1"},
+		{"-target-util -0.5", func(s *sizes) { s.targetUtil = -0.5 }, "-target-util -0.5"},
+		{"-target-util NaN", func(s *sizes) { s.targetUtil = math.NaN() }, "-target-util NaN"},
+		{"-sync-sweep 0", func(s *sizes) { s.syncSweep = "0" }, "-sync-sweep period"},
+		{"-sync-sweep 1,two", func(s *sizes) { s.syncSweep = "1,two" }, "-sync-sweep period"},
+		{"-autoscale 1x0", func(s *sizes) { s.autoscale = "1x0" }, "-autoscale segment"},
+		{"-autoscale 1x2!-1", func(s *sizes) { s.autoscale = "1x2!-1" }, "-autoscale segment"},
+		{"-autoscale NaNx2", func(s *sizes) { s.autoscale = "NaNx2" }, "-autoscale segment"},
 	} {
 		s := ok
 		tc.edit(&s)

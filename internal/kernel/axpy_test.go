@@ -8,10 +8,8 @@ import (
 )
 
 // axpyQuadScalar is the specification of axpyQuad: one IEEE binary32
-// multiply and one add per element, rows independent. It lives here rather
-// than in axpy_generic.go so the amd64 build, which never compiles that file
-// and never runs a scalar four-row loop, still has something to check its
-// assembly against.
+// multiply and one add per element, rows independent, written without
+// axpy.go's explicit conversions.
 func axpyQuadScalar(c0, c1, c2, c3, b []float32, s0, s1, s2, s3 float32) {
 	for j, bv := range b {
 		c0[j] += s0 * bv
@@ -23,12 +21,12 @@ func axpyQuadScalar(c0, c1, c2, c3, b []float32, s0, s1, s2, s3 float32) {
 
 // TestAxpyQuadMatchesScalar: axpyQuad, and the one-row axpy on each of its
 // rows, equal the scalar loop bit for bit in every form the CPU runs (AVX2
-// and SSE, or the portable loops) at every length around the four-, eight-
+// and the portable loops) at every length around the four-, eight-
 // and sixteen-wide vector steps and their tail, on sub-slices at
 // unaligned offsets, with ±0, denormal, Inf and NaN lanes in b and in c —
 // and write nothing outside their rows. No lane adds a NaN product to a NaN in
 // c: which of two NaN operands an x86 add returns is the instruction's
-// operand order, which IEEE leaves open and the two forms need not share.
+// operand order, which IEEE leaves open and the forms need not share.
 func TestAxpyQuadMatchesScalar(t *testing.T) {
 	eachForm(func(form string) { testAxpyQuadMatchesScalar(t, form) })
 }

@@ -2,9 +2,9 @@
 
 package kernel
 
-// useAVX2 selects the eight-lane kernels (axpy, axpyQuad and the GEMM
-// register tile) over the four-lane SSE ones. It is read from the CPU once,
-// at package init, and nothing in the package writes it afterwards.
+// useAVX2 selects the eight-lane AVX2 kernels over the Go loops the portable
+// build runs. It is read from the CPU once, at package init, and nothing in
+// the package writes it afterwards.
 var useAVX2 = avx2Usable()
 
 // cpuid and xgetbv are the two instructions the detector needs

@@ -1,25 +1,27 @@
 package kernel
 
 import (
+	"math"
 	"os"
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/rng"
 )
 
-// eachForm runs f once per vector form of the kernels the CPU can run,
-// with that form selected: the form init chose ("avx2" or "sse"), then, when
-// that was AVX2, the SSE form in its place. Kernel tests do not run in
-// parallel, so the switch cannot leak into another test.
+// eachForm runs f once per form of the kernels the CPU can run, with that
+// form selected: "avx2" when init chose it, then "portable" with useAVX2
+// cleared — the Go loops the portable build runs, beside the SSE kernels
+// that have no AVX2 form. Kernel tests do not run in parallel, so the
+// switch cannot leak into another test.
 func eachForm(f func(form string)) {
-	if !useAVX2 {
-		f("sse")
-		return
+	if useAVX2 {
+		f("avx2")
+		useAVX2 = false
+		defer func() { useAVX2 = true }()
 	}
-	f("avx2")
-	useAVX2 = false
-	defer func() { useAVX2 = true }()
-	f("sse")
+	f("portable")
 }
 
 // TestCPUFeatures: the CPUID+XGETBV detector agrees with the flags Linux
@@ -52,5 +54,56 @@ func TestCPUFeatures(t *testing.T) {
 	}
 	if got, want := avx2Usable(), flags["avx2"]; got != want {
 		t.Errorf("avx2Usable() = %v, /proc/cpuinfo avx2 = %v", got, want)
+	}
+}
+
+// TestPortableFormsWithoutAVX2: with useAVX2 cleared, no kernel that has an
+// AVX2 form writes through assembly. roundHalfVec, canonicalHalfVec and
+// momentumVec return 0 and leave their operands alone, gemmTile covers no
+// column, and a one-leaf pairwiseDotTile gives its Go loop's bits: baseDot
+// per row and column.
+func TestPortableFormsWithoutAVX2(t *testing.T) {
+	saved := useAVX2
+	useAVX2 = false
+	defer func() { useAVX2 = saved }()
+
+	const n = 23
+	x := make([]float32, n)
+	for i := range x {
+		x[i] = 0.1 * float32(i+1) // mostly not binary16 values, so a rounding shows
+	}
+	keep := append([]float32(nil), x...)
+	if got := roundHalfVec(x); got != 0 || bitsEqual(x, keep) >= 0 {
+		t.Errorf("roundHalfVec wrote %d elements, want 0 and x unchanged", got)
+	}
+	dst := make([]float32, n)
+	if got := canonicalHalfVec(dst, [][]float32{x, keep}, []float64{1, 0.5}); got != 0 || bitsEqual(dst, make([]float32, n)) >= 0 {
+		t.Errorf("canonicalHalfVec wrote %d coordinates, want 0 and dst unchanged", got)
+	}
+	v, w := append([]float32(nil), x...), append([]float32(nil), x...)
+	if got := momentumVec(v, w, x, 0.9, 0.1, 5e-4, true); got != 0 || bitsEqual(v, keep) >= 0 || bitsEqual(w, keep) >= 0 {
+		t.Errorf("momentumVec updated %d elements, want 0 and v, w unchanged", got)
+	}
+	const cols = 32
+	if got := gemmTile(make([]float32, 4*cols), []float32{1, 2, 3, 4}, make([]float32, cols), cols); got != 0 {
+		t.Errorf("gemmTile covered %d columns, want 0", got)
+	}
+
+	const k, ldb = 37, 41
+	rnd := rng.New(3)
+	a0, a1, b := exactVec(rnd, k), exactVec(rnd, k), exactVec(rnd, 7*ldb+k)
+	a1[5] = float32(math.Inf(1))
+	b[2*ldb+9] = float32(math.Inf(-1)) // meets a1's Inf: one NaN column
+	for _, rows := range []int{1, 2} {
+		var s [16]float32
+		pairwiseDotTile(&s, a0, a1, b, ldb, rows)
+		for r, a := range [][]float32{a0, a1}[:rows] {
+			for c := 0; c < 8; c++ {
+				want := baseDot(a, b[c*ldb:c*ldb+k])
+				if got := s[8*r+c]; math.Float32bits(got) != math.Float32bits(want) {
+					t.Errorf("pairwiseDotTile rows=%d: s[%d] is %08x, baseDot %08x", rows, 8*r+c, math.Float32bits(got), math.Float32bits(want))
+				}
+			}
+		}
 	}
 }

@@ -1,0 +1,24 @@
+//go:build !amd64
+
+package kernel
+
+// useAVX2 is false off amd64: the compiler drops every branch that tests it,
+// so the AVX2 stand-ins below are never called and each kernel runs its Go
+// loop. A call that misses the guard panics rather than do nothing.
+const useAVX2 = false
+
+const offAMD64 = "kernel: AVX2 kernel called off amd64"
+
+func axpyQuadAVX2(c0, c1, c2, c3, b []float32, s0, s1, s2, s3 float32) { panic(offAMD64) }
+
+func axpyAVX2(c, b []float32, s float32) { panic(offAMD64) }
+
+func dotTileAVX2(s *[16]float32, a0, a1, b []float32, ldb, rows int) { panic(offAMD64) }
+
+func gemmTileAVX2(c, sc, bp []float32, n, cols int) { panic(offAMD64) }
+
+func roundHalfAVX2(x []float32) int { panic(offAMD64) }
+
+func canonicalHalfAVX2(dst []float32, srcs [][]float32, scales []float64) int { panic(offAMD64) }
+
+func momentumAVX2(v, w, g []float32, m, r, lambda float32, decay bool) int { panic(offAMD64) }

@@ -3,5 +3,5 @@
 package kernel
 
 // eachForm runs f once: the portable build has one form of each kernel,
-// the scalar loops.
-func eachForm(f func(form string)) { f("scalar") }
+// its Go loop.
+func eachForm(f func(form string)) { f("portable") }

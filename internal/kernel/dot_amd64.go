@@ -8,28 +8,17 @@ package kernel
 // the first, finished as (s0+s1)+(s2+s3)). dot_amd64.s keeps the four
 // partial sums of a column in the lanes of one SSE register; the scalar
 // twin in dot_generic.go spells the same arithmetic out. It is the NT leaf
-// without AVX2, and with it for the columns after the last multiple of
-// eight (see GemmNTStrided). Every b_c must have len(a) elements.
+// for the columns after the last multiple of eight (see GemmNTStrided).
+// Every b_c must have len(a) elements.
 //
 //go:noescape
 func dotQuad(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32)
 
-// dotTile writes pairwiseDot's base case for a tile of one or two rows
-// against eight columns, each summed as dotQuad sums a column: s[8·r + c] =
-// Σ a_r[i]·b[c·ldb + i] over len(a0) ≤ blockN elements. rows is 1 or 2;
-// with one row a1 is read for its length only and s[8:] is left alone.
-// dot_amd64.s runs it with AVX2, which GemmNTStrided checks before it takes
-// the tile (ntTileCols); the slicing here bounds every read of the assembly.
-func dotTile(s *[16]float32, a0, a1, b []float32, ldb, rows int) {
-	dotTileAVX2(s, a0, a1[:len(a0)], b[:7*ldb+len(a0)], ldb, rows)
-}
-
 // addSums joins the sums of a pairwise tree's two halves: s[i] = r[i] +
 // s[i], r the right half's sums and the add's first operand (an x86 add of
 // two NaNs returns its first operand's payload). pairwiseDotTile joins
-// through it; pairwiseDotQuad's inlined adds compile to the same order, so
-// the AVX2 and SSE forms of GemmNTStrided agree bit for bit (dot_amd64.s).
-// s must have len(r) elements.
+// through it; pairwiseDotQuad's inlined adds compile to the same order
+// (dot_amd64.s). s must have len(r) elements.
 //
 //go:noescape
 func addSums(s, r []float32)

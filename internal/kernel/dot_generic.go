@@ -12,22 +12,6 @@ func dotQuad(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
 	return baseDot(a, b0), baseDot(a, b1), baseDot(a, b2), baseDot(a, b3)
 }
 
-// dotTile writes pairwiseDot's base case for a tile of one or two rows
-// against eight columns: s[8·r + c] = Σ a_r[i]·b[c·ldb + i] over len(a0) ≤
-// blockN elements. rows is 1 or 2; with one row s[8:] is left alone. This
-// is the portable scalar form of the AVX2 tile in dot_amd64.s, the same
-// multiplies and adds in the same order.
-func dotTile(s *[16]float32, a0, a1, b []float32, ldb, rows int) {
-	k := len(a0)
-	for c := 0; c < 8; c++ {
-		bc := b[c*ldb : c*ldb+k]
-		s[c] = baseDot(a0, bc)
-		if rows == 2 {
-			s[8+c] = baseDot(a1[:k], bc)
-		}
-	}
-}
-
 // addSums joins the sums of a pairwise tree's two halves: s[i] = r[i] +
 // s[i], r the right half's sums. s must have len(r) elements.
 func addSums(s, r []float32) {

@@ -121,11 +121,11 @@ func GemmTN(m, n, k int, alpha float32, a []float32, lda, i0 int, b []float32, b
 // a rounded add (no FMA), so every C row stays a pure function of the
 // operands under any caller-side chunking.
 //
-// A k-tile without a zero scale goes through the register tile (gemmTile,
-// AVX2 on amd64) over the leading multiple of 16 columns: each 4×16 strip of
-// C is loaded once, takes all kc updates in registers and is stored once,
+// With AVX2, a k-tile without a zero scale goes through the register tile
+// (gemmTile) over the leading multiple of 16 columns: each 4×16 strip of C
+// is loaded once, takes all kc updates in registers and is stored once,
 // instead of streaming through cache once per l. The remaining columns, and
-// the whole block when a scale is zero, take the per-step path: axpyQuad,
+// the whole block otherwise, take the per-step path: axpyQuad,
 // the fused four-row update, when all four scales of a step are non-zero,
 // and one axpyRow per row otherwise. Columns are independent, so the split
 // does not move a bit.
@@ -160,10 +160,23 @@ func gemmRowBlock(n, kc int, sc, bp, c []float32) {
 	}
 }
 
+// gemmTile runs gemmRowBlock's register tile (gemm_amd64.s) over the
+// leading multiple of 16 of the n columns of the four C rows c and returns
+// how many columns it covered: none without AVX2 or when n < 16. Every
+// scale in sc must be non-zero.
+func gemmTile(c, sc, bp []float32, n int) int {
+	cols := n &^ 15
+	if !useAVX2 || cols == 0 {
+		return 0
+	}
+	gemmTileAVX2(c[:4*n], sc, bp[:len(sc)/4*n], n, cols)
+	return cols
+}
+
 // axpyRow computes c += s·b, skipping entirely when s is zero — the one
 // per-row update semantics every NN/TN path shares, so a row's result never
 // depends on which rows share its register block or on the caller's row
-// chunking. The non-zero update is axpy, AVX2 or SSE on amd64: after a
+// chunking. The non-zero update is axpy, AVX2 where the CPU has it: after a
 // ReLU most four-row blocks hold a zero, so this is where sparse operands
 // spend their time.
 func axpyRow(c []float32, s float32, b []float32) {
@@ -198,12 +211,11 @@ func GemmNTHalf(m, n, k int, alpha float32, a, b []uint16, beta float32, c []flo
 // It walks C eight columns at a time with the rows inside, so the eight B
 // rows of a tile stay cache-resident while the A rows stream past them in
 // pairs: pairwiseDotTile computes two rows × eight columns per walk of the
-// pairwise tree (AVX2 on amd64, the scalar twin in the portable build), and
-// an odd last row runs the same tile one row wide. On amd64 without AVX2
-// (ntTileCols covers nothing), and for the columns after the last multiple
-// of eight, columns go four at a time through pairwiseDotQuad (dotQuad is
-// SSE), and the last n mod 4 through the scalar pairwiseDot. Columns are
-// independent, so the split moves no bit.
+// pairwise tree (leaves dotTileAVX2 where the CPU has it, else dotTile), and
+// an odd last row runs the same tile one row wide. The columns after the
+// last multiple of eight go four at a time through pairwiseDotQuad (dotQuad
+// is SSE on amd64), and the last n mod 4 through the scalar pairwiseDot.
+// Columns are independent, so the split moves no bit.
 func GemmNTStrided(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32) {
 	if m == 0 || n == 0 {
 		return
@@ -216,7 +228,7 @@ func GemmNTStrided(m, n, k int, alpha float32, a []float32, lda int, b []float32
 		}
 	}
 	j := 0
-	for cols := ntTileCols(n); j < cols; j += 8 {
+	for cols := n &^ 7; j < cols; j += 8 {
 		bt := b[j*ldb : (j+7)*ldb+k]
 		var s [16]float32
 		i := 0

@@ -9,7 +9,7 @@
 // into eight YMM accumulators, adds sc[4·l+r]·B[l][strip] into row r for
 // l = 0..kc-1 (kc = len(sc)/4, B's row stride n), and stores the strip
 // once. Each product is b·s (b the first source) and each sum c + b·s
-// (c the first source), the operand order of axpyQuadSSE; no FMA, so every
+// (c the first source), the operand order of axpyQuadAVX2; no FMA, so every
 // element sees the rounded multiply, then the rounded add, in ascending l,
 // and the bits are axpyQuad's. cols is a positive multiple of 16 and kc is
 // at least 1. Y15 (X15 is the ABI's zero register) is not touched.

@@ -35,10 +35,8 @@ func gemmSpec(m, n, k int, alpha float32, at func(i, l int) float32, b []float32
 
 // FuzzGemmNN checks GemmNN and GemmTN — the register tile, axpyQuad, the
 // one-row axpy and their zero skips — against the scalar loop of gemmSpec,
-// in every form of the kernels the CPU runs (see eachForm), and the AVX2
-// form against the SSE one bit for bit, NaN payloads included: the two
-// share their operand order. Against the scalar loop a NaN matches any NaN,
-// as in FuzzDotQuad.
+// in every form of the kernels the CPU runs (see eachForm). A NaN matches
+// any NaN, as in FuzzDotQuad.
 //
 // The fuzzer picks m < 14, n < 50, k < 600 (so a product can span three
 // k-tiles of gemmKC), a mask of zeroed A rows (bit i mod 16 zeroes row i),
@@ -119,16 +117,12 @@ func FuzzGemmNN(f *testing.F) {
 		want := append([]float32(nil), c...)
 		gemmSpec(m, n, k, alpha, func(i, l int) float32 { return a[i*k+l] }, b, beta, want)
 
-		got := map[string][2][]float32{}
 		eachForm(func(form string) {
 			nn, tn := append([]float32(nil), c...), append([]float32(nil), c...)
 			GemmNN(m, n, k, alpha, a, b, beta, nn)
 			GemmTN(m, n, k, alpha, aT, lda, i0, b, beta, tn)
-			got[form] = [2][]float32{nn, tn}
-		})
-		for form, out := range got {
 			for x, name := range []string{"GemmNN", "GemmTN"} {
-				for j, v := range out[x] {
+				for j, v := range [2][]float32{nn, tn}[x] {
 					if v != v && want[j] != want[j] {
 						continue
 					}
@@ -138,17 +132,7 @@ func FuzzGemmNN(f *testing.F) {
 					}
 				}
 			}
-		}
-		avx2, ok := got["avx2"]
-		if !ok {
-			return // the CPU has no AVX2: nothing to hold to the SSE form
-		}
-		for x, name := range []string{"GemmNN", "GemmTN"} {
-			if j := bitsEqual(avx2[x], got["sse"][x]); j >= 0 {
-				t.Fatalf("%s m=%d n=%d k=%d: C[%d][%d] is %08x with AVX2, %08x with SSE",
-					name, m, n, k, j/n, j%n, bits(avx2[x][j]), bits(got["sse"][x][j]))
-			}
-		}
+		})
 	})
 }
 
@@ -156,10 +140,9 @@ func FuzzGemmNN(f *testing.F) {
 // over the leading multiple of eight columns, dotQuad's four-column walk
 // after it, the scalar pairwiseDot for the last n mod 4 columns — against
 // its definition, one pairwiseDot and one scaleAdd per element, in every
-// form of the kernels the CPU runs (see eachForm: AVX2 tile and SSE quad on
-// amd64, the scalar twins under GOARCH=386), and the AVX2 form against the
-// SSE one bit for bit, NaN payloads included. Against the definition a NaN
-// matches any NaN, as in FuzzDotQuad.
+// form of the kernels the CPU runs (see eachForm: the AVX2 tile and its Go
+// loop on amd64, the Go loops under GOARCH=386). A NaN matches any NaN, as
+// in FuzzDotQuad.
 //
 // The fuzzer picks m < 10 and n < 20 (so every n mod 8 occurs), k ≤ 1728
 // (fc1's input width), pads that widen the row strides lda and ldb past k
@@ -256,13 +239,9 @@ func FuzzGemmNT(f *testing.F) {
 			}
 		}
 
-		got := map[string][]float32{}
 		eachForm(func(form string) {
 			c := append([]float32(nil), c0...)
 			GemmNTStrided(m, n, k, alpha, a, lda, b, ldb, beta, c[guard:guard+m*n])
-			got[form] = c
-		})
-		for form, c := range got {
 			for x, v := range c {
 				if v != v && want[x] != want[x] && x >= guard && x < guard+m*n {
 					continue
@@ -272,14 +251,6 @@ func FuzzGemmNT(f *testing.F) {
 						form, m, n, k, lda, ldb, x, guard, v, bits(v), want[x], bits(want[x]))
 				}
 			}
-		}
-		avx2, ok := got["avx2"]
-		if !ok {
-			return // the CPU has no AVX2: nothing to hold to the SSE form
-		}
-		if x := bitsEqual(avx2, got["sse"]); x >= 0 {
-			t.Fatalf("m=%d n=%d k=%d lda=%d ldb=%d: word %d of C (guard %d) is %08x with AVX2, %08x with SSE",
-				m, n, k, lda, ldb, x, guard, bits(avx2[x]), bits(got["sse"][x]))
-		}
+		})
 	})
 }

@@ -161,9 +161,9 @@ func gemmGoldenDump() string {
 
 // TestGemmGolden pins the bits of every GEMM kernel against the file
 // generated before the f32 and f16 kernels were folded onto one body per
-// transpose case: a refactor of the GEMM path must not move a bit, on the
-// SSE build or the portable one. An intended numeric change regenerates the
-// file with -update and reviews the diff.
+// transpose case: a refactor of the GEMM path must not move a bit, with
+// AVX2, without it or on the portable build. An intended numeric change
+// regenerates the file with -update and reviews the diff.
 func TestGemmGolden(t *testing.T) {
 	const path = "testdata/gemm.golden"
 	got := gemmGoldenDump()

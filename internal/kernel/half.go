@@ -115,11 +115,35 @@ func widenHalves(src []uint16) []float32 {
 
 // RoundHalf rounds x through binary16 in place: x[i] becomes
 // HalfToFloat32(Float32ToHalf(x[i])), the value a half-precision wire
-// delivers, in one pass and with no half buffer. On amd64 an SSE2 kernel
-// rounds four lanes at a time in float32 bits (half_amd64.s); the tail, and
-// every element elsewhere, takes the two scalar converters.
+// delivers, in one pass and with no half buffer. With AVX2 a kernel rounds
+// eight lanes at a time in float32 bits (half_amd64.s); the tail, and every
+// element without AVX2, takes the two scalar converters.
 func RoundHalf(x []float32) {
 	for i := roundHalfVec(x); i < len(x); i++ {
 		x[i] = HalfToFloat32(Float32ToHalf(x[i]))
 	}
+}
+
+// roundHalfVec runs RoundHalf's AVX2 kernel (half_amd64.s) over the leading
+// multiple of eight elements and returns how many it wrote: none without
+// AVX2. RoundHalf finishes the rest with the scalar path. The kernel rounds
+// lane by lane, branches turned into mask selects, so every element's bits
+// are those of HalfToFloat32(Float32ToHalf(x)), which
+// TestBatchedConvertersMatchScalar and FuzzHalfConverters check.
+func roundHalfVec(x []float32) int {
+	if !useAVX2 {
+		return 0
+	}
+	return roundHalfAVX2(x)
+}
+
+// canonicalHalfVec runs CanonicalAccumulateHalf's AVX2 kernel
+// (half_amd64.s) over the leading multiple of four coordinates and returns
+// how many it wrote: none without AVX2. Arguments are validated by the
+// caller, scales non-nil.
+func canonicalHalfVec(dst []float32, srcs [][]float32, scales []float64) int {
+	if !useAVX2 {
+		return 0
+	}
+	return canonicalHalfAVX2(dst, srcs, scales)
 }

@@ -2,26 +2,14 @@
 
 #include "textflag.h"
 
-// RoundHalf's vector kernels, and the canonical reduce that rounds its
-// sources the same way as it reads them. The rounding is the lane-wise
-// transcription of half.go's scalar HalfToFloat32(Float32ToHalf(x)), kept
-// in float32 bits, with every branch turned into a mask select:
-//
-// Per lane, with u = |x|'s bits:
-//   normal  n = (u + 0xfff + ((u>>13)&1)) &^ 0x1fff   (RTNE to 10 mantissa bits)
-//   small   s = (|x| + 0.5) - 0.5                      (RTNE to a multiple of 2^-24)
-//   u < 2^-14                → the small lane
-//   u or n ≥ 2^16            → ±Inf (u's own test catches Inf/NaN, whose n wraps)
-//   u > Inf                  → the quiet NaN
-// The float add/sub of the small lane is the scalar path's own "+0.5" trick,
-// so its rounding is the FPU's round-to-nearest-even in both. ROUND16SSE is
-// this sequence at four lanes; ROUND16AVX gives the same lanes at eight
-// with the float trick for the normal lanes too (see there). Each kernel
+// RoundHalf's AVX2 kernel, and the canonical reduce that rounds its
+// sources the same way as it reads them. The rounding is half.go's scalar
+// HalfToFloat32(Float32ToHalf(x)) done lane by lane in float32 bits, with
+// every branch turned into a mask select (ROUND16AVX below). The kernel
 // matched the scalar converters on all 2^32 float32 patterns.
 
 // Each constant is one 32-bit lane repeated across 32 bytes, so a YMM
-// operand reads all of it and an XMM one its first 16 (the linker aligns a
-// 32-byte symbol to 32, as SSE2's memory operands need).
+// operand reads all of it and an XMM one its first 16.
 #define LANES(name, v) \
 	DATA name<>+0(SB)/8, v; \
 	DATA name<>+8(SB)/8, v; \
@@ -30,63 +18,24 @@
 	GLOBL name<>(SB), RODATA|NOPTR, $32
 
 LANES(absmask, $0x7fffffff7fffffff)
-LANES(roundbias, $0x00000fff00000fff)
-LANES(keepmask, $0xffffe000ffffe000)
 LANES(half, $0x3f0000003f000000)
-LANES(minnormal, $0x3880000038800000)
 LANES(exp13, $0x0680000006800000)
 LANES(maxfinite, $0x477fffff477fffff)
 LANES(inf32, $0x7f8000007f800000)
 LANES(quiet32, $0x0040000000400000)
 
-// ROUND16SSE rounds the four lanes of x through binary16 in place, using u
-// and t2..t6 as scratch: normal lanes keep n, small lanes s, overflow
-// becomes ±Inf and NaN the quiet NaN with its sign — the values the decode
-// of the encode yields.
-#define ROUND16SSE(x, u, t2, t3, t4, t5, t6) \
-	MOVOU   x, u; \
-	PAND    absmask<>(SB), u; \
-	PXOR    u, x; \
-	MOVOU   u, t2; \
-	PSLLL   $18, t2; \
-	PSRLL   $31, t2; \
-	PADDL   u, t2; \
-	PADDL   roundbias<>(SB), t2; \
-	PAND    keepmask<>(SB), t2; \
-	MOVOU   u, t3; \
-	ADDPS   half<>(SB), t3; \
-	SUBPS   half<>(SB), t3; \
-	MOVOU   minnormal<>(SB), t4; \
-	PCMPGTL u, t4; \
-	PAND    t4, t3; \
-	PANDN   t2, t4; \
-	POR     t3, t4; \
-	MOVOU   u, t5; \
-	PCMPGTL maxfinite<>(SB), t5; \
-	MOVOU   t4, t6; \
-	PCMPGTL maxfinite<>(SB), t6; \
-	POR     t6, t5; \
-	MOVOU   t5, t6; \
-	PAND    inf32<>(SB), t6; \
-	PANDN   t4, t5; \
-	POR     t6, t5; \
-	MOVOU   u, t6; \
-	PCMPGTL inf32<>(SB), t6; \
-	PAND    quiet32<>(SB), t6; \
-	POR     t6, t5; \
-	POR     t5, x
-
 // ROUND16AVX rounds the lanes of x through binary16 in place, eight on YMM
-// registers and four on XMM ones, using u and t2..t4 as scratch. It yields
-// ROUND16SSE's lanes in fewer operations: with c = max(2^13·2^e(|x|), 0.5)
-// — the exponent field of |x| plus 13, floored at 0.5 —
+// registers and four on XMM ones, using u and t2..t4 as scratch, to the
+// values the decode of the encode yields. With u = |x|'s bits and
+// c = max(2^13·2^e(|x|), 0.5) — the exponent field of |x| plus 13, floored
+// at 0.5 —
 //   r = (|x| + c) − c
 // rounds |x| to 11 significant bits (a normal half) or, for |x| < 2^-14,
-// to a multiple of 2^-24 (a subnormal one; c is 0.5 there, the small lane
-// above), both by the FPU's round-to-nearest-even, and both exact adds
-// apart from that one rounding. Overflow is max(u, r) > maxfinite on signed
-// lanes (u's own test catches Inf/NaN and huge |x|, whose c overflows), and
-// NaN is u > Inf, as in ROUND16SSE.
+// to a multiple of 2^-24 (a subnormal one; c is 0.5 there, the scalar
+// path's own "+0.5" trick), both by the FPU's round-to-nearest-even, and
+// both exact adds apart from that one rounding. Overflow is
+// max(u, r) > maxfinite on signed lanes (u's own test catches Inf/NaN and
+// huge |x|, whose c overflows), and NaN is u > Inf.
 #define ROUND16AVX(x, u, t2, t3, t4) \
 	VPAND     absmask<>(SB), x, u; \
 	VPXOR     u, x, x; \
@@ -103,32 +52,10 @@ LANES(quiet32, $0x0040000000400000)
 	VPOR      t4, t3, t3; \
 	VPOR      t3, x, x
 
-// func roundHalfSSE(x []float32) int
-//
-// x[i] = HalfToFloat32(Float32ToHalf(x[i])) in place over the leading
-// multiple of four elements; returns how many it wrote.
-TEXT ·roundHalfSSE(SB), NOSPLIT, $0-32
-	MOVQ x_base+0(FP), SI
-	MOVQ x_len+8(FP), CX
-	ANDQ $-4, CX
-	MOVQ CX, ret+24(FP)
-	SHRQ $2, CX
-	JEQ  ssedone
-
-sseloop:
-	MOVUPS (SI), X0
-	ROUND16SSE(X0, X1, X2, X3, X4, X5, X6)
-	MOVUPS X0, (SI)
-	ADDQ   $16, SI
-	DECQ   CX
-	JNE    sseloop
-
-ssedone:
-	RET
-
 // func roundHalfAVX2(x []float32) int
 //
-// roundHalfSSE at eight lanes, over the leading multiple of eight elements.
+// x[i] = HalfToFloat32(Float32ToHalf(x[i])) in place over the leading
+// multiple of eight elements; returns how many it wrote.
 TEXT ·roundHalfAVX2(SB), NOSPLIT, $0-32
 	MOVQ x_base+0(FP), SI
 	MOVQ x_len+8(FP), CX
@@ -149,72 +76,18 @@ avxloop:
 avxdone:
 	RET
 
-// func canonicalHalfSSE(dst []float32, srcs [][]float32, scales []float64) int
-//
-// CanonicalAccumulateHalf over the leading multiple of four coordinates: the
-// weighted pass of canonicalVec (reduce_amd64.s) with each source's four
-// values rounded through binary16 in register between the load and the
-// widening. Per coordinate that is +0, then acc + x·scales[s] over s in
-// order, then one narrowing, with the operands in canonicalVec's order, so
-// the bits are RoundHalf's followed by CanonicalAccumulate's and no source
-// is written. scales has one entry per source. Returns the count written.
-TEXT ·canonicalHalfSSE(SB), NOSPLIT, $0-80
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ srcs_base+24(FP), SI
-	MOVQ srcs_len+32(FP), R8
-	MOVQ scales_base+48(FP), R9
-	ANDQ $-4, CX
-	MOVQ CX, ret+72(FP)
-	SHLQ $2, CX          // end, in bytes
-	XORQ BX, BX          // byte offset of the current four coordinates
-	CMPQ BX, CX
-	JGE  ssecdone
-
-ssequad:
-	XORPD X8, X8
-	XORPD X9, X9
-	XORQ  DX, DX
-	MOVQ  SI, R11
-
-ssesource:
-	CMPQ     DX, R8
-	JGE      ssestore
-	MOVQ     (R11), AX
-	MOVUPS   (AX)(BX*1), X0
-	ROUND16SSE(X0, X1, X2, X3, X4, X5, X6)
-	MOVSD    (R9)(DX*8), X7
-	UNPCKLPD X7, X7
-	CVTPS2PD X0, X2
-	MOVHLPS  X0, X0
-	CVTPS2PD X0, X3
-	MULPD    X7, X2
-	MULPD    X7, X3
-	ADDPD    X2, X8
-	ADDPD    X3, X9
-	INCQ     DX
-	ADDQ     $24, R11
-	JMP      ssesource
-
-ssestore:
-	CVTPD2PS X8, X8
-	CVTPD2PS X9, X9
-	MOVLHPS  X9, X8
-	MOVUPS   X8, (DI)(BX*1)
-	ADDQ     $16, BX
-	CMPQ     BX, CX
-	JLT      ssequad
-
-ssecdone:
-	RET
-
 // func canonicalHalfAVX2(dst []float32, srcs [][]float32, scales []float64) int
 //
-// canonicalHalfSSE at eight coordinates per pass — the rounding in one YMM
-// register, the eight float64 chains in two — and then one pass of four
-// (rounding in XMM, chains in one YMM), so it covers the same leading
-// multiple of four. The operations per coordinate and their operand order
-// are the SSE form's. Returns the count written.
+// CanonicalAccumulateHalf over the leading multiple of four coordinates: the
+// weighted pass of canonicalVec (reduce_amd64.s) with each source's values
+// rounded through binary16 in register between the load and the widening,
+// eight coordinates per pass — the rounding in one YMM register, the eight
+// float64 chains in two — and then one pass of four (rounding in XMM,
+// chains in one YMM). Per coordinate that is +0, then acc + x·scales[s]
+// over s in order, then one narrowing, with the operands in canonicalVec's
+// order, so the bits are RoundHalf's followed by CanonicalAccumulate's and
+// no source is written. scales has one entry per source. Returns the count
+// written.
 TEXT ·canonicalHalfAVX2(SB), NOSPLIT, $0-80
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX

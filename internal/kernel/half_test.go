@@ -142,7 +142,7 @@ func TestHalfRoundTripExhaustive(t *testing.T) {
 // encode probe (each half value, its float32 neighbours and rounding ties,
 // the thresholds, specials and a million random patterns) and DecodeHalf
 // over all 2^16 halves, each starting at every offset mod 8, so every lane
-// of RoundHalf's SSE kernel and every tail length meets every class. Each
+// of RoundHalf's AVX2 kernel and every tail length meets every class. Each
 // element must carry the scalar converters' bits exactly, NaN included: the
 // kernel mints its NaNs, it never passes one through.
 func TestBatchedConvertersMatchScalar(t *testing.T) {

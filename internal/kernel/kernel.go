@@ -20,16 +20,18 @@
 //     surrounding code parallelizes or shards, while the error stays
 //     O(log n)·ε instead of the naive sum's O(n)·ε.
 //
-// On amd64 the hot loops are assembly. The GEMM register tiles (NN/TN's
-// 4×16 strip of C and NT's two-row dotTile), axpyQuad, the one-row axpy,
-// RoundHalf, the fp16 wire's CanonicalAccumulateHalf and the Momentum update
-// run eight lanes wide with AVX2 when CPUID and XGETBV report it (read once,
-// at package init) and four wide with SSE otherwise (NT through dotQuad);
-// CanonicalAccumulate's pass and ReLU are SSE. None uses FMA:
-// every form does the scalar loop's rounded multiplies and adds in its
-// order, so every form gives the same bits, and the portable build runs the
-// scalar loops of the *_generic.go files (and of momentum.go), whose
-// products are converted explicitly so that no compiler fuses them.
+// Each hot kernel has two forms: an AVX2 one in assembly and a Go loop. The
+// GEMM register tiles (NN/TN's 4×16 strip of C and NT's two-row dotTile),
+// axpyQuad, the one-row axpy, RoundHalf, the fp16 wire's
+// CanonicalAccumulateHalf and the Momentum update run eight lanes wide with
+// AVX2 when CPUID and XGETBV report it (read once, at package init, into
+// useAVX2), and otherwise the same Go loop the portable build runs. The
+// kernels whose only vector form is SSE run it on every amd64 CPU:
+// CanonicalAccumulate's pass, ReLU and ReLUBackward, and dotQuad for the NT
+// columns after the last multiple of eight. None uses FMA: every form does
+// the scalar loop's rounded multiplies and adds in its order, so every form
+// gives the same bits, and the Go loops convert each product explicitly so
+// that no compiler fuses them.
 //
 // Everything in this package is serial and allocation-free on the hot path
 // (a small pooled scratch backs the pairwise tree); callers own the
@@ -177,8 +179,7 @@ func baseDot(x, y []float32) float32 {
 // each sum is bit-identical to its scalar pairwiseDot while x is read once
 // per four columns. Every y_c must have len(x) elements. The joins are
 // inlined Go adds, which compile to addSums' operand order (the right
-// half's sum first); FuzzGemmNT's NaN seeds pin that the AVX2 tile and this
-// walk agree.
+// half's sum first).
 func pairwiseDotQuad(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
 	if len(x) <= blockN {
 		return dotQuad(x, y0, y1, y2, y3)
@@ -192,12 +193,18 @@ func pairwiseDotQuad(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
 // pairwiseDotTile writes pairwiseDot(a_r, b_c) into s[8·r + c] for one or
 // two rows a0, a1 (rows; a1 is read only when rows is 2, and must be as
 // long as a0) against the eight columns b_c = b[c·ldb : c·ldb+len(a0)]. It
-// walks the splitPoint tree once for the whole tile, with dotTile at the
-// leaves, so each sum is bit-identical to its scalar pairwiseDot while the
-// recursion is paid once per sixteen outputs.
+// walks the splitPoint tree once for the whole tile, with dot_amd64.s's
+// dotTileAVX2 at the leaves when the CPU has AVX2 (the slicing bounds every
+// read of the assembly) and dotTile otherwise, so each sum is bit-identical
+// to its scalar pairwiseDot while the recursion is paid once per sixteen
+// outputs.
 func pairwiseDotTile(s *[16]float32, a0, a1, b []float32, ldb, rows int) {
-	if len(a0) <= blockN {
-		dotTile(s, a0, a1, b, ldb, rows)
+	if k := len(a0); k <= blockN {
+		if useAVX2 {
+			dotTileAVX2(s, a0, a1[:k], b[:7*ldb+k], ldb, rows)
+		} else {
+			dotTile(s, a0, a1, b, ldb, rows)
+		}
 		return
 	}
 	h := splitPoint(len(a0))
@@ -205,6 +212,23 @@ func pairwiseDotTile(s *[16]float32, a0, a1, b []float32, ldb, rows int) {
 	pairwiseDotTile(s, a0[:h], a1[:h], b, ldb, rows)
 	pairwiseDotTile(&r, a0[h:], a1[h:], b[h:], ldb, rows)
 	addSums(s[:8*rows], r[:8*rows])
+}
+
+// dotTile writes pairwiseDot's base case for a tile of one or two rows
+// against eight columns, each column summed as baseDot sums it: s[8·r + c]
+// = Σ a_r[i]·b[c·ldb + i] over len(a0) ≤ blockN elements. rows is 1 or 2;
+// with one row a1 is read for its length only and s[8:] is left alone. It
+// is the Go form of dotTileAVX2: the same multiplies and adds in the same
+// order.
+func dotTile(s *[16]float32, a0, a1, b []float32, ldb, rows int) {
+	k := len(a0)
+	for c := 0; c < 8; c++ {
+		bc := b[c*ldb : c*ldb+k]
+		s[c] = baseDot(a0, bc)
+		if rows == 2 {
+			s[8+c] = baseDot(a1[:k], bc)
+		}
+	}
 }
 
 // accScratch pools the temporary rows the pairwise source tree combines
@@ -389,16 +413,17 @@ func CanonicalAccumulate(dst []float32, srcs [][]float32, scales []float64) {
 // scales[s]·float64(HalfToFloat32(Float32ToHalf(srcs[s][i]))), from +0 in
 // source order with float64 accumulation. Element for element those are the
 // operations of RoundHalf over each source followed by CanonicalAccumulate,
-// so the bits are theirs; but each source is read once, dst is written once
-// and no source is written. It is the fp16 wire's reduce. scales must hold
+// so the bits are theirs (on amd64 without AVX2, up to which NaN two NaNs
+// meeting yield); but each source is read once, dst is written once and no
+// source is written. It is the fp16 wire's reduce. scales must hold
 // one weight per source; dst may alias srcs[0]; every source must have
 // len(dst) elements.
 //
-// On amd64 canonicalHalfVec (half_amd64.s) rounds each source's lanes in
-// register between the load and the widening — eight coordinates per pass
-// with AVX2, four with SSE2 — over the same leading multiple of four that
+// With AVX2, canonicalHalfVec (half_amd64.s) rounds each source's lanes in
+// register between the load and the widening, eight coordinates per pass
+// and then one pass of four, over the same leading multiple of four that
 // canonicalVec covers; the blocked loop takes the tail, and every
-// coordinate on the portable build.
+// coordinate without AVX2 and on the portable build.
 func CanonicalAccumulateHalf(dst []float32, srcs [][]float32, scales []float64) {
 	if scales == nil || len(scales) != len(srcs) {
 		panic("kernel: CanonicalAccumulateHalf needs one scale per source")

@@ -11,20 +11,27 @@ package kernel
 // would turn a −0 gradient into +0. v, w and g must have equal lengths; v
 // and w are updated in place, g is only read.
 //
-// On amd64 momentumVec (momentum_amd64.s) runs the leading multiple of four
-// elements, eight lanes at a time with AVX2 where the CPU has it and four
-// with SSE otherwise; momentumScalar takes the tail, and every element on
-// the portable build. No form uses FMA: each does the rounded multiplies
-// and adds above, in this order, so every form gives the same bits. The
-// vector forms also put first the operands the compiled scalar loop puts
-// first, so when two NaNs meet they keep the same one (FuzzMomentum holds
-// AVX2 to SSE bit for bit, NaN payloads included).
+// With AVX2, momentumVec (momentum_amd64.s) runs the leading multiple of
+// four elements, eight lanes at a time and then one pass of four;
+// momentumScalar takes the tail, and every element without AVX2. Neither
+// form uses FMA: each does the rounded multiplies and adds above, in this
+// order, so both give the same bits.
 func Momentum(v, w, g []float32, m, r, lambda float32, decay bool) {
 	if len(w) != len(v) || len(g) != len(v) {
 		panic("kernel: Momentum length mismatch")
 	}
 	i := momentumVec(v, w, g, m, r, lambda, decay)
 	momentumScalar(v[i:], w[i:], g[i:], m, r, lambda, decay)
+}
+
+// momentumVec runs Momentum's AVX2 kernel (momentum_amd64.s) over the
+// leading multiple of four elements and returns how many it updated: none
+// without AVX2. Lengths are validated by the caller.
+func momentumVec(v, w, g []float32, m, r, lambda float32, decay bool) int {
+	if !useAVX2 {
+		return 0
+	}
+	return momentumAVX2(v, w, g, m, r, lambda, decay)
 }
 
 // momentumScalar is Momentum's scalar loop. Each product is converted to

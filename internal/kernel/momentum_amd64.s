@@ -6,61 +6,14 @@
 //   t = w·λ; grad = g + t          (decay only)
 //   a = v·m; b = grad·r; v = a + b
 //   w = w − v
-// (on amd64 without -race, which commutes some of the adds) and these
-// kernels issue the same operations with the same first operands, so when
+// (on amd64 without -race, which commutes some of the adds) and this
+// kernel issues the same operations with the same first operands, so when
 // two NaNs meet the lane keeps the one the scalar loop keeps.
-
-// func momentumSSE(v, w, g []float32, m, r, lambda float32, decay bool) int
-//
-// Momentum over the leading multiple of four elements, four lanes at a
-// time; returns how many it updated.
-TEXT ·momentumSSE(SB), NOSPLIT, $0-96
-	MOVQ   v_base+0(FP), DI
-	MOVQ   w_base+24(FP), SI
-	MOVQ   g_base+48(FP), DX
-	MOVQ   v_len+8(FP), CX
-	MOVSS  m+72(FP), X0
-	MOVSS  r+76(FP), X1
-	MOVSS  lambda+80(FP), X2
-	MOVBLZX decay+84(FP), R8
-	SHUFPS $0x00, X0, X0
-	SHUFPS $0x00, X1, X1
-	SHUFPS $0x00, X2, X2
-	ANDQ   $-4, CX
-	MOVQ   CX, ret+88(FP)
-	SHLQ   $2, CX          // end, in bytes
-	XORQ   BX, BX
-	CMPQ   BX, CX
-	JGE    ssedone
-
-sseloop:
-	MOVUPS (DI)(BX*1), X3  // v
-	MOVUPS (SI)(BX*1), X4  // w
-	MOVUPS (DX)(BX*1), X5  // g
-	TESTQ  R8, R8
-	JEQ    ssenodecay
-	MOVAPS X4, X6
-	MULPS  X2, X6          // w·λ
-	ADDPS  X6, X5          // g + w·λ
-
-ssenodecay:
-	MULPS  X0, X3          // v·m
-	MULPS  X1, X5          // grad·r
-	ADDPS  X5, X3          // v·m + grad·r
-	SUBPS  X3, X4          // w − v
-	MOVUPS X3, (DI)(BX*1)
-	MOVUPS X4, (SI)(BX*1)
-	ADDQ   $16, BX
-	CMPQ   BX, CX
-	JLT    sseloop
-
-ssedone:
-	RET
 
 // func momentumAVX2(v, w, g []float32, m, r, lambda float32, decay bool) int
 //
-// momentumSSE at eight lanes, then one pass of four: the same leading
-// multiple of four, the same operations in the same operand order.
+// Momentum over the leading multiple of four elements, eight lanes at a
+// time and then one pass of four; returns how many it updated.
 TEXT ·momentumAVX2(SB), NOSPLIT, $0-96
 	MOVQ         v_base+0(FP), DI
 	MOVQ         w_base+24(FP), SI
