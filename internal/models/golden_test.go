@@ -14,7 +14,7 @@ import (
 	"repro/internal/tensor"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/networks.golden from the current builders")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/networks.golden and testdata/evalforward.golden from the current builders")
 
 // goldenFill overwrites t using integer arithmetic only (rng's SplitMix64
 // bits scaled into [-4, 4)·scale), the fill nn's layers.golden uses.
