@@ -182,16 +182,25 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown trace %q (want uniform | poisson | bursty)", *traceKind)
 	}
+	var pool *servedPool
+	if !*schedOnly {
+		// Build the model, load the checkpoint and render the images
+		// before the first line is written: a pool that cannot be built is
+		// a refused flag like any other.
+		if pool, err = newServedPool(cfg, *modelName, *width, *classes, *imageSize, prec, *ckptPath); err != nil {
+			return err
+		}
+	}
 	fmt.Fprintf(w, "trace %s: %d requests, offered %.0f req/s (gap %dµs), seed %d\n",
 		trace.Name, len(trace.Requests), trace.Rate(), gap, *seed)
 	fmt.Fprintf(w, "window K=%d D=%dµs, %d replica(s), queue cap %s, S(b) = %d + %d·b µs\n\n",
 		cfg.MaxBatch, cfg.MaxDelay, cfg.Replicas, capLabel(cfg.QueueCap), cfg.Service.Base, cfg.Service.PerImage)
 
 	var rep *serve.Report
-	if *schedOnly {
+	if pool == nil {
 		rep, err = serve.Simulate(cfg, trace)
 	} else {
-		rep, err = runPool(w, cfg, trace, *modelName, *width, *classes, *imageSize, prec, *ckptPath)
+		rep, err = pool.run(w, trace)
 	}
 	if err != nil {
 		return err
@@ -212,9 +221,21 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// runPool executes the trace through real model replicas at precision prec
-// and writes the predicted-class histogram to w alongside the schedule.
-func runPool(w io.Writer, cfg serve.Config, trace serve.Trace, modelName string, width, classes, imageSize int, prec tensor.Precision, ckptPath string) (*serve.Report, error) {
+// servedPool is a pool run's model side: the replicas with their weights
+// and the image set the requests reference.
+type servedPool struct {
+	pool    *serve.Pool
+	images  *tensor.Tensor
+	ckpt    string // the checkpoint file loaded, or ""
+	step    int64  // its training step
+	classes int
+	prec    tensor.Precision
+}
+
+// newServedPool builds the micro model's replicas at precision prec, loads
+// the checkpoint file into every one when ckptPath is set, and renders the
+// image set. It writes nothing, so every error comes before the report.
+func newServedPool(cfg serve.Config, modelName string, width, classes, imageSize int, prec tensor.Precision, ckptPath string) (*servedPool, error) {
 	synCfg := data.SynthConfig{
 		Classes: classes, TrainSize: 2, TestSize: max(classes, 8),
 		C: 3, H: imageSize, W: imageSize, Noise: 0.3, MaxShift: 2, Seed: 20180901,
@@ -229,37 +250,45 @@ func runPool(w io.Writer, cfg serve.Config, trace serve.Trace, modelName string,
 	build := spec.Factory()
 	factory := func() *nn.Network { return build(1) }
 
-	var pool *serve.Pool
+	s := &servedPool{ckpt: ckptPath, classes: classes, prec: prec}
 	if ckptPath != "" {
 		c, err := checkpoint.Load(ckptPath)
 		if err != nil {
 			return nil, err
 		}
-		if pool, err = serve.PoolFromCheckpoint(cfg, factory, c); err != nil {
+		if s.pool, err = serve.PoolFromCheckpoint(cfg, factory, c); err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(w, "loaded checkpoint %s (step %d) into %d replica(s)\n\n", ckptPath, c.Step, pool.Size())
-	} else if pool, err = serve.NewPool(cfg, factory); err != nil {
+		s.step = c.Step
+	} else if s.pool, err = serve.NewPool(cfg, factory); err != nil {
 		return nil, err
 	}
-	pool.SetPrecision(prec)
+	s.pool.SetPrecision(prec)
 
 	synth := data.GenerateSynth(synCfg)
 	idx := make([]int, synth.Test.Len())
 	for i := range idx {
 		idx[i] = i
 	}
-	images, _ := synth.Test.MustGather(idx)
+	s.images, _ = synth.Test.MustGather(idx)
+	return s, nil
+}
 
+// run executes the trace through the replicas and writes the
+// predicted-class histogram to w alongside the schedule.
+func (s *servedPool) run(w io.Writer, trace serve.Trace) (*serve.Report, error) {
+	if s.ckpt != "" {
+		fmt.Fprintf(w, "loaded checkpoint %s (step %d) into %d replica(s)\n\n", s.ckpt, s.step, s.pool.Size())
+	}
 	// Requests index images modulo the set; rewrite out-of-range ids.
 	for i := range trace.Requests {
-		trace.Requests[i].Image %= images.Dim(0)
+		trace.Requests[i].Image %= s.images.Dim(0)
 	}
-	rep, preds, err := pool.Run(trace, images)
+	rep, preds, err := s.pool.Run(trace, s.images)
 	if err != nil {
 		return nil, err
 	}
-	hist := make([]int, classes)
+	hist := make([]int, s.classes)
 	served := 0
 	for _, p := range preds {
 		if p >= 0 {
@@ -268,7 +297,7 @@ func runPool(w io.Writer, cfg serve.Config, trace serve.Trace, modelName string,
 		}
 	}
 	fmt.Fprintf(w, "executed %d forward(s) over %d image(s) at %s; predicted-class histogram: %v\n\n",
-		len(rep.Batches), served, prec, hist)
+		len(rep.Batches), served, s.prec, hist)
 	return rep, nil
 }
 

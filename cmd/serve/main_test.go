@@ -48,7 +48,10 @@ func TestStdoutGolden(t *testing.T) {
 // bursts of one. The window, queue and service flags, and -classes and
 // -image-size on a pool run, used to print the trace and window header and
 // then fail inside the serve or data package (the window ones as "serve:
-// serve: MaxBatch 0, want >= 1").
+// serve: MaxBatch 0, want >= 1"). A model the pool cannot build (an unknown
+// name, an image too small for its pools, a width that leaves a conv with
+// no channels) and a checkpoint that cannot be read used to fail after the
+// header too.
 func TestRefusedFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -71,6 +74,10 @@ func TestRefusedFlags(t *testing.T) {
 		{"-classes 0", "-classes 0, want >= 2 for a pool run"},
 		{"-classes 1", "-classes 1, want >= 2 for a pool run"},
 		{"-image-size 0", "-image-size 0, want >= 1 for a pool run"},
+		{"-model alexnet", `unknown model "alexnet" (want micro-alexnet | `},
+		{"-image-size 2", "pool pool2 output empty at input 2x2"},
+		{"-model micro-resnet -width 1", "conv res2_1.conv1 has 0 output channels"},
+		{"-checkpoint /nonexistent", "/nonexistent"},
 		{"-replicas abc", `invalid value "abc" for flag -replicas`},
 		{"-no-such-flag", "flag provided but not defined: -no-such-flag"},
 	} {
@@ -87,8 +94,9 @@ func TestRefusedFlags(t *testing.T) {
 }
 
 // TestRunPoolRefusals: a model the pool cannot build or a dataset it cannot
-// render is one error before any replica is allocated — -classes 0 used to
-// print data.GenerateSynth's panic trace.
+// render is one error before any replica is allocated, and newServedPool
+// writes nothing — -classes 0 used to print data.GenerateSynth's panic
+// trace.
 func TestRunPoolRefusals(t *testing.T) {
 	cfg := serve.Config{MaxBatch: 4, MaxDelay: 100, Replicas: 1, Service: serve.ServiceModel{Base: 10, PerImage: 1}}
 	for _, tc := range []struct {
@@ -104,9 +112,8 @@ func TestRunPoolRefusals(t *testing.T) {
 		{"-model micro-resnet -width 1", "micro-resnet", 1, 8, 24, "conv res2_1.conv1 has 0 output channels"},
 		{"-model alexnet", "alexnet", 8, 8, 24, `unknown model "alexnet" (want micro-alexnet | `},
 	} {
-		var out bytes.Buffer
-		rep, err := runPool(&out, cfg, serve.UniformTrace(8, 10, 8), tc.model, tc.width, tc.classes, tc.imageSize, tensor.F32, "")
-		if err == nil || rep != nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
+		pool, err := newServedPool(cfg, tc.model, tc.width, tc.classes, tc.imageSize, tensor.F32, "")
+		if err == nil || pool != nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
 			t.Errorf("serve %s: got %v, want a one-line error containing %q", tc.name, err, tc.want)
 		}
 	}

@@ -15,6 +15,7 @@ import (
 type ReLU struct {
 	name string
 	y    *tensor.Tensor // the last training Forward's output, until Backward
+	acts acts
 }
 
 // NewReLU returns a ReLU activation layer.
@@ -28,7 +29,7 @@ func (l *ReLU) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := tensor.New(x.Shape...)
+	y := l.acts.out(train, x.Shape...)
 	xd, yd := x.Data, y.Data
 	par.For(len(yd), func(lo, hi int) { kernel.ReLU(yd[lo:hi], xd[lo:hi]) })
 	l.y = nil
@@ -43,7 +44,7 @@ func (l *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if l.y == nil {
 		panic(fmt.Sprintf("nn: %s: Backward without a training Forward", l.name))
 	}
-	dx := tensor.New(dout.Shape...)
+	dx := l.acts.dx(dout.Shape...)
 	dd, yd, gd := dx.Data, l.y.Data, dout.Data
 	par.For(len(dd), func(lo, hi int) { kernel.ReLUBackward(dd[lo:hi], yd[lo:hi], gd[lo:hi]) })
 	l.y = nil

@@ -34,6 +34,13 @@ type BatchNorm struct {
 	invStd  []float32
 	inShape []int
 	spatial bool
+
+	// Slots: x̂'s storage, and the per-sample segment sums a training
+	// Forward reduces (Σx, Σx² per channel and sample) and Backward reuses
+	// (Σdy, Σdy·x̂), each channel's n at c·n.
+	xhatBuf    tensor.Tensor
+	segA, segB []float32
+	acts       acts
 }
 
 // NewBatchNorm builds a batch-norm layer over c channels.
@@ -81,18 +88,16 @@ func (l *BatchNorm) channelLayout(x *tensor.Tensor) (n, area int) {
 // statistics and records nothing for Backward.
 func (l *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, area := l.channelLayout(x)
-	y := tensor.New(x.Shape...)
+	y := l.acts.out(train, x.Shape...)
 	l.xhat = nil
-	var xhat []float32
+	var xhat, segA, segB []float32
 	if train {
 		l.inShape = append(l.inShape[:0], x.Shape...)
 		l.spatial = x.Dims() == 4
-		if cap(l.invStd) < l.C {
-			l.invStd = make([]float32, l.C)
-		}
-		l.invStd = l.invStd[:l.C]
-		l.xhat = tensor.New(x.Shape...)
+		grow(&l.invStd, l.C)
+		l.xhat = shaped(&l.xhatBuf, x.Shape...)
 		xhat = l.xhat.Data
+		segA, segB = grow(&l.segA, l.C*n), grow(&l.segB, l.C*n)
 	}
 
 	count := float64(n * area)
@@ -107,13 +112,10 @@ func (l *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		// pairwise over the batch — one reduction discipline shared with the
 		// rest of the train path, and a pure function of (channel data, n),
 		// independent of chunking.
-		var segSum, segSq []float32
-		if train {
-			segSum, segSq = make([]float32, n), make([]float32, n)
-		}
 		for c := clo; c < chi; c++ {
 			var mean, variance float64
 			if train {
+				segSum, segSq := segA[c*n:(c+1)*n], segB[c*n:(c+1)*n]
 				for s := 0; s < n; s++ {
 					base := s*stride + c*area
 					segSum[s], segSq[s] = kernel.PairwiseSumAndSq(xd[base : base+area])
@@ -175,17 +177,17 @@ func (l *BatchNorm) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	}
 	stride := l.C * area
 	m := float32(n * area)
-	dx := tensor.New(l.inShape...)
+	dx := l.acts.dx(l.inShape...)
 	dd, gd, xhat, dxd := dout.Data, l.Gamma.W.Data, l.xhat.Data, dx.Data
 	dgd, dbd := l.Gamma.G.Data, l.Beta.G.Data
+	segA, segB := l.segA, l.segB
 
 	par.ForGrain(l.C, 1, func(clo, chi int) {
 		// Σdy and Σdy·x̂ per channel, in one pass per segment, through the
 		// same two-level fixed-tree kernel reduction as the forward
 		// statistics.
-		segDy := make([]float32, n)
-		segDyXhat := make([]float32, n)
 		for c := clo; c < chi; c++ {
+			segDy, segDyXhat := segA[c*n:(c+1)*n], segB[c*n:(c+1)*n]
 			for s := 0; s < n; s++ {
 				base := s*stride + c*area
 				segDy[s], segDyXhat[s] = kernel.PairwiseSumAndDot(dd[base:base+area], xhat[base:base+area])

@@ -32,9 +32,10 @@ type Conv2D struct {
 	geom tensor.ConvGeom
 
 	// The batch's panel kept by a training Forward, the eval block panel,
-	// and the rounded input block, shared by every input shape (see
-	// scratch.go).
+	// and the rounded input block, shared by every input shape, and the
+	// output and input-gradient slots (see scratch.go).
 	scratch convScratch
+	acts    acts
 
 	// Numeric precision of the GEMM operands. At F16 each operand is
 	// rounded through binary16 into float32 layer scratch, once per call
@@ -128,8 +129,10 @@ func blockSize(k, l, n int) int { return min(n, max(1, convPanelBudget/(k*l))) }
 
 // Forward implements Layer: per block of samples, one im2col into the
 // block's panel, one GEMM against the filters, and one pass that scatters
-// the block's [outC, nb·l] rows to NCHW with the bias added. In training the
-// block's panel is its slice of the batch's panel, kept for Backward.
+// the block's [outC, nb·l] rows to NCHW with the bias added. A block of one
+// sample has rows that already are its NCHW planes, so the GEMM writes them
+// in the output and the bias is added in place. In training the block's
+// panel is its slice of the batch's panel, kept for Backward.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := c.geometry(x)
 	c.x, c.geom = nil, g
@@ -137,7 +140,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	outH, outW := g.OutH(), g.OutW()
 	k, l := c.InC*c.KH*c.KW, outH*outW
 	imLen := c.InC * g.InH * g.InW
-	y := tensor.New(n, c.OutC, outH, outW)
+	y := c.acts.out(train, n, c.OutC, outH, outW)
 	c.w = operand(c.precision, &c.wRound, c.Weight.W)
 	if train {
 		c.x = x
@@ -148,11 +151,18 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		b := min(nb, n-s0)
 		col, rows := c.scratch.block(k, c.OutC, l, s0, b, train)
 		tensor.Im2ColBlock(g, b, c.inputBlock(x.Data[s0*imLen:(s0+b)*imLen]), col.Data)
+		if b == 1 {
+			rows.Data = y.Data[s0*c.OutC*l : (s0+1)*c.OutC*l]
+		}
 		tensor.Gemm(false, false, 1, c.w, col, 0, rows)
+		if b == 1 && !c.useBias {
+			continue
+		}
+		// With b == 1, src is dst: the pass adds the bias in place.
 		for s := 0; s < b; s++ {
 			for oc := 0; oc < c.OutC; oc++ {
 				src := rows.Data[(oc*b+s)*l : (oc*b+s+1)*l]
-				dst := y.Data[((s0+s)*c.OutC+oc)*l : ((s0+s)*c.OutC+oc+1)*l]
+				dst := y.Data[((s0+s)*c.OutC+oc)*l:][:len(src)]
 				if !c.useBias {
 					copy(dst, src)
 					continue
@@ -192,7 +202,7 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 }
 
 // backwardParams is Backward without dx, for a first layer: no Wᵀ·dY GEMM,
-// no col2im and no dx allocation — only the dW products over the kept
+// no col2im and no dx — only the dW products over the kept
 // panels and the bias sums.
 func (c *Conv2D) backwardParams(dout *tensor.Tensor) { c.backward(dout, false) }
 
@@ -208,7 +218,7 @@ func (c *Conv2D) backward(dout *tensor.Tensor, wantDx bool) *tensor.Tensor {
 	imLen := c.InC * g.InH * g.InW
 	var dx *tensor.Tensor
 	if wantDx {
-		dx = tensor.New(x.Shape...)
+		dx = c.acts.dx(x.Shape...)
 	}
 	nb := blockSize(k, l, n)
 	for s0 := 0; s0 < n; s0 += nb {
@@ -229,7 +239,9 @@ func (c *Conv2D) backward(dout *tensor.Tensor, wantDx bool) *tensor.Tensor {
 		// dx = col2im(Wᵀ · dY), written over the block's panel, which dW
 		// no longer reads; c.w still holds this step's weights from Forward.
 		tensor.Gemm(true, false, 1, c.w, rows, 0, col)
-		tensor.Col2ImBlock(g, b, col.Data, dx.Data[s0*imLen:(s0+b)*imLen])
+		dxb := dx.Data[s0*imLen : (s0+b)*imLen]
+		clear(dxb) // col2im accumulates, and the slot holds the last step's dx
+		tensor.Col2ImBlock(g, b, col.Data, dxb)
 	}
 	if c.useBias {
 		// Each spatial row reduces through the fixed-tree kernel sum, the

@@ -13,6 +13,7 @@ type Dropout struct {
 	P    float32
 	r    *rng.Rand
 	mask []float32
+	acts acts
 }
 
 // NewDropout returns a dropout layer with drop probability p, drawing masks
@@ -33,14 +34,10 @@ func (l *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		l.mask = l.mask[:0]
 		return x
 	}
-	n := x.Numel()
-	if cap(l.mask) < n {
-		l.mask = make([]float32, n)
-	}
-	l.mask = l.mask[:n]
+	grow(&l.mask, x.Numel())
 	keep := 1 - l.P
 	scale := 1 / keep
-	y := tensor.New(x.Shape...)
+	y := l.acts.out(true, x.Shape...)
 	for i, v := range x.Data {
 		if l.r.Float32() < keep {
 			l.mask[i] = scale
@@ -58,7 +55,7 @@ func (l *Dropout) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if len(l.mask) == 0 {
 		return dout
 	}
-	dx := tensor.New(dout.Shape...)
+	dx := l.acts.dx(dout.Shape...)
 	for i, v := range dout.Data {
 		dx.Data[i] = v * l.mask[i]
 	}

@@ -23,6 +23,10 @@ type GroupedConv2D struct {
 	convs     []*Conv2D
 
 	inShape []int
+	// Slots: each group's input channels and gradient channels, copied out
+	// contiguous, and the layer's own output and input gradient.
+	xg, dg []tensor.Tensor
+	acts   acts
 }
 
 // NewGroupedConv builds a square-kernel grouped convolution. groups must
@@ -67,17 +71,20 @@ func (g *GroupedConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 4 || x.Shape[1] != g.InC {
 		panic(fmt.Sprintf("nn: %s: want [N,%d,H,W], got %v", g.name, g.InC, x.Shape))
 	}
-	g.inShape = append(g.inShape[:0], x.Shape...)
+	if train {
+		g.inShape = append(g.inShape[:0], x.Shape...)
+	}
 	n := x.Shape[0]
 	inPer := g.InC / g.Groups
 	outPer := g.OutC / g.Groups
+	grow(&g.xg, g.Groups)
 
 	var y *tensor.Tensor
 	for gi, conv := range g.convs {
-		xg := sliceChannels(x, gi*inPer, (gi+1)*inPer)
+		xg := sliceChannels(&g.xg[gi], x, gi*inPer, (gi+1)*inPer)
 		yg := conv.Forward(xg, train)
 		if y == nil {
-			y = tensor.New(n, g.OutC, yg.Shape[2], yg.Shape[3])
+			y = g.acts.out(train, n, g.OutC, yg.Shape[2], yg.Shape[3])
 		}
 		writeChannels(y, yg, gi*outPer)
 	}
@@ -88,20 +95,21 @@ func (g *GroupedConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (g *GroupedConv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	outPer := g.OutC / g.Groups
 	inPer := g.InC / g.Groups
-	dx := tensor.New(g.inShape...)
+	dx := g.acts.dx(g.inShape...)
+	grow(&g.dg, g.Groups)
 	for gi, conv := range g.convs {
-		dg := sliceChannels(dout, gi*outPer, (gi+1)*outPer)
+		dg := sliceChannels(&g.dg[gi], dout, gi*outPer, (gi+1)*outPer)
 		dxg := conv.Backward(dg)
 		writeChannels(dx, dxg, gi*inPer)
 	}
 	return dx
 }
 
-// sliceChannels copies channels [lo,hi) of a NCHW tensor into a fresh
-// contiguous tensor.
-func sliceChannels(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
+// sliceChannels copies channels [lo,hi) of a NCHW tensor into the slot dst,
+// contiguous, and returns it.
+func sliceChannels(dst, x *tensor.Tensor, lo, hi int) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	out := tensor.New(n, hi-lo, h, w)
+	out := shaped(dst, n, hi-lo, h, w)
 	plane := h * w
 	for s := 0; s < n; s++ {
 		src := x.Data[(s*c+lo)*plane : (s*c+hi)*plane]

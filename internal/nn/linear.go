@@ -23,6 +23,7 @@ type Linear struct {
 	x         *tensor.Tensor // input batch as an operand, kept for Backward's dW
 
 	wRound, xRound, dyRound tensor.Tensor // storage of w, x and dout at F16
+	acts                    acts
 }
 
 // NewLinear constructs a fully-connected layer with He initialization.
@@ -50,7 +51,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s: want [N,%d] input, got %v", l.name, l.In, x.Shape))
 	}
 	n := x.Shape[0]
-	y := tensor.New(n, l.Out)
+	y := l.acts.out(train, n, l.Out)
 	// y = x · Wᵀ
 	l.x = operand(l.precision, &l.xRound, x)
 	l.w = operand(l.precision, &l.wRound, l.Weight.W)
@@ -69,7 +70,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dy := l.paramGrads(dout)
 	// dx = dout · W
-	dx := tensor.New(dout.Shape[0], l.In)
+	dx := l.acts.dx(dout.Shape[0], l.In)
 	tensor.Gemm(false, false, 1, dy, l.w, 0, dx)
 	return dx
 }

@@ -24,9 +24,11 @@ type LRN struct {
 	Beta  float32 // default 0.75
 	K     float32 // default 2 (Krizhevsky's constant)
 
+	// cached by a training Forward for Backward: its input and the d values
 	x       *tensor.Tensor
-	scale   *tensor.Tensor // cached d values
+	scale   tensor.Tensor
 	inShape []int
+	acts    acts
 }
 
 // NewLRN returns an LRN layer with AlexNet's published constants.
@@ -46,10 +48,13 @@ func (l *LRN) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s: want NCHW input, got %v", l.name, x.Shape))
 	}
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	l.x = x
-	l.inShape = append(l.inShape[:0], x.Shape...)
-	l.scale = tensor.New(x.Shape...)
-	y := tensor.New(x.Shape...)
+	var scale []float32
+	if train {
+		l.x = x
+		l.inShape = append(l.inShape[:0], x.Shape...)
+		scale = shaped(&l.scale, x.Shape...).Data
+	}
+	y := l.acts.out(train, x.Shape...)
 	area := h * w
 	half := l.N / 2
 	coeff := l.Alpha / float32(l.N)
@@ -72,7 +77,9 @@ func (l *LRN) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 						m++
 					}
 					d := l.K + float32(coeff*kernel.PairwiseSum(win[:m]))
-					l.scale.Data[base+ch*area+pos] = d
+					if scale != nil {
+						scale[base+ch*area+pos] = d
+					}
 					y.Data[base+ch*area+pos] = x.Data[base+ch*area+pos] * float32(math.Pow(float64(d), -float64(l.Beta)))
 				}
 			}
@@ -87,7 +94,7 @@ func (l *LRN) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (l *LRN) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	n, c := l.inShape[0], l.inShape[1]
 	area := l.inShape[2] * l.inShape[3]
-	dx := tensor.New(l.inShape...)
+	dx := l.acts.dx(l.inShape...)
 	half := l.N / 2
 	factor := 2 * l.Alpha * l.Beta / float32(l.N)
 

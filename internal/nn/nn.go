@@ -19,6 +19,16 @@
 // training Forward, and Backward consumes it: an eval Forward (train ==
 // false) records nothing, so a Backward after one panics naming the layer.
 //
+// A layer owns its activations: it writes its output, its input gradient
+// and what it caches into slots it reuses call after call (see scratch.go),
+// so a warm step allocates no activation. A training Forward's result stays
+// valid until that layer's (or network's) next training Forward, and a
+// Backward's until the next Backward. Network.Forward in eval mode runs the
+// batch in chunks of at most evalChunk rows through the eval slots and
+// returns a fresh tensor the caller owns: eval memory does not grow with the
+// batch, and no later call overwrites an eval result. Eval is per-sample in
+// every layer, so the chunked result is bit-identical to a one-pass eval.
+//
 // A Layer instance owns scratch buffers and cached activations, so it must
 // not be shared between goroutines. Data-parallel training (internal/dist)
 // gives each worker its own replica and synchronizes parameters explicitly,
@@ -73,6 +83,9 @@ type Network struct {
 	name   string
 	Layers []Layer
 
+	// chunk is the header an eval Forward points at each chunk of its input.
+	chunk tensor.Tensor
+
 	// gradNotify, when set, is invoked during Backward as parameter
 	// gradients become final (see SetGradNotify). notifyBase caches the
 	// starting Params() index of each layer for the callback.
@@ -91,8 +104,42 @@ func (n *Network) Name() string { return n.name }
 // Add appends layers.
 func (n *Network) Add(layers ...Layer) { n.Layers = append(n.Layers, layers...) }
 
-// Forward runs all layers in order.
+// evalChunk bounds the rows one eval pass runs through the layers' eval
+// slots: a serve batch of up to 16 images is one chunk, and a larger eval
+// batch costs the memory of one chunk, not of the batch.
+const evalChunk = 16
+
+// Forward runs all layers in order. A training Forward returns the last
+// layer's output slot, valid until this network's next training Forward. An
+// eval Forward runs x in chunks of at most evalChunk rows and copies each
+// chunk's output into one fresh tensor, which the caller owns.
 func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if train {
+		return n.forward(x, true)
+	}
+	rows, per := x.Shape[0], 0
+	if rows > 0 {
+		per = len(x.Data) / rows
+	}
+	var y *tensor.Tensor
+	for lo, off := 0, 0; ; lo += evalChunk {
+		hi := min(lo+evalChunk, rows)
+		n.chunk.Shape = append(append(n.chunk.Shape[:0], hi-lo), x.Shape[1:]...)
+		n.chunk.Data = x.Data[lo*per : hi*per]
+		yc := n.forward(&n.chunk, false)
+		if y == nil {
+			y = tensor.New(append([]int{rows}, yc.Shape[1:]...)...)
+		}
+		off += copy(y.Data[off:], yc.Data)
+		if hi == rows {
+			return y
+		}
+	}
+}
+
+// forward runs all layers in order over the whole of x: a Residual's
+// branches run through it, inside their block's chunk.
+func (n *Network) forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for _, l := range n.Layers {
 		x = l.Forward(x, train)
 	}
@@ -224,9 +271,11 @@ func (n *Network) CopyWeightsFrom(src *Network) {
 }
 
 // Flatten reshapes [N, ...] activations to [N, features]. It is a pure view
-// change; gradients flow through as a reshape as well.
+// change; gradients flow through as a reshape as well. Its slots are views
+// of its input's and its gradient's storage.
 type Flatten struct {
 	inShape []int
+	views   acts
 }
 
 // NewFlatten returns a Flatten layer.
@@ -237,13 +286,26 @@ func (f *Flatten) Name() string { return "flatten" }
 
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.inShape = append(f.inShape[:0], x.Shape...)
-	return x.Reshape(x.Shape[0], -1)
+	y := &f.views.eval
+	if train {
+		f.inShape = append(f.inShape[:0], x.Shape...)
+		y = &f.views.train
+	}
+	features := 1
+	for _, d := range x.Shape[1:] {
+		features *= d
+	}
+	y.Shape = append(y.Shape[:0], x.Shape[0], features)
+	y.Data = x.Data
+	return y
 }
 
 // Backward implements Layer.
 func (f *Flatten) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	return dout.Reshape(f.inShape...)
+	dx := &f.views.grad
+	dx.Shape = append(dx.Shape[:0], f.inShape...)
+	dx.Data = dout.Data
+	return dx
 }
 
 // Params implements Layer.

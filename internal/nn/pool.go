@@ -20,12 +20,10 @@ type MaxPool2D struct {
 
 	inShape []int
 	// argmax holds the flat input index chosen for each output element of
-	// the last training Forward (nil after an eval Forward). Its storage is
-	// per-input-shape scratch (the batch dimension folds in, so the key
-	// carries n and c too), cached so resolution switches reallocate
-	// deterministically and revisited shapes reuse their slot.
-	scratch argmaxCache
-	argmax  []int32
+	// the last training Forward (nil after an eval Forward), in argmaxBuf's
+	// cap-grown storage.
+	argmax, argmaxBuf []int32
+	acts              acts
 }
 
 // NewMaxPool returns a square max-pooling layer.
@@ -44,11 +42,11 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := window(l.name, x, l.KH, l.KW, l.StrideH, l.StrideW, l.PadH, l.PadW)
 	n, c, h, w := x.Shape[0], g.InC, g.InH, g.InW
 	outH, outW := g.OutH(), g.OutW()
-	y := tensor.New(n, c, outH, outW)
+	y := l.acts.out(train, n, c, outH, outW)
 	l.argmax = nil
 	if train {
 		l.inShape = append(l.inShape[:0], x.Shape...)
-		l.argmax = l.scratch.at(shapeKey{n: n, c: c, h: h, w: w}, n*c*outH*outW)
+		l.argmax = grow(&l.argmaxBuf, n*c*outH*outW)
 	}
 	xd, yd, am := x.Data, y.Data, l.argmax
 	area, outArea := h*w, outH*outW
@@ -132,8 +130,9 @@ func (l *MaxPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if l.argmax == nil {
 		panic(fmt.Sprintf("nn: %s: Backward without a training Forward", l.name))
 	}
-	dx := tensor.New(l.inShape...)
+	dx := l.acts.dx(l.inShape...)
 	dd := dx.Data
+	clear(dd) // the scatter accumulates into the reused slot
 	for i, v := range dout.Data {
 		if idx := l.argmax[i]; idx >= 0 {
 			dd[idx] += v
@@ -148,6 +147,7 @@ func (l *MaxPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 type GlobalAvgPool2D struct {
 	name    string
 	inShape []int
+	acts    acts
 }
 
 // NewGlobalAvgPool returns a global average pooling layer.
@@ -165,8 +165,10 @@ func (l *GlobalAvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: %s: want NCHW input, got %v", l.name, x.Shape))
 	}
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	l.inShape = append(l.inShape[:0], x.Shape...)
-	y := tensor.New(n, c)
+	if train {
+		l.inShape = append(l.inShape[:0], x.Shape...)
+	}
+	y := l.acts.out(train, n, c)
 	area := h * w
 	inv := 1 / float32(area)
 	par.ForGrain(n*c, 8, func(lo, hi int) {
@@ -184,7 +186,7 @@ func (l *GlobalAvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *GlobalAvgPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(l.inShape...)
+	dx := l.acts.dx(l.inShape...)
 	h, w := l.inShape[2], l.inShape[3]
 	area := h * w
 	inv := 1 / float32(area)
@@ -206,6 +208,7 @@ type AvgPool2D struct {
 	StrideH, StrideW int
 
 	inShape []int
+	acts    acts
 }
 
 // NewAvgPool returns a square average-pooling layer without padding.
@@ -224,8 +227,10 @@ func (l *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := window(l.name, x, l.KH, l.KW, l.StrideH, l.StrideW, 0, 0)
 	n, c, h, w := x.Shape[0], g.InC, g.InH, g.InW
 	outH, outW := g.OutH(), g.OutW()
-	l.inShape = append(l.inShape[:0], x.Shape...)
-	y := tensor.New(n, c, outH, outW)
+	if train {
+		l.inShape = append(l.inShape[:0], x.Shape...)
+	}
+	y := l.acts.out(train, n, c, outH, outW)
 	inv := 1 / float32(l.KH*l.KW)
 	planes := n * c
 	par.ForGrain(planes, 1, func(lo, hi int) {
@@ -251,7 +256,8 @@ func (l *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *AvgPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(l.inShape...)
+	dx := l.acts.dx(l.inShape...)
+	clear(dx.Data) // the scatter accumulates into the reused slot
 	h, w := l.inShape[2], l.inShape[3]
 	outH, outW := dout.Shape[2], dout.Shape[3]
 	inv := 1 / float32(l.KH*l.KW)

@@ -1,6 +1,9 @@
 package nn
 
 import (
+	"fmt"
+
+	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -13,6 +16,7 @@ type Residual struct {
 	Shortcut *Network // nil means identity
 
 	relu *ReLU
+	acts acts // the sum's training and eval slots, and dx's
 }
 
 // NewResidual builds a residual block.
@@ -42,32 +46,38 @@ func (l *Residual) Params() []*Param {
 	return ps
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Both branches run over the whole of x: the
+// block is inside its network's chunk.
 func (l *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	main := l.Body.Forward(x, train)
-	var sc *tensor.Tensor
+	main := l.Body.forward(x, train)
+	sc := x
 	if l.Shortcut != nil {
-		sc = l.Shortcut.Forward(x, train)
-	} else {
-		sc = x
+		sc = l.Shortcut.forward(x, train)
 	}
-	sum := main.Clone()
-	sum.Add(sc)
-	return l.relu.Forward(sum, train)
+	return l.relu.Forward(addInto(l.acts.out(train, main.Shape...), main, sc), train)
 }
 
 // Backward implements Layer.
 func (l *Residual) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dsum := l.relu.Backward(dout)
 	dx := l.Body.Backward(dsum)
+	dsc := dsum // identity shortcut: the gradient adds directly
 	if l.Shortcut != nil {
-		dsc := l.Shortcut.Backward(dsum)
-		dx = dx.Clone()
-		dx.Add(dsc)
-	} else {
-		// Identity shortcut: gradient adds directly.
-		dx = dx.Clone()
-		dx.Add(dsum)
+		dsc = l.Shortcut.Backward(dsum)
 	}
-	return dx
+	return addInto(l.acts.dx(dx.Shape...), dx, dsc)
+}
+
+// addInto writes a + b into dst and returns it.
+func addInto(dst, a, b *tensor.Tensor) *tensor.Tensor {
+	if len(a.Data) != len(b.Data) {
+		panic(fmt.Sprintf("nn: residual branches disagree: %v vs %v", a.Shape, b.Shape))
+	}
+	d, ad, bd := dst.Data, a.Data, b.Data
+	par.For(len(d), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			d[i] = ad[i] + bd[i]
+		}
+	})
+	return dst
 }

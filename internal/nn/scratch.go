@@ -5,19 +5,39 @@ import (
 	"repro/internal/tensor"
 )
 
-// Layer workspaces for the dynamic-shape training path.
+// Layer-owned buffers: every activation, gradient and workspace.
+//
+// A layer takes its output, its input gradient and whatever it caches for
+// Backward from slots it owns (acts, plus per-layer workspaces such as
+// BatchNorm's x̂ and segment sums or Conv2D's panels). Each slot cap-grows
+// to the largest extent it has served, and every later shape, smaller or
+// revisited, reuses it, so a warm step allocates no activation. A layer has
+// separate slots for its training output, its eval output and its input
+// gradient, so an eval call never overwrites what a training Forward
+// returned or what its Backward reads.
+//
+// Ownership and lifetime. A returned tensor belongs to the layer:
+//   - a training Forward's output stays valid until that layer's next
+//     training Forward, so Network.Forward(x, true)'s result is valid until
+//     that network's next training Forward;
+//   - Backward's result stays valid until the layer's next Backward;
+//   - a layer's eval output stays valid until its next eval Forward.
+//     Network.Forward(x, false) never returns one: it runs the batch through
+//     the eval slots in chunks of at most evalChunk rows and copies each
+//     chunk's output into one fresh tensor, which the caller owns. Eval
+//     memory is therefore bounded by the chunk, not the batch, and no caller
+//     holds a buffer a later call overwrites.
+//
+// A pass that accumulates into its reused gradient (col2im, the MaxPool2D
+// and AvgPool2D scatters) clears it first; every other pass writes each
+// element of its slot before anything reads it.
 //
 // Conv2D lowers onto one workspace per layer. A training Forward keeps the
 // batch's panel (k·n·l floats, every block's im2col in block order) for
 // Backward; an eval Forward keeps nothing and lowers each block into one
-// block panel of at most convPanelBudget floats whatever the input shape,
-// so eval and serve memory does not grow with the batch. The block's output
-// rows and, at F16, its rounded input are block-sized too. Each buffer
-// cap-grows to the largest extent it has served and every later shape,
-// smaller or revisited, reuses it. MaxPool2D's argmax plane covers the
-// whole batch, so it lives in a small map keyed by the input shape: the
-// first batch at a new shape allocates that shape's slot, later batches —
-// including after switching back — reuse it.
+// block panel of at most convPanelBudget floats whatever the input shape.
+// The block's output rows and, at F16, its rounded input are block-sized
+// too.
 //
 // Determinism: allocation is a pure function of the sequence of input
 // shapes the layer sees (which the resolution schedule fixes per epoch),
@@ -27,9 +47,34 @@ import (
 // that step — so reuse cannot leak one resolution's values into another's,
 // and the fixed-tree reduction discipline downstream is untouched.
 
-// shapeKey identifies one argmax slot: the full NCHW input shape.
-type shapeKey struct {
-	n, c, h, w int
+// acts is a layer's activation slots: its training output, its eval output
+// and its input gradient.
+type acts struct {
+	train, eval, grad tensor.Tensor
+}
+
+// out returns the output slot of a training or an eval Forward, shaped.
+func (a *acts) out(train bool, shape ...int) *tensor.Tensor {
+	if train {
+		return shaped(&a.train, shape...)
+	}
+	return shaped(&a.eval, shape...)
+}
+
+// dx returns the input-gradient slot, shaped.
+func (a *acts) dx(shape ...int) *tensor.Tensor { return shaped(&a.grad, shape...) }
+
+// shaped points t at the first numel(shape) elements of its own storage,
+// growing it when it is too small, with t's shape storage reused: once the
+// slot has served its largest shape it allocates nothing.
+func shaped(t *tensor.Tensor, shape ...int) *tensor.Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	grow(&t.Data, n)
+	t.Shape = append(t.Shape[:0], shape...)
+	return t
 }
 
 // convScratch is Conv2D's workspace: panel, the batch's column panels kept
@@ -73,9 +118,9 @@ func view(t *tensor.Tensor, buf *[]float32, r, c int) *tensor.Tensor {
 
 // grow sets *buf to its first n elements, reallocating it when it is too
 // small, and returns it.
-func grow(buf *[]float32, n int) []float32 {
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float32, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -109,19 +154,4 @@ func operand(p tensor.Precision, buf, t *tensor.Tensor) *tensor.Tensor {
 	buf.Data = roundedCopy(&buf.Data, t.Data)
 	buf.Shape = append(buf.Shape[:0], t.Shape...)
 	return buf
-}
-
-// argmaxCache maps input shape → argmax plane for one MaxPool2D.
-type argmaxCache map[shapeKey][]int32
-
-func (m *argmaxCache) at(key shapeKey, n int) []int32 {
-	if *m == nil {
-		*m = make(argmaxCache)
-	}
-	s := (*m)[key]
-	if s == nil {
-		s = make([]int32, n)
-		(*m)[key] = s
-	}
-	return s
 }

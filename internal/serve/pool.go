@@ -20,6 +20,7 @@ import (
 type Pool struct {
 	cfg      Config
 	replicas []*nn.Network
+	batch    tensor.Tensor // the input batch Run assembles, reused batch after batch
 }
 
 // NewPool builds cfg.Replicas replicas with the factory and copies replica
@@ -71,7 +72,9 @@ func (p *Pool) Size() int { return len(p.replicas) }
 // Run schedules the trace, executes every batch's forward pass on its
 // replica, and returns the report plus per-request predicted classes (-1
 // for rejected requests). images is the row-indexed image set requests
-// reference (dim 0 indexes images).
+// reference (dim 0 indexes images). Each batch is assembled in one input
+// buffer the pool reuses, so like the replicas, a Pool serves one Run at a
+// time.
 func (p *Pool) Run(trace Trace, images *tensor.Tensor) (*Report, []int, error) {
 	if images == nil || images.Dims() < 2 || images.Dim(0) == 0 {
 		return nil, nil, fmt.Errorf("serve: images must have at least 2 dims and a nonzero dim 0")
@@ -85,9 +88,14 @@ func (p *Pool) Run(trace Trace, images *tensor.Tensor) (*Report, []int, error) {
 		preds[i] = -1
 	}
 	rowLen := images.Numel() / images.Dim(0)
+	x := &p.batch
 	for _, b := range rep.Batches {
-		shape := append([]int{len(b.Members)}, images.Shape[1:]...)
-		x := tensor.New(shape...)
+		x.Shape = append(append(x.Shape[:0], len(b.Members)), images.Shape[1:]...)
+		if n := len(b.Members) * rowLen; cap(x.Data) < n {
+			x.Data = make([]float32, n)
+		} else {
+			x.Data = x.Data[:n]
+		}
 		for row, r := range b.Members {
 			img := trace.Requests[r].Image
 			if img < 0 || img >= images.Dim(0) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/data"
@@ -95,6 +96,50 @@ func TestPoolReplicaInvariance(t *testing.T) {
 	for i := range preds1 {
 		if preds1[i] != preds3[i] {
 			t.Fatalf("prediction %d diverges: %d vs %d", i, preds1[i], preds3[i])
+		}
+	}
+}
+
+// A warm Pool.Run allocates no activation and no input batch: the batch is
+// assembled in one buffer the pool reuses, and each replica's forward runs
+// through its layers' eval slots. Beyond what Simulate allocates for the
+// schedule, a batch costs the predictions Run returns (one int a request),
+// the logits tensor each forward returns to Run, and the closures of the
+// forward's parallel loops (see models' TestWarmStepAllocatesNoActivation),
+// a bound that holds at batch 8 and at batch 32, whose input alone takes 24
+// and 96 KB. GOMAXPROCS is 1, so no loop starts a goroutine.
+func TestPoolRunReusesBuffers(t *testing.T) {
+	const batchBytes = 16 << 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	factory, images := poolFixture(t)
+	for _, k := range []int{8, 32} {
+		cfg := Config{MaxBatch: k, MaxDelay: 1 << 20, Replicas: 1, Service: ServiceModel{Base: 1, PerImage: 1}}
+		pool, err := NewPool(cfg, factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const batches = 6
+		trace := UniformTrace(batches*k, 1, images.Dim(0))
+		measure := func(f func() error) uint64 {
+			var before, after runtime.MemStats
+			for i := 0; i < 2; i++ {
+				if err := f(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&before)
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		run := measure(func() error { _, _, err := pool.Run(trace, images); return err })
+		sched := measure(func() error { _, err := Simulate(pool.cfg, trace); return err })
+		perBatch := (run - min(run, sched)) / batches
+		t.Logf("batch %d: %d bytes a batch beyond the schedule", k, perBatch)
+		if perBatch > batchBytes {
+			t.Errorf("batch %d: a warm Pool.Run allocates %d bytes a batch beyond Simulate, want <= %d", k, perBatch, batchBytes)
 		}
 	}
 }
