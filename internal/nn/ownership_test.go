@@ -52,9 +52,9 @@ func TestEvalResultOwnedByCaller(t *testing.T) {
 	}
 }
 
-// A chunked eval forward is a one-pass eval: each chunk of rows through the
-// layers alone gives that chunk's rows of the whole batch's result, bit for
-// bit, and the result is [n, classes] for n on either side of a chunk.
+// A chunked eval forward is a one-pass eval: each row run through the layers
+// alone gives that row of the whole batch's result, bit for bit, and the
+// result is [n, classes] for n on either side of a chunk boundary.
 func TestEvalChunksMatchRows(t *testing.T) {
 	r := rng.New(33)
 	net := ownershipNet(0.5)
