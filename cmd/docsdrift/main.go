@@ -35,8 +35,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -47,29 +49,42 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("docsdrift: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
+// run is the whole command: it parses args, compares the generated
+// sections with the committed document and writes the report to w. An
+// unusable flag or input is an error returned before anything is written;
+// drifted sections are listed on w and then returned as an error. -h is
+// flag.ErrHelp, after the flag package printed the usage.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("docsdrift", flag.ContinueOnError)
 	var (
-		generated = flag.String("generated", "", "freshly generated markdown (experiments -only <subset> -markdown)")
-		committed = flag.String("committed", "EXPERIMENTS.md", "committed document to check")
-		require   = flag.String("require", "", "comma-separated section IDs (e.g. \"Figure 1\") that must appear among the generated sections (guards against a section silently dropping out of its subset)")
+		generated = fs.String("generated", "", "freshly generated markdown (experiments -only <subset> -markdown)")
+		committed = fs.String("committed", "EXPERIMENTS.md", "committed document to check")
+		require   = fs.String("require", "", "comma-separated section IDs (e.g. \"Figure 1\") that must appear among the generated sections (guards against a section silently dropping out of its subset)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *generated == "" {
-		log.Fatal("-generated is required")
+		return errors.New("-generated is required")
 	}
 
 	gen, err := os.ReadFile(*generated)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	doc, err := os.ReadFile(*committed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	sections := splitSections(string(gen))
 	if len(sections) == 0 {
-		log.Fatalf("%s contains no \"### \" sections — wrong input?", *generated)
+		return fmt.Errorf("%s contains no \"### \" sections — wrong input?", *generated)
 	}
 	if *require != "" {
 		var missing []string
@@ -89,7 +104,7 @@ func main() {
 			}
 		}
 		if len(missing) > 0 {
-			log.Fatalf("required sections missing from %s: %s", *generated, strings.Join(missing, ", "))
+			return fmt.Errorf("required sections missing from %s: %s", *generated, strings.Join(missing, ", "))
 		}
 	}
 	committedSections := splitSections(string(doc))
@@ -115,14 +130,15 @@ func main() {
 		}
 	}
 	if len(drifted) > 0 {
-		fmt.Printf("%d of %d generated sections have drifted from %s:\n", len(drifted), len(sections), *committed)
+		fmt.Fprintf(w, "%d of %d generated sections have drifted from %s:\n", len(drifted), len(sections), *committed)
 		for _, h := range drifted {
-			fmt.Printf("  - %s\n", h)
+			fmt.Fprintf(w, "  - %s\n", h)
 		}
-		fmt.Println("regenerate with: go run ./cmd/experiments -markdown -o EXPERIMENTS.md")
-		os.Exit(1)
+		fmt.Fprintln(w, "regenerate with: go run ./cmd/experiments -markdown -o EXPERIMENTS.md")
+		return fmt.Errorf("%d of %d generated sections have drifted", len(drifted), len(sections))
 	}
-	fmt.Printf("ok: all %d generated sections match %s\n", len(sections), *committed)
+	fmt.Fprintf(w, "ok: all %d generated sections match %s\n", len(sections), *committed)
+	return nil
 }
 
 // splitSections returns the "### " blocks of a generated markdown document,

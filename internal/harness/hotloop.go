@@ -52,7 +52,7 @@ func HotLoopStudy() (*Table, error) {
 		t.Add(append([]string{policy.String(), identity, fmt.Sprintf("%.2f", reduceThroughput(policy))}, phases...)...)
 	}
 	t.Note("Identity column is exact (dropout-free MLP, Shards pinned to 4): one engine step at P=2, P=4 and flat-vs-hierarchical P=4 must produce bitwise-equal reduced gradients under the policy — the fixed-tree pairwise kernel keeps this true in float32 because its tree shape depends only on the live shard count.")
-	t.Note("Reduce GB/s times the bare summation kernel (8 shards x 1M coords, input bytes/sec): the pairwise-f32 tree runs unrolled multi-accumulator float32 loops, and on amd64 the canonical float64 chain runs one SSE2 pass that keeps four coordinates' chains in registers while the shards stream past in order.")
+	t.Note("Reduce GB/s times the bare summation kernel (8 shards x 1M coords, input bytes/sec): the pairwise-f32 tree runs unrolled multi-accumulator float32 loops, and with AVX2 the canonical float64 chain runs one pass that keeps eight coordinates' chains in registers while the shards stream past in order.")
 	t.Note("Phase columns come from twenty profiled engine steps after one warm-up (dist.ProfileStats): step wall is their median, the shares those of their summed profile, and exclusive attribution guarantees each step's six shares sum to its wall (convert is zero here: float32 operands are never rounded through binary16). GEMM dominating is Table 6's scaling-ratio story measured from execution; the reduce share is what the policy column shrinks.")
 	return t, nil
 }

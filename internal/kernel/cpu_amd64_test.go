@@ -12,9 +12,8 @@ import (
 
 // eachForm runs f once per form of the kernels the CPU can run, with that
 // form selected: "avx2" when init chose it, then "portable" with useAVX2
-// cleared — the Go loops the portable build runs, beside the SSE kernels
-// that have no AVX2 form. Kernel tests do not run in parallel, so the
-// switch cannot leak into another test.
+// cleared — the Go loops the portable build runs. Kernel tests do not run
+// in parallel, so the switch cannot leak into another test.
 func eachForm(f func(form string)) {
 	if useAVX2 {
 		f("avx2")
@@ -58,10 +57,10 @@ func TestCPUFeatures(t *testing.T) {
 }
 
 // TestPortableFormsWithoutAVX2: with useAVX2 cleared, no kernel that has an
-// AVX2 form writes through assembly. roundHalfVec, canonicalHalfVec and
-// momentumVec return 0 and leave their operands alone, gemmTile covers no
-// column, and a one-leaf pairwiseDotTile gives its Go loop's bits: baseDot
-// per row and column.
+// AVX2 form writes through assembly. roundHalfVec, canonicalVec on both
+// wires, momentumVec, reluVec and reluBackwardVec return 0 and leave their
+// operands alone, gemmTile covers no column, and a one-leaf
+// pairwiseDotTile gives its Go loop's bits: baseDot per row and column.
 func TestPortableFormsWithoutAVX2(t *testing.T) {
 	saved := useAVX2
 	useAVX2 = false
@@ -76,9 +75,25 @@ func TestPortableFormsWithoutAVX2(t *testing.T) {
 	if got := roundHalfVec(x); got != 0 || bitsEqual(x, keep) >= 0 {
 		t.Errorf("roundHalfVec wrote %d elements, want 0 and x unchanged", got)
 	}
-	dst := make([]float32, n)
-	if got := canonicalHalfVec(dst, [][]float32{x, keep}, []float64{1, 0.5}); got != 0 || bitsEqual(dst, make([]float32, n)) >= 0 {
-		t.Errorf("canonicalHalfVec wrote %d coordinates, want 0 and dst unchanged", got)
+	for _, half := range []bool{false, true} {
+		for _, scales := range [][]float64{nil, {1, 0.5}} {
+			dst := make([]float32, n)
+			if got := canonicalVec(dst, [][]float32{x, keep}, scales, half); got != 0 || bitsEqual(dst, make([]float32, n)) >= 0 {
+				t.Errorf("canonicalVec(half %v, scales %v) wrote %d coordinates, want 0 and dst unchanged", half, scales, got)
+			}
+		}
+	}
+	neg := make([]float32, n)
+	for i := range neg {
+		neg[i] = -x[i]
+	}
+	// Both rules would write +0 over a dst that holds keep.
+	dst := append([]float32(nil), keep...)
+	if got := reluVec(dst, neg); got != 0 || bitsEqual(dst, keep) >= 0 {
+		t.Errorf("reluVec wrote %d elements, want 0 and dst unchanged", got)
+	}
+	if got := reluBackwardVec(dst, neg, x); got != 0 || bitsEqual(dst, keep) >= 0 {
+		t.Errorf("reluBackwardVec wrote %d elements, want 0 and dx unchanged", got)
 	}
 	v, w := append([]float32(nil), x...), append([]float32(nil), x...)
 	if got := momentumVec(v, w, x, 0.9, 0.1, 5e-4, true); got != 0 || bitsEqual(v, keep) >= 0 || bitsEqual(w, keep) >= 0 {

@@ -19,6 +19,10 @@ func gemmTileAVX2(c, sc, bp []float32, n, cols int) { panic(offAMD64) }
 
 func roundHalfAVX2(x []float32) int { panic(offAMD64) }
 
-func canonicalHalfAVX2(dst []float32, srcs [][]float32, scales []float64) int { panic(offAMD64) }
+func canonicalAVX2(dst []float32, srcs [][]float32, scales []float64, half bool) int { panic(offAMD64) }
 
 func momentumAVX2(v, w, g []float32, m, r, lambda float32, decay bool) int { panic(offAMD64) }
+
+func reluAVX2(dst, src []float32) int { panic(offAMD64) }
+
+func reluBackwardAVX2(dx, y, dy []float32) int { panic(offAMD64) }

@@ -2,121 +2,6 @@
 
 #include "textflag.h"
 
-// func dotQuad(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32)
-//
-// Four pairwiseDot base cases sharing one a: column c's XMM accumulator
-// holds pairwiseDot's four partial sums in its lanes (lane r sums the
-// products at i ≡ r mod 4), the tail goes into lane 0, and the finish is
-// (lane0+lane1)+(lane2+lane3). MULPS/ADDPS/MULSS/ADDSS are element-wise
-// IEEE binary32 operations, so each result is bit-identical to the scalar
-// twin in dot_generic.go. Lengths are taken from a (the caller guarantees
-// the b columns match).
-TEXT ·dotQuad(SB), NOSPLIT, $0-136
-	MOVQ  a_base+0(FP), SI
-	MOVQ  a_len+8(FP), CX
-	MOVQ  b0_base+24(FP), R8
-	MOVQ  b1_base+48(FP), R9
-	MOVQ  b2_base+72(FP), R10
-	MOVQ  b3_base+96(FP), R11
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	CMPQ  CX, $4
-	JLT   tail
-
-vec:
-	MOVUPS (SI), X4      // four a values, shared by all four columns
-
-	MOVUPS (R8), X5
-	MULPS  X4, X5
-	ADDPS  X5, X0
-
-	MOVUPS (R9), X5
-	MULPS  X4, X5
-	ADDPS  X5, X1
-
-	MOVUPS (R10), X5
-	MULPS  X4, X5
-	ADDPS  X5, X2
-
-	MOVUPS (R11), X5
-	MULPS  X4, X5
-	ADDPS  X5, X3
-
-	ADDQ  $16, SI
-	ADDQ  $16, R8
-	ADDQ  $16, R9
-	ADDQ  $16, R10
-	ADDQ  $16, R11
-	SUBQ  $4, CX
-	CMPQ  CX, $4
-	JGE   vec
-
-tail:
-	TESTQ CX, CX
-	JEQ   finish
-
-tailloop:
-	MOVSS (SI), X4
-
-	MOVSS (R8), X5
-	MULSS X4, X5
-	ADDSS X5, X0
-
-	MOVSS (R9), X5
-	MULSS X4, X5
-	ADDSS X5, X1
-
-	MOVSS (R10), X5
-	MULSS X4, X5
-	ADDSS X5, X2
-
-	MOVSS (R11), X5
-	MULSS X4, X5
-	ADDSS X5, X3
-
-	ADDQ  $4, SI
-	ADDQ  $4, R8
-	ADDQ  $4, R9
-	ADDQ  $4, R10
-	ADDQ  $4, R11
-	DECQ  CX
-	JNE   tailloop
-
-finish:
-	// Per accumulator [l0 l1 l2 l3]: add its lane-swapped copy
-	// [l1 l0 l3 l2] to get l0+l1 in lane 0 and l2+l3 in lane 2, then add
-	// lane 2 into lane 0.
-	MOVAPS  X0, X5
-	SHUFPS  $0xB1, X5, X5
-	ADDPS   X5, X0
-	MOVHLPS X0, X5
-	ADDSS   X5, X0
-	MOVSS   X0, s0+120(FP)
-
-	MOVAPS  X1, X5
-	SHUFPS  $0xB1, X5, X5
-	ADDPS   X5, X1
-	MOVHLPS X1, X5
-	ADDSS   X5, X1
-	MOVSS   X1, s1+124(FP)
-
-	MOVAPS  X2, X5
-	SHUFPS  $0xB1, X5, X5
-	ADDPS   X5, X2
-	MOVHLPS X2, X5
-	ADDSS   X5, X2
-	MOVSS   X2, s2+128(FP)
-
-	MOVAPS  X3, X5
-	SHUFPS  $0xB1, X5, X5
-	ADDPS   X5, X3
-	MOVHLPS X3, X5
-	ADDSS   X5, X3
-	MOVSS   X3, s3+132(FP)
-	RET
-
 // PAIR2 multiplies four k-elements of two columns, the one at bl in the low
 // half of Y10 and the one at bh in the high half, by both rows' broadcast
 // A values (Y8, Y9) and adds the products into the rows' accumulators.
@@ -162,8 +47,8 @@ finish:
 // in their halves (A: 0 and 4, B: 1 and 5, C: 2 and 6, D: 3 and 7), four
 // partial sums [l0 l1 l2 l3] per column, to the eight sums in A in column
 // order. A 4×4 transpose within each half gives L_r = [A_r B_r C_r D_r],
-// then (L0+L1)+(L2+L3): per column dotQuad's finish, the same adds with the
-// same first operands, four columns a register.
+// then (L0+L1)+(L2+L3): per column baseDot's finish, four columns a
+// register.
 #define FINISH(A, B, C, D) \
 	VUNPCKLPS B, A, Y8; \
 	VUNPCKHPS B, A, Y9; \
@@ -220,15 +105,17 @@ sumdone:
 // Sixteen (rows == 2) or eight (rows == 1) pairwiseDot base cases: row r of
 // A against the eight columns b[c·ldb:], written to s[8·r + c]. Each YMM
 // accumulator holds two columns of one row, c in the low half and c+4 in
-// the high half, four partial sums per column as dotQuad's XMM accumulator
-// holds them (lane r of a half sums the products at i ≡ r mod 4); one
-// VBROADCASTF128 of four A values per row meets four B registers, each two
-// columns' four values, and each B register serves both rows. Every product
-// is b·a (b the first source) and every sum acc + product (acc the first
-// source), dotQuad's operand order, and the tail and finish are dotQuad's
-// too, so each column's bits are dotQuad's, NaN payloads included. Lengths
-// are taken from a0 (the caller guarantees a1 and the eight columns have as
-// many elements). Y15 (X15 is the ABI's zero register) is not touched.
+// the high half, baseDot's four partial sums per column (lane r of a half
+// sums the products at i ≡ r mod 4); one VBROADCASTF128 of four A values
+// per row meets four B registers, each two columns' four values, and each
+// B register serves both rows. The tail goes into lane 0 and the finish is
+// (l0+l1)+(l2+l3), so each column does baseDot's rounded multiplies and
+// adds in baseDot's order and its bits are baseDot's. Every product is b·a
+// (b the first source) and every sum acc + product (acc the first source);
+// which payload a NaN meeting a NaN keeps is that operand order, which Go
+// code does not fix. Lengths are taken from a0 (the caller guarantees a1
+// and the eight columns have as many elements). Y15 (X15 is the ABI's zero
+// register) is not touched.
 TEXT ·dotTileAVX2(SB), NOSPLIT, $0-96
 	MOVQ a0_base+8(FP), SI
 	MOVQ a0_len+16(FP), CX

@@ -6,22 +6,20 @@ import (
 	"testing"
 )
 
-// FuzzDotQuad checks that pairwiseDotQuad — the four-column walk of the
-// pairwise tree with dotQuad at its leaves — returns, for each column, the
-// bits of a scalar pairwiseDot over the same operands. The fuzzer picks a
-// length and a byte string; the operands are one row x and four columns,
-// filled from the bytes read as float32 words, cycling. A NaN matches any
-// NaN: which of two NaN operands an x86 add returns is the instruction's
-// operand order, not arithmetic (the GEMM goldens canonicalize NaN the same
-// way).
+// FuzzDotQuad checks the NT product's four-column tail: one row x against
+// twelve columns through GemmNTStrided, where the first tile covers columns
+// 0–7 and one more tile over columns 4–11 stores only the last four, must
+// give each column the bits of a scalar pairwiseDot over the same operands,
+// in every form the CPU runs (see eachForm). The fuzzer picks a length and
+// a byte string; the operands are filled from the bytes read as float32
+// words, cycling. A NaN matches any NaN, as in FuzzGemmNT.
 //
 // The seeds cover the base case's short lengths (0–3), both sides of the
 // blockN split (127–129, 255–257) and a conv-sized 576, over words holding
 // ±0, ±Inf, NaN, subnormals and ordinary values; the named inputs under
 // testdata/fuzz/FuzzDotQuad add signed-zero sums, Inf meeting zero or its
 // own negation, a NaN in the tail, and overflow. `go test` replays all of
-// them on every run (under GOARCH=386 that runs the scalar dotQuad of
-// dot_generic.go); `go test -fuzz=FuzzDotQuad ./internal/kernel` explores
+// them on every run; `go test -fuzz=FuzzDotQuad ./internal/kernel` explores
 // from them.
 func FuzzDotQuad(f *testing.F) {
 	words := []uint32{
@@ -61,28 +59,29 @@ func FuzzDotQuad(f *testing.F) {
 			off := 4 * (i % (len(raw) / 4))
 			return math.Float32frombits(binary.LittleEndian.Uint32(raw[off:]))
 		}
-		// The row and the four columns are windows of one buffer, so the
-		// column starts fall at every alignment the vector loads can meet.
-		buf := make([]float32, 5*k+4)
+		// The row and the columns are windows of one buffer at stride k+1,
+		// so the column starts fall at every alignment the vector loads
+		// can meet.
+		const cols = 12
+		ldb := k + 1
+		buf := make([]float32, ldb*(cols+1))
 		for i := range buf {
 			buf[i] = word(i)
 		}
-		x := buf[:k]
-		var y [4][]float32
-		for c := range y {
-			y[c] = buf[k*(c+1)+c : k*(c+2)+c]
-		}
-		var got [4]float32
-		got[0], got[1], got[2], got[3] = pairwiseDotQuad(x, y[0], y[1], y[2], y[3])
-		for c := range y {
-			want := pairwiseDot(x, y[c])
-			if got[c] != got[c] && want != want {
-				continue
+		x, y := buf[:k], buf[ldb:]
+		eachForm(func(form string) {
+			got := make([]float32, cols)
+			GemmNTStrided(1, cols, k, 1, x, k, y, ldb, 0, got)
+			for c, g := range got {
+				want := pairwiseDot(x, y[c*ldb:c*ldb+k])
+				if g != g && want != want {
+					continue
+				}
+				if math.Float32bits(g) != math.Float32bits(want) {
+					t.Fatalf("%s len %d column %d: GemmNTStrided %v (%08x), pairwiseDot %v (%08x)",
+						form, k, c, g, math.Float32bits(g), want, math.Float32bits(want))
+				}
 			}
-			if math.Float32bits(got[c]) != math.Float32bits(want) {
-				t.Fatalf("len %d column %d: pairwiseDotQuad %v (%08x), pairwiseDot %v (%08x)",
-					k, c, got[c], math.Float32bits(got[c]), want, math.Float32bits(want))
-			}
-		}
+		})
 	})
 }

@@ -212,9 +212,10 @@ func GemmNTHalf(m, n, k int, alpha float32, a, b []uint16, beta float32, c []flo
 // rows of a tile stay cache-resident while the A rows stream past them in
 // pairs: pairwiseDotTile computes two rows × eight columns per walk of the
 // pairwise tree (leaves dotTileAVX2 where the CPU has it, else dotTile), and
-// an odd last row runs the same tile one row wide. The columns after the
-// last multiple of eight go four at a time through pairwiseDotQuad (dotQuad
-// is SSE on amd64), and the last n mod 4 through the scalar pairwiseDot.
+// an odd last row runs the same tile one row wide. When n mod 8 columns are
+// left over, one more tile runs over the last eight columns, n−8…n−1, and
+// stores only the n mod 8 it adds: storing a column twice would apply beta
+// twice. Below eight columns the scalar pairwiseDot takes each element.
 // Columns are independent, so the split moves no bit.
 func GemmNTStrided(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32) {
 	if m == 0 || n == 0 {
@@ -227,37 +228,34 @@ func GemmNTStrided(m, n, k int, alpha float32, a []float32, lda int, b []float32
 			cs[q] = scaleAdd(cs[q], v, alpha, beta)
 		}
 	}
-	j := 0
-	for cols := n &^ 7; j < cols; j += 8 {
+	if n < 8 {
+		for j := 0; j < n; j++ {
+			bj := row(b, ldb, j)
+			for i := 0; i < m; i++ {
+				c[i*n+j] = scaleAdd(c[i*n+j], pairwiseDot(row(a, lda, i), bj), alpha, beta)
+			}
+		}
+		return
+	}
+	for j := 0; j < n; j += 8 {
+		// Past the last multiple of eight, the tile moves back to the last
+		// eight columns and stores from the first column it adds.
+		skip := 0
+		if j+8 > n {
+			skip, j = j-(n-8), n-8
+		}
 		bt := b[j*ldb : (j+7)*ldb+k]
 		var s [16]float32
 		i := 0
 		for ; i+2 <= m; i += 2 {
 			pairwiseDotTile(&s, row(a, lda, i), row(a, lda, i+1), bt, ldb, 2)
-			store(i, j, s[:8])
-			store(i+1, j, s[8:])
+			store(i, j+skip, s[skip:8])
+			store(i+1, j+skip, s[8+skip:])
 		}
 		if i < m {
 			a0 := row(a, lda, i)
 			pairwiseDotTile(&s, a0, a0, bt, ldb, 1)
-			store(i, j, s[:8])
-		}
-	}
-	for ; j+4 <= n; j += 4 {
-		b0, b1, b2, b3 := row(b, ldb, j), row(b, ldb, j+1), row(b, ldb, j+2), row(b, ldb, j+3)
-		for i := 0; i < m; i++ {
-			s0, s1, s2, s3 := pairwiseDotQuad(row(a, lda, i), b0, b1, b2, b3)
-			cq := c[i*n+j : i*n+j+4]
-			cq[0] = scaleAdd(cq[0], s0, alpha, beta)
-			cq[1] = scaleAdd(cq[1], s1, alpha, beta)
-			cq[2] = scaleAdd(cq[2], s2, alpha, beta)
-			cq[3] = scaleAdd(cq[3], s3, alpha, beta)
-		}
-	}
-	for ; j < n; j++ {
-		bj := row(b, ldb, j)
-		for i := 0; i < m; i++ {
-			c[i*n+j] = scaleAdd(c[i*n+j], pairwiseDot(row(a, lda, i), bj), alpha, beta)
+			store(i, j+skip, s[skip:8])
 		}
 	}
 }

@@ -36,7 +36,7 @@ func gemmSpec(m, n, k int, alpha float32, at func(i, l int) float32, b []float32
 // FuzzGemmNN checks GemmNN and GemmTN — the register tile, axpyQuad, the
 // one-row axpy and their zero skips — against the scalar loop of gemmSpec,
 // in every form of the kernels the CPU runs (see eachForm). A NaN matches
-// any NaN, as in FuzzDotQuad.
+// any NaN, as in FuzzGemmNT.
 //
 // The fuzzer picks m < 14, n < 50, k < 600 (so a product can span three
 // k-tiles of gemmKC), a mask of zeroed A rows (bit i mod 16 zeroes row i),
@@ -137,12 +137,14 @@ func FuzzGemmNN(f *testing.F) {
 }
 
 // FuzzGemmNT checks GemmNTStrided — the two-row tile and its one-row form
-// over the leading multiple of eight columns, dotQuad's four-column walk
-// after it, the scalar pairwiseDot for the last n mod 4 columns — against
-// its definition, one pairwiseDot and one scaleAdd per element, in every
-// form of the kernels the CPU runs (see eachForm: the AVX2 tile and its Go
-// loop on amd64, the Go loops under GOARCH=386). A NaN matches any NaN, as
-// in FuzzDotQuad.
+// over the leading multiple of eight columns, the one more tile over the
+// last eight that stores only the n mod 8 it adds, the scalar pairwiseDot
+// when n < 8 — against its definition, one pairwiseDot and one scaleAdd per
+// element, in every form of the kernels the CPU runs (see eachForm: the
+// AVX2 tile and its Go loop on amd64, the Go loops under GOARCH=386). A NaN
+// matches any NaN: which of two NaN operands an x86 add returns is the
+// instruction's operand order, not arithmetic (the GEMM goldens canonicalize
+// NaN the same way).
 //
 // The fuzzer picks m < 10 and n < 20 (so every n mod 8 occurs), k ≤ 1728
 // (fc1's input width), pads that widen the row strides lda and ldb past k
@@ -150,11 +152,13 @@ func FuzzGemmNN(f *testing.F) {
 // −0.5}, and a byte string: the A and B windows and C are filled from it
 // read as float32 words, cycling. The pads between the windows hold NaN, so
 // a read outside a window shows; with beta 0, C starts as NaN, which must be
-// overwritten; and the words around C must stay unwritten. The seeds below
-// and the named inputs under testdata/fuzz/FuzzGemmNT cover k = 0, 1,
-// 127–129, 257 and 1728, one row (the serve batch of one), odd m, windows,
-// NaN payloads meeting across a split of the pairwise tree, Inf meeting
-// zero, signed-zero sums and overflow; `go test` replays them all.
+// overwritten (a column stored twice would scale it by beta twice); and the
+// words around C must stay unwritten. The seeds below and the named inputs
+// under testdata/fuzz/FuzzGemmNT cover k = 0–3, 127–129, 255–257, 576 and
+// 1728, n < 8 and n mod 8 of 1 to 7, one row (the serve batch of one), odd
+// m, windows, NaN payloads meeting across a split of the pairwise tree, a
+// NaN in the base case's tail, Inf meeting zero or its own negation,
+// signed-zero sums, subnormals and overflow; `go test` replays them all.
 func FuzzGemmNT(f *testing.F) {
 	bits := math.Float32bits
 	words := func(ws ...uint32) []byte {
@@ -185,6 +189,10 @@ func FuzzGemmNT(f *testing.F) {
 		{7, 13, 257, 0b0011, 0, 2, special},
 		{6, 18, 576, 0b1001, 2, 1e-3, ordinary},
 		{8, 10, 2, 0, 1, 1, special},
+		{2, 11, 255, 0b0100, 0, 1, special},
+		{3, 17, 256, 0, 1, 1, ordinary},
+		{5, 7, 127, 0b0001, 2, 1, special},
+		{1, 15, 128, 0, 0, 1, special},
 	} {
 		f.Add(s.m, s.n, s.k, s.pads, bits(s.alpha), s.betaI, s.raw)
 	}

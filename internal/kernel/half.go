@@ -136,14 +136,3 @@ func roundHalfVec(x []float32) int {
 	}
 	return roundHalfAVX2(x)
 }
-
-// canonicalHalfVec runs CanonicalAccumulateHalf's AVX2 kernel
-// (half_amd64.s) over the leading multiple of four coordinates and returns
-// how many it wrote: none without AVX2. Arguments are validated by the
-// caller, scales non-nil.
-func canonicalHalfVec(dst []float32, srcs [][]float32, scales []float64) int {
-	if !useAVX2 {
-		return 0
-	}
-	return canonicalHalfAVX2(dst, srcs, scales)
-}

@@ -6,4 +6,4 @@ package kernel
 func roundHalfAVX2(x []float32) int
 
 //go:noescape
-func canonicalHalfAVX2(dst []float32, srcs [][]float32, scales []float64) int
+func canonicalAVX2(dst []float32, srcs [][]float32, scales []float64, half bool) int

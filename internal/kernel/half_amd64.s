@@ -2,11 +2,12 @@
 
 #include "textflag.h"
 
-// RoundHalf's AVX2 kernel, and the canonical reduce that rounds its
-// sources the same way as it reads them. The rounding is half.go's scalar
-// HalfToFloat32(Float32ToHalf(x)) done lane by lane in float32 bits, with
-// every branch turned into a mask select (ROUND16AVX below). The kernel
-// matched the scalar converters on all 2^32 float32 patterns.
+// RoundHalf's AVX2 kernel, and the canonical reduce of both wires, which on
+// the fp16 wire rounds its sources the same way as it reads them. The
+// rounding is half.go's scalar HalfToFloat32(Float32ToHalf(x)) done lane by
+// lane in float32 bits, with every branch turned into a mask select
+// (ROUND16AVX below). The kernel matched the scalar converters on all 2^32
+// float32 patterns.
 
 // Each constant is one 32-bit lane repeated across 32 bytes, so a YMM
 // operand reads all of it and an XMM one its first 16.
@@ -76,91 +77,123 @@ avxloop:
 avxdone:
 	RET
 
-// func canonicalHalfAVX2(dst []float32, srcs [][]float32, scales []float64) int
+// func canonicalAVX2(dst []float32, srcs [][]float32, scales []float64, half bool) int
 //
-// CanonicalAccumulateHalf over the leading multiple of four coordinates: the
-// weighted pass of canonicalVec (reduce_amd64.s) with each source's values
-// rounded through binary16 in register between the load and the widening,
-// eight coordinates per pass — the rounding in one YMM register, the eight
-// float64 chains in two — and then one pass of four (rounding in XMM,
-// chains in one YMM). Per coordinate that is +0, then acc + x·scales[s]
-// over s in order, then one narrowing, with the operands in canonicalVec's
-// order, so the bits are RoundHalf's followed by CanonicalAccumulate's and
-// no source is written. scales has one entry per source. Returns the count
-// written.
-TEXT ·canonicalHalfAVX2(SB), NOSPLIT, $0-80
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ srcs_base+24(FP), SI
-	MOVQ srcs_len+32(FP), R8
-	MOVQ scales_base+48(FP), R9
-	ANDQ $-4, CX
-	MOVQ CX, ret+72(FP)
-	SHLQ $2, CX          // end, in bytes
-	MOVQ CX, R10
-	ANDQ $-32, R10       // end of the eight-coordinate passes, in bytes
-	XORQ BX, BX          // byte offset of the current coordinates
-	CMPQ BX, R10
-	JGE  avxfour
+// CanonicalAccumulate (half false) or CanonicalAccumulateHalf (half true)
+// over the leading multiple of four coordinates, eight coordinates per pass
+// — the source values in one YMM register, the eight float64 chains in two —
+// and then one pass of four (values in XMM, chains in one YMM). With scales
+// empty the pass is unweighted and seeded: the chain starts as srcs[0]'s
+// value and adds each later source's. Otherwise it starts from +0 and adds
+// x·scales[s] for every s. Under half each value is rounded through
+// binary16 in register (ROUND16AVX) between the load and the widening. Per
+// coordinate that is the seed or +0, then acc + x·w over s in order (acc
+// and x the first operands), then one narrowing: canonicalBlocks'
+// operations in its order, so the bits are its own (up to which payload two
+// NaNs meeting keep) and no source is written. srcs is not empty. Returns
+// the count written.
+TEXT ·canonicalAVX2(SB), NOSPLIT, $0-88
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  dst_len+8(FP), CX
+	MOVQ  srcs_base+24(FP), SI
+	MOVQ  srcs_len+32(FP), R8
+	MOVQ  scales_base+48(FP), R9
+	MOVQ  scales_len+56(FP), R12
+	MOVBQZX half+72(FP), R13
+	ANDQ  $-4, CX
+	MOVQ  CX, ret+80(FP)
+	SHLQ  $2, CX         // end, in bytes
+	MOVQ  CX, R10
+	ANDQ  $-32, R10      // end of the eight-coordinate passes, in bytes
+	XORQ  BX, BX         // byte offset of the current coordinates
+	CMPQ  BX, R10
+	JGE   four
 
-avxeight:
+eight:
 	VXORPD Y8, Y8, Y8
 	VXORPD Y9, Y9, Y9
 	XORQ   DX, DX
 	MOVQ   SI, R11
 
-avxsource:
-	CMPQ         DX, R8
-	JGE          avxstore
-	MOVQ         (R11), AX
-	VMOVUPS      (AX)(BX*1), Y0
+eightsource:
+	MOVQ    (R11), AX
+	VMOVUPS (AX)(BX*1), Y0
+	TESTQ   R13, R13
+	JEQ     eightwiden
 	ROUND16AVX(Y0, Y1, Y2, Y3, Y4)
-	VBROADCASTSD (R9)(DX*8), Y7
+
+eightwiden:
 	VCVTPS2PD    X0, Y2
 	VEXTRACTF128 $1, Y0, X3
 	VCVTPS2PD    X3, Y3
+	TESTQ        R12, R12
+	JNE          eightweight
+	TESTQ        DX, DX
+	JNE          eightadd
+	VMOVAPD      Y2, Y8      // the seed
+	VMOVAPD      Y3, Y9
+	JMP          eightnext
+
+eightweight:
+	VBROADCASTSD (R9)(DX*8), Y7
 	VMULPD       Y7, Y2, Y2
 	VMULPD       Y7, Y3, Y3
-	VADDPD       Y2, Y8, Y8
-	VADDPD       Y3, Y9, Y9
-	INCQ         DX
-	ADDQ         $24, R11
-	JMP          avxsource
 
-avxstore:
+eightadd:
+	VADDPD Y2, Y8, Y8
+	VADDPD Y3, Y9, Y9
+
+eightnext:
+	INCQ        DX
+	ADDQ        $24, R11
+	CMPQ        DX, R8
+	JLT         eightsource
 	VCVTPD2PSY  Y8, X8
 	VCVTPD2PSY  Y9, X9
 	VINSERTF128 $1, X9, Y8, Y8
 	VMOVUPS     Y8, (DI)(BX*1)
 	ADDQ        $32, BX
 	CMPQ        BX, R10
-	JLT         avxeight
+	JLT         eight
 
-avxfour:
+four:
 	CMPQ   BX, CX
-	JGE    avxcdone
+	JGE    done
 	VXORPD Y8, Y8, Y8
 	XORQ   DX, DX
 	MOVQ   SI, R11
 
-avxfoursource:
-	CMPQ         DX, R8
-	JGE          avxfourstore
-	MOVQ         (R11), AX
-	VMOVUPS      (AX)(BX*1), X0
+foursource:
+	MOVQ    (R11), AX
+	VMOVUPS (AX)(BX*1), X0
+	TESTQ   R13, R13
+	JEQ     fourwiden
 	ROUND16AVX(X0, X1, X2, X3, X4)
-	VBROADCASTSD (R9)(DX*8), Y7
-	VCVTPS2PD    X0, Y2
-	VMULPD       Y7, Y2, Y2
-	VADDPD       Y2, Y8, Y8
-	INCQ         DX
-	ADDQ         $24, R11
-	JMP          avxfoursource
 
-avxfourstore:
+fourwiden:
+	VCVTPS2PD X0, Y2
+	TESTQ     R12, R12
+	JNE       fourweight
+	TESTQ     DX, DX
+	JNE       fouradd
+	VMOVAPD   Y2, Y8         // the seed
+	JMP       fournext
+
+fourweight:
+	VBROADCASTSD (R9)(DX*8), Y7
+	VMULPD       Y7, Y2, Y2
+
+fouradd:
+	VADDPD Y2, Y8, Y8
+
+fournext:
+	INCQ       DX
+	ADDQ       $24, R11
+	CMPQ       DX, R8
+	JLT        foursource
 	VCVTPD2PSY Y8, X8
 	VMOVUPS    X8, (DI)(BX*1)
 
-avxcdone:
+done:
 	VZEROUPPER
 	RET

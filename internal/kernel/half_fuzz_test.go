@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"runtime"
 	"testing"
 )
 
@@ -142,15 +141,11 @@ func FuzzHalfConverters(f *testing.F) {
 // in every form the CPU runs (see eachForm) and PairwiseAccumulateHalf —
 // against their definition: RoundHalf over a copy of each source, then
 // CanonicalAccumulate (or PairwiseAccumulate) of the copies, bit for bit.
-// The AVX2 form covers the leading multiple of four coordinates with
-// CanonicalAccumulate's vector pass's operand order and the blocked loop
-// takes the same tail, so with AVX2 even two NaNs meeting keep the same
-// one. On amd64 without AVX2 the blocked loop takes every coordinate and
-// need not share the operand order of the SSE pass the definition runs, so
-// there, for CanonicalAccumulateHalf only, a NaN matches any NaN; off amd64
-// both sides run the blocked loop and PairwiseAccumulateHalf has no vector
-// form, so those stay bit for bit. It also checks that no source is
-// written, and the in-place form with dst aliasing the first source.
+// In each form both canonical reduces run the same code, canonicalVec over
+// the leading multiple of four coordinates and the blocked loop over the
+// rest, so even two NaNs meeting keep the same one. It also checks that no
+// source is written, and the in-place form with dst aliasing the first
+// source.
 //
 // The fuzzer picks 1–9 sources, a length below 70 (eight-lane passes, a
 // four-lane pass and a scalar tail of 0–3), and a byte string read as
@@ -213,17 +208,6 @@ func FuzzCanonicalHalf(f *testing.F) {
 		for s, src := range srcs {
 			keep[s] = append([]float32(nil), src...)
 		}
-		// canonDiff is bitsEqual against canon, except that on amd64 without
-		// AVX2 a NaN matches any NaN (see above).
-		canonDiff := func(got []float32) int {
-			lax := runtime.GOARCH == "amd64" && !useAVX2
-			for i, w := range canon {
-				if g := got[i]; math.Float32bits(g) != math.Float32bits(w) && !(lax && g != g && w != w) {
-					return i
-				}
-			}
-			return -1
-		}
 		check := func(what string, i int, got, want []float32) {
 			t.Helper()
 			if i >= 0 {
@@ -236,16 +220,17 @@ func FuzzCanonicalHalf(f *testing.F) {
 			}
 		}
 		eachForm(func(form string) {
-			dst := make([]float32, n)
+			want, dst := make([]float32, n), make([]float32, n)
+			CanonicalAccumulate(want, rounded, scales)
 			CanonicalAccumulateHalf(dst, srcs, scales)
-			check(form+" CanonicalAccumulateHalf", canonDiff(dst), dst, canon)
+			check(form+" CanonicalAccumulateHalf", bitsEqual(dst, want), dst, want)
 		})
 		dst := make([]float32, n)
 		PairwiseAccumulateHalf(dst, srcs, scales32)
 		check("PairwiseAccumulateHalf", bitsEqual(dst, pair), dst, pair)
 		// In place: dst is the first source; the others stay unwritten.
 		CanonicalAccumulateHalf(srcs[0], srcs, scales)
-		if i := canonDiff(srcs[0]); i >= 0 {
+		if i := bitsEqual(srcs[0], canon); i >= 0 {
 			t.Fatalf("in-place CanonicalAccumulateHalf, %d sources, n=%d: coord %d is %08x, want %08x", nsrc, n, i, math.Float32bits(srcs[0][i]), math.Float32bits(canon[i]))
 		}
 	})

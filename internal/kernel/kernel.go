@@ -22,14 +22,12 @@
 //
 // Each hot kernel has two forms: an AVX2 one in assembly and a Go loop. The
 // GEMM register tiles (NN/TN's 4×16 strip of C and NT's two-row dotTile),
-// axpyQuad, the one-row axpy, RoundHalf, the fp16 wire's
-// CanonicalAccumulateHalf and the Momentum update run eight lanes wide with
-// AVX2 when CPUID and XGETBV report it (read once, at package init, into
-// useAVX2), and otherwise the same Go loop the portable build runs. The
-// kernels whose only vector form is SSE run it on every amd64 CPU:
-// CanonicalAccumulate's pass, ReLU and ReLUBackward, and dotQuad for the NT
-// columns after the last multiple of eight. None uses FMA: every form does
-// the scalar loop's rounded multiplies and adds in its order, so every form
+// axpyQuad, the one-row axpy, RoundHalf, the canonical reduce of both wires
+// (CanonicalAccumulate and CanonicalAccumulateHalf), ReLU, ReLUBackward and
+// the Momentum update run eight lanes wide with AVX2 when CPUID and XGETBV
+// report it (read once, at package init, into useAVX2), and otherwise the
+// same Go loop the portable build runs. None uses FMA: every form does the
+// scalar loop's rounded multiplies and adds in its order, so every form
 // gives the same bits, and the Go loops convert each product explicitly so
 // that no compiler fuses them.
 //
@@ -172,22 +170,6 @@ func baseDot(x, y []float32) float32 {
 		s0 += float32(x[i] * y[i])
 	}
 	return (s0 + s1) + (s2 + s3)
-}
-
-// pairwiseDotQuad returns pairwiseDot(x, y_c) for four columns y0..y3 at
-// once: it walks the same splitPoint tree, with dotQuad at the leaves, so
-// each sum is bit-identical to its scalar pairwiseDot while x is read once
-// per four columns. Every y_c must have len(x) elements. The joins are
-// inlined Go adds, which compile to addSums' operand order (the right
-// half's sum first).
-func pairwiseDotQuad(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
-	if len(x) <= blockN {
-		return dotQuad(x, y0, y1, y2, y3)
-	}
-	h := splitPoint(len(x))
-	l0, l1, l2, l3 := pairwiseDotQuad(x[:h], y0[:h], y1[:h], y2[:h], y3[:h])
-	r0, r1, r2, r3 := pairwiseDotQuad(x[h:], y0[h:], y1[h:], y2[h:], y3[h:])
-	return l0 + r0, l1 + r1, l2 + r2, l3 + r3
 }
 
 // pairwiseDotTile writes pairwiseDot(a_r, b_c) into s[8·r + c] for one or
@@ -386,11 +368,8 @@ const canonBlock = 512
 // instead of a per-coordinate loop over sources — turns a serial
 // float64-add dependency chain of length P per coordinate into independent
 // streaming adds, which is where the measured speedup over the old
-// canonicalSum comes from. On amd64, canonicalVec (reduce_amd64.s) goes
-// further: four coordinates' chains sit in two SSE2 registers while the
-// sources stream past, one pass and no scratch block, with the same
-// float64 operations in the same order; the blocked loop is the portable
-// form and the amd64 tail.
+// canonicalSum comes from. With AVX2, canonicalVec goes further (see
+// there).
 func CanonicalAccumulate(dst []float32, srcs [][]float32, scales []float64) {
 	if scales != nil && len(scales) != len(srcs) {
 		panic("kernel: CanonicalAccumulate needs one scale per source")
@@ -399,13 +378,7 @@ func CanonicalAccumulate(dst []float32, srcs [][]float32, scales []float64) {
 		panic("kernel: CanonicalAccumulate with nil scales needs a seed source")
 	}
 	checkSources("CanonicalAccumulate", dst, srcs)
-	// On amd64 the vector kernel takes every coordinate but a tail of at
-	// most three, keeping each one's float64 chain in a register.
-	lo := 0
-	if len(srcs) > 0 {
-		lo = canonicalVec(dst, srcs, scales)
-	}
-	canonicalBlocks(dst, srcs, scales, lo, false)
+	canonicalBlocks(dst, srcs, scales, canonicalVec(dst, srcs, scales, false), false)
 }
 
 // CanonicalAccumulateHalf is CanonicalAccumulate's weighted form with every
@@ -413,24 +386,31 @@ func CanonicalAccumulate(dst []float32, srcs [][]float32, scales []float64) {
 // scales[s]·float64(HalfToFloat32(Float32ToHalf(srcs[s][i]))), from +0 in
 // source order with float64 accumulation. Element for element those are the
 // operations of RoundHalf over each source followed by CanonicalAccumulate,
-// so the bits are theirs (on amd64 without AVX2, up to which NaN two NaNs
-// meeting yield); but each source is read once, dst is written once and no
-// source is written. It is the fp16 wire's reduce. scales must hold
+// so the bits are theirs; but each source is read once, dst is written once
+// and no source is written. It is the fp16 wire's reduce. scales must hold
 // one weight per source; dst may alias srcs[0]; every source must have
 // len(dst) elements.
-//
-// With AVX2, canonicalHalfVec (half_amd64.s) rounds each source's lanes in
-// register between the load and the widening, eight coordinates per pass
-// and then one pass of four, over the same leading multiple of four that
-// canonicalVec covers; the blocked loop takes the tail, and every
-// coordinate without AVX2 and on the portable build.
 func CanonicalAccumulateHalf(dst []float32, srcs [][]float32, scales []float64) {
 	if scales == nil || len(scales) != len(srcs) {
 		panic("kernel: CanonicalAccumulateHalf needs one scale per source")
 	}
 	checkSources("CanonicalAccumulateHalf", dst, srcs)
-	lo := canonicalHalfVec(dst, srcs, scales)
-	canonicalBlocks(dst, srcs, scales, lo, true)
+	canonicalBlocks(dst, srcs, scales, canonicalVec(dst, srcs, scales, true), true)
+}
+
+// canonicalVec runs the canonical reduce's AVX2 kernel (half_amd64.s) over
+// the leading multiple of four coordinates and returns how many it wrote:
+// none without AVX2 or sources. The kernel keeps eight coordinates' float64
+// chains in two registers while the sources stream past — one pass, no
+// scratch block, each value rounded through binary16 in register under
+// half — with canonicalBlocks' operations in its order, so the bits are its
+// own up to which payload two NaNs meeting keep; canonicalBlocks takes the
+// tail. Arguments are validated by the caller.
+func canonicalVec(dst []float32, srcs [][]float32, scales []float64, half bool) int {
+	if !useAVX2 || len(srcs) == 0 {
+		return 0
+	}
+	return canonicalAVX2(dst, srcs, scales, half)
 }
 
 // canonicalBlocks is the canonical reduce's blocked loop over coordinates

@@ -196,13 +196,13 @@ func TestPairwiseAccumulateAliasesRoot(t *testing.T) {
 	}
 }
 
-// TestCanonicalAccumulateBitCompat pins CanonicalAccumulate (on amd64 the
-// SSE2 pass, elsewhere the blocked loop) to the scalar per-coordinate loops
-// it replaced: nil scales seeded from srcs[0] (the historical collective),
+// TestCanonicalAccumulateBitCompat pins CanonicalAccumulate, in every form
+// the CPU runs (see eachForm), to the scalar per-coordinate loops it
+// replaced: nil scales seeded from srcs[0] (the historical collective),
 // scales zero-seeded (the engine's shard-weighted loop), and in place on the
 // root as the collective calls it. Lengths cover every tail around the
-// four-wide vector step and several canonBlock rows, source counts run up
-// to nine. Two input kinds: plain sources in which every even coordinate
+// eight- and four-wide vector passes and several canonBlock rows, source
+// counts run up to nine. Two input kinds: plain sources in which every even coordinate
 // has srcs[0] = 2^40·x and srcs[p-1] = −srcs[0], so its float32 result
 // depends on the order the sources are added in (the test checks that it
 // does); and sources salted, in a minority of coordinates, with ±0,
@@ -289,16 +289,18 @@ func TestCanonicalAccumulateBitCompat(t *testing.T) {
 				}
 				for _, sc := range [][]float64{nil, scales} {
 					want := reference(srcs, sc, order)
-					dst := make([]float32, n)
-					CanonicalAccumulate(dst, srcs, sc)
-					root := append([]float32(nil), srcs[0]...)
-					CanonicalAccumulate(root, append([][]float32{root}, srcs[1:]...), sc)
-					for i := range want {
-						if math.Float32bits(dst[i]) != math.Float32bits(want[i]) || math.Float32bits(root[i]) != math.Float32bits(want[i]) {
-							t.Fatalf("p=%d n=%d salted=%v scaled=%v coord %d: %#08x (in place %#08x), scalar %#08x",
-								p, n, salted, sc != nil, i, math.Float32bits(dst[i]), math.Float32bits(root[i]), math.Float32bits(want[i]))
+					eachForm(func(form string) {
+						dst := make([]float32, n)
+						CanonicalAccumulate(dst, srcs, sc)
+						root := append([]float32(nil), srcs[0]...)
+						CanonicalAccumulate(root, append([][]float32{root}, srcs[1:]...), sc)
+						for i := range want {
+							if math.Float32bits(dst[i]) != math.Float32bits(want[i]) || math.Float32bits(root[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("%s p=%d n=%d salted=%v scaled=%v coord %d: %#08x (in place %#08x), scalar %#08x",
+									form, p, n, salted, sc != nil, i, math.Float32bits(dst[i]), math.Float32bits(root[i]), math.Float32bits(want[i]))
+							}
 						}
-					}
+					})
 				}
 			}
 		}

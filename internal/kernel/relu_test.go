@@ -6,11 +6,11 @@ import (
 )
 
 // FuzzReLU holds ReLU and ReLUBackward to their scalar rules bit for bit,
-// x > 0 ? x : +0 and 0 < y ? dy : +0, on vectors built from two fuzzed bit
-// patterns: the patterns, their negations and a few fixed edge values
-// cycle through every lane of the SSE kernels, and the length (0–9 plus
-// the fuzzed extra) lands on each tail length. It checks a separate
-// destination and the in-place form.
+// x > 0 ? x : +0 and 0 < y ? dy : +0, in every form the CPU runs (see
+// eachForm), on vectors built from two fuzzed bit patterns: the patterns,
+// their negations and a few fixed edge values cycle through every lane of
+// the AVX2 kernels, and the length (0–9 plus the fuzzed extra) lands on
+// each tail length. It checks a separate destination and the in-place form.
 //
 // The seeds cover NaN with payloads of both signs, ±0, ± subnormals, ±Inf
 // and ordinary values; `go test` replays them on every run (under
@@ -57,38 +57,40 @@ func FuzzReLU(f *testing.F) {
 				wantY[i] = math.Float32bits(v)
 			}
 		}
-		y := make([]float32, size)
-		ReLU(y, x)
-		inPlace := append([]float32(nil), x...)
-		ReLU(inPlace, inPlace)
-		for i := range x {
-			if got := math.Float32bits(y[i]); got != wantY[i] {
-				t.Fatalf("ReLU lane %d of %d: x %08x gave %08x, want %08x", i, size, math.Float32bits(x[i]), got, wantY[i])
-			}
-			if got := math.Float32bits(inPlace[i]); got != wantY[i] {
-				t.Fatalf("in-place ReLU lane %d of %d: x %08x gave %08x, want %08x", i, size, math.Float32bits(x[i]), got, wantY[i])
-			}
-		}
-		// The backward rule on an arbitrary y (x itself, NaN and negatives
-		// included) and on ReLU's own output.
-		for _, yy := range [][]float32{x, y} {
-			dx := make([]float32, size)
-			ReLUBackward(dx, yy, dy)
-			inPlace := append([]float32(nil), dy...)
-			ReLUBackward(inPlace, yy, inPlace)
-			for i := range yy {
-				var want uint32
-				if 0 < yy[i] {
-					want = math.Float32bits(dy[i])
+		eachForm(func(form string) {
+			y := make([]float32, size)
+			ReLU(y, x)
+			inPlace := append([]float32(nil), x...)
+			ReLU(inPlace, inPlace)
+			for i := range x {
+				if got := math.Float32bits(y[i]); got != wantY[i] {
+					t.Fatalf("%s ReLU lane %d of %d: x %08x gave %08x, want %08x", form, i, size, math.Float32bits(x[i]), got, wantY[i])
 				}
-				if got := math.Float32bits(dx[i]); got != want {
-					t.Fatalf("ReLUBackward lane %d of %d: y %08x dy %08x gave %08x, want %08x", i, size, math.Float32bits(yy[i]), math.Float32bits(dy[i]), got, want)
-				}
-				if got := math.Float32bits(inPlace[i]); got != want {
-					t.Fatalf("in-place ReLUBackward lane %d of %d: gave %08x, want %08x", i, size, got, want)
+				if got := math.Float32bits(inPlace[i]); got != wantY[i] {
+					t.Fatalf("%s in-place ReLU lane %d of %d: x %08x gave %08x, want %08x", form, i, size, math.Float32bits(x[i]), got, wantY[i])
 				}
 			}
-		}
+			// The backward rule on an arbitrary y (x itself, NaN and negatives
+			// included) and on ReLU's own output.
+			for _, yy := range [][]float32{x, y} {
+				dx := make([]float32, size)
+				ReLUBackward(dx, yy, dy)
+				inPlace := append([]float32(nil), dy...)
+				ReLUBackward(inPlace, yy, inPlace)
+				for i := range yy {
+					var want uint32
+					if 0 < yy[i] {
+						want = math.Float32bits(dy[i])
+					}
+					if got := math.Float32bits(dx[i]); got != want {
+						t.Fatalf("%s ReLUBackward lane %d of %d: y %08x dy %08x gave %08x, want %08x", form, i, size, math.Float32bits(yy[i]), math.Float32bits(dy[i]), got, want)
+					}
+					if got := math.Float32bits(inPlace[i]); got != want {
+						t.Fatalf("%s in-place ReLUBackward lane %d of %d: gave %08x, want %08x", form, i, size, got, want)
+					}
+				}
+			}
+		})
 	})
 }
 
