@@ -59,7 +59,8 @@ func TestCPUFeatures(t *testing.T) {
 // TestPortableFormsWithoutAVX2: with useAVX2 cleared, no kernel that has an
 // AVX2 form writes through assembly. roundHalfVec, canonicalVec on both
 // wires, momentumVec, reluVec and reluBackwardVec return 0 and leave their
-// operands alone, gemmTile covers no column, and a one-leaf
+// operands alone, maxPoolVec reports that it pooled nothing and writes no
+// output or argmax, gemmTile covers no column, and a one-leaf
 // pairwiseDotTile gives its Go loop's bits: baseDot per row and column.
 func TestPortableFormsWithoutAVX2(t *testing.T) {
 	saved := useAVX2
@@ -94,6 +95,10 @@ func TestPortableFormsWithoutAVX2(t *testing.T) {
 	}
 	if got := reluBackwardVec(dst, neg, x); got != 0 || bitsEqual(dst, keep) >= 0 {
 		t.Errorf("reluBackwardVec wrote %d elements, want 0 and dx unchanged", got)
+	}
+	out, arg := append([]float32(nil), keep[:4]...), []int32{7, 7, 7, 7}
+	if maxPoolVec(out, arg, neg[:16], 4, 8, 0) || bitsEqual(out, keep[:4]) >= 0 || [4]int32(arg) != [4]int32{7, 7, 7, 7} {
+		t.Errorf("maxPoolVec pooled, want out and arg unchanged")
 	}
 	v, w := append([]float32(nil), x...), append([]float32(nil), x...)
 	if got := momentumVec(v, w, x, 0.9, 0.1, 5e-4, true); got != 0 || bitsEqual(v, keep) >= 0 || bitsEqual(w, keep) >= 0 {

@@ -26,3 +26,5 @@ func momentumAVX2(v, w, g []float32, m, r, lambda float32, decay bool) int { pan
 func reluAVX2(dst, src []float32) int { panic(offAMD64) }
 
 func reluBackwardAVX2(dx, y, dy []float32) int { panic(offAMD64) }
+
+func maxPool2x2AVX2(out []float32, arg []int32, in []float32, n, w, base int) { panic(offAMD64) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/kernel"
 	"repro/internal/par"
 	"repro/internal/tensor"
 )
@@ -50,53 +51,93 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	xd, yd, am := x.Data, y.Data, l.argmax
 	area, outArea := h*w, outH*outW
-	par.ForGrain(n*c, 1, func(lo, hi int) {
+	pg := newPooling(g)
+	// A chunk of planes holds at least par.MinParallel outputs: at about a
+	// nanosecond an output, a smaller one costs less than its goroutine.
+	par.ForGrain(n*c, (par.MinParallel+outArea-1)/outArea, func(lo, hi int) {
 		for p := lo; p < hi; p++ {
 			var arg []int32
 			if am != nil {
 				arg = am[p*outArea : (p+1)*outArea]
 			}
-			maxPoolPlane(g, xd[p*area:(p+1)*area], yd[p*outArea:(p+1)*outArea], arg, p*area)
+			pg.plane(xd[p*area:(p+1)*area], yd[p*outArea:(p+1)*outArea], arg, p*area)
 		}
 	})
 	return y
 }
 
-// maxPoolPlane pools one input plane into out. Each window is clamped to
-// its in-bounds tap range once, so no tap tests bounds, and every tap goes
-// through firstMax, so none branches on its value. A window whose in-bounds
-// part is 2×2 (every window of a 2×2/2 pool) runs as a two-level tree: each
-// row takes its first strict max, and the second row replaces the first
-// only on a strict >. "First strict max" is associative with left
-// priority, so the tree picks the tap the (kh, kw) scan picks. When arg is
-// non-nil it receives base plus the chosen tap's index in the plane, or −1.
-func maxPoolPlane(g tensor.ConvGeom, in, out []float32, arg []int32, base int) {
-	h, w, outH, outW := g.InH, g.InW, g.OutH(), g.OutW()
-	kh, kw, sh, sw, ph, pw := g.KH, g.KW, g.StrideH, g.StrideW, g.PadH, g.PadW
+// pooling is a max pool's geometry for one Forward: its output size, and
+// the output rows [r0, r1) and columns [c0, c1) whose windows are 2×2 at
+// stride 2 and wholly in bounds, which kernel.MaxPool2x2 pools. The range
+// is empty unless the pool is 2×2/2; padding leaves it the interior.
+type pooling struct {
+	tensor.ConvGeom
+	outH, outW     int
+	r0, r1, c0, c1 int
+}
+
+func newPooling(g tensor.ConvGeom) pooling {
+	p := pooling{ConvGeom: g, outH: g.OutH(), outW: g.OutW()}
+	if g.KH == 2 && g.KW == 2 && g.StrideH == 2 && g.StrideW == 2 {
+		p.r0, p.r1 = inBounds(g.PadH, g.InH, p.outH)
+		p.c0, p.c1 = inBounds(g.PadW, g.InW, p.outW)
+	}
+	return p
+}
+
+// inBounds returns the outputs [lo, hi) of a 2-wide window at stride 2 over
+// n inputs with pad before them whose taps are all in bounds: 2o − pad >= 0
+// and 2o − pad + 2 <= n.
+func inBounds(pad, n, out int) (lo, hi int) {
+	lo = min((pad+1)/2, out)
+	return lo, max(min((n+pad)/2, out), lo)
+}
+
+// plane pools one input plane into out. When arg is non-nil it receives
+// base plus the chosen tap's index in the plane, or −1. The 2×2 windows in
+// bounds go to kernel.MaxPool2x2: all their rows in one call when they span
+// whole output rows (an unpadded pool), else a call per row. Every other
+// window is clamped to its in-bounds tap range once, so no tap tests
+// bounds, and scanned in (kh, kw) order.
+func (p pooling) plane(in, out []float32, arg []int32, base int) {
+	h, w, outW := p.InH, p.InW, p.outW
+	if p.r1 > p.r0 && p.c1 > p.c0 {
+		n, rows := p.c1-p.c0, 1
+		if n == outW {
+			rows = p.r1 - p.r0 // whole output rows are contiguous
+		}
+		for oh := p.r0; oh < p.r1; oh += rows {
+			o, i0 := oh*outW+p.c0, (2*oh-p.PadH)*w+2*p.c0-p.PadW
+			var a []int32
+			if arg != nil {
+				a = arg[o : o+rows*n]
+			}
+			kernel.MaxPool2x2(out[o:o+rows*n], a, in[i0:], n, w, base+i0)
+		}
+	}
 	negInf := float32(math.Inf(-1))
-	for oh := 0; oh < outH; oh++ {
-		h0 := oh*sh - ph
-		h1 := min(h0+kh, h)
+	for oh := 0; oh < p.outH; oh++ {
+		h0 := oh*p.StrideH - p.PadH
+		h1 := min(h0+p.KH, h)
 		h0 = max(h0, 0)
+		skip := -1 // the first column the kernel pooled in this row, if any
+		if oh >= p.r0 && oh < p.r1 && p.c1 > p.c0 {
+			skip = p.c0
+		}
 		for ow := 0; ow < outW; ow++ {
-			w0 := ow*sw - pw
-			w1 := min(w0+kw, w)
+			if ow == skip {
+				ow = p.c1 - 1
+				continue
+			}
+			w0 := ow*p.StrideW - p.PadW
+			w1 := min(w0+p.KW, w)
 			w0 = max(w0, 0)
 			best, idx := negInf, -1
-			if h1-h0 == 2 && w1-w0 == 2 {
-				i0 := h0*w + w0
-				i1 := i0 + w
-				r0, r1 := in[i0:i0+2], in[i1:i1+2]
-				m0, j0 := firstMax(negInf, -1, r0[0], i0)
-				m0, j0 = firstMax(m0, j0, r0[1], i0+1)
-				m1, j1 := firstMax(negInf, -1, r1[0], i1)
-				m1, j1 = firstMax(m1, j1, r1[1], i1+1)
-				best, idx = firstMax(m0, j0, m1, j1)
-			} else {
-				for ih := h0; ih < h1; ih++ {
-					row := in[ih*w : ih*w+w1]
-					for iw := w0; iw < w1; iw++ {
-						best, idx = firstMax(best, idx, row[iw], ih*w+iw)
+			for ih := h0; ih < h1; ih++ {
+				row := in[ih*w : ih*w+w1]
+				for iw := w0; iw < w1; iw++ {
+					if v := row[iw]; v > best {
+						best, idx = v, ih*w+iw
 					}
 				}
 			}
@@ -110,19 +151,6 @@ func maxPoolPlane(g tensor.ConvGeom, in, out []float32, arg []int32, base int) {
 			}
 		}
 	}
-}
-
-// firstMax returns (v, j) if v > m and (m, i) otherwise: one step of a
-// first-strict-max scan (ties keep m, NaN never replaces it), with the
-// compare turned into a mask that selects the bits, not a branch — a
-// pooling window's compares are as random as its values.
-func firstMax(m float32, i int, v float32, j int) (float32, int) {
-	var c int
-	if v > m {
-		c = -1
-	}
-	mb, vb := math.Float32bits(m), math.Float32bits(v)
-	return math.Float32frombits(mb ^ (mb^vb)&uint32(c)), i ^ (i^j)&c
 }
 
 // Backward implements Layer.

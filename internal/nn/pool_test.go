@@ -57,21 +57,22 @@ func maxPoolRef(l *MaxPool2D, x *tensor.Tensor) (*tensor.Tensor, []int32) {
 
 // TestMaxPoolMatchesScalarOracle holds MaxPool2D to maxPoolRef bit for bit
 // — y, argmax and Backward's dx, and y of an eval Forward — for windows
-// 2/2/0, 3/2/0, 3/2/1, 2/1/1 and 1/1/0 over small random shapes (odd sizes
-// included), on inputs where NaN, ±Inf, ±0 and exact ties replace a share
-// of the values from none to all.
+// 2/2/0, 2/2/1, 3/2/0, 3/2/1, 2/1/1 and 1/1/0 over small random shapes (odd
+// sizes included, and rows up to 36 wide, so a 2×2/2 row runs the kernel's
+// masked, whole-tile and overlapping-tile paths), on inputs where NaN, ±Inf,
+// ±0 and exact ties replace a share of the values from none to all.
 func TestMaxPoolMatchesScalarOracle(t *testing.T) {
 	r := rng.New(41)
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	specials := []float32{nan, inf, -inf, 0, float32(math.Copysign(0, -1))}
 	bits := math.Float32bits
-	for _, win := range [][3]int{{2, 2, 0}, {3, 2, 0}, {3, 2, 1}, {2, 1, 1}, {1, 1, 0}} {
+	for _, win := range [][3]int{{2, 2, 0}, {2, 2, 1}, {3, 2, 0}, {3, 2, 1}, {2, 1, 1}, {1, 1, 0}} {
 		k, stride, pad := win[0], win[1], win[2]
 		for _, density := range []float32{0, 0.1, 0.3, 0.7, 1} {
 			for trial := 0; trial < 6; trial++ {
 				lo := max(1, k-2*pad)
 				n, c := 1+r.Intn(2), 1+r.Intn(3)
-				h, w := lo+r.Intn(8), lo+r.Intn(8)
+				h, w := lo+r.Intn(8), lo+r.Intn(36)
 				x := tensor.New(n, c, h, w)
 				for i := range x.Data {
 					// Few distinct values, so ties are common without planting.

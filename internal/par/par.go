@@ -18,9 +18,9 @@ import (
 	"sync"
 )
 
-// minParallel is the smallest range size worth splitting across goroutines.
+// MinParallel is the smallest range size worth splitting across goroutines.
 // Below this the synchronization overhead dominates any speedup.
-const minParallel = 2048
+const MinParallel = 2048
 
 // MaxWorkers reports the degree of parallelism used by For: the number of
 // usable CPUs as configured by GOMAXPROCS.
@@ -32,7 +32,7 @@ func MaxWorkers() int {
 // must be safe to call concurrently on disjoint ranges. For small n the body
 // is invoked once on the calling goroutine.
 func For(n int, body func(lo, hi int)) {
-	ForGrain(n, minParallel, body)
+	ForGrain(n, MinParallel, body)
 }
 
 // ForGrain is For with an explicit minimum chunk size. grain <= 0 means use
@@ -42,7 +42,7 @@ func ForGrain(n, grain int, body func(lo, hi int)) {
 		return
 	}
 	if grain <= 0 {
-		grain = minParallel
+		grain = MinParallel
 	}
 	workers := MaxWorkers()
 	if workers <= 1 || n <= grain {
