@@ -68,7 +68,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strconv"
 	"strings"
 
@@ -211,34 +213,60 @@ func (s sizes) check() error {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("simulate: ")
+	var usage flagError
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &usage):
+		os.Exit(2) // the flag package has printed the error and the usage
+	default:
+		log.Fatal(err)
+	}
+}
 
+// flagError is a flag value the flag package refused, which it has already
+// reported on stderr with the usage.
+type flagError struct{ err error }
+
+func (e flagError) Error() string { return e.err.Error() }
+
+// run is the whole command: it parses args, prices the configuration, and
+// writes the report to w. A flag value it cannot use, or a model that does
+// not fit the device, is an error returned before anything is printed; -h
+// is flag.ErrHelp, after the flag package printed the usage.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
 	var (
-		model      = flag.String("model", "resnet50", "model: "+strings.Join(models.FullSizeNames(), " | "))
-		machine    = flag.String("machine", "knl", "device: k20 | m40 | p100 | knl | cpu")
-		network    = flag.String("network", "opa", "fabric: fdr | qdr | 10gbe | opa | nvlink (cross-node tier when -per-node is set)")
-		algo       = flag.String("algo", "ring", "allreduce: central | tree | ring (cross-node tier when -per-node is set)")
-		nodes      = flag.Int("nodes", 2048, "device count")
-		batch      = flag.Int("batch", 32768, "global batch size")
-		epochs     = flag.Int("epochs", 90, "epoch budget")
-		dataset    = flag.Int("dataset", 1280000, "dataset size (ImageNet-1k default)")
-		overlap    = flag.Bool("overlap", false, "overlap bucket allreduces with the backward pass (bucket-level pipeline model)")
-		obuckets   = flag.Int("overlap-buckets", 0, "gradient buckets for the overlap pipeline (0 = default 16)")
-		sweep      = flag.Bool("sweep", false, "sweep node counts 1x..16x and print the scaling curve")
-		evict      = flag.String("evict", "", "degrading fleet: comma-separated run fractions, one device lost at each (e.g. \"0.25,0.5\")")
-		syncSweep  = flag.String("sync-sweep", "", "local-SGD sweep: comma-separated synchronization periods H (e.g. \"1,2,4,8\"); allreduce paid every H-th step")
-		autoscale  = flag.String("autoscale", "", "replay a traffic trace through the autoscaler: \"LOADxN[!P]\" segments, LOAD relative to the healthy fleet (e.g. \"0.3x4,1.5x8!1,0.3x8\")")
-		targetUtil = flag.Float64("target-util", 0.8, "autoscaler utilization target (0 disables the utilization rule)")
-		maxBacklog = flag.Float64("max-backlog", 0, "autoscaler backlog SLO in seconds (0 disables the queue-depth rule)")
-		scaleMin   = flag.Int("scale-min", 1, "autoscaler fleet floor")
-		scaleMax   = flag.Int("scale-max", 0, "autoscaler fleet ceiling (0 = -nodes; flat clusters may exceed -nodes)")
-		cooldown   = flag.Int("cooldown", 0, "autoscaler intervals of hysteresis after each scale event")
-		interval   = flag.Float64("interval", 60, "autoscaler trace resolution in seconds")
-		usdHour    = flag.Float64("usd-hour", 3, "autoscaler per-device-hour price for the cost accounting")
-		perNode    = flag.Int("per-node", 0, "devices per node for two-tier hierarchical pricing (0 = flat; must divide -nodes)")
-		intraNet   = flag.String("intra-network", "nvlink", "within-node fabric when -per-node is set: fdr | qdr | 10gbe | opa | nvlink")
-		intraAlg   = flag.String("intra-algo", "ring", "within-node allreduce when -per-node is set: central | tree | ring")
+		model      = fs.String("model", "resnet50", "model: "+strings.Join(models.FullSizeNames(), " | "))
+		machine    = fs.String("machine", "knl", "device: k20 | m40 | p100 | knl | cpu")
+		network    = fs.String("network", "opa", "fabric: fdr | qdr | 10gbe | opa | nvlink (cross-node tier when -per-node is set)")
+		algo       = fs.String("algo", "ring", "allreduce: central | tree | ring (cross-node tier when -per-node is set)")
+		nodes      = fs.Int("nodes", 2048, "device count")
+		batch      = fs.Int("batch", 32768, "global batch size")
+		epochs     = fs.Int("epochs", 90, "epoch budget")
+		dataset    = fs.Int("dataset", 1280000, "dataset size (ImageNet-1k default)")
+		overlap    = fs.Bool("overlap", false, "overlap bucket allreduces with the backward pass (bucket-level pipeline model)")
+		obuckets   = fs.Int("overlap-buckets", 0, "gradient buckets for the overlap pipeline (0 = default 16)")
+		sweep      = fs.Bool("sweep", false, "sweep node counts 1x..16x and print the scaling curve")
+		evict      = fs.String("evict", "", "degrading fleet: comma-separated run fractions, one device lost at each (e.g. \"0.25,0.5\")")
+		syncSweep  = fs.String("sync-sweep", "", "local-SGD sweep: comma-separated synchronization periods H (e.g. \"1,2,4,8\"); allreduce paid every H-th step")
+		autoscale  = fs.String("autoscale", "", "replay a traffic trace through the autoscaler: \"LOADxN[!P]\" segments, LOAD relative to the healthy fleet (e.g. \"0.3x4,1.5x8!1,0.3x8\")")
+		targetUtil = fs.Float64("target-util", 0.8, "autoscaler utilization target (0 disables the utilization rule)")
+		maxBacklog = fs.Float64("max-backlog", 0, "autoscaler backlog SLO in seconds (0 disables the queue-depth rule)")
+		scaleMin   = fs.Int("scale-min", 1, "autoscaler fleet floor")
+		scaleMax   = fs.Int("scale-max", 0, "autoscaler fleet ceiling (0 = -nodes; flat clusters may exceed -nodes)")
+		cooldown   = fs.Int("cooldown", 0, "autoscaler intervals of hysteresis after each scale event")
+		interval   = fs.Float64("interval", 60, "autoscaler trace resolution in seconds")
+		usdHour    = fs.Float64("usd-hour", 3, "autoscaler per-device-hour price for the cost accounting")
+		perNode    = fs.Int("per-node", 0, "devices per node for two-tier hierarchical pricing (0 = flat; must divide -nodes)")
+		intraNet   = fs.String("intra-network", "nvlink", "within-node fabric when -per-node is set: fdr | qdr | 10gbe | opa | nvlink")
+		intraAlg   = fs.String("intra-algo", "ring", "within-node allreduce when -per-node is set: central | tree | ring")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return flagError{err}
+	}
 	sz := sizes{
 		nodes: *nodes, batch: *batch, epochs: *epochs, dataset: *dataset,
 		perNode: *perNode, overlapBuckets: *obuckets, sweep: *sweep,
@@ -247,146 +275,118 @@ func main() {
 		interval: *interval, targetUtil: *targetUtil, maxBacklog: *maxBacklog, usdHour: *usdHour,
 	}
 	if err := sz.check(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-
 	spec, err := models.FullSize(*model)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-
-	var m cluster.Machine
-	switch *machine {
-	case "k20":
-		m = cluster.TeslaK20
-	case "m40":
-		m = cluster.TeslaM40
-	case "p100":
-		m = cluster.TeslaP100
-	case "knl":
-		m = cluster.KNL7250
-	case "cpu":
-		m = cluster.Xeon8160
-	default:
-		log.Fatalf("unknown machine %q", *machine)
+	m, err := parseMachine(*machine)
+	if err != nil {
+		return err
 	}
-
-	parseNet := func(name string) comm.Network {
-		switch name {
-		case "fdr":
-			return comm.MellanoxFDR
-		case "qdr":
-			return comm.IntelQDR
-		case "10gbe":
-			return comm.Intel10GbE
-		case "opa":
-			return cluster.OmniPath
-		case "nvlink":
-			return cluster.NVLinkHybrid
-		default:
-			log.Fatalf("unknown network %q", name)
-			panic("unreachable")
+	base := cluster.Cluster{Machine: m, Overlap: *overlap, OverlapBuckets: *obuckets}
+	if base.Network, err = parseNetwork(*network); err != nil {
+		return err
+	}
+	if base.Algo, err = dist.ParseAlgorithm(*algo); err != nil {
+		return err
+	}
+	if *perNode > 0 { // divides every fleet: checked for -nodes, and -sweep only doubles it
+		base.PerNode = *perNode
+		if base.IntraNetwork, err = parseNetwork(*intraNet); err != nil {
+			return err
+		}
+		if base.IntraAlgo, err = dist.ParseAlgorithm(*intraAlg); err != nil {
+			return err
 		}
 	}
-	parseAlgo := func(name string) dist.Algorithm {
-		a, err := dist.ParseAlgorithm(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return a
-	}
-	net := parseNet(*network)
-	a := parseAlgo(*algo)
-
+	net, a := base.Network, base.Algo
 	buildCluster := func(n int) cluster.Cluster {
-		c := cluster.Cluster{Machine: m, Count: n, Network: net, Algo: a, Overlap: *overlap, OverlapBuckets: *obuckets}
-		if *perNode > 0 { // divides n: checked for -nodes, and -sweep only doubles it
-			c.PerNode = *perNode
-			c.IntraNetwork = parseNet(*intraNet)
-			c.IntraAlgo = parseAlgo(*intraAlg)
-		}
+		c := base
+		c.Count = n
 		return c
 	}
-	run := func(n int) cluster.Estimate {
+	simulate := func(n int) cluster.Estimate {
 		return cluster.Simulate(buildCluster(n), spec, *batch, *epochs, *dataset)
 	}
 
 	if *sweep {
-		fmt.Printf("%-8s %-12s %-12s %-12s %-12s %-14s %-10s\n", "nodes", "comp/iter", "comm/iter", "total", "img/s", "msgs/iter", "rounds")
+		fmt.Fprintf(w, "%-8s %-12s %-12s %-12s %-12s %-14s %-10s\n", "nodes", "comp/iter", "comm/iter", "total", "img/s", "msgs/iter", "rounds")
 		for n := *nodes; n <= 16**nodes && n <= *batch; n *= 2 {
-			e := run(n)
+			e := simulate(n)
 			if e.OOM {
-				fmt.Printf("%-8d OOM\n", n)
+				fmt.Fprintf(w, "%-8d OOM\n", n)
 				continue
 			}
-			fmt.Printf("%-8d %-12.4fs %-12.4fs %-12s %-12.0f %-14d %-10d\n",
+			fmt.Fprintf(w, "%-8d %-12.4fs %-12.4fs %-12s %-12.0f %-14d %-10d\n",
 				n, e.CompSec, e.CommSec, e.Duration().Round(1e9), e.ImagesSec, e.Comm.Messages, e.Comm.Steps)
 		}
-		return
+		return nil
 	}
 
-	e := run(*nodes)
+	e := simulate(*nodes)
 	if e.OOM {
-		log.Fatalf("%s does not fit on %s even at batch 1", spec.Name, m.Name)
+		return fmt.Errorf("%s does not fit on %s even at batch 1", spec.Name, m.Name)
 	}
-	fmt.Printf("model:       %s (|W|=%.1fMB, %.2f GFLOPs/image)\n", spec.Name, float64(spec.WeightBytes())/1e6, float64(spec.FLOPsPerImage())/1e9)
+	fmt.Fprintf(w, "model:       %s (|W|=%.1fMB, %.2f GFLOPs/image)\n", spec.Name, float64(spec.WeightBytes())/1e6, float64(spec.FLOPsPerImage())/1e9)
 	if h, ok := e.Cluster.Hierarchy(); ok {
-		fmt.Printf("cluster:     %d x %s as %d nodes of %d: %s %s intra, %s %s inter\n",
+		fmt.Fprintf(w, "cluster:     %d x %s as %d nodes of %d: %s %s intra, %s %s inter\n",
 			*nodes, m.Name, h.Nodes, h.PerNode, e.Cluster.IntraNetwork.Name, h.Intra, net.Name, h.Inter)
 	} else {
-		fmt.Printf("cluster:     %d x %s over %s (%s allreduce)\n", *nodes, m.Name, net.Name, a)
+		fmt.Fprintf(w, "cluster:     %d x %s over %s (%s allreduce)\n", *nodes, m.Name, net.Name, a)
 	}
-	fmt.Printf("batch:       %d global, %d/device (compute micro-batch %d)\n", *batch, e.LocalBatch, e.MicroBatch)
-	fmt.Printf("iterations:  %d (%d epochs of %d images)\n", e.Iterations, *epochs, *dataset)
-	fmt.Printf("iteration:   %.4fs compute + %.4fs communication\n", e.CompSec, e.CommSec)
-	fmt.Printf("allreduce:   %d messages, %.1f MB aggregate, %d latency rounds per iteration (%s)\n",
+	fmt.Fprintf(w, "batch:       %d global, %d/device (compute micro-batch %d)\n", *batch, e.LocalBatch, e.MicroBatch)
+	fmt.Fprintf(w, "iterations:  %d (%d epochs of %d images)\n", e.Iterations, *epochs, *dataset)
+	fmt.Fprintf(w, "iteration:   %.4fs compute + %.4fs communication\n", e.CompSec, e.CommSec)
+	fmt.Fprintf(w, "allreduce:   %d messages, %.1f MB aggregate, %d latency rounds per iteration (%s)\n",
 		e.Comm.Messages, float64(e.Comm.Bytes)/1e6, e.Comm.Steps, a)
 	if _, ok := e.Cluster.Hierarchy(); ok {
-		fmt.Printf("  intra tier: %d messages, %.1f MB, %d rounds (concurrent across nodes)\n",
+		fmt.Fprintf(w, "  intra tier: %d messages, %.1f MB, %d rounds (concurrent across nodes)\n",
 			e.TierComm.Intra.Messages, float64(e.TierComm.Intra.Bytes)/1e6, e.TierComm.Intra.Steps)
-		fmt.Printf("  inter tier: %d messages, %.1f MB, %d rounds (node leaders)\n",
+		fmt.Fprintf(w, "  inter tier: %d messages, %.1f MB, %d rounds (node leaders)\n",
 			e.TierComm.Inter.Messages, float64(e.TierComm.Inter.Bytes)/1e6, e.TierComm.Inter.Steps)
 	}
 	if *overlap {
-		fmt.Printf("overlap:     backward window %.4fs, comm %.4fs hidden + %.4fs exposed over %d buckets\n",
+		fmt.Fprintf(w, "overlap:     backward window %.4fs, comm %.4fs hidden + %.4fs exposed over %d buckets\n",
 			e.BackwardSec, e.HiddenCommSec, e.CommSec, len(e.Buckets))
-		fmt.Printf("  %-8s %-10s %-10s %-10s %-10s %s\n", "bucket", "MB", "ready", "start", "done", "exposure")
+		fmt.Fprintf(w, "  %-8s %-10s %-10s %-10s %-10s %s\n", "bucket", "MB", "ready", "start", "done", "exposure")
 		for j := len(e.Buckets) - 1; j >= 0; j-- { // pipeline order: tail of the gradient first
 			b := e.Buckets[j]
 			status := "hidden"
 			if !b.Hidden {
 				status = fmt.Sprintf("exposed %.4fs", b.DoneSec-e.BackwardSec)
 			}
-			fmt.Printf("  %-8d %-10.2f %-10.4f %-10.4f %-10.4f %s\n",
+			fmt.Fprintf(w, "  %-8d %-10.2f %-10.4f %-10.4f %-10.4f %s\n",
 				j, float64(b.Bytes)/1e6, b.ReadySec, b.StartSec, b.DoneSec, status)
 		}
 	}
-	fmt.Printf("throughput:  %.0f images/sec\n", e.ImagesSec)
-	fmt.Printf("total:       %s\n", e.Duration().Round(1e9))
+	fmt.Fprintf(w, "throughput:  %.0f images/sec\n", e.ImagesSec)
+	fmt.Fprintf(w, "total:       %s\n", e.Duration().Round(1e9))
 
 	if *evict != "" {
 		fracs, _ := sz.evictions() // checked above
 		el := cluster.SimulateElastic(buildCluster(*nodes), spec, *batch, *epochs, *dataset, fracs)
-		fmt.Printf("\neviction timeline (%d devices lost; fixed %d-epoch budget, serial communication):\n", len(fracs), *epochs)
-		fmt.Printf("  %-8s %-12s %-12s %-12s %-12s\n", "world", "iterations", "comp/iter", "comm/iter", "img/s")
+		fmt.Fprintf(w, "\neviction timeline (%d devices lost; fixed %d-epoch budget, serial communication):\n", len(fracs), *epochs)
+		fmt.Fprintf(w, "  %-8s %-12s %-12s %-12s %-12s\n", "world", "iterations", "comp/iter", "comm/iter", "img/s")
 		for _, p := range el.Phases {
-			fmt.Printf("  %-8d %-12d %-12s %-12s %-12.0f\n",
+			fmt.Fprintf(w, "  %-8d %-12d %-12s %-12s %-12.0f\n",
 				p.Devices, p.Iterations,
 				fmt.Sprintf("%.4fs", p.CompSec), fmt.Sprintf("%.4fs", p.CommSec), p.ImagesSec)
 		}
-		fmt.Printf("  healthy fleet:  %s (%.0f img/s)\n", el.Baseline.Duration().Round(1e9), el.Baseline.ImagesSec)
-		fmt.Printf("  degraded fleet: %s (%.0f img/s avg), time-to-accuracy +%.1f%%\n",
+		fmt.Fprintf(w, "  healthy fleet:  %s (%.0f img/s)\n", el.Baseline.Duration().Round(1e9), el.Baseline.ImagesSec)
+		fmt.Fprintf(w, "  degraded fleet: %s (%.0f img/s avg), time-to-accuracy +%.1f%%\n",
 			el.Duration().Round(1e9), el.ImagesSec, el.SlowdownPct())
 	}
 
 	if *syncSweep != "" {
 		hs, _ := sz.periods() // checked above
 		curve := cluster.LocalSGDCurve(buildCluster(*nodes), spec, *batch, *epochs, *dataset, hs)
-		fmt.Printf("\nlocal-SGD sweep (weight average every H steps; comm volume scales as 1/H):\n")
-		fmt.Printf("  %-6s %-12s %-12s %-12s %-12s %-10s %-10s\n",
+		fmt.Fprintf(w, "\nlocal-SGD sweep (weight average every H steps; comm volume scales as 1/H):\n")
+		fmt.Fprintf(w, "  %-6s %-12s %-12s %-12s %-12s %-10s %-10s\n",
 			"H", "rounds", "step", "img/s", "total", "speedup", "comm GB")
 		for _, p := range curve {
-			fmt.Printf("  %-6d %-12d %-12s %-12.0f %-12s %-10s %-10.1f\n",
+			fmt.Fprintf(w, "  %-6d %-12d %-12s %-12.0f %-12s %-10s %-10.1f\n",
 				p.SyncEvery, p.SyncRounds,
 				fmt.Sprintf("%.4fs", p.StepSec), p.ImagesSec,
 				p.Duration().Round(1e9), fmt.Sprintf("%.2fx", p.Speedup),
@@ -412,12 +412,47 @@ func main() {
 			CooldownIntervals: *cooldown, USDPerDeviceHour: *usdHour,
 		}
 		est := cluster.SimulateAutoscale(buildCluster(*nodes), spec, *batch, *interval, trace, pol)
-		fmt.Printf("\nautoscale replay (%d intervals of %.0fs; load relative to the healthy %.0f img/s):\n",
+		fmt.Fprintf(w, "\nautoscale replay (%d intervals of %.0fs; load relative to the healthy %.0f img/s):\n",
 			len(trace), *interval, e.ImagesSec)
-		fmt.Printf("  world timeline: %s\n", est.Timeline)
-		fmt.Printf("  joins=%d evictions=%d (preempted %d) reaction=%.1f intervals final_backlog=%.0fs\n",
+		fmt.Fprintf(w, "  world timeline: %s\n", est.Timeline)
+		fmt.Fprintf(w, "  joins=%d evictions=%d (preempted %d) reaction=%.1f intervals final_backlog=%.0fs\n",
 			est.Joins, est.Evictions, est.Preempted, est.ReactionIntervals, est.FinalBacklogSec)
-		fmt.Printf("  cost: $%.2f elastic vs $%.2f static-max (%.0f%% saved)\n",
+		fmt.Fprintf(w, "  cost: $%.2f elastic vs $%.2f static-max (%.0f%% saved)\n",
 			est.TotalUSD, est.StaticUSD, est.SavingsPct())
 	}
+	return nil
+}
+
+// parseMachine returns the device named by -machine.
+func parseMachine(name string) (cluster.Machine, error) {
+	switch name {
+	case "k20":
+		return cluster.TeslaK20, nil
+	case "m40":
+		return cluster.TeslaM40, nil
+	case "p100":
+		return cluster.TeslaP100, nil
+	case "knl":
+		return cluster.KNL7250, nil
+	case "cpu":
+		return cluster.Xeon8160, nil
+	}
+	return cluster.Machine{}, fmt.Errorf("unknown machine %q", name)
+}
+
+// parseNetwork returns the fabric named by -network or -intra-network.
+func parseNetwork(name string) (comm.Network, error) {
+	switch name {
+	case "fdr":
+		return comm.MellanoxFDR, nil
+	case "qdr":
+		return comm.IntelQDR, nil
+	case "10gbe":
+		return comm.Intel10GbE, nil
+	case "opa":
+		return cluster.OmniPath, nil
+	case "nvlink":
+		return cluster.NVLinkHybrid, nil
+	}
+	return comm.Network{}, fmt.Errorf("unknown network %q", name)
 }

@@ -1,10 +1,80 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"flag"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
+
+// TestStdoutGolden pins the command's whole report against what the binary
+// printed before simulate became run(args, w): the default run (ResNet-50
+// on 2048 KNLs) and the two-tier DGX-1 example of the package comment.
+func TestStdoutGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   string
+	}{
+		{"default", ""},
+		{"per-node", "-model resnet50 -batch 8192 -nodes 32 -machine p100 -per-node 8 -intra-network nvlink -intra-algo ring -network fdr -algo tree"},
+	} {
+		var out bytes.Buffer
+		if err := run(strings.Fields(tc.args), &out); err != nil {
+			t.Errorf("simulate %s: %v", tc.args, err)
+			continue
+		}
+		want, err := os.ReadFile("testdata/" + tc.golden + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != string(want) {
+			t.Errorf("simulate %s differs from testdata/%s.golden:\n%s", tc.args, tc.golden, out.String())
+		}
+	}
+}
+
+// TestRefusedFlags: a configuration the command cannot price is one error
+// line returned before any report is written, without the "simulate:"
+// prefix main adds. A malformed value is a flagError, which main turns into
+// exit status 2 as the flag package's ExitOnError did, and -h is
+// flag.ErrHelp (exit 0). -intra-network and -intra-algo used to be parsed
+// only when the first cluster was built, so a bad one under -sweep failed
+// after the table header.
+func TestRefusedFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want string
+	}{
+		{"-machine zz", `unknown machine "zz"`},
+		{"-network zz", `unknown network "zz"`},
+		{"-algo zz", `unknown algorithm "zz"`},
+		{"-model zz", `unknown model "zz"`},
+		{"-nodes 0", "-nodes 0: want a positive device count"},
+		{"-per-node 8 -intra-network zz", `unknown network "zz"`},
+		{"-sweep -per-node 8 -intra-algo zz", `unknown algorithm "zz"`},
+		{"-nodes abc", `invalid value "abc" for flag -nodes`},
+		{"-no-such-flag", "flag provided but not defined: -no-such-flag"},
+	} {
+		var out bytes.Buffer
+		err := run(strings.Fields(tc.args), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("simulate %s: got %v, want an error containing %q", tc.args, err, tc.want)
+			continue
+		}
+		if strings.Contains(err.Error(), "\n") || strings.Contains(err.Error(), "simulate:") || out.Len() != 0 {
+			t.Errorf("simulate %s: want a one-line error without a prefix and no report, got %q and %q", tc.args, err, out.String())
+		}
+		if flagErr := strings.HasPrefix(tc.args, "-nodes abc") || strings.HasPrefix(tc.args, "-no-such"); errors.As(err, new(flagError)) != flagErr {
+			t.Errorf("simulate %s: flagError is %v, want %v", tc.args, !flagErr, flagErr)
+		}
+	}
+	if err := run([]string{"-h"}, new(bytes.Buffer)); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("simulate -h: got %v, want flag.ErrHelp", err)
+	}
+}
 
 // TestSizesCheck: every flag value the cluster model would panic on, or
 // would silently replace with a default, and every -sync-sweep or

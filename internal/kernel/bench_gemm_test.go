@@ -48,26 +48,18 @@ func BenchmarkGemm(b *testing.B) {
 }
 
 // BenchmarkGemmNT times the NT product at the shapes that lower onto it
-// (bytes/sec reads as flop/s): micro-AlexNet's conv1 and conv2 dW (dy·colᵀ,
-// one sample: outC × inC·3·3 over outH·outW pixels) and the fully-connected
-// forward x·Wᵀ of a 32-image batch, each through GemmNT and GemmNTHalf; then,
-// f32 only, as the layers run them: train_fc_comm's two hidden forwards per
-// goroutine (its MLP at width 64, a batch of 16 over two workers, each
-// worker's rows split over two goroutines), serve's batch-of-one forward
-// through micro-AlexNet's first fully-connected layer, and micro-ConvNet's
-// per-sample dW of every conv layer at the progressive-resolution run's 12×12
-// and 24×24. The model shapes are read from their models specs.
+// (bytes/sec reads as flop/s): the fully-connected forward x·Wᵀ of a
+// 32-image batch through GemmNT and GemmNTHalf; then, f32 only, as the
+// layers run them: train_fc_comm's two hidden forwards per goroutine (its
+// MLP at width 64, a batch of 16 over two workers, each worker's rows split
+// over two goroutines) and serve's batch-of-one forward through
+// micro-AlexNet's first fully-connected layer; and, through both entry
+// points, micro-ConvNet's per-sample dW of every conv layer (dy·colᵀ: outC ×
+// inC·k·k over outH·outW pixels) at the progressive-resolution run's 12×12
+// and 24×24. At 24×24 its conv1 and conv2 are micro-AlexNet's conv1 and
+// conv2 dW shapes. The model shapes are read from their models specs.
 func BenchmarkGemmNT(b *testing.B) {
-	for _, sh := range []struct {
-		name    string
-		m, n, k int
-	}{
-		{"conv1-dW", 8, 27, 576},
-		{"conv2-dW", 16, 72, 144},
-		{"fc-forward", 32, 512, 1728},
-	} {
-		benchGemmPair(b, sh.name, sh.m, sh.n, sh.k, kernel.GemmNT, kernel.GemmNTHalf)
-	}
+	benchGemmPair(b, "fc-forward", 32, 512, 1728, kernel.GemmNT, kernel.GemmNTHalf)
 	nt := func(name string, m, n, k int) { benchGemmPair(b, name, m, n, k, kernel.GemmNT, nil) }
 	micro := models.MicroConfig{Classes: 8, InC: 3, InH: 24, InW: 24, Width: 8}
 	mlp := micro
@@ -87,7 +79,8 @@ func BenchmarkGemmNT(b *testing.B) {
 			if l.In >= 0 {
 				inC = s.Layers[l.In].OutC
 			}
-			nt(fmt.Sprintf("convnet-%dx%d-%s-dW", res, res, l.Name), l.OutC, inC/l.Groups*l.K*l.K, l.OutH*l.OutW)
+			benchGemmPair(b, fmt.Sprintf("convnet-%dx%d-%s-dW", res, res, l.Name), l.OutC, inC/l.Groups*l.K*l.K, l.OutH*l.OutW,
+				kernel.GemmNT, kernel.GemmNTHalf)
 		}
 	}
 }

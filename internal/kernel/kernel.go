@@ -23,10 +23,11 @@
 // Each hot kernel has two forms: an AVX2 one in assembly and a Go loop. The
 // GEMM register tiles (NN/TN's 4×16 strip of C and NT's two-row dotTile),
 // axpyQuad, the one-row axpy, RoundHalf, the canonical reduce of both wires
-// (CanonicalAccumulate and CanonicalAccumulateHalf), ReLU, ReLUBackward and
-// the Momentum update run eight lanes wide with AVX2 when CPUID and XGETBV
-// report it (read once, at package init, into useAVX2), and otherwise the
-// same Go loop the portable build runs. None uses FMA: every form does the
+// (CanonicalAccumulate and CanonicalAccumulateHalf), ReLU, ReLUBackward,
+// MaxPool2x2 (2×2/2 max pooling with its argmax) and the Momentum update
+// run eight lanes wide with AVX2 when CPUID and XGETBV report it (read once,
+// at package init, into useAVX2), and otherwise the same Go loop the
+// portable build runs. None uses FMA: every form does the
 // scalar loop's rounded multiplies and adds in its order, so every form
 // gives the same bits, and the Go loops convert each product explicitly so
 // that no compiler fuses them.

@@ -2,7 +2,10 @@
 
 #include "textflag.h"
 
-// MaxPool2x2's AVX2 kernel: eight outputs of 2×2/2 windows per tile.
+// MaxPool2x2's AVX2 kernel: eight outputs of 2×2/2 windows per tile. SI
+// and R9 point at a row's two input rows, DI and R8 at its outputs and
+// argmax, DX is the tile's first output in the row, CX the row's length n,
+// BX the input width w and R10 the argmax base of the row's first tap.
 
 DATA neginf<>+0(SB)/4, $0xff800000
 GLOBL neginf<>(SB), RODATA|NOPTR, $4
@@ -45,8 +48,8 @@ GLOBL masktab<>(SB), RODATA|NOPTR, $128
 	VSHUFPS $0x88, b, a, e; \
 	VSHUFPS $0xDD, b, a, o
 
-// LOADTILE loads the tile at output DX: row 0's taps into Y2 (even) and Y3
-// (odd), row 1's into Y4 and Y5.
+// LOADTILE loads the tile at output DX: the top input row's taps into Y2
+// (even) and Y3 (odd), the bottom row's into Y4 and Y5.
 #define LOADTILE \
 	VMOVUPS (SI)(DX*8), Y0; \
 	VMOVUPS 32(SI)(DX*8), Y1; \
@@ -89,10 +92,12 @@ GLOBL masktab<>(SB), RODATA|NOPTR, $128
 	LEAQ (DI)(CX*4), DI; \
 	LEAQ (R10)(BX*2), R10
 
-// POOL scans the four taps into Y6 from the −Inf seed in Y15: VMAXPS with
-// the tap as the first source and the running value as the second returns
-// the running value unless the tap is greater (ties and NaN keep it), which
-// is firstMax. The closing VPERMPD puts the outputs in order.
+// POOL scans the four taps into Y6 in the scalar order (top row even, odd,
+// then the bottom row) from the −Inf seed in Y15, which keeps a NaN first
+// tap from becoming the value: VMAXPS with the tap as the first source and
+// the running value as the second returns the running value unless the tap
+// is greater (ties and NaN keep it), which is firstMax. The closing VPERMPD
+// puts the outputs in order.
 #define POOL \
 	VMAXPS  Y15, Y2, Y6; \
 	VMAXPS  Y6, Y3, Y6; \
