@@ -2,12 +2,11 @@ package kernel
 
 import "math"
 
-// MaxPool2x2 pools rows of n outputs over 2×2 windows at stride 2: output
-// j of row r, out[r·n+j], is the first strict maximum of in[i], in[i+1],
-// in[i+w] and in[i+w+1] at i = 2r·w + 2j, scanned in that order from −Inf,
-// so ties go to the first tap, NaN never wins and a window of only NaN or
-// −Inf gives −Inf. So in holds each row's top input row from its first tap
-// on, then the next input row w elements later. When arg is non-nil,
+// MaxPool2x2 pools rows of n outputs over 2×2 windows at stride 2, reading
+// an input of row width w: output j of row r, out[r·n+j], is the first
+// strict maximum of in[i], in[i+1], in[i+w] and in[i+w+1] at i = 2r·w + 2j,
+// scanned in that order from −Inf, so ties go to the first tap, NaN never
+// wins and a window of only NaN or −Inf gives −Inf. When arg is non-nil,
 // arg[r·n+j] receives base plus the chosen tap's index in in, or −1 when no
 // tap beat −Inf; the indices must fit in an int32. With AVX2, maxPoolVec
 // pools every row, eight outputs at a time; otherwise the firstMax tree
