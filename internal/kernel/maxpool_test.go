@@ -30,10 +30,10 @@ func maxPoolRef(in []float32, rows, n, w, base int) ([]float32, []int32) {
 // the outputs. A row has 1–17 outputs, or 17 plus the fuzzed width byte
 // (so the AVX2 form's masked, whole-tile and overlapping-tile paths all
 // run), and there are one to three rows, over input rows of 2·outputs plus
-// 0–2 columns, so odd widths leave an unused last column. raw's little-endian words fill
-// the rows cyclically: one word makes every window uniform (all ties, all
-// −Inf, all NaN), and a few words of NaN payloads, ±0, ±Inf and ties spread
-// every mix over the windows.
+// 0–2 columns, so odd widths leave an unused last column. raw's
+// little-endian words fill the input cyclically: one word makes every
+// window uniform (all ties, all −Inf, all NaN), and a few words of NaN
+// payloads, ±0, ±Inf and ties spread every mix over the windows.
 //
 // `go test` replays the seeds below and testdata/fuzz/FuzzMaxPool on every
 // run (under GOARCH=386 too, where the Go tree takes every output); `go
