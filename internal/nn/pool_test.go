@@ -122,6 +122,32 @@ func TestMaxPoolMatchesScalarOracle(t *testing.T) {
 	}
 }
 
+// TestMaxPoolBackwardOverwritesWarmSlot: a Backward into a gradient slot
+// that an earlier Backward filled writes every element, for windows in
+// bounds and at the borders (padding, odd sizes that leave taps in no
+// window), bit for bit what a fresh layer writes.
+func TestMaxPoolBackwardOverwritesWarmSlot(t *testing.T) {
+	r := rng.New(43)
+	for _, win := range [][3]int{{2, 2, 0}, {2, 2, 1}, {3, 2, 1}} {
+		for _, hw := range [][2]int{{8, 8}, {7, 9}, {5, 34}} {
+			k, stride, pad := win[0], win[1], win[2]
+			shape := []int{2, 3, hw[0], hw[1]}
+			warm, fresh := NewMaxPool("pool", k, stride, pad), NewMaxPool("pool", k, stride, pad)
+			y := warm.Forward(tensor.RandNormal(r, 1, shape...), true)
+			warm.Backward(tensor.RandNormal(r, 1, y.Shape...))
+			x, dout := tensor.RandNormal(r, 1, shape...), tensor.RandNormal(r, 1, y.Shape...)
+			warm.Forward(x, true)
+			fresh.Forward(x, true)
+			got, want := warm.Backward(dout), fresh.Backward(dout)
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%d/%d/%d %v: warm dx[%d] = %v, fresh %v", k, stride, pad, shape, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
 // TestBackwardAfterEvalForwardPanics: an eval Forward records nothing for
 // Backward, so a Backward after one (or a second Backward after one
 // training Forward) panics with the layer's name instead of reading stale
