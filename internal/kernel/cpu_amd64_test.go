@@ -58,10 +58,11 @@ func TestCPUFeatures(t *testing.T) {
 
 // TestPortableFormsWithoutAVX2: with useAVX2 cleared, no kernel that has an
 // AVX2 form writes through assembly. roundHalfVec, canonicalVec on both
-// wires, momentumVec, reluVec and reluBackwardVec return 0 and leave their
-// operands alone, maxPoolVec reports that it pooled nothing and writes no
-// output or argmax, gemmTile covers no column, and a one-leaf
-// pairwiseDotTile gives its Go loop's bits: baseDot per row and column.
+// wires, momentumVec, reluVec, reluBackwardVec, normalizeVec (with and
+// without x̂) and normalizeGradVec return 0 and leave their operands alone,
+// maxPoolVec reports that it pooled nothing and writes no output or
+// argmax, gemmTile covers no column, and a one-leaf pairwiseDotTile gives
+// its Go loop's bits: baseDot per row and column.
 func TestPortableFormsWithoutAVX2(t *testing.T) {
 	saved := useAVX2
 	useAVX2 = false
@@ -99,6 +100,16 @@ func TestPortableFormsWithoutAVX2(t *testing.T) {
 	out, arg := append([]float32(nil), keep[:4]...), []int32{7, 7, 7, 7}
 	if maxPoolVec(out, arg, neg[:16], 4, 8, 0) || bitsEqual(out, keep[:4]) >= 0 || [4]int32(arg) != [4]int32{7, 7, 7, 7} {
 		t.Errorf("maxPoolVec pooled, want out and arg unchanged")
+	}
+	hat := append([]float32(nil), keep...)
+	if got := normalizeVec(dst, hat, x, 0.5, 2, 3, 1); got != 0 || bitsEqual(dst, keep) >= 0 || bitsEqual(hat, keep) >= 0 {
+		t.Errorf("normalizeVec wrote %d elements, want 0 and y, x̂ unchanged", got)
+	}
+	if got := normalizeVec(dst, nil, x, 0.5, 2, 3, 1); got != 0 || bitsEqual(dst, keep) >= 0 {
+		t.Errorf("eval normalizeVec wrote %d elements, want 0 and y unchanged", got)
+	}
+	if got := normalizeGradVec(dst, x, neg, 3, 0.5, 2); got != 0 || bitsEqual(dst, keep) >= 0 {
+		t.Errorf("normalizeGradVec wrote %d elements, want 0 and dx unchanged", got)
 	}
 	v, w := append([]float32(nil), x...), append([]float32(nil), x...)
 	if got := momentumVec(v, w, x, 0.9, 0.1, 5e-4, true); got != 0 || bitsEqual(v, keep) >= 0 || bitsEqual(w, keep) >= 0 {

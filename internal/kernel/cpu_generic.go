@@ -28,3 +28,13 @@ func reluAVX2(dst, src []float32) int { panic(offAMD64) }
 func reluBackwardAVX2(dx, y, dy []float32) int { panic(offAMD64) }
 
 func maxPool2x2AVX2(out []float32, arg []int32, in []float32, n, w, base int) { panic(offAMD64) }
+
+func normalizeAVX2(y, xhat, x []float32, mu, inv, gamma, beta float32) int { panic(offAMD64) }
+
+func normalizeGradAVX2(dx, dy, xhat []float32, gi, meanDy, meanDyXhat float32) int {
+	panic(offAMD64)
+}
+
+func sumSqLeavesAVX2(x []float32, a int) (ls, lq, rs, rq float32) { panic(offAMD64) }
+
+func sumDotLeavesAVX2(x, y []float32, a int) (ls, ld, rs, rd float32) { panic(offAMD64) }

@@ -24,10 +24,12 @@
 // GEMM register tiles (NN/TN's 4×16 strip of C and NT's two-row dotTile),
 // axpyQuad, the one-row axpy, RoundHalf, the canonical reduce of both wires
 // (CanonicalAccumulate and CanonicalAccumulateHalf), ReLU, ReLUBackward,
-// MaxPool2x2 (2×2/2 max pooling with its argmax) and the Momentum update
-// run eight lanes wide with AVX2 when CPUID and XGETBV report it (read once,
-// at package init, into useAVX2), and otherwise the same Go loop the
-// portable build runs. None uses FMA: every form does the
+// MaxPool2x2 (2×2/2 max pooling with its argmax), the Momentum update and
+// BatchNorm's Normalize and NormalizeGrad run eight lanes wide with AVX2
+// when CPUID and XGETBV report it (read once, at package init, into
+// useAVX2), and the leaves of PairwiseSumAndSq and PairwiseSumAndDot four
+// lanes wide, two leaves at a time; otherwise each runs the same Go loop
+// the portable build runs. None uses FMA: every form does the
 // scalar loop's rounded multiplies and adds in its order, so every form
 // gives the same bits, and the Go loops convert each product explicitly so
 // that no compiler fuses them.
@@ -79,32 +81,53 @@ func PairwiseSum(x []float32) float32 {
 // PairwiseSumAndSq returns PairwiseSum(x) and the fixed-tree pairwise sum
 // of x[i]² in one pass: both walk the same splitPoint tree with the same
 // four-accumulator base case, so each is bit for bit the sum it would be
-// on its own, while x is read once.
+// on its own, while x is read once. The leaves are sumSqLeaf's; with AVX2
+// sumSqLeavesAVX2 (batchnorm_amd64.s) runs them, both leaves of a node at
+// once when neither is split further.
 func PairwiseSumAndSq(x []float32) (sum, sq float32) {
-	if len(x) <= blockN {
-		var s0, s1, s2, s3, q0, q1, q2, q3 float32
-		i := 0
-		for ; i+4 <= len(x); i += 4 {
-			x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
-			s0 += x0
-			s1 += x1
-			s2 += x2
-			s3 += x3
-			q0 += float32(x0 * x0)
-			q1 += float32(x1 * x1)
-			q2 += float32(x2 * x2)
-			q3 += float32(x3 * x3)
+	switch {
+	case len(x) <= blockN:
+		if useAVX2 {
+			sum, sq, _, _ = sumSqLeavesAVX2(x, len(x))
+			return sum, sq
 		}
-		for ; i < len(x); i++ {
-			s0 += x[i]
-			q0 += float32(x[i] * x[i])
-		}
-		return (s0 + s1) + (s2 + s3), (q0 + q1) + (q2 + q3)
+		return sumSqLeaf(x)
+	case useAVX2 && len(x) <= 2*blockN:
+		// splitPoint is blockN here, so both children are leaves.
+		ls, lq, rs, rq := sumSqLeavesAVX2(x, blockN)
+		return ls + rs, lq + rq
 	}
 	h := splitPoint(len(x))
 	ls, lq := PairwiseSumAndSq(x[:h])
 	rs, rq := PairwiseSumAndSq(x[h:])
 	return ls + rs, lq + rq
+}
+
+// sumSqLeaf is PairwiseSumAndSq's base case over len(x) ≤ blockN
+// elements: four strided accumulators for the sum and four for the
+// squares, the tail into the first, finished as (s0+s1)+(s2+s3). It is the
+// Go twin of sumSqLeavesAVX2, which keeps a leaf's s0..s3 and q0..q3 in the
+// lanes of two XMM registers and issues the same rounded adds and
+// multiplies in the same order.
+func sumSqLeaf(x []float32) (sum, sq float32) {
+	var s0, s1, s2, s3, q0, q1, q2, q3 float32
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
+		s0 += x0
+		s1 += x1
+		s2 += x2
+		s3 += x3
+		q0 += float32(x0 * x0)
+		q1 += float32(x1 * x1)
+		q2 += float32(x2 * x2)
+		q3 += float32(x3 * x3)
+	}
+	for ; i < len(x); i++ {
+		s0 += x[i]
+		q0 += float32(x[i] * x[i])
+	}
+	return (s0 + s1) + (s2 + s3), (q0 + q1) + (q2 + q3)
 }
 
 // PairwiseSumAndDot returns PairwiseSum(x) and the fixed-tree pairwise dot
@@ -118,31 +141,47 @@ func PairwiseSumAndDot(x, y []float32) (sum, dot float32) {
 }
 
 func pairwiseSumAndDot(x, y []float32) (sum, dot float32) {
-	if len(x) <= blockN {
-		y = y[:len(x)]
-		var s0, s1, s2, s3, d0, d1, d2, d3 float32
-		i := 0
-		for ; i+4 <= len(x); i += 4 {
-			x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
-			s0 += x0
-			s1 += x1
-			s2 += x2
-			s3 += x3
-			d0 += float32(x0 * y[i])
-			d1 += float32(x1 * y[i+1])
-			d2 += float32(x2 * y[i+2])
-			d3 += float32(x3 * y[i+3])
+	switch {
+	case len(x) <= blockN:
+		if useAVX2 {
+			sum, dot, _, _ = sumDotLeavesAVX2(x, y[:len(x)], len(x))
+			return sum, dot
 		}
-		for ; i < len(x); i++ {
-			s0 += x[i]
-			d0 += float32(x[i] * y[i])
-		}
-		return (s0 + s1) + (s2 + s3), (d0 + d1) + (d2 + d3)
+		return sumDotLeaf(x, y)
+	case useAVX2 && len(x) <= 2*blockN:
+		ls, ld, rs, rd := sumDotLeavesAVX2(x, y[:len(x)], blockN)
+		return ls + rs, ld + rd
 	}
 	h := splitPoint(len(x))
 	ls, ld := pairwiseSumAndDot(x[:h], y[:h])
 	rs, rd := pairwiseSumAndDot(x[h:], y[h:])
 	return ls + rs, ld + rd
+}
+
+// sumDotLeaf is pairwiseSumAndDot's base case over len(x) ≤ blockN
+// elements, sumSqLeaf's shape with the products x[i]·y[i]. It is the Go
+// twin of sumDotLeavesAVX2 (the callers' slicing of y to len(x) bounds the
+// assembly's reads).
+func sumDotLeaf(x, y []float32) (sum, dot float32) {
+	y = y[:len(x)]
+	var s0, s1, s2, s3, d0, d1, d2, d3 float32
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
+		s0 += x0
+		s1 += x1
+		s2 += x2
+		s3 += x3
+		d0 += float32(x0 * y[i])
+		d1 += float32(x1 * y[i+1])
+		d2 += float32(x2 * y[i+2])
+		d3 += float32(x3 * y[i+3])
+	}
+	for ; i < len(x); i++ {
+		s0 += x[i]
+		d0 += float32(x[i] * y[i])
+	}
+	return (s0 + s1) + (s2 + s3), (d0 + d1) + (d2 + d3)
 }
 
 // pairwiseDot returns the fixed-tree pairwise dot product Σ x[i]·y[i] for

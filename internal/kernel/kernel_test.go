@@ -55,28 +55,34 @@ func randVec(r *rng.Rand, n int) []float32 {
 	return v
 }
 
+// TestPairwiseSumMatchesReferenceShape holds PairwiseSum and the squares
+// and products of the one-pass kernels to the reference tree, in every
+// form of their leaves the CPU runs (see eachForm), at lengths whose last
+// leaf ends at 0–3 mod 4 and that span one to eighty leaves.
 func TestPairwiseSumMatchesReferenceShape(t *testing.T) {
 	r := rng.New(1)
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 31, 127, 128, 129, 255, 256, 257, 1000, 4096, 10000} {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 31, 127, 128, 129, 130, 131, 255, 256, 257, 387, 518, 643, 1000, 1155, 4096, 10000} {
 		x := randVec(r, n)
-		if got, want := PairwiseSum(x), refPairwiseSum(x); got != want {
-			t.Fatalf("n=%d: PairwiseSum = %v, reference tree = %v", n, got, want)
-		}
 		xsq := make([]float32, n)
 		for i, v := range x {
 			xsq[i] = v * v
-		}
-		if _, got := PairwiseSumAndSq(x); got != refPairwiseSum(xsq) {
-			t.Fatalf("n=%d: PairwiseSumAndSq's squares = %v, reference tree = %v", n, got, refPairwiseSum(xsq))
 		}
 		y := randVec(r, n)
 		xy := make([]float32, n)
 		for i := range xy {
 			xy[i] = x[i] * y[i]
 		}
-		if _, got := PairwiseSumAndDot(x, y); got != refPairwiseSum(xy) {
-			t.Fatalf("n=%d: PairwiseSumAndDot's dot = %v, reference tree = %v", n, got, refPairwiseSum(xy))
-		}
+		eachForm(func(form string) {
+			if got, want := PairwiseSum(x), refPairwiseSum(x); got != want {
+				t.Fatalf("n=%d: PairwiseSum = %v, reference tree = %v", n, got, want)
+			}
+			if _, got := PairwiseSumAndSq(x); got != refPairwiseSum(xsq) {
+				t.Fatalf("%s n=%d: PairwiseSumAndSq's squares = %v, reference tree = %v", form, n, got, refPairwiseSum(xsq))
+			}
+			if _, got := PairwiseSumAndDot(x, y); got != refPairwiseSum(xy) {
+				t.Fatalf("%s n=%d: PairwiseSumAndDot's dot = %v, reference tree = %v", form, n, got, refPairwiseSum(xy))
+			}
+		})
 	}
 }
 
@@ -338,11 +344,13 @@ func pairwiseSumSq(x []float32) float32 {
 }
 
 // TestFusedPairwiseMatchSeparate holds the one-pass statistics kernels to
-// the separate sums they replaced, bit for bit: PairwiseSumAndSq to
-// PairwiseSum and pairwiseSumSq, PairwiseSumAndDot to PairwiseSum and
-// pairwiseDot, at every length through 1100 (the base case, the first
-// splits around 128 and 256, and BatchNorm's 12×12 and 24×24 planes), on
-// values of mixed magnitude with signed zeros and ties planted.
+// the separate sums they replaced, bit for bit, in every form of their
+// leaves the CPU runs (see eachForm): PairwiseSumAndSq to PairwiseSum and
+// pairwiseSumSq, PairwiseSumAndDot to PairwiseSum and pairwiseDot, at
+// every length through 1100 (the base case with each tail of 0–3, the
+// first splits around 128 and 256, up to nine leaves, and BatchNorm's
+// 12×12 and 24×24 planes), on values of mixed magnitude with signed zeros
+// and ties planted.
 func TestFusedPairwiseMatchSeparate(t *testing.T) {
 	r := rng.New(21)
 	for n := 0; n <= 1100; n++ {
@@ -358,11 +366,14 @@ func TestFusedPairwiseMatchSeparate(t *testing.T) {
 			}
 		}
 		bits := math.Float32bits
-		if s, q := PairwiseSumAndSq(x); bits(s) != bits(PairwiseSum(x)) || bits(q) != bits(pairwiseSumSq(x)) {
-			t.Fatalf("n=%d: PairwiseSumAndSq = (%v, %v), separate (%v, %v)", n, s, q, PairwiseSum(x), pairwiseSumSq(x))
-		}
-		if s, d := PairwiseSumAndDot(x, y); bits(s) != bits(PairwiseSum(x)) || bits(d) != bits(pairwiseDot(x, y)) {
-			t.Fatalf("n=%d: PairwiseSumAndDot = (%v, %v), separate (%v, %v)", n, s, d, PairwiseSum(x), pairwiseDot(x, y))
-		}
+		sum, sq, dot := PairwiseSum(x), pairwiseSumSq(x), pairwiseDot(x, y)
+		eachForm(func(form string) {
+			if s, q := PairwiseSumAndSq(x); bits(s) != bits(sum) || bits(q) != bits(sq) {
+				t.Fatalf("%s n=%d: PairwiseSumAndSq = (%v, %v), separate (%v, %v)", form, n, s, q, sum, sq)
+			}
+			if s, d := PairwiseSumAndDot(x, y); bits(s) != bits(sum) || bits(d) != bits(dot) {
+				t.Fatalf("%s n=%d: PairwiseSumAndDot = (%v, %v), separate (%v, %v)", form, n, s, d, sum, dot)
+			}
+		})
 	}
 }

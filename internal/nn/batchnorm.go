@@ -65,8 +65,10 @@ func (l *BatchNorm) Name() string { return l.name }
 // Params implements Layer.
 func (l *BatchNorm) Params() []*Param { return []*Param{l.Gamma, l.Beta} }
 
-// channelViews returns per-channel strided access parameters for x, which
-// must be [N, C] or [N, C, H, W] with C == l.C.
+// channelLayout returns x's batch size n and the length of one channel's
+// contiguous segment per sample, area (1 for [N, C], H·W for
+// [N, C, H, W]); x must be one of the two with C == l.C. Channel c of
+// sample s is x.Data[s·C·area + c·area :][:area].
 func (l *BatchNorm) channelLayout(x *tensor.Tensor) (n, area int) {
 	switch x.Dims() {
 	case 2:
@@ -105,7 +107,7 @@ func (l *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	xd, yd := x.Data, y.Data
 	gd, bd := l.Gamma.W.Data, l.Beta.W.Data
 
-	par.ForGrain(l.C, 1, func(clo, chi int) {
+	par.ForGrain(l.C, channelGrain(n*area), func(clo, chi int) {
 		// Per-channel statistics reduce through the fixed-tree kernel sums:
 		// each sample's contiguous segment collapses first (its sum and its
 		// sum of squares in one pass), then the per-sample partials collapse
@@ -135,22 +137,13 @@ func (l *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 			inv := float32(1 / math.Sqrt(variance+float64(l.Eps)))
 			mu := float32(mean)
-			g, b := gd[c], bd[c]
 			for s := 0; s < n; s++ {
 				base := s*stride + c*area
-				xs, ys := xd[base:base+area], yd[base:base+area]
+				var hs []float32
 				if train {
-					hs := xhat[base : base+area]
-					for i, v := range xs {
-						xh := (v - mu) * inv
-						hs[i] = xh
-						ys[i] = float32(g*xh) + b
-					}
-				} else {
-					for i, v := range xs {
-						ys[i] = float32(g*((v-mu)*inv)) + b
-					}
+					hs = xhat[base : base+area]
 				}
+				kernel.Normalize(yd[base:base+area], hs, xd[base:base+area], mu, inv, gd[c], bd[c])
 			}
 			if train {
 				l.invStd[c] = inv
@@ -182,7 +175,7 @@ func (l *BatchNorm) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dgd, dbd := l.Gamma.G.Data, l.Beta.G.Data
 	segA, segB := l.segA, l.segB
 
-	par.ForGrain(l.C, 1, func(clo, chi int) {
+	par.ForGrain(l.C, channelGrain(n*area), func(clo, chi int) {
 		// Σdy and Σdy·x̂ per channel, in one pass per segment, through the
 		// same two-level fixed-tree kernel reduction as the forward
 		// statistics.
@@ -201,13 +194,19 @@ func (l *BatchNorm) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			meanDyXhat := sumDyXhat / m
 			for s := 0; s < n; s++ {
 				base := s*stride + c*area
-				ds, hs, xs := dd[base:base+area], xhat[base:base+area], dxd[base:base+area]
-				for i, d := range ds {
-					xs[i] = gi * (d - meanDy - float32(hs[i]*meanDyXhat))
-				}
+				kernel.NormalizeGrad(dxd[base:base+area], dd[base:base+area], xhat[base:base+area], gi, meanDy, meanDyXhat)
 			}
 		}
 	})
 	l.xhat = nil
 	return dx
+}
+
+// channelGrain is the grain of BatchNorm's channel loop, in channels of
+// perChannel elements each: enough channels for par.MinParallel elements,
+// as MaxPool2D sizes its grain of planes, so a small batch is not split
+// channel by channel.
+func channelGrain(perChannel int) int {
+	perChannel = max(perChannel, 1)
+	return (par.MinParallel + perChannel - 1) / perChannel
 }

@@ -10,8 +10,8 @@ import (
 
 // BenchmarkElementwise times the element-wise layers of the conv step —
 // ReLU, MaxPool 2/2/0 and BatchNorm — one training Forward and Backward
-// each, and MaxPool's eval Forward alone (the serve path), at the inputs of
-// a micro AlexNet-BN shard of 32's two pools: [32, 8, 24, 24] (pool1) and
+// each, and MaxPool's and BatchNorm's eval Forward alone (the serve path),
+// at the inputs of a micro AlexNet-BN shard of 32's two pools: [32, 8, 24, 24] (pool1) and
 // [32, 16, 12, 12] (pool2, whose output rows are six wide). Each row also
 // reports its time per element of the layer's output (ns/output).
 func BenchmarkElementwise(b *testing.B) {
@@ -25,6 +25,7 @@ func BenchmarkElementwise(b *testing.B) {
 			{"maxpool-k2s2p0", NewMaxPool("pool", 2, 2, 0), true},
 			{"maxpool-k2s2p0-eval", NewMaxPool("pool", 2, 2, 0), false},
 			{"batchnorm", NewBatchNorm("bn", shape[1]), true},
+			{"batchnorm-eval", NewBatchNorm("bn", shape[1]), false},
 		} {
 			b.Run(fmt.Sprintf("%s/%dx%dx%dx%d", lc.name, shape[0], shape[1], shape[2], shape[3]), func(b *testing.B) {
 				r := rng.New(1)
